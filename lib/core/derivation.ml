@@ -45,7 +45,10 @@ let derivable k cls =
     info.Reachability.derivable place
 
 (* Execute a backchain plan against the kernel: every Derived step fires
-   the corresponding process via Kernel.execute_process. *)
+   the corresponding process via Kernel.execute_process.  This stays
+   sequential: each step is a binding search against live store state
+   on the calling domain, and the pure work inside a fired compound
+   already runs on the pool through its own scheduler DAG. *)
 let execute_plan k (view : Kernel.net_view) plan =
   let tasks = ref [] in
   let trace = ref [] in
@@ -57,76 +60,77 @@ let execute_plan k (view : Kernel.net_view) plan =
   (* shared sub-derivation nodes (plans share them physically) realize
      once; distinct nodes for the same transition get distinct bindings
      through [used] *)
-  let realized : (Obj.t * Oid.t) list ref = ref [] in
+  let realized : (Backchain.source * Oid.t) list ref = ref [] in
   let rec realize_source source =
     match source with
     | Backchain.Existing oid -> Ok oid
-    | Backchain.Derived _
-      when List.exists (fun (key, _) -> key == Obj.repr source) !realized ->
-      Ok (snd (List.find (fun (key, _) -> key == Obj.repr source) !realized))
     | Backchain.Derived step ->
-      (* realize all inputs, grouped per place *)
-      let* per_place =
-        List.fold_left
-          (fun acc (p, sources) ->
-            let* acc = acc in
-            let* oids =
-              List.fold_left
-                (fun acc src ->
-                  let* acc = acc in
-                  let* oid = realize_source src in
-                  Ok (oid :: acc))
-                (Ok []) sources
-            in
-            Ok ((p, List.rev oids) :: acc))
-          (Ok []) step.Backchain.step_inputs
-      in
-      let per_place = List.rev per_place in
-      (match view.Kernel.process_of_transition step.Backchain.transition with
-       | None ->
-         Gaea_error.err
-           (Printf.sprintf "no process behind transition %d"
-              step.Backchain.transition)
-       | Some (pname, version) ->
-         (match Kernel.find_process k ~version pname with
-          | None -> Gaea_error.err (Printf.sprintf "process %s v%d vanished" pname version)
-          | Some proc ->
-            let to_classes pairs =
-              List.filter_map
-                (fun (p, oids) ->
-                  Option.map
-                    (fun cls -> (cls, oids))
-                    (view.Kernel.class_of_place p))
-                pairs
-            in
-            let planned = to_classes per_place in
-            let exclude =
-              Option.value ~default:[]
-                (Hashtbl.find_opt used step.Backchain.transition)
-            in
-            (* the planned tokens may fail the guard with this exact
-               assignment; retry with everything the classes hold *)
-            let* binding =
-              match Kernel.find_binding k ~exclude proc ~available:planned with
-              | Ok b -> Ok b
-              | Error _ ->
-                let widened =
-                  List.map
-                    (fun (cls, _) -> (cls, Kernel.objects_of_class k cls))
-                    planned
-                in
-                Kernel.find_binding k ~exclude proc ~available:widened
-            in
-            Hashtbl.replace used step.Backchain.transition (binding :: exclude);
-            let* task = Kernel.execute_process k proc ~inputs:binding in
-            tasks := task :: !tasks;
-            trace :=
-              Fired (pname, version, task.Task.task_id) :: !trace;
-            (match task.Task.outputs with
-             | oid :: _ ->
-               realized := (Obj.repr source, oid) :: !realized;
-               Ok oid
-             | [] -> Gaea_error.err (pname ^ ": task produced no object"))))
+      (match List.assq_opt source !realized with
+       | Some oid -> Ok oid
+       | None -> realize_step source step)
+  and realize_step source step =
+    (* realize all inputs, grouped per place *)
+    let* per_place =
+      List.fold_left
+        (fun acc (p, sources) ->
+          let* acc = acc in
+          let* oids =
+            List.fold_left
+              (fun acc src ->
+                let* acc = acc in
+                let* oid = realize_source src in
+                Ok (oid :: acc))
+              (Ok []) sources
+          in
+          Ok ((p, List.rev oids) :: acc))
+        (Ok []) step.Backchain.step_inputs
+    in
+    let per_place = List.rev per_place in
+    (match view.Kernel.process_of_transition step.Backchain.transition with
+     | None ->
+       Gaea_error.err
+         (Printf.sprintf "no process behind transition %d"
+            step.Backchain.transition)
+     | Some (pname, version) ->
+       (match Kernel.find_process k ~version pname with
+        | None -> Gaea_error.err (Printf.sprintf "process %s v%d vanished" pname version)
+        | Some proc ->
+          let to_classes pairs =
+            List.filter_map
+              (fun (p, oids) ->
+                Option.map
+                  (fun cls -> (cls, oids))
+                  (view.Kernel.class_of_place p))
+              pairs
+          in
+          let planned = to_classes per_place in
+          let exclude =
+            Option.value ~default:[]
+              (Hashtbl.find_opt used step.Backchain.transition)
+          in
+          (* the planned tokens may fail the guard with this exact
+             assignment; retry with everything the classes hold *)
+          let* binding =
+            match Kernel.find_binding k ~exclude proc ~available:planned with
+            | Ok b -> Ok b
+            | Error _ ->
+              let widened =
+                List.map
+                  (fun (cls, _) -> (cls, Kernel.objects_of_class k cls))
+                  planned
+              in
+              Kernel.find_binding k ~exclude proc ~available:widened
+          in
+          Hashtbl.replace used step.Backchain.transition (binding :: exclude);
+          let* task = Kernel.execute_process k proc ~inputs:binding in
+          tasks := task :: !tasks;
+          trace :=
+            Fired (pname, version, task.Task.task_id) :: !trace;
+          (match task.Task.outputs with
+           | oid :: _ ->
+             realized := (source, oid) :: !realized;
+             Ok oid
+           | [] -> Gaea_error.err (pname ^ ": task produced no object"))))
   in
   let* objects =
     List.fold_left

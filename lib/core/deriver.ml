@@ -499,10 +499,12 @@ let eval_primitive t (p : Process.t) inputs =
        else Ok pairs)
 
 (* Commit half of a primitive execution: insert the evaluated output,
-   bump metrics, record provenance.  Split from the evaluation half so
-   the compound scheduler can evaluate steps concurrently and commit
-   them strictly in step order. *)
-let commit_primitive t (p : Process.t) inputs pairs =
+   bump metrics, record provenance.  The evaluation's measured time
+   rides along as the fresh result's cache cost.  Split from the
+   evaluation half so compound steps can evaluate on the pool and
+   commit strictly in step order. *)
+let commit_primitive t (p : Process.t) inputs (evaluated, cost) =
+  let* pairs = evaluated in
   let* oid = Obj_store.insert t.objects ~cls:p.Process.output_class pairs in
   List.iter
     (fun (_, v) ->
@@ -510,13 +512,10 @@ let commit_primitive t (p : Process.t) inputs pairs =
         t.metrics.Metrics.pixels_processed + count_pixels v)
     pairs;
   Ok
-    (Provenance.record_task t.prov ~process:p.Process.proc_name
-       ~version:p.Process.version ~inputs ~params:p.Process.params
-       ~outputs:[ oid ] ~output_class:p.Process.output_class)
-
-let execute_primitive t (p : Process.t) inputs =
-  let* pairs = eval_primitive t p inputs in
-  commit_primitive t p inputs pairs
+    ( Provenance.record_task t.prov ~process:p.Process.proc_name
+        ~version:p.Process.version ~inputs ~params:p.Process.params
+        ~outputs:[ oid ] ~output_class:p.Process.output_class,
+      cost )
 
 (* all recorded outputs must still be stored for a cached task to be
    served (guards callers that bypass delete) *)
@@ -524,9 +523,16 @@ let outputs_live t (task : Task.t) =
   task.Task.outputs <> []
   && List.for_all (fun oid -> Obj_store.mem t.objects oid) task.Task.outputs
 
+(* Silent, non-mutating probe: will [with_cache] hit? *)
+let cached t (p : Process.t) inputs =
+  match Hashtbl.find_opt t.result_cache (cache_key_of p inputs) with
+  | Some e -> outputs_live t e.e_task
+  | None -> false
+
 (* Authoritative cache probe around a process execution: emits
-   Cache_hit / Cache_miss, drops stale entries, admits fresh results
-   charged with their measured recompute cost. *)
+   Cache_hit / Cache_miss and drops stale entries.  On a miss [run]
+   produces the result with its measured evaluation time, which the
+   fresh entry is admitted with. *)
 let with_cache t (p : Process.t) ~inputs run =
   let key = cache_key_of p inputs in
   match Hashtbl.find_opt t.result_cache key with
@@ -546,53 +552,37 @@ let with_cache t (p : Process.t) ~inputs run =
     Events.emit t.bus
       (Events.Cache_miss
          { process = p.Process.proc_name; version = p.Process.version });
-    let t0 = Unix.gettimeofday () in
-    let result = run () in
-    (match result with
-     | Ok task -> admit t p ~inputs ~cost:(Unix.gettimeofday () -. t0) task
-     | Error _ -> ());
-    result
-
-(* Look-ahead evaluation of a compound step: the pure half ran on a
-   pool lane; exceptions are re-raised at the step's commit turn. *)
-type eval_outcome =
-  | Evaled of ((string * Value.t) list, Gaea_error.t) result
-  | Eval_raised of exn
+    let* task, cost = run () in
+    admit t p ~inputs ~cost task;
+    Ok task
 
 let rec execute_process t (p : Process.t) ~inputs =
-  with_cache t p ~inputs (fun () -> execute_uncached t p ~inputs)
+  with_cache t p ~inputs (fun () ->
+      match p.Process.kind with
+      | Process.Primitive _ ->
+        commit_primitive t p inputs
+          (Scheduler.timed (fun () -> eval_primitive t p inputs))
+      | Process.Compound steps ->
+        let result, cost =
+          Scheduler.timed (fun () -> execute_compound t p ~inputs steps)
+        in
+        Result.map (fun task -> (task, cost)) result)
 
-and execute_uncached t (p : Process.t) ~inputs =
-  match p.Process.kind with
-  | Process.Primitive _ -> execute_primitive t p inputs
-  | Process.Compound [] ->
-    Error (Gaea_error.Invalid (p.Process.proc_name ^ ": compound with no steps"))
-  | Process.Compound steps -> execute_compound t p ~inputs steps
-
-(* DAG-parallel compound execution.
-
-   Expansion runs as a task scheduler over the step list: before
-   committing step [i], every not-yet-evaluated later step whose
-   inputs are already available (all [From_step] references point
-   below the commit frontier), whose sub-process resolves to a
-   primitive, and whose result-cache peek misses, is {e evaluated}
-   concurrently on the pool ([Pool.parallel_batch]) — evaluation is
-   the pure half (assertions + mappings), so lanes share the kernel
-   tables read-only.  Commits — cache probe/events, object insertion,
-   metrics, provenance — happen strictly in step order on the calling
-   domain, so oid assignment, task ids/clocks and the event log are
-   identical to sequential execution at any pool size (the
-   determinism tests in test_events.ml assert this).  Cache peeks at
-   schedule time are silent and non-mutating; the authoritative probe
-   at commit time emits the events, so a step duplicating an earlier
-   step's key still registers its hit and discards the extra
-   evaluation.  Cached steps never occupy a pool lane. *)
+(* Compound expansion as a DAG for {!Scheduler}: one node per step, in
+   step order, depending on the steps whose outputs it reads.  A
+   primitive step offers its pure evaluation (assertions + mappings,
+   which only read the kernel tables) unless a silent cache peek says
+   its commit will hit, so cached steps never occupy a pool lane.  The
+   commit is the authoritative [with_cache] probe: it emits the events,
+   asks for the evaluation only on a miss — a step duplicating an
+   earlier step's key registers its hit and discards the extra
+   evaluation — then inserts the object and records provenance.  The
+   first failing step ends the compound. *)
 and execute_compound t (p : Process.t) ~inputs steps =
   let arr = Array.of_list steps in
-  let n = Array.length arr in
   (* outputs of committed steps, by step index *)
-  let outputs = Array.make n [] in
-  let evals : (int, eval_outcome) Hashtbl.t = Hashtbl.create 8 in
+  let outputs = Array.make (Array.length arr) [] in
+  let last = ref None in
   (* resolve step [j]'s sub-inputs from the argument binding and the
      outputs of steps committed before it *)
   let resolve j =
@@ -618,115 +608,57 @@ and execute_compound t (p : Process.t) ~inputs steps =
     in
     Ok (List.rev rev)
   in
-  let find_primitive j =
-    match Proc_registry.find t.procs arr.(j).Process.step_process with
-    | Some sub ->
-      (match sub.Process.kind with
-       | Process.Primitive _ -> Some sub
-       | Process.Compound _ -> None)
-    | None -> None
-  in
-  let ready frontier j =
-    List.for_all
-      (fun (_, input) ->
-        match input with
-        | Process.From_arg a -> List.mem_assoc a inputs
-        | Process.From_step k -> k >= 0 && k < frontier)
-      arr.(j).Process.step_inputs
-  in
-  (* steps at or past the frontier that could be evaluated right now *)
-  let candidates frontier =
-    let rec go j acc =
-      if j >= n then List.rev acc
-      else
-        let acc =
-          if Hashtbl.mem evals j then acc
-          else
-            match find_primitive j with
-            | None -> acc
+  let exception Step_failed of Gaea_error.t in
+  let node j (step : Process.step) =
+    { Scheduler.deps =
+        List.filter_map
+          (function
+            | _, Process.From_step k when k >= 0 && k < j -> Some k
+            | _ -> None)
+          step.Process.step_inputs;
+      eval =
+        (fun () ->
+          match
+            Proc_registry.find t.procs step.Process.step_process, resolve j
+          with
+          | ( Some ({ Process.kind = Process.Primitive _; _ } as sub),
+              Ok sub_inputs )
+            when not (cached t sub sub_inputs) ->
+            Some (fun () -> eval_primitive t sub sub_inputs)
+          | _ -> None);
+      commit =
+        (fun evaluated ->
+          let result =
+            match Proc_registry.find t.procs step.Process.step_process with
+            | None ->
+              Gaea_error.err
+                (Printf.sprintf "%s: unknown sub-process %s"
+                   p.Process.proc_name step.Process.step_process)
             | Some sub ->
-              if not (ready frontier j) then acc
-              else (
-                match resolve j with
-                | Error _ -> acc
-                | Ok sub_inputs ->
-                  (* silent peek: a live cached result means this step
-                     will hit at commit time — don't occupy a lane *)
-                  (match
-                     Hashtbl.find_opt t.result_cache
-                       (cache_key_of sub sub_inputs)
-                   with
-                   | Some e when outputs_live t e.e_task -> acc
-                   | _ -> (j, sub, sub_inputs) :: acc))
-        in
-        go (j + 1) acc
-    in
-    go frontier []
+              let* sub_inputs = resolve j in
+              (match sub.Process.kind with
+               | Process.Primitive _ ->
+                 with_cache t sub ~inputs:sub_inputs (fun () ->
+                     commit_primitive t sub sub_inputs (evaluated ()))
+               | Process.Compound _ ->
+                 execute_process t sub ~inputs:sub_inputs)
+          in
+          match result with
+          | Error e -> raise (Step_failed e)
+          | Ok task ->
+            outputs.(j) <- task.Task.outputs;
+            last := Some task;
+            Ok ()) }
   in
-  let schedule frontier =
-    (* a step evaluation is image-sized work, far above any calibrated
-       cutoff — the only cutoff value that matters here is the
-       [max_int] a single-domain host reports, where lanes can only
-       time-slice one core and batching is pure overhead *)
-    if
-      Gaea_par.Pool.size () > 1
-      && Gaea_par.Pool.min_parallel_work () < max_int
-      && not (Hashtbl.mem evals frontier)
-    then begin
-      match candidates frontier with
-      | [] | [ _ ] -> () (* a single ready step gains nothing from a lane *)
-      | cs when List.length cs < Gaea_par.Pool.size () ->
-        (* a frontier narrower than the lane count leaves lanes idle
-           while still paying dispatch/join overhead — the E9 2-lane
-           regression; let the caller run the steps in order instead *)
-        ()
-      | cs ->
-        let thunks =
-          Array.of_list
-            (List.map
-               (fun (j, sub, sub_inputs) () ->
-                 ( j,
-                   try Evaled (eval_primitive t sub sub_inputs)
-                   with e -> Eval_raised e ))
-               cs)
-        in
-        Array.iter
-          (fun (j, outcome) -> Hashtbl.replace evals j outcome)
-          (Gaea_par.Pool.parallel_batch thunks)
-    end
-  in
-  let rec commit i last =
-    match last with
-    | Some task when i >= n -> Ok task
-    | _ when i >= n ->
-      Error
-        (Gaea_error.Invalid (p.Process.proc_name ^ ": compound with no steps"))
-    | _ ->
-      schedule i;
-      let result =
-        match Proc_registry.find t.procs arr.(i).Process.step_process with
-        | None ->
-          Gaea_error.err
-            (Printf.sprintf "%s: unknown sub-process %s" p.Process.proc_name
-               arr.(i).Process.step_process)
-        | Some sub ->
-          let* sub_inputs = resolve i in
-          (match Hashtbl.find_opt evals i with
-           | Some outcome ->
-             with_cache t sub ~inputs:sub_inputs (fun () ->
-                 match outcome with
-                 | Eval_raised e -> raise e
-                 | Evaled (Error e) -> Error e
-                 | Evaled (Ok pairs) -> commit_primitive t sub sub_inputs pairs)
-           | None -> execute_process t sub ~inputs:sub_inputs)
-      in
-      (match result with
-       | Error e -> Error e
-       | Ok task ->
-         outputs.(i) <- task.Task.outputs;
-         commit (i + 1) (Some task))
-  in
-  commit 0 None
+  match Scheduler.run (Array.mapi node arr) with
+  | exception Step_failed e -> Error e
+  | _ ->
+    (match !last with
+     | Some task -> Ok task
+     | None ->
+       Error
+         (Gaea_error.Invalid
+            (p.Process.proc_name ^ ": compound with no steps")))
 
 let recompute_task t (task : Task.t) =
   match

@@ -5,14 +5,15 @@
    turns update/delete/re-version/class-mutation events into a
    per-object dirty set, propagated forward through the provenance
    graph ([Provenance.tasks_using]).  [refresh] then recomputes only
-   the dirty subgraph, wave by wave in topological order: within a
-   wave the pure evaluation half runs on the domain pool, while
-   commits — in-place object updates, provenance, cache admission,
-   events — run strictly in producing-task order on the calling
-   domain, so values, task ids and the event log are identical to a
-   full re-derivation at any pool size. *)
+   the dirty subgraph as a DAG run by {!Scheduler}: evaluation runs on
+   the domain pool, while commits — in-place object updates,
+   provenance, cache admission, events — run in dependency order on
+   the calling domain, so values, task ids and the event log are
+   identical to a full re-derivation at any pool size. *)
 
 module Oid = Gaea_storage.Oid
+
+let ( let* ) r f = Result.bind r f
 
 type t = {
   objects : Obj_store.t;
@@ -98,21 +99,23 @@ type report = {
   skip_reasons : (Oid.t * string) list;
 }
 
-(* one schedulable unit: a producing task whose outputs are stale *)
-type node = {
-  n_task : Task.t;
-  n_proc : Process.t option;  (* latest version; None → unrefreshable *)
-  mutable n_deps : int list;  (* producing task ids of stale inputs *)
-}
-
+(* Refresh as a DAG for {!Scheduler}: one node per producing task of a
+   stale object, depending on the producers of its stale inputs.  Nodes
+   commit by wave depth (one more than their deepest dependency's),
+   then by producing task id — the order a full re-derivation records them
+   in, whatever ids earlier refreshes handed out.  A commit updates the
+   outputs in place, records provenance, re-admits the result to the
+   cache and emits [Object_refreshed]; a failure becomes the skip
+   reason of the node's stale outputs and poisons the nodes reading
+   them (refreshing from a stale input would diverge from a full
+   re-derivation). *)
 let refresh ?only t =
   (* -- the work set: stale oids, optionally a target slice plus its
      stale upstream closure (refreshing a target under stale ancestors
      would bake stale values into a "fresh" result) -- *)
-  let all_stale = stale t in
   let work = Hashtbl.create 32 in
   (match only with
-   | None -> List.iter (fun oid -> Hashtbl.replace work oid ()) all_stale
+   | None -> List.iter (fun oid -> Hashtbl.replace work oid ()) (stale t)
    | Some targets ->
      let rec add oid =
        if is_stale t oid && not (Hashtbl.mem work oid) then begin
@@ -123,8 +126,8 @@ let refresh ?only t =
        end
      in
      List.iter add targets);
-  (* -- nodes: one per producing task -- *)
-  let nodes : (int, node) Hashtbl.t = Hashtbl.create 32 in
+  (* -- one node per producing task -- *)
+  let producers : (int, Task.t) Hashtbl.t = Hashtbl.create 32 in
   let owner : (Oid.t, int) Hashtbl.t = Hashtbl.create 32 in
   Hashtbl.iter
     (fun oid () ->
@@ -132,158 +135,120 @@ let refresh ?only t =
       | None -> ()
       | Some task ->
         Hashtbl.replace owner oid task.Task.task_id;
-        if not (Hashtbl.mem nodes task.Task.task_id) then
-          Hashtbl.replace nodes task.Task.task_id
-            { n_task = task;
-              n_proc = Proc_registry.find t.procs task.Task.process;
-              n_deps = [] })
+        Hashtbl.replace producers task.Task.task_id task)
     work;
-  Hashtbl.iter
-    (fun _ node ->
-      node.n_deps <-
-        List.sort_uniq Int.compare
-          (List.filter_map
-             (fun oid -> Hashtbl.find_opt owner oid)
-             (Task.input_oids node.n_task)))
-    nodes;
-  (* -- wave-by-wave topological execution -- *)
-  let committed : (int, unit) Hashtbl.t = Hashtbl.create 32 in
-  let failed : (int, string) Hashtbl.t = Hashtbl.create 8 in
+  let deps_of (task : Task.t) =
+    List.sort_uniq Int.compare
+      (List.filter_map (Hashtbl.find_opt owner) (Task.input_oids task))
+  in
+  (* wave depth; a task on a provenance cycle gets none and stays stale *)
+  let depths : (int, int option) Hashtbl.t = Hashtbl.create 32 in
+  let rec depth id =
+    match Hashtbl.find_opt depths id with
+    | Some d -> d
+    | None ->
+      Hashtbl.replace depths id None;
+      let d =
+        List.fold_left
+          (fun acc dep ->
+            match acc, depth dep with
+            | Some a, Some b -> Some (max a (b + 1))
+            | _ -> None)
+          (Some 0)
+          (deps_of (Hashtbl.find producers id))
+      in
+      Hashtbl.replace depths id d;
+      d
+  in
+  let order =
+    Hashtbl.fold
+      (fun id task acc ->
+        match depth id with Some d -> (d, id, task) :: acc | None -> acc)
+      producers []
+    |> List.sort (fun (d1, id1, _) (d2, id2, _) ->
+           compare (d1, id1) (d2, id2))
+    |> Array.of_list
+  in
+  let index : (int, int) Hashtbl.t = Hashtbl.create 32 in
+  Array.iteri (fun i (_, id, _) -> Hashtbl.replace index id i) order;
   let refreshed = ref 0 in
   let new_tasks = ref [] in
-  let skip_reasons = ref [] in
-  let fail_node id node reason =
-    Hashtbl.replace failed id reason;
-    List.iter
-      (fun oid ->
-        if Hashtbl.mem work oid then
-          skip_reasons := (oid, reason) :: !skip_reasons)
-      node.n_task.Task.outputs
-  in
-  let pending () =
-    Hashtbl.fold
-      (fun id node acc ->
-        if Hashtbl.mem committed id || Hashtbl.mem failed id then acc
-        else (id, node) :: acc)
-      nodes []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  let continue_ = ref true in
-  while !continue_ do
-    let rest = pending () in
-    (* nodes whose stale deps all committed; a failed dep poisons the
-       node (refreshing from a stale input would diverge from a full
-       re-derivation) *)
-    let ready, blocked =
-      List.partition
-        (fun (_, node) ->
-          List.for_all (fun d -> Hashtbl.mem committed d) node.n_deps
-          && not (List.exists (fun d -> Hashtbl.mem failed d) node.n_deps))
-        rest
-    in
-    let poisoned =
-      List.filter
-        (fun (_, node) -> List.exists (fun d -> Hashtbl.mem failed d) node.n_deps)
-        blocked
-    in
-    List.iter (fun (id, node) -> fail_node id node "stale input not refreshable")
-      poisoned;
-    match ready with
-    | [] -> if poisoned = [] then continue_ := false
-    | _ ->
-      (* evaluation half: pure, poolable.  Same dispatch rule as the
-         compound scheduler — lanes only pay off when the frontier can
-         fill them. *)
-      let evals : (int, (((string * Gaea_adt.Value.t) list, Gaea_error.t) result * float)) Hashtbl.t =
-        Hashtbl.create 8
-      in
-      let evaluable =
-        List.filter_map
-          (fun (id, node) ->
-            match node.n_proc with
-            | Some p -> Some (id, node, p)
-            | None -> None)
-          ready
-      in
-      let eval_one (id, node, p) =
-        let t0 = Unix.gettimeofday () in
-        let r = Deriver.eval_primitive t.deriver p node.n_task.Task.inputs in
-        (id, (r, Unix.gettimeofday () -. t0))
-      in
-      let n_ready = List.length evaluable in
-      if
-        Gaea_par.Pool.size () > 1
-        && Gaea_par.Pool.min_parallel_work () < max_int
-        && n_ready >= 2
-        && n_ready >= Gaea_par.Pool.size ()
-      then
-        Array.iter
-          (fun (id, outcome) -> Hashtbl.replace evals id outcome)
-          (Gaea_par.Pool.parallel_batch
-             (Array.of_list
-                (List.map (fun unit_ () -> eval_one unit_) evaluable)))
-      else
-        List.iter
-          (fun unit_ ->
-            let id, outcome = eval_one unit_ in
-            Hashtbl.replace evals id outcome)
-          evaluable;
-      (* commit half: strictly in producing-task order *)
-      List.iter
-        (fun (id, node) ->
-          match node.n_proc with
+  let node (_, _, (task : Task.t)) =
+    let proc = Proc_registry.find t.procs task.Task.process in
+    { Scheduler.deps = List.map (Hashtbl.find index) (deps_of task);
+      eval =
+        (fun () ->
+          Option.map
+            (fun p () -> Deriver.eval_primitive t.deriver p task.Task.inputs)
+            proc);
+      commit =
+        (fun evaluated ->
+          match proc with
           | None ->
-            fail_node id node
-              (Printf.sprintf "process %s not in registry"
-                 node.n_task.Task.process)
+            Error
+              (Printf.sprintf "process %s not in registry" task.Task.process)
           | Some p ->
-            (match Hashtbl.find_opt evals id with
-             | None -> fail_node id node "not evaluated"
-             | Some (Error e, _) -> fail_node id node (Gaea_error.to_string e)
-             | Some (Ok pairs, cost) ->
-               let task = node.n_task in
-               let commit_result =
-                 List.fold_left
-                   (fun acc oid ->
-                     match acc with
-                     | Error _ -> acc
-                     | Ok () ->
-                       Obj_store.update t.objects ~cls:p.Process.output_class
-                         oid pairs)
-                   (Ok ()) task.Task.outputs
+            let r, cost = evaluated () in
+            let applied =
+              let* pairs = r in
+              let* () =
+                List.fold_left
+                  (fun acc oid ->
+                    let* () = acc in
+                    Obj_store.update t.objects ~cls:p.Process.output_class oid
+                      pairs)
+                  (Ok ()) task.Task.outputs
+              in
+              Ok pairs
+            in
+            (match applied with
+             | Error e -> Error (Gaea_error.to_string e)
+             | Ok pairs ->
+               List.iter
+                 (fun (_, v) ->
+                   t.metrics.Metrics.pixels_processed <-
+                     t.metrics.Metrics.pixels_processed
+                     + Deriver.count_pixels v)
+                 pairs;
+               let new_task =
+                 Provenance.record_task t.prov ~process:p.Process.proc_name
+                   ~version:p.Process.version ~inputs:task.Task.inputs
+                   ~params:p.Process.params ~outputs:task.Task.outputs
+                   ~output_class:p.Process.output_class
                in
-               (match commit_result with
-                | Error e -> fail_node id node (Gaea_error.to_string e)
-                | Ok () ->
-                  List.iter
-                    (fun (_, v) ->
-                      t.metrics.Metrics.pixels_processed <-
-                        t.metrics.Metrics.pixels_processed
-                        + Deriver.count_pixels v)
-                    pairs;
-                  let new_task =
-                    Provenance.record_task t.prov ~process:p.Process.proc_name
-                      ~version:p.Process.version ~inputs:task.Task.inputs
-                      ~params:p.Process.params ~outputs:task.Task.outputs
-                      ~output_class:p.Process.output_class
-                  in
-                  Deriver.admit t.deriver p ~inputs:task.Task.inputs ~cost
-                    new_task;
-                  List.iter
-                    (fun oid ->
-                      Hashtbl.remove t.dirty oid;
-                      Events.emit t.bus
-                        (Events.Object_refreshed
-                           { cls = p.Process.output_class; oid;
-                             task_id = new_task.Task.task_id }))
-                    task.Task.outputs;
-                  refreshed := !refreshed + List.length task.Task.outputs;
-                  new_tasks := new_task :: !new_tasks;
-                  Hashtbl.replace committed id ())))
-        ready
-  done;
+               Deriver.admit t.deriver p ~inputs:task.Task.inputs ~cost
+                 new_task;
+               List.iter
+                 (fun oid ->
+                   Hashtbl.remove t.dirty oid;
+                   Events.emit t.bus
+                     (Events.Object_refreshed
+                        { cls = p.Process.output_class; oid;
+                          task_id = new_task.Task.task_id }))
+                 task.Task.outputs;
+               refreshed := !refreshed + List.length task.Task.outputs;
+               new_tasks := new_task :: !new_tasks;
+               Ok ())) }
+  in
+  let status = Scheduler.run (Array.map node order) in
+  let skip_reasons =
+    List.concat
+      (List.mapi
+         (fun i (_, _, (task : Task.t)) ->
+           let skip reason =
+             List.filter_map
+               (fun oid ->
+                 if Hashtbl.mem work oid then Some (oid, reason) else None)
+               task.Task.outputs
+           in
+           match status.(i) with
+           | Scheduler.Committed -> []
+           | Scheduler.Failed reason -> skip reason
+           | Scheduler.Poisoned -> skip "stale input not refreshable")
+         (Array.to_list order))
+  in
   { refreshed = !refreshed;
-    skipped = List.length !skip_reasons;
+    skipped = List.length skip_reasons;
     remaining = List.length (stale t);
     tasks = List.rev !new_tasks;
-    skip_reasons = List.rev !skip_reasons }
+    skip_reasons }

@@ -7,11 +7,11 @@
     task ran.  This is the one staleness definition shared with the
     [gaea lint] GA033 check.
 
-    {!refresh} recomputes only the dirty subgraph, in topological
-    waves: evaluation runs on the domain pool when the ready frontier
-    can fill it, commits run strictly in producing-task order, so
-    results, provenance and event order match a full re-derivation at
-    any pool size.  Refreshed values replace the old objects {e in
+    {!refresh} recomputes only the dirty subgraph as a {!Scheduler}
+    DAG: evaluation runs on the domain pool when the ready frontier
+    can fill it, and commits run by wave depth, then producing task
+    id, so results, provenance and event order match a full
+    re-derivation at any pool size.  Refreshed values replace the old objects {e in
     place} (same OIDs); each refresh records a new provenance task and
     re-admits the result to the bounded cache. *)
 

@@ -42,8 +42,7 @@ let choose_path k cls preds =
         (fun pred ->
           match pred with
           | Ast.P_compare (attr, Ast.C_eq, lit)
-            when Table.has_hash_index tab attr
-                 || Table.has_btree_index tab attr ->
+            when Table.has_btree_index tab attr ->
             Some (pred, Plan.Index_eq (attr, literal_value lit),
                   Stats.selectivity_eq stats attr)
           | Ast.P_compare (attr, (Ast.C_lt | Ast.C_le), lit)

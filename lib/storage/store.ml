@@ -5,7 +5,6 @@ type t = {
 
 let create () = { tables = Hashtbl.create 16; alloc = Oid.allocator () }
 
-let oid_allocator t = t.alloc
 let fresh_oid t = Oid.fresh t.alloc
 
 let create_table t ~name attrs =
@@ -27,14 +26,6 @@ let drop_table t name =
   else false
 
 let table t name = Hashtbl.find_opt t.tables name
-
-let table_exn t name =
-  match table t name with
-  | Some tab -> tab
-  | None -> raise Not_found
-
-let table_names t =
-  Hashtbl.fold (fun n _ acc -> n :: acc) t.tables [] |> List.sort compare
 
 let insert_values t ~table:tname values =
   match table t tname with

@@ -4,7 +4,6 @@
 type t
 
 val create : unit -> t
-val oid_allocator : t -> Oid.allocator
 val fresh_oid : t -> Oid.t
 
 val create_table :
@@ -14,11 +13,6 @@ val create_table :
 
 val drop_table : t -> string -> bool
 val table : t -> string -> Table.t option
-val table_exn : t -> string -> Table.t
-(** @raise Not_found *)
-
-val table_names : t -> string list
-(** Sorted. *)
 
 val insert_values :
   t -> table:string -> Gaea_adt.Value.t list -> (Oid.t, string) result
@@ -26,7 +20,7 @@ val insert_values :
 
 val insert_with_oid :
   t -> table:string -> Oid.t -> Gaea_adt.Value.t list -> (unit, string) result
-(** Insert under a caller-chosen OID (snapshot loading); advances the
+(** Insert under a caller-chosen OID (persist loading); advances the
     allocator past it. *)
 
 val get : t -> table:string -> Oid.t -> Tuple.t option

@@ -4,7 +4,6 @@ type t = {
   name : string;
   desc : Tuple.descriptor;
   heap : Heap.t;
-  hash_indexes : (string, Index_hash.t) Hashtbl.t;
   btree_indexes : (string, Index_btree.t) Hashtbl.t;
   mutable used_index : bool;
 }
@@ -13,7 +12,6 @@ let create ~name desc =
   { name;
     desc;
     heap = Heap.create ();
-    hash_indexes = Hashtbl.create 4;
     btree_indexes = Hashtbl.create 4;
     used_index = false }
 
@@ -25,20 +23,6 @@ let attr_values t tuple attr =
   match Tuple.attr_index t.desc attr with
   | None -> None
   | Some i -> Some (Tuple.get tuple i)
-
-let create_hash_index t attr =
-  match Tuple.attr_index t.desc attr with
-  | None -> Error (Printf.sprintf "%s: no attribute %s" t.name attr)
-  | Some i ->
-    if Hashtbl.mem t.hash_indexes attr then
-      Error (Printf.sprintf "%s: hash index on %s exists" t.name attr)
-    else begin
-      let idx = Index_hash.create () in
-      Heap.scan t.heap (fun oid tuple ->
-          Index_hash.add idx (Tuple.get tuple i) oid);
-      Hashtbl.add t.hash_indexes attr idx;
-      Ok ()
-    end
 
 let create_btree_index t attr =
   match Tuple.attr_index t.desc attr, Tuple.attr_type t.desc attr with
@@ -63,16 +47,9 @@ let create_btree_index t attr =
            Ok ())
     end
 
-let has_hash_index t attr = Hashtbl.mem t.hash_indexes attr
 let has_btree_index t attr = Hashtbl.mem t.btree_indexes attr
 
 let index_tuple t oid tuple =
-  Hashtbl.iter
-    (fun attr idx ->
-      match attr_values t tuple attr with
-      | Some v -> Index_hash.add idx v oid
-      | None -> ())
-    t.hash_indexes;
   Hashtbl.iter
     (fun attr idx ->
       match attr_values t tuple attr with
@@ -81,12 +58,6 @@ let index_tuple t oid tuple =
     t.btree_indexes
 
 let unindex_tuple t oid tuple =
-  Hashtbl.iter
-    (fun attr idx ->
-      match attr_values t tuple attr with
-      | Some v -> Index_hash.remove idx v oid
-      | None -> ())
-    t.hash_indexes;
   Hashtbl.iter
     (fun attr idx ->
       match attr_values t tuple attr with
@@ -150,21 +121,16 @@ let materialize t oids =
     oids
 
 let lookup_eq t attr value =
-  match Hashtbl.find_opt t.hash_indexes attr with
+  match Hashtbl.find_opt t.btree_indexes attr with
   | Some idx ->
     t.used_index <- true;
-    materialize t (Index_hash.find idx value)
+    materialize t (Index_btree.find idx value)
   | None ->
-    (match Hashtbl.find_opt t.btree_indexes attr with
-     | Some idx ->
-       t.used_index <- true;
-       materialize t (Index_btree.find idx value)
-     | None ->
-       t.used_index <- false;
-       (match Tuple.attr_index t.desc attr with
-        | None -> []
-        | Some i ->
-          select t (fun _ tuple -> Value.equal (Tuple.get tuple i) value)))
+    t.used_index <- false;
+    (match Tuple.attr_index t.desc attr with
+     | None -> []
+     | Some i ->
+       select t (fun _ tuple -> Value.equal (Tuple.get tuple i) value))
 
 let lookup_range t attr ?lo ?hi () =
   match Hashtbl.find_opt t.btree_indexes attr with

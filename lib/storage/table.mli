@@ -11,14 +11,11 @@ val name : t -> string
 val descriptor : t -> Tuple.descriptor
 val row_count : t -> int
 
-val create_hash_index : t -> string -> (unit, string) result
-(** Index an attribute for equality lookup; backfills existing rows.
-    Errors on unknown attribute or duplicate index. *)
-
 val create_btree_index : t -> string -> (unit, string) result
-(** Ordered index; errors additionally on non-orderable types. *)
+(** Ordered index on an attribute, serving equality and range lookups;
+    backfills existing rows.  Errors on unknown attribute, duplicate
+    index or non-orderable type. *)
 
-val has_hash_index : t -> string -> bool
 val has_btree_index : t -> string -> bool
 
 val insert : t -> Oid.t -> Gaea_adt.Value.t list -> (unit, string) result
@@ -41,8 +38,8 @@ val to_list : t -> (Oid.t * Tuple.t) list
 val select : t -> (Oid.t -> Tuple.t -> bool) -> (Oid.t * Tuple.t) list
 
 val lookup_eq : t -> string -> Gaea_adt.Value.t -> (Oid.t * Tuple.t) list
-(** Equality retrieval; uses a hash or btree index when available, falls
-    back to a scan.  Unknown attribute yields []. *)
+(** Equality retrieval; uses a btree index when available, falls back
+    to a scan.  Unknown attribute yields []. *)
 
 val lookup_range :
   t -> string -> ?lo:Gaea_adt.Value.t -> ?hi:Gaea_adt.Value.t -> unit

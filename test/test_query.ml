@@ -188,7 +188,7 @@ let test_optimizer_access_paths () =
   check_bool "full scan" true (plan.Plan.path = Plan.Full_scan);
   check_int "residual carries predicate" 1 (List.length plan.Plan.residual);
   let tab = Option.get (Kernel.class_table k "rainfall") in
-  ignore (Table.create_hash_index tab "year");
+  Result.get_ok (Table.create_btree_index tab "year");
   let plan2 = ok (Optimizer.plan_select k (parse_select "SELECT * FROM rainfall WHERE year = 1986")) in
   (match plan2.Plan.path with
    | Plan.Index_eq ("year", _) -> ()

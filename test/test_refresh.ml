@@ -79,12 +79,12 @@ let chain_kernel () =
              ())));
   k
 
-let insert_src ?(vals = [| 1.; 2.; 3.; 4. |]) k =
+let insert_src ?(vals = [| 1.; 2.; 3.; 4. |]) ?(day = 1) k =
   ok
     (Kernel.insert_object k ~cls:"src"
        [ ("data", Value.image (Image.of_array ~nrow:2 ~ncol:2 Pixel.Float8 vals));
          ("spatialextent", Value.box (Box.make ~xmin:0. ~ymin:0. ~xmax:1. ~ymax:1.));
-         ("timestamp", Value.abstime (Abstime.of_ymd 1986 1 1)) ])
+         ("timestamp", Value.abstime (Abstime.of_ymd 1986 1 day)) ])
 
 let derive_chain k oid =
   let p = Option.get (Kernel.find_process k "chain3") in
@@ -258,6 +258,162 @@ let test_refresh_determinism () =
     [ 2; 8 ]
 
 (* ------------------------------------------------------------------ *)
+(* Scheduler contract: commit order, skips, failures                   *)
+(* ------------------------------------------------------------------ *)
+
+let log_lines k =
+  List.map
+    (fun (seq, ev) -> Printf.sprintf "%d %s" seq (Events.event_to_string ev))
+    (Kernel.event_log k)
+
+let task_rows k =
+  List.map
+    (fun (t : Task.t) -> (t.Task.task_id, t.Task.process, t.Task.outputs))
+    (Kernel.tasks k)
+
+let refreshed_classes k =
+  List.filter_map
+    (function Events.Object_refreshed { cls; _ } -> Some cls | _ -> None)
+    (events k)
+
+(* Each scenario runs at pool sizes 1, 2 and 8; everything observable
+   must match the single-lane run. *)
+let across_pool_sizes name run =
+  let first = run 1 in
+  List.iter
+    (fun lanes ->
+      check_bool (Printf.sprintf "%s identical @%d" name lanes) true
+        (run lanes = first))
+    [ 2; 8 ]
+
+(* After a targeted refresh, c1's producing task (#4) is newer than
+   c2's (#2) and c3's (#3).  A later full refresh must still commit
+   c1, c2, c3 in dependency order: ordering by task id alone would
+   recompute c2 from the stale c1. *)
+let run_refresh_after_targeted lanes =
+  with_pool_size lanes (fun () ->
+      let k = chain_kernel () in
+      let src = insert_src k in
+      let o1, o2, o3 = derive_chain k src in
+      update_src k src [| 2.; 4.; 6.; 8. |];
+      let first = Kernel.refresh_stale ~only:[ o1 ] k in
+      check_int "targeted refresh touches c1 only" 1 first.Kernel.refreshed;
+      let producer o = (Option.get (Kernel.task_producing k o)).Task.task_id in
+      Alcotest.(check (list int)) "producing task ids" [ 4; 2; 3 ]
+        [ producer o1; producer o2; producer o3 ];
+      let vals = [| 3.; 1.; 4.; 1. |] in
+      update_src k src vals;
+      let report = Kernel.refresh_stale k in
+      check_int "full refresh recomputes all three" 3 report.Kernel.refreshed;
+      check_int "nothing left stale" 0 report.Kernel.remaining;
+      Alcotest.(check (list string)) "commit order c1, c2, c3"
+        [ "c1"; "c1"; "c2"; "c3" ] (refreshed_classes k);
+      let k2 = chain_kernel () in
+      let p1, p2, p3 = derive_chain k2 (insert_src ~vals k2) in
+      List.iter2
+        (fun (cls, o) o' ->
+          check_int (cls ^ " matches cold derivation") (data_hash k2 cls o')
+            (data_hash k cls o))
+        [ ("c1", o1); ("c2", o2); ("c3", o3) ]
+        [ p1; p2; p3 ];
+      (log_lines k, task_rows k))
+
+let test_refresh_after_targeted () =
+  across_pool_sizes "refresh after targeted refresh" run_refresh_after_targeted
+
+(* An interpolated object has no registered process, so it cannot be
+   refreshed; the derived object reading it is skipped with it, while
+   an unrelated stale chain still refreshes. *)
+let run_refresh_with_skip lanes =
+  with_pool_size lanes (fun () ->
+      let k = chain_kernel () in
+      let a = insert_src k in
+      let _ = insert_src ~vals:[| 9.; 9.; 9.; 9. |] ~day:11 k in
+      let _ = derive_chain k a in
+      let interp =
+        match
+          (ok (Derivation.request_at k ~cls:"src" ~at:(Abstime.of_ymd 1986 1 6) ()))
+            .Derivation.objects
+        with
+        | [ o ] -> o
+        | _ -> Alcotest.fail "expected one interpolated object"
+      in
+      let s1 = Option.get (Kernel.find_process k "s1") in
+      let d =
+        match (ok (Kernel.execute_process k s1 ~inputs:[ ("x", [ interp ]) ])).Task.outputs with
+        | [ o ] -> o
+        | _ -> Alcotest.fail "expected one derived object"
+      in
+      update_src k a [| 5.; 6.; 7.; 8. |];
+      let report = Kernel.refresh_stale k in
+      check_int "the chain refreshes" 3 report.Kernel.refreshed;
+      check_int "two objects skipped" 2 report.Kernel.skipped;
+      check_int "skipped objects stay stale" 2 report.Kernel.remaining;
+      Alcotest.(check (list (pair int string))) "skip reasons"
+        [ (interp, "process interpolate not in registry");
+          (d, "stale input not refreshable") ]
+        report.Kernel.skip_reasons;
+      Alcotest.(check (list int)) "stale set" [ interp; d ] (Kernel.stale_objects k);
+      (report.Kernel.skip_reasons, log_lines k, task_rows k))
+
+let test_refresh_with_skip () =
+  across_pool_sizes "refresh with a skip" run_refresh_with_skip
+
+(* A compound whose middle step fails evaluation: its three steps are
+   independent, so with lanes the look-ahead evaluates all of them at
+   once, yet only the first step may commit. *)
+let run_compound_mid_failure lanes =
+  with_pool_size lanes (fun () ->
+      let k = chain_kernel () in
+      let open Template in
+      let prim name out assertions factor =
+        ok
+          (Kernel.define_process k
+             (ok
+                (Process.define_primitive ~name ~output_class:out
+                   ~args:[ Process.scalar_arg "x" "src" ]
+                   ~template:
+                     (make ~assertions
+                        ~mappings:
+                          [ { target = "data";
+                              rhs =
+                                Apply
+                                  ("img_scale",
+                                   [ Const (Value.float factor); Attr_of ("x", "data") ]) };
+                            { target = "spatialextent"; rhs = Attr_of ("x", "spatialextent") };
+                            { target = "timestamp"; rhs = Attr_of ("x", "timestamp") } ])
+                   ())))
+      in
+      prim "bad" "c2" [ Expr_true (Const (Value.bool false)) ] 3.;
+      prim "s1b" "c1" [] 7.;
+      let step proc = { Process.step_process = proc; step_inputs = [ ("x", Process.From_arg "x") ] } in
+      ok
+        (Kernel.define_process k
+           (ok
+              (Process.define_compound ~name:"mid_fail" ~output_class:"c1"
+                 ~args:[ Process.scalar_arg "x" "src" ]
+                 ~steps:[ step "s1"; step "bad"; step "s1b" ]
+                 ())));
+      let src = insert_src k in
+      let p = Option.get (Kernel.find_process k "mid_fail") in
+      let err =
+        match Kernel.execute_process k p ~inputs:[ ("x", [ src ]) ] with
+        | Ok _ -> Alcotest.fail "compound with a failing step succeeded"
+        | Error e -> Gaea_error.to_string e
+      in
+      (match task_rows k with
+       | [ (_, "s1", [ _ ]) ] -> ()
+       | _ -> Alcotest.fail "expected only the first step's task");
+      check_int "first step's object only" 1
+        (List.length (Kernel.objects_of_class k "c1"));
+      check_int "failing step made no object" 0
+        (List.length (Kernel.objects_of_class k "c2"));
+      (err, log_lines k, task_rows k))
+
+let test_compound_mid_failure () =
+  across_pool_sizes "compound failing mid-way" run_compound_mid_failure
+
+(* ------------------------------------------------------------------ *)
 (* Bounded, cost-aware result cache                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -363,6 +519,10 @@ let () =
           tc "targeted refresh pulls stale upstream" test_targeted_refresh_pulls_upstream;
           tc "events and metrics" test_refreshed_events_logged;
           tc "deterministic across pool sizes" test_refresh_determinism ] );
+      ( "scheduler-contract",
+        [ tc "refresh after a targeted refresh" test_refresh_after_targeted;
+          tc "refresh with a skip" test_refresh_with_skip;
+          tc "compound failing mid-way" test_compound_mid_failure ] );
       ( "bounded-cache",
         [ tc "budget respected with evictions" test_budget_respected;
           tc "shrinking the budget evicts" test_budget_shrink_evicts ] );
