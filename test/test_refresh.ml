@@ -519,7 +519,7 @@ let () =
           tc "targeted refresh pulls stale upstream" test_targeted_refresh_pulls_upstream;
           tc "events and metrics" test_refreshed_events_logged;
           tc "deterministic across pool sizes" test_refresh_determinism ] );
-      ( "scheduler-contract",
+      ( "commit-order",
         [ tc "refresh after a targeted refresh" test_refresh_after_targeted;
           tc "refresh with a skip" test_refresh_with_skip;
           tc "compound failing mid-way" test_compound_mid_failure ] );
