@@ -15,7 +15,12 @@ let define t (cls : Schema.t) =
   else
     match Store.create_table t.store ~name (Schema.storage_attrs cls) with
     | Error e -> Error (Gaea_error.Storage_error e)
-    | Ok _table ->
+    | Ok table ->
+      (* index the temporal extent so AT queries use a range probe; a
+         reloaded kernel replays this definition and gets it back *)
+      Option.iter
+        (fun attr -> ignore (Gaea_storage.Table.create_btree_index table attr))
+        cls.Schema.temporal_attr;
       Hashtbl.add t.defs name cls;
       Events.emit t.bus (Events.Class_defined name);
       Ok ()

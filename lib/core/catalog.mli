@@ -1,7 +1,8 @@
 (** The class catalog: class definitions plus their backing tables.
 
     Owns the derivation level's {e static} half — every defined
-    {!Schema.t} and the store table that holds its objects.  Emits
+    {!Schema.t} and the store table that holds its objects, with the
+    temporal index its [AT] queries need.  Emits
     [Class_defined] on the bus; the derivation-net cache listens. *)
 
 type t
@@ -9,8 +10,9 @@ type t
 val create : store:Gaea_storage.Store.t -> bus:Events.bus -> t
 
 val define : t -> Schema.t -> (unit, Gaea_error.t) result
-(** Creates the backing table; errors on duplicate class names or a
-    storage failure.  Emits [Class_defined]. *)
+(** Creates the backing table, with a B-tree index on the temporal
+    attribute if the class has one; errors on duplicate class names or
+    a storage failure.  Emits [Class_defined]. *)
 
 val mem : t -> string -> bool
 val find : t -> string -> Schema.t option

@@ -44,6 +44,7 @@ type t = {
   metrics : Metrics.t;
   bus : Events.bus;
   result_cache : (cache_key, entry) Hashtbl.t;
+  producers : (Oid.t, cache_key list) Hashtbl.t;  (* output oid -> keys *)
   mutable invalidations : int;
   mutable budget : int;  (* GAEA_CACHE_BYTES *)
   mutable resident : int;  (* bytes currently charged *)
@@ -119,9 +120,20 @@ let cache_stats t =
     resident_bytes = t.resident;
     budget_bytes = t.budget }
 
+(* Keys of the entries whose task produced [oid]: a compound's entry
+   and its last step's entry share an output. *)
+let producing_keys t oid =
+  Option.value ~default:[] (Hashtbl.find_opt t.producers oid)
+
 let remove_entry t key (e : entry) =
   Hashtbl.remove t.result_cache key;
-  t.resident <- t.resident - e.e_bytes
+  t.resident <- t.resident - e.e_bytes;
+  List.iter
+    (fun oid ->
+      match List.filter (fun k -> k <> key) (producing_keys t oid) with
+      | [] -> Hashtbl.remove t.producers oid
+      | keys -> Hashtbl.replace t.producers oid keys)
+    e.e_task.Task.outputs
 
 let drop t ~reason n =
   if n > 0 then begin
@@ -132,16 +144,19 @@ let drop t ~reason n =
 let clear_cache t =
   let n = Hashtbl.length t.result_cache in
   Hashtbl.reset t.result_cache;
+  Hashtbl.reset t.producers;
   t.resident <- 0;
   drop t ~reason:"clear" n
 
-let invalidate_entries t ~reason pred =
+(* The refresh marker decides what a change invalidates; the cache
+   drops the entries that produced the objects it names. *)
+let invalidate t ~reason oids =
   let doomed =
-    Hashtbl.fold
-      (fun key e acc -> if pred key e.e_task then (key, e) :: acc else acc)
-      t.result_cache []
+    List.sort_uniq compare (List.concat_map (producing_keys t) oids)
   in
-  List.iter (fun (key, e) -> remove_entry t key e) doomed;
+  List.iter
+    (fun key -> remove_entry t key (Hashtbl.find t.result_cache key))
+    doomed;
   drop t ~reason (List.length doomed)
 
 (* Evict lowest-priority entries (LRU tick breaks ties) until [need]
@@ -192,13 +207,14 @@ let admit t (p : Process.t) ~inputs ~cost task =
         e_tick = next_tick t }
     in
     Hashtbl.replace t.result_cache key e;
+    List.iter
+      (fun oid -> Hashtbl.replace t.producers oid (key :: producing_keys t oid))
+      task.Task.outputs;
     t.resident <- t.resident + bytes;
     Events.emit t.bus
       (Events.Cache_admitted
          { process = p.Process.proc_name; version = p.Process.version; bytes })
   end
-
-let cache_budget t = t.budget
 
 let set_cache_budget t n =
   t.budget <- max 0 n;
@@ -211,61 +227,11 @@ let restore_cache_stats t ~hits ~misses ~invalidations ~admissions ~evictions =
   t.metrics.Metrics.cache_evictions <- evictions;
   t.invalidations <- invalidations
 
-(* Names whose (latest) definitions reach [name] through compound
-   steps: editing a sub-process stales every cached compound above it. *)
-let dependent_processes t name =
-  let reaches acc p =
-    List.exists (fun s -> List.mem s.Process.step_process acc) (Process.steps p)
-  in
-  let rec grow acc =
-    let next =
-      Proc_registry.fold_names t.procs ~init:acc ~f:(fun acc' pname versions ->
-          if List.mem pname acc' then acc'
-          else if List.exists (reaches acc') versions then pname :: acc'
-          else acc')
-    in
-    if List.length next = List.length acc then acc else grow next
-  in
-  grow [ name ]
-
-let invalidate_process t name =
-  let stale = dependent_processes t name in
-  invalidate_entries t ~reason:("process " ^ name)
-    (fun (pname, _, _, _) _ -> List.mem pname stale)
-
-let invalidate_oid t oid =
-  invalidate_entries t ~reason:(Printf.sprintf "object #%d" oid)
-    (fun (_, _, inputs, _) task ->
-      List.mem oid task.Task.outputs
-      || List.exists (fun (_, oids) -> List.mem oid oids) inputs)
-
-let invalidate_class t cls =
-  invalidate_entries t ~reason:("class " ^ cls)
-    (fun (_, _, inputs, _) task ->
-      task.Task.output_class = cls
-      || List.exists
-           (fun (_, oids) ->
-             List.exists
-               (fun o -> Obj_store.class_of t.objects o = Some cls)
-               oids)
-           inputs)
-
 let create ~registry ~catalog ~objects ~procs ~prov ~metrics ~bus =
-  let t =
-    { registry; catalog; objects; procs; prov; metrics; bus;
-      result_cache = Hashtbl.create 64; invalidations = 0;
-      budget = budget_from_env (); resident = 0; gds_clock = 0.0; tick = 0 }
-  in
-  (* staleness is event-driven: deletions, updates, re-versions and
-     class mutations arrive on the bus rather than as hand-threaded
-     calls *)
-  Events.subscribe bus ~name:"result-cache" (function
-    | Events.Object_deleted { oid; _ } -> invalidate_oid t oid
-    | Events.Object_updated { oid; _ } -> invalidate_oid t oid
-    | Events.Process_versioned { name; _ } -> invalidate_process t name
-    | Events.Class_mutated cls -> invalidate_class t cls
-    | _ -> ());
-  t
+  { registry; catalog; objects; procs; prov; metrics; bus;
+    result_cache = Hashtbl.create 64; producers = Hashtbl.create 64;
+    invalidations = 0; budget = budget_from_env (); resident = 0;
+    gds_clock = 0.0; tick = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Template environment                                                *)

@@ -1,11 +1,10 @@
 (** The deriver: template evaluation, binding search, process
     execution, and the provenance-keyed result cache.
 
-    Cache invalidation is event-driven: the deriver subscribes to
-    [Object_deleted], [Process_versioned] and [Class_mutated] and
-    drops stale entries itself, emitting [Cache_invalidated]; cache
-    lookups emit [Cache_hit] / [Cache_miss] (counted by
-    {!Metrics.attach}). *)
+    The deriver subscribes to nothing: the refresh marker
+    ({!Refresh}) decides what a change invalidates and calls
+    {!invalidate}, which emits [Cache_invalidated].  Cache lookups
+    emit [Cache_hit] / [Cache_miss] (counted by {!Metrics.attach}). *)
 
 module Oid = Gaea_storage.Oid
 
@@ -68,11 +67,12 @@ type cache_stats = {
 
 val cache_stats : t -> cache_stats
 val clear_cache : t -> unit
-val invalidate_process : t -> string -> unit
-(** Drop memoized results of the named process and of every compound
-    that transitively expands to it. *)
 
-val cache_budget : t -> int
+val invalidate : t -> reason:string -> Oid.t list -> unit
+(** Drop the entries whose task produced one of the given objects (a
+    compound's entry goes with its last step's output), found through
+    an output-oid index; emits one [Cache_invalidated] with [reason]
+    when anything was dropped. *)
 
 val set_cache_budget : t -> int -> unit
 (** Override the budget (e.g. for sweeps); shrinking evicts

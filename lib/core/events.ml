@@ -1,6 +1,5 @@
 type event =
   | Class_defined of string
-  | Class_mutated of string
   | Object_inserted of { cls : string; oid : int }
   | Object_deleted of { cls : string; oid : int }
   | Object_updated of { cls : string; oid : int }
@@ -16,7 +15,6 @@ type event =
 
 let event_to_string = function
   | Class_defined c -> Printf.sprintf "class_defined %s" c
-  | Class_mutated c -> Printf.sprintf "class_mutated %s" c
   | Object_inserted { cls; oid } ->
     Printf.sprintf "object_inserted %s #%d" cls oid
   | Object_deleted { cls; oid } -> Printf.sprintf "object_deleted %s #%d" cls oid

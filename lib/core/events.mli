@@ -1,11 +1,11 @@
 (** The kernel event bus.
 
     Every state change in a kernel subsystem is announced as an
-    {!event} on a shared {!bus}.  Cross-cutting concerns — result-cache
-    invalidation, the execution counters, the derivation-net cache —
-    are subscribers rather than hand-threaded calls, so adding a new
-    observer (persistence hooks, metrics exporters) never touches the
-    mutating code paths.
+    {!event} on a shared {!bus}.  Cross-cutting concerns — the
+    execution counters, the derivation-net cache, the staleness walk
+    (which also invalidates the result cache) — are subscribers rather
+    than hand-threaded calls, so adding a new observer (persistence
+    hooks, metrics exporters) never touches the mutating code paths.
 
     The bus also keeps a bounded in-memory log (ring buffer) of recent
     events with monotonically increasing sequence numbers — the first
@@ -13,10 +13,6 @@
 
 type event =
   | Class_defined of string
-  | Class_mutated of string
-      (** A class's objects changed behind the kernel's back
-          (bulk loads, external edits); fired by
-          [Kernel.invalidate_cache_class]. *)
   | Object_inserted of { cls : string; oid : int }
   | Object_deleted of { cls : string; oid : int }
   | Object_updated of { cls : string; oid : int }

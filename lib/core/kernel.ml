@@ -64,9 +64,9 @@ let create () =
   let store = Store.create () in
   let bus = Events.create () in
   (* subscription order fixes notification order: metrics first, then
-     the net cache (inside Provenance.create), then the result cache
-     (inside Deriver.create), then the staleness tracker (inside
-     Refresh.create) *)
+     the net cache (inside Provenance.create), then the staleness
+     walk (inside Refresh.create), which also invalidates the result
+     cache; the deriver itself subscribes to nothing *)
   let metrics = Metrics.create () in
   Metrics.attach bus metrics;
   let catalog = Catalog.create ~store ~bus in
@@ -146,23 +146,17 @@ let tasks_using t oid = Provenance.tasks_using t.prov oid
 (* result cache *)
 let cache_stats t = Deriver.cache_stats t.deriver
 let clear_cache t = Deriver.clear_cache t.deriver
-let cache_budget t = Deriver.cache_budget t.deriver
 let set_cache_budget t n = Deriver.set_cache_budget t.deriver n
 
 let restore_cache_stats t ~hits ~misses ~invalidations ~admissions ~evictions =
   Deriver.restore_cache_stats t.deriver ~hits ~misses ~invalidations
     ~admissions ~evictions
 
-let invalidate_cache_process t name = Deriver.invalidate_process t.deriver name
-
 (* staleness / refresh *)
 let stale_objects t = Refresh.stale t.refresh
 let object_stale t oid = Refresh.is_stale t.refresh oid
+let restore_stale t oids = Refresh.restore_stale t.refresh oids
 let refresh_stale ?only t = Refresh.refresh ?only t.refresh
-
-let invalidate_cache_class t cls =
-  (* announced as a mutation; the deriver's subscriber does the work *)
-  Events.emit t.bus (Events.Class_mutated cls)
 
 (* derivation net *)
 let derivation_net t =

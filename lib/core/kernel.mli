@@ -5,8 +5,9 @@
     versions), {!Deriver} (assertions, mappings, result cache) and
     {!Provenance} (tasks, lineage, net views) — composed over one
     shared {!Events.bus}.  Cross-cutting state (execution counters,
-    cache invalidation, net-view staleness) is maintained by bus
-    subscribers, not by hand-threaded calls.
+    net-view staleness, object staleness) is maintained by bus
+    subscribers, not by hand-threaded calls; the staleness walk
+    ({!Refresh}) is also what invalidates the result cache.
 
     Concurrency: a kernel is a single-threaded mutable object. *)
 
@@ -35,7 +36,8 @@ val store : t -> Gaea_storage.Store.t
 (** {2 Classes (derivation level, static)} *)
 
 val define_class : t -> Schema.t -> (unit, Gaea_error.t) result
-(** Creates the backing table.  Errors on duplicate class names or if a
+(** Creates the backing table, with a B-tree index on the temporal
+    attribute if there is one.  Errors on duplicate class names or if a
     [Derived] class names a process that is neither defined yet nor
     defined later (checked lazily at derivation time). *)
 
@@ -64,16 +66,18 @@ val delete_object :
   t -> cls:string -> Gaea_storage.Oid.t -> (unit, Gaea_error.t) result
 (** [Error (Unknown_object _)] when no class owns the oid,
     [Error (Wrong_class _)] when it belongs to a different class than
-    named.  Deletion invalidates dependent cache entries (via the
-    [Object_deleted] event). *)
+    named.  Deletion marks the object's consumers stale and drops the
+    cache entries that produced it or them (via the [Object_deleted]
+    event). *)
 
 val update_object :
   t -> cls:string -> Gaea_storage.Oid.t -> (string * Gaea_adt.Value.t) list
   -> (unit, Gaea_error.t) result
 (** Replace the named attributes in place (same OID; unnamed
     attributes keep their values).  Emits [Object_updated], which
-    invalidates dependent cache entries and marks every transitive
-    consumer stale (see {!stale_objects} / {!refresh_stale}). *)
+    marks every transitive consumer stale (see {!stale_objects} /
+    {!refresh_stale}) and drops the cache entries that produced the
+    object or those consumers. *)
 
 (** {2 Concepts (high level)} *)
 
@@ -113,9 +117,12 @@ val execute_process :
     (process name, version, input binding, parameter bindings) returns
     the originally recorded task — no recomputation, no duplicate
     object, no new task — and counts as a cache hit in {!counters} /
-    {!cache_stats}.  Entries are invalidated when the process (or a
-    compound above it) gains a new version, and when an input or output
-    object is deleted. *)
+    {!cache_stats}.  An entry is dropped when the staleness walk marks
+    its output stale — an input was updated or deleted, or the
+    process (or the last step of a compound) gained a new version —
+    and when its output is updated or deleted.  Re-versioning a
+    compound itself records no task, so its old-version entry stays,
+    reachable only by an explicit [~version] lookup. *)
 
 val recompute_task :
   t -> Task.t -> ((string * Gaea_adt.Value.t) list, Gaea_error.t) result
@@ -209,7 +216,7 @@ type cache_stats = Deriver.cache_stats = {
   hits : int;
   misses : int;
   entries : int;          (** live memoized results *)
-  invalidations : int;    (** entries dropped by the hooks below *)
+  invalidations : int;    (** entries dropped by staleness or {!clear_cache} *)
   admissions : int;       (** results stored under the byte budget *)
   evictions : int;        (** entries displaced to stay under budget *)
   resident_bytes : int;   (** bytes currently charged to the cache *)
@@ -221,8 +228,6 @@ val cache_stats : t -> cache_stats
 val clear_cache : t -> unit
 (** Drop every memoized result (counts them as invalidations). *)
 
-val cache_budget : t -> int
-
 val set_cache_budget : t -> int -> unit
 (** Override the byte budget ([GAEA_CACHE_BYTES] gives the initial
     value); shrinking evicts immediately. *)
@@ -232,18 +237,6 @@ val restore_cache_stats :
   -> evictions:int -> unit
 (** Persist support: reinstate saved counter values (cache entries
     themselves are not persisted). *)
-
-val invalidate_cache_process : t -> string -> unit
-(** Drop memoized results of the named process and of every compound
-    process that (transitively) expands to it.  The [Process_versioned]
-    event triggers the same invalidation automatically when
-    {!define_process} adds a new version of an existing name. *)
-
-val invalidate_cache_class : t -> string -> unit
-(** Emit [Class_mutated]: drops memoized results that read from or
-    wrote to the named class — the hook for callers that mutate a
-    class's objects behind the kernel's back (bulk loads, external
-    edits).  {!delete_object} already invalidates per-object. *)
 
 (** {2 Staleness and incremental refresh} *)
 
@@ -257,11 +250,14 @@ type refresh_report = Refresh.report = {
 
 val stale_objects : t -> Gaea_storage.Oid.t list
 (** Derived objects whose transitive inputs changed (update, delete,
-    process re-version, class mutation) since their task ran.
-    Ascending OID order.  The same definition backs [gaea lint]'s
-    GA033. *)
+    process re-version) since their task ran, or that were derived
+    from a stale input.  Ascending OID order.  The same definition
+    backs [gaea lint]'s GA033. *)
 
 val object_stale : t -> Gaea_storage.Oid.t -> bool
+
+val restore_stale : t -> Gaea_storage.Oid.t list -> unit
+(** Persist support: reinstate a saved stale set, event-silently. *)
 
 val refresh_stale : ?only:Gaea_storage.Oid.t list -> t -> refresh_report
 (** Recompute stale objects in place, dirty subgraph only, in

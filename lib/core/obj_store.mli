@@ -1,7 +1,8 @@
 (** Object CRUD over the catalog's tables, plus the oid → class map.
 
-    Emits [Object_inserted] / [Object_deleted] on the bus; the result
-    cache invalidates itself on deletions by subscription. *)
+    Emits [Object_inserted] / [Object_updated] / [Object_deleted] on
+    the bus; the staleness walk ({!Refresh}) listens and invalidates
+    the result cache. *)
 
 module Oid = Gaea_storage.Oid
 

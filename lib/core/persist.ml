@@ -387,6 +387,16 @@ let restore_cache_stats kernel = function
     Ok ()
   | _ -> Gaea_error.err "malformed cache-stats section"
 
+(* --- staleness -------------------------------------------------------- *)
+
+let stale_to_sexp kernel =
+  Sexp.list (Sexp.atom "stale" :: List.map iatom (Kernel.stale_objects kernel))
+
+let restore_stale kernel oids =
+  let* oids = map_m parse_int oids in
+  Kernel.restore_stale kernel oids;
+  Ok ()
+
 (* --- whole kernel ---------------------------------------------------- *)
 
 let save kernel =
@@ -404,6 +414,7 @@ let save kernel =
   List.iter
     (fun task -> emit (Task.to_sexp task))
     (Kernel.tasks kernel);
+  emit (stale_to_sexp kernel);
   emit (cache_stats_to_sexp kernel);
   Buffer.contents buf
 
@@ -457,6 +468,9 @@ let load text =
           (* counters survive the round trip; saves predating the
              section simply restore to zero *)
           restore_cache_stats kernel sexp
+        | Sexp.List (Sexp.Atom "stale" :: oids) ->
+          (* absent from older saves, which load with no stale objects *)
+          restore_stale kernel oids
         | Sexp.List (Sexp.Atom ("class" | "concepts" | "process") :: _) -> Ok ()
         | _ -> Gaea_error.err "unknown section")
       (Ok ()) sexps

@@ -53,7 +53,7 @@ let define t (p : Process.t) =
           (List.sort
              (fun a b -> Int.compare a.Process.version b.Process.version)
              (p :: vs));
-        (* subscribers (result cache, net cache) see the table already
+        (* subscribers (net cache, staleness walk) see the table already
            updated when the event fires *)
         Events.emit t.bus
           (if vs = [] then
@@ -81,6 +81,3 @@ let latest t =
 let all_versions t =
   Hashtbl.fold (fun _ vs acc -> vs @ acc) t.procs []
   |> List.sort (fun a b -> compare (Process.key a) (Process.key b))
-
-let fold_names t ~init ~f =
-  Hashtbl.fold (fun name vs acc -> f acc name vs) t.procs init

@@ -1,8 +1,10 @@
 (** The process registry: versioned process definitions.
 
     Emits [Process_defined] for a new name and [Process_versioned]
-    when an existing name gains a version — the result cache and the
-    derivation-net cache invalidate themselves by subscription. *)
+    when an existing name gains a version — the derivation-net cache
+    invalidates itself by subscription, and the staleness walk
+    ({!Refresh}) marks the old version's outputs stale and drops their
+    cache entries. *)
 
 type t
 
@@ -26,6 +28,3 @@ val latest : t -> Process.t list
 (** Latest version of each process, sorted by name. *)
 
 val all_versions : t -> Process.t list
-
-val fold_names : t -> init:'a -> f:('a -> string -> Process.t list -> 'a) -> 'a
-(** Fold over names with their version lists (unspecified order). *)

@@ -1,15 +1,16 @@
-(* The refresh subsystem: incremental recomputation of stale derived
-   objects.
+(* The refresh subsystem: staleness and incremental recomputation of
+   stale derived objects.
 
-   Staleness is event-driven, like the result cache: the subscriber
-   turns update/delete/re-version/class-mutation events into a
-   per-object dirty set, propagated forward through the provenance
-   graph ([Provenance.tasks_using]).  [refresh] then recomputes only
-   the dirty subgraph as a DAG run by {!Scheduler}: evaluation runs on
-   the domain pool, while commits — in-place object updates,
-   provenance, cache admission, events — run in dependency order on
-   the calling domain, so values, task ids and the event log are
-   identical to a full re-derivation at any pool size. *)
+   Staleness is one walk: the subscriber turns update/delete/re-version
+   events into a per-object dirty set, propagated forward through the
+   provenance graph ([Provenance.tasks_using]), and the result cache
+   drops the entries that produced whatever the walk reached.
+   [refresh] then recomputes only the dirty subgraph as a DAG run by
+   {!Scheduler}: evaluation runs on the domain pool, while commits —
+   in-place object updates, provenance, cache admission, events — run
+   in dependency order on the calling domain, so values, task ids and
+   the event log are identical to a full re-derivation at any pool
+   size. *)
 
 module Oid = Gaea_storage.Oid
 
@@ -31,53 +32,67 @@ type t = {
 
 (* An object is stale iff it is live, was produced by a recorded task,
    and sits in the dirty set — i.e. some transitive input was updated
-   or deleted, or its process was superseded, since its task ran. *)
-let rec mark t oid =
+   or deleted, or its process was superseded, since its task ran, or
+   it was derived from a stale input.  [reached] collects every object
+   the walk visits, stale already or not: the cache entries that
+   produced them are suspect. *)
+let rec mark t reached oid =
+  reached := oid :: !reached;
   if
     Obj_store.mem t.objects oid
     && (not (Hashtbl.mem t.dirty oid))
     && Provenance.task_producing t.prov oid <> None
   then begin
     Hashtbl.replace t.dirty oid ();
-    mark_consumers t oid
+    mark_outputs t reached (Provenance.tasks_using t.prov oid)
   end
 
-and mark_consumers t oid =
+and mark_outputs t reached tasks =
   List.iter
-    (fun (task : Task.t) -> List.iter (mark t) task.Task.outputs)
+    (fun (task : Task.t) -> List.iter (mark t reached) task.Task.outputs)
+    tasks
+
+(* One walk per triggering event: mark the outputs of [tasks] and
+   everything downstream, then drop the cache entries that produced
+   the [changed] objects or anything the walk reached, under one
+   [Cache_invalidated]. *)
+let walk t ~reason changed tasks =
+  let reached = ref changed in
+  mark_outputs t reached tasks;
+  Deriver.invalidate t.deriver ~reason !reached
+
+let object_changed t oid =
+  walk t ~reason:(Printf.sprintf "object #%d" oid) [ oid ]
     (Provenance.tasks_using t.prov oid)
-
-let mark_process t name version =
-  List.iter
-    (fun (task : Task.t) ->
-      if task.Task.process = name && task.Task.process_version < version then
-        List.iter (mark t) task.Task.outputs)
-    (Provenance.tasks t.prov)
-
-let mark_class t cls =
-  List.iter
-    (fun (task : Task.t) ->
-      if
-        List.exists
-          (fun oid -> Obj_store.class_of t.objects oid = Some cls)
-          (Task.input_oids task)
-      then List.iter (mark t) task.Task.outputs)
-    (Provenance.tasks t.prov)
 
 let create ~objects ~procs ~prov ~deriver ~metrics ~bus =
   let t =
     { objects; procs; prov; deriver; metrics; bus; dirty = Hashtbl.create 64 }
   in
   Events.subscribe bus ~name:"refresh" (function
-    | Events.Object_updated { oid; _ } -> mark_consumers t oid
+    | Events.Object_updated { oid; _ } -> object_changed t oid
     | Events.Object_deleted { oid; _ } ->
       (* the object itself is gone, not stale; its consumers are *)
       Hashtbl.remove t.dirty oid;
-      mark_consumers t oid
-    | Events.Process_versioned { name; version } -> mark_process t name version
-    | Events.Class_mutated cls -> mark_class t cls
+      object_changed t oid
+    | Events.Process_versioned { name; version } ->
+      walk t ~reason:("process " ^ name) []
+        (List.filter
+           (fun (task : Task.t) ->
+             task.Task.process = name && task.Task.process_version < version)
+           (Provenance.tasks t.prov))
+    | Events.Task_recorded { task_id; _ } ->
+      (* a result derived from a stale input is stale too *)
+      (match Provenance.find_task t.prov task_id with
+       | Some task
+         when List.exists (Hashtbl.mem t.dirty) (Task.input_oids task) ->
+         walk t ~reason:(Printf.sprintf "task #%d" task_id) [] [ task ]
+       | _ -> ())
     | _ -> ());
   t
+
+let restore_stale t oids =
+  List.iter (fun oid -> Hashtbl.replace t.dirty oid ()) oids
 
 let is_stale t oid = Hashtbl.mem t.dirty oid && Obj_store.mem t.objects oid
 

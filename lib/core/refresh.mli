@@ -1,11 +1,14 @@
-(** Incremental recomputation of stale derived objects.
+(** Staleness and incremental recomputation of stale derived objects.
 
     Subscribes (as ["refresh"]) to the event bus and maintains the
     per-object {e dirty set}: an object is stale iff it is live, has a
     producing task, and a transitive input was updated or deleted, its
-    process was re-versioned, or an input class was mutated since that
-    task ran.  This is the one staleness definition shared with the
-    [gaea lint] GA033 check.
+    process was re-versioned, or it was derived from a stale input.
+    This is the one staleness definition: the [gaea lint] GA033 check
+    reads it, and each triggering event's walk also tells the result
+    cache which entries to drop ({!Deriver.invalidate}) — the entries
+    that produced the changed object and every object the walk
+    reached.
 
     {!refresh} recomputes only the dirty subgraph as a {!Scheduler}
     DAG: evaluation runs on the domain pool when the ready frontier
@@ -32,6 +35,10 @@ val stale : t -> Oid.t list
 (** The dirty set (live objects only), ascending. *)
 
 val is_stale : t -> Oid.t -> bool
+
+val restore_stale : t -> Oid.t list -> unit
+(** Persist support: reinstate a saved dirty set without emitting
+    events or walking the provenance graph. *)
 
 type report = {
   refreshed : int;  (** objects recomputed in place *)

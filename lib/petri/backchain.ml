@@ -19,15 +19,14 @@ module IntSet = Set.Make (Int)
    execute deduplicate by physical identity — a shared sub-derivation is
    fired (and counted) once. *)
 let cost plan =
-  let seen : Obj.t list ref = ref [] in
+  let seen = ref [] in
   let rec go src =
     match src with
     | Existing _ -> 0
     | Derived s ->
-      let key = Obj.repr src in
-      if List.exists (fun k -> k == key) !seen then 0
+      if List.memq src !seen then 0
       else begin
-        seen := key :: !seen;
+        seen := src :: !seen;
         1
         + List.fold_left
             (fun acc (_, srcs) ->
@@ -281,7 +280,7 @@ let retrieved_tokens plan =
 let execute net marking plan ~fresh =
   let ( let* ) r f = Result.bind r f in
   (* shared Derived nodes realize (fire) exactly once *)
-  let realized : (Obj.t * Net.token) list ref = ref [] in
+  let realized = ref [] in
   let rec realize m fired place = function
     | Existing tok ->
       if Marking.mem m place tok then Ok (m, tok, fired)
@@ -289,9 +288,8 @@ let execute net marking plan ~fresh =
         Error
           (Printf.sprintf "token %d not present at place %d" tok place)
     | Derived s as src ->
-      let key = Obj.repr src in
-      (match List.find_opt (fun (k, _) -> k == key) !realized with
-       | Some (_, tok) -> Ok (m, tok, fired)
+      (match List.assq_opt src !realized with
+       | Some tok -> Ok (m, tok, fired)
        | None ->
          (* realize all inputs first *)
          let* m, binding, fired =
@@ -317,7 +315,7 @@ let execute net marking plan ~fresh =
          in
          (match List.assoc_opt place produced with
           | Some tok ->
-            realized := (key, tok) :: !realized;
+            realized := (src, tok) :: !realized;
             Ok (m, tok, s.transition :: fired)
           | None ->
             Error

@@ -297,10 +297,6 @@ let execute t stmt =
         ?temporal ?derived_by ()
     in
     let* () = Kernel.define_class t.kernel def in
-    (* index the temporal extent so AT queries use a range probe *)
-    (match def.Schema.temporal_attr, Kernel.class_table t.kernel name with
-     | Some tattr, Some tab -> ignore (Table.create_btree_index tab tattr)
-     | _ -> ());
     Ok (Message (Printf.sprintf "class %s defined" name))
   | Ast.Define_concept { name; members; isa } ->
     let concepts = Kernel.concepts t.kernel in

@@ -116,10 +116,12 @@ let test_event_rendering () =
 (* ------------------------------------------------------------------ *)
 
 let test_kernel_subscriber_order () =
-  (* metrics must observe events before the caches react to them *)
+  (* metrics must observe events before the caches react to them; the
+     result cache has no subscriber of its own — the staleness walk
+     ("refresh") invalidates it *)
   let k = Kernel.create () in
   Alcotest.(check (list string)) "fixed subscription order"
-    [ "metrics"; "net-cache"; "result-cache"; "refresh" ]
+    [ "metrics"; "net-cache"; "refresh" ]
     (Events.subscribers (Kernel.bus k))
 
 let test_lifecycle_events_logged () =
@@ -198,19 +200,6 @@ let test_invalidation_events_on_delete () =
     (Kernel.cache_stats k).Kernel.entries;
   check_int "invalidation attributed to the object" 1
     (invalidations_with (Printf.sprintf "object #%d" oid) k)
-
-let test_invalidation_events_on_class_mutation () =
-  let k = simple_kernel () in
-  let oid = insert_src k 1 2.0 in
-  let proc = Option.get (Kernel.find_process k "negate") in
-  let _ = ok (Kernel.execute_process k proc ~inputs:[ ("x", [ oid ]) ]) in
-  check_int "one live entry" 1 (Kernel.cache_stats k).Kernel.entries;
-  Kernel.invalidate_cache_class k "src";
-  check_bool "class_mutated logged" true
-    (List.mem (Events.Class_mutated "src") (events k));
-  check_int "entry dropped" 0 (Kernel.cache_stats k).Kernel.entries;
-  check_int "invalidation attributed to the class" 1
-    (invalidations_with "class src" k)
 
 let test_restore_is_event_silent () =
   (* kernel restore replays state without re-announcing it: Persist.load
@@ -432,8 +421,6 @@ let () =
           tc "cache miss then hit logged" test_cache_miss_then_hit_logged;
           tc "invalidation on re-version" test_invalidation_events_on_reversion;
           tc "invalidation on delete" test_invalidation_events_on_delete;
-          tc "invalidation on class mutation"
-            test_invalidation_events_on_class_mutation;
           tc "restore is event-silent" test_restore_is_event_silent ] );
       ( "scheduler",
         [ tc "step-parallel determinism" test_scheduler_determinism;

@@ -203,6 +203,20 @@ let test_optimizer_access_paths () =
    | Plan.Index_range ("timestamp", Some _, Some _) -> ()
    | _ -> Alcotest.fail "expected temporal range path")
 
+(* The catalog owns the temporal index, so a reloaded kernel keeps it
+   and AT queries still take the range probe. *)
+let test_optimizer_index_survives_reload () =
+  let session = desert_session () in
+  let k = ok (Gaea_core.Persist.load (Gaea_core.Persist.save (Session.kernel session))) in
+  let select =
+    match Parser.parse_one "SELECT * FROM rainfall WHERE timestamp AT DATE '1987-01-01'" with
+    | Ok (Ast.Select s) -> s
+    | _ -> Alcotest.fail "not a select"
+  in
+  match (ok (Optimizer.plan_select k select)).Plan.path with
+  | Plan.Index_range ("timestamp", Some _, Some _) -> ()
+  | _ -> Alcotest.fail "expected temporal range path after save/load"
+
 let test_optimizer_materialize () =
   let session = desert_session () in
   let k = Session.kernel session in
@@ -358,7 +372,8 @@ let () =
           tc "scripts and errors" test_parse_script_and_errors ] );
       ( "optimizer",
         [ tc "access paths" test_optimizer_access_paths;
-          tc "materialize" test_optimizer_materialize ] );
+          tc "materialize" test_optimizer_materialize;
+          tc "temporal index survives save/load" test_optimizer_index_survives_reload ] );
       ( "executor",
         [ tc "select filters" test_executor_select_filters;
           tc "derive and verify" test_executor_derive_and_verify;

@@ -139,6 +139,69 @@ let test_update_spares_unrelated () =
           t.Task.outputs)
     (Kernel.tasks k)
 
+(* One walk decides staleness and cache invalidation: every level the
+   update stales loses its cache entry, so no later probe can serve a
+   stale result. *)
+let test_update_empties_cache () =
+  let k = chain_kernel () in
+  let src = insert_src k in
+  let _, o2, _ = derive_chain k src in
+  check_bool "derivation cached its steps" true
+    ((Kernel.cache_stats k).Kernel.entries > 0);
+  update_src k src [| 10.; 20.; 30.; 40. |];
+  check_int "every entry above the update dropped" 0
+    (Kernel.cache_stats k).Kernel.entries;
+  let c1 = List.hd (Kernel.objects_of_class k "c1") in
+  let s2 = Option.get (Kernel.find_process k "s2") in
+  let t = ok (Kernel.execute_process k s2 ~inputs:[ ("x", [ c1 ]) ]) in
+  check_bool "re-running s2 does not serve the stale c2" true
+    (t.Task.outputs <> [ o2 ])
+
+(* Re-versioning a step stales its outputs and everything above them,
+   so the cached compound whose last step reads them goes too. *)
+let test_reversion_drops_compound () =
+  let k = chain_kernel () in
+  let src = insert_src k in
+  let _ = derive_chain k src in
+  let s2 = Option.get (Kernel.find_process k "s2") in
+  ok (Kernel.define_process k (ok (Process.edit s2 ~name:"s2" ~doc:"v2" ())));
+  check_int "only s1's entry survives" 1 (Kernel.cache_stats k).Kernel.entries;
+  check_bool "one invalidation for the process" true
+    (List.exists
+       (function
+         | Events.Cache_invalidated { entries = 3; reason = "process s2" } -> true
+         | _ -> false)
+       (events k));
+  let before = Kernel.cache_stats k in
+  let p = Option.get (Kernel.find_process k "chain3") in
+  let _ = ok (Kernel.execute_process k p ~inputs:[ ("x", [ src ]) ]) in
+  let after = Kernel.cache_stats k in
+  check_int "s1 hits, nothing else does" 1
+    (after.Kernel.hits - before.Kernel.hits);
+  check_int "chain3 misses again" 2
+    (List.length
+       (List.filter
+          (( = ) (Events.Cache_miss { process = "chain3"; version = 1 }))
+          (events k)))
+
+(* A result derived from a stale input is itself stale. *)
+let test_derived_from_stale_is_stale () =
+  let k = chain_kernel () in
+  let src = insert_src k in
+  let o1, o2, _ = derive_chain k src in
+  update_src k src [| 10.; 20.; 30.; 40. |];
+  Kernel.clear_cache k;
+  let s2 = Option.get (Kernel.find_process k "s2") in
+  let t = ok (Kernel.execute_process k s2 ~inputs:[ ("x", [ o1 ]) ]) in
+  let fresh_c2 = List.hd t.Task.outputs in
+  check_bool "a new object" true (fresh_c2 <> o2);
+  check_bool "derived from stale c1, so stale" true
+    (Kernel.object_stale k fresh_c2);
+  let report = Kernel.refresh_stale k in
+  check_int "refresh brings all four up to date" 4 report.Kernel.refreshed;
+  Alcotest.(check (list int)) "nothing stale after refresh" []
+    (Kernel.stale_objects k)
+
 let test_refresh_recomputes_in_place () =
   let k = chain_kernel () in
   let src = insert_src k in
@@ -479,10 +542,48 @@ let test_cache_stats_survive_persist () =
     after.Kernel.invalidations;
   check_int "admissions survive" before.Kernel.admissions after.Kernel.admissions;
   check_int "evictions survive" before.Kernel.evictions after.Kernel.evictions;
-  (* restore is event-silent: the reloaded kernel has no dirty set even
-     though the saved one had a stale chain *)
-  Alcotest.(check (list int)) "loaded kernel starts fresh" []
+  (* restore is event-silent, and the stale chain comes back from its
+     own section *)
+  Alcotest.(check (list int)) "stale set survives" (Kernel.stale_objects k)
     (Kernel.stale_objects k2)
+
+let test_stale_set_survives_persist () =
+  let k = chain_kernel () in
+  let src = insert_src k in
+  let _ = derive_chain k src in
+  let vals = [| 4.; 3.; 2.; 1. |] in
+  update_src k src vals;
+  let stale = Kernel.stale_objects k in
+  check_int "the chain is stale" 3 (List.length stale);
+  let k2 = ok (Persist.load (Persist.save k)) in
+  Alcotest.(check (list int)) "same stale set after load" stale
+    (Kernel.stale_objects k2);
+  let report = Kernel.refresh_stale k2 in
+  check_int "REFRESH ALL on the loaded kernel refreshes it" 3
+    report.Kernel.refreshed;
+  Alcotest.(check (list int)) "fresh afterwards" [] (Kernel.stale_objects k2);
+  let k3 = chain_kernel () in
+  let p1, p2, p3 = derive_chain k3 (insert_src ~vals k3) in
+  List.iter2
+    (fun (cls, o) o' ->
+      check_int (cls ^ " matches cold derivation") (data_hash k3 cls o')
+        (data_hash k2 cls o))
+    (List.combine [ "c1"; "c2"; "c3" ] stale)
+    [ p1; p2; p3 ]
+
+let test_stale_section_optional () =
+  let k = chain_kernel () in
+  let src = insert_src k in
+  let _ = derive_chain k src in
+  update_src k src [| 4.; 3.; 2.; 1. |];
+  let old_save =
+    String.split_on_char '\n' (Persist.save k)
+    |> List.filter (fun line ->
+           not (String.length line >= 7 && String.sub line 0 7 = "(stale "))
+    |> String.concat "\n"
+  in
+  Alcotest.(check (list int)) "a save without the section loads fresh" []
+    (Kernel.stale_objects (ok (Persist.load old_save)))
 
 (* ------------------------------------------------------------------ *)
 (* GA033: staleness lint                                                *)
@@ -513,7 +614,11 @@ let () =
   Alcotest.run "refresh"
     [ ( "staleness",
         [ tc "update stales the chain transitively" test_update_stales_transitively;
-          tc "unrelated pipelines stay fresh" test_update_spares_unrelated ] );
+          tc "unrelated pipelines stay fresh" test_update_spares_unrelated;
+          tc "update drops every cache entry it stales" test_update_empties_cache;
+          tc "re-versioning a step drops the compound above"
+            test_reversion_drops_compound;
+          tc "derived from a stale input is stale" test_derived_from_stale_is_stale ] );
       ( "refresh",
         [ tc "recomputes stale subgraph in place" test_refresh_recomputes_in_place;
           tc "targeted refresh pulls stale upstream" test_targeted_refresh_pulls_upstream;
@@ -527,6 +632,8 @@ let () =
         [ tc "budget respected with evictions" test_budget_respected;
           tc "shrinking the budget evicts" test_budget_shrink_evicts ] );
       ( "persist",
-        [ tc "cache counters survive save/load" test_cache_stats_survive_persist ] );
+        [ tc "cache counters survive save/load" test_cache_stats_survive_persist;
+          tc "stale set survives save/load" test_stale_set_survives_persist;
+          tc "saves without a stale section" test_stale_section_optional ] );
       ( "lint",
         [ tc "GA033 flags stale derived objects" test_ga033_flags_stale ] ) ]
