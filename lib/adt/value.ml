@@ -81,9 +81,13 @@ let rec equal a b =
 
 let combine h1 h2 = (h1 * 1000003) lxor h2
 
-let float_hash f = Int64.to_int (float_bits f) land max_int
+(* fold the exponent and high mantissa bits, where an integral float
+   keeps all its information, down into the low word *)
+let float_hash f =
+  let b = float_bits f in
+  Int64.to_int (Int64.logxor b (Int64.shift_right_logical b 29))
 
-let rec content_hash = function
+let rec raw_hash = function
   | VInt x -> combine 1 x
   | VFloat x -> combine 2 (float_hash x)
   | VString s -> combine 3 (Hashtbl.hash s)
@@ -112,7 +116,20 @@ let rec content_hash = function
          (Abstime.to_seconds (Interval.start i))
          (Abstime.to_seconds (Interval.stop i)))
   | VSet items ->
-    List.fold_left (fun acc v -> combine acc (content_hash v)) 12 items
+    List.fold_left (fun acc v -> combine acc (raw_hash v)) 12 items
+
+(* [combine] and the float / image hashes below it leave the low bits
+   constant for integral floats, whole-day timestamps and multiples of
+   2^k, so every hash table keyed by a value would use one bucket.  A
+   splitmix64-style avalanche over the 63-bit int fixes that; it is a
+   bijection, so distinct raw hashes stay distinct.  Applied once at the
+   top level: set elements combine their raw hashes. *)
+let avalanche h =
+  let h = (h lxor (h lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
+  h lxor (h lsr 31)
+
+let content_hash v = avalanche (raw_hash v)
 
 let int x = VInt x
 let float x = VFloat x

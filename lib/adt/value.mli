@@ -27,7 +27,9 @@ val type_of : t -> Vtype.t
 
 val equal : t -> t -> bool
 val content_hash : t -> int
-(** Deterministic content hash (stable across runs). *)
+(** Deterministic content hash (stable across runs), finished with an
+    avalanche step so that its low bits vary even for integral floats,
+    whole-day timestamps and images of integral pixels. *)
 
 (** Constructors and checked accessors. *)
 

@@ -477,15 +477,31 @@ let load text =
   in
   Ok kernel
 
+(* Write a temporary file beside the target, fsync it, then rename it
+   over the target: a crash mid-save leaves the previous file intact. *)
 let save_to_file kernel path =
-  try
-    let oc = open_out path in
+  let data = save kernel in
+  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
+  let write () =
+    let oc =
+      open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o666 tmp
+    in
     Fun.protect
-      ~finally:(fun () -> close_out oc)
+      ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        output_string oc (save kernel);
-        Ok ())
-  with Sys_error e -> Error (Gaea_error.Io_error e)
+        output_string oc data;
+        flush oc;
+        Unix.fsync (Unix.descr_of_out_channel oc));
+    Sys.rename tmp path
+  in
+  let fail msg =
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Error (Gaea_error.Io_error msg)
+  in
+  match write () with
+  | () -> Ok ()
+  | exception Sys_error msg -> fail msg
+  | exception Unix.Unix_error (e, fn, _) -> fail (fn ^ ": " ^ Unix.error_message e)
 
 let load_from_file path =
   try

@@ -18,4 +18,8 @@ val load : string -> (Kernel.t, Gaea_error.t) result
     [Lineage.verify_object] on any object reproduces it exactly. *)
 
 val save_to_file : Kernel.t -> string -> (unit, Gaea_error.t) result
+(** Atomic: writes and fsyncs [path.<pid>.tmp] beside the target, then
+    renames it over the target.  On [Io_error] the target is untouched
+    and the temporary file is removed. *)
+
 val load_from_file : string -> (Kernel.t, Gaea_error.t) result

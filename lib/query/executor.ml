@@ -158,50 +158,50 @@ let execute_select t (s : Ast.select) =
   let* plan = Optimizer.plan_select t.kernel s in
   let first = List.hd plan.Plan.classes in
   let rest = List.tl plan.Plan.classes in
+  let matching cls preds oids =
+    Seq.filter_map
+      (fun oid ->
+        if List.for_all (eval_predicate t ~cls oid) preds then Some (cls, oid)
+        else None)
+      oids
+  in
+  let table_oids cls =
+    match Kernel.class_table t.kernel cls with
+    | None -> Seq.empty
+    | Some tab -> Seq.map fst (Table.to_seq tab)
+  in
   (* first class: use the chosen access path *)
   let first_oids =
-    match Kernel.class_table t.kernel first with
-    | None -> []
-    | Some tab ->
-      (match plan.Plan.path with
-       | Plan.Index_eq (attr, v) -> List.map fst (Table.lookup_eq tab attr v)
-       | Plan.Index_range (attr, lo, hi) ->
-         List.map fst (Table.lookup_range tab attr ?lo ?hi ())
-       | Plan.Full_scan ->
-         List.rev (Table.fold tab ~init:[] ~f:(fun acc oid _ -> oid :: acc)))
+    match Kernel.class_table t.kernel first, plan.Plan.path with
+    | None, _ -> Seq.empty
+    | Some tab, Plan.Index_eq (attr, v) ->
+      List.to_seq (List.map fst (Table.lookup_eq tab attr v))
+    | Some tab, Plan.Index_range (attr, lo, hi) ->
+      List.to_seq (List.map fst (Table.lookup_range tab attr ?lo ?hi ()))
+    | Some _, Plan.Full_scan -> table_oids first
   in
-  let first_rows =
-    List.filter_map
-      (fun oid ->
-        if
-          List.for_all
-            (eval_predicate t ~cls:first oid)
-            plan.Plan.residual
-        then Some (first, oid)
-        else None)
-      first_oids
+  (* Matches in result order, produced on demand: the first class along
+     its access path, then the other concept members, scanned with all
+     predicates.  Without ORDER BY, LIMIT n stops the walk at the n-th
+     match. *)
+  let matches =
+    Seq.append
+      (matching first plan.Plan.residual first_oids)
+      (Seq.concat_map (fun cls -> matching cls s.Ast.where_ (table_oids cls))
+         (List.to_seq rest))
   in
-  (* remaining concept members: scan with all predicates *)
-  let other_rows =
-    List.concat_map
-      (fun cls ->
-        List.filter_map
-          (fun oid ->
-            if List.for_all (eval_predicate t ~cls oid) s.Ast.where_ then
-              Some (cls, oid)
-            else None)
-          (Kernel.objects_of_class t.kernel cls))
-      rest
+  let to_rows seq =
+    List.of_seq
+      (Seq.map
+         (fun (cls, oid) -> row_of t ~cls ~projection:s.Ast.projection oid)
+         seq)
   in
-  let rows =
-    List.map
-      (fun (cls, oid) -> row_of t ~cls ~projection:s.Ast.projection oid)
-      (first_rows @ other_rows)
-  in
+  let limit = max 0 (Option.value s.Ast.limit ~default:max_int) in
   let rows =
     match s.Ast.order_by with
-    | None -> rows
+    | None -> to_rows (Seq.take limit matches)
     | Some (attr, dir) ->
+      let rows = to_rows matches in
       let key (_, pairs) = List.assoc_opt attr pairs in
       List.stable_sort
         (fun a b ->
@@ -217,11 +217,7 @@ let execute_select t (s : Ast.select) =
           | Ast.Asc -> c
           | Ast.Desc -> -c)
         rows
-  in
-  let rows =
-    match s.Ast.limit with
-    | Some n -> List.filteri (fun i _ -> i < n) rows
-    | None -> rows
+      |> List.filteri (fun i _ -> i < limit)
   in
   let columns =
     match s.Ast.projection with

@@ -5,7 +5,6 @@ module Concept = Gaea_core.Concept
 module Derivation = Gaea_core.Derivation
 module Schema = Gaea_core.Schema
 module Table = Gaea_storage.Table
-module Stats = Gaea_storage.Stats
 module Backchain = Gaea_petri.Backchain
 module Abstime = Gaea_geo.Abstime
 module Box = Gaea_geo.Box
@@ -31,20 +30,31 @@ let resolve_source k source =
     end
     else Gaea_error.err (Printf.sprintf "unknown class or concept %s" source)
 
-(* pick the best indexable predicate on the (first) class *)
+(* Selectivity of an equality probe: one over the distinct keys of the
+   B-tree it would probe, 0.1 while the index is empty.  The B-tree
+   counts keys under Vorder, so 0.0 and -0.0 (and an int key beside an
+   equal float in a float index, which only a raw [Table.insert_tuple]
+   can store) are one key, where a count of distinct [Value.equal]
+   values would see two. *)
+let eq_selectivity tab attr =
+  Option.map
+    (fun n -> if n = 0 then 0.1 else 1. /. float_of_int n)
+    (Table.btree_cardinality tab attr)
+
+(* pick the best indexable predicate on the (first) class; reads only
+   index sizes, never the rows *)
 let choose_path k cls preds =
   match Kernel.class_table k cls with
   | None -> (Plan.Full_scan, preds, 1.0)
   | Some tab ->
-    let stats = Stats.analyze_table tab in
     let candidates =
       List.filter_map
         (fun pred ->
           match pred with
-          | Ast.P_compare (attr, Ast.C_eq, lit)
-            when Table.has_btree_index tab attr ->
-            Some (pred, Plan.Index_eq (attr, literal_value lit),
-                  Stats.selectivity_eq stats attr)
+          | Ast.P_compare (attr, Ast.C_eq, lit) ->
+            Option.map
+              (fun sel -> (pred, Plan.Index_eq (attr, literal_value lit), sel))
+              (eq_selectivity tab attr)
           | Ast.P_compare (attr, (Ast.C_lt | Ast.C_le), lit)
             when Table.has_btree_index tab attr ->
             Some (pred, Plan.Index_range (attr, None, Some (literal_value lit)), 0.3)
@@ -71,7 +81,14 @@ let choose_path k cls preds =
        List.sort (fun (_, _, s1) (_, _, s2) -> Float.compare s1 s2) candidates
      with
      | (chosen, path, sel) :: _ ->
-       let residual = List.filter (fun p -> p != chosen) preds in
+       (* B-tree ranges are closed, so a strict bound stays residual to
+          drop the rows equal to it *)
+       let strict =
+         match chosen with
+         | Ast.P_compare (_, (Ast.C_lt | Ast.C_gt), _) -> true
+         | _ -> false
+       in
+       let residual = List.filter (fun p -> strict || p != chosen) preds in
        (path, residual, sel)
      | [] -> (Plan.Full_scan, preds, 1.0))
 

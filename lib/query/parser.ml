@@ -87,7 +87,11 @@ let rec literal st =
     expect st Lexer.Comma ",";
     let d = float_like st in
     expect st Lexer.Rparen ")";
-    L_box (a, b, c, d)
+    (* an inverted or non-finite box is a syntax error here, not an
+       exception when the literal is evaluated *)
+    (match Gaea_geo.Box.make_checked ~xmin:a ~ymin:b ~xmax:c ~ymax:d with
+     | Ok _ -> L_box (a, b, c, d)
+     | Error e -> fail "%s" e)
   | t -> fail "expected literal, found %s" (Lexer.token_to_string t)
 
 and expr st =

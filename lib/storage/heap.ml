@@ -86,16 +86,17 @@ let fold t ~init ~f =
   scan t (fun oid tuple -> acc := f !acc oid tuple);
   !acc
 
-let find t pred =
-  let result = ref None in
-  (try
-     scan t (fun oid tuple ->
-         if pred oid tuple then begin
-           result := Some (oid, tuple);
-           raise Exit
-         end)
-   with Exit -> ());
-  !result
+let to_seq t =
+  let rec from i () =
+    if i >= t.used then Seq.Nil
+    else
+      let s = slot t i in
+      if s.deleted then from (i + 1) ()
+      else Seq.Cons ((s.oid, s.tuple), from (i + 1))
+  in
+  from 0
+
+let find t pred = Seq.find (fun (oid, tuple) -> pred oid tuple) (to_seq t)
 
 let to_list t =
   List.rev (fold t ~init:[] ~f:(fun acc oid tuple -> (oid, tuple) :: acc))

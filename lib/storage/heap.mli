@@ -30,5 +30,10 @@ val scan : t -> (Oid.t -> Tuple.t -> unit) -> unit
 (** Live tuples, insertion order. *)
 
 val fold : t -> init:'a -> f:('a -> Oid.t -> Tuple.t -> 'a) -> 'a
+
+val to_seq : t -> (Oid.t * Tuple.t) Seq.t
+(** Live tuples in insertion order, produced on demand: a consumer that
+    stops early never visits the rest of the heap. *)
+
 val find : t -> (Oid.t -> Tuple.t -> bool) -> (Oid.t * Tuple.t) option
 val to_list : t -> (Oid.t * Tuple.t) list

@@ -12,6 +12,7 @@ module IntSet = Set.Make (Int)
 type t = {
   ktype : Vtype.t;
   mutable map : IntSet.t VMap.t;
+  mutable keys : int;  (* distinct keys; [VMap.cardinal] would walk the map *)
 }
 
 let create ktype =
@@ -19,7 +20,7 @@ let create ktype =
     Error
       (Printf.sprintf "btree index: type %s is not orderable"
          (Vtype.to_string ktype))
-  else Ok { ktype; map = VMap.empty }
+  else Ok { ktype; map = VMap.empty; keys = 0 }
 
 let key_type t = t.ktype
 
@@ -40,47 +41,60 @@ let add t key oid =
   match check_key t key with
   | Error _ as e -> e
   | Ok () ->
-    t.map <-
-      VMap.update key
-        (function
-          | None -> Some (IntSet.singleton oid)
-          | Some s -> Some (IntSet.add oid s))
-        t.map;
+    let oids =
+      match VMap.find_opt key t.map with
+      | Some s -> s
+      | None ->
+        t.keys <- t.keys + 1;
+        IntSet.empty
+    in
+    t.map <- VMap.add key (IntSet.add oid oids) t.map;
     Ok ()
 
 let remove t key oid =
-  t.map <-
-    VMap.update key
-      (function
-        | None -> None
-        | Some s ->
-          let s = IntSet.remove oid s in
-          if IntSet.is_empty s then None else Some s)
-      t.map
+  match VMap.find_opt key t.map with
+  | None -> ()
+  | Some s ->
+    let s = IntSet.remove oid s in
+    if IntSet.is_empty s then begin
+      t.map <- VMap.remove key t.map;
+      t.keys <- t.keys - 1
+    end
+    else t.map <- VMap.add key s t.map
+
+(* A probe key that Vorder cannot compare with the stored keys (a
+   string against an abstime index, say) matches nothing; comparing it
+   inside the map would raise. *)
+let probe_ok t key =
+  match Value.type_of key, t.ktype with
+  | (Vtype.Int | Vtype.Float), (Vtype.Int | Vtype.Float) -> true
+  | actual, ktype -> Vtype.equal actual ktype
 
 let find t key =
-  match VMap.find_opt key t.map with
-  | None -> []
-  | Some s -> IntSet.elements s
+  if not (probe_ok t key) then []
+  else
+    match VMap.find_opt key t.map with
+    | None -> []
+    | Some s -> IntSet.elements s
 
 let range t ?lo ?hi () =
-  let in_lo k =
-    match lo with
-    | None -> true
-    | Some l -> Vorder.compare_exn k l >= 0
-  in
-  let in_hi k =
-    match hi with
-    | None -> true
-    | Some h -> Vorder.compare_exn k h <= 0
-  in
-  VMap.fold
-    (fun k s acc ->
-      if in_lo k && in_hi k then List.rev_append (IntSet.elements s) acc
-      else acc)
-    t.map []
-  |> List.rev
+  let bound_ok = Option.fold ~none:true ~some:(probe_ok t) in
+  if not (bound_ok lo && bound_ok hi) then []
+  else
+    let from =
+      match lo with
+      | None -> VMap.to_seq t.map
+      | Some l -> VMap.to_seq_from l t.map
+    in
+    let in_hi (k, _) =
+      match hi with
+      | None -> true
+      | Some h -> Vorder.compare_exn k h <= 0
+    in
+    Seq.take_while in_hi from
+    |> Seq.flat_map (fun (_, s) -> IntSet.to_seq s)
+    |> List.of_seq
 
 let min_key t = Option.map fst (VMap.min_binding_opt t.map)
 let max_key t = Option.map fst (VMap.max_binding_opt t.map)
-let cardinality t = VMap.cardinal t.map
+let cardinality t = t.keys

@@ -13,12 +13,16 @@ val add : t -> Gaea_adt.Value.t -> Oid.t -> (unit, string) result
 
 val remove : t -> Gaea_adt.Value.t -> Oid.t -> unit
 val find : t -> Gaea_adt.Value.t -> Oid.t list
+(** A key not comparable with the index's key type finds nothing. *)
 
 val range :
   t -> ?lo:Gaea_adt.Value.t -> ?hi:Gaea_adt.Value.t -> unit -> Oid.t list
 (** OIDs with key in the closed range [lo, hi]; missing bounds are
-    unbounded.  Ascending key order, then ascending OID. *)
+    unbounded.  Ascending key order, then ascending OID.  Visits only the
+    keys from [lo] on, stopping past [hi]; a bound not comparable with
+    the key type gives []. *)
 
 val min_key : t -> Gaea_adt.Value.t option
 val max_key : t -> Gaea_adt.Value.t option
 val cardinality : t -> int
+(** Distinct keys, kept as a counter: constant time. *)

@@ -1,4 +1,7 @@
-(** Table statistics for the cost-based optimizer of the query layer. *)
+(** Exact per-column table statistics, as a diagnostic.  Nothing in the
+    library calls this: the optimizer reads the distinct-key count of
+    the B-tree it would probe ({!Table.btree_cardinality}) instead of
+    scanning the table on every SELECT. *)
 
 type column_stats = {
   attr : string;

@@ -49,6 +49,9 @@ let create_btree_index t attr =
 
 let has_btree_index t attr = Hashtbl.mem t.btree_indexes attr
 
+let btree_cardinality t attr =
+  Option.map Index_btree.cardinality (Hashtbl.find_opt t.btree_indexes attr)
+
 let index_tuple t oid tuple =
   Hashtbl.iter
     (fun attr idx ->
@@ -108,6 +111,7 @@ let get_attr t oid attr =
 
 let scan t f = Heap.scan t.heap f
 let fold t ~init ~f = Heap.fold t.heap ~init ~f
+let to_seq t = Heap.to_seq t.heap
 let to_list t = Heap.to_list t.heap
 
 let select t pred =

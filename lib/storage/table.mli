@@ -18,6 +18,10 @@ val create_btree_index : t -> string -> (unit, string) result
 
 val has_btree_index : t -> string -> bool
 
+val btree_cardinality : t -> string -> int option
+(** Distinct keys in the B-tree on the attribute, read without a scan;
+    [None] when the attribute has no B-tree. *)
+
 val insert : t -> Oid.t -> Gaea_adt.Value.t list -> (unit, string) result
 (** Builds and type-checks a tuple, stores it, maintains indexes. *)
 
@@ -33,6 +37,10 @@ val get_attr : t -> Oid.t -> string -> Gaea_adt.Value.t option
 
 val scan : t -> (Oid.t -> Tuple.t -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> Oid.t -> Tuple.t -> 'a) -> 'a
+
+val to_seq : t -> (Oid.t * Tuple.t) Seq.t
+(** Live rows in insertion order, on demand (see {!Heap.to_seq}). *)
+
 val to_list : t -> (Oid.t * Tuple.t) list
 
 val select : t -> (Oid.t -> Tuple.t -> bool) -> (Oid.t * Tuple.t) list

@@ -146,6 +146,33 @@ let test_value_hash_consistent () =
       | Error e -> Alcotest.failf "%s" e)
     sample_values
 
+(* Families whose raw hashes share their low bits: without the
+   avalanche step each collapses into a handful of buckets of any
+   Hashtbl keyed by the content hash. *)
+let test_value_hash_low_bits () =
+  let n = 1000 in
+  let family name f =
+    let low =
+      List.init n (fun i -> Value.content_hash (f i) land 0xfff)
+      |> List.sort_uniq compare
+    in
+    let ratio = float_of_int (List.length low) /. float_of_int n in
+    if ratio < 0.8 then
+      Alcotest.failf "%s: %d distinct low-12-bit hashes of %d" name
+        (List.length low) n
+  in
+  family "3-day timestamps" (fun i ->
+      Value.abstime (Abstime.add_days (Abstime.of_ymd 1980 1 1) (3 * i)));
+  family "integer-cornered boxes" (fun i ->
+      let x = float_of_int i in
+      Value.box (Box.make ~xmin:x ~ymin:0. ~xmax:(x +. 1.) ~ymax:1.));
+  family "integral floats" (fun i -> Value.float (float_of_int i));
+  family "multiples of 4096" (fun i -> Value.int (i * 4096));
+  family "2x2 integral-float images" (fun i ->
+      Value.image
+        (Image.of_array ~nrow:2 ~ncol:2 Pixel.Float8
+           [| float_of_int i; 0.; 0.; 0. |]))
+
 let test_value_types () =
   check_bool "int type" true (Vtype.equal (Value.type_of (Value.int 1)) Vtype.Int);
   check_bool "set type" true
@@ -487,6 +514,7 @@ let () =
       ( "value",
         [ tc "serialize roundtrip" test_value_serialize_roundtrip;
           tc "hash consistency" test_value_hash_consistent;
+          tc "hash low bits vary" test_value_hash_low_bits;
           tc "types" test_value_types;
           tc "accessors" test_value_accessors ] );
       ( "operator",

@@ -843,6 +843,67 @@ let test_persist_garbage () =
   check_bool "garbage rejected" true (Result.is_error (Persist.load "(what)"));
   check_bool "empty ok" true (Result.is_ok (Persist.load ""))
 
+(* a fresh empty directory under the system temp dir *)
+let fresh_dir () =
+  let d = Filename.temp_file "gaea_persist" "" in
+  Sys.remove d;
+  Sys.mkdir d 0o755;
+  d
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let is_io_error = function Error (Gaea_error.Io_error _) -> true | _ -> false
+
+let test_persist_save_replaces_file () =
+  let k = simple_kernel () in
+  let dir = fresh_dir () in
+  let target = Filename.concat dir "db.gaea" in
+  let previous = Filename.concat dir "previous" in
+  write_file target "(an older database)";
+  (* a hard link shares the old file's bytes: writing the target in
+     place would change them, renaming a new file over it does not *)
+  Unix.link target previous;
+  ok (Persist.save_to_file k target);
+  check_str "target holds the new save" (Persist.save k) (read_file target);
+  check_str "old file never rewritten" "(an older database)" (read_file previous);
+  let k2 = ok (Persist.load_from_file target) in
+  check_int "tasks" (List.length (Kernel.tasks k)) (List.length (Kernel.tasks k2));
+  Alcotest.(check (list string)) "no temporary file left" [ "db.gaea"; "previous" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
+  remove_tree dir
+
+let test_persist_failed_save_keeps_target () =
+  let k = simple_kernel () in
+  let dir = fresh_dir () in
+  let target = Filename.concat dir "db.gaea" in
+  write_file target "(the previous database)";
+  check_bool "missing directory is an Io_error" true
+    (is_io_error
+       (Persist.save_to_file k (Filename.concat (Filename.concat dir "missing") "db.gaea")));
+  (* the rename fails when the target is a non-empty directory: the
+     temporary file must go and the target must not change *)
+  let busy = Filename.concat dir "busy" in
+  Sys.mkdir busy 0o755;
+  write_file (Filename.concat busy "inner") "kept";
+  check_bool "failed rename is an Io_error" true
+    (is_io_error (Persist.save_to_file k busy));
+  check_str "inner file unchanged" "kept" (read_file (Filename.concat busy "inner"));
+  check_str "existing target byte-identical" "(the previous database)"
+    (read_file target);
+  Alcotest.(check (list string)) "no temporary file left" [ "busy"; "db.gaea" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
+  remove_tree dir
+
 (* ------------------------------------------------------------------ *)
 (* Template corner cases                                               *)
 (* ------------------------------------------------------------------ *)
@@ -913,5 +974,7 @@ let () =
       ( "persist",
         [ tc "share-and-reproduce roundtrip" test_persist_roundtrip;
           tc "versions roundtrip" test_persist_versions_roundtrip;
-          tc "garbage" test_persist_garbage ] );
+          tc "garbage" test_persist_garbage;
+          tc "save replaces the file atomically" test_persist_save_replaces_file;
+          tc "failed save keeps the target" test_persist_failed_save_keeps_target ] );
       ("template", [ tc "introspection" test_template_introspection ]) ]

@@ -217,6 +217,54 @@ let test_optimizer_index_survives_reload () =
   | Plan.Index_range ("timestamp", Some _, Some _) -> ()
   | _ -> Alcotest.fail "expected temporal range path after save/load"
 
+(* 200 rows; [a] takes 2 distinct values and [b] 50, both B-tree
+   indexed *)
+let pairs_session () =
+  let session = Session.create () in
+  let inserts =
+    List.init 200 (fun i ->
+        Printf.sprintf "INSERT INTO pair (a = %d, b = %d)" (i mod 2) (i mod 50))
+  in
+  let _ =
+    ok
+      (Session.run_string session
+         (String.concat ";\n" ("DEFINE CLASS pair (a int, b int)" :: inserts)))
+  in
+  let tab = Option.get (Kernel.class_table (Session.kernel session) "pair") in
+  Result.get_ok (Table.create_btree_index tab "a");
+  Result.get_ok (Table.create_btree_index tab "b");
+  session
+
+let test_optimizer_selectivity_from_btree () =
+  let session = pairs_session () in
+  let k = Session.kernel session in
+  let select =
+    match Parser.parse_one "SELECT * FROM pair WHERE a = 1 AND b = 7" with
+    | Ok (Ast.Select s) -> s
+    | _ -> Alcotest.fail "not a select"
+  in
+  let expect what ~rows ~distinct =
+    let plan = ok (Optimizer.plan_select k select) in
+    (match plan.Plan.path with
+     | Plan.Index_eq ("b", Value.VInt 7) -> ()
+     | _ -> Alcotest.failf "%s: expected index-eq on b" what);
+    check_int (what ^ ": a stays residual") 1 (List.length plan.Plan.residual);
+    Alcotest.(check (float 1e-9)) (what ^ ": est_rows")
+      (float_of_int rows /. float_of_int distinct) plan.Plan.est_rows
+  in
+  expect "initial" ~rows:200 ~distinct:50;
+  let _ = ok (Session.run_string session "INSERT INTO pair (a = 0, b = 99)") in
+  expect "after insert" ~rows:201 ~distinct:51;
+  (* deleting every row with b = 0 removes a key *)
+  List.iter
+    (fun oid ->
+      match Kernel.object_attr k ~cls:"pair" oid "b" with
+      | Some (Value.VInt 0) ->
+        ignore (ok (Session.run_string session (Printf.sprintf "DELETE FROM pair %d" oid)))
+      | _ -> ())
+    (Kernel.objects_of_class k "pair");
+  expect "after delete" ~rows:197 ~distinct:50
+
 let test_optimizer_materialize () =
   let session = desert_session () in
   let k = Session.kernel session in
@@ -267,6 +315,89 @@ let test_executor_select_filters () =
   (match run1 session "SELECT year FROM rainfall LIMIT 2" with
    | Executor.Rows { rows; _ } -> check_int "limit" 2 (List.length rows)
    | _ -> Alcotest.fail "rows")
+
+let select_rows session src =
+  match run1 session src with
+  | Executor.Rows { rows; _ } -> rows
+  | _ -> Alcotest.failf "%s: expected rows" src
+
+(* LIMIT without ORDER BY stops the walk early but must return exactly
+   the prefix of the unlimited result *)
+let test_executor_limit_is_prefix () =
+  let session = pairs_session () in
+  let _ =
+    ok
+      (Session.run_string session
+         {|DEFINE CLASS other (a int, b int);
+           INSERT INTO other (a = 1, b = 3);
+           INSERT INTO other (a = 0, b = 4);
+           INSERT INTO other (a = 1, b = 5);
+           DEFINE CONCEPT both MEMBERS (pair, other)|})
+  in
+  List.iter
+    (fun query ->
+      let all = select_rows session query in
+      List.iter
+        (fun n ->
+          let limited = select_rows session (Printf.sprintf "%s LIMIT %d" query n) in
+          check_bool (Printf.sprintf "%s LIMIT %d" query n) true
+            (limited = List.filteri (fun i _ -> i < n) all))
+        [ 0; 1; 2; 5; List.length all - 1; List.length all; List.length all + 3 ])
+    [ "SELECT * FROM pair";
+      "SELECT b FROM pair WHERE a = 1";
+      "SELECT * FROM pair WHERE b >= 40";
+      "SELECT * FROM both WHERE b < 6";
+      "SELECT a FROM both WHERE a = 1" ];
+  let classes rows =
+    List.sort_uniq compare
+      (List.map (fun (oid, _) -> Kernel.class_of_object (Session.kernel session) oid) rows)
+  in
+  check_int "a limit past the first member reaches the second" 2
+    (List.length (classes (select_rows session "SELECT * FROM both WHERE b < 6 LIMIT 26")))
+
+let test_executor_limit_after_order_by () =
+  let session = pairs_session () in
+  let _ =
+    ok
+      (Session.run_string session
+         {|DEFINE CLASS other (a int, b int);
+           INSERT INTO other (a = 1, b = -2);
+           INSERT INTO other (a = 0, b = -1);
+           DEFINE CONCEPT both MEMBERS (pair, other)|})
+  in
+  let bs rows =
+    List.map (fun (_, pairs) -> Value.to_display (List.assoc "b" pairs)) rows
+  in
+  Alcotest.(check (list string)) "global minima, from the second member"
+    [ "-2"; "-1"; "0" ]
+    (bs (select_rows session "SELECT b FROM both ORDER BY b LIMIT 3"));
+  Alcotest.(check (list string)) "descending" [ "49"; "49"; "49" ]
+    (bs (select_rows session "SELECT b FROM both ORDER BY b DESC LIMIT 3"))
+
+let test_executor_limit_zero () =
+  let session = pairs_session () in
+  check_int "class" 0 (List.length (select_rows session "SELECT * FROM pair LIMIT 0"));
+  check_int "ordered" 0
+    (List.length (select_rows session "SELECT * FROM pair ORDER BY b LIMIT 0"))
+
+(* A literal of another type than an indexed attribute's matches no
+   row, through the index as through a scan, and never raises. *)
+let test_executor_mistyped_index_probe () =
+  let session = desert_session () in
+  List.iter
+    (fun src -> check_int src 0 (List.length (select_rows session src)))
+    [ "SELECT * FROM rainfall WHERE timestamp < 5";
+      "SELECT * FROM rainfall WHERE timestamp = 'x'";
+      "SELECT * FROM rainfall WHERE timestamp >= TRUE" ]
+
+(* The B-tree range is closed: a strict bound must still drop the rows
+   equal to it, as the scan of a second concept member does. *)
+let test_executor_strict_bound_on_index () =
+  let session = pairs_session () in
+  check_int "b < 6" 24 (List.length (select_rows session "SELECT * FROM pair WHERE b < 6"));
+  check_int "b > 45" 16 (List.length (select_rows session "SELECT * FROM pair WHERE b > 45"));
+  check_int "b <= 6" 28 (List.length (select_rows session "SELECT * FROM pair WHERE b <= 6"));
+  check_int "b >= 45" 20 (List.length (select_rows session "SELECT * FROM pair WHERE b >= 45"))
 
 let test_executor_derive_and_verify () =
   let session = desert_session () in
@@ -358,6 +489,152 @@ let test_executor_versions () =
   check_bool "derived_from v1" true
     (p.Process.derived_from = Some ("d250", 1))
 
+(* ------------------------------------------------------------------ *)
+(* Fuzz: any input gets Ok or a typed error, never an exception        *)
+(* ------------------------------------------------------------------ *)
+
+(* the shipped example scripts (copied beside the test by dune) *)
+let example_scripts =
+  lazy
+    (let dir =
+       List.find Sys.file_exists [ "../examples"; "examples" ]
+     in
+     Sys.readdir dir |> Array.to_list
+     |> List.filter (fun f -> Filename.check_suffix f ".gaea")
+     |> List.sort compare
+     |> List.map (fun f ->
+            In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
+let never_raises session src =
+  match Session.run_string session src with
+  | Ok _ | Error _ -> true
+
+(* replace, insert or delete single bytes at random positions *)
+let mutated_script_gen =
+  QCheck.Gen.(
+    let* script = oneofl (Lazy.force example_scripts) in
+    let* edits =
+      list_size (int_range 1 4) (triple (int_range 0 2) nat char)
+    in
+    return
+      (List.fold_left
+         (fun s (kind, pos, c) ->
+           let n = String.length s in
+           let i = if n = 0 then 0 else pos mod n in
+           let before = String.sub s 0 i in
+           match kind with
+           | 0 when n > 0 ->
+             before ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1)
+           | 1 -> before ^ String.make 1 c ^ String.sub s i (n - i)
+           | _ when n > 0 -> before ^ String.sub s (i + 1) (n - i - 1)
+           | _ -> s)
+         script edits))
+
+let prop_mutated_examples =
+  QCheck.Test.make ~name:"byte-mutated example scripts never raise" ~count:300
+    (QCheck.make ~print:Fun.id mutated_script_gen)
+    (fun src -> never_raises (Session.create ()) src)
+
+(* two member classes of one concept, B-trees on an int and a float
+   attribute besides the temporal one *)
+let select_fuzz_session =
+  lazy
+    (let session = Session.create () in
+     let row cls band =
+       Printf.sprintf
+         "INSERT INTO %s (band = %d, level = %d.5, label = 'r%d', data = \
+          synth_rainfall(%d, 2, 2), spatialextent = BOX(%d, 0, %d, 1), \
+          timestamp = DATE '1986-0%d-01')"
+         cls band band band band band (band + 1) (1 + (band mod 9))
+     in
+     let _ =
+       ok
+         (Session.run_string session
+            (String.concat ";\n"
+               ([ "DEFINE CLASS scene (band int, level float, label string, \
+                   data image, spatialextent box, timestamp abstime)";
+                  "DEFINE CLASS extra (band int, level float, label string, \
+                   data image, spatialextent box, timestamp abstime)";
+                  "DEFINE CONCEPT scenes MEMBERS (scene, extra)" ]
+               @ List.init 6 (row "scene")
+               @ List.init 3 (row "extra"))))
+     in
+     let tab = Option.get (Kernel.class_table (Session.kernel session) "scene") in
+     Result.get_ok (Table.create_btree_index tab "band");
+     Result.get_ok (Table.create_btree_index tab "level");
+     session)
+
+(* SELECT token sequences: mostly well-formed, with literals of every
+   type against every attribute, then one token dropped, repeated or
+   replaced *)
+let select_tokens_gen =
+  QCheck.Gen.(
+    let attr =
+      oneofl [ "band"; "level"; "label"; "data"; "spatialextent"; "timestamp"; "nosuch" ]
+    in
+    let literal =
+      oneofl
+        [ "0"; "1"; "3"; "-1"; "2.5"; "-0.0"; "1e308"; "4611686018427387903";
+          "99999999999999999999"; "'r2'"; "''"; "TRUE"; "DATE '1986-03-01'";
+          "DATE '1986-02-30'"; "DATE 'x'"; "BOX(0, 0, 2, 2)"; "BOX(2, 2, 0, 0)";
+          "BOX(0, 0)" ]
+    in
+    let pred =
+      oneof
+        [ map3 (fun a op l -> [ a; op; l ]) attr
+            (oneofl [ "="; "<>"; "<"; "<="; ">"; ">=" ]) literal;
+          map2 (fun a l -> [ a; "AT"; l ]) attr literal;
+          map2 (fun a l -> [ a; "OVERLAPS"; l ]) attr literal ]
+    in
+    let* projection =
+      oneofl [ [ "*" ]; [ "band" ]; [ "band"; ","; "timestamp" ]; [ "nosuch" ]; [] ]
+    in
+    let* source = oneofl [ "scene"; "extra"; "scenes"; "nosuch" ] in
+    let* preds = list_size (int_range 0 3) pred in
+    let* order =
+      oneof
+        [ return [];
+          map2 (fun a d -> [ "ORDER"; "BY"; a ] @ d) attr
+            (oneofl [ []; [ "ASC" ]; [ "DESC" ] ]) ]
+    in
+    let* limit =
+      oneof
+        [ return [];
+          map
+            (fun n -> [ "LIMIT"; n ])
+            (oneofl
+               [ "0"; "1"; "4"; "-1"; "-5"; "4611686018427387903";
+                 "99999999999999999999"; "2.5"; "'x'" ]) ]
+    in
+    let where_ =
+      match preds with
+      | [] -> []
+      | p :: ps -> ("WHERE" :: p) @ List.concat_map (fun p -> "AND" :: p) ps
+    in
+    let tokens = ("SELECT" :: projection) @ [ "FROM"; source ] @ where_ @ order @ limit in
+    let n = List.length tokens in
+    let* edit = int_range 0 3 in
+    let* at = int_bound (n - 1) in
+    let* other = oneofl ("WHERE" :: "AND" :: "LIMIT" :: "BY" :: ";" :: "(" :: tokens) in
+    return
+      (String.concat " "
+         (List.concat
+            (List.mapi
+               (fun i tok ->
+                 if i <> at then [ tok ]
+                 else
+                   match edit with
+                   | 0 -> [ tok ]
+                   | 1 -> []
+                   | 2 -> [ tok; tok ]
+                   | _ -> [ other ])
+               tokens))))
+
+let prop_select_tokens =
+  QCheck.Test.make ~name:"random SELECT token sequences never raise" ~count:1000
+    (QCheck.make ~print:Fun.id select_tokens_gen)
+    (fun src -> never_raises (Lazy.force select_fuzz_session) src)
+
 let () =
   Alcotest.run "query"
     [ ( "lexer",
@@ -373,13 +650,22 @@ let () =
       ( "optimizer",
         [ tc "access paths" test_optimizer_access_paths;
           tc "materialize" test_optimizer_materialize;
+          tc "selectivity from the B-tree" test_optimizer_selectivity_from_btree;
           tc "temporal index survives save/load" test_optimizer_index_survives_reload ] );
       ( "executor",
         [ tc "select filters" test_executor_select_filters;
+          tc "limit is a prefix" test_executor_limit_is_prefix;
+          tc "limit after order by" test_executor_limit_after_order_by;
+          tc "limit 0" test_executor_limit_zero;
+          tc "mistyped index probe" test_executor_mistyped_index_probe;
+          tc "strict bound on an index" test_executor_strict_bound_on_index;
           tc "derive and verify" test_executor_derive_and_verify;
           tc "concept select" test_executor_concept_select;
           tc "derive concept" test_executor_derive_concept;
           tc "metadata statements" test_executor_metadata_statements;
           tc "lineage and compare" test_executor_lineage_and_compare;
           tc "errors" test_executor_errors;
-          tc "versions" test_executor_versions ] ) ]
+          tc "versions" test_executor_versions ] );
+      ( "fuzz",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_mutated_examples; prop_select_tokens ] ) ]
