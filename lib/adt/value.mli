@@ -71,3 +71,10 @@ val serialize : t -> string
     composites are encoded in full (dims, type, pixels). *)
 
 val deserialize : string -> (t, string) result
+
+val to_sexp : t -> Sexp.t
+(** The S-expression {!serialize} prints; lets a caller embed a value
+    in a larger S-expression without a text round trip. *)
+
+val of_sexp : Sexp.t -> (t, string) result
+(** Inverse of {!to_sexp}. *)

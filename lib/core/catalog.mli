@@ -3,7 +3,7 @@
     Owns the derivation level's {e static} half — every defined
     {!Schema.t} and the store table that holds its objects, with the
     temporal index its [AT] queries need.  Emits
-    [Class_defined] on the bus; the derivation-net cache listens. *)
+    [Class_defined] on the bus. *)
 
 type t
 

@@ -148,8 +148,8 @@ let clear_cache t =
   t.resident <- 0;
   drop t ~reason:"clear" n
 
-(* The refresh marker decides what a change invalidates; the cache
-   drops the entries that produced the objects it names. *)
+(* The staleness triggers decide what a change invalidates; the cache
+   drops the entries that produced the objects they name. *)
 let invalidate t ~reason oids =
   let doomed =
     List.sort_uniq compare (List.concat_map (producing_keys t) oids)
@@ -227,8 +227,8 @@ let restore_cache_stats t ~hits ~misses ~invalidations ~admissions ~evictions =
   t.metrics.Metrics.cache_evictions <- evictions;
   t.invalidations <- invalidations
 
-let create ~registry ~catalog ~objects ~procs ~prov ~metrics ~bus =
-  { registry; catalog; objects; procs; prov; metrics; bus;
+let create ~registry ~catalog ~objects ~procs ~prov ~bus =
+  { registry; catalog; objects; procs; prov; metrics = Events.metrics bus; bus;
     result_cache = Hashtbl.create 64; producers = Hashtbl.create 64;
     invalidations = 0; budget = budget_from_env (); resident = 0;
     gds_clock = 0.0; tick = 0 }

@@ -1,10 +1,10 @@
 (** The deriver: template evaluation, binding search, process
     execution, and the provenance-keyed result cache.
 
-    The deriver subscribes to nothing: the refresh marker
-    ({!Refresh}) decides what a change invalidates and calls
-    {!invalidate}, which emits [Cache_invalidated].  Cache lookups
-    emit [Cache_hit] / [Cache_miss] (counted by {!Metrics.attach}). *)
+    The staleness triggers ({!Refresh}) decide what a change
+    invalidates and call {!invalidate}, which emits
+    [Cache_invalidated].  Cache lookups emit [Cache_hit] /
+    [Cache_miss], which the bus counts ({!Events.emit}). *)
 
 module Oid = Gaea_storage.Oid
 
@@ -16,7 +16,6 @@ val create :
   -> objects:Obj_store.t
   -> procs:Proc_registry.t
   -> prov:Provenance.t
-  -> metrics:Metrics.t
   -> bus:Events.bus
   -> t
 

@@ -39,22 +39,33 @@ let event_to_string = function
     Printf.sprintf "cache_evicted %d entries (%d bytes, %s)" entries bytes reason
 
 type bus = {
-  mutable subs : (string * (event -> unit)) list; (* registration order *)
   ring : (int * event) option array;
   mutable next_seq : int;
+  metrics : Metrics.t;
 }
 
 let create ?(log_capacity = 256) () =
-  { subs = []; ring = Array.make (max 1 log_capacity) None; next_seq = 0 }
+  { ring = Array.make (max 1 log_capacity) None; next_seq = 0;
+    metrics = Metrics.create () }
 
-let subscribe bus ~name f = bus.subs <- bus.subs @ [ (name, f) ]
-let subscribers bus = List.map fst bus.subs
+let metrics bus = bus.metrics
+
+(* the counter each event feeds; the rest feed none *)
+let count (m : Metrics.t) = function
+  | Task_recorded _ -> m.executions <- m.executions + 1
+  | Cache_hit _ -> m.cache_hits <- m.cache_hits + 1
+  | Cache_miss _ -> m.cache_misses <- m.cache_misses + 1
+  | Cache_admitted _ -> m.cache_admissions <- m.cache_admissions + 1
+  | Cache_evicted { entries; _ } ->
+    m.cache_evictions <- m.cache_evictions + entries
+  | Object_refreshed _ -> m.refreshes <- m.refreshes + 1
+  | _ -> ()
 
 let emit bus ev =
   let seq = bus.next_seq in
   bus.next_seq <- seq + 1;
   bus.ring.(seq mod Array.length bus.ring) <- Some (seq, ev);
-  List.iter (fun (_, f) -> f ev) bus.subs
+  count bus.metrics ev
 
 let log bus =
   Array.to_list bus.ring

@@ -1,13 +1,13 @@
-(** The kernel event bus.
+(** The kernel event log.
 
     Every state change in a kernel subsystem is announced as an
-    {!event} on a shared {!bus}.  Cross-cutting concerns — the
-    execution counters, the derivation-net cache, the staleness walk
-    (which also invalidates the result cache) — are subscribers rather
-    than hand-threaded calls, so adding a new observer (persistence
-    hooks, metrics exporters) never touches the mutating code paths.
+    {!event} on a shared {!bus}, which records it and bumps the
+    execution counter it feeds.  The bus dispatches nothing: the
+    subsystems that react to a change (the staleness walk, the result
+    cache, the derivation-net cache) are called directly by the code
+    that makes it.
 
-    The bus also keeps a bounded in-memory log (ring buffer) of recent
+    The bus keeps a bounded in-memory log (ring buffer) of recent
     events with monotonically increasing sequence numbers — the first
     observability surface, dumpable from the CLI via [SHOW EVENTS]. *)
 
@@ -41,15 +41,15 @@ type bus
 val create : ?log_capacity:int -> unit -> bus
 (** [log_capacity] bounds the ring buffer (default 256, min 1). *)
 
-val subscribe : bus -> name:string -> (event -> unit) -> unit
-(** Register a subscriber.  Subscribers run synchronously on
-    {!emit}, in registration order. *)
-
-val subscribers : bus -> string list
-(** Registration order. *)
+val metrics : bus -> Metrics.t
+(** The counters this bus feeds. *)
 
 val emit : bus -> event -> unit
-(** Log the event, then notify every subscriber in order. *)
+(** Log the event, then bump its counter: [Task_recorded] →
+    [executions], [Cache_hit] → [cache_hits], [Cache_miss] →
+    [cache_misses], [Cache_admitted] → [cache_admissions],
+    [Cache_evicted] → [cache_evictions] (by its entry count),
+    [Object_refreshed] → [refreshes]. *)
 
 val log : bus -> (int * event) list
 (** Retained events, oldest first, each with its sequence number.

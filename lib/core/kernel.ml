@@ -1,6 +1,6 @@
-(* The kernel facade: composes the subsystem modules — Catalog,
-   Obj_store, Proc_registry, Deriver, Provenance — over one shared
-   event bus, preserving the historical flat API. *)
+(* The kernel facade: composes the subsystem modules over one shared
+   event bus, preserving the historical flat API.  Each mutation calls
+   what reacts to it (staleness, the net cache) after its store changed. *)
 
 module Registry = Gaea_adt.Registry
 module Store = Gaea_storage.Store
@@ -49,7 +49,6 @@ type t = {
   registry : Registry.t;
   store : Store.t;
   bus : Events.bus;
-  metrics : Metrics.t;
   catalog : Catalog.t;
   objects : Obj_store.t;
   procs : Proc_registry.t;
@@ -63,23 +62,13 @@ let create () =
   let registry = Registry.with_builtins () in
   let store = Store.create () in
   let bus = Events.create () in
-  (* subscription order fixes notification order: metrics first, then
-     the net cache (inside Provenance.create), then the staleness
-     walk (inside Refresh.create), which also invalidates the result
-     cache; the deriver itself subscribes to nothing *)
-  let metrics = Metrics.create () in
-  Metrics.attach bus metrics;
   let catalog = Catalog.create ~store ~bus in
   let objects = Obj_store.create ~store ~catalog ~bus in
   let procs = Proc_registry.create ~catalog ~bus in
-  let prov = Provenance.create ~bus in
-  let deriver =
-    Deriver.create ~registry ~catalog ~objects ~procs ~prov ~metrics ~bus
-  in
-  let refresh =
-    Refresh.create ~objects ~procs ~prov ~deriver ~metrics ~bus
-  in
-  { registry; store; bus; metrics; catalog; objects; procs;
+  let prov = Provenance.create ~objects ~bus in
+  let deriver = Deriver.create ~registry ~catalog ~objects ~procs ~prov ~bus in
+  let refresh = Refresh.create ~objects ~procs ~prov ~deriver ~bus in
+  { registry; store; bus; catalog; objects; procs;
     concepts = Concept.create (); prov; deriver; refresh }
 
 (* system level *)
@@ -92,12 +81,15 @@ let bus t = t.bus
 let event_log t = Events.log t.bus
 
 (* bookkeeping *)
-let counters t = t.metrics
-let reset_counters t = Metrics.reset t.metrics
+let counters t = Events.metrics t.bus
+let reset_counters t = Metrics.reset (counters t)
 let clock t = Provenance.clock t.prov
 
 (* classes *)
-let define_class t cls = Catalog.define t.catalog cls
+let define_class t cls =
+  Catalog.define t.catalog cls
+  |> Result.map (fun () -> Provenance.invalidate_net t.prov)
+
 let find_class t name = Catalog.find t.catalog name
 let classes t = Catalog.classes t.catalog
 let class_table t name = Catalog.table t.catalog name
@@ -113,11 +105,22 @@ let object_attr t ~cls oid attr = Obj_store.attr t.objects ~cls oid attr
 let objects_of_class t cls = Obj_store.oids_of_class t.objects cls
 let class_of_object t oid = Obj_store.class_of t.objects oid
 let count_objects t cls = Obj_store.count t.objects cls
-let delete_object t ~cls oid = Obj_store.delete t.objects ~cls oid
-let update_object t ~cls oid pairs = Obj_store.update t.objects ~cls oid pairs
+
+let delete_object t ~cls oid =
+  Obj_store.delete t.objects ~cls oid
+  |> Result.map (fun () -> Refresh.object_deleted t.refresh oid)
+
+let update_object t ~cls oid pairs =
+  Obj_store.update t.objects ~cls oid pairs
+  |> Result.map (fun () -> Refresh.object_updated t.refresh oid)
 
 (* processes *)
-let define_process t p = Proc_registry.define t.procs p
+let define_process t p =
+  Proc_registry.define t.procs p
+  |> Result.map (fun () ->
+         Provenance.invalidate_net t.prov;
+         Refresh.process_defined t.refresh p)
+
 let find_process t ?version name = Proc_registry.find t.procs ?version name
 let process_versions t name = Proc_registry.versions t.procs name
 let latest_process_version t name = Proc_registry.latest_version t.procs name
@@ -153,9 +156,9 @@ let restore_cache_stats t ~hits ~misses ~invalidations ~admissions ~evictions =
     ~admissions ~evictions
 
 (* staleness / refresh *)
-let stale_objects t = Refresh.stale t.refresh
-let object_stale t oid = Refresh.is_stale t.refresh oid
-let restore_stale t oids = Refresh.restore_stale t.refresh oids
+let stale_objects t = Provenance.stale t.prov
+let object_stale t oid = Provenance.is_stale t.prov oid
+let restore_stale t oids = Provenance.restore_stale t.prov oids
 let refresh_stale ?only t = Refresh.refresh ?only t.refresh
 
 (* derivation net *)
@@ -163,8 +166,6 @@ let derivation_net t =
   Provenance.derivation_net t.prov
     ~classes:(fun () -> classes t)
     ~processes:(fun () -> processes t)
-    ~guard:(fun p ~available ->
-      Result.is_ok (Deriver.find_binding t.deriver p ~available))
 
 let current_marking t =
   let view = derivation_net t in

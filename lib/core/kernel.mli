@@ -3,11 +3,13 @@
     A thin facade over the subsystem modules — {!Catalog} (class defs +
     schema), {!Obj_store} (object CRUD), {!Proc_registry} (process
     versions), {!Deriver} (assertions, mappings, result cache) and
-    {!Provenance} (tasks, lineage, net views) — composed over one
-    shared {!Events.bus}.  Cross-cutting state (execution counters,
-    net-view staleness, object staleness) is maintained by bus
-    subscribers, not by hand-threaded calls; the staleness walk
-    ({!Refresh}) is also what invalidates the result cache.
+    {!Provenance} (tasks, lineage, staleness, net views) and
+    {!Refresh} (staleness triggers, incremental refresh) — composed
+    over one shared {!Events.bus}, which logs every state change and
+    feeds the execution counters.  The bus dispatches nothing: the
+    mutations below call what reacts to them — the staleness walk,
+    which also invalidates the result cache, and the net-view cache —
+    after the owning store has changed.
 
     Concurrency: a kernel is a single-threaded mutable object. *)
 
@@ -22,7 +24,7 @@ val create : unit -> t
 module Events = Events
 
 val bus : t -> Events.bus
-(** The kernel's event bus; subscribe for observability. *)
+(** The kernel's event bus: the event log and the counters. *)
 
 val event_log : t -> (int * Events.event) list
 (** Recent events (bounded ring buffer), oldest first, with sequence
@@ -66,15 +68,14 @@ val delete_object :
   t -> cls:string -> Gaea_storage.Oid.t -> (unit, Gaea_error.t) result
 (** [Error (Unknown_object _)] when no class owns the oid,
     [Error (Wrong_class _)] when it belongs to a different class than
-    named.  Deletion marks the object's consumers stale and drops the
-    cache entries that produced it or them (via the [Object_deleted]
-    event). *)
+    named.  Emits [Object_deleted], then marks the object's consumers
+    stale and drops the cache entries that produced it or them. *)
 
 val update_object :
   t -> cls:string -> Gaea_storage.Oid.t -> (string * Gaea_adt.Value.t) list
   -> (unit, Gaea_error.t) result
 (** Replace the named attributes in place (same OID; unnamed
-    attributes keep their values).  Emits [Object_updated], which
+    attributes keep their values).  Emits [Object_updated], then
     marks every transitive consumer stale (see {!stale_objects} /
     {!refresh_stale}) and drops the cache entries that produced the
     object or those consumers. *)
@@ -87,7 +88,9 @@ val concepts : t -> Concept.t
 
 val define_process : t -> Process.t -> (unit, Gaea_error.t) result
 (** Registers under (name, version); errors on duplicates, unknown
-    argument/output classes, or (for compounds) unknown sub-processes. *)
+    argument/output classes, or (for compounds) unknown sub-processes.
+    A further version of an existing name marks the outputs of the
+    older versions' tasks stale and drops their cache entries. *)
 
 val find_process : t -> ?version:int -> string -> Process.t option
 (** Latest version when [version] is omitted. *)
@@ -185,8 +188,8 @@ type net_view = Provenance.net_view = {
 val derivation_net : t -> net_view
 (** The class-derivation diagram: a place per class, a transition per
     latest-version primitive process (compounds contribute their
-    expansion).  Rebuilt when classes or processes change (invalidated
-    by bus subscription); cached otherwise. *)
+    expansion).  Transitions carry no guard.  Memoized; {!define_class}
+    and {!define_process} drop the memo. *)
 
 val current_marking : t -> Gaea_petri.Marking.t
 (** Token = object OID at its class's place. *)

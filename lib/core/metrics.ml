@@ -25,14 +25,3 @@ let reset t =
   t.cache_admissions <- 0;
   t.cache_evictions <- 0;
   t.refreshes <- 0
-
-let attach bus t =
-  Events.subscribe bus ~name:"metrics" (function
-    | Events.Task_recorded _ -> t.executions <- t.executions + 1
-    | Events.Cache_hit _ -> t.cache_hits <- t.cache_hits + 1
-    | Events.Cache_miss _ -> t.cache_misses <- t.cache_misses + 1
-    | Events.Cache_admitted _ -> t.cache_admissions <- t.cache_admissions + 1
-    | Events.Cache_evicted { entries; _ } ->
-      t.cache_evictions <- t.cache_evictions + entries
-    | Events.Object_refreshed _ -> t.refreshes <- t.refreshes + 1
-    | _ -> ())

@@ -1,10 +1,11 @@
-(** Execution counters, fed by the event bus.
+(** Execution counters.
 
-    [executions], [cache_hits] and [cache_misses] are bumped by an
-    event-bus subscriber (see {!attach}); [retrievals],
-    [interpolations] and [pixels_processed] are still mutated directly
-    by the derivation manager and the deriver, as they measure work
-    volumes no event carries. *)
+    The event bus owns one record ({!Events.metrics}) and bumps
+    [executions], the four cache counters and [refreshes] as it logs
+    the event that feeds each one (see {!Events.emit}).
+    [retrievals], [interpolations] and [pixels_processed] are mutated
+    directly by the derivation manager, the deriver and the refresh
+    scheduler, as they measure work volumes no event carries. *)
 
 type t = {
   mutable executions : int;  (** process executions (tasks recorded) *)
@@ -20,9 +21,3 @@ type t = {
 
 val create : unit -> t
 val reset : t -> unit
-
-val attach : Events.bus -> t -> unit
-(** Subscribe (as ["metrics"]) to [Task_recorded] → [executions],
-    [Cache_hit] → [cache_hits], [Cache_miss] → [cache_misses],
-    [Cache_admitted] → [cache_admissions], [Cache_evicted] →
-    [cache_evictions], [Object_refreshed] → [refreshes]. *)

@@ -1,8 +1,8 @@
 (** Object CRUD over the catalog's tables, plus the oid → class map.
 
     Emits [Object_inserted] / [Object_updated] / [Object_deleted] on
-    the bus; the staleness walk ({!Refresh}) listens and invalidates
-    the result cache. *)
+    the bus.  Staleness is not this module's business: the kernel
+    calls the {!Refresh} triggers after an update or delete. *)
 
 module Oid = Gaea_storage.Oid
 
@@ -22,14 +22,13 @@ val insert_with_oid :
   -> (unit, Gaea_error.t) result
 (** Insert under a caller-chosen OID (kernel restore); advances the
     store's allocator past it.  Event-silent: restores must not look
-    like fresh mutations to subscribers. *)
+    like fresh mutations in the event log or the counters. *)
 
 val update :
   t -> cls:string -> Oid.t -> (string * Gaea_adt.Value.t) list
   -> (unit, Gaea_error.t) result
 (** Replace the named attributes in place, keeping the OID and any
-    unnamed attributes.  Emits [Object_updated] on success — the
-    staling trigger the refresh subsystem listens for. *)
+    unnamed attributes.  Emits [Object_updated] on success. *)
 
 val delete : t -> cls:string -> Oid.t -> (unit, Gaea_error.t) result
 (** [Error (Unknown_object oid)] when no class owns the oid,

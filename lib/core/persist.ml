@@ -17,13 +17,8 @@ let atom_of = function
   | Sexp.Atom a -> Ok a
   | Sexp.List _ -> Gaea_error.err "expected atom"
 
-let value_to_sexp v =
-  Result.get_ok (Sexp.of_string (Value.serialize v))
-
 let value_of_sexp s =
-  match Value.deserialize (Sexp.to_string s) with
-  | Ok v -> Ok v
-  | Error e -> Error (Gaea_error.Parse_error e)
+  Result.map_error (fun e -> Gaea_error.Parse_error e) (Value.of_sexp s)
 
 let map_m f items =
   List.fold_left
@@ -74,7 +69,7 @@ let class_of_sexp = function
 (* --- template ------------------------------------------------------- *)
 
 let rec expr_to_sexp = function
-  | Template.Const v -> Sexp.list [ Sexp.atom "const"; value_to_sexp v ]
+  | Template.Const v -> Sexp.list [ Sexp.atom "const"; Value.to_sexp v ]
   | Template.Attr_of (a, attr) ->
     Sexp.list [ Sexp.atom "attr"; Sexp.atom a; Sexp.atom attr ]
   | Template.Param p -> Sexp.list [ Sexp.atom "param"; Sexp.atom p ]
@@ -193,7 +188,7 @@ let process_to_sexp (p : Process.t) =
       Sexp.list (List.map arg_to_sexp p.Process.args);
       Sexp.list
         (List.map
-           (fun (n, v) -> Sexp.list [ Sexp.atom n; value_to_sexp v ])
+           (fun (n, v) -> Sexp.list [ Sexp.atom n; Value.to_sexp v ])
            p.Process.params);
       kind;
       Sexp.atom p.Process.doc;
@@ -254,27 +249,8 @@ let process_of_sexp = function
         Result.map (fun v -> Some (n, v)) (parse_int v)
       | _ -> Gaea_error.err "malformed derived_from"
     in
-    Ok (name, version, derived_from, base)
+    Ok (Process.with_version ?derived_from base version)
   | _ -> Gaea_error.err "malformed process"
-
-(* Process.t is private; to restore version/derived_from we replay the
-   edit history shape: define the base then re-edit.  Simpler and exact:
-   construct through edit when version > 1. *)
-let restore_process kernel (name, version, derived_from, base) =
-  (* versions must be loaded in ascending order; we synthesize the exact
-     version by chained edits from the parsed definition *)
-  let rec bump p =
-    if p.Process.version >= version then Ok p
-    else
-      let* p' = Process.edit p ~name () in
-      bump p'
-  in
-  let* p = bump base in
-  (* derived_from in the save wins over what edit synthesized; since the
-     record is private we cannot patch it — acceptable: lineage of edits
-     is re-derivable, tasks reference (name, version) which we preserved *)
-  ignore derived_from;
-  Kernel.define_process kernel p
 
 (* --- concepts ------------------------------------------------------- *)
 
@@ -339,7 +315,7 @@ let objects_to_sexp kernel (c : Schema.t) =
               (iatom oid
                :: List.map
                     (fun a ->
-                      value_to_sexp
+                      Value.to_sexp
                         (Option.get (Kernel.object_attr kernel ~cls oid a)))
                     attrs))
           (Kernel.objects_of_class kernel cls))
@@ -434,7 +410,7 @@ let load text =
          sexps)
   in
   let primitives, compounds =
-    List.partition (fun (_, _, _, p) -> Process.is_primitive p) parsed_processes
+    List.partition Process.is_primitive parsed_processes
   in
   let* () =
     List.fold_left
@@ -452,7 +428,7 @@ let load text =
     List.fold_left
       (fun acc p ->
         let* () = acc in
-        restore_process kernel p)
+        Kernel.define_process kernel p)
       (Ok ()) (primitives @ compounds)
   in
   let* () =

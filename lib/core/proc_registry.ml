@@ -53,8 +53,6 @@ let define t (p : Process.t) =
           (List.sort
              (fun a b -> Int.compare a.Process.version b.Process.version)
              (p :: vs));
-        (* subscribers (net cache, staleness walk) see the table already
-           updated when the event fires *)
         Events.emit t.bus
           (if vs = [] then
              Events.Process_defined { name; version = p.Process.version }

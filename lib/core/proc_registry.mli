@@ -1,10 +1,10 @@
 (** The process registry: versioned process definitions.
 
     Emits [Process_defined] for a new name and [Process_versioned]
-    when an existing name gains a version — the derivation-net cache
-    invalidates itself by subscription, and the staleness walk
-    ({!Refresh}) marks the old version's outputs stale and drops their
-    cache entries. *)
+    when an existing name gains a version.  The kernel then drops the
+    memoized derivation net and calls {!Refresh.process_defined},
+    which marks the old versions' outputs stale and drops their cache
+    entries. *)
 
 type t
 

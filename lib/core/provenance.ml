@@ -13,30 +13,25 @@ type t = {
   task_by_id : (int, Task.t) Hashtbl.t;
   producer : (Oid.t, Task.t) Hashtbl.t;
   users : (Oid.t, Task.t list) Hashtbl.t;
+  dirty : (Oid.t, unit) Hashtbl.t;
   mutable next_task : int;
   mutable clock : int;
   mutable net_cache : net_view option;
+  objects : Obj_store.t;
   bus : Events.bus;
 }
 
-let create ~bus =
-  let t =
-    { task_log = [];
-      task_by_id = Hashtbl.create 64;
-      producer = Hashtbl.create 64;
-      users = Hashtbl.create 64;
-      next_task = 1;
-      clock = 0;
-      net_cache = None;
-      bus }
-  in
-  (* the net view mirrors the class/process catalogs: any definition
-     change stales it *)
-  Events.subscribe bus ~name:"net-cache" (function
-    | Events.Class_defined _ | Events.Process_defined _
-    | Events.Process_versioned _ -> t.net_cache <- None
-    | _ -> ());
-  t
+let create ~objects ~bus =
+  { task_log = [];
+    task_by_id = Hashtbl.create 64;
+    producer = Hashtbl.create 64;
+    users = Hashtbl.create 64;
+    dirty = Hashtbl.create 64;
+    next_task = 1;
+    clock = 0;
+    net_cache = None;
+    objects;
+    bus }
 
 let index t (task : Task.t) =
   t.task_log <- task :: t.task_log;
@@ -47,6 +42,66 @@ let index t (task : Task.t) =
       let cur = Option.value ~default:[] (Hashtbl.find_opt t.users oid) in
       Hashtbl.replace t.users oid (task :: cur))
     (Task.input_oids task)
+
+let tasks t = List.rev t.task_log
+let find_task t id = Hashtbl.find_opt t.task_by_id id
+let task_producing t oid = Hashtbl.find_opt t.producer oid
+
+let tasks_using t oid =
+  Option.value ~default:[] (Hashtbl.find_opt t.users oid) |> List.rev
+
+let clock t = t.clock
+
+(* ------------------------------------------------------------------ *)
+(* Staleness (the single definition GA033 shares)                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Mark the outputs of [tasks] and everything downstream stale; return
+   [changed] plus every object the walk visited, stale already or not:
+   the cache entries that produced them are suspect.  Only live,
+   task-produced objects are marked. *)
+let walk t changed tasks =
+  let reached = ref changed in
+  let rec mark oid =
+    reached := oid :: !reached;
+    if
+      Obj_store.mem t.objects oid
+      && (not (Hashtbl.mem t.dirty oid))
+      && Hashtbl.mem t.producer oid
+    then begin
+      Hashtbl.replace t.dirty oid ();
+      mark_outputs (tasks_using t oid)
+    end
+  and mark_outputs tasks =
+    List.iter (fun (task : Task.t) -> List.iter mark task.Task.outputs) tasks
+  in
+  mark_outputs tasks;
+  !reached
+
+let object_changed t oid = walk t [ oid ] (tasks_using t oid)
+
+let object_deleted t oid =
+  Hashtbl.remove t.dirty oid;
+  object_changed t oid
+
+let process_defined t ~name ~version =
+  walk t []
+    (List.filter
+       (fun (task : Task.t) ->
+         task.Task.process = name && task.Task.process_version < version)
+       t.task_log)
+
+let is_stale t oid = Hashtbl.mem t.dirty oid && Obj_store.mem t.objects oid
+
+let stale t =
+  List.of_seq (Hashtbl.to_seq_keys t.dirty)
+  |> List.filter (Obj_store.mem t.objects)
+  |> List.sort Int.compare
+
+let mark_fresh t oid = Hashtbl.remove t.dirty oid
+
+let restore_stale t oids =
+  List.iter (fun oid -> Hashtbl.replace t.dirty oid ()) oids
 
 let record_task t ~process ~version ~inputs ~params ~outputs ~output_class =
   t.clock <- t.clock + 1;
@@ -65,6 +120,10 @@ let record_task t ~process ~version ~inputs ~params ~outputs ~output_class =
   Events.emit t.bus
     (Events.Task_recorded
        { task_id = task.Task.task_id; process; version });
+  (* derived from a stale input: stale too (no cache entry holds the
+     outputs yet, so nothing to invalidate) *)
+  if List.exists (Hashtbl.mem t.dirty) (Task.input_oids task) then
+    ignore (walk t [] [ task ]);
   task
 
 let restore_task t (task : Task.t) =
@@ -79,20 +138,11 @@ let restore_task t (task : Task.t) =
     Ok ()
   end
 
-let tasks t = List.rev t.task_log
-let find_task t id = Hashtbl.find_opt t.task_by_id id
-let task_producing t oid = Hashtbl.find_opt t.producer oid
-
-let tasks_using t oid =
-  Option.value ~default:[] (Hashtbl.find_opt t.users oid) |> List.rev
-
-let clock t = t.clock
-
 (* ------------------------------------------------------------------ *)
 (* Derivation net                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let build_net ~classes ~processes ~guard =
+let build_net ~classes ~processes =
   let net = Net.create () in
   let place_tbl = Hashtbl.create 32 in
   let class_tbl = Hashtbl.create 32 in
@@ -136,20 +186,9 @@ let build_net ~classes ~processes ~guard =
         match Hashtbl.find_opt place_tbl proc.Process.output_class with
         | None -> ()
         | Some out_place ->
-          let net_guard binding =
-            let available =
-              List.filter_map
-                (fun (place, toks) ->
-                  Option.map
-                    (fun cls -> (cls, toks))
-                    (Hashtbl.find_opt class_tbl place))
-                binding
-            in
-            guard proc ~available
-          in
           (match
              Net.add_transition net ~name:proc.Process.proc_name ~inputs
-               ~outputs:[ out_place ] ~guard:net_guard ()
+               ~outputs:[ out_place ] ()
            with
            | Ok tid -> Hashtbl.add trans_tbl tid (Process.key proc)
            | Error _ -> ())
@@ -160,10 +199,12 @@ let build_net ~classes ~processes ~guard =
     class_of_place = Hashtbl.find_opt class_tbl;
     process_of_transition = Hashtbl.find_opt trans_tbl }
 
-let derivation_net t ~classes ~processes ~guard =
+let invalidate_net t = t.net_cache <- None
+
+let derivation_net t ~classes ~processes =
   match t.net_cache with
   | Some v -> v
   | None ->
-    let v = build_net ~classes:(classes ()) ~processes:(processes ()) ~guard in
+    let v = build_net ~classes:(classes ()) ~processes:(processes ()) in
     t.net_cache <- Some v;
     v

@@ -1,15 +1,20 @@
 (** Provenance: the task log, its lineage indexes, the logical clock,
-    and the (cached) class-derivation net view.
+    object staleness, and the (cached) class-derivation net view.
 
     Emits [Task_recorded] when a task is appended ({!record_task});
-    restores are event-silent.  The memoized net view is dropped by
-    subscription when a class or process definition changes. *)
+    restores are event-silent.  Staleness is computed here, from the
+    [producer]/[users] indexes: the kernel calls {!object_changed},
+    {!object_deleted} and {!process_defined} where the state changes,
+    and hands the oids they reach to the result cache.  The kernel
+    drops the memoized net view ({!invalidate_net}) when a class or
+    process definition changes. *)
 
 module Oid = Gaea_storage.Oid
 
 type t
 
-val create : bus:Events.bus -> t
+val create : objects:Obj_store.t -> bus:Events.bus -> t
+(** [objects] answers the liveness check of the staleness walk. *)
 
 val record_task :
   t -> process:string -> version:int
@@ -17,7 +22,8 @@ val record_task :
   -> params:(string * Gaea_adt.Value.t) list
   -> outputs:Oid.t list -> output_class:string -> Task.t
 (** Advance the clock, allocate a task id, append and index the task.
-    Emits [Task_recorded]. *)
+    Emits [Task_recorded].  A task with a stale input makes its
+    outputs, and everything downstream of them, stale. *)
 
 val restore_task : t -> Task.t -> (unit, Gaea_error.t) result
 (** Append a previously recorded task verbatim; errors on duplicate
@@ -30,6 +36,39 @@ val find_task : t -> int -> Task.t option
 val task_producing : t -> Oid.t -> Task.t option
 val tasks_using : t -> Oid.t -> Task.t list
 val clock : t -> int
+
+(** {2 Staleness}
+
+    An object is stale iff it is live, has a producing task, and a
+    transitive input was updated or deleted, its process was
+    re-versioned, or it was derived from a stale input.  This is the
+    one staleness definition: the [gaea lint] GA033 check reads it.
+    Each marking walk returns every oid it reached — the changed
+    object itself and every object downstream of it, stale already or
+    not — so the caller can drop the cache entries that produced
+    them. *)
+
+val object_changed : t -> Oid.t -> Oid.t list
+(** The object's values were replaced: mark its consumers stale. *)
+
+val object_deleted : t -> Oid.t -> Oid.t list
+(** The object is gone, not stale; mark its consumers stale. *)
+
+val process_defined : t -> name:string -> version:int -> Oid.t list
+(** [name] gained [version]: mark the outputs of the tasks run by
+    older versions stale. *)
+
+val stale : t -> Oid.t list
+(** The dirty set (live objects only), ascending. *)
+
+val is_stale : t -> Oid.t -> bool
+
+val mark_fresh : t -> Oid.t -> unit
+(** The object was recomputed from fresh inputs. *)
+
+val restore_stale : t -> Oid.t list -> unit
+(** Persist support: reinstate a saved dirty set without emitting
+    events or walking the provenance graph. *)
 
 (** {2 Derivation net} *)
 
@@ -44,11 +83,11 @@ val derivation_net :
   t
   -> classes:(unit -> Schema.t list)
   -> processes:(unit -> Process.t list)
-  -> guard:(Process.t -> available:(string * Oid.t list) list -> bool)
   -> net_view
 (** Build (or return the memoized) net: a place per class, a transition
-    per latest-version primitive process.  [guard] decides transition
-    enabledness from a candidate binding — the kernel facade injects
-    the deriver's binding search here, keeping this module independent
-    of evaluation.  Callers must pass stable closures: the memoized
-    view keeps the ones from the building call. *)
+    per latest-version primitive process.  Transitions carry no guard:
+    the planner's binding search, not the net, decides whether a
+    process can run on given objects. *)
+
+val invalidate_net : t -> unit
+(** Drop the memoized net; the next {!derivation_net} rebuilds it. *)

@@ -1,16 +1,14 @@
-(* The refresh subsystem: staleness and incremental recomputation of
-   stale derived objects.
+(* The refresh subsystem: the staleness triggers and incremental
+   recomputation of stale derived objects.
 
-   Staleness is one walk: the subscriber turns update/delete/re-version
-   events into a per-object dirty set, propagated forward through the
-   provenance graph ([Provenance.tasks_using]), and the result cache
-   drops the entries that produced whatever the walk reached.
-   [refresh] then recomputes only the dirty subgraph as a DAG run by
-   {!Scheduler}: evaluation runs on the domain pool, while commits —
-   in-place object updates, provenance, cache admission, events — run
-   in dependency order on the calling domain, so values, task ids and
-   the event log are identical to a full re-derivation at any pool
-   size. *)
+   Staleness is one walk, owned by {!Provenance}: each trigger runs it
+   and the result cache drops the entries that produced whatever the
+   walk reached.  [refresh] then recomputes only the dirty subgraph as
+   a DAG run by {!Scheduler}: evaluation runs on the domain pool,
+   while commits — in-place object updates, provenance, cache
+   admission, events — run in dependency order on the calling domain,
+   so values, task ids and the event log are identical to a full
+   re-derivation at any pool size. *)
 
 module Oid = Gaea_storage.Oid
 
@@ -23,84 +21,26 @@ type t = {
   deriver : Deriver.t;
   metrics : Metrics.t;
   bus : Events.bus;
-  dirty : (Oid.t, unit) Hashtbl.t;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Staleness marking (the single definition GA033 shares)              *)
-(* ------------------------------------------------------------------ *)
+let create ~objects ~procs ~prov ~deriver ~bus =
+  { objects; procs; prov; deriver; metrics = Events.metrics bus; bus }
 
-(* An object is stale iff it is live, was produced by a recorded task,
-   and sits in the dirty set — i.e. some transitive input was updated
-   or deleted, or its process was superseded, since its task ran, or
-   it was derived from a stale input.  [reached] collects every object
-   the walk visits, stale already or not: the cache entries that
-   produced them are suspect. *)
-let rec mark t reached oid =
-  reached := oid :: !reached;
-  if
-    Obj_store.mem t.objects oid
-    && (not (Hashtbl.mem t.dirty oid))
-    && Provenance.task_producing t.prov oid <> None
-  then begin
-    Hashtbl.replace t.dirty oid ();
-    mark_outputs t reached (Provenance.tasks_using t.prov oid)
-  end
+(* the staleness triggers: run the walk, drop what it reached *)
+let object_updated t oid =
+  Deriver.invalidate t.deriver ~reason:(Printf.sprintf "object #%d" oid)
+    (Provenance.object_changed t.prov oid)
 
-and mark_outputs t reached tasks =
-  List.iter
-    (fun (task : Task.t) -> List.iter (mark t reached) task.Task.outputs)
-    tasks
+let object_deleted t oid =
+  Deriver.invalidate t.deriver ~reason:(Printf.sprintf "object #%d" oid)
+    (Provenance.object_deleted t.prov oid)
 
-(* One walk per triggering event: mark the outputs of [tasks] and
-   everything downstream, then drop the cache entries that produced
-   the [changed] objects or anything the walk reached, under one
-   [Cache_invalidated]. *)
-let walk t ~reason changed tasks =
-  let reached = ref changed in
-  mark_outputs t reached tasks;
-  Deriver.invalidate t.deriver ~reason !reached
-
-let object_changed t oid =
-  walk t ~reason:(Printf.sprintf "object #%d" oid) [ oid ]
-    (Provenance.tasks_using t.prov oid)
-
-let create ~objects ~procs ~prov ~deriver ~metrics ~bus =
-  let t =
-    { objects; procs; prov; deriver; metrics; bus; dirty = Hashtbl.create 64 }
-  in
-  Events.subscribe bus ~name:"refresh" (function
-    | Events.Object_updated { oid; _ } -> object_changed t oid
-    | Events.Object_deleted { oid; _ } ->
-      (* the object itself is gone, not stale; its consumers are *)
-      Hashtbl.remove t.dirty oid;
-      object_changed t oid
-    | Events.Process_versioned { name; version } ->
-      walk t ~reason:("process " ^ name) []
-        (List.filter
-           (fun (task : Task.t) ->
-             task.Task.process = name && task.Task.process_version < version)
-           (Provenance.tasks t.prov))
-    | Events.Task_recorded { task_id; _ } ->
-      (* a result derived from a stale input is stale too *)
-      (match Provenance.find_task t.prov task_id with
-       | Some task
-         when List.exists (Hashtbl.mem t.dirty) (Task.input_oids task) ->
-         walk t ~reason:(Printf.sprintf "task #%d" task_id) [] [ task ]
-       | _ -> ())
-    | _ -> ());
-  t
-
-let restore_stale t oids =
-  List.iter (fun oid -> Hashtbl.replace t.dirty oid ()) oids
-
-let is_stale t oid = Hashtbl.mem t.dirty oid && Obj_store.mem t.objects oid
-
-let stale t =
-  Hashtbl.fold
-    (fun oid () acc -> if Obj_store.mem t.objects oid then oid :: acc else acc)
-    t.dirty []
-  |> List.sort Int.compare
+let process_defined t (p : Process.t) =
+  let name = p.Process.proc_name in
+  (* a first version supersedes nothing *)
+  if List.length (Proc_registry.versions t.procs name) > 1 then
+    Deriver.invalidate t.deriver ~reason:("process " ^ name)
+      (Provenance.process_defined t.prov ~name ~version:p.Process.version)
 
 (* ------------------------------------------------------------------ *)
 (* The refresh scheduler                                               *)
@@ -130,10 +70,14 @@ let refresh ?only t =
      would bake stale values into a "fresh" result) -- *)
   let work = Hashtbl.create 32 in
   (match only with
-   | None -> List.iter (fun oid -> Hashtbl.replace work oid ()) (stale t)
+   | None ->
+     List.iter
+       (fun oid -> Hashtbl.replace work oid ())
+       (Provenance.stale t.prov)
    | Some targets ->
      let rec add oid =
-       if is_stale t oid && not (Hashtbl.mem work oid) then begin
+       if Provenance.is_stale t.prov oid && not (Hashtbl.mem work oid)
+       then begin
          Hashtbl.replace work oid ();
          match Provenance.task_producing t.prov oid with
          | None -> ()
@@ -210,8 +154,9 @@ let refresh ?only t =
                 List.fold_left
                   (fun acc oid ->
                     let* () = acc in
-                    Obj_store.update t.objects ~cls:p.Process.output_class oid
-                      pairs)
+                    let cls = p.Process.output_class in
+                    Obj_store.update t.objects ~cls oid pairs
+                    |> Result.map (fun () -> object_updated t oid))
                   (Ok ()) task.Task.outputs
               in
               Ok pairs
@@ -235,7 +180,7 @@ let refresh ?only t =
                  new_task;
                List.iter
                  (fun oid ->
-                   Hashtbl.remove t.dirty oid;
+                   Provenance.mark_fresh t.prov oid;
                    Events.emit t.bus
                      (Events.Object_refreshed
                         { cls = p.Process.output_class; oid;
@@ -264,6 +209,6 @@ let refresh ?only t =
   in
   { refreshed = !refreshed;
     skipped = List.length skip_reasons;
-    remaining = List.length (stale t);
+    remaining = List.length (Provenance.stale t.prov);
     tasks = List.rev !new_tasks;
     skip_reasons }

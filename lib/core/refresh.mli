@@ -1,21 +1,19 @@
-(** Staleness and incremental recomputation of stale derived objects.
+(** The staleness triggers and incremental recomputation of stale
+    derived objects.
 
-    Subscribes (as ["refresh"]) to the event bus and maintains the
-    per-object {e dirty set}: an object is stale iff it is live, has a
-    producing task, and a transitive input was updated or deleted, its
-    process was re-versioned, or it was derived from a stale input.
-    This is the one staleness definition: the [gaea lint] GA033 check
-    reads it, and each triggering event's walk also tells the result
-    cache which entries to drop ({!Deriver.invalidate}) — the entries
-    that produced the changed object and every object the walk
-    reached.
+    The kernel calls a trigger wherever an object is updated or
+    deleted or a process gains a version.  Each one runs the
+    staleness walk ({!Provenance.object_changed} and friends) and
+    hands every oid it reached to {!Deriver.invalidate}, which drops
+    the cache entries that produced them.
 
     {!refresh} recomputes only the dirty subgraph as a {!Scheduler}
     DAG: evaluation runs on the domain pool when the ready frontier
     can fill it, and commits run by wave depth, then producing task
     id, so results, provenance and event order match a full
-    re-derivation at any pool size.  Refreshed values replace the old objects {e in
-    place} (same OIDs); each refresh records a new provenance task and
+    re-derivation at any pool size.  Refreshed values replace the old
+    objects {e in place} (same OIDs), which runs the update trigger
+    for each; each refresh records a new provenance task and
     re-admits the result to the bounded cache. *)
 
 module Oid = Gaea_storage.Oid
@@ -27,18 +25,18 @@ val create :
   -> procs:Proc_registry.t
   -> prov:Provenance.t
   -> deriver:Deriver.t
-  -> metrics:Metrics.t
   -> bus:Events.bus
   -> t
 
-val stale : t -> Oid.t list
-(** The dirty set (live objects only), ascending. *)
+val object_updated : t -> Oid.t -> unit
+(** Call after the store replaced the object's values. *)
 
-val is_stale : t -> Oid.t -> bool
+val object_deleted : t -> Oid.t -> unit
+(** Call after the store removed the object. *)
 
-val restore_stale : t -> Oid.t list -> unit
-(** Persist support: reinstate a saved dirty set without emitting
-    events or walking the provenance graph. *)
+val process_defined : t -> Process.t -> unit
+(** Call after the registry stored the process; a first version of a
+    name stales nothing. *)
 
 type report = {
   refreshed : int;  (** objects recomputed in place *)

@@ -30,10 +30,7 @@ let to_sexp t =
            t.inputs);
       Sexp.list
         (List.map
-           (fun (p, v) ->
-             Sexp.list
-               [ Sexp.atom p;
-                 Result.get_ok (Sexp.of_string (Value.serialize v)) ])
+           (fun (p, v) -> Sexp.list [ Sexp.atom p; Value.to_sexp v ])
            t.params);
       Sexp.list (List.map iatom t.outputs);
       Sexp.atom t.output_class;
@@ -80,9 +77,9 @@ let of_sexp = function
           match s with
           | Sexp.List [ Sexp.Atom p; v ] ->
             let* value =
-              match Value.deserialize (Sexp.to_string v) with
-              | Ok value -> Ok value
-              | Error e -> Error (Gaea_error.Parse_error e)
+              Result.map_error
+                (fun e -> Gaea_error.Parse_error e)
+                (Value.of_sexp v)
             in
             Ok ((p, value) :: acc)
           | _ -> Gaea_error.err "task: malformed parameter")

@@ -71,35 +71,7 @@ let search ?(need = 1) net marking goal =
        failures are path-independent and memoizable; in cyclic nets only
        successes are (a finished plan is grounded in stored tokens and
        valid anywhere) *)
-    let acyclic =
-      let adj = Hashtbl.create 64 in
-      List.iter
-        (fun tinfo ->
-          List.iter
-            (fun (p, _) ->
-              List.iter
-                (fun q ->
-                  Hashtbl.replace adj p
-                    (q :: Option.value ~default:[] (Hashtbl.find_opt adj p)))
-                tinfo.Net.outputs)
-            tinfo.Net.inputs)
-        (Net.transitions net);
-      let state = Hashtbl.create 64 in
-      let rec visit p =
-        match Hashtbl.find_opt state p with
-        | Some 1 -> true
-        | Some _ -> false
-        | None ->
-          Hashtbl.add state p 0;
-          let ok =
-            List.for_all visit
-              (Option.value ~default:[] (Hashtbl.find_opt adj p))
-          in
-          Hashtbl.replace state p 1;
-          ok
-      in
-      List.for_all visit (Net.places net)
-    in
+    let acyclic = not (Analysis.has_cycle net) in
     let memo : (int * int, (source list * int) option) Hashtbl.t =
       Hashtbl.create 64
     in

@@ -839,6 +839,24 @@ let test_persist_versions_roundtrip () =
     check_bool "latest is v2" true
       ((Option.get (Kernel.find_process k2 "negate")).Process.version = 2)
 
+(* Process lineage is identity: a renamed edit ("EDITED FROM negate
+   (v1)") and a same-name re-version must print the same after a
+   save -> load round trip. *)
+let test_persist_process_lineage () =
+  let k = simple_kernel () in
+  let v1 = Option.get (Kernel.find_process k "negate") in
+  ok (Kernel.define_process k (ok (Process.edit v1 ~name:"negate-strict" ())));
+  ok (Kernel.define_process k (ok (Process.edit v1 ~name:"negate" ())));
+  let printed k =
+    List.map (Format.asprintf "%a" Process.pp) (Kernel.all_process_versions k)
+  in
+  match Persist.load (Persist.save k) with
+  | Error e -> Alcotest.failf "load: %s" (Gaea_error.to_string e)
+  | Ok k2 ->
+    check_int "three versions" 3 (List.length (printed k));
+    Alcotest.(check (list string)) "every version prints the same"
+      (printed k) (printed k2)
+
 let test_persist_garbage () =
   check_bool "garbage rejected" true (Result.is_error (Persist.load "(what)"));
   check_bool "empty ok" true (Result.is_ok (Persist.load ""))
@@ -974,6 +992,7 @@ let () =
       ( "persist",
         [ tc "share-and-reproduce roundtrip" test_persist_roundtrip;
           tc "versions roundtrip" test_persist_versions_roundtrip;
+          tc "process lineage roundtrip" test_persist_process_lineage;
           tc "garbage" test_persist_garbage;
           tc "save replaces the file atomically" test_persist_save_replaces_file;
           tc "failed save keeps the target" test_persist_failed_save_keeps_target ] );

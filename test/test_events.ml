@@ -1,7 +1,8 @@
-(* Tests for the kernel event bus: subscriber ordering, the ring-buffer
-   event log, cache invalidation driven by events (parity with the
-   direct cache tests in test_core), and a randomized persistence
-   round-trip over event-built kernels. *)
+(* Tests for the kernel event log: the ring buffer, the counters it
+   feeds, the exact event sequence of the staleness paths, cache
+   invalidation observed through the log (parity with the direct cache
+   tests in test_core), and a randomized persistence round-trip over
+   event-built kernels. *)
 
 open Gaea_core
 module Value = Gaea_adt.Value
@@ -75,19 +76,6 @@ let count_where p k = List.length (List.filter p (events k))
 (* Bus mechanics                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_subscriber_order () =
-  let bus = Events.create () in
-  let calls = ref [] in
-  List.iter
-    (fun name ->
-      Events.subscribe bus ~name (fun _ -> calls := name :: !calls))
-    [ "first"; "second"; "third" ];
-  Alcotest.(check (list string)) "registration order"
-    [ "first"; "second"; "third" ] (Events.subscribers bus);
-  Events.emit bus (Events.Class_defined "c");
-  Alcotest.(check (list string)) "notified in registration order"
-    [ "first"; "second"; "third" ] (List.rev !calls)
-
 let test_ring_buffer_wrap () =
   let bus = Events.create ~log_capacity:4 () in
   for i = 0 to 9 do
@@ -114,15 +102,6 @@ let test_event_rendering () =
 (* ------------------------------------------------------------------ *)
 (* Kernel wiring                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let test_kernel_subscriber_order () =
-  (* metrics must observe events before the caches react to them; the
-     result cache has no subscriber of its own — the staleness walk
-     ("refresh") invalidates it *)
-  let k = Kernel.create () in
-  Alcotest.(check (list string)) "fixed subscription order"
-    [ "metrics"; "net-cache"; "refresh" ]
-    (Events.subscribers (Kernel.bus k))
 
 let test_lifecycle_events_logged () =
   let k = simple_kernel () in
@@ -154,7 +133,7 @@ let test_cache_miss_then_hit_logged () =
   in
   Alcotest.(check (list string)) "miss first, then hit"
     [ "miss negate"; "hit negate" ] cache_traffic;
-  (* the metrics subscriber and the log must agree *)
+  (* the counters the bus bumps and the log must agree *)
   let c = Kernel.counters k in
   check_int "hit counter parity" c.Kernel.cache_hits
     (count_where (function Events.Cache_hit _ -> true | _ -> false) k);
@@ -203,7 +182,7 @@ let test_invalidation_events_on_delete () =
 
 let test_restore_is_event_silent () =
   (* kernel restore replays state without re-announcing it: Persist.load
-     must not trigger subscribers (cache invalidation, counters) *)
+     must not log events, bump counters or invalidate the cache *)
   let k = simple_kernel () in
   let oid = insert_src k 1 2.0 in
   let proc = Option.get (Kernel.find_process k "negate") in
@@ -219,6 +198,74 @@ let test_restore_is_event_silent () =
   ok (Kernel.restore_task k2 task);
   check_int "no events emitted by restore paths" before
     (Events.seen (Kernel.bus k2))
+
+(* ------------------------------------------------------------------ *)
+(* Event sequence of the staleness paths                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The exact log of the four paths that change staleness: a base
+   update, a derive from the stale output, REFRESH, and a delete plus a
+   re-version.  Staleness and cache invalidation are called where the
+   state changes, so this pins both what is announced and in which
+   order relative to the invalidations. *)
+let test_staleness_event_sequence () =
+  let k = simple_kernel () in
+  let out2 =
+    ok
+      (Schema.define ~name:"out2"
+         ~attributes:
+           [ ("data", Vtype.Image); ("spatialextent", Vtype.Box);
+             ("timestamp", Vtype.Abstime) ]
+         ~derived_by:"renegate" ())
+  in
+  ok (Kernel.define_class k out2);
+  let negate = Option.get (Kernel.find_process k "negate") in
+  let renegate =
+    ok
+      (Process.define_primitive ~name:"renegate" ~output_class:"out2"
+         ~args:[ Process.scalar_arg "x" "out" ]
+         ~template:(Option.get (Process.template negate))
+         ())
+  in
+  ok (Kernel.define_process k renegate);
+  let src = insert_src k 1 2.0 in
+  let t = ok (Kernel.execute_process k negate ~inputs:[ ("x", [ src ]) ]) in
+  let out = List.hd t.Task.outputs in
+  let mark = ref (Events.seen (Kernel.bus k)) in
+  let since () =
+    let from = !mark in
+    mark := Events.seen (Kernel.bus k);
+    List.filter_map
+      (fun (seq, ev) ->
+        if seq >= from then Some (Events.event_to_string ev) else None)
+      (Kernel.event_log k)
+  in
+  let check name expected =
+    Alcotest.(check (list string)) name expected (since ())
+  in
+  ok
+    (Kernel.update_object k ~cls:"src" src
+       [ ("data",
+          Value.image (Image.of_array ~nrow:1 ~ncol:2 Pixel.Float8 [| 5.; 6. |])) ]);
+  check "base update"
+    [ "object_updated src #1"; "cache_invalidated 1 entries (object #1)" ];
+  let t2 = ok (Kernel.execute_process k renegate ~inputs:[ ("x", [ out ]) ]) in
+  check "derive from the stale output"
+    [ "cache_miss renegate v1"; "object_inserted out2 #3";
+      "task_recorded #2 renegate v1"; "cache_admitted renegate v1 (112 bytes)" ];
+  let _ = Kernel.refresh_stale k in
+  check "refresh"
+    [ "object_updated out #2"; "cache_invalidated 1 entries (object #2)";
+      "task_recorded #3 negate v1"; "cache_admitted negate v1 (112 bytes)";
+      "object_refreshed out #2 task #3"; "object_updated out2 #3";
+      "task_recorded #4 renegate v1"; "cache_admitted renegate v1 (112 bytes)";
+      "object_refreshed out2 #3 task #4" ];
+  ok (Kernel.delete_object k ~cls:"out2" (List.hd t2.Task.outputs));
+  ok (Kernel.define_process k (ok (Process.edit negate ~name:"negate" ())));
+  check "delete and re-version"
+    [ "object_deleted out2 #3"; "cache_invalidated 1 entries (object #3)";
+      "process_versioned negate v2";
+      "cache_invalidated 1 entries (process negate)" ]
 
 (* ------------------------------------------------------------------ *)
 (* Compound scheduler determinism                                      *)
@@ -412,16 +459,15 @@ let persist_roundtrip_prop =
 let () =
   Alcotest.run "events"
     [ ( "bus",
-        [ tc "subscriber order" test_subscriber_order;
-          tc "ring buffer wrap" test_ring_buffer_wrap;
+        [ tc "ring buffer wrap" test_ring_buffer_wrap;
           tc "event rendering" test_event_rendering ] );
       ( "kernel",
-        [ tc "kernel subscriber order" test_kernel_subscriber_order;
-          tc "lifecycle events logged" test_lifecycle_events_logged;
+        [ tc "lifecycle events logged" test_lifecycle_events_logged;
           tc "cache miss then hit logged" test_cache_miss_then_hit_logged;
           tc "invalidation on re-version" test_invalidation_events_on_reversion;
           tc "invalidation on delete" test_invalidation_events_on_delete;
-          tc "restore is event-silent" test_restore_is_event_silent ] );
+          tc "restore is event-silent" test_restore_is_event_silent;
+          tc "staleness event sequence" test_staleness_event_sequence ] );
       ( "scheduler",
         [ tc "step-parallel determinism" test_scheduler_determinism;
           tc "duplicate step hits cache" test_scheduler_duplicate_step_hits_cache ] );

@@ -202,6 +202,33 @@ let test_derived_from_stale_is_stale () =
   Alcotest.(check (list int)) "nothing stale after refresh" []
     (Kernel.stale_objects k)
 
+(* Only a further version supersedes anything.  A pseudo-task recorded
+   under a name that has no process yet (the derivation manager records
+   interpolations as "interpolate" v0) must not go stale when a process
+   of that name is first defined. *)
+let test_first_version_stales_nothing () =
+  let k = chain_kernel () in
+  let src = insert_src k in
+  let out =
+    ok
+      (Kernel.insert_object k ~cls:"c1"
+         [ ("data", Value.image (Image.of_array ~nrow:2 ~ncol:2 Pixel.Float8 [| 0.; 0.; 0.; 0. |]));
+           ("spatialextent", Value.box (Box.make ~xmin:0. ~ymin:0. ~xmax:1. ~ymax:1.));
+           ("timestamp", Value.abstime (Abstime.of_ymd 1986 1 1)) ])
+  in
+  ignore
+    (Kernel.record_task_raw k ~process:"late" ~version:0
+       ~inputs:[ ("x", [ src ]) ] ~params:[] ~outputs:[ out ] ~output_class:"c1");
+  let s1 = Option.get (Kernel.find_process k "s1") in
+  ok
+    (Kernel.define_process k
+       (ok
+          (Process.define_primitive ~name:"late" ~output_class:"c1"
+             ~args:[ Process.scalar_arg "x" "src" ]
+             ~template:(Option.get (Process.template s1))
+             ())));
+  Alcotest.(check (list int)) "nothing stale" [] (Kernel.stale_objects k)
+
 let test_refresh_recomputes_in_place () =
   let k = chain_kernel () in
   let src = insert_src k in
@@ -618,7 +645,8 @@ let () =
           tc "update drops every cache entry it stales" test_update_empties_cache;
           tc "re-versioning a step drops the compound above"
             test_reversion_drops_compound;
-          tc "derived from a stale input is stale" test_derived_from_stale_is_stale ] );
+          tc "derived from a stale input is stale" test_derived_from_stale_is_stale;
+          tc "a first version stales nothing" test_first_version_stales_nothing ] );
       ( "refresh",
         [ tc "recomputes stale subgraph in place" test_refresh_recomputes_in_place;
           tc "targeted refresh pulls stale upstream" test_targeted_refresh_pulls_upstream;
