@@ -3,7 +3,7 @@
    The paper (VLDB 1993) contains no quantitative evaluation — its five
    figures are architectural.  This harness therefore (a) regenerates an
    executable artifact for every figure and (b) measures the mechanism
-   experiments E1–E11 defined in DESIGN.md, printing the series that
+   experiments E1–E10 defined in DESIGN.md, printing the series that
    EXPERIMENTS.md records.  One Bechamel Test.make exists per experiment
    (micro timing of its kernel operation); the macro sweeps print their
    own tables.
@@ -28,6 +28,7 @@ module R = Gaea_raster
 module Pool = Gaea_par.Pool
 module Process = Gaea_core.Process
 module Task = Gaea_core.Task
+module Persist = Gaea_core.Persist
 module Schema = Gaea_core.Schema
 module Template = Gaea_core.Template
 module Vtype = Gaea_adt.Vtype
@@ -67,18 +68,23 @@ let time_avg ?(repeats = 3) f =
    warmup run first — it faults in code paths, spawns/warms the domain
    pool and triggers the one-off cutoff calibration — then the median of
    [repeats] timed runs, which is robust against a straggler sample in a
-   way the mean is not. *)
-let time_median ?(warmup = 1) ?(repeats = 5) f =
+   way the mean is not.  Each run times [f] on the output of [setup],
+   which runs outside the timer. *)
+let time_median_of ?(warmup = 1) ?(repeats = 5) ~setup f =
   for _ = 1 to warmup do
-    ignore (f ())
+    ignore (f (setup ()))
   done;
   let samples =
     Array.init repeats (fun _ ->
-        let _, dt = time_once f in
+        let x = setup () in
+        let _, dt = time_once (fun () -> f x) in
         dt)
   in
   Array.sort compare samples;
   samples.(repeats / 2)
+
+let time_median ?warmup ?repeats f =
+  time_median_of ?warmup ?repeats ~setup:ignore f
 
 (* ------------------------------------------------------------------ *)
 (* Figure artifacts                                                    *)
@@ -518,16 +524,16 @@ let e7_parallel_speedup () =
   e7_rows := List.rev !e7_rows
 
 (* ------------------------------------------------------------------ *)
-(* E8: derived-object result cache                                     *)
+(* E8: reuse of derived objects                                        *)
 (* ------------------------------------------------------------------ *)
 
 let e8_stats : (float * float * Kernel.cache_stats) option ref = ref None
+let e8_failed = ref false
 
-let e8_cache () =
-  section "E8: derived-object result cache — repeated-DERIVE hit-rate sweep";
+(* a fresh Fig 3 kernel and its P20 binding, built outside any timer *)
+let e8_kernel n =
   let k = Kernel.create () in
   ok (Figures.install_fig3 k);
-  let n = if smoke then 32 else 64 in
   let _ = ok (Figures.load_tm_bands k ~seed:9 ~nrow:n ~ncol:n ()) in
   let p = Option.get (Kernel.find_process k Figures.p20_name) in
   let binding =
@@ -537,41 +543,66 @@ let e8_cache () =
            [ ( Figures.landsat_class,
                Kernel.objects_of_class k Figures.landsat_class ) ])
   in
-  let run_once () = ok (Kernel.execute_process k p ~inputs:binding) in
+  (k, p, binding)
+
+let e8_cache () =
+  section "E8: reuse of derived objects — repeated-DERIVE hit-rate sweep";
+  let n = if smoke then 32 else 64 in
   Printf.printf
-    "workload: r identical DERIVE requests for %s (%dx%d P20);\n\
-     the first computes, the rest must be cache hits on the same task\n\n"
+    "workload: r identical DERIVE requests for %s (%dx%d P20) on a fresh \
+     kernel;\nthe first computes, the rest must reuse its task\n\n"
     Figures.land_cover_class n n;
   Printf.printf "%-10s %-7s %-8s %-10s %-14s %-14s %s\n" "requests" "hits"
     "misses" "hit rate" "total (ms)" "naive (ms)" "saved";
+  let row label r (c : Kernel.counters) total =
+    (* naive = recompute on every request (per-miss cost x r) *)
+    let naive =
+      total /. float_of_int c.Kernel.cache_misses *. float_of_int r
+    in
+    Printf.printf "%-10s %-7d %-8d %-10.2f %-14.2f %-14.2f %.1fx\n" label
+      c.Kernel.cache_hits c.Kernel.cache_misses
+      (float_of_int c.Kernel.cache_hits /. float_of_int r)
+      (total *. 1000.) (naive *. 1000.)
+      (naive /. total)
+  in
   List.iter
     (fun r ->
-      Kernel.clear_cache k;
-      Kernel.reset_counters k;
+      let k, p, binding = e8_kernel n in
       let first = ref None in
       let _, total =
         time_once (fun () ->
             for _ = 1 to r do
-              let t = run_once () in
+              let t = ok (Kernel.execute_process k p ~inputs:binding) in
               match !first with
               | None -> first := Some t
               | Some f -> assert (t.Task.task_id = f.Task.task_id)
             done)
       in
-      let c = Kernel.counters k in
-      (* naive = recompute on every request (per-miss cost x r) *)
-      let naive =
-        total /. float_of_int c.Kernel.cache_misses *. float_of_int r
-      in
-      Printf.printf "%-10d %-7d %-8d %-10.2f %-14.2f %-14.2f %.1fx\n" r
-        c.Kernel.cache_hits c.Kernel.cache_misses
-        (float_of_int c.Kernel.cache_hits /. float_of_int r)
-        (total *. 1000.) (naive *. 1000.)
-        (naive /. total))
+      row (string_of_int r) r (Kernel.counters k) total)
     (if smoke then [ 4 ] else [ 1; 2; 4; 8; 16; 32 ]);
+  (* the same two requests with a save -> load between them: the
+     loaded kernel must reuse the first request's task *)
+  let k, p, binding = e8_kernel n in
+  let first, t_first =
+    time_once (fun () -> ok (Kernel.execute_process k p ~inputs:binding))
+  in
+  let loaded = ok (Persist.load (Persist.save k)) in
+  let p' = Option.get (Kernel.find_process loaded Figures.p20_name) in
+  let again, t_again =
+    time_once (fun () -> ok (Kernel.execute_process loaded p' ~inputs:binding))
+  in
+  let c = Kernel.counters loaded in
+  row "2 (load)" 2 c (t_first +. t_again);
+  if
+    again.Task.task_id <> first.Task.task_id
+    || c.Kernel.cache_hits <> 1 || c.Kernel.cache_misses <> 1
+  then begin
+    print_endline "E8 FAILURE: the repeat after save -> load was not a hit";
+    e8_failed := true
+  end;
   (* timing split: one cold miss vs one warm hit *)
-  Kernel.clear_cache k;
-  Kernel.reset_counters k;
+  let k, p, binding = e8_kernel n in
+  let run_once () = ok (Kernel.execute_process k p ~inputs:binding) in
   let t0, cold = time_once run_once in
   let t1', warm = time_once run_once in
   assert (t0.Task.task_id = t1'.Task.task_id);
@@ -579,7 +610,7 @@ let e8_cache () =
     "\ncold miss %.2f ms, warm hit %.4f ms (%.0fx); executions recorded: %d\n"
     (cold *. 1000.) (warm *. 1000.) (cold /. warm)
     (Kernel.counters k).Kernel.executions;
-  (* invalidation: re-versioning the process drops its entries *)
+  (* re-versioning the process ends the reuse of its tasks *)
   let before = Kernel.cache_stats k in
   let edited =
     ok (Process.edit p ~name:Figures.p20_name ~params:[ ("k", Value.int 8) ] ())
@@ -588,7 +619,7 @@ let e8_cache () =
   let after = Kernel.cache_stats k in
   let _, recompute = time_once run_once in
   Printf.printf
-    "re-versioning %s: cache entries %d -> %d (%d invalidated);\n\
+    "re-versioning %s: reuse entries %d -> %d (%d ended);\n\
      next identical request recomputes (%.2f ms) — stale results cannot \
      survive a process edit\n"
     Figures.p20_name before.Kernel.entries after.Kernel.entries
@@ -682,11 +713,12 @@ let e9_task_parallel () =
     List.map
       (fun s ->
         Pool.set_size s;
-        let k, oid = e9_kernel ~steps ~n () in
-        let p = Option.get (Kernel.find_process k "e9fan") in
+        (* a fresh kernel per run: a repeat would reuse every step *)
         let dt =
-          time_median ~repeats (fun () ->
-              Kernel.clear_cache k;
+          time_median_of ~repeats
+            ~setup:(fun () -> e9_kernel ~steps ~n ())
+            (fun (k, oid) ->
+              let p = Option.get (Kernel.find_process k "e9fan") in
               ok (Kernel.execute_process k p ~inputs:[ ("x", [ oid ]) ]))
         in
         (s, dt))
@@ -919,77 +951,6 @@ let e10_incremental_refresh () =
         e10_deterministic = deterministic }
 
 (* ------------------------------------------------------------------ *)
-(* E11: bounded result cache — budget sweep                            *)
-(* ------------------------------------------------------------------ *)
-
-type e11_row = {
-  e11_budget : int;
-  e11_entries : int;
-  e11_max_resident : int;
-  e11_admissions : int;
-  e11_evictions : int;
-  e11_within : bool;
-}
-
-let e11_rows : e11_row list ref = ref []
-
-let e11_cache_sweep () =
-  section "E11: bounded result cache — GAEA_CACHE_BYTES budget sweep";
-  let n = if smoke then 6 else 12 in
-  let npix = if smoke then 32 else 64 in
-  let budgets =
-    [ 64 * 1024; 256 * 1024; 1024 * 1024; 16 * 1024 * 1024 ]
-  in
-  Printf.printf
-    "workload: %d pipelines over %dx%d images, derived twice per budget \
-     (second pass probes retention)\n\n"
-    n npix npix;
-  Printf.printf "%-14s %9s %14s %11s %10s %7s\n" "budget (B)" "entries"
-    "max res (B)" "admissions" "evictions" "within";
-  List.iter
-    (fun budget ->
-      let k, srcs = e10_kernel ~n ~npix ~seed_of:(fun i -> i + 1) () in
-      Kernel.set_cache_budget k budget;
-      let max_resident = ref 0 in
-      let track () =
-        let st = Kernel.cache_stats k in
-        if st.Kernel.resident_bytes > !max_resident then
-          max_resident := st.Kernel.resident_bytes
-      in
-      let p1 = Option.get (Kernel.find_process k "e10s1") in
-      let p2 = Option.get (Kernel.find_process k "e10s2") in
-      for _pass = 1 to 2 do
-        Array.iter
-          (fun oid ->
-            let t1 =
-              ok (Kernel.execute_process k p1 ~inputs:[ ("x", [ oid ]) ])
-            in
-            track ();
-            let mid = List.hd t1.Task.outputs in
-            let _ =
-              ok (Kernel.execute_process k p2 ~inputs:[ ("x", [ mid ]) ])
-            in
-            track ())
-          srcs
-      done;
-      let st = Kernel.cache_stats k in
-      let within = !max_resident <= budget && st.Kernel.resident_bytes <= budget in
-      Printf.printf "%-14d %9d %14d %11d %10d %7b\n" budget st.Kernel.entries
-        !max_resident st.Kernel.admissions st.Kernel.evictions within;
-      if not within then begin
-        print_endline "E11 FAILURE: resident bytes exceeded the budget";
-        e10_failed := true
-      end;
-      e11_rows :=
-        { e11_budget = budget; e11_entries = st.Kernel.entries;
-          e11_max_resident = !max_resident;
-          e11_admissions = st.Kernel.admissions;
-          e11_evictions = st.Kernel.evictions; e11_within = within }
-        :: !e11_rows)
-    budgets;
-  e11_rows := List.rev !e11_rows
-
-(* ------------------------------------------------------------------ *)
 (* Fused-kernel parity gate                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1154,11 +1115,9 @@ let emit_bench_json path =
      out
        "  \"cache\": { \"cold_miss_ns\": %.0f, \"warm_hit_ns\": %.0f, \
         \"hits\": %d, \"misses\": %d, \"entries\": %d, \"invalidations\": \
-        %d, \"admissions\": %d, \"evictions\": %d, \"resident_bytes\": %d, \
-        \"budget_bytes\": %d },\n"
+        %d },\n"
        (cold *. 1e9) (warm *. 1e9) st.Kernel.hits st.Kernel.misses
-       st.Kernel.entries st.Kernel.invalidations st.Kernel.admissions
-       st.Kernel.evictions st.Kernel.resident_bytes st.Kernel.budget_bytes
+       st.Kernel.entries st.Kernel.invalidations
    | None -> out "  \"cache\": null,\n");
   (match !e10_result with
    | Some r ->
@@ -1166,26 +1125,11 @@ let emit_bench_json path =
        "  \"refresh\": { \"pipelines\": %d, \"invalidated\": %d, \
         \"total_derived\": %d, \"refreshed\": %d, \"refresh_ms\": %.3f, \
         \"full_recompute_ms\": %.3f, \"identical_to_cold\": %b, \
-        \"deterministic\": %b },\n"
+        \"deterministic\": %b }\n"
        r.e10_n r.e10_k r.e10_total_derived r.e10_refreshed
        (r.e10_refresh_s *. 1000.) (r.e10_full_s *. 1000.) r.e10_identical
        r.e10_deterministic
-   | None -> out "  \"refresh\": null,\n");
-  (match !e11_rows with
-   | [] -> out "  \"cache_sweep\": null\n"
-   | rows ->
-     out "  \"cache_sweep\": [\n";
-     List.iteri
-       (fun i r ->
-         out
-           "    { \"budget_bytes\": %d, \"entries\": %d, \
-            \"max_resident_bytes\": %d, \"admissions\": %d, \"evictions\": \
-            %d, \"within_budget\": %b }%s\n"
-           r.e11_budget r.e11_entries r.e11_max_resident r.e11_admissions
-           r.e11_evictions r.e11_within
-           (if i < List.length rows - 1 then "," else ""))
-       rows;
-     out "  ]\n");
+   | None -> out "  \"refresh\": null\n");
   out "}\n";
   close_out oc;
   Printf.printf "\nwrote %s\n" path
@@ -1299,7 +1243,6 @@ let () =
   e8_cache ();
   e9_task_parallel ();
   e10_incremental_refresh ();
-  e11_cache_sweep ();
   parity_gate ();
   run_bechamel ();
   (* smoke runs must never clobber the full-size benchmark record *)
@@ -1307,4 +1250,4 @@ let () =
     (if smoke then "BENCH_parallel.smoke.json" else "BENCH_parallel.json");
   print_endline "\nall experiments completed.";
   Pool.shutdown ();
-  if !parity_failed || !e10_failed then exit 1
+  if !parity_failed || !e10_failed || !e8_failed then exit 1

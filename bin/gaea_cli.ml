@@ -164,13 +164,9 @@ let demo_cmd () =
                      (Printf.sprintf "refreshed %d object(s), %d left stale"
                         r.Kernel.refreshed r.Kernel.remaining);
                    let st = Kernel.cache_stats k in
-                   show "result cache"
-                     (Printf.sprintf
-                        "%d entries, %d/%d bytes resident, %d hits / %d \
-                         misses / %d evictions"
-                        st.Kernel.entries st.Kernel.resident_bytes
-                        st.Kernel.budget_bytes st.Kernel.hits
-                        st.Kernel.misses st.Kernel.evictions)
+                   show "reuse index"
+                     (Printf.sprintf "%d entries, %d hits / %d misses"
+                        st.Kernel.entries st.Kernel.hits st.Kernel.misses)
                  | None -> ())
               | None -> ())
            | _ -> ());

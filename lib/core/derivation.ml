@@ -12,6 +12,7 @@ type trace_step =
   | Retrieved_direct of string * Oid.t list
   | Interpolated of string * Oid.t
   | Fired of string * int * int
+  | Reused of string * int * int
 
 type outcome = {
   objects : Oid.t list;
@@ -122,10 +123,14 @@ let execute_plan k (view : Kernel.net_view) plan =
               Kernel.find_binding k ~exclude proc ~available:widened
           in
           Hashtbl.replace used step.Backchain.transition (binding :: exclude);
+          let before = Kernel.clock k in
           let* task = Kernel.execute_process k proc ~inputs:binding in
-          tasks := task :: !tasks;
-          trace :=
-            Fired (pname, version, task.Task.task_id) :: !trace;
+          (* a task recorded before this run was reused, not fired *)
+          if task.Task.clock > before then begin
+            tasks := task :: !tasks;
+            trace := Fired (pname, version, task.Task.task_id) :: !trace
+          end
+          else trace := Reused (pname, version, task.Task.task_id) :: !trace;
           (match task.Task.outputs with
            | oid :: _ ->
              realized := (source, oid) :: !realized;

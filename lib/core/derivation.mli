@@ -12,10 +12,14 @@ type trace_step =
   | Retrieved_direct of string * Gaea_storage.Oid.t list
   | Interpolated of string * Gaea_storage.Oid.t
   | Fired of string * int * int  (** process name, version, task id *)
+  | Reused of string * int * int
+      (** process name, version, and the earlier task whose output was
+          reused instead of firing *)
 
 type outcome = {
   objects : Gaea_storage.Oid.t list;  (** the objects satisfying the request *)
-  new_tasks : Task.t list;            (** derivations performed, in order *)
+  new_tasks : Task.t list;
+      (** tasks this request recorded, in order; reused ones are not *)
   trace : trace_step list;
 }
 

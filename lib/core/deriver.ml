@@ -5,36 +5,6 @@ module Oid = Gaea_storage.Oid
 
 let ( let* ) r f = Result.bind r f
 
-(* Provenance key of a derived result: the process identity, the exact
-   input binding (argument order preserved — templates index into it),
-   and the parameter bindings by content hash. *)
-type cache_key =
-  string * int * (string * Oid.t list) list * (string * int) list
-
-(* A cached result with its memory charge and replacement priority.
-   Eviction is GreedyDual-Size: priority = clock at (re)use +
-   cost / bytes, so cheap-to-recompute, bulky, long-unused entries go
-   first; the clock ratchets to each victim's priority, which ages the
-   survivors (the LRU component). *)
-type entry = {
-  e_task : Task.t;
-  e_bytes : int;
-  e_cost : float;  (* measured recompute wall-seconds *)
-  mutable e_priority : float;
-  mutable e_tick : int;  (* last-use tick, LRU tie-break *)
-}
-
-type cache_stats = {
-  hits : int;
-  misses : int;
-  entries : int;
-  invalidations : int;
-  admissions : int;
-  evictions : int;
-  resident_bytes : int;
-  budget_bytes : int;
-}
-
 type t = {
   registry : Registry.t;
   catalog : Catalog.t;
@@ -43,195 +13,10 @@ type t = {
   prov : Provenance.t;
   metrics : Metrics.t;
   bus : Events.bus;
-  result_cache : (cache_key, entry) Hashtbl.t;
-  producers : (Oid.t, cache_key list) Hashtbl.t;  (* output oid -> keys *)
-  mutable invalidations : int;
-  mutable budget : int;  (* GAEA_CACHE_BYTES *)
-  mutable resident : int;  (* bytes currently charged *)
-  mutable gds_clock : float;
-  mutable tick : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Result cache                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let default_budget = 256 * 1024 * 1024
-
-let budget_from_env () =
-  match Sys.getenv_opt "GAEA_CACHE_BYTES" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n > 0 -> n
-     | _ -> default_budget)
-  | None -> default_budget
-
-(* Per-value resident size.  Raster payloads dominate and are charged
-   at their storage-type width; scalars get a small flat charge. *)
-let rec bytes_of_value v =
-  match v with
-  | Value.VImage img ->
-    Gaea_raster.Image.size img
-    * Gaea_raster.Pixel.size_bytes (Gaea_raster.Image.img_type img)
-    + 64
-  | Value.VComposite c ->
-    List.fold_left
-      (fun acc b -> acc + bytes_of_value (Value.VImage b))
-      64
-      (Gaea_raster.Composite.bands c)
-  | Value.VMatrix m ->
-    (Gaea_raster.Matrix.rows m * Gaea_raster.Matrix.cols m * 8) + 64
-  | Value.VVector a -> (Array.length a * 8) + 64
-  | Value.VString s -> String.length s + 32
-  | Value.VSet vs -> List.fold_left (fun acc v -> acc + bytes_of_value v) 16 vs
-  | _ -> 16
-
-(* What a cached task pins in memory: the stored tuples of its output
-   objects. *)
-let task_bytes t (task : Task.t) =
-  List.fold_left
-    (fun acc oid ->
-      match Obj_store.class_of t.objects oid with
-      | None -> acc
-      | Some cls ->
-        (match Obj_store.tuple t.objects ~cls oid with
-         | None -> acc
-         | Some tup ->
-           List.fold_left
-             (fun acc v -> acc + bytes_of_value v)
-             acc
-             (Gaea_storage.Tuple.values tup)))
-    0 task.Task.outputs
-
-let cache_key_of (p : Process.t) inputs : cache_key =
-  ( p.Process.proc_name,
-    p.Process.version,
-    List.sort (fun (a, _) (b, _) -> String.compare a b) inputs,
-    List.map (fun (n, v) -> (n, Value.content_hash v)) p.Process.params
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b) )
-
-let cache_stats t =
-  { hits = t.metrics.Metrics.cache_hits;
-    misses = t.metrics.Metrics.cache_misses;
-    entries = Hashtbl.length t.result_cache;
-    invalidations = t.invalidations;
-    admissions = t.metrics.Metrics.cache_admissions;
-    evictions = t.metrics.Metrics.cache_evictions;
-    resident_bytes = t.resident;
-    budget_bytes = t.budget }
-
-(* Keys of the entries whose task produced [oid]: a compound's entry
-   and its last step's entry share an output. *)
-let producing_keys t oid =
-  Option.value ~default:[] (Hashtbl.find_opt t.producers oid)
-
-let remove_entry t key (e : entry) =
-  Hashtbl.remove t.result_cache key;
-  t.resident <- t.resident - e.e_bytes;
-  List.iter
-    (fun oid ->
-      match List.filter (fun k -> k <> key) (producing_keys t oid) with
-      | [] -> Hashtbl.remove t.producers oid
-      | keys -> Hashtbl.replace t.producers oid keys)
-    e.e_task.Task.outputs
-
-let drop t ~reason n =
-  if n > 0 then begin
-    t.invalidations <- t.invalidations + n;
-    Events.emit t.bus (Events.Cache_invalidated { entries = n; reason })
-  end
-
-let clear_cache t =
-  let n = Hashtbl.length t.result_cache in
-  Hashtbl.reset t.result_cache;
-  Hashtbl.reset t.producers;
-  t.resident <- 0;
-  drop t ~reason:"clear" n
-
-(* The staleness triggers decide what a change invalidates; the cache
-   drops the entries that produced the objects they name. *)
-let invalidate t ~reason oids =
-  let doomed =
-    List.sort_uniq compare (List.concat_map (producing_keys t) oids)
-  in
-  List.iter
-    (fun key -> remove_entry t key (Hashtbl.find t.result_cache key))
-    doomed;
-  drop t ~reason (List.length doomed)
-
-(* Evict lowest-priority entries (LRU tick breaks ties) until [need]
-   more bytes fit under the budget. *)
-let evict_for t ~need =
-  let freed = ref 0 and count = ref 0 in
-  while t.resident + need > t.budget && Hashtbl.length t.result_cache > 0 do
-    let victim =
-      Hashtbl.fold
-        (fun k e acc ->
-          match acc with
-          | Some (_, best)
-            when best.e_priority < e.e_priority
-                 || (best.e_priority = e.e_priority && best.e_tick <= e.e_tick)
-            -> acc
-          | _ -> Some (k, e))
-        t.result_cache None
-    in
-    match victim with
-    | None -> ()
-    | Some (k, e) ->
-      remove_entry t k e;
-      t.gds_clock <- Float.max t.gds_clock e.e_priority;
-      freed := !freed + e.e_bytes;
-      incr count
-  done;
-  if !count > 0 then
-    Events.emit t.bus
-      (Events.Cache_evicted { entries = !count; bytes = !freed; reason = "budget" })
-
-let next_tick t =
-  t.tick <- t.tick + 1;
-  t.tick
-
-(* Admission: charge the task's output bytes, evicting to fit.  An
-   entry bigger than the whole budget is never admitted. *)
-let admit t (p : Process.t) ~inputs ~cost task =
-  let key = cache_key_of p inputs in
-  (match Hashtbl.find_opt t.result_cache key with
-   | Some old -> remove_entry t key old
-   | None -> ());
-  let bytes = task_bytes t task in
-  if bytes <= t.budget then begin
-    evict_for t ~need:bytes;
-    let e =
-      { e_task = task; e_bytes = bytes; e_cost = cost;
-        e_priority = t.gds_clock +. (cost /. float_of_int (max 1 bytes));
-        e_tick = next_tick t }
-    in
-    Hashtbl.replace t.result_cache key e;
-    List.iter
-      (fun oid -> Hashtbl.replace t.producers oid (key :: producing_keys t oid))
-      task.Task.outputs;
-    t.resident <- t.resident + bytes;
-    Events.emit t.bus
-      (Events.Cache_admitted
-         { process = p.Process.proc_name; version = p.Process.version; bytes })
-  end
-
-let set_cache_budget t n =
-  t.budget <- max 0 n;
-  evict_for t ~need:0
-
-let restore_cache_stats t ~hits ~misses ~invalidations ~admissions ~evictions =
-  t.metrics.Metrics.cache_hits <- hits;
-  t.metrics.Metrics.cache_misses <- misses;
-  t.metrics.Metrics.cache_admissions <- admissions;
-  t.metrics.Metrics.cache_evictions <- evictions;
-  t.invalidations <- invalidations
-
 let create ~registry ~catalog ~objects ~procs ~prov ~bus =
-  { registry; catalog; objects; procs; prov; metrics = Events.metrics bus; bus;
-    result_cache = Hashtbl.create 64; producers = Hashtbl.create 64;
-    invalidations = 0; budget = budget_from_env (); resident = 0;
-    gds_clock = 0.0; tick = 0 }
+  { registry; catalog; objects; procs; prov; metrics = Events.metrics bus; bus }
 
 (* ------------------------------------------------------------------ *)
 (* Template environment                                                *)
@@ -465,11 +250,10 @@ let eval_primitive t (p : Process.t) inputs =
        else Ok pairs)
 
 (* Commit half of a primitive execution: insert the evaluated output,
-   bump metrics, record provenance.  The evaluation's measured time
-   rides along as the fresh result's cache cost.  Split from the
-   evaluation half so compound steps can evaluate on the pool and
-   commit strictly in step order. *)
-let commit_primitive t (p : Process.t) inputs (evaluated, cost) =
+   bump metrics, record provenance.  Split from the evaluation half so
+   compound steps can evaluate on the pool and commit strictly in step
+   order. *)
+let commit_primitive t (p : Process.t) inputs evaluated =
   let* pairs = evaluated in
   let* oid = Obj_store.insert t.objects ~cls:p.Process.output_class pairs in
   List.iter
@@ -478,70 +262,44 @@ let commit_primitive t (p : Process.t) inputs (evaluated, cost) =
         t.metrics.Metrics.pixels_processed + count_pixels v)
     pairs;
   Ok
-    ( Provenance.record_task t.prov ~process:p.Process.proc_name
-        ~version:p.Process.version ~inputs ~params:p.Process.params
-        ~outputs:[ oid ] ~output_class:p.Process.output_class,
-      cost )
-
-(* all recorded outputs must still be stored for a cached task to be
-   served (guards callers that bypass delete) *)
-let outputs_live t (task : Task.t) =
-  task.Task.outputs <> []
-  && List.for_all (fun oid -> Obj_store.mem t.objects oid) task.Task.outputs
+    (Provenance.record_task t.prov ~process:p.Process.proc_name
+       ~version:p.Process.version ~inputs ~params:p.Process.params
+       ~outputs:[ oid ] ~output_class:p.Process.output_class)
 
 (* Silent, non-mutating probe: will [with_cache] hit? *)
 let cached t (p : Process.t) inputs =
-  match Hashtbl.find_opt t.result_cache (cache_key_of p inputs) with
-  | Some e -> outputs_live t e.e_task
-  | None -> false
+  Option.is_some (Provenance.find_reusable t.prov p ~inputs)
 
-(* Authoritative cache probe around a process execution: emits
-   Cache_hit / Cache_miss and drops stale entries.  On a miss [run]
-   produces the result with its measured evaluation time, which the
-   fresh entry is admitted with. *)
+(* The reuse lookup around a primitive execution: a recorded task for
+   the same process and binding is served as is; otherwise [run]
+   derives, and recording its task makes it reusable. *)
 let with_cache t (p : Process.t) ~inputs run =
-  let key = cache_key_of p inputs in
-  match Hashtbl.find_opt t.result_cache key with
-  | Some e when outputs_live t e.e_task ->
-    (* a hit re-seeds the GDS priority from the aged clock *)
-    e.e_priority <-
-      t.gds_clock +. (e.e_cost /. float_of_int (max 1 e.e_bytes));
-    e.e_tick <- next_tick t;
-    Events.emit t.bus
-      (Events.Cache_hit
-         { process = p.Process.proc_name; version = p.Process.version });
-    Ok e.e_task
-  | stale ->
-    (match stale with
-     | Some e -> remove_entry t key e
-     | None -> ());
-    Events.emit t.bus
-      (Events.Cache_miss
-         { process = p.Process.proc_name; version = p.Process.version });
-    let* task, cost = run () in
-    admit t p ~inputs ~cost task;
+  let process = p.Process.proc_name and version = p.Process.version in
+  match Provenance.find_reusable t.prov p ~inputs with
+  | Some task ->
+    Events.emit t.bus (Events.Cache_hit { process; version });
     Ok task
+  | None ->
+    Events.emit t.bus (Events.Cache_miss { process; version });
+    run ()
 
+(* A compound has no reuse entry of its own: each of its steps is
+   looked up, so a repeated compound reuses every step. *)
 let rec execute_process t (p : Process.t) ~inputs =
-  with_cache t p ~inputs (fun () ->
-      match p.Process.kind with
-      | Process.Primitive _ ->
-        commit_primitive t p inputs
-          (Scheduler.timed (fun () -> eval_primitive t p inputs))
-      | Process.Compound steps ->
-        let result, cost =
-          Scheduler.timed (fun () -> execute_compound t p ~inputs steps)
-        in
-        Result.map (fun task -> (task, cost)) result)
+  match p.Process.kind with
+  | Process.Primitive _ ->
+    with_cache t p ~inputs (fun () ->
+        commit_primitive t p inputs (eval_primitive t p inputs))
+  | Process.Compound steps -> execute_compound t p ~inputs steps
 
 (* Compound expansion as a DAG for {!Scheduler}: one node per step, in
    step order, depending on the steps whose outputs it reads.  A
    primitive step offers its pure evaluation (assertions + mappings,
-   which only read the kernel tables) unless a silent cache peek says
-   its commit will hit, so cached steps never occupy a pool lane.  The
-   commit is the authoritative [with_cache] probe: it emits the events,
-   asks for the evaluation only on a miss — a step duplicating an
-   earlier step's key registers its hit and discards the extra
+   which only read the kernel tables) unless a silent reuse peek says
+   its commit will hit, so reusable steps never occupy a pool lane.
+   The commit is the authoritative [with_cache] lookup: it emits the
+   events, asks for the evaluation only on a miss — a step duplicating
+   an earlier step's binding registers its hit and discards the extra
    evaluation — then inserts the object and records provenance.  The
    first failing step ends the compound. *)
 and execute_compound t (p : Process.t) ~inputs steps =
@@ -606,8 +364,7 @@ and execute_compound t (p : Process.t) ~inputs steps =
                | Process.Primitive _ ->
                  with_cache t sub ~inputs:sub_inputs (fun () ->
                      commit_primitive t sub sub_inputs (evaluated ()))
-               | Process.Compound _ ->
-                 execute_process t sub ~inputs:sub_inputs)
+               | Process.Compound _ -> execute_process t sub ~inputs:sub_inputs)
           in
           match result with
           | Error e -> raise (Step_failed e)

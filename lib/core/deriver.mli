@@ -1,10 +1,11 @@
-(** The deriver: template evaluation, binding search, process
-    execution, and the provenance-keyed result cache.
+(** The deriver: template evaluation, binding search and process
+    execution.
 
-    The staleness triggers ({!Refresh}) decide what a change
-    invalidates and call {!invalidate}, which emits
-    [Cache_invalidated].  Cache lookups emit [Cache_hit] /
-    [Cache_miss], which the bus counts ({!Events.emit}). *)
+    Before running a primitive process the deriver looks its binding
+    up in the provenance reuse index ({!Provenance.find_reusable}):
+    a recorded task whose outputs are still stored is served as is.
+    Each lookup emits [Cache_hit] or [Cache_miss], which the bus
+    counts ({!Events.emit}). *)
 
 module Oid = Gaea_storage.Oid
 
@@ -36,6 +37,9 @@ val eval_primitive :
 val execute_process :
   t -> Process.t -> inputs:(string * Oid.t list) list
   -> (Task.t, Gaea_error.t) result
+(** Run a primitive process, or reuse its recorded task; expand a
+    compound step by step, each step reused or run, and return the
+    last step's task. *)
 
 val recompute_task :
   t -> Task.t -> ((string * Gaea_adt.Value.t) list, Gaea_error.t) result
@@ -43,51 +47,3 @@ val recompute_task :
 val count_pixels : Gaea_adt.Value.t -> int
 (** Pixels carried by a raster value (0 for scalars) — the
     [pixels_processed] unit of account. *)
-
-(** {2 Result cache}
-
-    The cache is memory-bounded: every entry is charged the byte size
-    of its output tuples (raster payloads at storage-type width), and
-    total residency is kept under a budget ([GAEA_CACHE_BYTES],
-    default 256 MiB) by GreedyDual-Size eviction — priority is
-    clock-at-use + recompute-cost / bytes, so cheap-to-recompute bulky
-    entries go first and recently used ones survive (LRU tie-break). *)
-
-type cache_stats = {
-  hits : int;
-  misses : int;
-  entries : int;  (** live memoized results *)
-  invalidations : int;  (** entries dropped by staleness *)
-  admissions : int;  (** results stored under the budget *)
-  evictions : int;  (** entries displaced to stay under budget *)
-  resident_bytes : int;  (** bytes currently charged *)
-  budget_bytes : int;  (** the active byte budget *)
-}
-
-val cache_stats : t -> cache_stats
-val clear_cache : t -> unit
-
-val invalidate : t -> reason:string -> Oid.t list -> unit
-(** Drop the entries whose task produced one of the given objects (a
-    compound's entry goes with its last step's output), found through
-    an output-oid index; emits one [Cache_invalidated] with [reason]
-    when anything was dropped. *)
-
-val set_cache_budget : t -> int -> unit
-(** Override the budget (e.g. for sweeps); shrinking evicts
-    immediately. *)
-
-val admit :
-  t -> Process.t -> inputs:(string * Oid.t list) list -> cost:float
-  -> Task.t -> unit
-(** Store a freshly produced result, charging its bytes and evicting
-    to fit; [cost] seeds the eviction priority.  Emits
-    [Cache_admitted] (and [Cache_evicted] for any displaced entries).
-    Used by the refresh scheduler, which recomputes outside
-    the hit/miss probe. *)
-
-val restore_cache_stats :
-  t -> hits:int -> misses:int -> invalidations:int -> admissions:int
-  -> evictions:int -> unit
-(** Persist support: reinstate the counter values of a saved kernel
-    (entries themselves are not persisted). *)

@@ -10,8 +10,6 @@ type event =
   | Cache_hit of { process : string; version : int }
   | Cache_miss of { process : string; version : int }
   | Cache_invalidated of { entries : int; reason : string }
-  | Cache_admitted of { process : string; version : int; bytes : int }
-  | Cache_evicted of { entries : int; bytes : int; reason : string }
 
 let event_to_string = function
   | Class_defined c -> Printf.sprintf "class_defined %s" c
@@ -33,10 +31,6 @@ let event_to_string = function
     Printf.sprintf "cache_miss %s v%d" process version
   | Cache_invalidated { entries; reason } ->
     Printf.sprintf "cache_invalidated %d entries (%s)" entries reason
-  | Cache_admitted { process; version; bytes } ->
-    Printf.sprintf "cache_admitted %s v%d (%d bytes)" process version bytes
-  | Cache_evicted { entries; bytes; reason } ->
-    Printf.sprintf "cache_evicted %d entries (%d bytes, %s)" entries bytes reason
 
 type bus = {
   ring : (int * event) option array;
@@ -55,9 +49,6 @@ let count (m : Metrics.t) = function
   | Task_recorded _ -> m.executions <- m.executions + 1
   | Cache_hit _ -> m.cache_hits <- m.cache_hits + 1
   | Cache_miss _ -> m.cache_misses <- m.cache_misses + 1
-  | Cache_admitted _ -> m.cache_admissions <- m.cache_admissions + 1
-  | Cache_evicted { entries; _ } ->
-    m.cache_evictions <- m.cache_evictions + entries
   | Object_refreshed _ -> m.refreshes <- m.refreshes + 1
   | _ -> ()
 

@@ -3,9 +3,9 @@
     Every state change in a kernel subsystem is announced as an
     {!event} on a shared {!bus}, which records it and bumps the
     execution counter it feeds.  The bus dispatches nothing: the
-    subsystems that react to a change (the staleness walk, the result
-    cache, the derivation-net cache) are called directly by the code
-    that makes it.
+    subsystems that react to a change (the staleness walk, which also
+    ends reuse, and the derivation-net cache) are called directly by
+    the code that makes it.
 
     The bus keeps a bounded in-memory log (ring buffer) of recent
     events with monotonically increasing sequence numbers — the first
@@ -27,12 +27,11 @@ type event =
       (** A further version of an existing name — staling trigger. *)
   | Task_recorded of { task_id : int; process : string; version : int }
   | Cache_hit of { process : string; version : int }
+      (** A primitive run was served by a recorded task (reuse). *)
   | Cache_miss of { process : string; version : int }
+      (** No reusable task: the process runs. *)
   | Cache_invalidated of { entries : int; reason : string }
-  | Cache_admitted of { process : string; version : int; bytes : int }
-      (** A result entered the bounded result cache, charged [bytes]. *)
-  | Cache_evicted of { entries : int; bytes : int; reason : string }
-      (** Entries left the cache to make room under [GAEA_CACHE_BYTES]. *)
+      (** A staleness trigger ended [entries] reuse entries. *)
 
 val event_to_string : event -> string
 
@@ -47,9 +46,7 @@ val metrics : bus -> Metrics.t
 val emit : bus -> event -> unit
 (** Log the event, then bump its counter: [Task_recorded] →
     [executions], [Cache_hit] → [cache_hits], [Cache_miss] →
-    [cache_misses], [Cache_admitted] → [cache_admissions],
-    [Cache_evicted] → [cache_evictions] (by its entry count),
-    [Object_refreshed] → [refreshes]. *)
+    [cache_misses], [Object_refreshed] → [refreshes]. *)
 
 val log : bus -> (int * event) list
 (** Retained events, oldest first, each with its sequence number.

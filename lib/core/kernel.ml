@@ -14,20 +14,16 @@ type counters = Metrics.t = {
   mutable pixels_processed : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  mutable cache_admissions : int;
-  mutable cache_evictions : int;
   mutable refreshes : int;
 }
 
-type cache_stats = Deriver.cache_stats = {
+type cache_stats = {
   hits : int;
   misses : int;
   entries : int;
   invalidations : int;
-  admissions : int;
   evictions : int;
   resident_bytes : int;
-  budget_bytes : int;
 }
 
 type refresh_report = Refresh.report = {
@@ -108,18 +104,21 @@ let count_objects t cls = Obj_store.count t.objects cls
 
 let delete_object t ~cls oid =
   Obj_store.delete t.objects ~cls oid
-  |> Result.map (fun () -> Refresh.object_deleted t.refresh oid)
+  |> Result.map (fun () -> Provenance.object_deleted t.prov oid)
 
 let update_object t ~cls oid pairs =
   Obj_store.update t.objects ~cls oid pairs
-  |> Result.map (fun () -> Refresh.object_updated t.refresh oid)
+  |> Result.map (fun () -> Provenance.object_changed t.prov oid)
 
 (* processes *)
 let define_process t p =
+  let name = p.Process.proc_name in
   Proc_registry.define t.procs p
   |> Result.map (fun () ->
          Provenance.invalidate_net t.prov;
-         Refresh.process_defined t.refresh p)
+         (* a first version supersedes nothing *)
+         if List.length (Proc_registry.versions t.procs name) > 1 then
+           Provenance.process_defined t.prov ~name ~version:p.Process.version)
 
 let find_process t ?version name = Proc_registry.find t.procs ?version name
 let process_versions t name = Proc_registry.versions t.procs name
@@ -146,14 +145,25 @@ let find_task t id = Provenance.find_task t.prov id
 let task_producing t oid = Provenance.task_producing t.prov oid
 let tasks_using t oid = Provenance.tasks_using t.prov oid
 
-(* result cache *)
-let cache_stats t = Deriver.cache_stats t.deriver
-let clear_cache t = Deriver.clear_cache t.deriver
-let set_cache_budget t n = Deriver.set_cache_budget t.deriver n
+(* reuse *)
+let cache_stats t =
+  let m = counters t in
+  { hits = m.cache_hits;
+    misses = m.cache_misses;
+    entries = Provenance.reusable_count t.prov;
+    invalidations = Provenance.retired t.prov;
+    evictions = 0;
+    resident_bytes = 0 }
 
-let restore_cache_stats t ~hits ~misses ~invalidations ~admissions ~evictions =
-  Deriver.restore_cache_stats t.deriver ~hits ~misses ~invalidations
-    ~admissions ~evictions
+let set_cache_budget _ _ = ()
+let reusable_tasks t = Provenance.reusable_tasks t.prov
+let restore_reusable t ids = Provenance.restore_reusable t.prov ids
+
+let restore_cache_stats t ~hits ~misses ~invalidations =
+  let m = counters t in
+  m.cache_hits <- hits;
+  m.cache_misses <- misses;
+  Provenance.restore_retired t.prov invalidations
 
 (* staleness / refresh *)
 let stale_objects t = Provenance.stale t.prov

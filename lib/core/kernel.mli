@@ -2,14 +2,14 @@
 
     A thin facade over the subsystem modules — {!Catalog} (class defs +
     schema), {!Obj_store} (object CRUD), {!Proc_registry} (process
-    versions), {!Deriver} (assertions, mappings, result cache) and
-    {!Provenance} (tasks, lineage, staleness, net views) and
-    {!Refresh} (staleness triggers, incremental refresh) — composed
-    over one shared {!Events.bus}, which logs every state change and
-    feeds the execution counters.  The bus dispatches nothing: the
-    mutations below call what reacts to them — the staleness walk,
-    which also invalidates the result cache, and the net-view cache —
-    after the owning store has changed.
+    versions), {!Deriver} (assertions, mappings, execution),
+    {!Provenance} (tasks, lineage, reuse, staleness, net views) and
+    {!Refresh} (incremental refresh) — composed over one shared
+    {!Events.bus}, which logs every state change and feeds the
+    execution counters.  The bus dispatches nothing: the mutations
+    below call what reacts to them — the staleness walk, which also
+    ends reuse, and the net-view cache — after the owning store has
+    changed.
 
     Concurrency: a kernel is a single-threaded mutable object. *)
 
@@ -69,7 +69,7 @@ val delete_object :
 (** [Error (Unknown_object _)] when no class owns the oid,
     [Error (Wrong_class _)] when it belongs to a different class than
     named.  Emits [Object_deleted], then marks the object's consumers
-    stale and drops the cache entries that produced it or them. *)
+    stale and ends the reuse of the tasks that produced it or them. *)
 
 val update_object :
   t -> cls:string -> Gaea_storage.Oid.t -> (string * Gaea_adt.Value.t) list
@@ -77,7 +77,7 @@ val update_object :
 (** Replace the named attributes in place (same OID; unnamed
     attributes keep their values).  Emits [Object_updated], then
     marks every transitive consumer stale (see {!stale_objects} /
-    {!refresh_stale}) and drops the cache entries that produced the
+    {!refresh_stale}) and ends the reuse of the tasks that produced the
     object or those consumers. *)
 
 (** {2 Concepts (high level)} *)
@@ -90,7 +90,7 @@ val define_process : t -> Process.t -> (unit, Gaea_error.t) result
 (** Registers under (name, version); errors on duplicates, unknown
     argument/output classes, or (for compounds) unknown sub-processes.
     A further version of an existing name marks the outputs of the
-    older versions' tasks stale and drops their cache entries. *)
+    older versions' tasks stale and ends their reuse. *)
 
 val find_process : t -> ?version:int -> string -> Process.t option
 (** Latest version when [version] is omitted. *)
@@ -116,16 +116,16 @@ val execute_process :
     record the task.  Compound processes are expanded: each primitive
     step yields its own task; the returned task is the final step's.
 
-    Results are memoized by provenance: a repeated call with the same
-    (process name, version, input binding, parameter bindings) returns
-    the originally recorded task — no recomputation, no duplicate
-    object, no new task — and counts as a cache hit in {!counters} /
-    {!cache_stats}.  An entry is dropped when the staleness walk marks
-    its output stale — an input was updated or deleted, or the
-    process (or the last step of a compound) gained a new version —
-    and when its output is updated or deleted.  Re-versioning a
-    compound itself records no task, so its old-version entry stays,
-    reachable only by an explicit [~version] lookup. *)
+    Results are reused through provenance: a repeated primitive run
+    with the same (process name, version, input binding, parameter
+    bindings) returns the newest task recorded with them — no
+    recomputation, no duplicate object, no new task — and counts as a
+    cache hit in {!counters} / {!cache_stats}.  A compound has no entry
+    of its own; each of its steps is reused or run.  Reuse of a task
+    ends when the staleness walk reaches its output — an input was
+    updated or deleted, or the process gained a new version — and
+    when its output is updated or deleted.  It survives save and
+    load. *)
 
 val recompute_task :
   t -> Task.t -> ((string * Gaea_adt.Value.t) list, Gaea_error.t) result
@@ -201,10 +201,8 @@ type counters = Metrics.t = {
   mutable retrievals : int;     (** direct object retrievals *)
   mutable interpolations : int;
   mutable pixels_processed : int; (** image pixels written by mappings *)
-  mutable cache_hits : int;     (** {!execute_process} calls served from cache *)
-  mutable cache_misses : int;   (** calls that actually executed *)
-  mutable cache_admissions : int; (** results stored in the bounded cache *)
-  mutable cache_evictions : int;  (** entries displaced to stay under budget *)
+  mutable cache_hits : int;     (** primitive runs served by a recorded task *)
+  mutable cache_misses : int;   (** primitive runs that actually executed *)
   mutable refreshes : int;        (** stale objects recomputed in place *)
 }
 
@@ -213,33 +211,35 @@ val reset_counters : t -> unit
 val clock : t -> int
 (** Current logical time (increments per task). *)
 
-(** {2 Derived-object result cache} *)
+(** {2 Reuse of derived objects} *)
 
-type cache_stats = Deriver.cache_stats = {
+type cache_stats = {
   hits : int;
   misses : int;
-  entries : int;          (** live memoized results *)
-  invalidations : int;    (** entries dropped by staleness or {!clear_cache} *)
-  admissions : int;       (** results stored under the byte budget *)
-  evictions : int;        (** entries displaced to stay under budget *)
-  resident_bytes : int;   (** bytes currently charged to the cache *)
-  budget_bytes : int;     (** active budget ([GAEA_CACHE_BYTES]) *)
+  entries : int;          (** tasks in the reuse index *)
+  invalidations : int;    (** reuse entries ended by the staleness walk *)
+  evictions : int;        (** always 0: reuse has no budget *)
+  resident_bytes : int;   (** always 0: reuse pins no bytes *)
 }
 
 val cache_stats : t -> cache_stats
 
-val clear_cache : t -> unit
-(** Drop every memoized result (counts them as invalidations). *)
-
 val set_cache_budget : t -> int -> unit
-(** Override the byte budget ([GAEA_CACHE_BYTES] gives the initial
-    value); shrinking evicts immediately. *)
+(** Does nothing: reuse is not bounded, so no budget can change which
+    derivations are reused.  Kept, with the two always-zero fields of
+    {!cache_stats}, for callers written against the bounded cache. *)
+
+val reusable_tasks : t -> Task.t list
+(** Persist support: the reusable tasks whose outputs are stored, by
+    task id. *)
+
+val restore_reusable : t -> int list -> (unit, Gaea_error.t) result
+(** Persist support: make the given logged tasks reusable again
+    (event-silent); errors on an unknown task id. *)
 
 val restore_cache_stats :
-  t -> hits:int -> misses:int -> invalidations:int -> admissions:int
-  -> evictions:int -> unit
-(** Persist support: reinstate saved counter values (cache entries
-    themselves are not persisted). *)
+  t -> hits:int -> misses:int -> invalidations:int -> unit
+(** Persist support: reinstate saved counter values. *)
 
 (** {2 Staleness and incremental refresh} *)
 

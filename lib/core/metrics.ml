@@ -5,15 +5,12 @@ type t = {
   mutable pixels_processed : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  mutable cache_admissions : int;
-  mutable cache_evictions : int;
   mutable refreshes : int;
 }
 
 let create () =
   { executions = 0; retrievals = 0; interpolations = 0; pixels_processed = 0;
-    cache_hits = 0; cache_misses = 0; cache_admissions = 0; cache_evictions = 0;
-    refreshes = 0 }
+    cache_hits = 0; cache_misses = 0; refreshes = 0 }
 
 let reset t =
   t.executions <- 0;
@@ -22,6 +19,4 @@ let reset t =
   t.pixels_processed <- 0;
   t.cache_hits <- 0;
   t.cache_misses <- 0;
-  t.cache_admissions <- 0;
-  t.cache_evictions <- 0;
   t.refreshes <- 0

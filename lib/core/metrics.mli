@@ -1,7 +1,7 @@
 (** Execution counters.
 
     The event bus owns one record ({!Events.metrics}) and bumps
-    [executions], the four cache counters and [refreshes] as it logs
+    [executions], the two reuse counters and [refreshes] as it logs
     the event that feeds each one (see {!Events.emit}).
     [retrievals], [interpolations] and [pixels_processed] are mutated
     directly by the derivation manager, the deriver and the refresh
@@ -12,10 +12,8 @@ type t = {
   mutable retrievals : int;  (** direct object retrievals *)
   mutable interpolations : int;
   mutable pixels_processed : int;  (** image pixels written by mappings *)
-  mutable cache_hits : int;  (** executions served from the result cache *)
-  mutable cache_misses : int;  (** executions that actually ran *)
-  mutable cache_admissions : int;  (** results admitted to the bounded cache *)
-  mutable cache_evictions : int;  (** entries evicted to stay under budget *)
+  mutable cache_hits : int;  (** primitive runs served by a recorded task *)
+  mutable cache_misses : int;  (** primitive runs that actually ran *)
   mutable refreshes : int;  (** stale objects recomputed in place *)
 }
 

@@ -339,7 +339,7 @@ let restore_objects kernel = function
          (Ok ()) rows)
   | _ -> Gaea_error.err "malformed objects section"
 
-(* --- cache statistics ------------------------------------------------ *)
+(* --- reuse --------------------------------------------------------- *)
 
 let cache_stats_to_sexp kernel =
   let st = Kernel.cache_stats kernel in
@@ -347,21 +347,26 @@ let cache_stats_to_sexp kernel =
     [ Sexp.atom "cache-stats";
       iatom st.Kernel.hits;
       iatom st.Kernel.misses;
-      iatom st.Kernel.invalidations;
-      iatom st.Kernel.admissions;
-      iatom st.Kernel.evictions ]
+      iatom st.Kernel.invalidations ]
 
+(* older saves add admission and eviction counts, which no longer exist *)
 let restore_cache_stats kernel = function
-  | Sexp.List [ Sexp.Atom "cache-stats"; h; m; i; a; e ] ->
+  | Sexp.List
+      ( [ Sexp.Atom "cache-stats"; h; m; i ]
+      | [ Sexp.Atom "cache-stats"; h; m; i; _; _ ] ) ->
     let* hits = parse_int h in
     let* misses = parse_int m in
     let* invalidations = parse_int i in
-    let* admissions = parse_int a in
-    let* evictions = parse_int e in
-    Kernel.restore_cache_stats kernel ~hits ~misses ~invalidations ~admissions
-      ~evictions;
+    Kernel.restore_cache_stats kernel ~hits ~misses ~invalidations;
     Ok ()
   | _ -> Gaea_error.err "malformed cache-stats section"
+
+let reusable_to_sexp kernel =
+  Sexp.list
+    (Sexp.atom "reusable"
+     :: List.map
+          (fun (t : Task.t) -> iatom t.Task.task_id)
+          (Kernel.reusable_tasks kernel))
 
 (* --- staleness -------------------------------------------------------- *)
 
@@ -373,6 +378,14 @@ let restore_stale kernel oids =
   Kernel.restore_stale kernel oids;
   Ok ()
 
+(* --- OID allocator --------------------------------------------------- *)
+
+(* Deleted objects leave no row behind, so the allocator's high-water
+   mark is saved: a loaded kernel must not hand out their OIDs again. *)
+let oids_to_sexp kernel =
+  let last = Gaea_storage.Store.last_oid (Kernel.store kernel) in
+  Sexp.list [ Sexp.atom "oids"; iatom last ]
+
 (* --- whole kernel ---------------------------------------------------- *)
 
 let save kernel =
@@ -382,6 +395,7 @@ let save kernel =
     Buffer.add_char buf '\n'
   in
   List.iter (fun c -> emit (class_to_sexp c)) (Kernel.classes kernel);
+  emit (oids_to_sexp kernel);
   emit (concepts_to_sexp (Kernel.concepts kernel));
   List.iter
     (fun p -> emit (process_to_sexp p))
@@ -390,6 +404,7 @@ let save kernel =
   List.iter
     (fun task -> emit (Task.to_sexp task))
     (Kernel.tasks kernel);
+  emit (reusable_to_sexp kernel);
   emit (stale_to_sexp kernel);
   emit (cache_stats_to_sexp kernel);
   Buffer.contents buf
@@ -447,6 +462,17 @@ let load text =
         | Sexp.List (Sexp.Atom "stale" :: oids) ->
           (* absent from older saves, which load with no stale objects *)
           restore_stale kernel oids
+        | Sexp.List [ Sexp.Atom "oids"; last ] ->
+          (* absent from older saves, which allocate after the highest
+             stored OID *)
+          let* last = parse_int last in
+          Gaea_storage.Store.advance_oids (Kernel.store kernel) last;
+          Ok ()
+        | Sexp.List (Sexp.Atom "reusable" :: ids) ->
+          (* after the tasks it names; absent from older saves, which
+             load with nothing reusable *)
+          let* ids = map_m parse_int ids in
+          Kernel.restore_reusable kernel ids
         | Sexp.List (Sexp.Atom ("class" | "concepts" | "process") :: _) -> Ok ()
         | _ -> Gaea_error.err "unknown section")
       (Ok ()) sexps

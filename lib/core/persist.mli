@@ -4,7 +4,10 @@
     re-derive and verify every result: class definitions, the concept
     hierarchy, every process {e version} (templates included — the
     derivation procedures themselves travel with the data), the task
-    log, and all stored objects.  The text format is S-expressions; the
+    log, and all stored objects.  The stale set, the reusable tasks,
+    the reuse counters and the OID allocator's high-water mark travel
+    too, so a loaded kernel reuses, refreshes and allocates as the
+    saved one would.  The text format is S-expressions; the
     only thing not carried is the operator registry, which is code
     (both sides must run the same Gaea build — the paper's "processes
     that are not locally available" are listed as future work, and ours

@@ -1,5 +1,6 @@
 module Oid = Gaea_storage.Oid
 module Net = Gaea_petri.Net
+module Value = Gaea_adt.Value
 
 type net_view = {
   net : Net.t;
@@ -8,12 +9,20 @@ type net_view = {
   process_of_transition : Net.transition -> (string * int) option;
 }
 
+(* What makes two runs the same derivation: the process identity, the
+   input binding sorted by argument name, and the parameters by
+   content hash. *)
+type reuse_key =
+  string * int * (string * Oid.t list) list * (string * int) list
+
 type t = {
   mutable task_log : Task.t list; (* reverse chronological *)
   task_by_id : (int, Task.t) Hashtbl.t;
   producer : (Oid.t, Task.t) Hashtbl.t;
   users : (Oid.t, Task.t list) Hashtbl.t;
   dirty : (Oid.t, unit) Hashtbl.t;
+  reusable : (reuse_key, Task.t) Hashtbl.t;  (* newest task per key *)
+  mutable retired : int;  (* reuse entries the staleness walks ended *)
   mutable next_task : int;
   mutable clock : int;
   mutable net_cache : net_view option;
@@ -27,6 +36,8 @@ let create ~objects ~bus =
     producer = Hashtbl.create 64;
     users = Hashtbl.create 64;
     dirty = Hashtbl.create 64;
+    reusable = Hashtbl.create 64;
+    retired = 0;
     next_task = 1;
     clock = 0;
     net_cache = None;
@@ -53,17 +64,79 @@ let tasks_using t oid =
 let clock t = t.clock
 
 (* ------------------------------------------------------------------ *)
+(* Reuse                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
+
+let reuse_key ~process ~version ~inputs ~params : reuse_key =
+  ( process,
+    version,
+    by_name inputs,
+    by_name (List.map (fun (n, v) -> (n, Value.content_hash v)) params) )
+
+let key_of_task (task : Task.t) =
+  reuse_key ~process:task.Task.process ~version:task.Task.process_version
+    ~inputs:task.Task.inputs ~params:task.Task.params
+
+(* a task is reusable only while every object it produced is stored *)
+let outputs_live t (task : Task.t) =
+  task.Task.outputs <> []
+  && List.for_all (Obj_store.mem t.objects) task.Task.outputs
+
+let find_reusable t (p : Process.t) ~inputs =
+  match
+    Hashtbl.find_opt t.reusable
+      (reuse_key ~process:p.Process.proc_name ~version:p.Process.version
+         ~inputs ~params:p.Process.params)
+  with
+  | Some task when outputs_live t task -> Some task
+  | _ -> None
+
+(* End the reuse of the task that produced [oid], if its entry is still
+   that task's. *)
+let retire t oid =
+  match Hashtbl.find_opt t.producer oid with
+  | None -> ()
+  | Some task ->
+    let key = key_of_task task in
+    (match Hashtbl.find_opt t.reusable key with
+     | Some e when e.Task.task_id = task.Task.task_id ->
+       Hashtbl.remove t.reusable key;
+       t.retired <- t.retired + 1
+     | _ -> ())
+
+let reusable_count t = Hashtbl.length t.reusable
+let retired t = t.retired
+let restore_retired t n = t.retired <- n
+
+let reusable_tasks t =
+  Hashtbl.fold
+    (fun _ task acc -> if outputs_live t task then task :: acc else acc)
+    t.reusable []
+  |> List.sort (fun (a : Task.t) b -> Int.compare a.Task.task_id b.Task.task_id)
+
+let restore_reusable t ids =
+  List.fold_left
+    (fun acc id ->
+      Result.bind acc (fun () ->
+          match Hashtbl.find_opt t.task_by_id id with
+          | Some task ->
+            Hashtbl.replace t.reusable (key_of_task task) task;
+            Ok ()
+          | None -> Gaea_error.err (Printf.sprintf "reusable: no task #%d" id)))
+    (Ok ()) ids
+
+(* ------------------------------------------------------------------ *)
 (* Staleness (the single definition GA033 shares)                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Mark the outputs of [tasks] and everything downstream stale; return
-   [changed] plus every object the walk visited, stale already or not:
-   the cache entries that produced them are suspect.  Only live,
-   task-produced objects are marked. *)
-let walk t changed tasks =
-  let reached = ref changed in
+(* Mark the outputs of [tasks] and everything downstream stale, calling
+   [visit] on every object the walk reaches, stale already or not.
+   Only live, task-produced objects are marked. *)
+let walk t ~visit tasks =
   let rec mark oid =
-    reached := oid :: !reached;
+    visit oid;
     if
       Obj_store.mem t.objects oid
       && (not (Hashtbl.mem t.dirty oid))
@@ -75,17 +148,28 @@ let walk t changed tasks =
   and mark_outputs tasks =
     List.iter (fun (task : Task.t) -> List.iter mark task.Task.outputs) tasks
   in
-  mark_outputs tasks;
-  !reached
+  mark_outputs tasks
 
-let object_changed t oid = walk t [ oid ] (tasks_using t oid)
+(* A staleness trigger: walk from [tasks] and end the reuse of the
+   producer of every object reached, [changed] included. *)
+let trigger t ~reason ?changed tasks =
+  let before = t.retired in
+  Option.iter (retire t) changed;
+  walk t ~visit:(retire t) tasks;
+  let entries = t.retired - before in
+  if entries > 0 then
+    Events.emit t.bus (Events.Cache_invalidated { entries; reason })
+
+let object_changed t oid =
+  trigger t ~reason:(Printf.sprintf "object #%d" oid) ~changed:oid
+    (tasks_using t oid)
 
 let object_deleted t oid =
   Hashtbl.remove t.dirty oid;
   object_changed t oid
 
 let process_defined t ~name ~version =
-  walk t []
+  trigger t ~reason:("process " ^ name)
     (List.filter
        (fun (task : Task.t) ->
          task.Task.process = name && task.Task.process_version < version)
@@ -117,13 +201,13 @@ let record_task t ~process ~version ~inputs ~params ~outputs ~output_class =
   in
   t.next_task <- t.next_task + 1;
   index t task;
+  Hashtbl.replace t.reusable (key_of_task task) task;
   Events.emit t.bus
     (Events.Task_recorded
        { task_id = task.Task.task_id; process; version });
-  (* derived from a stale input: stale too (no cache entry holds the
-     outputs yet, so nothing to invalidate) *)
+  (* derived from a stale input: stale too, and still reusable *)
   if List.exists (Hashtbl.mem t.dirty) (Task.input_oids task) then
-    ignore (walk t [] [ task ]);
+    walk t ~visit:ignore [ task ];
   task
 
 let restore_task t (task : Task.t) =

@@ -1,13 +1,14 @@
 (** Provenance: the task log, its lineage indexes, the logical clock,
-    object staleness, and the (cached) class-derivation net view.
+    reuse of recorded derivations, object staleness, and the (cached)
+    class-derivation net view.
 
-    Emits [Task_recorded] when a task is appended ({!record_task});
+    Emits [Task_recorded] when a task is appended ({!record_task}) and
+    [Cache_invalidated] when a staleness walk ends reuse entries;
     restores are event-silent.  Staleness is computed here, from the
     [producer]/[users] indexes: the kernel calls {!object_changed},
-    {!object_deleted} and {!process_defined} where the state changes,
-    and hands the oids they reach to the result cache.  The kernel
-    drops the memoized net view ({!invalidate_net}) when a class or
-    process definition changes. *)
+    {!object_deleted} and {!process_defined} where the state changes.
+    The kernel drops the memoized net view ({!invalidate_net}) when a
+    class or process definition changes. *)
 
 module Oid = Gaea_storage.Oid
 
@@ -21,13 +22,15 @@ val record_task :
   -> inputs:(string * Oid.t list) list
   -> params:(string * Gaea_adt.Value.t) list
   -> outputs:Oid.t list -> output_class:string -> Task.t
-(** Advance the clock, allocate a task id, append and index the task.
-    Emits [Task_recorded].  A task with a stale input makes its
-    outputs, and everything downstream of them, stale. *)
+(** Advance the clock, allocate a task id, append and index the task,
+    and make it the reusable task for its key.  Emits [Task_recorded].
+    A task with a stale input makes its outputs, and everything
+    downstream of them, stale; that walk ends no reuse. *)
 
 val restore_task : t -> Task.t -> (unit, Gaea_error.t) result
 (** Append a previously recorded task verbatim; errors on duplicate
-    ids.  Advances the task counter and clock past it.  Event-silent. *)
+    ids.  Advances the task counter and clock past it.  Event-silent;
+    the task is not made reusable (see {!restore_reusable}). *)
 
 val tasks : t -> Task.t list
 (** Chronological. *)
@@ -37,26 +40,59 @@ val task_producing : t -> Oid.t -> Task.t option
 val tasks_using : t -> Oid.t -> Task.t list
 val clock : t -> int
 
+(** {2 Reuse}
+
+    One index maps a reuse key — process name and version, the input
+    binding sorted by argument name, and the parameters by content
+    hash — to the newest task recorded with it.  Every recorded task
+    enters it; the staleness triggers below end the entry of the
+    producer of every object they reach.  Re-running a process on the
+    same binding is then a lookup, not a derivation. *)
+
+val find_reusable :
+  t -> Process.t -> inputs:(string * Oid.t list) list -> Task.t option
+(** The task recorded for this process and binding, if its entry
+    stands and all its outputs are still stored. *)
+
+val reusable_count : t -> int
+(** Entries in the index. *)
+
+val retired : t -> int
+(** Entries the staleness triggers have ended so far. *)
+
+val reusable_tasks : t -> Task.t list
+(** The tasks of the entries whose outputs are stored, by task id:
+    what a save records. *)
+
+val restore_reusable : t -> int list -> (unit, Gaea_error.t) result
+(** Persist support: make the given logged tasks reusable again, each
+    under the key recomputed from its record.  Event-silent; errors
+    on an id the log does not hold. *)
+
+val restore_retired : t -> int -> unit
+(** Persist support: reinstate the saved {!retired} count. *)
+
 (** {2 Staleness}
 
     An object is stale iff it is live, has a producing task, and a
     transitive input was updated or deleted, its process was
     re-versioned, or it was derived from a stale input.  This is the
     one staleness definition: the [gaea lint] GA033 check reads it.
-    Each marking walk returns every oid it reached — the changed
-    object itself and every object downstream of it, stale already or
-    not — so the caller can drop the cache entries that produced
-    them. *)
+    Each trigger ends the reuse entry of the producer of every object
+    its walk reaches — the changed object itself and every object
+    downstream of it, stale already or not — and emits one
+    [Cache_invalidated] when it ended any. *)
 
-val object_changed : t -> Oid.t -> Oid.t list
+val object_changed : t -> Oid.t -> unit
 (** The object's values were replaced: mark its consumers stale. *)
 
-val object_deleted : t -> Oid.t -> Oid.t list
+val object_deleted : t -> Oid.t -> unit
 (** The object is gone, not stale; mark its consumers stale. *)
 
-val process_defined : t -> name:string -> version:int -> Oid.t list
+val process_defined : t -> name:string -> version:int -> unit
 (** [name] gained [version]: mark the outputs of the tasks run by
-    older versions stale. *)
+    older versions stale.  The caller skips a first version, which
+    supersedes nothing. *)
 
 val stale : t -> Oid.t list
 (** The dirty set (live objects only), ascending. *)

@@ -1,12 +1,10 @@
-(* The refresh subsystem: the staleness triggers and incremental
-   recomputation of stale derived objects.
+(* The refresh scheduler: incremental recomputation of stale derived
+   objects.
 
-   Staleness is one walk, owned by {!Provenance}: each trigger runs it
-   and the result cache drops the entries that produced whatever the
-   walk reached.  [refresh] then recomputes only the dirty subgraph as
-   a DAG run by {!Scheduler}: evaluation runs on the domain pool,
-   while commits — in-place object updates, provenance, cache
-   admission, events — run in dependency order on the calling domain,
+   Staleness is one walk, owned by {!Provenance}.  [refresh] recomputes
+   only the dirty subgraph as a DAG run by {!Scheduler}: evaluation
+   runs on the domain pool, while commits — in-place object updates,
+   provenance, events — run in dependency order on the calling domain,
    so values, task ids and the event log are identical to a full
    re-derivation at any pool size. *)
 
@@ -26,26 +24,6 @@ type t = {
 let create ~objects ~procs ~prov ~deriver ~bus =
   { objects; procs; prov; deriver; metrics = Events.metrics bus; bus }
 
-(* the staleness triggers: run the walk, drop what it reached *)
-let object_updated t oid =
-  Deriver.invalidate t.deriver ~reason:(Printf.sprintf "object #%d" oid)
-    (Provenance.object_changed t.prov oid)
-
-let object_deleted t oid =
-  Deriver.invalidate t.deriver ~reason:(Printf.sprintf "object #%d" oid)
-    (Provenance.object_deleted t.prov oid)
-
-let process_defined t (p : Process.t) =
-  let name = p.Process.proc_name in
-  (* a first version supersedes nothing *)
-  if List.length (Proc_registry.versions t.procs name) > 1 then
-    Deriver.invalidate t.deriver ~reason:("process " ^ name)
-      (Provenance.process_defined t.prov ~name ~version:p.Process.version)
-
-(* ------------------------------------------------------------------ *)
-(* The refresh scheduler                                               *)
-(* ------------------------------------------------------------------ *)
-
 type report = {
   refreshed : int;  (** objects recomputed in place *)
   skipped : int;  (** stale objects left stale (see [skip_reasons]) *)
@@ -59,11 +37,11 @@ type report = {
    commit by wave depth (one more than their deepest dependency's),
    then by producing task id — the order a full re-derivation records them
    in, whatever ids earlier refreshes handed out.  A commit updates the
-   outputs in place, records provenance, re-admits the result to the
-   cache and emits [Object_refreshed]; a failure becomes the skip
-   reason of the node's stale outputs and poisons the nodes reading
-   them (refreshing from a stale input would diverge from a full
-   re-derivation). *)
+   outputs in place (running the update trigger), records provenance,
+   which makes the new task reusable, and emits [Object_refreshed]; a
+   failure becomes the skip reason of the node's stale outputs and
+   poisons the nodes reading them (refreshing from a stale input would
+   diverge from a full re-derivation). *)
 let refresh ?only t =
   (* -- the work set: stale oids, optionally a target slice plus its
      stale upstream closure (refreshing a target under stale ancestors
@@ -147,16 +125,16 @@ let refresh ?only t =
             Error
               (Printf.sprintf "process %s not in registry" task.Task.process)
           | Some p ->
-            let r, cost = evaluated () in
             let applied =
-              let* pairs = r in
+              let* pairs = evaluated () in
               let* () =
                 List.fold_left
                   (fun acc oid ->
                     let* () = acc in
                     let cls = p.Process.output_class in
                     Obj_store.update t.objects ~cls oid pairs
-                    |> Result.map (fun () -> object_updated t oid))
+                    |> Result.map (fun () ->
+                           Provenance.object_changed t.prov oid))
                   (Ok ()) task.Task.outputs
               in
               Ok pairs
@@ -176,8 +154,6 @@ let refresh ?only t =
                    ~params:p.Process.params ~outputs:task.Task.outputs
                    ~output_class:p.Process.output_class
                in
-               Deriver.admit t.deriver p ~inputs:task.Task.inputs ~cost
-                 new_task;
                List.iter
                  (fun oid ->
                    Provenance.mark_fresh t.prov oid;

@@ -1,11 +1,5 @@
-(** The staleness triggers and incremental recomputation of stale
-    derived objects.
-
-    The kernel calls a trigger wherever an object is updated or
-    deleted or a process gains a version.  Each one runs the
-    staleness walk ({!Provenance.object_changed} and friends) and
-    hands every oid it reached to {!Deriver.invalidate}, which drops
-    the cache entries that produced them.
+(** Incremental recomputation of stale derived objects.  The
+    staleness triggers live in {!Provenance}.
 
     {!refresh} recomputes only the dirty subgraph as a {!Scheduler}
     DAG: evaluation runs on the domain pool when the ready frontier
@@ -13,8 +7,8 @@
     id, so results, provenance and event order match a full
     re-derivation at any pool size.  Refreshed values replace the old
     objects {e in place} (same OIDs), which runs the update trigger
-    for each; each refresh records a new provenance task and
-    re-admits the result to the bounded cache. *)
+    ({!Provenance.object_changed}) for each; each refresh records a
+    new provenance task, which becomes the reusable one. *)
 
 module Oid = Gaea_storage.Oid
 
@@ -27,16 +21,6 @@ val create :
   -> deriver:Deriver.t
   -> bus:Events.bus
   -> t
-
-val object_updated : t -> Oid.t -> unit
-(** Call after the store replaced the object's values. *)
-
-val object_deleted : t -> Oid.t -> unit
-(** Call after the store removed the object. *)
-
-val process_defined : t -> Process.t -> unit
-(** Call after the registry stored the process; a first version of a
-    name stales nothing. *)
 
 type report = {
   refreshed : int;  (** objects recomputed in place *)

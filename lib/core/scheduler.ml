@@ -1,20 +1,15 @@
 module Pool = Gaea_par.Pool
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
 type ('v, 'e) node = {
   deps : int list;
   eval : unit -> (unit -> 'v) option;
-  commit : (unit -> 'v * float) -> (unit, 'e) result;
+  commit : (unit -> 'v) -> (unit, 'e) result;
 }
 
 type 'e status = Committed | Failed of 'e | Poisoned
 
 (* a look-ahead evaluation, held until its node's commit turn *)
-type 'v outcome = Value of 'v * float | Raised of exn
+type 'v outcome = Value of 'v | Raised of exn
 
 let run nodes =
   let n = Array.length nodes in
@@ -53,22 +48,18 @@ let run nodes =
         Pool.parallel_batch
           (Array.of_list
              (List.map
-                (fun (_, f) () ->
-                  try
-                    let v, cost = timed f in
-                    Value (v, cost)
-                  with e -> Raised e)
+                (fun (_, f) () -> try Value (f ()) with e -> Raised e)
                 batch))
       in
       List.iteri (fun slot (j, _) -> ahead.(j) <- Some results.(slot)) batch
   in
   let evaluated i () =
     match ahead.(i) with
-    | Some (Value (v, cost)) -> (v, cost)
+    | Some (Value v) -> v
     | Some (Raised e) -> raise e
     | None ->
       (match nodes.(i).eval () with
-       | Some f -> timed f
+       | Some f -> f ()
        | None -> invalid_arg "Scheduler.run: no evaluation offered")
   in
   (* a node evaluation is image-sized work, far above any calibrated

@@ -17,18 +17,11 @@
     - {b Ordered commit.}  Commits run strictly in array order.
     - {b Exceptions.}  An evaluation's exception is re-raised at its
       node's commit turn, when the commit asks for the value.
-    - {b Cost.}  Each evaluation is timed once, by {!timed}; the commit
-      receives that time as the result cache's GreedyDual-Size
-      recompute cost.
     - {b Poisoning.}  A node with a failed or poisoned dependency is
       never evaluated or committed.
 
     Evaluations only read committed state and commits run in order, so
     oids, task ids and the event log are the same at any pool size. *)
-
-val timed : (unit -> 'a) -> 'a * float
-(** [timed f] is [f ()] with its wall-clock duration in seconds: the
-    recompute cost the result cache charges. *)
 
 type ('v, 'e) node = {
   deps : int list;
@@ -36,9 +29,9 @@ type ('v, 'e) node = {
   eval : unit -> (unit -> 'v) option;
       (** asked once [deps] have committed: the node's pure evaluation,
           safe to run on any domain, or [None] if it offers none now *)
-  commit : (unit -> 'v * float) -> (unit, 'e) result;
-      (** called in order with a getter for the evaluation and its time
-          (evaluating inline if the look-ahead did not, re-raising the
+  commit : (unit -> 'v) -> (unit, 'e) result;
+      (** called in order with a getter for the evaluation (evaluating
+          inline if the look-ahead did not, re-raising the
           evaluation's exception).  [Error] marks the node failed and
           poisons its dependents; an exception ends the run. *)
 }

@@ -95,7 +95,7 @@ type statement =
   | Show_net
   | Show_events
   | Show_stale                         (** SHOW STALE: the dirty set *)
-  | Show_cache                         (** SHOW CACHE: bounded-cache stats *)
+  | Show_cache                         (** SHOW CACHE: reuse counters *)
   | Refresh_all                        (** REFRESH ALL *)
   | Refresh_object of { cls : string; oid : int }  (** REFRESH <cls> <oid> *)
   | Verify_object of int

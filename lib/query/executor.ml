@@ -254,7 +254,9 @@ let outcome_message outcome =
         | Derivation.Interpolated (cls, oid) ->
           Printf.sprintf "interpolated object %d of %s" oid cls
         | Derivation.Fired (p, v, id) ->
-          Printf.sprintf "fired %s v%d (task #%d)" p v id)
+          Printf.sprintf "fired %s v%d (task #%d)" p v id
+        | Derivation.Reused (p, v, id) ->
+          Printf.sprintf "reused %s v%d (task #%d)" p v id)
       outcome.Derivation.trace
   in
   Printf.sprintf "objects: [%s]\n%s"
@@ -605,11 +607,9 @@ let execute t stmt =
     Ok
       (Message
          (Printf.sprintf
-            "result cache: %d entry(ies), %d/%d bytes resident\n\
-             hits %d, misses %d, invalidations %d, admissions %d, evictions %d"
-            st.Kernel.entries st.Kernel.resident_bytes st.Kernel.budget_bytes
-            st.Kernel.hits st.Kernel.misses st.Kernel.invalidations
-            st.Kernel.admissions st.Kernel.evictions))
+            "reuse index: %d entry(ies)\nhits %d, misses %d, invalidations %d"
+            st.Kernel.entries st.Kernel.hits st.Kernel.misses
+            st.Kernel.invalidations))
   | Ast.Refresh_all ->
     let r = Kernel.refresh_stale t.kernel in
     Ok (Message (render_refresh r))

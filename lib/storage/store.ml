@@ -6,6 +6,8 @@ type t = {
 let create () = { tables = Hashtbl.create 16; alloc = Oid.allocator () }
 
 let fresh_oid t = Oid.fresh t.alloc
+let last_oid t = Oid.current t.alloc
+let advance_oids t oid = Oid.advance_to t.alloc oid
 
 let create_table t ~name attrs =
   if Hashtbl.mem t.tables name then

@@ -6,6 +6,12 @@ type t
 val create : unit -> t
 val fresh_oid : t -> Oid.t
 
+val last_oid : t -> Oid.t
+(** Highest OID allocated so far, deleted objects included. *)
+
+val advance_oids : t -> Oid.t -> unit
+(** Ensure future OIDs exceed the given one (persist loading). *)
+
 val create_table :
   t -> name:string -> (string * Gaea_adt.Vtype.t) list
   -> (Table.t, string) result

@@ -271,11 +271,13 @@ let test_cache_hit_and_counters () =
   check_bool "distinct task for distinct input" true
     (t3.Task.task_id <> t1.Task.task_id);
   check_int "second miss" 2 (Kernel.counters k).Kernel.cache_misses;
-  (* clear_cache forgets everything *)
-  Kernel.clear_cache k;
-  check_int "cleared" 0 (Kernel.cache_stats k).Kernel.entries;
+  (* each binding goes on reusing its own task *)
   let t4 = ok (Kernel.execute_process k proc ~inputs:[ ("x", [ oid ]) ]) in
-  check_bool "recomputes after clear" true (t4.Task.task_id <> t1.Task.task_id)
+  let t5 = ok (Kernel.execute_process k proc ~inputs:[ ("x", [ oid2 ]) ]) in
+  check_int "first binding reuses its task" t1.Task.task_id t4.Task.task_id;
+  check_int "second binding reuses its task" t3.Task.task_id t5.Task.task_id;
+  check_int "one object per binding" 2 (Kernel.count_objects k "out");
+  check_int "two executions" 2 (Kernel.counters k).Kernel.executions
 
 let test_cache_invalidated_by_new_version () =
   let k = simple_kernel () in

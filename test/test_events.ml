@@ -252,13 +252,12 @@ let test_staleness_event_sequence () =
   let t2 = ok (Kernel.execute_process k renegate ~inputs:[ ("x", [ out ]) ]) in
   check "derive from the stale output"
     [ "cache_miss renegate v1"; "object_inserted out2 #3";
-      "task_recorded #2 renegate v1"; "cache_admitted renegate v1 (112 bytes)" ];
+      "task_recorded #2 renegate v1" ];
   let _ = Kernel.refresh_stale k in
   check "refresh"
     [ "object_updated out #2"; "cache_invalidated 1 entries (object #2)";
-      "task_recorded #3 negate v1"; "cache_admitted negate v1 (112 bytes)";
-      "object_refreshed out #2 task #3"; "object_updated out2 #3";
-      "task_recorded #4 renegate v1"; "cache_admitted renegate v1 (112 bytes)";
+      "task_recorded #3 negate v1"; "object_refreshed out #2 task #3";
+      "object_updated out2 #3"; "task_recorded #4 renegate v1";
       "object_refreshed out2 #3 task #4" ];
   ok (Kernel.delete_object k ~cls:"out2" (List.hd t2.Task.outputs));
   ok (Kernel.define_process k (ok (Process.edit negate ~name:"negate" ())));

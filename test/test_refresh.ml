@@ -1,7 +1,7 @@
 (* Tests for the incremental-recomputation subsystem: staleness marking
-   and its transitive propagation, targeted and full REFRESH, scheduler
-   determinism across pool sizes, the memory-bounded result cache, the
-   persistence of cache counters, and the GA033 staleness lint. *)
+   and its transitive propagation, reuse of compound steps, targeted and
+   full REFRESH, scheduler determinism across pool sizes, the
+   persistence of reuse counters, and the GA033 staleness lint. *)
 
 open Gaea_core
 module Analysis = Gaea_analysis.Analysis
@@ -125,7 +125,6 @@ let test_update_spares_unrelated () =
   let a = insert_src k in
   let b = insert_src ~vals:[| 5.; 6.; 7.; 8. |] k in
   let _ = derive_chain k a in
-  Kernel.clear_cache k;
   let p = Option.get (Kernel.find_process k "chain3") in
   let _ = ok (Kernel.execute_process k p ~inputs:[ ("x", [ b ]) ]) in
   update_src k a [| 9.; 9.; 9.; 9. |];
@@ -157,19 +156,19 @@ let test_update_empties_cache () =
   check_bool "re-running s2 does not serve the stale c2" true
     (t.Task.outputs <> [ o2 ])
 
-(* Re-versioning a step stales its outputs and everything above them,
-   so the cached compound whose last step reads them goes too. *)
+(* Re-versioning a step stales its outputs and everything above them
+   and ends their reuse, so a repeated compound reuses only the step
+   below and derives the two above anew. *)
 let test_reversion_drops_compound () =
   let k = chain_kernel () in
   let src = insert_src k in
-  let _ = derive_chain k src in
+  let o1, _, _ = derive_chain k src in
   let s2 = Option.get (Kernel.find_process k "s2") in
   ok (Kernel.define_process k (ok (Process.edit s2 ~name:"s2" ~doc:"v2" ())));
-  check_int "only s1's entry survives" 1 (Kernel.cache_stats k).Kernel.entries;
   check_bool "one invalidation for the process" true
     (List.exists
        (function
-         | Events.Cache_invalidated { entries = 3; reason = "process s2" } -> true
+         | Events.Cache_invalidated { entries = 2; reason = "process s2" } -> true
          | _ -> false)
        (events k));
   let before = Kernel.cache_stats k in
@@ -178,11 +177,29 @@ let test_reversion_drops_compound () =
   let after = Kernel.cache_stats k in
   check_int "s1 hits, nothing else does" 1
     (after.Kernel.hits - before.Kernel.hits);
-  check_int "chain3 misses again" 2
-    (List.length
-       (List.filter
-          (( = ) (Events.Cache_miss { process = "chain3"; version = 1 }))
-          (events k)))
+  check_int "s2 and s3 miss" 2 (after.Kernel.misses - before.Kernel.misses);
+  Alcotest.(check (list int)) "s1's object reused" [ o1 ]
+    (Kernel.objects_of_class k "c1");
+  check_int "a second c2" 2 (Kernel.count_objects k "c2");
+  check_int "a second c3" 2 (Kernel.count_objects k "c3")
+
+(* A compound has no reuse entry of its own: repeating it reuses each
+   of its three steps and records nothing. *)
+let test_repeated_compound_reuses_steps () =
+  let k = chain_kernel () in
+  let src = insert_src k in
+  let p = Option.get (Kernel.find_process k "chain3") in
+  let first = ok (Kernel.execute_process k p ~inputs:[ ("x", [ src ]) ]) in
+  let before = Kernel.cache_stats k and tasks = List.length (Kernel.tasks k) in
+  let again = ok (Kernel.execute_process k p ~inputs:[ ("x", [ src ]) ]) in
+  let after = Kernel.cache_stats k in
+  check_int "the last step's task again" first.Task.task_id again.Task.task_id;
+  check_int "every step hits" 3 (after.Kernel.hits - before.Kernel.hits);
+  check_int "no step misses" 0 (after.Kernel.misses - before.Kernel.misses);
+  check_int "no task recorded" tasks (List.length (Kernel.tasks k));
+  List.iter
+    (fun cls -> check_int (cls ^ " holds one object") 1 (Kernel.count_objects k cls))
+    [ "c1"; "c2"; "c3" ]
 
 (* A result derived from a stale input is itself stale. *)
 let test_derived_from_stale_is_stale () =
@@ -190,7 +207,6 @@ let test_derived_from_stale_is_stale () =
   let src = insert_src k in
   let o1, o2, _ = derive_chain k src in
   update_src k src [| 10.; 20.; 30.; 40. |];
-  Kernel.clear_cache k;
   let s2 = Option.get (Kernel.find_process k "s2") in
   let t = ok (Kernel.execute_process k s2 ~inputs:[ ("x", [ o1 ]) ]) in
   let fresh_c2 = List.hd t.Task.outputs in
@@ -504,47 +520,6 @@ let test_compound_mid_failure () =
   across_pool_sizes "compound failing mid-way" run_compound_mid_failure
 
 (* ------------------------------------------------------------------ *)
-(* Bounded, cost-aware result cache                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_budget_respected () =
-  let k = chain_kernel () in
-  let budget = 600 in
-  Kernel.set_cache_budget k budget;
-  let p = Option.get (Kernel.find_process k "chain3") in
-  for i = 0 to 5 do
-    let src = insert_src ~vals:[| float_of_int i; 2.; 3.; 4. |] k in
-    let _ = ok (Kernel.execute_process k p ~inputs:[ ("x", [ src ]) ]) in
-    let st = Kernel.cache_stats k in
-    check_bool "resident never exceeds budget" true
-      (st.Kernel.resident_bytes <= budget);
-    check_int "budget reported" budget st.Kernel.budget_bytes
-  done;
-  let st = Kernel.cache_stats k in
-  check_bool "evictions happened" true (st.Kernel.evictions > 0);
-  check_bool "eviction events logged" true
-    (List.exists
-       (function Events.Cache_evicted { reason = "budget"; _ } -> true | _ -> false)
-       (events k));
-  check_int "metrics agree with stats" st.Kernel.evictions
-    (Kernel.counters k).Kernel.cache_evictions;
-  check_bool "admission events logged" true
-    (List.exists
-       (function Events.Cache_admitted _ -> true | _ -> false)
-       (events k))
-
-let test_budget_shrink_evicts () =
-  let k = chain_kernel () in
-  let src = insert_src k in
-  let _ = derive_chain k src in
-  let st = Kernel.cache_stats k in
-  check_bool "entries resident" true (st.Kernel.entries > 0);
-  Kernel.set_cache_budget k 1;
-  let st = Kernel.cache_stats k in
-  check_int "shrink evicted everything" 0 st.Kernel.entries;
-  check_bool "resident under new budget" true (st.Kernel.resident_bytes <= 1)
-
-(* ------------------------------------------------------------------ *)
 (* Persistence of cache counters                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -558,7 +533,6 @@ let test_cache_stats_survive_persist () =
   update_src k src [| 4.; 3.; 2.; 1. |];
   let before = Kernel.cache_stats k in
   check_bool "fixture produced hits" true (before.Kernel.hits > 0);
-  check_bool "fixture produced admissions" true (before.Kernel.admissions > 0);
   check_bool "fixture produced invalidations" true
     (before.Kernel.invalidations > 0);
   let k2 = ok (Persist.load (Persist.save k)) in
@@ -567,7 +541,6 @@ let test_cache_stats_survive_persist () =
   check_int "misses survive" before.Kernel.misses after.Kernel.misses;
   check_int "invalidations survive" before.Kernel.invalidations
     after.Kernel.invalidations;
-  check_int "admissions survive" before.Kernel.admissions after.Kernel.admissions;
   check_int "evictions survive" before.Kernel.evictions after.Kernel.evictions;
   (* restore is event-silent, and the stale chain comes back from its
      own section *)
@@ -647,6 +620,9 @@ let () =
             test_reversion_drops_compound;
           tc "derived from a stale input is stale" test_derived_from_stale_is_stale;
           tc "a first version stales nothing" test_first_version_stales_nothing ] );
+      ( "reuse-by-step",
+        [ tc "a repeated compound reuses every step"
+            test_repeated_compound_reuses_steps ] );
       ( "refresh",
         [ tc "recomputes stale subgraph in place" test_refresh_recomputes_in_place;
           tc "targeted refresh pulls stale upstream" test_targeted_refresh_pulls_upstream;
@@ -656,9 +632,6 @@ let () =
         [ tc "refresh after a targeted refresh" test_refresh_after_targeted;
           tc "refresh with a skip" test_refresh_with_skip;
           tc "compound failing mid-way" test_compound_mid_failure ] );
-      ( "bounded-cache",
-        [ tc "budget respected with evictions" test_budget_respected;
-          tc "shrinking the budget evicts" test_budget_shrink_evicts ] );
       ( "persist",
         [ tc "cache counters survive save/load" test_cache_stats_survive_persist;
           tc "stale set survives save/load" test_stale_set_survives_persist;
