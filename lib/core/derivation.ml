@@ -12,7 +12,6 @@ type trace_step =
   | Retrieved_direct of string * Oid.t list
   | Interpolated of string * Oid.t
   | Fired of string * int * int
-  | Reused of string * int * int
 
 type outcome = {
   objects : Oid.t list;
@@ -46,21 +45,16 @@ let derivable k cls =
     info.Reachability.derivable place
 
 (* Execute a backchain plan against the kernel: every Derived step fires
-   the corresponding process via Kernel.execute_process.  This stays
-   sequential: each step is a binding search against live store state
-   on the calling domain, and the pure work inside a fired compound
-   already runs on the pool through its own scheduler DAG. *)
+   the corresponding process via Kernel.execute_process on a binding it
+   has not fired yet, so each step records a new task and a new object.
+   This stays sequential: each step is a binding search against live
+   store state on the calling domain, and the pure work inside a fired
+   compound already runs on the pool through its own scheduler DAG. *)
 let execute_plan k (view : Kernel.net_view) plan =
   let tasks = ref [] in
-  let trace = ref [] in
-  (* bindings already fired per transition in this plan: re-firing a
-     process on identical inputs would only duplicate an object *)
-  let used : (int, (string * Oid.t list) list list) Hashtbl.t =
-    Hashtbl.create 8
-  in
   (* shared sub-derivation nodes (plans share them physically) realize
-     once; distinct nodes for the same transition get distinct bindings
-     through [used] *)
+     once; distinct nodes for the same transition get distinct bindings,
+     since the first one's task is in the reuse index *)
   let realized : (Backchain.source * Oid.t) list ref = ref [] in
   let rec realize_source source =
     match source with
@@ -105,14 +99,13 @@ let execute_plan k (view : Kernel.net_view) plan =
               pairs
           in
           let planned = to_classes per_place in
-          let exclude =
-            Option.value ~default:[]
-              (Hashtbl.find_opt used step.Backchain.transition)
-          in
           (* the planned tokens may fail the guard with this exact
-             assignment; retry with everything the classes hold *)
+             assignment, or have fired already; retry with everything
+             the classes hold *)
           let* binding =
-            match Kernel.find_binding k ~exclude proc ~available:planned with
+            match
+              Kernel.find_binding k ~fresh:true proc ~available:planned
+            with
             | Ok b -> Ok b
             | Error _ ->
               let widened =
@@ -120,17 +113,10 @@ let execute_plan k (view : Kernel.net_view) plan =
                   (fun (cls, _) -> (cls, Kernel.objects_of_class k cls))
                   planned
               in
-              Kernel.find_binding k ~exclude proc ~available:widened
+              Kernel.find_binding k ~fresh:true proc ~available:widened
           in
-          Hashtbl.replace used step.Backchain.transition (binding :: exclude);
-          let before = Kernel.clock k in
           let* task = Kernel.execute_process k proc ~inputs:binding in
-          (* a task recorded before this run was reused, not fired *)
-          if task.Task.clock > before then begin
-            tasks := task :: !tasks;
-            trace := Fired (pname, version, task.Task.task_id) :: !trace
-          end
-          else trace := Reused (pname, version, task.Task.task_id) :: !trace;
+          tasks := task :: !tasks;
           (match task.Task.outputs with
            | oid :: _ ->
              realized := (source, oid) :: !realized;
@@ -145,10 +131,15 @@ let execute_plan k (view : Kernel.net_view) plan =
         Ok (oid :: acc))
       (Ok []) plan.Backchain.sources
   in
+  let new_tasks = List.rev !tasks in
   Ok
     { objects = List.rev objects;
-      new_tasks = List.rev !tasks;
-      trace = List.rev !trace }
+      new_tasks;
+      trace =
+        List.map
+          (fun (t : Task.t) ->
+            Fired (t.Task.process, t.Task.process_version, t.Task.task_id))
+          new_tasks }
 
 let request k ?(need = 1) cls =
   match Kernel.find_class k cls with
@@ -174,9 +165,10 @@ let request k ?(need = 1) cls =
              place
          with
          | None ->
-           Gaea_error.err
-             (Printf.sprintf
-                "%s: not derivable from current data (no plan found)" cls)
+           Error
+             (Gaea_error.Not_derivable
+                (Printf.sprintf
+                   "%s: not derivable from current data (no plan found)" cls))
          | Some plan -> execute_plan k view plan)
     end
 

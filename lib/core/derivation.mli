@@ -12,14 +12,12 @@ type trace_step =
   | Retrieved_direct of string * Gaea_storage.Oid.t list
   | Interpolated of string * Gaea_storage.Oid.t
   | Fired of string * int * int  (** process name, version, task id *)
-  | Reused of string * int * int
-      (** process name, version, and the earlier task whose output was
-          reused instead of firing *)
 
 type outcome = {
   objects : Gaea_storage.Oid.t list;  (** the objects satisfying the request *)
   new_tasks : Task.t list;
-      (** tasks this request recorded, in order; reused ones are not *)
+      (** tasks this request recorded, in order: every derivation step
+          fires a binding not fired before, so each records one *)
   trace : trace_step list;
 }
 
@@ -27,8 +25,9 @@ val request :
   Kernel.t -> ?need:int -> string -> (outcome, Gaea_error.t) result
 (** [request k cls] delivers [need] (default 1) objects of class [cls]:
     stored objects first, derivation through backward chaining on the
-    net otherwise.  Fails when the class is underivable from current
-    data. *)
+    net otherwise.  Fails with [Not_derivable] when no plan is found or
+    a plan step finds no binding it has not fired yet; objects derived
+    before such a failure stay stored. *)
 
 val derivable : Kernel.t -> string -> bool
 (** Would a request succeed (ignoring guards — upper bound)? *)

@@ -110,105 +110,86 @@ let check_inputs t (p : Process.t) inputs =
 (* Binding search                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* subsets of size k, capped *)
-let rec subsets_k cap k = function
-  | _ when k = 0 -> [ [] ]
-  | [] -> []
-  | x :: rest ->
-    let with_x = List.map (fun s -> x :: s) (subsets_k cap (k - 1) rest) in
-    let without = if List.length with_x >= cap then [] else subsets_k cap k rest in
-    let all = with_x @ without in
-    if List.length all > cap then List.filteri (fun i _ -> i < cap) all
-    else all
+(* Silent, non-mutating probe: will [with_cache] hit? *)
+let cached t (p : Process.t) inputs =
+  Option.is_some (Provenance.find_reusable t.prov p ~inputs)
 
-let binding_equal b1 b2 =
-  List.length b1 = List.length b2
-  && List.for_all
-       (fun (arg, oids) ->
-         match List.assoc_opt arg b2 with
-         | Some oids2 ->
-           List.sort Int.compare oids = List.sort Int.compare oids2
-         | None -> false)
-       b1
+(* Guard evaluations one binding search may spend before giving up. *)
+let guard_budget = 128
 
-let find_binding t ?(exclude = []) (p : Process.t) ~available =
-  (* group argument specs by class, preserving declaration order *)
-  let by_class = Hashtbl.create 8 in
-  List.iter
-    (fun spec ->
-      let cur =
-        Option.value ~default:[]
-          (Hashtbl.find_opt by_class spec.Process.arg_class)
+(* subsets of size [k], in list order *)
+let rec subsets k l () =
+  match k, l with
+  | 0, _ -> Seq.Cons ([], Seq.empty)
+  | _, [] -> Seq.Nil
+  | _, x :: rest ->
+    Seq.append
+      (Seq.map (List.cons x) (subsets (k - 1) rest))
+      (subsets k rest) ()
+
+(* Candidate bindings are walked lazily: classes sorted, the first
+   varying slowest; within a class the specs in declaration order, each
+   taking subsets of ascending size in list order, an unbounded SETOF
+   spec swallowing the rest.  With [fresh], a binding already fired
+   (its task is in the reuse index) is skipped without evaluating the
+   guard. *)
+let find_binding t ?(fresh = false) (p : Process.t) ~available =
+  let rec assign specs remaining =
+    match specs with
+    | [] -> Seq.return []
+    | spec :: rest ->
+      let lo = spec.Process.card_min in
+      let takes =
+        match spec.Process.card_max with
+        | Some m ->
+          Seq.concat_map
+            (fun k -> subsets k remaining)
+            (Seq.init (m - lo + 1) (( + ) lo))
+        | None ->
+          if List.length remaining >= lo then Seq.return remaining
+          else Seq.empty
       in
-      Hashtbl.replace by_class spec.Process.arg_class (cur @ [ spec ]))
-    p.Process.args;
-  (* candidate assignments per class *)
-  let cap = 32 in
-  let class_assignments cls specs =
-    let oids = Option.value ~default:[] (List.assoc_opt cls available) in
-    (* assign specs in order; unbounded SETOF specs swallow the rest *)
-    let rec go specs remaining =
-      match specs with
-      | [] -> [ [] ]
-      | spec :: rest ->
-        let takes =
-          match spec.Process.card_max with
-          | Some m ->
-            let sizes =
-              List.init (m - spec.Process.card_min + 1) (fun i ->
-                  spec.Process.card_min + i)
-            in
-            List.concat_map (fun k -> subsets_k cap k remaining) sizes
-          | None ->
-            (* greedy: take everything still available *)
-            if List.length remaining >= spec.Process.card_min then
-              [ remaining ]
-            else []
-        in
-        List.concat_map
-          (fun chosen ->
-            let left = List.filter (fun o -> not (List.mem o chosen)) remaining in
-            List.map
-              (fun tail -> (spec.Process.arg_name, chosen) :: tail)
-              (go rest left))
-          takes
-        |> fun l ->
-        if List.length l > cap then List.filteri (fun i _ -> i < cap) l else l
-    in
-    go specs oids
+      Seq.concat_map
+        (fun chosen ->
+          let left =
+            List.filter (fun o -> not (List.mem o chosen)) remaining
+          in
+          Seq.map
+            (List.cons (spec.Process.arg_name, chosen))
+            (assign rest left))
+        takes
   in
-  let classes_in_order =
+  let rec product = function
+    | [] -> Seq.return []
+    | cls :: rest ->
+      let specs =
+        List.filter (fun a -> a.Process.arg_class = cls) p.Process.args
+      in
+      let oids = Option.value ~default:[] (List.assoc_opt cls available) in
+      let tails = product rest in
+      Seq.concat_map
+        (fun here -> Seq.map (( @ ) here) tails)
+        (assign specs oids)
+  in
+  let rec search budget last_err candidates =
+    match candidates () with
+    | Seq.Cons (binding, rest) when fresh && cached t p binding ->
+      search budget "remaining candidates already used" rest
+    | Seq.Cons (binding, rest) when budget > 0 ->
+      (match check_inputs t p binding with
+       | Ok () -> Ok binding
+       | Error e -> search (budget - 1) (Gaea_error.to_string e) rest)
+    | _ ->
+      Error
+        (Gaea_error.Not_derivable
+           (Printf.sprintf "%s: no valid binding found (%s)"
+              p.Process.proc_name last_err))
+  in
+  let classes =
     List.sort_uniq compare
       (List.map (fun a -> a.Process.arg_class) p.Process.args)
   in
-  let rec product = function
-    | [] -> [ [] ]
-    | cls :: rest ->
-      let specs = Hashtbl.find by_class cls in
-      let here = class_assignments cls specs in
-      let tails = product rest in
-      List.concat_map
-        (fun assignment -> List.map (fun tail -> assignment @ tail) tails)
-        here
-      |> fun l ->
-      if List.length l > cap * 4 then List.filteri (fun i _ -> i < cap * 4) l
-      else l
-  in
-  let candidates = product classes_in_order in
-  let rec try_all last_err = function
-    | [] ->
-      Gaea_error.err
-        (Printf.sprintf "%s: no valid binding found (%s)" p.Process.proc_name
-           last_err)
-    | binding :: rest ->
-      if List.exists (binding_equal binding) exclude then
-        try_all "remaining candidates already used" rest
-      else (
-        match check_inputs t p binding with
-        | Ok () -> Ok binding
-        | Error e -> try_all (Gaea_error.to_string e) rest)
-  in
-  try_all "no candidates" candidates
+  search guard_budget "no candidates" (product classes)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -265,10 +246,6 @@ let commit_primitive t (p : Process.t) inputs evaluated =
     (Provenance.record_task t.prov ~process:p.Process.proc_name
        ~version:p.Process.version ~inputs ~params:p.Process.params
        ~outputs:[ oid ] ~output_class:p.Process.output_class)
-
-(* Silent, non-mutating probe: will [with_cache] hit? *)
-let cached t (p : Process.t) inputs =
-  Option.is_some (Provenance.find_reusable t.prov p ~inputs)
 
 (* The reuse lookup around a primitive execution: a recorded task for
    the same process and binding is served as is; otherwise [run]

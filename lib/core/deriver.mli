@@ -25,9 +25,9 @@ val check_inputs :
 (** Cardinalities, then template assertions. *)
 
 val find_binding :
-  t -> ?exclude:(string * Oid.t list) list list
-  -> Process.t -> available:(string * Oid.t list) list
+  t -> ?fresh:bool -> Process.t -> available:(string * Oid.t list) list
   -> ((string * Oid.t list) list, Gaea_error.t) result
+(** See {!Kernel.find_binding}. *)
 
 val eval_primitive :
   t -> Process.t -> (string * Oid.t list) list

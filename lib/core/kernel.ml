@@ -130,8 +130,8 @@ let all_process_versions t = Proc_registry.all_versions t.procs
 let execute_process t p ~inputs = Deriver.execute_process t.deriver p ~inputs
 let recompute_task t task = Deriver.recompute_task t.deriver task
 
-let find_binding t ?exclude p ~available =
-  Deriver.find_binding t.deriver ?exclude p ~available
+let find_binding t ?fresh p ~available =
+  Deriver.find_binding t.deriver ?fresh p ~available
 
 let record_task_raw t ~process ~version ~inputs ~params ~outputs ~output_class =
   Provenance.record_task t.prov ~process ~version ~inputs ~params ~outputs

@@ -134,15 +134,19 @@ val recompute_task :
     (every recorded task is one). *)
 
 val find_binding :
-  t -> ?exclude:(string * Gaea_storage.Oid.t list) list list
-  -> Process.t -> available:(string * Gaea_storage.Oid.t list) list
+  t -> ?fresh:bool -> Process.t
+  -> available:(string * Gaea_storage.Oid.t list) list
   -> ((string * Gaea_storage.Oid.t list) list, Gaea_error.t) result
 (** Distribute candidate objects (keyed by {e class} name) over the
-    process's arguments so that cardinalities and assertions hold.
-    Tries permutations when several arguments draw from one class (the
-    NDVI-1988/1989 situation).  Bindings listed in [exclude] are
-    skipped — deriving several objects of one class must not re-fire a
-    process on the very same inputs, which would duplicate data. *)
+    process's arguments so that cardinalities and assertions hold, and
+    return the first such binding.  Tries permutations when several
+    arguments draw from one class (the NDVI-1988/1989 situation).
+    Candidates are enumerated lazily; the search gives up with
+    [Not_derivable] after 128 failed guard evaluations.  With [~fresh:true]
+    (default [false]) a binding the process has already fired — one
+    whose task {!execute_process} would reuse — is skipped without
+    evaluating its guard: firing does not consume its inputs, so
+    deriving one more object means firing a binding not fired yet. *)
 
 val insert_object_with_oid :
   t -> cls:string -> Gaea_storage.Oid.t -> (string * Gaea_adt.Value.t) list

@@ -254,9 +254,7 @@ let outcome_message outcome =
         | Derivation.Interpolated (cls, oid) ->
           Printf.sprintf "interpolated object %d of %s" oid cls
         | Derivation.Fired (p, v, id) ->
-          Printf.sprintf "fired %s v%d (task #%d)" p v id
-        | Derivation.Reused (p, v, id) ->
-          Printf.sprintf "reused %s v%d (task #%d)" p v id)
+          Printf.sprintf "fired %s v%d (task #%d)" p v id)
       outcome.Derivation.trace
   in
   Printf.sprintf "objects: [%s]\n%s"

@@ -114,21 +114,13 @@ let plan_select k (s : Ast.select) =
     in
     Ok { Plan.classes; path; residual; est_rows; est_cost }
 
+(* distinct timestamps, read off the B-tree every class keeps on its
+   temporal attribute *)
 let count_snapshots k cls =
-  match Kernel.find_class k cls with
-  | Some def ->
-    (match def.Schema.temporal_attr with
-     | Some tattr ->
-       List.length
-         (List.filter_map
-            (fun oid ->
-              match Kernel.object_attr k ~cls oid tattr with
-              | Some (Value.VAbstime t) -> Some t
-              | _ -> None)
-            (Kernel.objects_of_class k cls)
-          |> List.sort_uniq Abstime.compare)
-     | None -> 0)
-  | None -> 0
+  match Kernel.find_class k cls, Kernel.class_table k cls with
+  | Some { Schema.temporal_attr = Some tattr; _ }, Some tab ->
+    Option.value ~default:0 (Table.btree_cardinality tab tattr)
+  | _ -> 0
 
 let plan_materialize k ?(need = 1) ?at cls =
   match Kernel.find_class k cls with

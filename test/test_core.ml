@@ -448,10 +448,12 @@ let test_find_binding_permutation () =
     (List.assoc "red" binding = [ red ]);
   check_bool "nir bound to channel-2 object" true
     (List.assoc "nir" binding = [ nir ]);
-  (* exclusion: the only valid binding excluded -> error *)
+  (* exclusion: once the only valid binding has fired, a fresh search
+     finds nothing *)
+  ignore (ok (Kernel.execute_process k proc ~inputs:binding));
   check_bool "exclusion respected" true
     (Result.is_error
-       (Kernel.find_binding k ~exclude:[ binding ] proc
+       (Kernel.find_binding k ~fresh:true proc
           ~available:[ ("band", [ nir; red ]) ]))
 
 (* ------------------------------------------------------------------ *)

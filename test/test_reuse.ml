@@ -1,8 +1,8 @@
 (* Tests for reuse of derived objects through the provenance log: the
-   DERIVE probe (five scenes, NEED 2, 3 and 5), reuse traced as reuse,
-   reuse across save and load, the end of reuse when a derived object
-   is updated, and a randomized save -> load property over GaeaQL
-   workloads. *)
+   DERIVE probe (five scenes, NEED 2, 3 and 5), DERIVE firing only
+   bindings not fired yet, reuse across save and load, the end of reuse
+   when a derived object is updated, and a randomized save -> load
+   property over GaeaQL workloads. *)
 
 open Gaea_core
 module Session = Gaea_query.Session
@@ -14,6 +14,7 @@ module Ast = Gaea_query.Ast
 module Value = Gaea_adt.Value
 module Image = Gaea_raster.Image
 module Pixel = Gaea_raster.Pixel
+module Pool = Gaea_par.Pool
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -84,49 +85,54 @@ let reload session =
     ~kernel:(ok (Persist.load (Persist.save (Session.kernel session))))
     ()
 
+(* run normalize on one scene directly, through the reuse lookup *)
+let normalize_scene session scene =
+  let k = Session.kernel session in
+  ok
+    (Kernel.execute_process k
+       (Option.get (Kernel.find_process k "normalize"))
+       ~inputs:[ ("s", [ scene ]) ])
+
 (* ------------------------------------------------------------------ *)
 (* The probe                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_probe_ends_with_three () =
+let test_probe_ends_with_five () =
   let finish session =
     ignore (message session "DERIVE normalized NEED 3");
     ignore (message session "DERIVE normalized NEED 5");
     normalized session
   in
-  Alcotest.(check (list int)) "6, 7 and 8" [ 6; 7; 8 ] (finish (probe ()));
+  Alcotest.(check (list int)) "6 to 10" [ 6; 7; 8; 9; 10 ] (finish (probe ()));
   (* reuse has no budget: a one-byte one changes nothing *)
   let k = Kernel.create () in
   Kernel.set_cache_budget k 1;
-  Alcotest.(check (list int)) "the same at a one-byte budget" [ 6; 7; 8 ]
+  Alcotest.(check (list int)) "the same at a one-byte budget"
+    [ 6; 7; 8; 9; 10 ]
     (finish (probe ~kernel:k ()))
 
-let test_reuse_traced_as_reuse () =
+let test_need_fires_unfired () =
   let session = Session.create () in
   ignore (run session schema);
   ignore (run session five_scenes);
   ignore (run session "BEGIN EXPERIMENT e");
   let fired = message session "DERIVE normalized NEED 2" in
   check_bool "NEED 2 fires" true (contains fired "fired normalize v1 (task #1)");
-  let m = message session "DERIVE normalized NEED 3" in
-  check_bool "NEED 3 reuses task #1" true
-    (contains m "reused normalize v1 (task #1)");
-  check_bool "and fires nothing" false (contains m "fired");
+  Alcotest.(check string) "NEED 3 fires scene 3 only"
+    "objects: [6, 7, 8]\nfired normalize v1 (task #3)"
+    (message session "DERIVE normalized NEED 3");
   let experiments = Executor.experiments (Session.executor session) in
   let e = Option.get (Experiment.find experiments "e") in
-  Alcotest.(check (list int)) "the experiment holds the two fired tasks"
-    [ 1; 2 ] e.Experiment.task_ids
+  Alcotest.(check (list int)) "the experiment holds the three fired tasks"
+    [ 1; 2; 3 ] e.Experiment.task_ids
 
 let test_reuse_survives_save_load () =
   let session = reload (probe ()) in
-  let m = message session "DERIVE normalized NEED 3" in
-  check_bool "the loaded kernel reuses task #1" true
-    (contains m "reused normalize v1 (task #1)");
+  check_int "the loaded kernel reuses task #1" 1
+    (normalize_scene session 1).Task.task_id;
   Alcotest.(check (list int)) "no object added" [ 6; 7 ] (normalized session);
-  match run session "SELECT oid FROM normalized" with
-  | [ Executor.Rows { rows; _ } ] ->
-    check_int "SELECT returns 2 rows" 2 (List.length rows)
-  | _ -> Alcotest.fail "expected rows"
+  check_bool "SHOW CACHE counts both entries" true
+    (contains (message session "SHOW CACHE") "reuse index: 2 entry(ies)")
 
 (* Overwriting a derived object ends the reuse of the task that
    produced it, on a live kernel and on a loaded one alike. *)
@@ -138,14 +144,13 @@ let test_update_derived_ends_reuse () =
     ok
       (Kernel.update_object (Session.kernel session) ~cls:"normalized" 6
          [ ("data", one_pixel 0.) ]);
-    let m = message session "DERIVE normalized NEED 3" in
-    check_bool "scene 1 is derived again" true (contains m "fired normalize v1");
+    check_int "scene 1 is derived again" 3
+      (normalize_scene session 1).Task.task_id;
     Alcotest.(check (list int)) "a third object" [ 6; 7; 8 ] (normalized session)
   in
   check_ends (probe ());
   let loaded = reload (probe ()) in
-  let m = message loaded "DERIVE normalized NEED 3" in
-  check_bool "reuse survived the load" true (contains m "reused");
+  check_int "reuse survived the load" 1 (normalize_scene loaded 1).Task.task_id;
   check_ends loaded
 
 (* A deleted object leaves no row, yet its OID stays spent: a loaded
@@ -162,6 +167,82 @@ let test_deleted_oid_stays_spent () =
     [ 1; 2; 3; 4; 5; 8 ] (scenes loaded);
   Alcotest.(check (list int)) "as on the saved kernel" (scenes session)
     (Kernel.objects_of_class (Session.kernel loaded) "scene")
+
+(* ------------------------------------------------------------------ *)
+(* DERIVE fires only bindings not fired yet                            *)
+(* ------------------------------------------------------------------ *)
+
+let scenes n = String.concat "\n" (List.init n (fun i -> insert_scene (i + 1)))
+
+let is_not_derivable = function
+  | Error (Gaea_error.Not_derivable _) -> true
+  | _ -> false
+
+let test_need_three_after_two () =
+  let k = Session.kernel (probe ()) in
+  let r = ok (Derivation.request k ~need:3 "normalized") in
+  Alcotest.(check (list int)) "three distinct objects" [ 6; 7; 8 ]
+    r.Derivation.objects;
+  Alcotest.(check (list int)) "only task #3 fires" [ 3 ]
+    (List.map (fun (t : Task.t) -> t.Task.task_id) r.Derivation.new_tasks);
+  Alcotest.(check (list (pair string (list int))))
+    "on scene 3" [ ("s", [ 3 ]) ]
+    (Option.get (Kernel.find_task k 3)).Task.inputs
+
+let with_pool_size n f =
+  let saved = Pool.size () in
+  Pool.set_size n;
+  Pool.set_min_parallel_work (Some 0);
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.set_min_parallel_work None;
+      Pool.set_size saved)
+    f
+
+let test_need_every_scene () =
+  List.iter
+    (fun (n, lanes) ->
+      with_pool_size lanes (fun () ->
+          let session = Session.create () in
+          ignore (run session schema);
+          ignore (run session (scenes n));
+          let k = Session.kernel session in
+          let r = ok (Derivation.request k ~need:n "normalized") in
+          let what = Printf.sprintf "NEED %d at %d lane(s)" n lanes in
+          check_int what n
+            (List.length (List.sort_uniq Int.compare r.Derivation.objects));
+          Alcotest.(check (list int)) (what ^ ": all stored")
+            (normalized session)
+            (List.sort Int.compare r.Derivation.objects)))
+    [ (33, 1); (33, 2); (33, 8); (100, 1); (100, 2); (100, 8) ]
+
+let test_need_too_many () =
+  let session = probe () in
+  let k = Session.kernel session in
+  check_bool "NEED 6 over five scenes fails" true
+    (is_not_derivable (Derivation.request k ~need:6 "normalized"));
+  Alcotest.(check (list int)) "one object per scene, none twice"
+    [ 6; 7; 8; 9; 10 ] (normalized session);
+  let empty = Session.create () in
+  ignore (run empty schema);
+  check_bool "no scene, no plan" true
+    (is_not_derivable
+       (Derivation.request (Session.kernel empty) "normalized"))
+
+let test_find_binding_fresh () =
+  let session = probe () in
+  let k = Session.kernel session in
+  let p = Option.get (Kernel.find_process k "normalize") in
+  let find ?fresh scenes =
+    Kernel.find_binding k ?fresh p ~available:[ ("scene", scenes) ]
+  in
+  let check_binding = Alcotest.(check (list (pair string (list int)))) in
+  check_binding "the default call binds a fired scene" [ ("s", [ 1 ]) ]
+    (ok (find [ 1 ]));
+  check_bool "a fresh search skips it" true
+    (is_not_derivable (find ~fresh:true [ 1 ]));
+  check_binding "and takes the first unfired one" [ ("s", [ 3 ]) ]
+    (ok (find ~fresh:true [ 1; 2; 3; 4 ]))
 
 (* ------------------------------------------------------------------ *)
 (* Save -> load property                                               *)
@@ -307,11 +388,17 @@ let save_load_prop =
 let () =
   Alcotest.run "reuse"
     [ ( "probe",
-        [ tc "NEED 2, 3, 5 ends with three objects" test_probe_ends_with_three;
-          tc "a reused task is traced as reused" test_reuse_traced_as_reuse;
+        [ tc "NEED 2, 3, 5: five distinct objects" test_probe_ends_with_five;
+          tc "NEED n+1 fires only the unfired binding" test_need_fires_unfired;
           tc "reuse survives save/load" test_reuse_survives_save_load;
           tc "updating a derived object ends its reuse"
             test_update_derived_ends_reuse ] );
+      ( "fresh",
+        [ tc "NEED three after two fires task #3 only" test_need_three_after_two;
+          tc "NEED every scene, at any pool size" test_need_every_scene;
+          tc "NEED past the scenes fails, no duplicate" test_need_too_many;
+          tc "find_binding ~fresh skips fired bindings" test_find_binding_fresh ]
+      );
       ( "oids",
         [ tc "a deleted object's oid stays spent after load"
             test_deleted_oid_stays_spent ] );
