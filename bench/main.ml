@@ -951,6 +951,82 @@ let e10_incremental_refresh () =
         e10_deterministic = deterministic }
 
 (* ------------------------------------------------------------------ *)
+(* E13: OVERLAPS at database scale                                     *)
+(* ------------------------------------------------------------------ *)
+
+let e13_failed = ref false
+
+(* A sqrt(n) x sqrt(n) grid of unit boxes, one scene per cell. *)
+let e13_kernel n =
+  let k = Kernel.create () in
+  ok
+    (Kernel.define_class k
+       (ok
+          (Schema.define ~name:"scene"
+             ~attributes:
+               [ ("n", Vtype.Int); ("spatialextent", Vtype.Box);
+                 ("timestamp", Vtype.Abstime) ]
+             ())));
+  let side = int_of_float (Float.sqrt (float_of_int n)) in
+  for i = 0 to n - 1 do
+    let x = float_of_int (i mod side) and y = float_of_int (i / side) in
+    ignore
+      (ok
+         (Kernel.insert_object k ~cls:"scene"
+            [ ("n", Value.int i);
+              ( "spatialextent",
+                Value.box
+                  (Gaea_geo.Box.make ~xmin:x ~ymin:y ~xmax:(x +. 1.)
+                     ~ymax:(y +. 1.)) );
+              ( "timestamp",
+                Value.abstime
+                  (Gaea_geo.Abstime.of_ymd 1990 1 (1 + (i mod 28))) ) ]))
+  done;
+  k
+
+let e13_overlaps () =
+  section "E13: OVERLAPS at database scale — cost per query against table size";
+  let src =
+    "SELECT oid FROM scene WHERE spatialextent OVERLAPS BOX(2.5, 2.5, 4.5, 4.5) \
+     ORDER BY timestamp"
+  in
+  let stmt =
+    match Gaea_query.Parser.parse_one src with
+    | Ok stmt -> stmt
+    | Error e -> failwith (Gaea_core.Gaea_error.to_string e)
+  in
+  Printf.printf "workload: %s\n(a window matching 9 unit boxes of the grid)\n\n" src;
+  Printf.printf "%-8s %-6s %-14s %s\n" "N" "rows" "us/query" "minor words/query";
+  let queries = if smoke then 200 else 2000 in
+  let measure n =
+    let ex = Gaea_query.Executor.create ~kernel:(e13_kernel n) () in
+    let run () =
+      match Gaea_query.Executor.execute ex stmt with
+      | Ok (Gaea_query.Executor.Rows { rows; _ }) -> List.length rows
+      | _ -> failwith "E13: the SELECT returned no rows"
+    in
+    (* the first probe builds the window index *)
+    let rows = run () in
+    let w0 = Gc.minor_words () in
+    let _, dt = time_once (fun () -> for _ = 1 to queries do ignore (run ()) done) in
+    let words = (Gc.minor_words () -. w0) /. float_of_int queries in
+    Printf.printf "%-8d %-6d %-14.2f %.0f\n" n rows
+      (dt *. 1e6 /. float_of_int queries) words;
+    (n, words)
+  in
+  let sizes = if smoke then [ 1_000; 4_000 ] else [ 1_000; 4_000; 16_000 ] in
+  let results = List.map measure sizes in
+  let n0, smallest = List.hd results and n1, largest = List.hd (List.rev results) in
+  (* allocation, unlike time, does not depend on the host's noise *)
+  if largest > 2. *. smallest then begin
+    Printf.printf
+      "E13 FAILURE: %.0f words per query at N = %d against %.0f at N = %d — \
+       the cost grows with the table\n"
+      largest n1 smallest n0;
+    e13_failed := true
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Fused-kernel parity gate                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1243,6 +1319,7 @@ let () =
   e8_cache ();
   e9_task_parallel ();
   e10_incremental_refresh ();
+  e13_overlaps ();
   parity_gate ();
   run_bechamel ();
   (* smoke runs must never clobber the full-size benchmark record *)
@@ -1250,4 +1327,4 @@ let () =
     (if smoke then "BENCH_parallel.smoke.json" else "BENCH_parallel.json");
   print_endline "\nall experiments completed.";
   Pool.shutdown ();
-  if !parity_failed || !e10_failed || !e8_failed then exit 1
+  if !parity_failed || !e10_failed || !e8_failed || !e13_failed then exit 1

@@ -16,11 +16,15 @@ let define t (cls : Schema.t) =
     match Store.create_table t.store ~name (Schema.storage_attrs cls) with
     | Error e -> Error (Gaea_error.Storage_error e)
     | Ok table ->
-      (* index the temporal extent so AT queries use a range probe; a
-         reloaded kernel replays this definition and gets it back *)
+      (* index the temporal extent so AT queries use a range probe, and
+         the spatial extent so OVERLAPS queries use a window probe; a
+         reloaded kernel replays this definition and gets both back *)
       Option.iter
         (fun attr -> ignore (Gaea_storage.Table.create_btree_index table attr))
         cls.Schema.temporal_attr;
+      Option.iter
+        (fun attr -> ignore (Gaea_storage.Table.create_box_index table attr))
+        cls.Schema.spatial_attr;
       Hashtbl.add t.defs name cls;
       Events.emit t.bus (Events.Class_defined name);
       Ok ()

@@ -2,7 +2,7 @@
 
     Owns the derivation level's {e static} half — every defined
     {!Schema.t} and the store table that holds its objects, with the
-    temporal index its [AT] queries need.  Emits
+    temporal and spatial indexes its [AT] and [OVERLAPS] queries need.  Emits
     [Class_defined] on the bus. *)
 
 type t
@@ -11,7 +11,8 @@ val create : store:Gaea_storage.Store.t -> bus:Events.bus -> t
 
 val define : t -> Schema.t -> (unit, Gaea_error.t) result
 (** Creates the backing table, with a B-tree index on the temporal
-    attribute if the class has one; errors on duplicate class names or
+    attribute and a window index on the spatial attribute, for those the
+    class has; errors on duplicate class names or
     a storage failure.  Emits [Class_defined]. *)
 
 val mem : t -> string -> bool

@@ -104,109 +104,109 @@ let compare_matches cmp c =
   | Ast.C_gt -> c > 0
   | Ast.C_ge -> c >= 0
 
-let eval_predicate t ~cls oid pred =
-  let attr_of = function
+(* A predicate compiled against one class's tuple layout: the literal
+   converted and the attribute resolved once per statement, the test
+   reading the stored tuple. *)
+let compile_predicate desc pred =
+  let attr =
+    match pred with
     | Ast.P_compare (a, _, _) | Ast.P_overlaps (a, _) | Ast.P_at (a, _) -> a
   in
-  match Kernel.object_attr t.kernel ~cls oid (attr_of pred) with
-  | None -> false
-  | Some v ->
+  match Tuple.attr_index desc attr with
+  | None -> fun _ -> false
+  | Some i ->
     (match pred with
      | Ast.P_compare (_, cmp, lit) ->
        let lv = Optimizer.literal_value lit in
-       (match cmp, v, lv with
-        | Ast.C_eq, _, _ when not (Vorder.orderable (Value.type_of v)) ->
-          Value.equal v lv
-        | Ast.C_neq, _, _ when not (Vorder.orderable (Value.type_of v)) ->
-          not (Value.equal v lv)
-        | _ ->
-          (match Vorder.compare v lv with
-           | Ok c -> compare_matches cmp c
-           | Error _ -> false))
+       fun tuple ->
+         let v = Tuple.get tuple i in
+         (match cmp with
+          | Ast.C_eq when not (Vorder.orderable (Value.type_of v)) ->
+            Value.equal v lv
+          | Ast.C_neq when not (Vorder.orderable (Value.type_of v)) ->
+            not (Value.equal v lv)
+          | _ ->
+            (match Vorder.compare v lv with
+             | Ok c -> compare_matches cmp c
+             | Error _ -> false))
      | Ast.P_overlaps (_, lit) ->
-       (match v, Optimizer.literal_value lit with
-        | Value.VBox b1, Value.VBox b2 -> Box.overlaps b1 b2
-        | _ -> false)
+       (match Optimizer.literal_value lit with
+        | Value.VBox window ->
+          fun tuple ->
+            (match Tuple.get tuple i with
+             | Value.VBox b -> Box.overlaps b window
+             | _ -> false)
+        | _ -> fun _ -> false)
      | Ast.P_at (_, lit) ->
-       (match v, Optimizer.literal_value lit with
-        | Value.VAbstime tv, Value.VAbstime target ->
-          Float.abs (Abstime.diff_days tv target) <= 1.0
-        | _ -> false))
+       (match Optimizer.literal_value lit with
+        | Value.VAbstime target ->
+          fun tuple ->
+            (match Tuple.get tuple i with
+             | Value.VAbstime tv -> Float.abs (Abstime.diff_days tv target) <= 1.0
+             | _ -> false)
+        | _ -> fun _ -> false))
 
 (* ------------------------------------------------------------------ *)
 (* SELECT                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let row_of t ~cls ~projection oid =
-  match Kernel.find_class t.kernel cls with
-  | None -> (oid, [])
-  | Some def ->
-    let attrs =
-      match projection with
-      | [] -> Schema.attr_names def
-      | cols -> cols
-    in
-    ( oid,
-      List.filter_map
-        (fun attr ->
-          Option.map
-            (fun v -> (attr, v))
-            (Kernel.object_attr t.kernel ~cls oid attr))
-        attrs )
-
 let execute_select t (s : Ast.select) =
   let* plan = Optimizer.plan_select t.kernel s in
   let first = List.hd plan.Plan.classes in
   let rest = List.tl plan.Plan.classes in
-  let matching cls preds oids =
-    Seq.filter_map
-      (fun oid ->
-        if List.for_all (eval_predicate t ~cls oid) preds then Some (cls, oid)
-        else None)
-      oids
-  in
-  let table_oids cls =
+  (* A class's matches, produced on demand from [rows]: each a sort key
+     (the stored ORDER BY attribute) and the row, built only for a
+     match. *)
+  let matching cls preds rows =
     match Kernel.class_table t.kernel cls with
     | None -> Seq.empty
-    | Some tab -> Seq.map fst (Table.to_seq tab)
+    | Some tab ->
+      let desc = Table.descriptor tab in
+      let tests = List.map (compile_predicate desc) preds in
+      let columns =
+        (match s.Ast.projection with
+         | [] -> List.map fst (Tuple.attrs desc)
+         | cols -> cols)
+        |> List.filter_map (fun a ->
+               Option.map (fun i -> (a, i)) (Tuple.attr_index desc a))
+      in
+      let key_at =
+        Option.bind s.Ast.order_by (fun (attr, _) -> Tuple.attr_index desc attr)
+      in
+      Seq.filter_map
+        (fun (oid, tuple) ->
+          if List.for_all (fun test -> test tuple) tests then
+            Some
+              ( Option.map (Tuple.get tuple) key_at,
+                (oid, List.map (fun (a, i) -> (a, Tuple.get tuple i)) columns) )
+          else None)
+        (rows tab)
   in
-  (* first class: use the chosen access path *)
-  let first_oids =
-    match Kernel.class_table t.kernel first, plan.Plan.path with
-    | None, _ -> Seq.empty
-    | Some tab, Plan.Index_eq (attr, v) ->
-      List.to_seq (List.map fst (Table.lookup_eq tab attr v))
-    | Some tab, Plan.Index_range (attr, lo, hi) ->
-      List.to_seq (List.map fst (Table.lookup_range tab attr ?lo ?hi ()))
-    | Some _, Plan.Full_scan -> table_oids first
+  let first_rows tab =
+    match plan.Plan.path with
+    | Plan.Index_eq (attr, v) -> List.to_seq (Table.lookup_eq tab attr v)
+    | Plan.Index_range (attr, lo, hi) ->
+      List.to_seq (Table.lookup_range tab attr ?lo ?hi ())
+    | Plan.Full_scan -> Table.to_seq tab
   in
-  (* Matches in result order, produced on demand: the first class along
-     its access path, then the other concept members, scanned with all
-     predicates.  Without ORDER BY, LIMIT n stops the walk at the n-th
-     match. *)
+  (* Matches in result order: the first class along its access path,
+     then the other concept members, scanned with all predicates.
+     Without ORDER BY, LIMIT n stops the walk at the n-th match. *)
   let matches =
     Seq.append
-      (matching first plan.Plan.residual first_oids)
-      (Seq.concat_map (fun cls -> matching cls s.Ast.where_ (table_oids cls))
+      (matching first plan.Plan.residual first_rows)
+      (Seq.concat_map (fun cls -> matching cls s.Ast.where_ Table.to_seq)
          (List.to_seq rest))
-  in
-  let to_rows seq =
-    List.of_seq
-      (Seq.map
-         (fun (cls, oid) -> row_of t ~cls ~projection:s.Ast.projection oid)
-         seq)
   in
   let limit = max 0 (Option.value s.Ast.limit ~default:max_int) in
   let rows =
     match s.Ast.order_by with
-    | None -> to_rows (Seq.take limit matches)
-    | Some (attr, dir) ->
-      let rows = to_rows matches in
-      let key (_, pairs) = List.assoc_opt attr pairs in
+    | None -> List.of_seq (Seq.map snd (Seq.take limit matches))
+    | Some (_, dir) ->
       List.stable_sort
-        (fun a b ->
+        (fun (a, _) (b, _) ->
           let c =
-            match key a, key b with
+            match a, b with
             | Some x, Some y ->
               (match Vorder.compare x y with Ok c -> c | Error _ -> 0)
             | Some _, None -> -1
@@ -216,8 +216,9 @@ let execute_select t (s : Ast.select) =
           match dir with
           | Ast.Asc -> c
           | Ast.Desc -> -c)
-        rows
+        (List.of_seq matches)
       |> List.filteri (fun i _ -> i < limit)
+      |> List.map snd
   in
   let columns =
     match s.Ast.projection with

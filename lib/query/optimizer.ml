@@ -42,7 +42,8 @@ let eq_selectivity tab attr =
     (Table.btree_cardinality tab attr)
 
 (* pick the best indexable predicate on the (first) class; reads only
-   index sizes, never the rows *)
+   index sizes, never the rows.  Equal selectivities keep predicate
+   order, so the earlier of AT and OVERLAPS wins. *)
 let choose_path k cls preds =
   match Kernel.class_table k cls with
   | None -> (Plan.Full_scan, preds, 1.0)
@@ -74,6 +75,11 @@ let choose_path k cls preds =
                        Some (Value.abstime (Abstime.add_days t 1)) ),
                    0.1 )
              | _ -> None)
+          | Ast.P_overlaps (attr, lit) when Table.has_box_index tab attr ->
+            (* the window probe; a lower and upper bound that are the
+               same box *)
+            let w = Some (literal_value lit) in
+            Some (pred, Plan.Index_range (attr, w, w), 0.1)
           | _ -> None)
         preds
     in

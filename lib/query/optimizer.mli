@@ -6,8 +6,9 @@ val literal_value : Ast.literal -> Gaea_adt.Value.t
 val plan_select :
   Gaea_core.Kernel.t -> Ast.select -> (Plan.select_plan, Gaea_core.Gaea_error.t) result
 (** Resolves the source (class name, or concept name expanding to its
-    classes), picks the cheapest access path among the B-tree indexes of
-    the first class and leaves the remaining predicates residual.  An
+    classes), picks the cheapest access path among the B-tree and window
+    indexes of the first class and leaves the remaining predicates
+    residual.  An
     equality probe's selectivity is one over its B-tree's distinct keys;
     planning never scans the table. *)
 

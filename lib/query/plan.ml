@@ -22,6 +22,10 @@ type materialize_plan =
 let pp_access_path fmt = function
   | Index_eq (attr, v) ->
     Format.fprintf fmt "index-eq(%s = %s)" attr (Value.to_display v)
+  | Index_range (attr, Some (Value.VBox w), Some (Value.VBox w'))
+    when Gaea_geo.Box.equal w w' ->
+    Format.fprintf fmt "index-window(%s overlaps %s)" attr
+      (Gaea_geo.Box.to_string w)
   | Index_range (attr, lo, hi) ->
     Format.fprintf fmt "index-range(%s in [%s, %s])" attr
       (match lo with Some v -> Value.to_display v | None -> "-inf")

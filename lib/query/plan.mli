@@ -9,6 +9,8 @@
 type access_path =
   | Index_eq of string * Gaea_adt.Value.t
   | Index_range of string * Gaea_adt.Value.t option * Gaea_adt.Value.t option
+      (** B-tree range; on a box attribute, a window probe with both
+          bounds the window *)
   | Full_scan
 
 type select_plan = {

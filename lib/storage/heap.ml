@@ -8,7 +8,7 @@ type t = {
   mutable slots : slot option array;
   mutable used : int;
   mutable live : int;
-  by_oid : (Oid.t, int) Hashtbl.t;
+  by_oid : (Oid.t, int) Hashtbl.t;  (* live rows only *)
 }
 
 let create () =
@@ -39,38 +39,45 @@ let slot t i =
   | Some s -> s
   | None -> assert false (* slots below [used] are always filled *)
 
+(* Slide the live slots down in order and re-point [by_oid].  Run when
+   tombstones outnumber live rows, so it moves at most 2·live + 1 slots
+   after at least live + 1 deletes: O(1) amortized per delete. *)
+let compact t =
+  let j = ref 0 in
+  for i = 0 to t.used - 1 do
+    let s = slot t i in
+    if not s.deleted then begin
+      t.slots.(!j) <- Some s;
+      Hashtbl.replace t.by_oid s.oid !j;
+      incr j
+    end
+  done;
+  Array.fill t.slots !j (t.used - !j) None;
+  t.used <- !j
+
 let delete t oid =
   match Hashtbl.find_opt t.by_oid oid with
   | None -> false
   | Some i ->
-    let s = slot t i in
-    if s.deleted then false
-    else begin
-      s.deleted <- true;
-      t.live <- t.live - 1;
-      true
-    end
+    (slot t i).deleted <- true;
+    Hashtbl.remove t.by_oid oid;
+    t.live <- t.live - 1;
+    if t.used - t.live > t.live then compact t;
+    true
 
 let replace t oid tuple =
   match Hashtbl.find_opt t.by_oid oid with
   | None -> Error (Printf.sprintf "heap: replace of unknown oid %d" oid)
   | Some i ->
-    let s = slot t i in
-    if s.deleted then
-      Error (Printf.sprintf "heap: replace of deleted oid %d" oid)
-    else begin
-      t.slots.(i) <- Some { s with tuple };
-      Ok ()
-    end
+    t.slots.(i) <- Some { (slot t i) with tuple };
+    Ok ()
 
-let get t oid =
-  match Hashtbl.find_opt t.by_oid oid with
-  | None -> None
-  | Some i ->
-    let s = slot t i in
-    if s.deleted then None else Some s.tuple
+let locate t oid =
+  Option.map (fun i -> (i, (slot t i).tuple)) (Hashtbl.find_opt t.by_oid oid)
 
-let mem t oid = get t oid <> None
+let get t oid = Option.map snd (locate t oid)
+
+let mem t oid = Hashtbl.mem t.by_oid oid
 
 let length t = t.live
 let allocated t = t.used

@@ -1,5 +1,9 @@
-(** Append-only heap storage for one table: a growable array of
-    OID-addressed slots with tombstone deletion. *)
+(** Heap storage for one table: a growable array of OID-addressed slots
+    in insertion order.  A delete leaves a tombstone; when tombstones
+    outnumber live rows the heap compacts in place, keeping the live rows
+    in order, so a scan costs O(live rows) and a delete O(1) amortized.
+    Mutating the heap during {!scan}, {!fold} or a {!to_seq} walk is
+    not supported. *)
 
 type t
 
@@ -12,19 +16,21 @@ val delete : t -> Oid.t -> bool
 
 val replace : t -> Oid.t -> Tuple.t -> (unit, string) result
 (** Overwrite a live tuple in its slot — same OID, same insertion
-    position.  Errors on an absent or tombstoned OID (a tombstone keeps
-    its slot, so delete-then-insert cannot reuse the OID; updates must
-    go through here). *)
+    position.  Errors on an absent or deleted OID. *)
 
 val get : t -> Oid.t -> Tuple.t option
 (** [None] when absent or deleted. *)
+
+val locate : t -> Oid.t -> (int * Tuple.t) option
+(** A live row's tuple and its position: positions ascend in scan order
+    and hold until the next delete. *)
 
 val mem : t -> Oid.t -> bool
 val length : t -> int
 (** Live tuples. *)
 
 val allocated : t -> int
-(** Including tombstones. *)
+(** Slots in use, tombstones included: at most 2 × {!length}. *)
 
 val scan : t -> (Oid.t -> Tuple.t -> unit) -> unit
 (** Live tuples, insertion order. *)

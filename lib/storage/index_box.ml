@@ -1,0 +1,98 @@
+module Box = Gaea_geo.Box
+
+type level = {
+  side : float;  (* 2^L *)
+  cells : (int * int, (Oid.t * Box.t) list) Hashtbl.t;  (* non-empty only *)
+}
+
+type t = {
+  levels : (int, level) Hashtbl.t;  (* non-empty only *)
+  aside : (Oid.t, Box.t) Hashtbl.t;
+}
+
+let create () = { levels = Hashtbl.create 8; aside = Hashtbl.create 1 }
+
+(* cell numbers stay below this in magnitude, so they are exact ints *)
+let cell_limit = 0x1p52
+
+let cell side x = int_of_float (Float.floor (x /. side))
+
+(* The level and cell of a box, or [None] when no level can hold it.
+   [frexp v] has exponent e with 2^(e-1) <= v < 2^e, so 2^e is above the
+   longer side and, from e - 52 up, above the corner over 2^52. *)
+let placement (b : Box.t) =
+  let longer = Float.max (Box.width b) (Box.height b) in
+  let by_size = if longer = 0. then 0 else snd (Float.frexp longer) in
+  let corner = Float.max (Float.abs b.Box.xmin) (Float.abs b.Box.ymin) in
+  let by_corner = snd (Float.frexp corner) - 52 in
+  let l = max (-1074) (max by_size by_corner) in
+  let side = Float.ldexp 1. l in
+  if Float.is_finite side && longer < side then
+    Some (l, side, (cell side b.Box.xmin, cell side b.Box.ymin))
+  else None
+
+let add t oid b =
+  match placement b with
+  | None -> Hashtbl.replace t.aside oid b
+  | Some (l, side, key) ->
+    let lvl =
+      match Hashtbl.find_opt t.levels l with
+      | Some lvl -> lvl
+      | None ->
+        let lvl = { side; cells = Hashtbl.create 64 } in
+        Hashtbl.add t.levels l lvl;
+        lvl
+    in
+    let others = Option.value ~default:[] (Hashtbl.find_opt lvl.cells key) in
+    Hashtbl.replace lvl.cells key ((oid, b) :: others)
+
+let remove t oid b =
+  match placement b with
+  | None -> Hashtbl.remove t.aside oid
+  | Some (l, _, key) ->
+    Option.iter
+      (fun lvl ->
+        match Hashtbl.find_opt lvl.cells key with
+        | None -> ()
+        | Some entries ->
+          (match List.filter (fun (o, _) -> o <> oid) entries with
+           | [] ->
+             Hashtbl.remove lvl.cells key;
+             if Hashtbl.length lvl.cells = 0 then Hashtbl.remove t.levels l
+           | rest -> Hashtbl.replace lvl.cells key rest))
+      (Hashtbl.find_opt t.levels l)
+
+(* A box overlapping [q] has its corner cell within one cell left of and
+   below the cells of [q]'s corners: its width is under the side. *)
+let probe_level lvl (q : Box.t) acc =
+  let test acc entries =
+    List.fold_left
+      (fun acc (oid, b) -> if Box.overlaps b q then oid :: acc else acc)
+      acc entries
+  in
+  let bound v = Float.min cell_limit (Float.max (-.cell_limit) v) in
+  let lo v = bound (Float.floor (v /. lvl.side) -. 1.) in
+  let hi v = bound (Float.floor (v /. lvl.side)) in
+  let x0 = lo q.Box.xmin and x1 = hi q.Box.xmax in
+  let y0 = lo q.Box.ymin and y1 = hi q.Box.ymax in
+  if (x1 -. x0 +. 1.) *. (y1 -. y0 +. 1.) > float (Hashtbl.length lvl.cells)
+  then Hashtbl.fold (fun _ entries acc -> test acc entries) lvl.cells acc
+  else begin
+    let acc = ref acc in
+    for cx = int_of_float x0 to int_of_float x1 do
+      for cy = int_of_float y0 to int_of_float y1 do
+        Option.iter
+          (fun entries -> acc := test !acc entries)
+          (Hashtbl.find_opt lvl.cells (cx, cy))
+      done
+    done;
+    !acc
+  end
+
+let overlapping t q =
+  let acc =
+    Hashtbl.fold
+      (fun oid b acc -> if Box.overlaps b q then oid :: acc else acc)
+      t.aside []
+  in
+  Hashtbl.fold (fun _ lvl acc -> probe_level lvl q acc) t.levels acc

@@ -22,6 +22,14 @@ val btree_cardinality : t -> string -> int option
 (** Distinct keys in the B-tree on the attribute, read without a scan;
     [None] when the attribute has no B-tree. *)
 
+val create_box_index : t -> string -> (unit, string) result
+(** Window index ({!Index_box}) on a box attribute, serving
+    {!lookup_range}.  It is built from the heap by the first window
+    probe and maintained by every write after that.  Errors on an
+    unknown or non-box attribute, or when the table has one already. *)
+
+val has_box_index : t -> string -> bool
+
 val insert : t -> Oid.t -> Gaea_adt.Value.t list -> (unit, string) result
 (** Builds and type-checks a tuple, stores it, maintains indexes. *)
 
@@ -52,7 +60,11 @@ val lookup_eq : t -> string -> Gaea_adt.Value.t -> (Oid.t * Tuple.t) list
 val lookup_range :
   t -> string -> ?lo:Gaea_adt.Value.t -> ?hi:Gaea_adt.Value.t -> unit
   -> (Oid.t * Tuple.t) list
-(** Range retrieval on an orderable attribute (btree or scan). *)
+(** Range retrieval on an orderable attribute (btree or scan), in key
+    order.  On a box attribute the bounds are windows: the live rows
+    whose box overlaps each given bound, in heap order, through the
+    window index when the attribute has one; a bound that is not a box
+    matches nothing. *)
 
 val last_access_used_index : t -> bool
 (** Whether the most recent [lookup_eq]/[lookup_range] was served by an

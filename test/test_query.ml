@@ -6,6 +6,8 @@ module Kernel = Gaea_core.Kernel
 module Process = Gaea_core.Process
 module Value = Gaea_adt.Value
 module Table = Gaea_storage.Table
+module Box = Gaea_geo.Box
+module Abstime = Gaea_geo.Abstime
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -216,6 +218,80 @@ let test_optimizer_index_survives_reload () =
   match (ok (Optimizer.plan_select k select)).Plan.path with
   | Plan.Index_range ("timestamp", Some _, Some _) -> ()
   | _ -> Alcotest.fail "expected temporal range path after save/load"
+
+(* The catalog declares a window index on the spatial extent too, so
+   OVERLAPS takes the window probe, before and after save/load. *)
+let test_optimizer_window_path () =
+  let select =
+    match
+      Parser.parse_one
+        "SELECT * FROM rainfall WHERE spatialextent OVERLAPS BOX(2.5, 2.5, 4.5, 4.5)"
+    with
+    | Ok (Ast.Select s) -> s
+    | _ -> Alcotest.fail "not a select"
+  in
+  let session = desert_session () in
+  let reloaded =
+    ok (Gaea_core.Persist.load (Gaea_core.Persist.save (Session.kernel session)))
+  in
+  List.iter
+    (fun (what, k) ->
+      let plan = ok (Optimizer.plan_select k select) in
+      (match plan.Plan.path with
+       | Plan.Index_range ("spatialextent", Some (Value.VBox w), Some (Value.VBox w'))
+         when Box.equal w w' -> ()
+       | _ -> Alcotest.failf "%s: expected the window path" what);
+      check_int (what ^ ": no residual") 0 (List.length plan.Plan.residual);
+      check_str (what ^ ": printed")
+        "index-window(spatialextent overlaps (2.5,2.5,4.5,4.5))"
+        (Format.asprintf "%a" Plan.pp_access_path plan.Plan.path))
+    [ ("defined", Session.kernel session); ("reloaded", reloaded) ]
+
+(* AT and OVERLAPS have the same constant selectivity: the earlier
+   predicate is probed, the other stays residual, and either way the
+   rows are the scan's. *)
+let test_optimizer_at_and_overlaps () =
+  let session = desert_session () in
+  let _ =
+    ok
+      (Session.run_string session
+         {|INSERT INTO rainfall (year = 1990, data = synth_rainfall(4, 2, 2),
+             spatialextent = make_box(20.0, 20.0, 30.0, 30.0),
+             timestamp = make_abstime(1987, 1, 2));
+           INSERT INTO rainfall (year = 1991, data = synth_rainfall(5, 2, 2),
+             spatialextent = make_box(5.0, 5.0, 6.0, 6.0),
+             timestamp = make_abstime(1987, 1, 1));
+           INSERT INTO rainfall (year = 1992, data = synth_rainfall(6, 2, 2),
+             spatialextent = make_box(5.0, 5.0, 6.0, 6.0),
+             timestamp = make_abstime(1989, 1, 1))|})
+  in
+  let k = Session.kernel session in
+  let at = "timestamp AT DATE '1987-01-01'"
+  and overlaps = "spatialextent OVERLAPS BOX(4, 4, 12, 12)" in
+  let years src =
+    match Session.run_string session src with
+    | Ok [ Executor.Rows { rows; _ } ] ->
+      List.map (fun (_, pairs) -> Value.to_display (List.assoc "year" pairs)) rows
+    | _ -> Alcotest.failf "%s: expected rows" src
+  in
+  List.iter
+    (fun (first, second, probed) ->
+      let src = Printf.sprintf "SELECT * FROM rainfall WHERE %s AND %s" first second in
+      let select =
+        match Parser.parse_one src with
+        | Ok (Ast.Select s) -> s
+        | _ -> Alcotest.fail "not a select"
+      in
+      let paths =
+        List.init 3 (fun _ ->
+            let plan = ok (Optimizer.plan_select k select) in
+            check_int (src ^ ": one residual") 1 (List.length plan.Plan.residual);
+            Format.asprintf "%a" Plan.pp_access_path plan.Plan.path)
+      in
+      check_bool (src ^ ": probes " ^ probed) true
+        (List.for_all (fun p -> contains p probed) paths);
+      Alcotest.(check (list string)) (src ^ ": rows") [ "1987"; "1991" ] (years src))
+    [ (at, overlaps, "index-range(timestamp"); (overlaps, at, "index-window(") ]
 
 (* 200 rows; [a] takes 2 distinct values and [b] 50, both B-tree
    indexed *)
@@ -630,6 +706,146 @@ let select_tokens_gen =
                    | _ -> [ other ])
                tokens))))
 
+(* The same SELECTs against two kernels holding the same rows: one
+   class with the window index on [spatialextent], one whose extents
+   are the [decoy]s, so every SELECT on it scans.  AT never comes first,
+   so the indexed class always probes its window (AT first is
+   [test_optimizer_at_and_overlaps]). *)
+type scene_op =
+  | S_insert of Box.t * int  (* the day of January 1990 *)
+  | S_update of int * Box.t
+  | S_delete of int
+
+let window_box_gen =
+  QCheck.Gen.(
+    let coord =
+      frequency
+        [ (4, map float_of_int (int_range (-8) 8));
+          (2, map (fun i -> float_of_int i +. 0.5) (int_range (-8) 8)) ]
+    in
+    frequency
+      [ (6, map2 Box.of_corners (pair coord coord) (pair coord coord));
+        (2, map2 Box.point coord coord);
+        (1, return (Box.make ~xmin:(-1e300) ~ymin:(-1e300) ~xmax:1e300 ~ymax:1e300)) ])
+
+let window_case_gen =
+  QCheck.Gen.(
+    let op =
+      frequency
+        [ (5, map2 (fun b d -> S_insert (b, d)) window_box_gen (int_range 1 6));
+          (2, map2 (fun i b -> S_update (i, b)) nat window_box_gen);
+          (2, map (fun i -> S_delete i) nat) ]
+    in
+    let select =
+      let* w = window_box_gen in
+      let window =
+        Ast.P_overlaps
+          ("spatialextent", Ast.L_box (w.Box.xmin, w.Box.ymin, w.Box.xmax, w.Box.ymax))
+      in
+      let* extra =
+        oneof
+          [ return [];
+            map
+              (fun n -> [ Ast.P_compare ("n", Ast.C_ge, Ast.L_int n) ])
+              (int_range 0 20);
+            map
+              (fun d -> [ Ast.P_at ("timestamp", Ast.L_date (1990, 1, d)) ])
+              (int_range 1 6) ]
+      in
+      let* extra_first =
+        match extra with [ Ast.P_compare _ ] -> bool | _ -> return false
+      in
+      let* projection = oneofl [ []; [ "n" ]; [ "n"; "spatialextent" ] ] in
+      let* order_by =
+        oneofl
+          [ None; Some ("timestamp", Ast.Asc); Some ("timestamp", Ast.Desc);
+            Some ("n", Ast.Desc) ]
+      in
+      let* limit = oneof [ return None; map Option.some (int_range 0 5) ] in
+      return
+        { Ast.projection;
+          source = "scene";
+          where_ = (if extra_first then extra @ [ window ] else window :: extra);
+          order_by;
+          limit }
+    in
+    pair (list_size (int_range 0 40) op) (list_size (int_range 1 6) select))
+
+let prop_window_select_matches_scan =
+  QCheck.Test.make ~name:"OVERLAPS through the window index = through a scan"
+    ~count:200
+    (QCheck.make window_case_gen)
+    (fun (ops, selects) ->
+      let session extents =
+        let s = Session.create () in
+        let _ =
+          ok
+            (Session.run_string s
+               ("DEFINE CLASS scene (n int, spatialextent box, timestamp \
+                 abstime, decoy box, decoy_t abstime)" ^ extents))
+        in
+        s
+      in
+      let indexed = session ""
+      and scanned = session " SPATIAL decoy TEMPORAL decoy_t" in
+      let kernels = [ Session.kernel indexed; Session.kernel scanned ] in
+      let nth k i =
+        match Kernel.objects_of_class k "scene" with
+        | [] -> None
+        | oids -> Some (List.nth oids (i mod List.length oids))
+      in
+      List.iteri
+        (fun n op ->
+          List.iter
+            (fun k ->
+              match op with
+              | S_insert (b, day) ->
+                ignore
+                  (ok
+                     (Kernel.insert_object k ~cls:"scene"
+                        [ ("n", Value.int n); ("spatialextent", Value.box b);
+                          ("timestamp", Value.abstime (Abstime.of_ymd 1990 1 day));
+                          ("decoy", Value.box (Box.point 0. 0.));
+                          ("decoy_t", Value.abstime (Abstime.of_ymd 1990 1 1)) ]))
+              | S_update (i, b) ->
+                Option.iter
+                  (fun oid ->
+                    ok
+                      (Kernel.update_object k ~cls:"scene" oid
+                         [ ("spatialextent", Value.box b) ]))
+                  (nth k i)
+              | S_delete i ->
+                Option.iter
+                  (fun oid -> ok (Kernel.delete_object k ~cls:"scene" oid))
+                  (nth k i))
+            kernels)
+        ops;
+      List.for_all
+        (fun (select : Ast.select) ->
+          let path s =
+            (ok (Optimizer.plan_select (Session.kernel s) select)).Plan.path
+          in
+          let rows s =
+            match Executor.execute (Session.executor s) (Ast.Select select) with
+            | Ok (Executor.Rows { rows; _ }) -> rows
+            | _ -> QCheck.Test.fail_report "expected rows"
+          in
+          let probes attr = function
+            | Plan.Index_range (a, _, _) -> a = attr
+            | _ -> false
+          in
+          let show_path s = Format.asprintf "%a" Plan.pp_access_path (path s) in
+          let show_rows s =
+            String.concat " " (List.map (fun (oid, _) -> string_of_int oid) (rows s))
+          in
+          (probes "spatialextent" (path indexed)
+           && path scanned = Plan.Full_scan
+           && rows indexed = rows scanned)
+          || QCheck.Test.fail_reportf "paths %s / %s, rows [%s] / [%s]"
+               (show_path indexed) (show_path scanned) (show_rows indexed)
+               (show_rows scanned))
+        selects)
+
 let prop_select_tokens =
   QCheck.Test.make ~name:"random SELECT token sequences never raise" ~count:1000
     (QCheck.make ~print:Fun.id select_tokens_gen)
@@ -651,7 +867,10 @@ let () =
         [ tc "access paths" test_optimizer_access_paths;
           tc "materialize" test_optimizer_materialize;
           tc "selectivity from the B-tree" test_optimizer_selectivity_from_btree;
-          tc "temporal index survives save/load" test_optimizer_index_survives_reload ] );
+          tc "temporal index survives save/load" test_optimizer_index_survives_reload;
+          tc "OVERLAPS probes the window index, also after save/load"
+            test_optimizer_window_path;
+          tc "AT and OVERLAPS together" test_optimizer_at_and_overlaps ] );
       ( "executor",
         [ tc "select filters" test_executor_select_filters;
           tc "limit is a prefix" test_executor_limit_is_prefix;
@@ -668,4 +887,6 @@ let () =
           tc "versions" test_executor_versions ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_mutated_examples; prop_select_tokens ] ) ]
+          [ prop_mutated_examples; prop_select_tokens ] );
+      ( "window",
+        [ QCheck_alcotest.to_alcotest prop_window_select_matches_scan ] ) ]

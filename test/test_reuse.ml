@@ -322,11 +322,8 @@ let classes = [ "scene"; "normalized"; "smoothed" ]
 let observe session =
   let k = Session.kernel session in
   let show src = src ^ "\n" ^ Session.run_string_collect session src in
-  let select_path =
-    match
-      Parser.parse_one
-        "SELECT oid FROM scene WHERE timestamp AT DATE '1988-06-03'"
-    with
+  let select_path src =
+    match Parser.parse_one src with
     | Ok (Ast.Select s) ->
       (match Optimizer.plan_select k s with
        | Ok p -> Format.asprintf "%a" Plan.pp_access_path p.Plan.path
@@ -343,7 +340,9 @@ let observe session =
       show ("SELECT * FROM " ^ c)
       :: List.map (data_hash c) (Kernel.objects_of_class k c))
     classes
-  @ [ show "SHOW STALE"; show "CHECK ALL"; show "SHOW CACHE"; select_path ]
+  @ [ show "SHOW STALE"; show "CHECK ALL"; show "SHOW CACHE";
+      select_path "SELECT oid FROM scene WHERE timestamp AT DATE '1988-06-03'";
+      select_path "SELECT oid FROM scene WHERE spatialextent OVERLAPS BOX(0, 0, 1, 1)" ]
   @ List.map (fun c -> show ("SHOW PLAN " ^ c)) [ "normalized"; "smoothed" ]
   @ List.concat_map
       (fun c ->

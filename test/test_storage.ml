@@ -11,6 +11,7 @@ module Stats = Gaea_storage.Stats
 module Vorder = Gaea_storage.Vorder
 module Value = Gaea_adt.Value
 module Vtype = Gaea_adt.Vtype
+module Box = Gaea_geo.Box
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -125,6 +126,60 @@ let test_heap () =
   Alcotest.(check (list int)) "scan order" [ 1; 3; 4; 5 ] (List.rev !seen);
   check_bool "find" true (Heap.find h (fun oid _ -> oid = 4) <> None)
 
+(* Insert/delete churn: tombstones never outnumber live rows for long,
+   and compaction keeps scan order, [get] and replaced tuples. *)
+let test_heap_compaction () =
+  let d = desc () in
+  let h = Heap.create () in
+  let rng = Random.State.make [| 13 |] in
+  (* the live oids, newest first, and the deleted ones *)
+  let live = ref [] and deleted = ref [] in
+  let check_state what =
+    let n = Heap.length h in
+    if Heap.allocated h > (2 * n) + 16 then
+      Alcotest.failf "%s: %d slots for %d live rows" what (Heap.allocated h) n;
+    let seen = ref [] in
+    Heap.scan h (fun oid _ -> seen := oid :: !seen);
+    Alcotest.(check (list int)) (what ^ ": scan order") !live !seen
+  in
+  for i = 1 to 10_000 do
+    Result.get_ok (Heap.insert h i (mk_tuple d i));
+    live := i :: !live;
+    (* delete one random live row for most inserts, so the heap churns
+       while it grows slowly *)
+    if i mod 5 <> 0 then begin
+      let victim = List.nth !live (Random.State.int rng (List.length !live)) in
+      check_bool "delete live" true (Heap.delete h victim);
+      live := List.filter (( <> ) victim) !live;
+      deleted := victim :: !deleted
+    end;
+    if i mod 1000 = 0 then check_state (Printf.sprintf "after %d inserts" i)
+  done;
+  (* replace keeps a row's position across the next compaction *)
+  let oldest = List.nth !live (List.length !live - 1) in
+  Result.get_ok (Heap.replace h oldest (mk_tuple d 0));
+  List.iter
+    (fun oid ->
+      if oid <> oldest && Random.State.bool rng then begin
+        ignore (Heap.delete h oid);
+        live := List.filter (( <> ) oid) !live;
+        deleted := oid :: !deleted
+      end)
+    !live;
+  check_state "after the sweep";
+  List.iter
+    (fun oid ->
+      let expect = if oid = oldest then mk_tuple d 0 else mk_tuple d oid in
+      match Heap.get h oid with
+      | Some tu -> check_bool "get" true (Tuple.equal tu expect)
+      | None -> Alcotest.failf "live oid %d lost" oid)
+    !live;
+  List.iter
+    (fun oid ->
+      check_bool "deleted stays gone" true
+        (Heap.get h oid = None && not (Heap.delete h oid)))
+    !deleted
+
 (* ------------------------------------------------------------------ *)
 (* Indexes                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -225,6 +280,121 @@ let table_lookup_prop =
           = List.map fst (Table.lookup_eq t2 "k" (Value.int probe)))
         [ 0; 1; 5; 10 ])
 
+(* Window index against a scan: random boxes (points, duplicates, the
+   whole plane, negative, huge and subnormal coordinates) under random
+   inserts, replaces and deletes, probed with random windows before and
+   after the index is built. *)
+type box_op =
+  | Ins of Box.t
+  | Rep of int * Box.t
+  | Del of int
+  | Probe of Box.t
+
+let box_gen =
+  QCheck.Gen.(
+    let coord =
+      frequency
+        [ (6, map float_of_int (int_range (-8) 8));
+          (2, map (fun i -> float_of_int i +. 0.5) (int_range (-8) 8));
+          ( 2,
+            oneofl
+              [ 0.; -0.; 1e-300; -1e-310; 5e-324; 1e6; -1e6; 0x1p52;
+                -0x1p53; 1e300; -1e300; 1e308; -1e308 ] ) ]
+    in
+    frequency
+      [ (6, map2 Box.of_corners (pair coord coord) (pair coord coord));
+        (2, map2 Box.point coord coord);
+        ( 1,
+          oneofl
+            [ Box.make ~xmin:(-1e308) ~ymin:(-1e308) ~xmax:1e308 ~ymax:1e308;
+              Box.make ~xmin:0. ~ymin:0. ~xmax:2. ~ymax:2. ] ) ])
+
+let box_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun b -> Ins b) box_gen);
+        (2, map2 (fun i b -> Rep (i, b)) nat box_gen);
+        (2, map (fun i -> Del i) nat);
+        (2, map (fun b -> Probe b) box_gen) ])
+
+let box_op_to_string = function
+  | Ins b -> "ins " ^ Box.to_string b
+  | Rep (i, b) -> Printf.sprintf "rep %d %s" i (Box.to_string b)
+  | Del i -> Printf.sprintf "del %d" i
+  | Probe b -> "probe " ^ Box.to_string b
+
+let window_index_prop =
+  QCheck.Test.make ~name:"window index = scan filtered by Box.overlaps"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map box_op_to_string ops))
+       QCheck.Gen.(list_size (int_range 0 80) box_op_gen))
+    (fun ops ->
+      let d =
+        Result.get_ok
+          (Tuple.descriptor [ ("n", Vtype.Int); ("where", Vtype.Box) ])
+      in
+      let indexed = Table.create ~name:"indexed" d in
+      let plain = Table.create ~name:"plain" d in
+      Result.get_ok (Table.create_box_index indexed "where");
+      let next = ref 0 in
+      let nth_live i =
+        match Table.to_list plain with
+        | [] -> None
+        | rows -> Some (fst (List.nth rows (i mod List.length rows)))
+      in
+      let row b = [ Value.int !next; Value.box b ] in
+      let agree w =
+        let expect =
+          List.map fst
+            (Table.select plain (fun _ tu ->
+                 match Tuple.get tu 1 with
+                 | Value.VBox b -> Box.overlaps b w
+                 | _ -> false))
+        in
+        let probe t =
+          List.map fst
+            (Table.lookup_range t "where" ~lo:(Value.box w) ~hi:(Value.box w) ())
+        in
+        let via_index = probe indexed in
+        let used = Table.last_access_used_index indexed in
+        let via_scan = probe plain in
+        (used && via_index = expect && via_scan = expect)
+        ||
+        let show oids = String.concat "," (List.map string_of_int oids) in
+        QCheck.Test.fail_reportf "window %s: expected [%s], index [%s], scan [%s]"
+          (Box.to_string w) (show expect) (show via_index) (show via_scan)
+      in
+      let step = function
+        | Ins b ->
+          incr next;
+          Result.get_ok (Table.insert indexed !next (row b));
+          Result.get_ok (Table.insert plain !next (row b));
+          true
+        | Rep (i, b) ->
+          Option.iter
+            (fun oid ->
+              Result.get_ok (Table.replace indexed oid (row b));
+              Result.get_ok (Table.replace plain oid (row b)))
+            (nth_live i);
+          true
+        | Del i ->
+          Option.iter
+            (fun oid ->
+              ignore (Table.delete indexed oid);
+              ignore (Table.delete plain oid))
+            (nth_live i);
+          true
+        | Probe w -> agree w
+      in
+      let windows =
+        [ Box.make ~xmin:(-1.) ~ymin:(-1.) ~xmax:1. ~ymax:1.;
+          Box.point 0. 0.;
+          Box.make ~xmin:(-1e308) ~ymin:(-1e308) ~xmax:1e308 ~ymax:1e308;
+          Box.make ~xmin:2.5 ~ymin:(-3.5) ~xmax:7. ~ymax:0. ]
+      in
+      List.for_all step ops && List.for_all agree windows)
+
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -268,13 +438,15 @@ let () =
       ("vorder", [ tc "ordering" test_vorder ]);
       ( "tuple",
         [ tc "descriptor" test_tuple_descriptor; tc "make" test_tuple_make ] );
-      ("heap", [ tc "operations" test_heap ]);
+      ( "heap",
+        [ tc "operations" test_heap;
+          tc "compaction under churn" test_heap_compaction ] );
       ("indexes", [ tc "btree" test_index_btree ]);
       ( "table",
         [ tc "basics" test_table_basic;
           tc "index agreement" test_table_index_agreement;
           tc "range" test_table_range;
           tc "index maintenance" test_table_index_maintained ] );
-      qsuite "table-props" [ table_lookup_prop ];
+      qsuite "table-props" [ table_lookup_prop; window_index_prop ];
       ("store-snapshot", [ tc "store" test_store ]);
       ("stats", [ tc "analyze" test_stats ]) ]
