@@ -239,8 +239,6 @@ let interpolate_values k ~cls ~at (o1, o2) =
          |> Result.map List.rev
        end)
 
-let matches_day t at = Float.abs (Abstime.diff_days t at) <= 1.0
-
 let find_bracket snapshots at =
   (* snapshots sorted by time; pick neighbours around [at], or the two
      nearest for extrapolation *)
@@ -307,17 +305,28 @@ let request_at k ?(priority = `Interpolate_first) ~cls ~at () =
     (match def.Schema.temporal_attr with
      | None -> Gaea_error.err (cls ^ ": class has no temporal extent")
      | Some tattr ->
-       (* step 1: direct retrieval at the requested time *)
-       let hits =
-         List.filter
-           (fun oid ->
-             match object_time k ~cls ~tattr oid with
-             | Some t -> matches_day t at
-             | None -> false)
-           (Kernel.objects_of_class k cls)
+       (* step 1: direct retrieval of the stored object nearest the
+          requested time, among those in AT's window; ties go to the
+          lowest OID *)
+       let lo, hi = Abstime.day_window at in
+       let in_window =
+         match Kernel.class_table k cls with
+         | None -> []
+         | Some tab ->
+           Gaea_storage.Table.lookup_range tab tattr
+             ~lo:(Value.abstime lo) ~hi:(Value.abstime hi) ()
        in
-       (match hits with
-        | oid :: _ ->
+       let nearest =
+         List.filter_map
+           (fun (oid, _) ->
+             Option.map
+               (fun t -> (abs (Abstime.diff_seconds t at), oid))
+               (object_time k ~cls ~tattr oid))
+           in_window
+         |> List.sort compare
+       in
+       (match nearest with
+        | (_, oid) :: _ ->
           (Kernel.counters k).Kernel.retrievals <-
             (Kernel.counters k).Kernel.retrievals + 1;
           Ok
@@ -331,7 +340,7 @@ let request_at k ?(priority = `Interpolate_first) ~cls ~at () =
               List.filter
                 (fun oid ->
                   match object_time k ~cls ~tattr oid with
-                  | Some t -> matches_day t at
+                  | Some t -> Abstime.in_day_window ~at t
                   | None -> false)
                 r.objects
             in

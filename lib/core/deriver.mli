@@ -1,11 +1,16 @@
-(** The deriver: template evaluation, binding search and process
-    execution.
+(** The deriver: template evaluation, binding search, process
+    execution and incremental refresh.
 
     Before running a primitive process the deriver looks its binding
     up in the provenance reuse index ({!Provenance.find_reusable}):
     a recorded task whose outputs are still stored is served as is.
     Each lookup emits [Cache_hit] or [Cache_miss], which the bus
-    counts ({!Events.emit}). *)
+    counts ({!Events.emit}).
+
+    Every derived value is committed by the deriver, through one
+    helper: a DERIVE inserts a new object, a REFRESH overwrites the
+    stale one in place, and both then count the pixels and record the
+    task. *)
 
 module Oid = Gaea_storage.Oid
 
@@ -19,10 +24,6 @@ val create :
   -> prov:Provenance.t
   -> bus:Events.bus
   -> t
-
-val check_inputs :
-  t -> Process.t -> (string * Oid.t list) list -> (unit, Gaea_error.t) result
-(** Cardinalities, then template assertions. *)
 
 val find_binding :
   t -> ?fresh:bool -> Process.t -> available:(string * Oid.t list) list
@@ -44,6 +45,23 @@ val execute_process :
 val recompute_task :
   t -> Task.t -> ((string * Gaea_adt.Value.t) list, Gaea_error.t) result
 
-val count_pixels : Gaea_adt.Value.t -> int
-(** Pixels carried by a raster value (0 for scalars) — the
-    [pixels_processed] unit of account. *)
+type refresh_report = {
+  refreshed : int;  (** objects recomputed in place *)
+  skipped : int;  (** stale objects left stale (see [skip_reasons]) *)
+  remaining : int;  (** dirty-set size after the run *)
+  tasks : Task.t list;  (** new provenance tasks, in commit order *)
+  skip_reasons : (Oid.t * string) list;
+}
+
+val refresh : ?only:Oid.t list -> t -> refresh_report
+(** Recompute stale objects ([only] restricts to the given targets
+    plus their stale upstream closure), dirty subgraph only, as a
+    {!Scheduler} DAG: evaluation runs on the domain pool when the
+    ready frontier can fill it, and commits run by wave depth, then
+    producing task id, so results, provenance and event order match a
+    full re-derivation at any pool size.  Refreshed values replace the
+    old objects {e in place} (same OIDs), which runs the update trigger
+    ({!Provenance.object_changed}) for each; each refresh records a new
+    provenance task, which becomes the reusable one.  Objects whose
+    process is not in the registry (e.g. interpolation pseudo-tasks) or
+    whose inputs are gone are skipped and stay stale. *)

@@ -32,20 +32,33 @@ let event_to_string = function
   | Cache_invalidated { entries; reason } ->
     Printf.sprintf "cache_invalidated %d entries (%s)" entries reason
 
+type counters = {
+  mutable executions : int;
+  mutable retrievals : int;
+  mutable interpolations : int;
+  mutable pixels_processed : int;
+  mutable cache_hits : int;
+  mutable cache_misses : int;
+  mutable refreshes : int;
+}
+
 type bus = {
   ring : (int * event) option array;
   mutable next_seq : int;
-  metrics : Metrics.t;
+  counters : counters;
 }
 
 let create ?(log_capacity = 256) () =
   { ring = Array.make (max 1 log_capacity) None; next_seq = 0;
-    metrics = Metrics.create () }
+    counters =
+      { executions = 0; retrievals = 0; interpolations = 0;
+        pixels_processed = 0; cache_hits = 0; cache_misses = 0;
+        refreshes = 0 } }
 
-let metrics bus = bus.metrics
+let counters bus = bus.counters
 
 (* the counter each event feeds; the rest feed none *)
-let count (m : Metrics.t) = function
+let count m = function
   | Task_recorded _ -> m.executions <- m.executions + 1
   | Cache_hit _ -> m.cache_hits <- m.cache_hits + 1
   | Cache_miss _ -> m.cache_misses <- m.cache_misses + 1
@@ -56,7 +69,7 @@ let emit bus ev =
   let seq = bus.next_seq in
   bus.next_seq <- seq + 1;
   bus.ring.(seq mod Array.length bus.ring) <- Some (seq, ev);
-  count bus.metrics ev
+  count bus.counters ev
 
 let log bus =
   Array.to_list bus.ring

@@ -35,12 +35,27 @@ type event =
 
 val event_to_string : event -> string
 
+(** Execution counters.  The bus bumps [executions], the two reuse
+    counters and [refreshes] as it logs the event that feeds each one
+    (see {!emit}).  [retrievals], [interpolations] and
+    [pixels_processed] are mutated directly by the derivation manager
+    and the deriver, as they measure work volumes no event carries. *)
+type counters = {
+  mutable executions : int;  (** process executions (tasks recorded) *)
+  mutable retrievals : int;  (** direct object retrievals *)
+  mutable interpolations : int;
+  mutable pixels_processed : int;  (** image pixels written by mappings *)
+  mutable cache_hits : int;  (** primitive runs served by a recorded task *)
+  mutable cache_misses : int;  (** primitive runs that actually ran *)
+  mutable refreshes : int;  (** stale objects recomputed in place *)
+}
+
 type bus
 
 val create : ?log_capacity:int -> unit -> bus
 (** [log_capacity] bounds the ring buffer (default 256, min 1). *)
 
-val metrics : bus -> Metrics.t
+val counters : bus -> counters
 (** The counters this bus feeds. *)
 
 val emit : bus -> event -> unit

@@ -6,7 +6,11 @@ type t = {
   notes : string list;
 }
 
+(* Stored with [task_ids] newest first, so recording a task is a cons;
+   [find] and [all] hand out the chronological view. *)
 type manager = (string, t) Hashtbl.t
+
+let view e = { e with task_ids = List.rev e.task_ids }
 
 let create_manager () = Hashtbl.create 16
 
@@ -28,7 +32,7 @@ let update m name f =
     Ok ()
 
 let record_task m ~experiment id =
-  update m experiment (fun e -> { e with task_ids = e.task_ids @ [ id ] })
+  update m experiment (fun e -> { e with task_ids = id :: e.task_ids })
 
 let add_note m ~experiment note =
   update m experiment (fun e -> { e with notes = note :: e.notes })
@@ -37,10 +41,10 @@ let add_concept m ~experiment c =
   update m experiment (fun e ->
       { e with concepts = List.sort_uniq compare (c :: e.concepts) })
 
-let find m name = Hashtbl.find_opt m name
+let find m name = Option.map view (Hashtbl.find_opt m name)
 
 let all m =
-  Hashtbl.fold (fun _ e acc -> e :: acc) m []
+  Hashtbl.fold (fun _ e acc -> view e :: acc) m []
   |> List.sort (fun a b -> compare a.e_name b.e_name)
 
 type reproduction = {

@@ -5,6 +5,7 @@ type t =
   | Wrong_class of { oid : int; cls : string }
   | Unknown_concept of string
   | Unknown_task of int
+  | Unknown_attribute of { source : string; attr : string }
   | Duplicate of { kind : string; name : string }
   | Arity_mismatch of string
   | Assertion_failed of string
@@ -28,6 +29,8 @@ let rec to_string = function
     Printf.sprintf "object %d is not of class %s" oid cls
   | Unknown_concept c -> Printf.sprintf "unknown concept %s" c
   | Unknown_task id -> Printf.sprintf "no task #%d" id
+  | Unknown_attribute { source; attr } ->
+    Printf.sprintf "%s has no attribute %s" source attr
   | Duplicate { kind; name } -> Printf.sprintf "%s %s already defined" kind name
   | Arity_mismatch m
   | Assertion_failed m

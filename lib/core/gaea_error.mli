@@ -16,6 +16,9 @@ type t =
       (** The object exists but under a different class than named. *)
   | Unknown_concept of string
   | Unknown_task of int
+  | Unknown_attribute of { source : string; attr : string }
+      (** A query names an attribute that no class of its source (a
+          class, or a concept's member classes) has. *)
   | Duplicate of { kind : string; name : string }
       (** [kind] is "class", "process", "concept", "task", … *)
   | Arity_mismatch of string

@@ -3,11 +3,10 @@
    what reacts to it (staleness, the net cache) after its store changed. *)
 
 module Registry = Gaea_adt.Registry
-module Store = Gaea_storage.Store
 module Marking = Gaea_petri.Marking
 module Events = Events
 
-type counters = Metrics.t = {
+type counters = Events.counters = {
   mutable executions : int;
   mutable retrievals : int;
   mutable interpolations : int;
@@ -26,7 +25,7 @@ type cache_stats = {
   resident_bytes : int;
 }
 
-type refresh_report = Refresh.report = {
+type refresh_report = Deriver.refresh_report = {
   refreshed : int;
   skipped : int;
   remaining : int;
@@ -43,7 +42,6 @@ type net_view = Provenance.net_view = {
 
 type t = {
   registry : Registry.t;
-  store : Store.t;
   bus : Events.bus;
   catalog : Catalog.t;
   objects : Obj_store.t;
@@ -51,25 +49,21 @@ type t = {
   concepts : Concept.t;
   prov : Provenance.t;
   deriver : Deriver.t;
-  refresh : Refresh.t;
 }
 
 let create () =
   let registry = Registry.with_builtins () in
-  let store = Store.create () in
   let bus = Events.create () in
-  let catalog = Catalog.create ~store ~bus in
-  let objects = Obj_store.create ~store ~catalog ~bus in
+  let catalog = Catalog.create ~bus in
+  let objects = Obj_store.create ~catalog ~bus in
   let procs = Proc_registry.create ~catalog ~bus in
   let prov = Provenance.create ~objects ~bus in
   let deriver = Deriver.create ~registry ~catalog ~objects ~procs ~prov ~bus in
-  let refresh = Refresh.create ~objects ~procs ~prov ~deriver ~bus in
-  { registry; store; bus; catalog; objects; procs;
-    concepts = Concept.create (); prov; deriver; refresh }
+  { registry; bus; catalog; objects; procs;
+    concepts = Concept.create (); prov; deriver }
 
 (* system level *)
 let registry t = t.registry
-let store t = t.store
 let concepts t = t.concepts
 
 (* events *)
@@ -77,8 +71,7 @@ let bus t = t.bus
 let event_log t = Events.log t.bus
 
 (* bookkeeping *)
-let counters t = Events.metrics t.bus
-let reset_counters t = Metrics.reset (counters t)
+let counters t = Events.counters t.bus
 let clock t = Provenance.clock t.prov
 
 (* classes *)
@@ -101,6 +94,8 @@ let object_attr t ~cls oid attr = Obj_store.attr t.objects ~cls oid attr
 let objects_of_class t cls = Obj_store.oids_of_class t.objects cls
 let class_of_object t oid = Obj_store.class_of t.objects oid
 let count_objects t cls = Obj_store.count t.objects cls
+let last_oid t = Obj_store.last_oid t.objects
+let advance_oids t oid = Obj_store.advance_oids t.objects oid
 
 let delete_object t ~cls oid =
   Obj_store.delete t.objects ~cls oid
@@ -169,7 +164,7 @@ let restore_cache_stats t ~hits ~misses ~invalidations =
 let stale_objects t = Provenance.stale t.prov
 let object_stale t oid = Provenance.is_stale t.prov oid
 let restore_stale t oids = Provenance.restore_stale t.prov oids
-let refresh_stale ?only t = Refresh.refresh ?only t.refresh
+let refresh_stale ?only t = Deriver.refresh ?only t.deriver
 
 (* derivation net *)
 let derivation_net t =

@@ -2,9 +2,9 @@
 
     A thin facade over the subsystem modules — {!Catalog} (class defs +
     schema), {!Obj_store} (object CRUD), {!Proc_registry} (process
-    versions), {!Deriver} (assertions, mappings, execution),
-    {!Provenance} (tasks, lineage, reuse, staleness, net views) and
-    {!Refresh} (incremental refresh) — composed over one shared
+    versions), {!Deriver} (assertions, mappings, execution and
+    incremental refresh) and {!Provenance} (tasks, lineage, reuse,
+    staleness, net views) — composed over one shared
     {!Events.bus}, which logs every state change and feeds the
     execution counters.  The bus dispatches nothing: the mutations
     below call what reacts to them — the staleness walk, which also
@@ -17,7 +17,7 @@ type t
 
 val create : unit -> t
 (** Fresh kernel with the built-in registry ({!Gaea_adt.Registry.with_builtins})
-    and an empty store. *)
+    and no classes. *)
 
 (** {2 Events} *)
 
@@ -33,7 +33,6 @@ val event_log : t -> (int * Events.event) list
 (** {2 System level} *)
 
 val registry : t -> Gaea_adt.Registry.t
-val store : t -> Gaea_storage.Store.t
 
 (** {2 Classes (derivation level, static)} *)
 
@@ -63,6 +62,12 @@ val object_attr :
 val objects_of_class : t -> string -> Gaea_storage.Oid.t list
 val class_of_object : t -> Gaea_storage.Oid.t -> string option
 val count_objects : t -> string -> int
+
+val last_oid : t -> Gaea_storage.Oid.t
+(** Highest OID allocated so far, deleted objects included. *)
+
+val advance_oids : t -> Gaea_storage.Oid.t -> unit
+(** Ensure future OIDs exceed the given one (persist loading). *)
 
 val delete_object :
   t -> cls:string -> Gaea_storage.Oid.t -> (unit, Gaea_error.t) result
@@ -151,8 +156,8 @@ val find_binding :
 val insert_object_with_oid :
   t -> cls:string -> Gaea_storage.Oid.t -> (string * Gaea_adt.Value.t) list
   -> (unit, Gaea_error.t) result
-(** Insert under a caller-chosen OID (kernel restore); advances the
-    store's allocator past it. *)
+(** Insert under a caller-chosen OID (kernel restore), validated as
+    {!insert_object} is; advances the OID allocator past it. *)
 
 val restore_task : t -> Task.t -> (unit, Gaea_error.t) result
 (** Append a previously recorded task verbatim (kernel restore): indexes
@@ -200,7 +205,7 @@ val current_marking : t -> Gaea_petri.Marking.t
 
 (** {2 Bookkeeping} *)
 
-type counters = Metrics.t = {
+type counters = Events.counters = {
   mutable executions : int;     (** process executions (tasks recorded) *)
   mutable retrievals : int;     (** direct object retrievals *)
   mutable interpolations : int;
@@ -211,7 +216,6 @@ type counters = Metrics.t = {
 }
 
 val counters : t -> counters
-val reset_counters : t -> unit
 val clock : t -> int
 (** Current logical time (increments per task). *)
 
@@ -247,7 +251,7 @@ val restore_cache_stats :
 
 (** {2 Staleness and incremental refresh} *)
 
-type refresh_report = Refresh.report = {
+type refresh_report = Deriver.refresh_report = {
   refreshed : int;  (** objects recomputed in place *)
   skipped : int;  (** stale objects left stale *)
   remaining : int;  (** dirty-set size after the run *)

@@ -1,28 +1,37 @@
-(** Object CRUD over the catalog's tables, plus the oid → class map.
+(** Object CRUD over the catalog's tables, the oid → class map, and
+    the OID allocator — the only one in the kernel.
 
     Emits [Object_inserted] / [Object_updated] / [Object_deleted] on
     the bus.  Staleness is not this module's business: the kernel
-    calls the {!Refresh} triggers after an update or delete. *)
+    calls the {!Provenance} triggers after an update or delete. *)
 
 module Oid = Gaea_storage.Oid
 
 type t
 
-val create :
-  store:Gaea_storage.Store.t -> catalog:Catalog.t -> bus:Events.bus -> t
+val create : catalog:Catalog.t -> bus:Events.bus -> t
 
 val insert :
   t -> cls:string -> (string * Gaea_adt.Value.t) list
   -> (Oid.t, Gaea_error.t) result
 (** Attribute-name/value pairs; every class attribute must be given
-    exactly once.  Emits [Object_inserted]. *)
+    exactly once, and no other.  Allocates the OID before storing, so
+    a tuple the table rejects still spends one.  Emits
+    [Object_inserted]. *)
 
 val insert_with_oid :
   t -> cls:string -> Oid.t -> (string * Gaea_adt.Value.t) list
   -> (unit, Gaea_error.t) result
-(** Insert under a caller-chosen OID (kernel restore); advances the
-    store's allocator past it.  Event-silent: restores must not look
-    like fresh mutations in the event log or the counters. *)
+(** Insert under a caller-chosen OID (kernel restore), validated as
+    {!insert} is; advances the allocator past it.  Event-silent:
+    restores must not look like fresh mutations in the event log or
+    the counters. *)
+
+val last_oid : t -> Oid.t
+(** Highest OID allocated so far, deleted objects included. *)
+
+val advance_oids : t -> Oid.t -> unit
+(** Ensure future OIDs exceed the given one (persist loading). *)
 
 val update :
   t -> cls:string -> Oid.t -> (string * Gaea_adt.Value.t) list

@@ -383,7 +383,7 @@ let restore_stale kernel oids =
 (* Deleted objects leave no row behind, so the allocator's high-water
    mark is saved: a loaded kernel must not hand out their OIDs again. *)
 let oids_to_sexp kernel =
-  let last = Gaea_storage.Store.last_oid (Kernel.store kernel) in
+  let last = Kernel.last_oid kernel in
   Sexp.list [ Sexp.atom "oids"; iatom last ]
 
 (* --- whole kernel ---------------------------------------------------- *)
@@ -466,7 +466,7 @@ let load text =
           (* absent from older saves, which allocate after the highest
              stored OID *)
           let* last = parse_int last in
-          Gaea_storage.Store.advance_oids (Kernel.store kernel) last;
+          Kernel.advance_oids kernel last;
           Ok ()
         | Sexp.List (Sexp.Atom "reusable" :: ids) ->
           (* after the tasks it names; absent from older saves, which

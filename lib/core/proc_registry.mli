@@ -2,9 +2,8 @@
 
     Emits [Process_defined] for a new name and [Process_versioned]
     when an existing name gains a version.  The kernel then drops the
-    memoized derivation net and calls {!Refresh.process_defined},
-    which marks the old versions' outputs stale and drops their cache
-    entries. *)
+    memoized derivation net and calls {!Provenance.process_defined},
+    which marks the old versions' outputs stale and ends their reuse. *)
 
 type t
 

@@ -2,7 +2,7 @@
     domain pool, commit in a fixed order on the calling domain.
 
     Compound expansion ({!Deriver.execute_process}) and REFRESH
-    ({!Refresh.refresh}) build a DAG and hand it to {!run}.  Nodes
+    ({!Deriver.refresh}) build a DAG and hand it to {!run}.  Nodes
     arrive in commit order; each names the earlier nodes it reads, may
     offer a pure evaluation, and has a commit.  [run] holds the only
     copy of these rules:

@@ -90,6 +90,12 @@ let add_years t n = add_months t (n * 12)
 let diff_seconds a b = a - b
 let diff_days a b = float_of_int (a - b) /. 86400.
 
+let day_window t = (add_days t (-1), add_days t 1)
+
+let in_day_window ~at t =
+  let lo, hi = day_window at in
+  lo <= t && t <= hi
+
 let compare = Int.compare
 let equal = Int.equal
 let min = Stdlib.min

@@ -52,6 +52,13 @@ val diff_seconds : t -> t -> int
 
 val diff_days : t -> t -> float
 
+val day_window : t -> t * t
+(** [day_window t] is the closed window one day either side of [t]:
+    the times a GaeaQL [AT t] matches, in a SELECT and in a DERIVE. *)
+
+val in_day_window : at:t -> t -> bool
+(** Whether a time lies in [day_window at]. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val min : t -> t -> t

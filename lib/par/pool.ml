@@ -244,12 +244,6 @@ let dispatch n body =
 
 let min_par_override = ref None
 
-let env_min_par =
-  lazy
-    (match Sys.getenv_opt "GAEA_MIN_PAR_WORK" with
-     | Some s -> int_of_string_opt (String.trim s)
-     | None -> None)
-
 let median a =
   let a = Array.copy a in
   Array.sort compare a;
@@ -291,17 +285,14 @@ let min_parallel_work () =
   match !min_par_override with
   | Some w -> w
   | None ->
-    (match Lazy.force env_min_par with
-     | Some w -> w
-     | None ->
-       if Domain.recommended_domain_count () = 1 then max_int
-       else
-         match !calibrated with
-         | Some w -> w
-         | None ->
-           let w = calibrate () in
-           calibrated := Some w;
-           w)
+    if Domain.recommended_domain_count () = 1 then max_int
+    else (
+      match !calibrated with
+      | Some w -> w
+      | None ->
+        let w = calibrate () in
+        calibrated := Some w;
+        w)
 
 let set_min_parallel_work w = min_par_override := w
 

@@ -68,9 +68,8 @@ val min_parallel_work : unit -> int
 (** The adaptive sequential cutoff: estimated work units ([range
     length * cost]) below which the iteration entry points stay
     sequential.  Resolution order: {!set_min_parallel_work} override,
-    the [GAEA_MIN_PAR_WORK] environment variable, [max_int] on hosts
-    where [Domain.recommended_domain_count () = 1], else a value
-    calibrated once per process (about ten pool dispatches' worth of
+    [max_int] on hosts where [Domain.recommended_domain_count () = 1],
+    else a value calibrated once per process (about ten pool dispatches' worth of
     float-add work, clamped to [default_grain .. 16M]). *)
 
 val set_min_parallel_work : int option -> unit

@@ -104,15 +104,14 @@ let compare_matches cmp c =
   | Ast.C_gt -> c > 0
   | Ast.C_ge -> c >= 0
 
+let pred_attr = function
+  | Ast.P_compare (a, _, _) | Ast.P_overlaps (a, _) | Ast.P_at (a, _) -> a
+
 (* A predicate compiled against one class's tuple layout: the literal
    converted and the attribute resolved once per statement, the test
    reading the stored tuple. *)
 let compile_predicate desc pred =
-  let attr =
-    match pred with
-    | Ast.P_compare (a, _, _) | Ast.P_overlaps (a, _) | Ast.P_at (a, _) -> a
-  in
-  match Tuple.attr_index desc attr with
+  match Tuple.attr_index desc (pred_attr pred) with
   | None -> fun _ -> false
   | Some i ->
     (match pred with
@@ -142,7 +141,7 @@ let compile_predicate desc pred =
         | Value.VAbstime target ->
           fun tuple ->
             (match Tuple.get tuple i with
-             | Value.VAbstime tv -> Float.abs (Abstime.diff_days tv target) <= 1.0
+             | Value.VAbstime tv -> Abstime.in_day_window ~at:target tv
              | _ -> false)
         | _ -> fun _ -> false))
 
@@ -150,13 +149,45 @@ let compile_predicate desc pred =
 (* SELECT                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* In a projection and in ORDER BY, [oid] names the row's OID. *)
+let is_oid a = a = "oid"
+
+(* Every attribute the statement names must belong to some source
+   class; a concept member lacking it shows [-] in its rows. *)
+let check_attrs t (s : Ast.select) classes =
+  let has attr cls =
+    match Kernel.find_class t.kernel cls with
+    | Some def -> Schema.attribute def attr <> None
+    | None -> false
+  in
+  let named =
+    List.filter (fun a -> not (is_oid a)) s.Ast.projection
+    @ List.map pred_attr s.Ast.where_
+    @ (match s.Ast.order_by with
+       | Some (a, _) when not (is_oid a) -> [ a ]
+       | _ -> [])
+  in
+  match
+    List.find_opt (fun attr -> not (List.exists (has attr) classes)) named
+  with
+  | Some attr ->
+    Error (Gaea_error.Unknown_attribute { source = s.Ast.source; attr })
+  | None -> Ok ()
+
 let execute_select t (s : Ast.select) =
   let* plan = Optimizer.plan_select t.kernel s in
+  let* () = check_attrs t s plan.Plan.classes in
   let first = List.hd plan.Plan.classes in
   let rest = List.tl plan.Plan.classes in
+  (* the projected attributes; the OID column is always shown first *)
+  let projected =
+    match s.Ast.projection with
+    | [] -> None
+    | cols -> Some (List.filter (fun a -> not (is_oid a)) cols)
+  in
   (* A class's matches, produced on demand from [rows]: each a sort key
-     (the stored ORDER BY attribute) and the row, built only for a
-     match. *)
+     (the stored ORDER BY attribute, or the OID) and the row, built only
+     for a match. *)
   let matching cls preds rows =
     match Kernel.class_table t.kernel cls with
     | None -> Seq.empty
@@ -164,20 +195,26 @@ let execute_select t (s : Ast.select) =
       let desc = Table.descriptor tab in
       let tests = List.map (compile_predicate desc) preds in
       let columns =
-        (match s.Ast.projection with
-         | [] -> List.map fst (Tuple.attrs desc)
-         | cols -> cols)
+        (match projected with
+         | None -> List.map fst (Tuple.attrs desc)
+         | Some cols -> cols)
         |> List.filter_map (fun a ->
                Option.map (fun i -> (a, i)) (Tuple.attr_index desc a))
       in
-      let key_at =
-        Option.bind s.Ast.order_by (fun (attr, _) -> Tuple.attr_index desc attr)
+      let key =
+        match s.Ast.order_by with
+        | Some (attr, _) when is_oid attr -> fun oid _ -> Some (Value.int oid)
+        | Some (attr, _) ->
+          (match Tuple.attr_index desc attr with
+           | Some i -> fun _ tuple -> Some (Tuple.get tuple i)
+           | None -> fun _ _ -> None)
+        | None -> fun _ _ -> None
       in
       Seq.filter_map
         (fun (oid, tuple) ->
           if List.for_all (fun test -> test tuple) tests then
             Some
-              ( Option.map (Tuple.get tuple) key_at,
+              ( key oid tuple,
                 (oid, List.map (fun (a, i) -> (a, Tuple.get tuple i)) columns) )
           else None)
         (rows tab)
@@ -221,12 +258,12 @@ let execute_select t (s : Ast.select) =
       |> List.map snd
   in
   let columns =
-    match s.Ast.projection with
-    | [] ->
+    match projected with
+    | None ->
       (match Kernel.find_class t.kernel first with
        | Some def -> Schema.attr_names def
        | None -> [])
-    | cols -> cols
+    | Some cols -> cols
   in
   Ok (Rows { columns; rows })
 
@@ -629,7 +666,9 @@ let format_response = function
   | Message m -> m
   | Rows { columns; rows } ->
     let buf = Buffer.create 256 in
-    Buffer.add_string buf ("oid | " ^ String.concat " | " columns ^ "\n");
+    Buffer.add_string buf "oid";
+    List.iter (fun c -> Buffer.add_string buf (" | " ^ c)) columns;
+    Buffer.add_char buf '\n';
     List.iter
       (fun (oid, pairs) ->
         Buffer.add_string buf (string_of_int oid);

@@ -63,16 +63,13 @@ let choose_path k cls preds =
             when Table.has_btree_index tab attr ->
             Some (pred, Plan.Index_range (attr, Some (literal_value lit), None), 0.3)
           | Ast.P_at (attr, lit) when Table.has_btree_index tab attr ->
-            (* same-day window *)
-            let v = literal_value lit in
-            (match v with
+            (match literal_value lit with
              | Value.VAbstime t ->
+               let lo, hi = Abstime.day_window t in
                Some
                  ( pred,
                    Plan.Index_range
-                     ( attr,
-                       Some (Value.abstime (Abstime.add_days t (-1))),
-                       Some (Value.abstime (Abstime.add_days t 1)) ),
+                     (attr, Some (Value.abstime lo), Some (Value.abstime hi)),
                    0.1 )
              | _ -> None)
           | Ast.P_overlaps (attr, lit) when Table.has_box_index tab attr ->

@@ -555,6 +555,51 @@ let test_request_at_retrieves_exact () =
   in
   Alcotest.(check (list int)) "exact hit" [ oid ] outcome.Derivation.objects
 
+(* AT retrieves the stored object nearest the date, not the first one
+   inserted into the window; equally near objects go to the lowest OID *)
+let test_request_at_nearest () =
+  let k = simple_kernel () in
+  let mk day =
+    ok
+      (Kernel.insert_object k ~cls:"src"
+         [ ("tag", Value.int day);
+           ("data", Value.image (Image.of_array ~nrow:1 ~ncol:1 Pixel.Float8 [| 1. |]));
+           ("spatialextent", Value.box (Box.make ~xmin:0. ~ymin:0. ~xmax:1. ~ymax:1.));
+           ("timestamp", Value.abstime (Abstime.of_ymd 1988 6 day)) ])
+  in
+  let d2 = mk 2 in
+  let d3 = mk 3 in
+  let d4 = mk 4 in
+  let at day =
+    (ok (Derivation.request_at k ~cls:"src" ~at:(Abstime.of_ymd 1988 6 day) ()))
+      .Derivation.objects
+  in
+  Alcotest.(check (list int)) "nearest, not first inserted" [ d3 ] (at 3);
+  Alcotest.(check (list int)) "nearest at the window's edge" [ d4 ] (at 5);
+  ignore (ok (Kernel.delete_object k ~cls:"src" d3));
+  Alcotest.(check (list int)) "tie goes to the lowest oid" [ d2 ] (at 3)
+
+(* a restore is validated as an insert is: an unknown attribute is an
+   error and spends no OID *)
+let test_insert_with_oid_validates () =
+  let k = simple_kernel () in
+  let pairs extra =
+    [ ("tag", Value.int 1); ("data", Value.int 2); ("spatialextent", Value.int 3);
+      ("timestamp", Value.int 4) ]
+    @ extra
+  in
+  check_bool "unknown attr" true
+    (Result.is_error
+       (Kernel.insert_object_with_oid k ~cls:"src" 40 (pairs [ ("zzz", Value.int 5) ])));
+  check_bool "missing attr" true
+    (Result.is_error (Kernel.insert_object_with_oid k ~cls:"src" 41 [ ("tag", Value.int 1) ]));
+  check_bool "unknown class" true
+    (Result.is_error (Kernel.insert_object_with_oid k ~cls:"nope" 42 []));
+  check_int "nothing stored" 0 (Kernel.count_objects k "src");
+  check_int "no oid spent" 0 (Kernel.last_oid k);
+  let oid = insert_src k 1 1. in
+  check_int "allocation goes on from 1" 1 oid
+
 let test_request_at_no_data () =
   let k = simple_kernel () in
   check_bool "no snapshots" true
@@ -961,6 +1006,7 @@ let () =
       ( "kernel",
         [ tc "objects" test_kernel_objects;
           tc "duplicate definitions" test_kernel_duplicate_definitions;
+          tc "insert_with_oid validates" test_insert_with_oid_validates;
           tc "execute process" test_kernel_execute_process;
           tc "execute validation" test_kernel_execute_validation;
           tc "recompute" test_kernel_recompute ] );
@@ -981,6 +1027,7 @@ let () =
           tc "request_at interpolates" test_request_at_interpolation;
           tc "request_at exact hit" test_request_at_retrieves_exact;
           tc "request_at no data" test_request_at_no_data;
+          tc "request_at nearest" test_request_at_nearest;
           tc "failure reported" test_derivation_failure_reported ] );
       ( "lineage",
         [ tc "ancestors" test_lineage_ancestors;

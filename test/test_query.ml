@@ -528,6 +528,57 @@ let test_executor_lineage_and_compare () =
   check_bool "verify errors on unknown" true
     (Result.is_error (Session.run_string session "VERIFY TASK 999"))
 
+(* [oid] in a projection and in ORDER BY is the row's OID *)
+let test_executor_select_oid () =
+  let session = desert_session () in
+  let oids src = List.map fst (select_rows session src) in
+  let all = oids "SELECT year FROM rainfall" in
+  (match run1 session "SELECT oid FROM rainfall" with
+   | Executor.Rows { columns; rows } as r ->
+     Alcotest.(check (list string)) "no repeated oid column" [] columns;
+     Alcotest.(check (list int)) "every row" all (List.map fst rows);
+     check_bool "no dash" false (contains (Executor.format_response r) "-")
+   | _ -> Alcotest.fail "rows");
+  Alcotest.(check (list int)) "ORDER BY oid DESC" (List.rev all)
+    (oids "SELECT oid FROM rainfall ORDER BY oid DESC");
+  Alcotest.(check (list int)) "ORDER BY oid DESC LIMIT 2"
+    (List.filteri (fun i _ -> i < 2) (List.rev all))
+    (oids "SELECT year, oid FROM rainfall ORDER BY oid DESC LIMIT 2")
+
+(* an attribute no source class has is a typed error; a concept member
+   lacking an attribute another member has shows [-] *)
+let test_executor_unknown_attribute () =
+  let session = desert_session () in
+  let _ =
+    ok
+      (Session.run_string session
+         "DERIVE desert; DEFINE CONCEPT maps MEMBERS (rainfall, desert)")
+  in
+  List.iter
+    (fun src ->
+      let rec unknown = function
+        | Gaea_core.Gaea_error.Unknown_attribute { attr = "zzz"; _ } -> true
+        | Gaea_core.Gaea_error.Context (_, e) -> unknown e
+        | _ -> false
+      in
+      match Session.run_string session src with
+      | Error e when unknown e -> ()
+      | Error e -> Alcotest.failf "%s: %s" src (Gaea_core.Gaea_error.to_string e)
+      | Ok _ -> Alcotest.failf "%s: accepted" src)
+    [ "SELECT zzz FROM rainfall";
+      "SELECT year FROM rainfall WHERE zzz = 1";
+      "SELECT year FROM rainfall ORDER BY zzz";
+      "SELECT year, zzz FROM maps" ];
+  match run1 session "SELECT cutoff FROM maps" with
+  | Executor.Rows { rows; _ } as r ->
+    check_int "every member's rows" 4 (List.length rows);
+    check_int "rainfall rows show -" 3
+      (List.length
+         (List.filter
+            (fun line -> contains line "| -")
+            (String.split_on_char '\n' (Executor.format_response r))))
+  | _ -> Alcotest.fail "rows"
+
 let test_executor_errors () =
   let session = desert_session () in
   List.iter
@@ -884,6 +935,8 @@ let () =
           tc "metadata statements" test_executor_metadata_statements;
           tc "lineage and compare" test_executor_lineage_and_compare;
           tc "errors" test_executor_errors;
+          tc "select oid" test_executor_select_oid;
+          tc "unknown attribute" test_executor_unknown_attribute;
           tc "versions" test_executor_versions ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest

@@ -1,12 +1,11 @@
 (* Tests for the storage substrate (the Postgres stand-in): OIDs,
-   tuples, heap, indexes, tables, store, statistics. *)
+   tuples, heap, indexes, tables, statistics. *)
 
 module Oid = Gaea_storage.Oid
 module Tuple = Gaea_storage.Tuple
 module Heap = Gaea_storage.Heap
 module Index_btree = Gaea_storage.Index_btree
 module Table = Gaea_storage.Table
-module Store = Gaea_storage.Store
 module Stats = Gaea_storage.Stats
 module Vorder = Gaea_storage.Vorder
 module Value = Gaea_adt.Value
@@ -396,22 +395,34 @@ let window_index_prop =
       List.for_all step ops && List.for_all agree windows)
 
 (* ------------------------------------------------------------------ *)
-(* Store                                                               *)
+(* Rejected writes                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_store () =
-  let s = Store.create () in
-  let _ = Result.get_ok (Store.create_table s ~name:"t1" [ ("x", Vtype.Int) ]) in
-  check_bool "dup table" true
-    (Result.is_error (Store.create_table s ~name:"t1" [ ("x", Vtype.Int) ]));
-  let oid = Result.get_ok (Store.insert_values s ~table:"t1" [ Value.int 42 ]) in
-  check_bool "get" true (Store.get s ~table:"t1" oid <> None);
-  check_bool "bad table insert" true
-    (Result.is_error (Store.insert_values s ~table:"zzz" [ Value.int 1 ]));
-  check_bool "table" true (Store.table s "t1" <> None);
-  check_int "rows" 1 (Store.total_rows s);
-  check_bool "drop" true (Store.drop_table s "t1");
-  check_bool "drop again" false (Store.drop_table s "t1")
+(* A class's table carries a B-tree on its time and a window index on
+   its box.  A row the table rejects — mistyped, short, or under an OID
+   it already holds — must leave the heap and both indexes as they
+   were, the window index included once a probe has built it. *)
+let test_rejected_insert () =
+  let d =
+    Result.get_ok (Tuple.descriptor [ ("t", Vtype.Abstime); ("b", Vtype.Box) ])
+  in
+  let tab = Table.create ~name:"scene" d in
+  Result.get_ok (Table.create_btree_index tab "t");
+  Result.get_ok (Table.create_box_index tab "b");
+  let day n = Value.abstime (Gaea_geo.Abstime.of_ymd 1988 6 n) in
+  let box = Value.box (Box.make ~xmin:0. ~ymin:0. ~xmax:1. ~ymax:1.) in
+  let found () =
+    ( List.map fst (Table.lookup_range tab "t" ~lo:(day 1) ~hi:(day 9) ()),
+      List.map fst (Table.lookup_range tab "b" ~lo:box ~hi:box ()) )
+  in
+  Result.get_ok (Table.insert tab 1 [ day 1; box ]);
+  let before = found () in
+  check_bool "mistyped" true (Result.is_error (Table.insert tab 2 [ box; day 2 ]));
+  check_bool "short" true (Result.is_error (Table.insert tab 3 [ day 3 ]));
+  check_bool "oid held" true (Result.is_error (Table.insert tab 1 [ day 4; box ]));
+  check_int "rows" 1 (Table.row_count tab);
+  check_bool "indexes unchanged" true (found () = before && before = ([ 1 ], [ 1 ]));
+  check_bool "one time key" true (Table.btree_cardinality tab "t" = Some 1)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -448,5 +459,5 @@ let () =
           tc "range" test_table_range;
           tc "index maintenance" test_table_index_maintained ] );
       qsuite "table-props" [ table_lookup_prop; window_index_prop ];
-      ("store-snapshot", [ tc "store" test_store ]);
+      ("rejected-write", [ tc "a rejected row leaves the indexes" test_rejected_insert ]);
       ("stats", [ tc "analyze" test_stats ]) ]
