@@ -366,7 +366,7 @@ let build_chain_net ~depth ~fan_in =
   for tok = 1 to (fan_in * fan_in) + 2 do
     marking := Marking.add !marking places.(0) tok
   done;
-  (net, !marking, places.(depth))
+  (net, Marking.view !marking, places.(depth))
 
 let e5_backchain () =
   section "E5: backward chaining over the derivation net";
@@ -410,7 +410,7 @@ let e5_backchain () =
         (Result.get_ok
            (Net.add_transition net ~name:"tg" ~inputs:[ (base, 1) ]
               ~outputs:[ goal ] ()));
-      let marking = Marking.of_list [ (base, [ 1 ]) ] in
+      let marking = Marking.view (Marking.of_list [ (base, [ 1 ]) ]) in
       let _, plan_t =
         time_avg ~repeats:5 (fun () -> Backchain.search net marking goal)
       in
@@ -1027,6 +1027,109 @@ let e13_overlaps () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* E14: DERIVE at database scale                                       *)
+(* ------------------------------------------------------------------ *)
+
+let e14_failed = ref false
+
+(* One scene, an empty derived class, and N objects of a class the
+   derivation never reads. *)
+let e14_kernel n =
+  let k = Kernel.create () in
+  let session = Gaea_query.Session.create ~kernel:k () in
+  ignore
+    (ok
+       (Gaea_query.Session.run_string session
+          "DEFINE CLASS scene ( data image, spatialextent box, timestamp \
+           abstime );\n\
+           DEFINE CLASS normalized ( data image, spatialextent box, \
+           timestamp abstime ) DERIVED BY normalize;\n\
+           DEFINE CLASS other ( n int );\n\
+           DEFINE PROCESS normalize OUTPUT normalized ARGS ( s scene ) MAP \
+           data = img_scale(0.5, s.data) MAP spatialextent = \
+           s.spatialextent MAP timestamp = s.timestamp END;\n\
+           INSERT INTO scene ( data = synth_rainfall(1, 2, 2), \
+           spatialextent = BOX(0, 0, 1, 1), timestamp = DATE '1988-06-01' \
+           );"));
+  for i = 1 to n do
+    ignore (ok (Kernel.insert_object k ~cls:"other" [ ("n", Value.int i) ]))
+  done;
+  k
+
+let e14_derive_scale () =
+  section "E14: DERIVE at database scale — cost per DERIVE against unrelated data";
+  Printf.printf
+    "workload: one scene, an empty class derived from it, N objects of an\n\
+     unrelated class; plan = Derivation.derivation_plan, DERIVE = a firing\n\
+     `DERIVE normalized` (its object is deleted, untimed, before the next)\n\n";
+  Printf.printf "%-8s %-10s %-14s %-10s %s\n" "N" "plan us" "plan words"
+    "DERIVE us" "DERIVE words";
+  let stmt =
+    match Gaea_query.Parser.parse_one "DERIVE normalized" with
+    | Ok stmt -> stmt
+    | Error e -> failwith (Gaea_core.Gaea_error.to_string e)
+  in
+  let plans = if smoke then 100 else 1000 in
+  let derives = if smoke then 50 else 500 in
+  (* mean µs and minor words of [f] over [runs] calls, [reset] untimed
+     after each *)
+  let measure ~runs ?(reset = ignore) f =
+    let dt = ref 0. and words = ref 0. in
+    for _ = 1 to runs do
+      let w0 = Gc.minor_words () in
+      let _, t = time_once f in
+      words := !words +. (Gc.minor_words () -. w0);
+      dt := !dt +. t;
+      reset ()
+    done;
+    (!dt *. 1e6 /. float_of_int runs, !words /. float_of_int runs)
+  in
+  let row n =
+    let k = e14_kernel n in
+    let ex = Gaea_query.Executor.create ~kernel:k () in
+    let plan () =
+      if Derivation.derivation_plan k "normalized" = None then
+        failwith "E14: no plan for normalized"
+    in
+    (* the class is empty before each run, so a DERIVE that succeeds
+       has fired *)
+    let derive () =
+      match Gaea_query.Executor.execute ex stmt with
+      | Ok _ -> ()
+      | Error e -> failwith ("E14: " ^ Gaea_core.Gaea_error.to_string e)
+    in
+    let reset () =
+      List.iter
+        (fun oid -> ignore (ok (Kernel.delete_object k ~cls:"normalized" oid)))
+        (Kernel.objects_of_class k "normalized")
+    in
+    (* one unmeasured run of each builds the net and warms the paths *)
+    plan ();
+    derive ();
+    reset ();
+    let plan_us, plan_words = measure ~runs:plans plan in
+    let derive_us, derive_words = measure ~runs:derives ~reset derive in
+    Printf.printf "%-8d %-10.1f %-14.0f %-10.1f %.0f\n" n plan_us plan_words
+      derive_us derive_words;
+    (n, plan_words, derive_words)
+  in
+  let sizes = if smoke then [ 1_000; 4_000 ] else [ 1_000; 4_000; 16_000 ] in
+  let results = List.map row sizes in
+  let n0, plan0, derive0 = List.hd results
+  and n1, plan1, derive1 = List.hd (List.rev results) in
+  (* allocation, unlike time, does not depend on the host's noise *)
+  List.iter
+    (fun (what, smallest, largest) ->
+      if largest > 2. *. smallest then begin
+        Printf.printf
+          "E14 FAILURE: %s allocates %.0f words at N = %d against %.0f at N = \
+           %d — the cost grows with unrelated data\n"
+          what largest n1 smallest n0;
+        e14_failed := true
+      end)
+    [ ("planning", plan0, plan1); ("a firing DERIVE", derive0, derive1) ]
+
+(* ------------------------------------------------------------------ *)
 (* Fused-kernel parity gate                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1320,6 +1423,7 @@ let () =
   e9_task_parallel ();
   e10_incremental_refresh ();
   e13_overlaps ();
+  e14_derive_scale ();
   parity_gate ();
   run_bechamel ();
   (* smoke runs must never clobber the full-size benchmark record *)
@@ -1327,4 +1431,5 @@ let () =
     (if smoke then "BENCH_parallel.smoke.json" else "BENCH_parallel.json");
   print_endline "\nall experiments completed.";
   Pool.shutdown ();
-  if !parity_failed || !e10_failed || !e8_failed || !e13_failed then exit 1
+  if !parity_failed || !e10_failed || !e8_failed || !e13_failed || !e14_failed
+  then exit 1

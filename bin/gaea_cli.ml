@@ -143,7 +143,7 @@ let demo_cmd () =
             (Lineage.explain k oid2);
           let view = Kernel.derivation_net k in
           show "derivation net (Graphviz)"
-            (Dot.to_dot ~marking:(Kernel.current_marking k) view.Kernel.net);
+            (Dot.to_dot ~tokens:(Kernel.tokens k) view.Kernel.net);
           (* incremental recomputation: touch a base band the land
              cover was derived from, watch staleness propagate, then
              refresh only the dirty subgraph *)

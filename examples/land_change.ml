@@ -36,7 +36,7 @@ let () =
   in
   let derivable () =
     let info =
-      Reachability.analyze view.Kernel.net (Kernel.current_marking k)
+      Reachability.analyze view.Kernel.net (Kernel.tokens k)
     in
     info.Reachability.derivable place
   in
@@ -79,7 +79,7 @@ let () =
   print_string (Lineage.explain k result);
 
   (* structural analysis of the derivation diagram *)
-  let report = Analysis.analyze view.Kernel.net (Kernel.current_marking k) in
+  let report = Analysis.analyze view.Kernel.net (Kernel.tokens k) in
   Format.printf "@.net analysis:@.%a@."
     (Analysis.pp_report
        ~place_name:(fun p ->

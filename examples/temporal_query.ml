@@ -6,8 +6,8 @@
    A rainfall time series exists for January of 1986, 1988 and 1990.
    Queries AT stored dates retrieve; queries between snapshots
    interpolate (recorded as a generic-interpolation task, reproducible
-   like any derivation); the priority between interpolation and full
-   derivation is the caller's choice.
+   like any derivation); interpolation is tried before full derivation,
+   the paper's step order.
 
    Run with: dune exec examples/temporal_query.exe *)
 

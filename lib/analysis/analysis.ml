@@ -690,8 +690,9 @@ let check_versions k =
 
 let check_net k =
   let view = Kernel.derivation_net k in
-  let marking = Kernel.current_marking k in
-  let report = Gaea_petri.Analysis.analyze view.Kernel.net marking in
+  let report =
+    Gaea_petri.Analysis.analyze view.Kernel.net (Kernel.tokens k)
+  in
   let dead =
     List.filter_map
       (fun tr ->

@@ -2,9 +2,8 @@ module Value = Gaea_adt.Value
 module Vtype = Gaea_adt.Vtype
 module Oid = Gaea_storage.Oid
 module Abstime = Gaea_geo.Abstime
-module Marking = Gaea_petri.Marking
+module Net = Gaea_petri.Net
 module Backchain = Gaea_petri.Backchain
-module Reachability = Gaea_petri.Reachability
 module Image = Gaea_raster.Image
 module Interpolate = Gaea_raster.Interpolate
 
@@ -32,17 +31,7 @@ let derivation_plan k ?(need = 1) cls =
   match view.Kernel.place_of_class cls with
   | None -> None
   | Some place ->
-    Backchain.search ~need view.Kernel.net (Kernel.current_marking k) place
-
-let derivable k cls =
-  let view = Kernel.derivation_net k in
-  match view.Kernel.place_of_class cls with
-  | None -> false
-  | Some place ->
-    let info =
-      Reachability.analyze view.Kernel.net (Kernel.current_marking k)
-    in
-    info.Reachability.derivable place
+    Backchain.search ~need view.Kernel.net (Kernel.tokens k) place
 
 (* Execute a backchain plan against the kernel: every Derived step fires
    the corresponding process via Kernel.execute_process on a binding it
@@ -145,32 +134,29 @@ let request k ?(need = 1) cls =
   match Kernel.find_class k cls with
   | None -> Gaea_error.err (Printf.sprintf "unknown class %s" cls)
   | Some _ ->
-    let stored = Kernel.objects_of_class k cls in
-    if List.length stored >= need then begin
-      let objects = List.filteri (fun i _ -> i < need) stored in
-      (Kernel.counters k).Kernel.retrievals <-
-        (Kernel.counters k).Kernel.retrievals + 1;
-      Ok
-        { objects;
-          new_tasks = [];
-          trace = [ Retrieved_direct (cls, objects) ] }
-    end
-    else begin
-      let view = Kernel.derivation_net k in
-      match view.Kernel.place_of_class cls with
-      | None -> Gaea_error.err (Printf.sprintf "class %s missing from the net" cls)
-      | Some place ->
-        (match
-           Backchain.search ~need view.Kernel.net (Kernel.current_marking k)
-             place
-         with
+    let view = Kernel.derivation_net k in
+    (match view.Kernel.place_of_class cls with
+     | None ->
+       Gaea_error.err (Printf.sprintf "class %s missing from the net" cls)
+     | Some place ->
+       let tokens = Kernel.tokens k in
+       let stored = tokens.Net.first place need in
+       if List.length stored >= need then begin
+         (Kernel.counters k).Kernel.retrievals <-
+           (Kernel.counters k).Kernel.retrievals + 1;
+         Ok
+           { objects = stored;
+             new_tasks = [];
+             trace = [ Retrieved_direct (cls, stored) ] }
+       end
+       else
+         match Backchain.search ~need view.Kernel.net tokens place with
          | None ->
            Error
              (Gaea_error.Not_derivable
                 (Printf.sprintf
                    "%s: not derivable from current data (no plan found)" cls))
          | Some plan -> execute_plan k view plan)
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Step 2: interpolation                                               *)
@@ -270,8 +256,6 @@ let find_bracket snapshots at =
            | None -> None)
         | [] -> None))
 
-type priority = [ `Interpolate_first | `Derive_first ]
-
 let try_interpolate k ~cls ~tattr ~at =
   let snapshots =
     List.filter_map
@@ -298,7 +282,7 @@ let try_interpolate k ~cls ~tattr ~at =
         new_tasks = [ task ];
         trace = [ Interpolated (cls, oid) ] }
 
-let request_at k ?(priority = `Interpolate_first) ~cls ~at () =
+let request_at k ~cls ~at () =
   match Kernel.find_class k cls with
   | None -> Gaea_error.err (Printf.sprintf "unknown class %s" cls)
   | Some def ->
@@ -334,43 +318,28 @@ let request_at k ?(priority = `Interpolate_first) ~cls ~at () =
               new_tasks = [];
               trace = [ Retrieved_direct (cls, [ oid ]) ] }
         | [] ->
-          let derive_then_check () =
-            let* r = request k cls in
-            let produced_at =
-              List.filter
-                (fun oid ->
-                  match object_time k ~cls ~tattr oid with
-                  | Some t -> Abstime.in_day_window ~at t
-                  | None -> false)
-                r.objects
-            in
-            if produced_at <> [] then
-              Ok { r with objects = produced_at }
-            else
-              (* new snapshots may enable interpolation *)
-              let* r2 = try_interpolate k ~cls ~tattr ~at in
-              Ok
-                { objects = r2.objects;
-                  new_tasks = r.new_tasks @ r2.new_tasks;
-                  trace = r.trace @ r2.trace }
-          in
-          let strategies =
-            match priority with
-            | `Interpolate_first ->
-              [ (fun () -> try_interpolate k ~cls ~tattr ~at);
-                derive_then_check ]
-            | `Derive_first ->
-              [ derive_then_check;
-                (fun () -> try_interpolate k ~cls ~tattr ~at) ]
-          in
-          let rec try_all last_err = function
-            | [] -> Error last_err
-            | s :: rest ->
-              (match s () with
-               | Ok _ as ok -> ok
-               | Error e -> try_all e rest)
-          in
-          try_all (Gaea_error.Invalid "no strategy applicable") strategies))
+          (* the paper's order: interpolate, then derive; when both
+             fail, the derive step's error *)
+          (match try_interpolate k ~cls ~tattr ~at with
+           | Ok _ as ok -> ok
+           | Error _ ->
+             let* r = request k cls in
+             let produced_at =
+               List.filter
+                 (fun oid ->
+                   match object_time k ~cls ~tattr oid with
+                   | Some t -> Abstime.in_day_window ~at t
+                   | None -> false)
+                 r.objects
+             in
+             if produced_at <> [] then Ok { r with objects = produced_at }
+             else
+               (* new snapshots may enable interpolation *)
+               let* r2 = try_interpolate k ~cls ~tattr ~at in
+               Ok
+                 { objects = r2.objects;
+                   new_tasks = r.new_tasks @ r2.new_tasks;
+                   trace = r.trace @ r2.trace })))
 
 let recompute k (task : Task.t) =
   if

@@ -29,23 +29,18 @@ val request :
     a plan step finds no binding it has not fired yet; objects derived
     before such a failure stay stored. *)
 
-val derivable : Kernel.t -> string -> bool
-(** Would a request succeed (ignoring guards — upper bound)? *)
-
 val derivation_plan :
   Kernel.t -> ?need:int -> string -> Gaea_petri.Backchain.plan option
 (** The plan [request] would follow, without executing it. *)
 
-type priority = [ `Interpolate_first | `Derive_first ]
-
 val request_at :
-  Kernel.t -> ?priority:priority -> cls:string -> at:Gaea_geo.Abstime.t
-  -> unit -> (outcome, Gaea_error.t) result
+  Kernel.t -> cls:string -> at:Gaea_geo.Abstime.t -> unit
+  -> (outcome, Gaea_error.t) result
 (** Temporal point query: an object of [cls] whose timestamp equals [at]
-    (to the day).  Missing data trigger, in the order given by
-    [priority] (default [`Interpolate_first], the paper's step order):
+    (to the day).  Missing data trigger, in the paper's step order,
     temporal interpolation between the two nearest snapshots, then full
-    derivation.  The class must have a temporal extent. *)
+    derivation; when both fail, the derivation's error is returned.
+    The class must have a temporal extent. *)
 
 val interpolate_values :
   Kernel.t -> cls:string -> at:Gaea_geo.Abstime.t

@@ -172,6 +172,21 @@ let derivation_net t =
     ~classes:(fun () -> classes t)
     ~processes:(fun () -> processes t)
 
+(* Tokens are the stored objects: a place reads its class's table.
+   Heap order is ascending OID (OIDs are allocated increasing, inserts
+   append, compaction and Persist keep the order), so the first rows
+   are the lowest OIDs. *)
+let tokens t =
+  let view = derivation_net t in
+  let table p = Option.bind (view.class_of_place p) (class_table t) in
+  let module Table = Gaea_storage.Table in
+  { Gaea_petri.Net.count =
+      (fun p -> Option.fold ~none:0 ~some:Table.row_count (table p));
+    first =
+      (fun p n ->
+        Option.fold ~none:[] ~some:(fun tab -> Table.oids tab n) (table p))
+  }
+
 let current_marking t =
   let view = derivation_net t in
   List.fold_left

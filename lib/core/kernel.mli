@@ -200,8 +200,16 @@ val derivation_net : t -> net_view
     expansion).  Transitions carry no guard.  Memoized; {!define_class}
     and {!define_process} drop the memo. *)
 
+val tokens : t -> Gaea_petri.Net.tokens
+(** The planning view of the net's marking, read from the class tables:
+    a place's count is its class's row count, and its first [n] tokens
+    are the class's [n] lowest OIDs.  Nothing is copied. *)
+
 val current_marking : t -> Gaea_petri.Marking.t
-(** Token = object OID at its class's place. *)
+(** Token = object OID at its class's place: a copy of every class
+    extent.  No planner reads it; it is kept as the reference the
+    {!tokens} view is tested against, and for the end-to-end benchmark's
+    traced run, which times it. *)
 
 (** {2 Bookkeeping} *)
 

@@ -122,8 +122,7 @@ let attr t ~cls oid attr =
 let oids_of_class t cls =
   match Catalog.table t.catalog cls with
   | None -> []
-  | Some tab ->
-    List.rev (Table.fold tab ~init:[] ~f:(fun acc oid _ -> oid :: acc))
+  | Some tab -> Table.oids tab (Table.row_count tab)
 
 let class_of t oid = Hashtbl.find_opt t.oid_class oid
 

@@ -69,8 +69,8 @@ let derivation_depth net =
   in
   List.fold_left (fun acc p -> Stdlib.max acc (place_depth p)) 0 (Net.places net)
 
-let analyze net marking =
-  let info = Reachability.analyze net marking in
+let analyze net tokens =
+  let info = Reachability.analyze net tokens in
   let transitions = Net.transitions net in
   { n_places = Net.n_places net;
     n_transitions = Net.n_transitions net;

@@ -6,7 +6,7 @@ type report = {
   n_places : int;
   n_transitions : int;
   dead_transitions : Net.transition list;
-  (** thresholds can never be met from the given marking *)
+  (** thresholds can never be met from the given tokens *)
   underivable_places : Net.place list;
   (** no firing sequence can mark them *)
   cyclic : bool;
@@ -16,7 +16,7 @@ type report = {
   max_depth : int;    (** longest acyclic derivation chain, in transitions *)
 }
 
-val analyze : Net.t -> Marking.t -> report
+val analyze : Net.t -> Net.tokens -> report
 
 val has_cycle : Net.t -> bool
 

@@ -61,11 +61,11 @@ let depth plan =
    path; retrieval of stored tokens at a visited place stays allowed
    (the paper's P5 derives a concept from itself using a stored sibling
    object). *)
-let search ?(need = 1) net marking goal =
+let search ?(need = 1) net (tokens : Net.tokens) goal =
   if need < 1 then invalid_arg "Backchain.search: need < 1";
   if not (Net.mem_place net goal) then None
   else begin
-    let info = Reachability.analyze net marking in
+    let info = Reachability.analyze net tokens in
     let potential p = info.Reachability.potential_count p in
     (* acyclic nets never engage the cycle guard, so both successes and
        failures are path-independent and memoizable; in cyclic nets only
@@ -119,12 +119,11 @@ let search ?(need = 1) net marking goal =
       decr fuel;
       if !fuel <= 0 then None
       else begin
-        let available = Marking.tokens marking place in
+        (* at most [need] stored tokens: all of them when fewer *)
+        let available = tokens.Net.first place need in
         let n_avail = List.length available in
         if n_avail >= need then
-          Some (List.filteri (fun i _ -> i < need) available
-                |> List.map (fun tok -> Existing tok),
-                0)
+          Some (List.map (fun tok -> Existing tok) available, 0)
         else if IntSet.mem place visiting then None
         else if potential place < need then None
         else begin
@@ -191,16 +190,19 @@ let search ?(need = 1) net marking goal =
           with
           | (_, (derived, c)) :: _ -> Some (retrieved @ derived, c)
           | [] ->
-            (* multi-producer cover: take each producer's maximum *)
+            (* multi-producer cover: take each producer's maximum, the
+               product of its arcs' combination counts, as reachability
+               counts it *)
             let rec cover remaining acc_sources acc_cost = function
               | [] -> None
               | tinfo :: rest ->
                 let max_here =
                   List.fold_left
                     (fun acc (p, k) ->
-                      Stdlib.min acc
-                        (Reachability.combinations (potential p) k))
-                    remaining tinfo.Net.inputs
+                      Stdlib.min Reachability.cap
+                        (acc * Reachability.combinations (potential p) k))
+                    1 tinfo.Net.inputs
+                  |> Stdlib.min remaining
                 in
                 let rec try_take take =
                   if take <= 0 then None

@@ -24,13 +24,14 @@ type plan = {
   sources : source list;             (** one per demanded token *)
 }
 
-val search : ?need:int -> Net.t -> Marking.t -> Net.place -> plan option
+val search : ?need:int -> Net.t -> Net.tokens -> Net.place -> plan option
 (** Minimum-firing-count plan delivering [need] (default 1) tokens at
     the goal place, preferring direct retrieval, or [None] when the goal
-    is underivable.  Cycles in the derivation net are handled by
-    excluding places already under derivation on the current path
-    (so P5-style self-derivations — deriving a concept from itself via
-    a sibling class — still work).
+    is underivable.  Reads every place's token count once, and at most
+    [n] tokens at a place it asks [n] tokens of.  Cycles in the
+    derivation net are handled by excluding places already under
+    derivation on the current path (so P5-style self-derivations —
+    deriving a concept from itself via a sibling class — still work).
 
     Invariant check: [need >= 1].
     @raise Invalid_argument if [need < 1] — a programming error in the

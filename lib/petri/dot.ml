@@ -8,26 +8,23 @@ let escape s =
          | c -> String.make 1 c)
        (List.init (String.length s) (String.get s)))
 
-let to_dot ?(name = "derivation") ?marking net =
+let to_dot ?(name = "derivation") ?tokens net =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph \"%s\" {\n" (escape name));
   Buffer.add_string buf "  rankdir=LR;\n";
   List.iter
     (fun p ->
-      let marked =
-        match marking with
-        | Some m -> Marking.is_marked m p
-        | None -> false
+      let n =
+        match tokens with
+        | Some (v : Net.tokens) -> v.count p
+        | None -> 0
       in
       Buffer.add_string buf
         (Printf.sprintf
            "  p%d [shape=%s, label=\"%s%s\"];\n" p
-           (if marked then "doublecircle" else "circle")
+           (if n > 0 then "doublecircle" else "circle")
            (escape (Net.place_name net p))
-           (match marking with
-            | Some m when Marking.count m p > 0 ->
-              Printf.sprintf "\\n(%d)" (Marking.count m p)
-            | _ -> "")))
+           (if n > 0 then Printf.sprintf "\\n(%d)" n else "")))
     (Net.places net);
   List.iter
     (fun info ->

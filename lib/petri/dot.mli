@@ -3,7 +3,7 @@
 
 val to_dot :
   ?name:string
-  -> ?marking:Marking.t
+  -> ?tokens:Net.tokens
   -> Net.t -> string
 (** Places as circles (doubled when marked), transitions as boxes, arc
     thresholds > 1 as edge labels. *)

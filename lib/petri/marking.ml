@@ -52,6 +52,10 @@ let equal a b = IntMap.equal IntSet.equal a b
 let of_list l =
   List.fold_left (fun t (p, toks) -> add_all t p toks) empty l
 
+let view t =
+  { Net.count = count t;
+    first = (fun p n -> List.filteri (fun i _ -> i < n) (tokens t p)) }
+
 let pp ?(place_name = string_of_int) fmt t =
   Format.fprintf fmt "@[<v>";
   IntMap.iter

@@ -22,4 +22,7 @@ val total_tokens : t -> int
 val union : t -> t -> t
 val equal : t -> t -> bool
 val of_list : (Net.place * Net.token list) list -> t
+val view : t -> Net.tokens
+(** The marking as a planning view. *)
+
 val pp : ?place_name:(Net.place -> string) -> Format.formatter -> t -> unit

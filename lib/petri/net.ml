@@ -12,6 +12,11 @@ type transition_info = {
   guard : guard option;
 }
 
+type tokens = {
+  count : place -> int;
+  first : place -> int -> token list;
+}
+
 type t = {
   mutable next_place : int;
   mutable next_transition : int;

@@ -31,6 +31,16 @@ type transition_info = {
   guard : guard option;
 }
 
+type tokens = {
+  count : place -> int;  (** tokens the place holds *)
+  first : place -> int -> token list;
+  (** [first p n]: at most [n] of the place's tokens, ascending *)
+}
+(** A read-only view of a marking.  Planning asks only how many tokens
+    a place holds and for a few of them at the places it visits, so the
+    kernel answers from the class tables and {!Marking.view} adapts a
+    persistent marking. *)
+
 type t
 
 val create : unit -> t

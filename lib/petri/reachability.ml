@@ -25,11 +25,13 @@ let combinations n k =
     Stdlib.min cap !acc
   end
 
-let analyze net marking =
-  let counts = Hashtbl.create 64 in
+let analyze net (tokens : Net.tokens) =
+  (* the fixpoint visits each place many times; read its count once *)
+  let stored = Hashtbl.create 64 in
   List.iter
-    (fun p -> Hashtbl.replace counts p (Marking.count marking p))
+    (fun p -> Hashtbl.replace stored p (tokens.count p))
     (Net.places net);
+  let counts = Hashtbl.copy stored in
   let get p = Option.value ~default:0 (Hashtbl.find_opt counts p) in
   let transitions = Net.transitions net in
   (* contribution of a transition: number of distinct input combinations *)
@@ -58,7 +60,7 @@ let analyze net marking =
             0 (Net.producers_of net p)
         in
         let candidate =
-          Stdlib.min cap (Marking.count marking p + produced)
+          Stdlib.min cap (Hashtbl.find stored p + produced)
         in
         let candidate =
           if candidate > get p && !iterations > widen_after then cap
@@ -81,12 +83,6 @@ let analyze net marking =
     fireable =
       (fun tid -> Option.value ~default:false (Hashtbl.find_opt fireable_tbl tid));
     iterations = !iterations }
-
-let derivable_places net marking =
-  let info = analyze net marking in
-  List.filter
-    (fun p -> info.derivable p && not (Marking.is_marked marking p))
-    (Net.places net)
 
 let closure net marking ~fresh =
   let current = ref marking in

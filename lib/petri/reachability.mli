@@ -27,10 +27,8 @@ val combinations : int -> int -> int
     distinct token combinations a threshold-k arc can draw from n
     tokens. *)
 
-val analyze : Net.t -> Marking.t -> info
-
-val derivable_places : Net.t -> Marking.t -> Net.place list
-(** Sorted list of places derivable but not currently marked. *)
+val analyze : Net.t -> Net.tokens -> info
+(** Reads each place's token count once, and no token. *)
 
 val closure : Net.t -> Marking.t -> fresh:(unit -> Net.token) -> Marking.t
 (** Concretely fire every enabled transition (guards included) until no

@@ -543,7 +543,7 @@ let execute t stmt =
     Ok
       (Message
          (Dot.to_dot ~name:"gaea-derivation"
-            ~marking:(Kernel.current_marking t.kernel)
+            ~tokens:(Kernel.tokens t.kernel)
             view.Kernel.net))
   | Ast.Show_events ->
     let entries = Kernel.event_log t.kernel in

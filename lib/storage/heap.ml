@@ -103,6 +103,15 @@ let to_seq t =
   in
   from 0
 
+let oids t n =
+  let rec go i n acc =
+    if n <= 0 || i >= t.used then List.rev acc
+    else
+      let s = slot t i in
+      if s.deleted then go (i + 1) n acc else go (i + 1) (n - 1) (s.oid :: acc)
+  in
+  go 0 n []
+
 let find t pred = Seq.find (fun (oid, tuple) -> pred oid tuple) (to_seq t)
 
 let to_list t =

@@ -41,5 +41,9 @@ val to_seq : t -> (Oid.t * Tuple.t) Seq.t
 (** Live tuples in insertion order, produced on demand: a consumer that
     stops early never visits the rest of the heap. *)
 
+val oids : t -> int -> Oid.t list
+(** The first [n] live OIDs in insertion order (all of them when
+    fewer); the walk stops at the [n]-th. *)
+
 val find : t -> (Oid.t -> Tuple.t -> bool) -> (Oid.t * Tuple.t) option
 val to_list : t -> (Oid.t * Tuple.t) list

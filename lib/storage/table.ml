@@ -155,6 +155,7 @@ let get_attr t oid attr =
 let scan t f = Heap.scan t.heap f
 let fold t ~init ~f = Heap.fold t.heap ~init ~f
 let to_seq t = Heap.to_seq t.heap
+let oids t n = Heap.oids t.heap n
 let to_list t = Heap.to_list t.heap
 
 let select t pred =

@@ -49,6 +49,9 @@ val fold : t -> init:'a -> f:('a -> Oid.t -> Tuple.t -> 'a) -> 'a
 val to_seq : t -> (Oid.t * Tuple.t) Seq.t
 (** Live rows in insertion order, on demand (see {!Heap.to_seq}). *)
 
+val oids : t -> int -> Oid.t list
+(** The first [n] live OIDs in insertion order (see {!Heap.oids}). *)
+
 val to_list : t -> (Oid.t * Tuple.t) list
 
 val select : t -> (Oid.t -> Tuple.t -> bool) -> (Oid.t * Tuple.t) list

@@ -615,8 +615,8 @@ let test_derivation_failure_reported () =
      check_bool "mentions class" true
        (String.length (Gaea_error.to_string e) > 0)
    | Ok _ -> Alcotest.fail "should fail");
-  check_bool "derivable is false" false
-    (Derivation.derivable k Figures.land_cover_class)
+  check_bool "derivable is false" true
+    (Derivation.derivation_plan k Figures.land_cover_class = None)
 
 (* ------------------------------------------------------------------ *)
 (* Lineage                                                             *)

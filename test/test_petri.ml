@@ -174,15 +174,13 @@ let test_enabled_transitions () =
 
 let test_reachability_chain () =
   let net, base, mid, goal, _, _ = chain_net () in
-  let empty = Reachability.analyze net Marking.empty in
+  let empty = Reachability.analyze net (Marking.view Marking.empty) in
   check_bool "nothing derivable" false (empty.Reachability.derivable goal);
   let m = Marking.of_list [ (base, [ 1 ]) ] in
-  let info = Reachability.analyze net m in
+  let info = Reachability.analyze net (Marking.view m) in
   check_bool "base" true (info.Reachability.derivable base);
   check_bool "mid" true (info.Reachability.derivable mid);
-  check_bool "goal" true (info.Reachability.derivable goal);
-  Alcotest.(check (list int)) "derivable but unmarked" [ mid; goal ]
-    (Reachability.derivable_places net m)
+  check_bool "goal" true (info.Reachability.derivable goal)
 
 let test_reachability_threshold_blocks () =
   let net = Net.create () in
@@ -193,7 +191,7 @@ let test_reachability_threshold_blocks () =
       (Net.add_transition net ~name:"t" ~inputs:[ (a, 3) ] ~outputs:[ b ] ())
   in
   let m = Marking.of_list [ (a, [ 1; 2 ]) ] in
-  let info = Reachability.analyze net m in
+  let info = Reachability.analyze net (Marking.view m) in
   check_bool "b not derivable" false (info.Reachability.derivable b);
   check_bool "t not fireable" false (info.Reachability.fireable t)
 
@@ -214,7 +212,7 @@ let test_reachability_fan_in_counts () =
   in
   (* one stored b + one derivable b (from a) = 2 -> c derivable *)
   let m = Marking.of_list [ (a, [ 1; 2 ]); (b, [ 3 ]) ] in
-  let info = Reachability.analyze net m in
+  let info = Reachability.analyze net (Marking.view m) in
   check_bool "c reachable through combined counts" true
     (info.Reachability.derivable c)
 
@@ -233,7 +231,7 @@ let test_reachability_closure () =
 let test_backchain_prefers_retrieval () =
   let net, base, _, goal, _, _ = chain_net () in
   let m = Marking.of_list [ (base, [ 1 ]); (goal, [ 9 ]) ] in
-  match Backchain.search net m goal with
+  match Backchain.search net (Marking.view m) goal with
   | Some plan ->
     check_int "zero firings" 0 (Backchain.cost plan);
     check_int "zero depth" 0 (Backchain.depth plan);
@@ -245,7 +243,7 @@ let test_backchain_prefers_retrieval () =
 let test_backchain_chain () =
   let net, base, _, goal, _, _ = chain_net () in
   let m = Marking.of_list [ (base, [ 1 ]) ] in
-  match Backchain.search net m goal with
+  match Backchain.search net (Marking.view m) goal with
   | None -> Alcotest.fail "expected plan"
   | Some plan ->
     check_int "two firings" 2 (Backchain.cost plan);
@@ -264,7 +262,7 @@ let test_backchain_chain () =
 let test_backchain_underivable () =
   let net, _, _, goal, _, _ = chain_net () in
   check_bool "no plan from empty marking" true
-    (Backchain.search net Marking.empty goal = None)
+    (Backchain.search net (Marking.view Marking.empty) goal = None)
 
 let test_backchain_multi_need () =
   let net, base, _, goal, _, _ = chain_net () in
@@ -272,10 +270,10 @@ let test_backchain_multi_need () =
      base token supports only ONE distinct goal object *)
   let poor = Marking.of_list [ (base, [ 1 ]) ] in
   check_bool "need 3 from one base token: no plan" true
-    (Backchain.search ~need:3 net poor goal = None);
+    (Backchain.search ~need:3 net (Marking.view poor) goal = None);
   (* three base tokens -> three distinct derivation chains *)
   let rich = Marking.of_list [ (base, [ 1; 2; 3 ]) ] in
-  match Backchain.search ~need:3 net rich goal with
+  match Backchain.search ~need:3 net (Marking.view rich) goal with
   | None -> Alcotest.fail "expected plan"
   | Some plan ->
     check_int "three sources" 3 (List.length plan.Backchain.sources);
@@ -303,11 +301,12 @@ let test_backchain_cycle_safe () =
       (Net.add_transition net ~name:"ba" ~inputs:[ (b, 1) ] ~outputs:[ a ] ())
   in
   let m = Marking.of_list [ (a, [ 1 ]) ] in
-  (match Backchain.search net m b with
+  (match Backchain.search net (Marking.view m) b with
    | Some plan -> check_int "one firing" 1 (Backchain.cost plan)
    | None -> Alcotest.fail "expected plan");
   (* and nothing stored: no plan, no divergence *)
-  check_bool "empty no plan" true (Backchain.search net Marking.empty b = None)
+  check_bool "empty no plan" true
+    (Backchain.search net (Marking.view Marking.empty) b = None)
 
 let test_backchain_cheapest_producer () =
   (* goal derivable directly from base (1 firing) or via a long chain;
@@ -332,9 +331,41 @@ let test_backchain_cheapest_producer () =
          ~outputs:[ goal ] ())
   in
   let m = Marking.of_list [ (base, [ 1 ]) ] in
-  match Backchain.search net m goal with
+  match Backchain.search net (Marking.view m) goal with
   | Some plan -> check_int "picks direct path" 1 (Backchain.cost plan)
   | None -> Alcotest.fail "expected plan"
+
+(* A deficit no single producer covers: p2 can hold 3 tokens, 2 from
+   t2 (C(2,2) * C(2,1) combinations) and 1 from t5, and the goal needs
+   all 3 through t1 and t7.  A cover that took only the smallest arc's
+   combination count from t2 found 2 and no plan. *)
+let test_backchain_multi_producer_cover () =
+  let net = Net.create () in
+  let p =
+    Array.init 5 (fun i -> Net.add_place net ~name:(Printf.sprintf "p%d" i))
+  in
+  let add name inputs output =
+    ignore
+      (Result.get_ok
+         (Net.add_transition net ~name ~inputs ~outputs:[ p.(output) ] ()))
+  in
+  add "t1" [ (p.(2), 2) ] 3;
+  add "t2" [ (p.(0), 1); (p.(1), 2) ] 2;
+  add "t5" [ (p.(0), 2) ] 2;
+  add "t7" [ (p.(3), 2) ] 4;
+  let m = Marking.of_list [ (p.(0), [ 1; 2 ]); (p.(1), [ 3; 4 ]) ] in
+  let info = Reachability.analyze net (Marking.view m) in
+  check_int "p2 potential" 3 (info.Reachability.potential_count p.(2));
+  check_bool "goal derivable" true (info.Reachability.derivable p.(4));
+  match Backchain.search net (Marking.view m) p.(4) with
+  | None -> Alcotest.fail "expected a plan covering p2 from both producers"
+  | Some plan ->
+    (match Backchain.execute net m plan ~fresh:(fresh_counter 100) with
+     | Ok (m', [ tok ], _) ->
+       check_bool "goal marked" true (Marking.mem m' p.(4) tok);
+       check_int "three p2 tokens" 3 (Marking.count m' p.(2))
+     | Ok _ -> Alcotest.fail "expected one goal token"
+     | Error e -> Alcotest.failf "execute: %s" e)
 
 (* Random-net soundness: every plan found executes successfully. *)
 let random_net_gen =
@@ -392,7 +423,7 @@ let backchain_soundness_prop =
       let net, marking, places = build_random params in
       Array.for_all
         (fun goal ->
-          match Backchain.search net marking goal with
+          match Backchain.search net (Marking.view marking) goal with
           | None -> true
           | Some plan ->
             (match Backchain.execute net marking plan ~fresh:(fresh_counter 10000) with
@@ -407,10 +438,12 @@ let backchain_sound_wrt_reachability_prop =
     ~name:"plan implies reachability-derivable (upper bound respected)"
     ~count:300 (QCheck.make random_net_gen) (fun params ->
       let net, marking, places = build_random params in
-      let info = Reachability.analyze net marking in
+      let info = Reachability.analyze net (Marking.view marking) in
       Array.for_all
         (fun goal ->
-          let has_plan = Backchain.search net marking goal <> None in
+          let has_plan =
+            Backchain.search net (Marking.view marking) goal <> None
+          in
           (not has_plan) || info.Reachability.derivable goal)
         places)
 
@@ -461,11 +494,11 @@ let backchain_complete_acyclic_prop =
     ~name:"on acyclic nets, plan exists iff derivable (need = 1)"
     ~count:300 (QCheck.make random_net_gen) (fun params ->
       let net, marking, places = build_acyclic params in
-      let info = Reachability.analyze net marking in
+      let info = Reachability.analyze net (Marking.view marking) in
       Array.for_all
         (fun goal ->
           info.Reachability.derivable goal
-          = (Backchain.search net marking goal <> None))
+          = (Backchain.search net (Marking.view marking) goal <> None))
         places)
 
 (* ------------------------------------------------------------------ *)
@@ -475,7 +508,7 @@ let backchain_complete_acyclic_prop =
 let test_analysis () =
   let net, base, _, _, _, _ = chain_net () in
   let m = Marking.of_list [ (base, [ 1 ]) ] in
-  let r = Analysis.analyze net m in
+  let r = Analysis.analyze net (Marking.view m) in
   check_int "places" 3 r.Analysis.n_places;
   check_int "transitions" 2 r.Analysis.n_transitions;
   check_bool "acyclic" false r.Analysis.cyclic;
@@ -484,7 +517,7 @@ let test_analysis () =
   Alcotest.(check (list int)) "no dead" [] r.Analysis.dead_transitions;
   Alcotest.(check (list int)) "all derivable" [] r.Analysis.underivable_places;
   (* empty marking: everything dead/underivable *)
-  let r0 = Analysis.analyze net Marking.empty in
+  let r0 = Analysis.analyze net (Marking.view Marking.empty) in
   check_int "dead transitions" 2 (List.length r0.Analysis.dead_transitions);
   check_int "underivable" 3 (List.length r0.Analysis.underivable_places)
 
@@ -507,7 +540,7 @@ let test_analysis_cycle () =
 let test_dot () =
   let net, base, _, _, _, _ = chain_net () in
   let m = Marking.of_list [ (base, [ 1 ]) ] in
-  let dot = Dot.to_dot ~marking:m net in
+  let dot = Dot.to_dot ~tokens:(Marking.view m) net in
   let contains needle =
     let n = String.length needle and h = String.length dot in
     let rec go i = i + n <= h && (String.sub dot i n = needle || go (i + 1)) in
@@ -540,7 +573,8 @@ let () =
           tc "underivable" test_backchain_underivable;
           tc "multi-need" test_backchain_multi_need;
           tc "cycle safe" test_backchain_cycle_safe;
-          tc "cheapest producer" test_backchain_cheapest_producer ] );
+          tc "cheapest producer" test_backchain_cheapest_producer;
+          tc "multi-producer cover" test_backchain_multi_producer_cover ] );
       qsuite "backchain-props"
         [ backchain_soundness_prop; backchain_sound_wrt_reachability_prop;
           backchain_complete_acyclic_prop ];

@@ -384,6 +384,45 @@ let save_load_prop =
              [ Session.run_string_collect session "SHOW CACHE" ]
              [ Session.run_string_collect loaded "SHOW CACHE" ])
 
+(* ------------------------------------------------------------------ *)
+(* The planning view reads the class tables                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Planning over the tables must match planning over a full copy of the
+   database, before and after a save -> load in the middle of the
+   workload. *)
+let tokens_view_prop =
+  QCheck.Test.make
+    ~name:"Backchain over Kernel.tokens = over the full marking" ~count:100
+    (QCheck.pair arb_ops arb_ops) (fun (before, after) ->
+      let session = Session.create () in
+      ignore (run session schema);
+      List.iter (apply session) before;
+      let loaded = reload session in
+      List.iter (apply loaded) after;
+      List.for_all
+        (fun session ->
+          let k = Session.kernel session in
+          let view = Kernel.derivation_net k in
+          let reference =
+            Gaea_petri.Marking.view (Kernel.current_marking k)
+          in
+          List.for_all
+            (fun cls ->
+              let place = Option.get (view.Kernel.place_of_class cls) in
+              List.for_all
+                (fun need ->
+                  let plan tokens =
+                    Gaea_petri.Backchain.search ~need view.Kernel.net tokens
+                      place
+                  in
+                  plan (Kernel.tokens k) = plan reference
+                  || QCheck.Test.fail_reportf "%s NEED %d plans differ" cls
+                       need)
+                [ 1; 2; 3; 4 ])
+            classes)
+        [ session; loaded ])
+
 let () =
   Alcotest.run "reuse"
     [ ( "probe",
@@ -401,4 +440,5 @@ let () =
       ( "oids",
         [ tc "a deleted object's oid stays spent after load"
             test_deleted_oid_stays_spent ] );
-      qsuite "persist" [ save_load_prop ] ]
+      qsuite "persist" [ save_load_prop ];
+      qsuite "tokens" [ tokens_view_prop ] ]

@@ -123,6 +123,10 @@ let test_heap () =
   let seen = ref [] in
   Heap.scan h (fun oid _ -> seen := oid :: !seen);
   Alcotest.(check (list int)) "scan order" [ 1; 3; 4; 5 ] (List.rev !seen);
+  Alcotest.(check (list int)) "first two oids" [ 1; 3 ] (Heap.oids h 2);
+  Alcotest.(check (list int)) "all oids when fewer" [ 1; 3; 4; 5 ]
+    (Heap.oids h 9);
+  Alcotest.(check (list int)) "no oids" [] (Heap.oids h 0);
   check_bool "find" true (Heap.find h (fun oid _ -> oid = 4) <> None)
 
 (* Insert/delete churn: tombstones never outnumber live rows for long,
