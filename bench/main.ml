@@ -1032,6 +1032,24 @@ let e13_overlaps () =
 
 let e14_failed = ref false
 
+(* mean µs and minor words of [f] over [runs] calls, [reset] untimed
+   after each *)
+let measure ~runs ?(reset = ignore) f =
+  let dt = ref 0. and words = ref 0. in
+  for _ = 1 to runs do
+    let w0 = Gc.minor_words () in
+    let _, t = time_once f in
+    words := !words +. (Gc.minor_words () -. w0);
+    dt := !dt +. t;
+    reset ()
+  done;
+  (!dt *. 1e6 /. float_of_int runs, !words /. float_of_int runs)
+
+let parse_stmt src =
+  match Gaea_query.Parser.parse_one src with
+  | Ok stmt -> stmt
+  | Error e -> failwith (Gaea_core.Gaea_error.to_string e)
+
 (* One scene, an empty derived class, and N objects of a class the
    derivation never reads. *)
 let e14_kernel n =
@@ -1064,26 +1082,9 @@ let e14_derive_scale () =
      `DERIVE normalized` (its object is deleted, untimed, before the next)\n\n";
   Printf.printf "%-8s %-10s %-14s %-10s %s\n" "N" "plan us" "plan words"
     "DERIVE us" "DERIVE words";
-  let stmt =
-    match Gaea_query.Parser.parse_one "DERIVE normalized" with
-    | Ok stmt -> stmt
-    | Error e -> failwith (Gaea_core.Gaea_error.to_string e)
-  in
+  let stmt = parse_stmt "DERIVE normalized" in
   let plans = if smoke then 100 else 1000 in
   let derives = if smoke then 50 else 500 in
-  (* mean µs and minor words of [f] over [runs] calls, [reset] untimed
-     after each *)
-  let measure ~runs ?(reset = ignore) f =
-    let dt = ref 0. and words = ref 0. in
-    for _ = 1 to runs do
-      let w0 = Gc.minor_words () in
-      let _, t = time_once f in
-      words := !words +. (Gc.minor_words () -. w0);
-      dt := !dt +. t;
-      reset ()
-    done;
-    (!dt *. 1e6 /. float_of_int runs, !words /. float_of_int runs)
-  in
   let row n =
     let k = e14_kernel n in
     let ex = Gaea_query.Executor.create ~kernel:k () in
@@ -1128,6 +1129,137 @@ let e14_derive_scale () =
         e14_failed := true
       end)
     [ ("planning", plan0, plan1); ("a firing DERIVE", derive0, derive1) ]
+
+(* ------------------------------------------------------------------ *)
+(* E15 and E16: a DERIVE over stored and fired history                 *)
+(* ------------------------------------------------------------------ *)
+
+let e15_failed = ref false
+let e16_failed = ref false
+
+(* N scenes of 2x2 images and the normalized products of all of them
+   but scene [unfired] (0-based), each fired through
+   Kernel.execute_process. *)
+let history_kernel n ~unfired =
+  let k = Kernel.create () in
+  ignore
+    (ok
+       (Gaea_query.Session.run_string
+          (Gaea_query.Session.create ~kernel:k ())
+          "DEFINE CLASS scene ( data image, spatialextent box, timestamp \
+           abstime );\n\
+           DEFINE CLASS normalized ( data image, spatialextent box, \
+           timestamp abstime ) DERIVED BY normalize;\n\
+           DEFINE PROCESS normalize OUTPUT normalized ARGS ( s scene ) MAP \
+           data = img_scale(0.5, s.data) MAP spatialextent = \
+           s.spatialextent MAP timestamp = s.timestamp END;"));
+  let data = Value.image (R.Synthetic.rainfall_map ~seed:1 ~nrow:2 ~ncol:2 ())
+  and box = Gaea_geo.Box.make ~xmin:0. ~ymin:0. ~xmax:1. ~ymax:1.
+  and day = Gaea_geo.Abstime.of_ymd 1988 6 1 in
+  let scenes =
+    List.init n (fun _ ->
+        ok
+          (Kernel.insert_object k ~cls:"scene"
+             [ ("data", data); ("spatialextent", Value.box box);
+               ("timestamp", Value.abstime day) ]))
+  in
+  let p = Option.get (Kernel.find_process k "normalize") in
+  List.iteri
+    (fun i scene ->
+      if i <> unfired then
+        ignore (ok (Kernel.execute_process k p ~inputs:[ ("s", [ scene ]) ])))
+    scenes;
+  k
+
+(* run [stmt] through the executor; [fired] says whether it must fire,
+   which the reply's last line, "fired ... (task #id)", tells *)
+let derive_through ex stmt ~fired () =
+  match Gaea_query.Executor.execute ex stmt with
+  | Ok (Gaea_query.Executor.Message m) ->
+    let has_fired = String.ends_with ~suffix:")" m in
+    if has_fired <> fired then failwith ("E15/E16: unexpected reply " ^ m)
+  | Ok _ -> failwith "E15/E16: a DERIVE returned rows"
+  | Error e -> failwith ("E15/E16: " ^ Gaea_core.Gaea_error.to_string e)
+
+(* delete the object the last firing DERIVE added: its binding is
+   unfired again *)
+let drop_newest k () =
+  match List.rev (Kernel.objects_of_class k "normalized") with
+  | oid :: _ -> ignore (ok (Kernel.delete_object k ~cls:"normalized" oid))
+  | [] -> ()
+
+let e15_sizes = if smoke then [ 1_000; 4_000 ] else [ 1_000; 4_000; 16_000 ]
+
+let e15_fired_history () =
+  section "E15: a firing DERIVE against fired history";
+  Printf.printf
+    "workload: N scenes, normalize already fired on all but the newest;\n\
+     `DERIVE normalized NEED N` plans the lowest scene, finds it fired and\n\
+     walks the class for the one unfired binding (the new object is\n\
+     deleted, untimed, before the next run)\n\n";
+  Printf.printf "%-8s %-12s %s\n" "N" "us/DERIVE" "minor words/DERIVE";
+  let runs = if smoke then 5 else 10 in
+  let row n =
+    let k = history_kernel n ~unfired:(n - 1) in
+    let ex = Gaea_query.Executor.create ~kernel:k () in
+    let stmt = parse_stmt (Printf.sprintf "DERIVE normalized NEED %d" n) in
+    let derive = derive_through ex stmt ~fired:true in
+    derive ();
+    drop_newest k ();
+    let us, words = measure ~runs ~reset:(drop_newest k) derive in
+    Printf.printf "%-8d %-12.1f %.0f\n" n us words;
+    (n, words)
+  in
+  let results = List.map row e15_sizes in
+  let n0, smallest = List.hd results and n1, largest = List.hd (List.rev results) in
+  (* linear growth passes with room for noise; a walk that pays per
+     fired binding per candidate does not *)
+  let bound = 2. *. float_of_int n1 /. float_of_int n0 *. smallest in
+  if largest > bound then begin
+    Printf.printf
+      "E15 FAILURE: %.0f words at N = %d against %.0f at N = %d (bound %.0f) \
+       — the walk past fired bindings is superlinear\n"
+      largest n1 smallest n0 bound;
+    e15_failed := true
+  end
+
+let e16_deficit () =
+  section "E16: firing one object versus retrieving the stored ones";
+  Printf.printf
+    "workload: N scenes and the products of all but the first (as in\n\
+     perfbench catalog); a firing `DERIVE normalized NEED N` against a\n\
+     retrieval `DERIVE normalized NEED N-1`, both through the executor\n\n";
+  Printf.printf "%-8s %-12s %-14s %-12s %-14s %s\n" "N" "fire us" "fire words"
+    "retrieve us" "retrieve words" "ratio";
+  let runs = if smoke then 20 else 50 in
+  let row n =
+    let k = history_kernel n ~unfired:0 in
+    let ex = Gaea_query.Executor.create ~kernel:k () in
+    let stmt need =
+      parse_stmt (Printf.sprintf "DERIVE normalized NEED %d" need)
+    in
+    let fire = derive_through ex (stmt n) ~fired:true
+    and retrieve = derive_through ex (stmt (n - 1)) ~fired:false in
+    fire ();
+    drop_newest k ();
+    retrieve ();
+    let fire_us, fire_words = measure ~runs ~reset:(drop_newest k) fire in
+    let retrieve_us, retrieve_words = measure ~runs retrieve in
+    let ratio = fire_words /. retrieve_words in
+    Printf.printf "%-8d %-12.1f %-14.0f %-12.1f %-14.0f %.2f\n" n fire_us
+      fire_words retrieve_us retrieve_words ratio;
+    (n, ratio)
+  in
+  let n1, ratio = List.hd (List.rev (List.map row e15_sizes)) in
+  (* firing one object may cost no more than twice returning the ones
+     already stored *)
+  if ratio > 2. then begin
+    Printf.printf
+      "E16 FAILURE: at N = %d a firing DERIVE allocates %.2fx what the \
+       retrieval does — it pays per stored object for more than listing it\n"
+      n1 ratio;
+    e16_failed := true
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Fused-kernel parity gate                                            *)
@@ -1424,6 +1556,8 @@ let () =
   e10_incremental_refresh ();
   e13_overlaps ();
   e14_derive_scale ();
+  e15_fired_history ();
+  e16_deficit ();
   parity_gate ();
   run_bechamel ();
   (* smoke runs must never clobber the full-size benchmark record *)
@@ -1431,5 +1565,7 @@ let () =
     (if smoke then "BENCH_parallel.smoke.json" else "BENCH_parallel.json");
   print_endline "\nall experiments completed.";
   Pool.shutdown ();
-  if !parity_failed || !e10_failed || !e8_failed || !e13_failed || !e14_failed
+  if
+    !parity_failed || !e10_failed || !e8_failed || !e13_failed || !e14_failed
+    || !e15_failed || !e16_failed
   then exit 1

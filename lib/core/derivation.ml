@@ -141,7 +141,8 @@ let request k ?(need = 1) cls =
      | Some place ->
        let tokens = Kernel.tokens k in
        let stored = tokens.Net.first place need in
-       if List.length stored >= need then begin
+       let have = List.length stored in
+       if have >= need then begin
          (Kernel.counters k).Kernel.retrievals <-
            (Kernel.counters k).Kernel.retrievals + 1;
          Ok
@@ -150,13 +151,17 @@ let request k ?(need = 1) cls =
              trace = [ Retrieved_direct (cls, stored) ] }
        end
        else
-         match Backchain.search ~need view.Kernel.net tokens place with
+         (* plan and fire only the deficit; the stored objects come
+            first, as a full plan would list them *)
+         match Backchain.search ~need ~have view.Kernel.net tokens place with
          | None ->
            Error
              (Gaea_error.Not_derivable
                 (Printf.sprintf
                    "%s: not derivable from current data (no plan found)" cls))
-         | Some plan -> execute_plan k view plan)
+         | Some plan ->
+           let* derived = execute_plan k view plan in
+           Ok { derived with objects = stored @ derived.objects })
 
 (* ------------------------------------------------------------------ *)
 (* Step 2: interpolation                                               *)

@@ -24,14 +24,17 @@ type outcome = {
 val request :
   Kernel.t -> ?need:int -> string -> (outcome, Gaea_error.t) result
 (** [request k cls] delivers [need] (default 1) objects of class [cls]:
-    stored objects first, derivation through backward chaining on the
-    net otherwise.  Fails with [Not_derivable] when no plan is found or
-    a plan step finds no binding it has not fired yet; objects derived
-    before such a failure stay stored. *)
+    the stored objects first, in ascending OID order, then objects
+    derived through backward chaining on the net for the deficit only.
+    Fails with [Not_derivable] when no plan is found or a plan step
+    finds no binding it has not fired yet; objects derived before such
+    a failure stay stored. *)
 
 val derivation_plan :
   Kernel.t -> ?need:int -> string -> Gaea_petri.Backchain.plan option
-(** The plan [request] would follow, without executing it. *)
+(** The full plan for [need] objects, without executing it: the stored
+    objects [request] returns as [Existing] sources, then the derivation
+    it follows for the deficit. *)
 
 val request_at :
   Kernel.t -> cls:string -> at:Gaea_geo.Abstime.t -> unit

@@ -126,6 +126,13 @@ let rec subsets k l () =
       (Seq.map (List.cons x) (subsets (k - 1) rest))
       (subsets k rest) ()
 
+(* [remaining] without [chosen], a subsequence of it, in one walk *)
+let rec minus remaining chosen =
+  match remaining, chosen with
+  | o :: os, c :: cs when o = c -> minus os cs
+  | o :: os, _ :: _ -> o :: minus os chosen
+  | _ -> remaining
+
 (* Candidate bindings are walked lazily: classes sorted, the first
    varying slowest; within a class the specs in declaration order, each
    taking subsets of ascending size in list order, an unbounded SETOF
@@ -148,11 +155,12 @@ let find_binding t ?(fresh = false) (p : Process.t) ~available =
           if List.length remaining >= lo then Seq.return remaining
           else Seq.empty
       in
+      (* the class's later specs draw from what this one left; the last
+         spec skips computing it, which made a walk past n fired
+         bindings quadratic *)
       Seq.concat_map
         (fun chosen ->
-          let left =
-            List.filter (fun o -> not (List.mem o chosen)) remaining
-          in
+          let left = if rest = [] then [] else minus remaining chosen in
           Seq.map
             (List.cons (spec.Process.arg_name, chosen))
             (assign rest left))

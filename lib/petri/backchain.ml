@@ -60,9 +60,15 @@ let depth plan =
    early.  [visiting] prevents derivation cycles along the current
    path; retrieval of stored tokens at a visited place stays allowed
    (the paper's P5 derives a concept from itself using a stored sibling
-   object). *)
-let search ?(need = 1) net (tokens : Net.tokens) goal =
+   object).
+
+   [have]: the caller already holds the goal's first [have] stored
+   tokens, so the top-level call plans only the [need - have] missing
+   ones and its sources carry no [Existing] leaf for the goal. *)
+let search ?(need = 1) ?have net (tokens : Net.tokens) goal =
   if need < 1 then invalid_arg "Backchain.search: need < 1";
+  if Option.fold ~none:false ~some:(fun h -> h < 0 || h >= need) have then
+    invalid_arg "Backchain.search: have outside [0, need)";
   if not (Net.mem_place net goal) then None
   else begin
     let info = Reachability.analyze net tokens in
@@ -115,13 +121,16 @@ let search ?(need = 1) net (tokens : Net.tokens) goal =
             else record_failure visiting place need;
             None)
 
-    and place_sources_uncached visiting place need =
+    and place_sources_uncached ?have visiting place need =
       decr fuel;
       if !fuel <= 0 then None
       else begin
-        (* at most [need] stored tokens: all of them when fewer *)
-        let available = tokens.Net.first place need in
-        let n_avail = List.length available in
+        (* at most [need] stored tokens: all of them when fewer, none
+           when the caller holds them *)
+        let available =
+          if have = None then tokens.Net.first place need else []
+        in
+        let n_avail = Option.value have ~default:(List.length available) in
         if n_avail >= need then
           Some (List.map (fun tok -> Existing tok) available, 0)
         else if IntSet.mem place visiting then None
@@ -225,7 +234,9 @@ let search ?(need = 1) net (tokens : Net.tokens) goal =
         end
       end
     in
-    match place_sources IntSet.empty goal need with
+    (* nothing looks the top-level call up again, so it skips the memo,
+       where a goal-less [have] plan must never stand for (goal, need) *)
+    match place_sources_uncached ?have IntSet.empty goal need with
     | None -> None
     | Some (sources, _) -> Some { goal; sources }
   end

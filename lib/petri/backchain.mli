@@ -21,10 +21,12 @@ and step = {
 
 type plan = {
   goal : Net.place;
-  sources : source list;             (** one per demanded token *)
+  sources : source list;
+  (** one per demanded token; with [search ~have], one per missing one *)
 }
 
-val search : ?need:int -> Net.t -> Net.tokens -> Net.place -> plan option
+val search :
+  ?need:int -> ?have:int -> Net.t -> Net.tokens -> Net.place -> plan option
 (** Minimum-firing-count plan delivering [need] (default 1) tokens at
     the goal place, preferring direct retrieval, or [None] when the goal
     is underivable.  Reads every place's token count once, and at most
@@ -33,11 +35,17 @@ val search : ?need:int -> Net.t -> Net.tokens -> Net.place -> plan option
     derivation on the current path (so P5-style self-derivations —
     deriving a concept from itself via a sibling class — still work).
 
-    Invariant check: [need >= 1].
-    @raise Invalid_argument if [need < 1] — a programming error in the
-    caller, not a data-dependent failure, so it is deliberately an
-    exception rather than a [Result] (query-layer callers always pass a
-    positive demand, validated at parse time). *)
+    [~have] says the caller already holds the goal's first [have]
+    stored tokens: the plan's sources then cover only the [need - have]
+    missing tokens, in the order the full plan lists them after its
+    retrieved ones.  Reachability is still checked against [need], and
+    stored tokens at the goal stay retrievable deeper in the plan.
+
+    Invariant check: [need >= 1] and [0 <= have < need].
+    @raise Invalid_argument if [need < 1] or [have] is out of range —
+    a programming error in the caller, not a data-dependent failure, so
+    it is deliberately an exception rather than a [Result] (query-layer
+    callers always pass a positive demand, validated at parse time). *)
 
 val cost : plan -> int
 (** Number of transition firings in the plan. *)

@@ -282,6 +282,14 @@ let record_tasks_in_experiment t tasks =
              task.Task.task_id))
       tasks
 
+(* [n] in decimal, as [string_of_int] writes it, without the string *)
+let rec add_int buf n =
+  if n < 0 then Buffer.add_string buf (string_of_int n)
+  else begin
+    if n >= 10 then add_int buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+  end
+
 let outcome_message outcome =
   let trace =
     List.map
@@ -295,10 +303,17 @@ let outcome_message outcome =
           Printf.sprintf "fired %s v%d (task #%d)" p v id)
       outcome.Derivation.trace
   in
-  Printf.sprintf "objects: [%s]\n%s"
-    (String.concat ", "
-       (List.map string_of_int outcome.Derivation.objects))
-    (String.concat "\n" trace)
+  (* a DERIVE may return thousands of objects: one pass writes them *)
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "objects: [";
+  List.iteri
+    (fun i oid ->
+      if i > 0 then Buffer.add_string buf ", ";
+      add_int buf oid)
+    outcome.Derivation.objects;
+  Buffer.add_string buf "]\n";
+  Buffer.add_string buf (String.concat "\n" trace);
+  Buffer.contents buf
 
 let render_refresh (r : Kernel.refresh_report) =
   let skipped =

@@ -23,4 +23,8 @@ val execute : t -> Ast.statement -> (response, Gaea_core.Gaea_error.t) result
     projection, WHERE or ORDER BY that no source class has is an
     [Unknown_attribute] error. *)
 
+val outcome_message : Gaea_core.Derivation.outcome -> string
+(** A DERIVE's reply: an ["objects: [o1, o2, ...]"] line, then one line
+    per trace step. *)
+
 val format_response : response -> string

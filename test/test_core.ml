@@ -456,6 +456,51 @@ let test_find_binding_permutation () =
        (Kernel.find_binding k ~fresh:true proc
           ~available:[ ("band", [ nir; red ]) ]))
 
+(* Specs of one class draw distinct objects: a later spec takes from
+   what the earlier ones left, in list order, and an unbounded SETOF
+   spec takes the rest. *)
+let test_find_binding_one_class () =
+  let k = Kernel.create () in
+  ok
+    (Kernel.define_class k
+       (ok (Schema.define ~name:"band" ~attributes:[ ("channel", Vtype.Int) ] ())));
+  ok
+    (Kernel.define_class k
+       (ok (Schema.define ~name:"o" ~attributes:[ ("z", Vtype.Int) ] ())));
+  let define name args =
+    let proc =
+      ok
+        (Process.define_primitive ~name ~output_class:"o" ~args
+           ~template:
+             (Template.make ~assertions:[]
+                ~mappings:
+                  [ { Template.target = "z"; rhs = Template.Const (Value.int 0) } ])
+           ())
+    in
+    ok (Kernel.define_process k proc);
+    proc
+  in
+  let bands =
+    List.init 3 (fun i ->
+        ok (Kernel.insert_object k ~cls:"band" [ ("channel", Value.int i) ]))
+  in
+  let a, b, c =
+    match bands with [ a; b; c ] -> (a, b, c) | _ -> assert false
+  in
+  let check_binding = Alcotest.(check (list (pair string (list int)))) in
+  let pair = define "pair" [ Process.scalar_arg "x" "band"; Process.scalar_arg "y" "band" ] in
+  let first = ok (Kernel.find_binding k pair ~available:[ ("band", bands) ]) in
+  check_binding "two scalars take the first two" [ ("x", [ a ]); ("y", [ b ]) ] first;
+  ignore (ok (Kernel.execute_process k pair ~inputs:first));
+  check_binding "a fresh search takes the next pair"
+    [ ("x", [ a ]); ("y", [ c ]) ]
+    (ok (Kernel.find_binding k ~fresh:true pair ~available:[ ("band", bands) ]));
+  let rest =
+    define "rest" [ Process.scalar_arg "x" "band"; Process.setof_arg "ys" "band" ]
+  in
+  check_binding "SETOF takes the rest" [ ("x", [ a ]); ("ys", [ b; c ]) ]
+    (ok (Kernel.find_binding k rest ~available:[ ("band", bands) ]))
+
 (* ------------------------------------------------------------------ *)
 (* Derivation: Fig 3 end-to-end + request_at                           *)
 (* ------------------------------------------------------------------ *)
@@ -617,6 +662,62 @@ let test_derivation_failure_reported () =
    | Ok _ -> Alcotest.fail "should fail");
   check_bool "derivable is false" true
     (Derivation.derivation_plan k Figures.land_cover_class = None)
+
+(* Five scenes, the products of scenes 2-5 stored (oids 6-9): NEED 5
+   returns the four stored products in ascending order, then the one it
+   fires on scene 1.  The plans SHOW PLAN and derivation_plan print stay
+   the full ones, stored products included. *)
+let test_need_over_stored () =
+  let session = Gaea_query.Session.create () in
+  let run src = ok (Gaea_query.Session.run_string session src) in
+  ignore
+    (run
+       {|DEFINE CLASS scene ( data image, spatialextent box, timestamp abstime );
+DEFINE CLASS normalized ( data image, spatialextent box, timestamp abstime )
+  DERIVED BY normalize;
+DEFINE PROCESS normalize OUTPUT normalized ARGS ( s scene )
+  MAP data = img_scale(0.5, s.data)
+  MAP spatialextent = s.spatialextent
+  MAP timestamp = s.timestamp
+END;|});
+  for i = 1 to 5 do
+    ignore
+      (run
+         (Printf.sprintf
+            "INSERT INTO scene ( data = synth_rainfall(%d, 2, 2), \
+             spatialextent = BOX(0, 0, 1, 1), timestamp = DATE '1988-06-0%d' );"
+            i i))
+  done;
+  let k = Gaea_query.Session.kernel session in
+  let p = Option.get (Kernel.find_process k "normalize") in
+  List.iter
+    (fun scene ->
+      ignore (ok (Kernel.execute_process k p ~inputs:[ ("s", [ scene ]) ])))
+    [ 2; 3; 4; 5 ];
+  let show_plan () =
+    Gaea_query.Session.run_string_collect session "SHOW PLAN normalized"
+  in
+  let stored_plan n =
+    Printf.sprintf
+      "retrieve (%d stored)\nplan for normalized (1 token(s), cost 0):\n\
+      \  retrieve token 6"
+      n
+  in
+  check_str "SHOW PLAN before" (stored_plan 4) (show_plan ());
+  check_str "the full plan"
+    "plan for 0 (5 token(s), cost 1):\n  retrieve token 6\n  retrieve token 7\n\
+    \  retrieve token 8\n  retrieve token 9\n  fire 0\n    from 1:\n\
+    \      retrieve token 1"
+    (Format.asprintf "%a"
+       (Gaea_petri.Backchain.pp ?place_name:None ?transition_name:None)
+       (Option.get (Derivation.derivation_plan k ~need:5 "normalized")));
+  let r = ok (Derivation.request k ~need:5 "normalized") in
+  Alcotest.(check (list int)) "stored ascending, then the new one"
+    [ 6; 7; 8; 9; 10 ] r.Derivation.objects;
+  Alcotest.(check (list (list (pair string (list int)))))
+    "one task, on scene 1" [ [ ("s", [ 1 ]) ] ]
+    (List.map (fun (t : Task.t) -> t.Task.inputs) r.Derivation.new_tasks);
+  check_str "SHOW PLAN after" (stored_plan 5) (show_plan ())
 
 (* ------------------------------------------------------------------ *)
 (* Lineage                                                             *)
@@ -1019,7 +1120,9 @@ let () =
         [ tc "edit versioning" test_process_edit_versioning;
           tc "validation" test_process_validation ] );
       ("task", [ tc "sexp roundtrip" test_task_sexp_roundtrip ]);
-      ("binding", [ tc "permutation + exclusion" test_find_binding_permutation ]);
+      ( "binding",
+        [ tc "permutation + exclusion" test_find_binding_permutation;
+          tc "specs of one class" test_find_binding_one_class ] );
       ( "derivation",
         [ tc "fig3 end-to-end" test_fig3_end_to_end;
           tc "guard rejects extents" test_fig3_guard_rejects_mismatched_extents;
@@ -1028,7 +1131,8 @@ let () =
           tc "request_at exact hit" test_request_at_retrieves_exact;
           tc "request_at no data" test_request_at_no_data;
           tc "request_at nearest" test_request_at_nearest;
-          tc "failure reported" test_derivation_failure_reported ] );
+          tc "failure reported" test_derivation_failure_reported;
+          tc "NEED n over n-1 stored fires once" test_need_over_stored ] );
       ( "lineage",
         [ tc "ancestors" test_lineage_ancestors;
           tc "signatures" test_lineage_signatures;

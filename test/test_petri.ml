@@ -308,6 +308,53 @@ let test_backchain_cycle_safe () =
   check_bool "empty no plan" true
     (Backchain.search net (Marking.view Marking.empty) b = None)
 
+(* The paper's P5 shape: a concept derived from itself and a stored
+   sibling.  Planning only the deficit (the caller holds the goal's
+   stored tokens) yields the full plan's derived steps, and the step
+   still retrieves the stored goal token it reads. *)
+let test_backchain_deficit_self_derivation () =
+  let net = Net.create () in
+  let c = Net.add_place net ~name:"c" in
+  let sib = Net.add_place net ~name:"sibling" in
+  let t =
+    Result.get_ok
+      (Net.add_transition net ~name:"self" ~inputs:[ (c, 1); (sib, 1) ]
+         ~outputs:[ c ] ())
+  in
+  let m = Marking.of_list [ (c, [ 1; 2 ]); (sib, [ 5; 6; 7 ]) ] in
+  let tokens = Marking.view m in
+  let sources ?have need =
+    match Backchain.search ~need ?have net tokens c with
+    | Some plan -> plan.Backchain.sources
+    | None -> Alcotest.fail "expected a plan"
+  in
+  List.iter
+    (fun need ->
+      let full = sources need and deficit = sources ~have:2 need in
+      let derived =
+        List.filter (function Backchain.Derived _ -> true | _ -> false) full
+      in
+      check_bool (Printf.sprintf "NEED %d: the same derived steps" need) true
+        (derived = deficit);
+      check_int (Printf.sprintf "NEED %d: one per missing token" need)
+        (need - 2) (List.length deficit);
+      check_bool (Printf.sprintf "NEED %d: the full plan retrieves first" need)
+        true
+        (List.filteri (fun i _ -> i < 2) full
+        = [ Backchain.Existing 1; Backchain.Existing 2 ]))
+    [ 3; 4 ];
+  (match sources ~have:2 3 with
+   | [ Backchain.Derived { transition; step_inputs } ] ->
+     check_int "fires self" t transition;
+     check_bool "reads a stored c and a sibling" true
+       (step_inputs
+       = [ (c, [ Backchain.Existing 1 ]); (sib, [ Backchain.Existing 5 ]) ])
+   | _ -> Alcotest.fail "expected one derived step");
+  check_bool "have outside [0, need) is rejected" true
+    (match Backchain.search ~need:2 ~have:2 net tokens c with
+     | exception Invalid_argument _ -> true
+     | _ -> false)
+
 let test_backchain_cheapest_producer () =
   (* goal derivable directly from base (1 firing) or via a long chain;
      search must pick the cheap one *)
@@ -501,6 +548,33 @@ let backchain_complete_acyclic_prop =
           = (Backchain.search net (Marking.view marking) goal <> None))
         places)
 
+(* On random (possibly cyclic) nets, a plan for the deficit is the full
+   plan without its leading stored goal tokens, and exists exactly when
+   the full plan does. *)
+let backchain_deficit_prop =
+  QCheck.Test.make
+    ~name:"the deficit plan is the full plan minus the stored goal tokens"
+    ~count:300 (QCheck.make random_net_gen) (fun params ->
+      let net, marking, places = build_random params in
+      let tokens = Marking.view marking in
+      Array.for_all
+        (fun goal ->
+          List.for_all
+            (fun need ->
+              let stored = tokens.Net.first goal need in
+              let have = List.length stored in
+              have >= need
+              ||
+              let sources plan = plan.Backchain.sources in
+              Option.map sources (Backchain.search ~need net tokens goal)
+              = Option.map
+                  (fun plan ->
+                    List.map (fun tok -> Backchain.Existing tok) stored
+                    @ sources plan)
+                  (Backchain.search ~need ~have net tokens goal))
+            [ 1; 2; 3; 4 ])
+        places)
+
 (* ------------------------------------------------------------------ *)
 (* Analysis / Dot                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -573,11 +647,12 @@ let () =
           tc "underivable" test_backchain_underivable;
           tc "multi-need" test_backchain_multi_need;
           tc "cycle safe" test_backchain_cycle_safe;
+          tc "deficit of a self-derivation" test_backchain_deficit_self_derivation;
           tc "cheapest producer" test_backchain_cheapest_producer;
           tc "multi-producer cover" test_backchain_multi_producer_cover ] );
       qsuite "backchain-props"
         [ backchain_soundness_prop; backchain_sound_wrt_reachability_prop;
-          backchain_complete_acyclic_prop ];
+          backchain_complete_acyclic_prop; backchain_deficit_prop ];
       ( "analysis",
         [ tc "report" test_analysis; tc "cycles" test_analysis_cycle ] );
       ("dot", [ tc "export" test_dot ]) ]

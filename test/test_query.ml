@@ -632,6 +632,28 @@ let example_scripts =
      |> List.map (fun f ->
             In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
 
+(* examples/need.gaea leaves three normalized objects from four scenes;
+   one more than the scenes can yield fires the fourth scene, then fails
+   with Not_derivable *)
+let test_need_example_past_the_scenes () =
+  let dir = List.find Sys.file_exists [ "../examples"; "examples" ] in
+  let session = Session.create () in
+  ignore
+    (ok
+       (Session.run_string session
+          (In_channel.with_open_bin (Filename.concat dir "need.gaea")
+             In_channel.input_all)));
+  let module E = Gaea_core.Gaea_error in
+  (match Session.run_string session "DERIVE normalized NEED 5" with
+   | Error (E.Context (_, E.Not_derivable _) as e) ->
+     check_str "the error"
+       "DERIVE normalized: normalize: no valid binding found (remaining \
+        candidates already used)"
+       (E.to_string e)
+   | _ -> Alcotest.fail "expected Not_derivable");
+  Alcotest.(check (list int)) "the fourth scene fired" [ 5; 6; 7; 8 ]
+    (Kernel.objects_of_class (Session.kernel session) "normalized")
+
 let never_raises session src =
   match Session.run_string session src with
   | Ok _ | Error _ -> true
@@ -661,6 +683,42 @@ let prop_mutated_examples =
   QCheck.Test.make ~name:"byte-mutated example scripts never raise" ~count:300
     (QCheck.make ~print:Fun.id mutated_script_gen)
     (fun src -> never_raises (Session.create ()) src)
+
+(* The DERIVE reply writes its OIDs in one pass; the text is the one
+   String.concat of string_of_int wrote. *)
+let prop_derive_reply_text =
+  let module D = Gaea_core.Derivation in
+  let oid =
+    QCheck.Gen.(
+      oneof
+        [ return 0; int_range 1 9; int_range 10 99_999;
+          int_range 1_000_000_000 max_int ])
+  in
+  let step =
+    QCheck.Gen.(
+      oneof
+        [ map2 (fun v id -> D.Fired ("p", v, id)) small_nat oid;
+          map (fun o -> D.Interpolated ("c", o)) oid;
+          map (fun os -> D.Retrieved_direct ("c", os)) (small_list oid) ])
+  in
+  QCheck.Test.make ~name:"the DERIVE reply text is unchanged" ~count:500
+    (QCheck.make
+       ~print:(fun (os, _) -> String.concat ", " (List.map string_of_int os))
+       QCheck.Gen.(pair (list oid) (small_list step)))
+    (fun (objects, trace) ->
+      let line = function
+        | D.Retrieved_direct (cls, oids) ->
+          Printf.sprintf "retrieved %d stored object(s) of %s"
+            (List.length oids) cls
+        | D.Interpolated (cls, oid) ->
+          Printf.sprintf "interpolated object %d of %s" oid cls
+        | D.Fired (p, v, id) ->
+          Printf.sprintf "fired %s v%d (task #%d)" p v id
+      in
+      Executor.outcome_message { D.objects; new_tasks = []; trace }
+      = Printf.sprintf "objects: [%s]\n%s"
+          (String.concat ", " (List.map string_of_int objects))
+          (String.concat "\n" (List.map line trace)))
 
 (* two member classes of one concept, B-trees on an int and a float
    attribute besides the temporal one *)
@@ -937,7 +995,10 @@ let () =
           tc "errors" test_executor_errors;
           tc "select oid" test_executor_select_oid;
           tc "unknown attribute" test_executor_unknown_attribute;
-          tc "versions" test_executor_versions ] );
+          tc "versions" test_executor_versions;
+          tc "need.gaea, then NEED past the scenes"
+            test_need_example_past_the_scenes;
+          QCheck_alcotest.to_alcotest prop_derive_reply_text ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
           [ prop_mutated_examples; prop_select_tokens ] );

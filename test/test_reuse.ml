@@ -229,6 +229,37 @@ let test_need_too_many () =
     (is_not_derivable
        (Derivation.request (Session.kernel empty) "normalized"))
 
+(* Fired history: normalize has run on every scene but the newest, so
+   the planned binding (the lowest scene) has fired and the DERIVE walks
+   the class for the one unfired binding.  The answer, not the time, is
+   checked here; bench E15 gates the time. *)
+let test_need_over_fired_history () =
+  let n = 3000 in
+  let session = Session.create () in
+  ignore (run session schema);
+  let k = Session.kernel session in
+  let box = Gaea_geo.Box.make ~xmin:0. ~ymin:0. ~xmax:1. ~ymax:1. in
+  let scene i =
+    ok
+      (Kernel.insert_object k ~cls:"scene"
+         [ ("data", one_pixel (float_of_int i));
+           ("spatialextent", Value.box box);
+           ("timestamp", Value.abstime (Gaea_geo.Abstime.of_ymd 1988 6 1)) ])
+  in
+  let scenes = List.init n scene in
+  List.iteri
+    (fun i s -> if i < n - 1 then ignore (normalize_scene session s))
+    scenes;
+  let r = ok (Derivation.request k ~need:n "normalized") in
+  check_int "N distinct objects" n
+    (List.length (List.sort_uniq Int.compare r.Derivation.objects));
+  Alcotest.(check (list (list (pair string (list int)))))
+    "one task, on the newest scene"
+    [ [ ("s", [ List.nth scenes (n - 1) ]) ] ]
+    (List.map (fun (t : Task.t) -> t.Task.inputs) r.Derivation.new_tasks);
+  Alcotest.(check (list int)) "stored ascending, then the new one"
+    (normalized session) r.Derivation.objects
+
 let test_find_binding_fresh () =
   let session = probe () in
   let k = Session.kernel session in
@@ -435,7 +466,8 @@ let () =
         [ tc "NEED three after two fires task #3 only" test_need_three_after_two;
           tc "NEED every scene, at any pool size" test_need_every_scene;
           tc "NEED past the scenes fails, no duplicate" test_need_too_many;
-          tc "find_binding ~fresh skips fired bindings" test_find_binding_fresh ]
+          tc "find_binding ~fresh skips fired bindings" test_find_binding_fresh;
+          tc "NEED N over N-1 fired scenes" test_need_over_fired_history ]
       );
       ( "oids",
         [ tc "a deleted object's oid stays spent after load"
