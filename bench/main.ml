@@ -3,7 +3,8 @@
    The paper (VLDB 1993) contains no quantitative evaluation — its five
    figures are architectural.  This harness therefore (a) regenerates an
    executable artifact for every figure and (b) measures the mechanism
-   experiments E1–E10 defined in DESIGN.md, printing the series that
+   experiments E1–E8, E10 and E13–E16 defined in DESIGN.md (E9, E11
+   and E12 are retired), printing the series that
    EXPERIMENTS.md records.  One Bechamel Test.make exists per experiment
    (micro timing of its kernel operation); the macro sweeps print their
    own tables.
@@ -626,143 +627,6 @@ let e8_cache () =
     (after.Kernel.invalidations - before.Kernel.invalidations)
     (recompute *. 1000.);
   e8_stats := Some (cold, warm, Kernel.cache_stats k)
-
-(* ------------------------------------------------------------------ *)
-(* E9: DAG-parallel compound expansion                                 *)
-(* ------------------------------------------------------------------ *)
-
-type e9_data = {
-  e9_steps : int;
-  e9_pixels : int;
-  e9_by_domains : (int * float) list; (* pool size, elapsed seconds *)
-  e9_deterministic : bool;
-}
-
-let e9_result : e9_data option ref = ref None
-
-(* a compound whose steps are all independent (each one scales the same
-   source image by a different constant): the deriver can evaluate every
-   step concurrently and must still commit in step order *)
-let e9_kernel ~steps ~n () =
-  let open Template in
-  let k = Kernel.create () in
-  let base_attrs =
-    [ ("data", Vtype.Image); ("spatialextent", Vtype.Box);
-      ("timestamp", Vtype.Abstime) ]
-  in
-  ok (Kernel.define_class k (ok (Schema.define ~name:"e9src" ~attributes:base_attrs ())));
-  ok
-    (Kernel.define_class k
-       (ok (Schema.define ~name:"e9out" ~attributes:base_attrs ~derived_by:"e9fan" ())));
-  for i = 0 to steps - 1 do
-    ok
-      (Kernel.define_process k
-         (ok
-            (Process.define_primitive
-               ~name:(Printf.sprintf "e9stage%d" i)
-               ~output_class:"e9out"
-               ~args:[ Process.scalar_arg "x" "e9src" ]
-               ~template:
-                 (make ~assertions:[]
-                    ~mappings:
-                      [ { target = "data";
-                          rhs =
-                            Apply
-                              ("img_scale",
-                               [ Const (Value.float (float_of_int (i + 1)));
-                                 Attr_of ("x", "data") ]) };
-                        { target = "spatialextent";
-                          rhs = Attr_of ("x", "spatialextent") };
-                        { target = "timestamp"; rhs = Attr_of ("x", "timestamp") } ])
-               ())))
-  done;
-  ok
-    (Kernel.define_process k
-       (ok
-          (Process.define_compound ~name:"e9fan" ~output_class:"e9out"
-             ~args:[ Process.scalar_arg "x" "e9src" ]
-             ~steps:
-               (List.init steps (fun i ->
-                    { Process.step_process = Printf.sprintf "e9stage%d" i;
-                      step_inputs = [ ("x", Process.From_arg "x") ] }))
-             ())));
-  let img = R.Synthetic.value_noise ~seed:33 ~nrow:n ~ncol:n () in
-  let oid =
-    ok
-      (Kernel.insert_object k ~cls:"e9src"
-         [ ("data", Value.image img);
-           ("spatialextent",
-            Value.box (Gaea_geo.Box.make ~xmin:0. ~ymin:0. ~xmax:1. ~ymax:1.));
-           ("timestamp", Value.abstime (Gaea_geo.Abstime.of_ymd 1986 1 1)) ])
-  in
-  (k, oid)
-
-let e9_task_parallel () =
-  section "E9: DAG-parallel compound expansion — independent steps on the pool";
-  let steps = 8 in
-  let n = if smoke then 64 else 256 in
-  let repeats = if smoke then 1 else 5 in
-  let sizes = [ 1; 2; 4; 8 ] in
-  Printf.printf
-    "workload: one compound of %d independent img_scale steps over a \
-     %dx%d image;\nthe deriver evaluates ready steps as a pool batch and \
-     commits in step order\n\n"
-    steps n n;
-  let saved = Pool.size () in
-  let by_domains =
-    List.map
-      (fun s ->
-        Pool.set_size s;
-        (* a fresh kernel per run: a repeat would reuse every step *)
-        let dt =
-          time_median_of ~repeats
-            ~setup:(fun () -> e9_kernel ~steps ~n ())
-            (fun (k, oid) ->
-              let p = Option.get (Kernel.find_process k "e9fan") in
-              ok (Kernel.execute_process k p ~inputs:[ ("x", [ oid ]) ]))
-        in
-        (s, dt))
-      sizes
-  in
-  (* scheduling must not change what is derived: the event log, task
-     list and final task are identical at any pool size; the cutoff
-     override forces the batch path even on single-domain hosts *)
-  let snapshot s =
-    Pool.set_min_parallel_work (Some 0);
-    Pool.set_size s;
-    let k, oid = e9_kernel ~steps ~n:32 () in
-    let p = Option.get (Kernel.find_process k "e9fan") in
-    let t = ok (Kernel.execute_process k p ~inputs:[ ("x", [ oid ]) ]) in
-    ( List.map
-        (fun (seq, ev) -> (seq, Gaea_core.Events.event_to_string ev))
-        (Kernel.event_log k),
-      List.map
-        (fun (t : Task.t) -> (t.Task.task_id, t.Task.process, t.Task.outputs))
-        (Kernel.tasks k),
-      t.Task.task_id )
-  in
-  let deterministic = snapshot 1 = snapshot 8 in
-  Pool.set_min_parallel_work None;
-  Pool.set_size saved;
-  let seq = List.assoc 1 by_domains in
-  let best =
-    List.fold_left
-      (fun acc (s, dt) -> if s > 1 then Float.min acc dt else acc)
-      Float.infinity by_domains
-  in
-  Printf.printf "%-18s %11s %11s %11s %11s %8s\n" "compound" "1 dom (ms)"
-    "2 dom (ms)" "4 dom (ms)" "8 dom (ms)" "best x";
-  let ms s = List.assoc s by_domains *. 1000. in
-  Printf.printf "%-18s %11.2f %11.2f %11.2f %11.2f %8.2f\n" "e9fan-8-steps"
-    (ms 1) (ms 2) (ms 4) (ms 8)
-    (seq /. best);
-  Printf.printf "provenance/event order identical at pool sizes 1 and 8: %b\n"
-    deterministic;
-  if not deterministic then failwith "E9: scheduling changed provenance order";
-  e9_result :=
-    Some
-      { e9_steps = steps; e9_pixels = n * n; e9_by_domains = by_domains;
-        e9_deterministic = deterministic }
 
 (* ------------------------------------------------------------------ *)
 (* E10: incremental refresh — invalidate k of n pipeline inputs        *)
@@ -1409,18 +1273,6 @@ let emit_bench_json path =
         (if i < List.length !e7_rows - 1 then "," else ""))
     !e7_rows;
   out "  ],\n";
-  (match !e9_result with
-   | Some e9 ->
-     out "  \"deriver\": { \"steps\": %d, \"pixels\": %d, \"ns_per_op\": {"
-       e9.e9_steps e9.e9_pixels;
-     List.iteri
-       (fun j (s, dt) ->
-         out "%s\"%d\": %.0f" (if j > 0 then ", " else "") s (dt *. 1e9))
-       e9.e9_by_domains;
-     out "}, \"best_speedup\": %s, \"deterministic\": %b },\n"
-       (speedup_field e9.e9_by_domains)
-       e9.e9_deterministic
-   | None -> out "  \"deriver\": null,\n");
   (match !e8_stats with
    | Some (cold, warm, st) ->
      out
@@ -1552,7 +1404,6 @@ let () =
   e6_fig5 ();
   e7_parallel_speedup ();
   e8_cache ();
-  e9_task_parallel ();
   e10_incremental_refresh ();
   e13_overlaps ();
   e14_derive_scale ();

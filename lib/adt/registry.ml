@@ -52,6 +52,15 @@ let apply t name args =
   | None -> Error (Printf.sprintf "unknown operator %s" name)
   | Some op -> Operator.apply op args
 
+let arity t name =
+  Option.map
+    (fun op ->
+      let s = Operator.signature op in
+      match s.Operator.variadic with
+      | Some _ -> `Variadic
+      | None -> `Fixed (List.length s.Operator.params))
+    (find_operator t name)
+
 let mentions_type vt op =
   let s = Operator.signature op in
   let matches p = Vtype.equal (Vtype.base p) (Vtype.base vt) in

@@ -47,6 +47,10 @@ val find_compound : t -> string -> Dataflow.t option
 val apply : t -> string -> Value.t list -> (Value.t, string) result
 (** Look up and apply an operator by name. *)
 
+val arity : t -> string -> [ `Fixed of int | `Variadic ] option
+(** How many arguments the named operator takes; [None] if no such
+    operator is registered. *)
+
 val operators_for_type : t -> Vtype.t -> Operator.t list
 (** Operators accepting the type (directly or as [Setof]) among their
     parameters — the "look up appropriate operators" browse. *)

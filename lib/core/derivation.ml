@@ -37,8 +37,8 @@ let derivation_plan k ?(need = 1) cls =
    the corresponding process via Kernel.execute_process on a binding it
    has not fired yet, so each step records a new task and a new object.
    This stays sequential: each step is a binding search against live
-   store state on the calling domain, and the pure work inside a fired
-   compound already runs on the pool through its own scheduler DAG. *)
+   store state on the calling domain, followed by an execution whose
+   raster operators use the domain pool themselves. *)
 let execute_plan k (view : Kernel.net_view) plan =
   let tasks = ref [] in
   (* shared sub-derivation nodes (plans share them physically) realize

@@ -1,6 +1,5 @@
 module Value = Gaea_adt.Value
 module Registry = Gaea_adt.Registry
-module Operator = Gaea_adt.Operator
 module Oid = Gaea_storage.Oid
 
 let ( let* ) r f = Result.bind r f
@@ -57,17 +56,10 @@ let make_env t (p : Process.t) (inputs : (string * Oid.t list) list) =
     param = (fun name -> Process.param p name);
     apply =
       (fun op args ->
-        match Registry.apply t.registry op args with
-        | Ok v -> Ok v
-        | Error e -> Error (Gaea_error.Eval_error e));
-    arity =
-      (fun op ->
-        Option.map
-          (fun o ->
-            match (Operator.signature o).Operator.variadic with
-            | Some _ -> `Variadic
-            | None -> `Fixed (List.length (Operator.signature o).Operator.params))
-          (Registry.find_operator t.registry op)) }
+        Result.map_error
+          (fun e -> Gaea_error.Eval_error e)
+          (Registry.apply t.registry op args));
+    arity = Registry.arity t.registry }
 
 let check_cards (p : Process.t) inputs =
   List.fold_left
@@ -108,10 +100,6 @@ let check_inputs t (p : Process.t) inputs =
 (* ------------------------------------------------------------------ *)
 (* Binding search                                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* Silent, non-mutating probe: will [with_cache] hit? *)
-let cached t (p : Process.t) inputs =
-  Option.is_some (Provenance.find_reusable t.prov p ~inputs)
 
 (* Guard evaluations one binding search may spend before giving up. *)
 let guard_budget = 128
@@ -180,7 +168,10 @@ let find_binding t ?(fresh = false) (p : Process.t) ~available =
   in
   let rec search budget last_err candidates =
     match candidates () with
-    | Seq.Cons (binding, rest) when fresh && cached t p binding ->
+    | Seq.Cons (binding, rest)
+      when fresh
+           && Option.is_some (Provenance.find_reusable t.prov p ~inputs:binding)
+      ->
       search budget "remaining candidates already used" rest
     | Seq.Cons (binding, rest) when budget > 0 ->
       (match check_inputs t p binding with
@@ -252,127 +243,73 @@ let commit t (p : Process.t) inputs pairs ~write =
        ~version:p.Process.version ~inputs ~params:p.Process.params ~outputs
        ~output_class:p.Process.output_class)
 
-(* Commit half of a primitive execution: insert the evaluated output.
-   Split from the evaluation half so compound steps can evaluate on the
-   pool and commit strictly in step order. *)
-let commit_primitive t (p : Process.t) inputs evaluated =
-  let* pairs = evaluated in
-  commit t p inputs pairs ~write:(fun pairs ->
-      Obj_store.insert t.objects ~cls:p.Process.output_class pairs
-      |> Result.map (fun oid -> [ oid ]))
-
-(* The reuse lookup around a primitive execution: a recorded task for
-   the same process and binding is served as is; otherwise [run]
-   derives, and recording its task makes it reusable. *)
-let with_cache t (p : Process.t) ~inputs run =
-  let process = p.Process.proc_name and version = p.Process.version in
-  match Provenance.find_reusable t.prov p ~inputs with
-  | Some task ->
-    Events.emit t.bus (Events.Cache_hit { process; version });
-    Ok task
-  | None ->
-    Events.emit t.bus (Events.Cache_miss { process; version });
-    run ()
-
-(* A compound has no reuse entry of its own: each of its steps is
-   looked up, so a repeated compound reuses every step. *)
+(* A primitive is looked up in the reuse index first: a recorded task
+   for the same process and binding is served as is; otherwise it is
+   evaluated and committed, and recording its task makes it reusable.
+   A compound has no reuse entry of its own: its steps run in order on
+   the calling domain, each through this same lookup, so a repeated
+   compound reuses every step.  A step reads the compound's arguments
+   and the outputs of earlier steps; the first failing step ends the
+   compound. *)
 let rec execute_process t (p : Process.t) ~inputs =
   match p.Process.kind with
   | Process.Primitive _ ->
-    with_cache t p ~inputs (fun () ->
-        commit_primitive t p inputs (eval_primitive t p inputs))
-  | Process.Compound steps -> execute_compound t p ~inputs steps
-
-(* Compound expansion as a DAG for {!Scheduler}: one node per step, in
-   step order, depending on the steps whose outputs it reads.  A
-   primitive step offers its pure evaluation (assertions + mappings,
-   which only read the kernel tables) unless a silent reuse peek says
-   its commit will hit, so reusable steps never occupy a pool lane.
-   The commit is the authoritative [with_cache] lookup: it emits the
-   events, asks for the evaluation only on a miss — a step duplicating
-   an earlier step's binding registers its hit and discards the extra
-   evaluation — then inserts the object and records provenance.  The
-   first failing step ends the compound. *)
-and execute_compound t (p : Process.t) ~inputs steps =
-  let arr = Array.of_list steps in
-  (* outputs of committed steps, by step index *)
-  let outputs = Array.make (Array.length arr) [] in
-  let last = ref None in
-  (* resolve step [j]'s sub-inputs from the argument binding and the
-     outputs of steps committed before it *)
-  let resolve j =
-    let* rev =
-      List.fold_left
-        (fun acc (arg, input) ->
-          let* acc = acc in
-          match input with
-          | Process.From_arg a ->
-            (match List.assoc_opt a inputs with
-             | Some oids -> Ok ((arg, oids) :: acc)
-             | None ->
-               Gaea_error.err
-                 (Printf.sprintf "%s: argument %s not bound"
-                    p.Process.proc_name a))
-          | Process.From_step k ->
-            if k >= 0 && k < j then Ok ((arg, outputs.(k)) :: acc)
-            else
-              Gaea_error.err
-                (Printf.sprintf "%s: step %d output unavailable"
-                   p.Process.proc_name k))
-        (Ok []) arr.(j).Process.step_inputs
-    in
-    Ok (List.rev rev)
-  in
-  let exception Step_failed of Gaea_error.t in
-  let node j (step : Process.step) =
-    { Scheduler.deps =
-        List.filter_map
-          (function
-            | _, Process.From_step k when k >= 0 && k < j -> Some k
-            | _ -> None)
-          step.Process.step_inputs;
-      eval =
-        (fun () ->
-          match
-            Proc_registry.find t.procs step.Process.step_process, resolve j
-          with
-          | ( Some ({ Process.kind = Process.Primitive _; _ } as sub),
-              Ok sub_inputs )
-            when not (cached t sub sub_inputs) ->
-            Some (fun () -> eval_primitive t sub sub_inputs)
-          | _ -> None);
-      commit =
-        (fun evaluated ->
-          let result =
-            match Proc_registry.find t.procs step.Process.step_process with
-            | None ->
-              Gaea_error.err
-                (Printf.sprintf "%s: unknown sub-process %s"
-                   p.Process.proc_name step.Process.step_process)
-            | Some sub ->
-              let* sub_inputs = resolve j in
-              (match sub.Process.kind with
-               | Process.Primitive _ ->
-                 with_cache t sub ~inputs:sub_inputs (fun () ->
-                     commit_primitive t sub sub_inputs (evaluated ()))
-               | Process.Compound _ -> execute_process t sub ~inputs:sub_inputs)
-          in
-          match result with
-          | Error e -> raise (Step_failed e)
-          | Ok task ->
-            outputs.(j) <- task.Task.outputs;
-            last := Some task;
-            Ok ()) }
-  in
-  match Scheduler.run (Array.mapi node arr) with
-  | exception Step_failed e -> Error e
-  | _ ->
-    (match !last with
-     | Some task -> Ok task
+    let process = p.Process.proc_name and version = p.Process.version in
+    (match Provenance.find_reusable t.prov p ~inputs with
+     | Some task ->
+       Events.emit t.bus (Events.Cache_hit { process; version });
+       Ok task
      | None ->
-       Error
-         (Gaea_error.Invalid
-            (p.Process.proc_name ^ ": compound with no steps")))
+       Events.emit t.bus (Events.Cache_miss { process; version });
+       let* pairs = eval_primitive t p inputs in
+       commit t p inputs pairs ~write:(fun pairs ->
+           Obj_store.insert t.objects ~cls:p.Process.output_class pairs
+           |> Result.map (fun oid -> [ oid ])))
+  | Process.Compound steps ->
+    let outputs = Array.make (List.length steps) [] in
+    let resolve j (arg, input) =
+      match input with
+      | Process.From_arg a ->
+        (match List.assoc_opt a inputs with
+         | Some oids -> Ok (arg, oids)
+         | None ->
+           Gaea_error.err
+             (Printf.sprintf "%s: argument %s not bound" p.Process.proc_name a))
+      | Process.From_step k ->
+        if k >= 0 && k < j then Ok (arg, outputs.(k))
+        else
+          Gaea_error.err
+            (Printf.sprintf "%s: step %d output unavailable"
+               p.Process.proc_name k)
+    in
+    let rec run j last = function
+      | [] ->
+        Option.to_result last
+          ~none:
+            (Gaea_error.Invalid
+               (p.Process.proc_name ^ ": compound with no steps"))
+      | (step : Process.step) :: rest ->
+        let* sub =
+          Option.to_result
+            (Proc_registry.find t.procs step.Process.step_process)
+            ~none:
+              (Gaea_error.Invalid
+                 (Printf.sprintf "%s: unknown sub-process %s"
+                    p.Process.proc_name step.Process.step_process))
+        in
+        let* rev =
+          List.fold_left
+            (fun acc input ->
+              let* acc = acc in
+              let* bound = resolve j input in
+              Ok (bound :: acc))
+            (Ok []) step.Process.step_inputs
+        in
+        let* task = execute_process t sub ~inputs:(List.rev rev) in
+        outputs.(j) <- task.Task.outputs;
+        run (j + 1) (Some task) rest
+    in
+    run 0 None steps
 
 let recompute_task t (task : Task.t) =
   match
@@ -397,16 +334,16 @@ type refresh_report = {
   skip_reasons : (Oid.t * string) list;
 }
 
-(* Refresh as a DAG for {!Scheduler}: one node per producing task of a
-   stale object, depending on the producers of its stale inputs.  Nodes
-   commit by wave depth (one more than their deepest dependency's),
-   then by producing task id — the order a full re-derivation records them
-   in, whatever ids earlier refreshes handed out.  A commit updates the
-   outputs in place (running the update trigger), records provenance,
-   which makes the new task reusable, and emits [Object_refreshed]; a
-   failure becomes the skip reason of the node's stale outputs and
-   poisons the nodes reading them (refreshing from a stale input would
-   diverge from a full re-derivation). *)
+(* Refresh commits one producing task of a stale object at a time, on
+   the calling domain, by wave depth (one more than its deepest stale
+   producer's), then by producing task id: the order a full
+   re-derivation records them in, whatever ids earlier refreshes
+   handed out.  A commit updates the outputs in place (running the
+   update trigger), records provenance, which makes the new task
+   reusable, and emits [Object_refreshed].  A failure becomes the skip
+   reason of the task's stale outputs and fails the tasks reading them
+   (refreshing from a stale input would diverge from a full
+   re-derivation). *)
 let refresh ?only t =
   (* -- the work set: stale oids, optionally a target slice plus its
      stale upstream closure (refreshing a target under stale ancestors
@@ -428,7 +365,7 @@ let refresh ?only t =
        end
      in
      List.iter add targets);
-  (* -- one node per producing task -- *)
+  (* -- the producing task of each stale object -- *)
   let producers : (int, Task.t) Hashtbl.t = Hashtbl.create 32 in
   let owner : (Oid.t, int) Hashtbl.t = Hashtbl.create 32 in
   Hashtbl.iter
@@ -469,10 +406,7 @@ let refresh ?only t =
       producers []
     |> List.sort (fun (d1, id1, _) (d2, id2, _) ->
            compare (d1, id1) (d2, id2))
-    |> Array.of_list
   in
-  let index : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  Array.iteri (fun i (_, id, _) -> Hashtbl.replace index id i) order;
   let refreshed = ref 0 in
   let new_tasks = ref [] in
   (* write refreshed values over the old outputs, in place *)
@@ -487,57 +421,50 @@ let refresh ?only t =
     in
     Ok outputs
   in
-  let node (_, _, (task : Task.t)) =
-    let proc = Proc_registry.find t.procs task.Task.process in
-    { Scheduler.deps = List.map (Hashtbl.find index) (deps_of task);
-      eval =
-        (fun () ->
-          Option.map
-            (fun p () -> eval_primitive t p task.Task.inputs)
-            proc);
-      commit =
-        (fun evaluated ->
-          match proc with
-          | None ->
-            Error
-              (Printf.sprintf "process %s not in registry" task.Task.process)
-          | Some p ->
-            (match
-               let* pairs = evaluated () in
-               commit t p task.Task.inputs pairs
-                 ~write:(overwrite p task.Task.outputs)
-             with
-             | Error e -> Error (Gaea_error.to_string e)
-             | Ok new_task ->
-               List.iter
-                 (fun oid ->
-                   Provenance.mark_fresh t.prov oid;
-                   Events.emit t.bus
-                     (Events.Object_refreshed
-                        { cls = p.Process.output_class; oid;
-                          task_id = new_task.Task.task_id }))
-                 task.Task.outputs;
-               refreshed := !refreshed + List.length task.Task.outputs;
-               new_tasks := new_task :: !new_tasks;
-               Ok ())) }
+  let failed : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let skip_reasons = ref [] in
+  let refresh_task (task : Task.t) =
+    match Proc_registry.find t.procs task.Task.process with
+    | None ->
+      Error (Printf.sprintf "process %s not in registry" task.Task.process)
+    | Some p ->
+      (match
+         let* pairs = eval_primitive t p task.Task.inputs in
+         commit t p task.Task.inputs pairs
+           ~write:(overwrite p task.Task.outputs)
+       with
+       | Error e -> Error (Gaea_error.to_string e)
+       | Ok new_task ->
+         List.iter
+           (fun oid ->
+             Provenance.mark_fresh t.prov oid;
+             Events.emit t.bus
+               (Events.Object_refreshed
+                  { cls = p.Process.output_class; oid;
+                    task_id = new_task.Task.task_id }))
+           task.Task.outputs;
+         refreshed := !refreshed + List.length task.Task.outputs;
+         new_tasks := new_task :: !new_tasks;
+         Ok ())
   in
-  let status = Scheduler.run (Array.map node order) in
-  let skip_reasons =
-    List.concat
-      (List.mapi
-         (fun i (_, _, (task : Task.t)) ->
-           let skip reason =
-             List.filter_map
-               (fun oid ->
-                 if Hashtbl.mem work oid then Some (oid, reason) else None)
-               task.Task.outputs
-           in
-           match status.(i) with
-           | Scheduler.Committed -> []
-           | Scheduler.Failed reason -> skip reason
-           | Scheduler.Poisoned -> skip "stale input not refreshable")
-         (Array.to_list order))
-  in
+  List.iter
+    (fun (_, id, (task : Task.t)) ->
+      let result =
+        if List.exists (Hashtbl.mem failed) (deps_of task) then
+          Error "stale input not refreshable"
+        else refresh_task task
+      in
+      match result with
+      | Ok () -> ()
+      | Error reason ->
+        Hashtbl.replace failed id ();
+        List.iter
+          (fun oid ->
+            if Hashtbl.mem work oid then
+              skip_reasons := (oid, reason) :: !skip_reasons)
+          task.Task.outputs)
+    order;
+  let skip_reasons = List.rev !skip_reasons in
   { refreshed = !refreshed;
     skipped = List.length skip_reasons;
     remaining = List.length (Provenance.stale t.prov);

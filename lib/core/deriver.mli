@@ -30,11 +30,6 @@ val find_binding :
   -> ((string * Oid.t list) list, Gaea_error.t) result
 (** See {!Kernel.find_binding}. *)
 
-val eval_primitive :
-  t -> Process.t -> (string * Oid.t list) list
-  -> ((string * Gaea_adt.Value.t) list, Gaea_error.t) result
-(** Check and evaluate without inserting or recording. *)
-
 val execute_process :
   t -> Process.t -> inputs:(string * Oid.t list) list
   -> (Task.t, Gaea_error.t) result
@@ -55,13 +50,15 @@ type refresh_report = {
 
 val refresh : ?only:Oid.t list -> t -> refresh_report
 (** Recompute stale objects ([only] restricts to the given targets
-    plus their stale upstream closure), dirty subgraph only, as a
-    {!Scheduler} DAG: evaluation runs on the domain pool when the
-    ready frontier can fill it, and commits run by wave depth, then
-    producing task id, so results, provenance and event order match a
-    full re-derivation at any pool size.  Refreshed values replace the
-    old objects {e in place} (same OIDs), which runs the update trigger
+    plus their stale upstream closure), dirty subgraph only.  Each
+    producing task is evaluated and committed in turn on the calling
+    domain, by wave depth, then producing task id, so results,
+    provenance and event order match a full re-derivation at any pool
+    size (the pool only serves the raster operators inside each
+    evaluation).  Refreshed values replace the old objects {e in place}
+    (same OIDs), which runs the update trigger
     ({!Provenance.object_changed}) for each; each refresh records a new
     provenance task, which becomes the reusable one.  Objects whose
     process is not in the registry (e.g. interpolation pseudo-tasks) or
-    whose inputs are gone are skipped and stay stale. *)
+    whose inputs are gone are skipped and stay stale, and so are the
+    objects derived from them. *)

@@ -19,7 +19,7 @@ type event =
       (** An existing object's attribute values were replaced in place
           ([Kernel.update_object]) — staling trigger for its consumers. *)
   | Object_refreshed of { cls : string; oid : int; task_id : int }
-      (** The refresh scheduler recomputed a stale derived object;
+      (** A REFRESH recomputed a stale derived object;
           [task_id] is the new provenance task that produced it. *)
   | Process_defined of { name : string; version : int }
       (** First version of a new process name. *)

@@ -356,32 +356,3 @@ let map_chunks ?(grain = default_grain) ?(cost = 1.0) ~lo ~hi f =
 
 let parallel_for_reduce ?grain ?cost ~lo ~hi ~init ~reduce map =
   Array.fold_left reduce init (map_chunks ?grain ?cost ~lo ~hi map)
-
-(* ------------------------------------------------------------------ *)
-(* Coarse-grained batches                                              *)
-(* ------------------------------------------------------------------ *)
-
-let parallel_batch thunks =
-  let n = Array.length thunks in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    if n = 1 || size () = 1 || Domain.DLS.get in_parallel then begin
-      (* match the parallel path: every thunk runs, first error wins
-         and is raised only after the batch completes *)
-      let err = ref None in
-      Array.iteri
-        (fun i t ->
-          match t () with
-          | v -> results.(i) <- Some v
-          | exception e -> if !err = None then err := Some e)
-        thunks;
-      match !err with Some e -> raise e | None -> ()
-    end
-    else dispatch n (fun i -> results.(i) <- Some (thunks.(i) ()));
-    Array.map
-      (function
-        | Some v -> v
-        | None -> invalid_arg "Pool.parallel_batch: missing result")
-      results
-  end

@@ -1,5 +1,7 @@
-(** A fixed-size domain pool for data-parallel raster kernels and
-    coarse-grained derivation tasks.
+(** A fixed-size domain pool for data-parallel raster kernels.  The
+    raster operators use it inside each evaluation; derivation itself
+    (compound steps, REFRESH) runs and commits in order on the calling
+    domain.
 
     One pool per process, created lazily on the first parallel call and
     reused for every subsequent one — OCaml domains are heavyweight
@@ -109,16 +111,6 @@ val parallel_for_reduce :
     chi] per chunk and folds [reduce] left-to-right over the results —
     i.e. [reduce (... (reduce init r0) ...) rn] — so float
     accumulations associate identically at any pool size. *)
-
-val parallel_batch : (unit -> 'a) array -> 'a array
-(** [parallel_batch thunks] runs every thunk (one pool lane each, the
-    caller included) and returns their results in order.  Meant for
-    coarse-grained jobs — independent sub-derivations, not pixel loops
-    — so it is {e not} subject to {!min_parallel_work}; it only falls
-    back to sequential execution when the pool size is 1, when called
-    from inside a parallel region, or for a single thunk.  All thunks
-    run even if one raises; the first exception (in claim order) is
-    re-raised after the batch completes, in both modes. *)
 
 val shutdown : unit -> unit
 (** Join the worker domains (the pool respawns lazily if used again).

@@ -76,18 +76,10 @@ let eval_standalone t expr =
       param = (fun _ -> None);
       apply =
         (fun op args ->
-          match Registry.apply reg op args with
-          | Ok v -> Ok v
-          | Error e -> Error (Gaea_error.Eval_error e));
-      arity =
-        (fun op ->
-          Option.map
-            (fun o ->
-              match (Operator.signature o).Operator.variadic with
-              | Some _ -> `Variadic
-              | None ->
-                `Fixed (List.length (Operator.signature o).Operator.params))
-            (Registry.find_operator reg op)) }
+          Result.map_error
+            (fun e -> Gaea_error.Eval_error e)
+            (Registry.apply reg op args));
+      arity = Registry.arity reg }
   in
   Template.eval env (expr_to_template expr)
 
@@ -431,10 +423,18 @@ let execute t stmt =
     Ok (Message (Printf.sprintf "object %d deleted from %s" oid cls))
   | Ast.Select s -> execute_select t s
   | Ast.Derive { cls; at; need } ->
+    let* at =
+      match at with
+      | None -> Ok None
+      | Some lit ->
+        (match Optimizer.literal_value lit with
+         | Value.VAbstime target -> Ok (Some target)
+         | _ -> Gaea_error.err "DERIVE ... AT expects a date")
+    in
     (* DERIVE on a concept resolves through the high-level layer: pick
-       the member class with the cheapest materialization (Section
-       2.1.5: "the user will select and query reproducible or
-       precomputed instances") *)
+       the member class with the cheapest materialization of this
+       request (Section 2.1.5: "the user will select and query
+       reproducible or precomputed instances") *)
     let* cls =
       match Kernel.find_class t.kernel cls with
       | Some _ -> Ok cls
@@ -445,7 +445,7 @@ let execute t stmt =
           let scored =
             List.filter_map
               (fun c ->
-                let plan = Optimizer.plan_materialize t.kernel c in
+                let plan = Optimizer.plan_materialize t.kernel ?need ?at c in
                 match plan with
                 | Plan.Impossible _ -> None
                 | p -> Some (c, Plan.materialize_cost ~pixels_per_object:1. p))
@@ -463,11 +463,7 @@ let execute t stmt =
     in
     let* outcome =
       match at with
-      | Some lit ->
-        (match Optimizer.literal_value lit with
-         | Value.VAbstime target ->
-           Derivation.request_at t.kernel ~cls ~at:target ()
-         | _ -> Gaea_error.err "DERIVE ... AT expects a date")
+      | Some at -> Derivation.request_at t.kernel ~cls ~at ()
       | None -> Derivation.request t.kernel ?need cls
     in
     record_tasks_in_experiment t outcome.Derivation.new_tasks;

@@ -267,18 +267,18 @@ let test_staleness_event_sequence () =
       "cache_invalidated 1 entries (process negate)" ]
 
 (* ------------------------------------------------------------------ *)
-(* Compound scheduler determinism                                      *)
+(* Compound determinism                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The deriver evaluates independent compound steps concurrently on
-   the domain pool but commits them strictly in step order: oids, task
-   ids and the full event log must be identical at any pool size. *)
+(* The deriver runs compound steps strictly in step order on the
+   calling domain, whatever the pool size: oids, task ids and the full
+   event log must be identical at any pool size. *)
 
 module Pool = Gaea_par.Pool
 
-(* On a single-domain host the adaptive cutoff (max_int) would keep the
-   scheduler sequential and these tests would compare sequential with
-   itself — force the parallel path so the batch scheduler really runs. *)
+(* On a single-domain host the adaptive cutoff (max_int) would keep
+   every raster kernel sequential and these tests would compare
+   sequential with itself — force the parallel path. *)
 let with_pool_size n f =
   let saved = Pool.size () in
   Pool.set_size n;
@@ -291,8 +291,7 @@ let with_pool_size n f =
 
 (* src --neg--> c_neg --fin--> c_fin, src --dbl--> c_dbl; the compound
    "pipeline" runs [neg x; dbl x; fin (step 0)] — steps 0 and 1 are
-   independent (batched together when the pool has lanes), step 2
-   depends on step 0.  "twice" runs [neg x; neg x] — the duplicate
+   independent, step 2 depends on step 0.  "twice" runs [neg x; neg x] — the duplicate
    step must register a cache hit, not a second execution. *)
 let fan_kernel () =
   let k = Kernel.create () in

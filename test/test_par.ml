@@ -188,63 +188,6 @@ let test_cutoff_override () =
           check_bool "sequential fallback correct" true !ok))
 
 (* ------------------------------------------------------------------ *)
-(* parallel_batch                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_batch_order () =
-  let run lanes =
-    with_size lanes (fun () ->
-        Pool.parallel_batch (Array.init 20 (fun i () -> (i * i) + 1)))
-  in
-  Alcotest.(check (array int)) "results land in slot order"
-    (Array.init 20 (fun i -> (i * i) + 1))
-    (run 4);
-  Alcotest.(check (array int)) "same at size 1" (run 1) (run 4);
-  check_int "empty batch" 0
-    (Array.length (with_size 4 (fun () -> Pool.parallel_batch [||])))
-
-let test_batch_exception_runs_all () =
-  (* a raising thunk must not skip the others, and the first error (in
-     claim order) is re-raised after the whole batch completes — the
-     sequential fallback matches this exactly *)
-  let check_at lanes =
-    with_size lanes (fun () ->
-        let ran = Array.init 8 (fun _ -> Atomic.make false) in
-        let raised =
-          try
-            ignore
-              (Pool.parallel_batch
-                 (Array.init 8 (fun i () ->
-                      Atomic.set ran.(i) true;
-                      if i = 3 then failwith "thunk-3";
-                      i)));
-            false
-          with Failure m -> m = "thunk-3"
-        in
-        check_bool
-          (Printf.sprintf "exception re-raised @%d" lanes)
-          true raised;
-        check_bool
-          (Printf.sprintf "every thunk still ran @%d" lanes)
-          true
-          (Array.for_all Atomic.get ran))
-  in
-  check_at 1;
-  check_at 4
-
-let test_batch_nested_falls_back () =
-  with_size 4 (fun () ->
-      let out = Array.make 8 [||] in
-      Pool.parallel_for ~grain:1 ~lo:0 ~hi:8 (fun i ->
-          out.(i) <- Pool.parallel_batch (Array.init 4 (fun j () -> (i * 4) + j)));
-      let ok = ref true in
-      Array.iteri
-        (fun i b ->
-          if b <> Array.init 4 (fun j -> (i * 4) + j) then ok := false)
-        out;
-      check_bool "nested batches completed sequentially" true !ok)
-
-(* ------------------------------------------------------------------ *)
 (* Parity: kernels are bit-identical at pool sizes 1, 2 and 8.         *)
 (* 72x72 = 5184 pixels > default grain, so multi-lane runs really      *)
 (* take the multi-chunk path.                                          *)
@@ -482,10 +425,6 @@ let () =
           tc "set_size clamps" test_set_size_clamps;
           tc "set_size deferred in region" test_set_size_deferred_inside_region;
           tc "cutoff override" test_cutoff_override ] );
-      ( "batch",
-        [ tc "slot order" test_batch_order;
-          tc "exception runs all" test_batch_exception_runs_all;
-          tc "nested fallback" test_batch_nested_falls_back ] );
       ( "parity",
         [ tc "kmeans" test_parity_kmeans;
           tc "maxlike" test_parity_maxlike;

@@ -502,6 +502,45 @@ let test_executor_derive_concept () =
   check_bool "unknown concept still errors" true
     (Result.is_error (Session.run_string session "DERIVE nothing_here"))
 
+(* the member class is chosen for the request as asked: one stored
+   stored_mask would answer NEED 1, but only normalized, derived through
+   scene -> mid -> normalized, can answer NEED 2 *)
+let test_executor_derive_concept_need () =
+  let session = Session.create () in
+  let _ =
+    ok
+      (Session.run_string session
+         {|DEFINE CLASS scene ( data image, spatialextent box, timestamp abstime );
+           DEFINE CLASS mid ( data image, spatialextent box, timestamp abstime );
+           DEFINE CLASS normalized ( data image, spatialextent box, timestamp abstime );
+           DEFINE CLASS stored_mask ( data image, spatialextent box, timestamp abstime );
+           DEFINE PROCESS to_mid OUTPUT mid ARGS ( s scene )
+             MAP data = img_scale(0.5, s.data)
+             MAP spatialextent = s.spatialextent
+             MAP timestamp = s.timestamp
+           END;
+           DEFINE PROCESS normalize OUTPUT normalized ARGS ( m mid )
+             MAP data = img_normalize(m.data)
+             MAP spatialextent = m.spatialextent
+             MAP timestamp = m.timestamp
+           END;
+           DEFINE CONCEPT cleaned MEMBERS (stored_mask, normalized);
+           INSERT INTO scene ( data = synth_rainfall(1, 4, 4),
+             spatialextent = BOX(0, 0, 1, 1), timestamp = DATE '1988-06-01' );
+           INSERT INTO scene ( data = synth_rainfall(2, 4, 4),
+             spatialextent = BOX(1, 0, 2, 1), timestamp = DATE '1988-06-02' );
+           INSERT INTO stored_mask ( data = synth_rainfall(3, 4, 4),
+             spatialextent = BOX(0, 0, 2, 1), timestamp = DATE '1988-06-01' )|})
+  in
+  (match Session.run_string session "DERIVE cleaned NEED 2" with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail (Gaea_core.Gaea_error.to_string e));
+  let k = Session.kernel session in
+  Alcotest.(check (list int)) "two new normalized objects" [ 6; 7 ]
+    (Kernel.objects_of_class k "normalized");
+  Alcotest.(check (list int)) "stored_mask untouched" [ 3 ]
+    (Kernel.objects_of_class k "stored_mask")
+
 let test_executor_metadata_statements () =
   let session = desert_session () in
   let all = Session.run_string_collect session
@@ -990,6 +1029,7 @@ let () =
           tc "derive and verify" test_executor_derive_and_verify;
           tc "concept select" test_executor_concept_select;
           tc "derive concept" test_executor_derive_concept;
+          tc "derive concept NEED n" test_executor_derive_concept_need;
           tc "metadata statements" test_executor_metadata_statements;
           tc "lineage and compare" test_executor_lineage_and_compare;
           tc "errors" test_executor_errors;

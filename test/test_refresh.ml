@@ -1,6 +1,6 @@
 (* Tests for the incremental-recomputation subsystem: staleness marking
    and its transitive propagation, reuse of compound steps, targeted and
-   full REFRESH, scheduler determinism across pool sizes, the
+   full REFRESH, commit-order determinism across pool sizes, the
    persistence of reuse counters, and the GA033 staleness lint. *)
 
 open Gaea_core
@@ -320,8 +320,8 @@ let with_pool_size n f =
       Pool.set_size saved)
     f
 
-(* several independent chains make a multi-node ready frontier, so the
-   refresh scheduler really batches on the pool *)
+(* several independent chains refresh in one run; the order they
+   commit in must not depend on the pool size *)
 let run_refresh lanes =
   with_pool_size lanes (fun () ->
       let k = chain_kernel () in
@@ -364,7 +364,7 @@ let test_refresh_determinism () =
     [ 2; 8 ]
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler contract: commit order, skips, failures                   *)
+(* Commit order, skips, failures                                      *)
 (* ------------------------------------------------------------------ *)
 
 let log_lines k =
@@ -466,8 +466,8 @@ let test_refresh_with_skip () =
   across_pool_sizes "refresh with a skip" run_refresh_with_skip
 
 (* A compound whose middle step fails evaluation: its three steps are
-   independent, so with lanes the look-ahead evaluates all of them at
-   once, yet only the first step may commit. *)
+   independent, yet the steps run in order and the failure ends the
+   compound, so only the first step commits, at any pool size. *)
 let run_compound_mid_failure lanes =
   with_pool_size lanes (fun () ->
       let k = chain_kernel () in
