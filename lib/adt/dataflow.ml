@@ -100,8 +100,6 @@ let make ~name ?(doc = "") ~input_types ~returns ~nodes output =
   | Error _ as e -> e
   | Ok () -> Ok { name; doc; input_types; returns; nodes; output }
 
-let stages t = List.length t.nodes
-
 let topo_order t =
   let by_id = Hashtbl.create 16 in
   List.iter (fun n -> Hashtbl.add by_id n.id n) t.nodes;

@@ -36,9 +36,6 @@ val make :
 
 val node : int -> string -> source list -> node
 
-val stages : t -> int
-(** Number of operator applications. *)
-
 val topo_order : t -> node list
 (** Nodes in a valid execution order (deterministic). *)
 

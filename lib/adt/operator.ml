@@ -81,7 +81,8 @@ let apply t args =
   | Error _ as e -> e
   | Ok () ->
     (try t.impl args with
-     | Invalid_argument m | Failure m -> Error (t.name ^ ": " ^ m))
+     | Invalid_argument m | Failure m -> Error (t.name ^ ": " ^ m)
+     | Out_of_memory -> Error (t.name ^ ": out of memory"))
 
 let pp fmt t =
   Format.fprintf fmt "%s : %s" t.name (signature_to_string t.sig_)

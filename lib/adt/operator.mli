@@ -33,7 +33,8 @@ val check_args : t -> Value.t list -> (unit, string) result
 
 val apply : t -> Value.t list -> (Value.t, string) result
 (** [check_args] then run the implementation; implementation exceptions
-    ([Invalid_argument], [Failure]) are converted to [Error]. *)
+    ([Invalid_argument], [Failure], [Out_of_memory]) are converted to
+    [Error]. *)
 
 val signature_to_string : signature -> string
 val pp : Format.formatter -> t -> unit

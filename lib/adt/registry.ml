@@ -36,7 +36,6 @@ let register_operator t op =
   end
 
 let find_operator t name = Hashtbl.find_opt t.operators name
-let find_class t name = Hashtbl.find_opt t.classes name
 let find_compound t name = Hashtbl.find_opt t.compounds name
 
 let register_compound t network =
@@ -520,7 +519,7 @@ let template_operators =
                 Ok (b :: acc))
               (Ok []) items
           in
-          ok_bool (G.Extent.common_space G.Extent.Overlap boxes)
+          ok_bool (G.Extent.common_space boxes)
         | _ -> Error "common_boxes: arity");
     op ~name:"common_times"
       ~doc:"timestamps of a set agree (within a day) — common rule on \
@@ -558,7 +557,7 @@ let template_operators =
                 Ok (i :: acc))
               (Ok []) items
           in
-          ok_bool (G.Extent.common_time G.Extent.Overlap intervals)
+          ok_bool (G.Extent.common_time intervals)
         | _ -> Error "common_intervals: arity") ]
 
 (* --- scalar arithmetic / comparison --------------------------------- *)

@@ -39,7 +39,6 @@ val register_compound : t -> Dataflow.t -> (unit, string) result
     operator and register it. *)
 
 val find_operator : t -> string -> Operator.t option
-val find_class : t -> string -> class_info option
 val find_compound : t -> string -> Dataflow.t option
 (** The network behind a compound operator, if it was registered via
     [register_compound]. *)

@@ -143,14 +143,3 @@ let of_string s =
   | Ok [ one ] -> Ok one
   | Ok [] -> Error "empty input"
   | Ok _ -> Error "more than one S-expression"
-
-let rec pp fmt = function
-  | Atom s -> Format.pp_print_string fmt (if needs_quoting s then escape s else s)
-  | List items ->
-    Format.fprintf fmt "@[<hov 1>(";
-    List.iteri
-      (fun i item ->
-        if i > 0 then Format.pp_print_space fmt ();
-        pp fmt item)
-      items;
-    Format.fprintf fmt ")@]"

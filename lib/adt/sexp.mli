@@ -17,5 +17,3 @@ val of_string : string -> (t, string) result
 
 val of_string_many : string -> (t list, string) result
 (** Parses a sequence of S-expressions. *)
-
-val pp : Format.formatter -> t -> unit

@@ -156,7 +156,6 @@ let to_float = function
   | VInt x -> Ok (float_of_int x)
   | v -> type_error "float" v
 
-let to_string_value = function VString s -> Ok s | v -> type_error "string" v
 let to_bool = function VBool b -> Ok b | v -> type_error "bool" v
 let to_image = function VImage i -> Ok i | v -> type_error "image" v
 
@@ -190,8 +189,6 @@ let rec to_display = function
   | VInterval i -> Interval.to_string i
   | VSet items ->
     "{" ^ String.concat ", " (List.map to_display items) ^ "}"
-
-let pp fmt v = Format.pp_print_string fmt (to_display v)
 
 (* Serialization via S-expressions; floats as hex literals to round-trip
    exactly. *)
@@ -238,8 +235,6 @@ and image_fields i =
   :: Sexp.atom (Pixel.to_string (Image.img_type i))
   :: Sexp.atom (Image.img_label i)
   :: List.map fatom (Image.to_list i)
-
-let serialize v = Sexp.to_string (to_sexp v)
 
 let ( let* ) r f = Result.bind r f
 
@@ -372,8 +367,3 @@ and parse_tagged tag rest =
     in
     Ok (set (List.rev parsed))
   | tag, _ -> Error ("unknown or malformed tag: " ^ tag)
-
-let deserialize s =
-  match Sexp.of_string s with
-  | Error e -> Error e
-  | Ok sexp -> of_sexp sexp

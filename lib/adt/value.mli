@@ -50,7 +50,6 @@ val to_int : t -> (int, string) result
 val to_float : t -> (float, string) result
 (** Accepts [VInt] too (numeric widening). *)
 
-val to_string_value : t -> (string, string) result
 val to_bool : t -> (bool, string) result
 val to_image : t -> (Gaea_raster.Image.t, string) result
 val to_composite : t -> (Gaea_raster.Composite.t, string) result
@@ -64,17 +63,10 @@ val to_set : t -> (t list, string) result
 val to_display : t -> string
 (** Human-readable rendering (images/matrices summarized). *)
 
-val pp : Format.formatter -> t -> unit
-
-val serialize : t -> string
-(** One-line textual encoding, inverse of {!deserialize}.  Images and
-    composites are encoded in full (dims, type, pixels). *)
-
-val deserialize : string -> (t, string) result
-
 val to_sexp : t -> Sexp.t
-(** The S-expression {!serialize} prints; lets a caller embed a value
-    in a larger S-expression without a text round trip. *)
+(** The textual encoding, as an S-expression that a caller embeds in a
+    larger one.  Images and composites are encoded in full (dims, type,
+    pixels); floats as hex literals, so they round-trip exactly. *)
 
 val of_sexp : Sexp.t -> (t, string) result
 (** Inverse of {!to_sexp}. *)

@@ -22,13 +22,6 @@ let rec equal a b =
   | ( ( Int | Float | String | Bool | Image | Composite | Matrix | Vector
       | Box | Abstime | Interval | Setof _ | Any ), _ ) -> false
 
-let rec rank = function
-  | Int -> 0 | Float -> 1 | String -> 2 | Bool -> 3 | Image -> 4
-  | Composite -> 5 | Matrix -> 6 | Vector -> 7 | Box -> 8 | Abstime -> 9
-  | Interval -> 10 | Any -> 11 | Setof t -> 12 + rank t
-
-let compare a b = Int.compare (rank a) (rank b)
-
 let rec matches ~expected ~actual =
   match expected, actual with
   | Any, _ -> true
@@ -38,10 +31,6 @@ let rec matches ~expected ~actual =
 let rec base = function
   | Setof t -> base t
   | t -> t
-
-let is_setof = function
-  | Setof _ -> true
-  | _ -> false
 
 let rec to_string = function
   | Int -> "int"
@@ -78,9 +67,3 @@ let rec of_string s =
     | "interval" -> Some Interval
     | "any" -> Some Any
     | _ -> None
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
-let all_primitive =
-  [ Int; Float; String; Bool; Image; Composite; Matrix; Vector; Box;
-    Abstime; Interval ]

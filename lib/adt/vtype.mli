@@ -21,7 +21,6 @@ type t =
   | Any            (** wildcard, only meaningful in operator signatures *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val matches : expected:t -> actual:t -> bool
 (** Signature matching: [Any] matches everything; [Setof a] matches
@@ -30,10 +29,5 @@ val matches : expected:t -> actual:t -> bool
 val base : t -> t
 (** Strip [Setof] wrappers. *)
 
-val is_setof : t -> bool
 val to_string : t -> string
 val of_string : string -> t option
-val pp : Format.formatter -> t -> unit
-
-val all_primitive : t list
-(** The ground (non-[Setof], non-[Any]) types, for registry browsing. *)

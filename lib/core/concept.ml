@@ -31,14 +31,6 @@ let define t ~name ?(doc = "") ?(members = []) () =
 let find t name = Hashtbl.find_opt t.concepts name
 let mem t name = Hashtbl.mem t.concepts name
 
-let add_member t ~concept cls =
-  match find t concept with
-  | None -> Gaea_error.err (Printf.sprintf "unknown concept %s" concept)
-  | Some c ->
-    Hashtbl.replace t.concepts concept
-      { c with members = normalize (cls :: c.members) };
-    Ok ()
-
 let edges tbl key = Option.value ~default:[] (Hashtbl.find_opt tbl key)
 
 let reachable tbl start =
@@ -77,16 +69,8 @@ let all t =
   |> List.sort (fun a b -> compare a.name b.name)
 
 let parents t name = List.sort compare (edges t.up name)
-let children t name = List.sort compare (edges t.down name)
 let ancestors t name = reachable t.up name
 let descendants t name = reachable t.down name
-
-let leaves t name =
-  if not (mem t name) then []
-  else begin
-    let nodes = name :: descendants t name in
-    List.filter (fun n -> edges t.down n = []) nodes |> List.sort compare
-  end
 
 let classes_of t name =
   if not (mem t name) then []
@@ -103,32 +87,3 @@ let concepts_of_class t cls =
     (fun name c acc -> if List.mem cls c.members then name :: acc else acc)
     t.concepts []
   |> List.sort compare
-
-let to_dot t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "digraph concepts {\n  rankdir=BT;\n";
-  List.iter
-    (fun c ->
-      Buffer.add_string buf
-        (Printf.sprintf "  \"%s\" [shape=ellipse];\n" c.name);
-      List.iter
-        (fun cls ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "  \"class:%s\" [shape=box, style=dashed, label=\"%s\"];\n"
-               cls cls);
-          Buffer.add_string buf
-            (Printf.sprintf "  \"class:%s\" -> \"%s\" [style=dashed];\n" cls
-               c.name))
-        c.members)
-    (all t);
-  Hashtbl.iter
-    (fun sub supers ->
-      List.iter
-        (fun super ->
-          Buffer.add_string buf
-            (Printf.sprintf "  \"%s\" -> \"%s\" [label=\"ISA\"];\n" sub super))
-        supers)
-    t.up;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -23,10 +23,6 @@ val define :
   -> (concept, Gaea_error.t) result
 (** Errors on duplicate concept names. *)
 
-val add_member : t -> concept:string -> string -> (unit, Gaea_error.t) result
-(** Map one more class to the concept (expanding the dashed lines of
-    Fig 2). *)
-
 val add_isa : t -> sub:string -> super:string -> (unit, Gaea_error.t) result
 (** [sub ISA super].  Errors on unknown concepts, self-loops, duplicate
     edges, or edges that would create a cycle (the hierarchy must stay a
@@ -38,14 +34,10 @@ val all : t -> concept list
 (** Sorted by name. *)
 
 val parents : t -> string -> string list
-val children : t -> string -> string list
 val ancestors : t -> string -> string list
 (** Transitive, excluding the concept itself; sorted. *)
 
 val descendants : t -> string -> string list
-
-val leaves : t -> string -> string list
-(** Descendant concepts (or the concept itself) that have no children. *)
 
 val classes_of : t -> string -> string list
 (** All classes realizing the concept: the union of [members] over the
@@ -54,6 +46,3 @@ val classes_of : t -> string -> string list
 
 val concepts_of_class : t -> string -> string list
 (** Concepts (directly) containing the class. *)
-
-val to_dot : t -> string
-(** The Fig 2 high-level layer as Graphviz. *)

@@ -37,10 +37,6 @@ let record_task m ~experiment id =
 let add_note m ~experiment note =
   update m experiment (fun e -> { e with notes = note :: e.notes })
 
-let add_concept m ~experiment c =
-  update m experiment (fun e ->
-      { e with concepts = List.sort_uniq compare (c :: e.concepts) })
-
 let find m name = Option.map view (Hashtbl.find_opt m name)
 
 let all m =
@@ -71,28 +67,3 @@ let reproduce m k ~experiment =
         (0, []) e.task_ids
     in
     Ok { total; reproduced; failures = List.rev failures }
-
-let report m k ~experiment =
-  match find m experiment with
-  | None -> Gaea_error.err (Printf.sprintf "unknown experiment %s" experiment)
-  | Some e ->
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf (Printf.sprintf "EXPERIMENT %s\n" e.e_name);
-    if e.e_doc <> "" then Buffer.add_string buf (e.e_doc ^ "\n");
-    if e.concepts <> [] then
-      Buffer.add_string buf
-        ("concepts: " ^ String.concat ", " e.concepts ^ "\n");
-    Buffer.add_string buf
-      (Printf.sprintf "tasks (%d):\n" (List.length e.task_ids));
-    List.iter
-      (fun id ->
-        match Kernel.find_task k id with
-        | None -> Buffer.add_string buf (Printf.sprintf "  #%d (missing)\n" id)
-        | Some task ->
-          Buffer.add_string buf
-            (Format.asprintf "  %a\n" Task.pp task))
-      e.task_ids;
-    List.iter
-      (fun note -> Buffer.add_string buf ("note: " ^ note ^ "\n"))
-      (List.rev e.notes);
-    Ok (Buffer.contents buf)

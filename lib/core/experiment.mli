@@ -24,7 +24,6 @@ val begin_experiment :
 
 val record_task : manager -> experiment:string -> int -> (unit, Gaea_error.t) result
 val add_note : manager -> experiment:string -> string -> (unit, Gaea_error.t) result
-val add_concept : manager -> experiment:string -> string -> (unit, Gaea_error.t) result
 
 val find : manager -> string -> t option
 val all : manager -> t list
@@ -39,7 +38,3 @@ val reproduce : manager -> Kernel.t -> experiment:string
   -> (reproduction, Gaea_error.t) result
 (** Recompute every task of the experiment against the current store and
     compare with the recorded outputs. *)
-
-val report : manager -> Kernel.t -> experiment:string -> (string, Gaea_error.t) result
-(** Shareable textual summary: concepts, per-task derivation records,
-    notes. *)

@@ -30,9 +30,6 @@ let save t ~name img =
 
 let load t name = Hashtbl.find_opt t.files name
 
-let file_names t =
-  Hashtbl.fold (fun n _ acc -> n :: acc) t.files [] |> List.sort compare
-
 let file_count t = Hashtbl.length t.files
 
 let remembers t ~scientist name = Hashtbl.mem t.memory (scientist, name)

@@ -30,7 +30,6 @@ val save : t -> name:string -> Gaea_raster.Image.t -> unit
 (** Overwrites silently, like a file system. *)
 
 val load : t -> string -> Gaea_raster.Image.t option
-val file_names : t -> string list
 val file_count : t -> int
 
 val run_analysis :

@@ -43,10 +43,4 @@ let rec to_string = function
   | Invalid m -> m
   | Context (where, e) -> Printf.sprintf "%s: %s" where (to_string e)
 
-let pp fmt e = Format.pp_print_string fmt (to_string e)
-
 let err m = Error (Invalid m)
-
-let with_context where = function
-  | Ok _ as ok -> ok
-  | Error e -> Error (Context (where, e))

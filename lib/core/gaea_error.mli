@@ -39,11 +39,6 @@ type t =
 val to_string : t -> string
 (** Human-readable message; [Context] renders as ["where: inner"]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val err : string -> ('a, t) result
 (** [err msg] is [Error (Invalid msg)] — the migration helper for call
     sites whose message text is the whole story. *)
-
-val with_context : string -> ('a, t) result -> ('a, t) result
-(** Wrap a result's error in {!Context}. *)

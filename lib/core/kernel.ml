@@ -89,7 +89,6 @@ let insert_object t ~cls pairs = Obj_store.insert t.objects ~cls pairs
 let insert_object_with_oid t ~cls oid pairs =
   Obj_store.insert_with_oid t.objects ~cls oid pairs
 
-let object_tuple t ~cls oid = Obj_store.tuple t.objects ~cls oid
 let object_attr t ~cls oid attr = Obj_store.attr t.objects ~cls oid attr
 let objects_of_class t cls = Obj_store.oids_of_class t.objects cls
 let class_of_object t oid = Obj_store.class_of t.objects oid

@@ -56,7 +56,6 @@ val insert_object :
 (** Attribute-name/value pairs; every class attribute must be given
     exactly once.  Base-data ingestion and derivation both land here. *)
 
-val object_tuple : t -> cls:string -> Gaea_storage.Oid.t -> Gaea_storage.Tuple.t option
 val object_attr :
   t -> cls:string -> Gaea_storage.Oid.t -> string -> Gaea_adt.Value.t option
 val objects_of_class : t -> string -> Gaea_storage.Oid.t list

@@ -1,11 +1,4 @@
 module Value = Gaea_adt.Value
-module Oid = Gaea_storage.Oid
-
-type tree = {
-  object_id : Oid.t;
-  object_class : string option;
-  via : (Task.t * tree list) option;
-}
 
 module IntSet = Set.Make (Int)
 
@@ -48,15 +41,6 @@ let base_inputs k oid =
   List.filter (fun o -> Kernel.task_producing k o = None) all
   |> List.filter (fun o -> o <> oid || Kernel.task_producing k oid = None)
   |> List.sort_uniq Int.compare
-
-let rec derivation_tree k oid =
-  { object_id = oid;
-    object_class = Kernel.class_of_object k oid;
-    via =
-      Option.map
-        (fun task ->
-          (task, List.map (derivation_tree k) (Task.input_oids task)))
-        (Kernel.task_producing k oid) }
 
 (* Canonical signature: structure + processes + parameters, no OIDs.
    Base objects are summarized by class name. *)

@@ -5,14 +5,6 @@
     subtraction vs division) — only the derivation history
     distinguishes them. *)
 
-type tree = {
-  object_id : Gaea_storage.Oid.t;
-  object_class : string option;
-  via : (Task.t * tree list) option;
-  (** [None] for base data; otherwise the producing task and the
-      subtrees of its inputs *)
-}
-
 val ancestors : Kernel.t -> Gaea_storage.Oid.t -> Gaea_storage.Oid.t list
 (** Transitive input objects (excluding the object), sorted. *)
 
@@ -21,8 +13,6 @@ val descendants : Kernel.t -> Gaea_storage.Oid.t -> Gaea_storage.Oid.t list
 
 val base_inputs : Kernel.t -> Gaea_storage.Oid.t -> Gaea_storage.Oid.t list
 (** The underived (base-data) ancestors — the paper's "initial marking". *)
-
-val derivation_tree : Kernel.t -> Gaea_storage.Oid.t -> tree
 
 val derivation_signature : Kernel.t -> Gaea_storage.Oid.t -> string
 (** Canonical string of the full derivation (processes, versions,

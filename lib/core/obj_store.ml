@@ -109,11 +109,6 @@ let delete t ~cls oid =
       (Gaea_error.Storage_error
          (Printf.sprintf "delete of %s #%d failed" cls oid))
 
-let tuple t ~cls oid =
-  match Catalog.table t.catalog cls with
-  | None -> None
-  | Some tab -> Table.get tab oid
-
 let attr t ~cls oid attr =
   match Catalog.table t.catalog cls with
   | None -> None

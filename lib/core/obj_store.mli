@@ -44,7 +44,6 @@ val delete : t -> cls:string -> Oid.t -> (unit, Gaea_error.t) result
     [Error (Wrong_class _)] when it exists under a different class.
     Emits [Object_deleted] on success. *)
 
-val tuple : t -> cls:string -> Oid.t -> Gaea_storage.Tuple.t option
 val attr : t -> cls:string -> Oid.t -> string -> Gaea_adt.Value.t option
 val oids_of_class : t -> string -> Oid.t list
 val class_of : t -> Oid.t -> string option

@@ -79,7 +79,6 @@ let define ~name ?(doc = "") ~attributes ?spatial ?temporal ?derived_by () =
                 c_doc = doc }))
   end
 
-let is_base t = t.kind = Base
 
 let is_derived t =
   match t.kind with

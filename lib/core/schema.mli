@@ -48,7 +48,6 @@ val define :
     ["spatialextent"] / ["timestamp"] with the right type exists, it is
     picked up automatically (the paper's convention). *)
 
-val is_base : t -> bool
 val is_derived : t -> bool
 val derived_by : t -> string option
 val attribute : t -> string -> attribute option

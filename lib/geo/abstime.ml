@@ -1,6 +1,5 @@
 type t = int (* seconds since 1970-01-01T00:00:00, proleptic Gregorian *)
 
-let epoch = 0
 let of_seconds s = s
 let to_seconds t = t
 
@@ -73,19 +72,7 @@ let to_ymd_hms t =
   let sec = fmod t 86400 in
   (civil_from_days day, (sec / 3600, sec mod 3600 / 60, sec mod 60))
 
-let add_seconds t s = t + s
 let add_days t d = t + d * 86400
-
-let add_months t n =
-  let (y, m, d), (hh, mm, ss) = to_ymd_hms t in
-  (* 0-based month arithmetic with floor division for negative results *)
-  let months = (y * 12 + (m - 1)) + n in
-  let y' = fdiv months 12 in
-  let m' = fmod months 12 + 1 in
-  let d' = Stdlib.min d (days_in_month y' m') in
-  of_ymd_hms y' m' d' hh mm ss
-
-let add_years t n = add_months t (n * 12)
 
 let diff_seconds a b = a - b
 let diff_days a b = float_of_int (a - b) /. 86400.
@@ -98,8 +85,6 @@ let in_day_window ~at t =
 
 let compare = Int.compare
 let equal = Int.equal
-let min = Stdlib.min
-let max = Stdlib.max
 
 let to_string t =
   let (y, m, d), (hh, mm, ss) = to_ymd_hms t in
@@ -146,5 +131,3 @@ let of_string s =
        (match parse_date s with
         | Some (y, m, d) -> Some (of_ymd y m d)
         | None -> None))
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -7,9 +7,6 @@
 
 type t
 
-val epoch : t
-(** 1970-01-01 00:00:00 *)
-
 val of_seconds : int -> t
 val to_seconds : t -> int
 
@@ -39,14 +36,7 @@ val days_in_month : int -> int -> int
     @raise Invalid_argument if [m] is outside 1..12 (invariant check —
     callers validate the month with {!is_valid_date} first). *)
 
-val add_seconds : t -> int -> t
 val add_days : t -> int -> t
-val add_months : t -> int -> t
-(** Civil-calendar month arithmetic; day-of-month is clamped (Jan 31 + 1
-    month = Feb 28/29). Time of day is preserved. *)
-
-val add_years : t -> int -> t
-
 val diff_seconds : t -> t -> int
 (** [diff_seconds a b] = a - b in seconds. *)
 
@@ -61,8 +51,6 @@ val in_day_window : at:t -> t -> bool
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 
 val to_string : t -> string
 (** ISO-8601, e.g. ["1986-01-15T00:00:00"]. *)
@@ -70,5 +58,3 @@ val to_string : t -> string
 val of_string : string -> t option
 (** Parses ["YYYY-MM-DD"] or ["YYYY-MM-DDTHH:MM:SS"] (also with a space
     separator). *)
-
-val pp : Format.formatter -> t -> unit

@@ -13,10 +13,6 @@ type relation =
   | Contains
   | Finished_by
 
-let all =
-  [ Before; Meets; Overlaps; Starts; During; Finishes; Equal; After; Met_by;
-    Overlapped_by; Started_by; Contains; Finished_by ]
-
 (* Classify from the four endpoint comparisons.  Works for any totally
    ordered endpoint representation; we instantiate with ints. *)
 let classify ~ss ~se ~es ~ee =
@@ -66,50 +62,6 @@ let inverse = function
   | Contains -> During
   | Finished_by -> Finishes
 
-let index = function
-  | Before -> 0 | Meets -> 1 | Overlaps -> 2 | Starts -> 3 | During -> 4
-  | Finishes -> 5 | Equal -> 6 | After -> 7 | Met_by -> 8
-  | Overlapped_by -> 9 | Started_by -> 10 | Contains -> 11
-  | Finished_by -> 12
-
-(* Exact composition table by exhaustive enumeration.  Three proper
-   intervals involve six endpoints; every order configuration of six
-   endpoints is realized with integer endpoints in 0..5, so enumerating
-   all proper intervals over 0..5 is a complete model set. *)
-let composition_table =
-  lazy begin
-    let table = Array.make (13 * 13) [] in
-    let intervals =
-      List.concat_map
-        (fun s ->
-          List.filter_map
-            (fun e -> if e > s then Some (s, e) else None)
-            [ 0; 1; 2; 3; 4; 5 ])
-        [ 0; 1; 2; 3; 4; 5 ]
-    in
-    List.iter
-      (fun a ->
-        List.iter
-          (fun b ->
-            List.iter
-              (fun c ->
-                let r1 = relate_ints a b and r2 = relate_ints b c in
-                let r3 = relate_ints a c in
-                let i = index r1 * 13 + index r2 in
-                if not (List.mem r3 table.(i)) then
-                  table.(i) <- r3 :: table.(i))
-              intervals)
-          intervals)
-      intervals;
-    Array.map
-      (fun rs -> List.sort (fun x y -> compare (index x) (index y)) rs)
-      table
-  end
-
-let compose r1 r2 = (Lazy.force composition_table).(index r1 * 13 + index r2)
-
-let holds r a b = r = relate a b
-
 let to_string = function
   | Before -> "before"
   | Meets -> "meets"
@@ -125,23 +77,4 @@ let to_string = function
   | Contains -> "contains"
   | Finished_by -> "finished-by"
 
-let of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "before" -> Some Before
-  | "meets" -> Some Meets
-  | "overlaps" -> Some Overlaps
-  | "starts" -> Some Starts
-  | "during" -> Some During
-  | "finishes" -> Some Finishes
-  | "equal" | "equals" -> Some Equal
-  | "after" -> Some After
-  | "met-by" -> Some Met_by
-  | "overlapped-by" -> Some Overlapped_by
-  | "started-by" -> Some Started_by
-  | "contains" -> Some Contains
-  | "finished-by" -> Some Finished_by
-  | _ -> None
-
-let equal_relation a b = index a = index b
-
-let pp fmt r = Format.pp_print_string fmt (to_string r)
+let equal_relation (a : relation) b = a = b

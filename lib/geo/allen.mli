@@ -18,9 +18,6 @@ type relation =
   | Contains
   | Finished_by
 
-val all : relation list
-(** All 13 relations, fixed order. *)
-
 val relate : Interval.t -> Interval.t -> relation
 (** The unique relation holding between two proper intervals.
     @raise Invalid_argument if either interval is an instant. *)
@@ -32,14 +29,5 @@ val relate_checked : Interval.t -> Interval.t -> (relation, string) result
 val inverse : relation -> relation
 (** [relate b a = inverse (relate a b)]. *)
 
-val compose : relation -> relation -> relation list
-(** Allen's composition: the set of relations possibly holding between
-    [a] and [c] given [relate a b] and [relate b c].  Computed exactly
-    (once, memoized) by exhaustive small-model enumeration. *)
-
-val holds : relation -> Interval.t -> Interval.t -> bool
-
 val to_string : relation -> string
-val of_string : string -> relation option
 val equal_relation : relation -> relation -> bool
-val pp : Format.formatter -> relation -> unit

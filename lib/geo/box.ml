@@ -20,12 +20,6 @@ let make ~xmin ~ymin ~xmax ~ymax =
   | Ok t -> t
   | Error m -> invalid_arg m
 
-let of_corners (x1, y1) (x2, y2) =
-  make ~xmin:(Float.min x1 x2) ~ymin:(Float.min y1 y2)
-    ~xmax:(Float.max x1 x2) ~ymax:(Float.max y1 y2)
-
-let point x y = make ~xmin:x ~ymin:y ~xmax:x ~ymax:y
-
 let xmin t = t.xmin
 let ymin t = t.ymin
 let xmax t = t.xmax
@@ -33,11 +27,6 @@ let ymax t = t.ymax
 let width t = t.xmax -. t.xmin
 let height t = t.ymax -. t.ymin
 let area t = width t *. height t
-let center t = ((t.xmin +. t.xmax) /. 2., (t.ymin +. t.ymax) /. 2.)
-let is_degenerate t = width t = 0. || height t = 0.
-
-let contains_point t (x, y) =
-  t.xmin <= x && x <= t.xmax && t.ymin <= y && y <= t.ymax
 
 let contains ~outer ~inner =
   outer.xmin <= inner.xmin && inner.xmax <= outer.xmax
@@ -61,76 +50,8 @@ let hull a b =
     xmax = Float.max a.xmax b.xmax;
     ymax = Float.max a.ymax b.ymax }
 
-let hull_list = function
-  | [] -> None
-  | b :: rest -> Some (List.fold_left hull b rest)
-
-let expand t d =
-  let cx, cy = center t in
-  let half_w = Float.max 0. (width t /. 2. +. d) in
-  let half_h = Float.max 0. (height t /. 2. +. d) in
-  { xmin = cx -. half_w; ymin = cy -. half_h;
-    xmax = cx +. half_w; ymax = cy +. half_h }
-
-let translate t ~dx ~dy =
-  { xmin = t.xmin +. dx; ymin = t.ymin +. dy;
-    xmax = t.xmax +. dx; ymax = t.ymax +. dy }
-
-let scale_about_center_checked t f =
-  if f < 0. then Error "Box.scale_about_center: negative factor"
-  else begin
-    let cx, cy = center t in
-    let half_w = width t /. 2. *. f and half_h = height t /. 2. *. f in
-    Ok
-      { xmin = cx -. half_w; ymin = cy -. half_h;
-        xmax = cx +. half_w; ymax = cy +. half_h }
-  end
-
-let scale_about_center t f =
-  match scale_about_center_checked t f with
-  | Ok b -> b
-  | Error m -> invalid_arg m
-
 let equal a b =
   a.xmin = b.xmin && a.ymin = b.ymin && a.xmax = b.xmax && a.ymax = b.ymax
 
-let approx_equal ?(eps = 1e-9) a b =
-  let close u v = Float.abs (u -. v) <= eps in
-  close a.xmin b.xmin && close a.ymin b.ymin && close a.xmax b.xmax
-  && close a.ymax b.ymax
-
-let compare a b =
-  let c = Float.compare a.xmin b.xmin in
-  if c <> 0 then c
-  else
-    let c = Float.compare a.ymin b.ymin in
-    if c <> 0 then c
-    else
-      let c = Float.compare a.xmax b.xmax in
-      if c <> 0 then c else Float.compare a.ymax b.ymax
-
 let to_string t =
   Printf.sprintf "(%g,%g,%g,%g)" t.xmin t.ymin t.xmax t.ymax
-
-let of_string s =
-  let s = String.trim s in
-  let n = String.length s in
-  let body =
-    if n >= 2 && s.[0] = '(' && s.[n - 1] = ')' then String.sub s 1 (n - 2)
-    else s
-  in
-  match List.map String.trim (String.split_on_char ',' body) with
-  | [ a; b; c; d ] ->
-    (match
-       ( float_of_string_opt a, float_of_string_opt b, float_of_string_opt c,
-         float_of_string_opt d )
-     with
-     | Some xmin, Some ymin, Some xmax, Some ymax
-       when xmin <= xmax && ymin <= ymax
-            && Float.is_finite xmin && Float.is_finite ymin
-            && Float.is_finite xmax && Float.is_finite ymax ->
-       Some { xmin; ymin; xmax; ymax }
-     | _ -> None)
-  | _ -> None
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -12,10 +12,6 @@ val make_checked :
 (** Non-raising variant of {!make}; the error string is the message
     {!make} would raise. *)
 
-val of_corners : float * float -> float * float -> t
-(** Corners in any order. *)
-
-val point : float -> float -> t
 val xmin : t -> float
 val ymin : t -> float
 val xmax : t -> float
@@ -23,33 +19,12 @@ val ymax : t -> float
 val width : t -> float
 val height : t -> float
 val area : t -> float
-val center : t -> float * float
-val is_degenerate : t -> bool
 
-val contains_point : t -> float * float -> bool
 val contains : outer:t -> inner:t -> bool
 val overlaps : t -> t -> bool
 (** Closed-box overlap: touching edges count. *)
 
 val intersection : t -> t -> t option
 val hull : t -> t -> t
-val hull_list : t list -> t option
-val expand : t -> float -> t
-(** Grow (or, if negative, shrink — clamped at the center) each side. *)
-
-val translate : t -> dx:float -> dy:float -> t
-
-val scale_about_center : t -> float -> t
-(** @raise Invalid_argument on a negative factor. *)
-
-val scale_about_center_checked : t -> float -> (t, string) result
-(** Non-raising variant of {!scale_about_center}. *)
-
 val equal : t -> t -> bool
-val approx_equal : ?eps:float -> t -> t -> bool
-val compare : t -> t -> int
 val to_string : t -> string
-val of_string : string -> t option
-(** Parses the form ["(xmin,ymin,xmax,ymax)"]. *)
-
-val pp : Format.formatter -> t -> unit

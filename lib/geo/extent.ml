@@ -1,62 +1,13 @@
 type t = {
   space : Box.t;
   time : Interval.t;
-  refsys : Refsys.t;
 }
 
-let make ?(refsys = Refsys.Lat_long) space time = { space; time; refsys }
-
-type common_mode =
-  | Same
-  | Overlap
+let make space time = { space; time }
 
 let rec pairwise_ok f = function
   | [] | [ _ ] -> true
   | x :: rest -> List.for_all (f x) rest && pairwise_ok f rest
 
-let common_space mode boxes =
-  match mode with
-  | Same -> pairwise_ok Box.equal boxes
-  | Overlap -> pairwise_ok Box.overlaps boxes
-
-let common_time mode intervals =
-  match mode with
-  | Same -> pairwise_ok Interval.equal intervals
-  | Overlap -> pairwise_ok Interval.overlaps intervals
-
-let common mode extents =
-  pairwise_ok (fun a b -> Refsys.equal a.refsys b.refsys) extents
-  && common_space mode (List.map (fun e -> e.space) extents)
-  && common_time mode (List.map (fun e -> e.time) extents)
-
-let intersection a b =
-  if not (Refsys.equal a.refsys b.refsys) then None
-  else
-    match Box.intersection a.space b.space, Interval.intersection a.time b.time with
-    | Some space, Some time -> Some { space; time; refsys = a.refsys }
-    | _ -> None
-
-let hull a b =
-  if not (Refsys.equal a.refsys b.refsys) then None
-  else
-    Some
-      { space = Box.hull a.space b.space;
-        time = Interval.hull a.time b.time;
-        refsys = a.refsys }
-
-let overlaps a b =
-  Refsys.equal a.refsys b.refsys
-  && Box.overlaps a.space b.space
-  && Interval.overlaps a.time b.time
-
-let equal a b =
-  Refsys.equal a.refsys b.refsys
-  && Box.equal a.space b.space
-  && Interval.equal a.time b.time
-
-let to_string t =
-  Printf.sprintf "%s @ %s [%s]" (Box.to_string t.space)
-    (Interval.to_string t.time)
-    (Refsys.to_string t.refsys)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
+let common_space boxes = pairwise_ok Box.overlaps boxes
+let common_time intervals = pairwise_ok Interval.overlaps intervals

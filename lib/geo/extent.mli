@@ -5,32 +5,14 @@
 type t = {
   space : Box.t;
   time : Interval.t;
-  refsys : Refsys.t;
 }
 
-val make : ?refsys:Refsys.t -> Box.t -> Interval.t -> t
-(** [refsys] defaults to {!Refsys.Lat_long}. *)
+val make : Box.t -> Interval.t -> t
 
-(** How strictly a set of extents must agree for a process to fire. *)
-type common_mode =
-  | Same      (** extents must be identical *)
-  | Overlap   (** extents must pairwise overlap *)
-
-val common_space : common_mode -> Box.t list -> bool
+val common_space : Box.t list -> bool
 (** Per the paper: "the spatio-temporal extents of the input classes are
-    the same or overlap".  Vacuously true on the empty list and
-    singletons. *)
+    the same or overlap": the boxes pairwise overlap.  Vacuously true on
+    the empty list and singletons. *)
 
-val common_time : common_mode -> Interval.t list -> bool
-val common : common_mode -> t list -> bool
-(** Both spatial and temporal agreement, and identical reference
-    systems. *)
-
-val intersection : t -> t -> t option
-(** Spatio-temporal intersection (requires same reference system). *)
-
-val hull : t -> t -> t option
-val overlaps : t -> t -> bool
-val equal : t -> t -> bool
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit
+val common_time : Interval.t list -> bool
+(** The temporal counterpart of {!common_space}. *)

@@ -19,42 +19,18 @@ let of_ymd_pair (y1, m1, d1) (y2, m2, d2) =
 
 let start t = t.start
 let stop t = t.stop
-let duration_seconds t = Abstime.diff_seconds t.stop t.start
-let duration_days t = Abstime.diff_days t.stop t.start
 let is_instant t = Abstime.equal t.start t.stop
 
 let contains t x =
   Abstime.compare t.start x <= 0 && Abstime.compare x t.stop <= 0
 
-let contains_interval ~outer ~inner =
-  Abstime.compare outer.start inner.start <= 0
-  && Abstime.compare inner.stop outer.stop <= 0
-
 let overlaps a b =
   Abstime.compare a.start b.stop <= 0 && Abstime.compare b.start a.stop <= 0
 
-let intersection a b =
-  let start = Abstime.max a.start b.start in
-  let stop = Abstime.min a.stop b.stop in
-  if Abstime.compare start stop <= 0 then Some { start; stop } else None
-
-let hull a b =
-  { start = Abstime.min a.start b.start; stop = Abstime.max a.stop b.stop }
-
 let equal a b = Abstime.equal a.start b.start && Abstime.equal a.stop b.stop
-
-let compare a b =
-  match Abstime.compare a.start b.start with
-  | 0 -> Abstime.compare a.stop b.stop
-  | c -> c
-
-let midpoint t =
-  Abstime.add_seconds t.start (Abstime.diff_seconds t.stop t.start / 2)
 
 let to_string t =
   if is_instant t then Abstime.to_string t.start
   else
     Printf.sprintf "[%s, %s]" (Abstime.to_string t.start)
       (Abstime.to_string t.stop)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

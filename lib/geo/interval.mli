@@ -16,24 +16,11 @@ val of_ymd_pair : int * int * int -> int * int * int -> t
 
 val start : t -> Abstime.t
 val stop : t -> Abstime.t
-val duration_seconds : t -> int
-val duration_days : t -> float
 val is_instant : t -> bool
 
 val contains : t -> Abstime.t -> bool
-val contains_interval : outer:t -> inner:t -> bool
 val overlaps : t -> t -> bool
 (** True when the closed intervals share at least one instant. *)
 
-val intersection : t -> t -> t option
-val hull : t -> t -> t
-(** Smallest interval covering both. *)
-
 val equal : t -> t -> bool
-val compare : t -> t -> int
-(** Lexicographic on (start, stop). *)
-
-val midpoint : t -> Abstime.t
-
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

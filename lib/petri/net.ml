@@ -24,7 +24,6 @@ type t = {
   trans : (transition, transition_info) Hashtbl.t;
   (* indexes *)
   producers : (place, transition list) Hashtbl.t;
-  consumers : (place, transition list) Hashtbl.t;
 }
 
 let create () =
@@ -32,8 +31,7 @@ let create () =
     next_transition = 0;
     place_names = Hashtbl.create 64;
     trans = Hashtbl.create 64;
-    producers = Hashtbl.create 64;
-    consumers = Hashtbl.create 64 }
+    producers = Hashtbl.create 64 }
 
 let add_place t ~name =
   let id = t.next_place in
@@ -62,7 +60,6 @@ let add_transition t ~name ~inputs ~outputs ?guard () =
     t.next_transition <- id + 1;
     let info = { t_id = id; t_name = name; inputs; outputs; guard } in
     Hashtbl.add t.trans id info;
-    List.iter (fun (p, _) -> add_index t.consumers p id) inputs;
     List.iter (fun p -> add_index t.producers p id) outputs;
     Ok id
   end
@@ -85,13 +82,10 @@ let transitions t =
   Hashtbl.fold (fun _ i acc -> i :: acc) t.trans []
   |> List.sort (fun a b -> Int.compare a.t_id b.t_id)
 
-let lookup_index t tbl p =
-  Option.value ~default:[] (Hashtbl.find_opt tbl p)
+let producers_of t p =
+  Option.value ~default:[] (Hashtbl.find_opt t.producers p)
   |> List.filter_map (transition_info t)
   |> List.sort (fun a b -> Int.compare a.t_id b.t_id)
-
-let producers_of t p = lookup_index t t.producers p
-let consumers_of t p = lookup_index t t.consumers p
 
 let n_places t = Hashtbl.length t.place_names
 let n_transitions t = Hashtbl.length t.trans

@@ -60,10 +60,6 @@ val transitions : t -> transition_info list
 val producers_of : t -> place -> transition_info list
 (** Transitions with the place among their outputs. *)
 
-val consumers_of : t -> place -> transition_info list
-(** Transitions with the place among their inputs (the name is
-    classical; Gaea transitions never actually consume). *)
-
 val n_places : t -> int
 val n_transitions : t -> int
 val mem_place : t -> place -> bool

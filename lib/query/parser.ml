@@ -369,7 +369,14 @@ let statement st =
   | Lexer.Keyword "DERIVE" ->
     let cls = ident st in
     let at = if accept_kw st "AT" then Some (literal st) else None in
-    let need = if accept_kw st "NEED" then Some (int_lit st) else None in
+    let need =
+      if accept_kw st "NEED" then begin
+        let n = int_lit st in
+        if n < 1 then fail "NEED needs a positive count, found %d" n;
+        Some n
+      end
+      else None
+    in
     Derive { cls; at; need }
   | Lexer.Keyword "SHOW" ->
     (match next st with

@@ -40,9 +40,6 @@ let of_matrix ~nrow ~ncol ptype m =
           Image.par_init ~nrow ~ncol ptype (fun r c ->
               Matrix.get m ((r * ncol) + c) j)) }
 
-let map_bands f t =
-  of_bands (List.map f (bands t))
-
 let equal a b =
   Array.length a.bands = Array.length b.bands
   && Array.for_all2 Image.equal a.bands b.bands
@@ -51,7 +48,3 @@ let content_hash t =
   Array.fold_left
     (fun acc b -> (acc * 1000003) lxor Image.content_hash b)
     (Array.length t.bands) t.bands
-
-let pp fmt t =
-  Format.fprintf fmt "composite<%d bands, %dx%d>" (n_bands t) (nrow t)
-    (ncol t)

@@ -26,7 +26,5 @@ val of_matrix : nrow:int -> ncol:int -> Pixel.t -> Matrix.t -> t
     from a pixel-by-band matrix.
     @raise Invalid_argument if [Matrix.rows m <> nrow*ncol]. *)
 
-val map_bands : (Image.t -> Image.t) -> t -> t
 val equal : t -> t -> bool
 val content_hash : t -> int
-val pp : Format.formatter -> t -> unit

@@ -87,13 +87,6 @@ let reconstruct { values; vectors } =
   in
   Matrix.mul (Matrix.mul vectors d) (Matrix.transpose vectors)
 
-let principal_components m k =
-  let d = decompose m in
-  let n = Matrix.rows m in
-  if k < 1 || k > n then
-    invalid_arg (Printf.sprintf "Eigen.principal_components: k=%d, n=%d" k n);
-  Matrix.init ~rows:n ~cols:k (fun i j -> Matrix.get d.vectors i j)
-
 let explained_variance { values; _ } =
   let clamped = Array.map (fun v -> Float.max 0. v) values in
   let total = Array.fold_left ( +. ) 0. clamped in

@@ -15,10 +15,6 @@ val decompose : ?max_sweeps:int -> ?eps:float -> Matrix.t -> decomposition
 val reconstruct : decomposition -> Matrix.t
 (** [V diag(values) Vᵀ] — for testing that [decompose] is faithful. *)
 
-val principal_components : Matrix.t -> int -> Matrix.t
-(** [principal_components sym k] is the n×k matrix of the top-k
-    eigenvectors.  @raise Invalid_argument if k outside 1..n. *)
-
 val explained_variance : decomposition -> float array
 (** Fraction of total variance per component (non-negative eigenvalues
     assumed clamped at 0). *)

@@ -8,11 +8,11 @@ type t = {
 
 let check_dims nrow ncol =
   if nrow <= 0 || ncol <= 0 then
-    invalid_arg (Printf.sprintf "Image: non-positive dims %dx%d" nrow ncol)
-
-let create ?(label = "") ~nrow ~ncol ptype =
-  check_dims nrow ncol;
-  { nrow; ncol; ptype; label; data = Array.make (nrow * ncol) 0. }
+    invalid_arg (Printf.sprintf "Image: non-positive dims %dx%d" nrow ncol);
+  (* the product must neither wrap around nor exceed an array's length *)
+  if nrow > Sys.max_array_length / ncol then
+    invalid_arg
+      (Printf.sprintf "Image: dims %dx%d exceed the largest image" nrow ncol)
 
 let init ?(label = "") ~nrow ~ncol ptype f =
   check_dims nrow ncol;
@@ -47,11 +47,6 @@ let get_linear t i =
     invalid_arg (Printf.sprintf "Image.get_linear: index %d" i);
   t.data.(i)
 
-let set_linear t i v =
-  if i < 0 || i >= Array.length t.data then
-    invalid_arg (Printf.sprintf "Image.set_linear: index %d" i);
-  t.data.(i) <- Pixel.quantize t.ptype v
-
 let map ?(label = "") ?ptype f t =
   let ptype = Option.value ptype ~default:t.ptype in
   { nrow = t.nrow; ncol = t.ncol; ptype; label;
@@ -68,14 +63,7 @@ let map2 ?(label = "") ?ptype f a b =
       Array.init (Array.length a.data) (fun i ->
           Pixel.quantize ptype (f a.data.(i) b.data.(i))) }
 
-let mapi ?(label = "") ?ptype f t =
-  let ptype = Option.value ptype ~default:t.ptype in
-  { nrow = t.nrow; ncol = t.ncol; ptype; label;
-    data =
-      Array.init (Array.length t.data) (fun i ->
-          Pixel.quantize ptype (f (i / t.ncol) (i mod t.ncol) t.data.(i))) }
-
-(* Parallel variants: same results as init/map/map2/mapi at any pool
+(* Parallel variants: same results as init/map/map2 at any pool
    size (disjoint writes, deterministic chunking).  The closure must be
    pure — it runs concurrently on pool domains. *)
 
@@ -118,29 +106,12 @@ let par_map2 ?(label = "") ?ptype ?cost f a b =
       done);
   { nrow = a.nrow; ncol = a.ncol; ptype; label; data }
 
-let par_mapi ?(label = "") ?ptype ?cost f t =
-  let ptype = Option.value ptype ~default:t.ptype in
-  let n = Array.length t.data in
-  let ncol = t.ncol in
-  let src = t.data in
-  let data = Array.make n 0. in
-  Gaea_par.Pool.parallel_for_ranges ?cost ~lo:0 ~hi:n (fun clo chi ->
-      for i = clo to chi - 1 do
-        Array.unsafe_set data i
-          (Pixel.quantize ptype
-             (f (i / ncol) (i mod ncol) (Array.unsafe_get src i)))
-      done);
-  { nrow = t.nrow; ncol = t.ncol; ptype; label; data }
-
 let fold f acc t = Array.fold_left f acc t.data
 let iter f t = Array.iter f t.data
 
 let copy ?label t =
   { t with data = Array.copy t.data;
            label = Option.value label ~default:t.label }
-
-let with_ptype ptype t =
-  { t with ptype; data = Array.map (Pixel.quantize ptype) t.data }
 
 (* NaN pixels (cloud holes) compare equal regardless of payload bits *)
 let float_bits v =
@@ -220,25 +191,3 @@ let unsafe_of_array ?(label = "") ~nrow ~ncol ptype data =
       (Printf.sprintf "Image.unsafe_of_array: %d values for %dx%d image"
          (Array.length data) nrow ncol);
   { nrow; ncol; ptype; label; data }
-
-let pp fmt t =
-  Format.fprintf fmt "image<%dx%d:%s%s>" t.nrow t.ncol
-    (Pixel.to_string t.ptype)
-    (if t.label = "" then "" else " " ^ t.label)
-
-let pp_ascii ?(levels = " .:-=+*#%@") fmt t =
-  let lo, hi = min_max t in
-  let span = if hi > lo then hi -. lo else 1. in
-  let n = String.length levels in
-  for r = 0 to t.nrow - 1 do
-    for c = 0 to t.ncol - 1 do
-      let v = t.data.((r * t.ncol) + c) in
-      if Float.is_nan v then Format.pp_print_char fmt '?'
-      else begin
-        let i = int_of_float ((v -. lo) /. span *. float_of_int (n - 1)) in
-        let i = if i < 0 then 0 else if i >= n then n - 1 else i in
-        Format.pp_print_char fmt levels.[i]
-      end
-    done;
-    Format.pp_print_newline fmt ()
-  done

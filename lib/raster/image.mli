@@ -12,12 +12,11 @@
 
 type t
 
-val create : ?label:string -> nrow:int -> ncol:int -> Pixel.t -> t
-(** Zero-filled image.  @raise Invalid_argument on non-positive dims. *)
-
 val init : ?label:string -> nrow:int -> ncol:int -> Pixel.t
   -> (int -> int -> float) -> t
-(** [init ~nrow ~ncol pt f] fills pixel (r,c) with [f r c] (quantized). *)
+(** [init ~nrow ~ncol pt f] fills pixel (r,c) with [f r c] (quantized).
+    @raise Invalid_argument on non-positive dims, or when [nrow * ncol]
+    overflows or exceeds [Sys.max_array_length]. *)
 
 val img_nrow : t -> int
 val img_ncol : t -> int
@@ -34,7 +33,6 @@ val set : t -> int -> int -> float -> unit
 (** Quantizes through the image's pixel type. *)
 
 val get_linear : t -> int -> float
-val set_linear : t -> int -> float -> unit
 
 val map : ?label:string -> ?ptype:Pixel.t -> (float -> float) -> t -> t
 (** Result pixel type defaults to the argument's. *)
@@ -43,13 +41,10 @@ val map2 : ?label:string -> ?ptype:Pixel.t -> (float -> float -> float)
   -> t -> t -> t
 (** @raise Invalid_argument if sizes differ. *)
 
-val mapi : ?label:string -> ?ptype:Pixel.t -> (int -> int -> float -> float)
-  -> t -> t
-
 (** {2 Parallel pixel maps}
 
     Same semantics (and bit-identical results, at any pool size) as
-    {!init} / {!map} / {!map2} / {!mapi}, but chunked across the
+    {!init} / {!map} / {!map2}, but chunked across the
     {!Gaea_par.Pool} domains.  The closure runs concurrently on pool
     domains and must be pure — no hidden RNG or accumulator state.
     [?cost] is the per-pixel work estimate relative to one float add
@@ -65,15 +60,10 @@ val par_map2 : ?label:string -> ?ptype:Pixel.t -> ?cost:float
   -> (float -> float -> float) -> t -> t -> t
 (** @raise Invalid_argument if sizes differ. *)
 
-val par_mapi : ?label:string -> ?ptype:Pixel.t -> ?cost:float
-  -> (int -> int -> float -> float) -> t -> t
-
 val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
 val iter : (float -> unit) -> t -> unit
 
 val copy : ?label:string -> t -> t
-val with_ptype : Pixel.t -> t -> t
-(** Re-quantize into a different storage type. *)
 
 val equal : t -> t -> bool
 (** Same dims, pixel type and bitwise-equal pixels. *)
@@ -104,9 +94,3 @@ val unsafe_of_array : ?label:string -> nrow:int -> ncol:int -> Pixel.t
     caller promises the values already fit the pixel type.  Reserved
     for the fused kernels in {!Kernelized}.
     @raise Invalid_argument if the array length is not [nrow*ncol]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Summary line, not the pixel data. *)
-
-val pp_ascii : ?levels:string -> Format.formatter -> t -> unit
-(** Render small images as ASCII art (for examples / the CLI). *)

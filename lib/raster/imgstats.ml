@@ -6,40 +6,9 @@ let mean = Kernelized.mean
 let variance img = snd (Kernelized.mean_var img)
 let stddev img = sqrt (variance img)
 
-let histogram ?(bins = 16) img =
-  if bins < 1 then invalid_arg "Imgstats.histogram: bins < 1";
-  let lo, hi = Image.min_max img in
-  let span = hi -. lo in
-  let counts = Array.make bins 0 in
-  Image.iter
-    (fun v ->
-      let b =
-        if span <= 0. then 0
-        else
-          let i = int_of_float ((v -. lo) /. span *. float_of_int bins) in
-          if i >= bins then bins - 1 else if i < 0 then 0 else i
-      in
-      counts.(b) <- counts.(b) + 1)
-    img;
-  Array.init bins (fun i ->
-      let w = if span <= 0. then 0. else span /. float_of_int bins in
-      (lo +. (w *. float_of_int i), lo +. (w *. float_of_int (i + 1)),
-       counts.(i)))
-
 (* Bit-identical to [Matrix.covariance (Composite.to_matrix c)] but
    without materializing the observation matrix. *)
 let band_covariance c = snd (Kernelized.band_mean_cov c)
-
-let band_correlation c =
-  Matrix.correlation_of_covariance (snd (Kernelized.band_mean_cov c))
-
-let percentile img p =
-  if p < 0. || p > 100. then invalid_arg "Imgstats.percentile";
-  let data = Array.of_list (Image.to_list img) in
-  Array.sort Float.compare data;
-  let n = Array.length data in
-  let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
-  data.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
 
 let rmse a b =
   if not (Image.img_size_eq a b) then
@@ -51,19 +20,6 @@ let rmse a b =
     acc := !acc +. (d *. d)
   done;
   sqrt (!acc /. float_of_int n)
-
-let confusion reference predicted =
-  if not (Image.img_size_eq reference predicted) then
-    invalid_arg "Imgstats.confusion: size mismatch";
-  let tbl = Hashtbl.create 64 in
-  for i = 0 to Image.size reference - 1 do
-    let key =
-      ( int_of_float (Image.get_linear reference i),
-        int_of_float (Image.get_linear predicted i) )
-    in
-    Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-  done;
-  tbl
 
 let agreement a b =
   if not (Image.img_size_eq a b) then

@@ -7,27 +7,12 @@ val variance : Image.t -> float
 val stddev : Image.t -> float
 val sum : Image.t -> float
 
-val histogram : ?bins:int -> Image.t -> (float * float * int) array
-(** [histogram ~bins img] returns [(lo, hi, count)] per bin over the
-    image's value range.  A constant image puts everything in one bin.
-    @raise Invalid_argument if bins < 1. *)
-
 val band_covariance : Composite.t -> Matrix.t
 (** The [compute-covariance] operator of Fig 4: covariance of the bands
     treating pixels as observations. *)
 
-val band_correlation : Composite.t -> Matrix.t
-
-val percentile : Image.t -> float -> float
-(** [percentile img p] with p in 0..100 (nearest-rank).
-    @raise Invalid_argument if p outside 0..100. *)
-
 val rmse : Image.t -> Image.t -> float
 (** Root-mean-square difference. @raise Invalid_argument on size mismatch. *)
-
-val confusion : Image.t -> Image.t -> (int * int, int) Hashtbl.t
-(** For two label images: counts of (reference label, predicted label)
-    pairs — used to score classification agreement. *)
 
 val agreement : Image.t -> Image.t -> float
 (** Fraction of pixels with identical labels. *)

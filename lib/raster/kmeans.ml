@@ -165,16 +165,6 @@ let run ~seed ~max_iter composite k =
     iterations = !iterations;
     inertia }
 
-let unsuperclassify_result ?(seed = 42) ?(max_iter = 100) composite k =
-  let n = Composite.n_pixels composite in
-  if k < 1 then Error (Printf.sprintf "Kmeans: k=%d < 1" k)
-  else if n = 0 then Error "Kmeans: composite has no pixels"
-  else begin
-    (* more clusters than pixels degenerates to one cluster per pixel *)
-    let k = Stdlib.min k n in
-    Ok (run ~seed ~max_iter composite k)
-  end
-
 let unsuperclassify ?(seed = 42) ?(max_iter = 100) composite k =
   let n = Composite.n_pixels composite in
   if k < 1 then invalid_arg "Kmeans.unsuperclassify: k < 1";
@@ -182,6 +172,3 @@ let unsuperclassify ?(seed = 42) ?(max_iter = 100) composite k =
     invalid_arg
       (Printf.sprintf "Kmeans.unsuperclassify: k=%d > %d pixels" k n);
   run ~seed ~max_iter composite k
-
-let classify_image ?seed ?max_iter img k =
-  unsuperclassify ?seed ?max_iter (Composite.of_bands [ img ]) k

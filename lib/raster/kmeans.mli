@@ -19,17 +19,6 @@ val unsuperclassify : ?seed:int -> ?max_iter:int -> Composite.t -> int
 (** [unsuperclassify composite k] groups pixels into [k] classes.
     @raise Invalid_argument if [k < 1] or [k] exceeds the pixel count. *)
 
-val unsuperclassify_result :
-  ?seed:int -> ?max_iter:int -> Composite.t -> int
-  -> (result, string) Stdlib.result
-(** Non-raising variant for degenerate inputs: [Error] when [k < 1] or
-    the composite is empty; when [k] exceeds the pixel count it is
-    clamped to it (one cluster per pixel) instead of raising or
-    silently seeding duplicate centroids. *)
-
-val classify_image : ?seed:int -> ?max_iter:int -> Image.t -> int -> result
-(** Single-band convenience wrapper. *)
-
 val assign : float array array -> float array -> int
 (** Index of the nearest centroid (ties to the lowest index).
     @raise Invalid_argument on empty centroids. *)

@@ -4,7 +4,11 @@ type t = { rows : int; cols : int; data : float array }
 
 let check_dims rows cols =
   if rows <= 0 || cols <= 0 then
-    invalid_arg (Printf.sprintf "Matrix: non-positive dims %dx%d" rows cols)
+    invalid_arg (Printf.sprintf "Matrix: non-positive dims %dx%d" rows cols);
+  (* the product must neither wrap around nor exceed an array's length *)
+  if rows > Sys.max_array_length / cols then
+    invalid_arg
+      (Printf.sprintf "Matrix: dims %dx%d exceed the largest matrix" rows cols)
 
 let create ~rows ~cols =
   check_dims rows cols;
@@ -39,17 +43,6 @@ let unsafe_of_array ~rows ~cols data =
          (Array.length data) rows cols);
   { rows; cols; data }
 
-let of_rows rs =
-  let rows = Array.length rs in
-  if rows = 0 then invalid_arg "Matrix.of_rows: empty";
-  let cols = Array.length rs.(0) in
-  if cols = 0 then invalid_arg "Matrix.of_rows: empty row";
-  Array.iter
-    (fun r ->
-      if Array.length r <> cols then invalid_arg "Matrix.of_rows: ragged rows")
-    rs;
-  init ~rows ~cols (fun i j -> rs.(i).(j))
-
 let rows t = t.rows
 let cols t = t.cols
 
@@ -66,31 +59,7 @@ let set t i j v =
   check_bounds t i j;
   t.data.((i * t.cols) + j) <- v
 
-let row t i =
-  if i < 0 || i >= t.rows then invalid_arg "Matrix.row: out of range";
-  Array.sub t.data (i * t.cols) t.cols
-
-let col t j =
-  if j < 0 || j >= t.cols then invalid_arg "Matrix.col: out of range";
-  Array.init t.rows (fun i -> t.data.((i * t.cols) + j))
-
 let transpose t = init ~rows:t.cols ~cols:t.rows (fun i j -> get t j i)
-
-let same_dims op a b =
-  if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg
-      (Printf.sprintf "Matrix.%s: %dx%d vs %dx%d" op a.rows a.cols b.rows
-         b.cols)
-
-let add a b =
-  same_dims "add" a b;
-  { a with data = Array.init (Array.length a.data)
-               (fun i -> a.data.(i) +. b.data.(i)) }
-
-let sub a b =
-  same_dims "sub" a b;
-  { a with data = Array.init (Array.length a.data)
-               (fun i -> a.data.(i) -. b.data.(i)) }
 
 let scale s t = { t with data = Array.map (fun v -> s *. v) t.data }
 
@@ -128,8 +97,6 @@ let mul_vec t v =
       done;
       !acc)
 
-let map f t = { t with data = Array.map f t.data }
-
 let equal a b =
   a.rows = b.rows && a.cols = b.cols && a.data = b.data
 
@@ -147,14 +114,6 @@ let is_symmetric ?(eps = 1e-9) t =
     done
   done;
   !ok
-
-let trace t =
-  if t.rows <> t.cols then invalid_arg "Matrix.trace: not square";
-  let acc = ref 0. in
-  for i = 0 to t.rows - 1 do
-    acc := !acc +. get t i i
-  done;
-  !acc
 
 let frobenius_norm t =
   sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0. t.data)
@@ -221,16 +180,3 @@ let correlation_of_covariance cov =
       else get cov i j /. (sd.(i) *. sd.(j)))
 
 let correlation t = correlation_of_covariance (covariance t)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to t.rows - 1 do
-    Format.fprintf fmt "@[<h>[";
-    for j = 0 to t.cols - 1 do
-      if j > 0 then Format.fprintf fmt ", ";
-      Format.fprintf fmt "%g" (get t i j)
-    done;
-    Format.fprintf fmt "]@]";
-    if i < t.rows - 1 then Format.pp_print_cut fmt ()
-  done;
-  Format.fprintf fmt "@]"

@@ -4,7 +4,8 @@
 type t
 
 val create : rows:int -> cols:int -> t
-(** Zero matrix.  @raise Invalid_argument on non-positive dims. *)
+(** Zero matrix.  @raise Invalid_argument on non-positive dims, or when
+    [rows * cols] overflows or exceeds [Sys.max_array_length]. *)
 
 val init : rows:int -> cols:int -> (int -> int -> float) -> t
 (** [init ~rows ~cols f] fills element (i,j) with [f i j]. *)
@@ -15,8 +16,6 @@ val par_init : rows:int -> cols:int -> (int -> int -> float) -> t
     size. *)
 
 val identity : int -> t
-val of_rows : float array array -> t
-(** @raise Invalid_argument on ragged or empty input. *)
 
 val unsafe_data : t -> float array
 (** The row-major backing store (shared, not copied).  Reserved for the
@@ -31,23 +30,17 @@ val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
-val row : t -> int -> float array
-val col : t -> int -> float array
 
 val transpose : t -> t
-val add : t -> t -> t
-val sub : t -> t -> t
 val scale : float -> t -> t
 val mul : t -> t -> t
 (** Matrix product.  @raise Invalid_argument on dim mismatch. *)
 
 val mul_vec : t -> float array -> float array
 
-val map : (float -> float) -> t -> t
 val equal : t -> t -> bool
 val approx_equal : ?eps:float -> t -> t -> bool
 val is_symmetric : ?eps:float -> t -> bool
-val trace : t -> float
 val frobenius_norm : t -> float
 val copy : t -> t
 
@@ -66,5 +59,3 @@ val correlation : t -> t
 val correlation_of_covariance : t -> t
 (** The correlation matrix derived from an already-computed covariance
     matrix — lets fused callers reuse {!Kernelized.band_mean_cov}. *)
-
-val pp : Format.formatter -> t -> unit

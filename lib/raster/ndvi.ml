@@ -3,12 +3,4 @@
 let ndvi ?(label = "ndvi") ~red ~nir () =
   Kernelized.normalized_diff ~label nir red
 
-let change_by_subtraction a b = Band_math.subtract ~label:"ndvi-change-sub" a b
-let change_by_division a b = Band_math.divide ~label:"ndvi-change-div" a b
-
 let mean_ndvi = Imgstats.mean
-
-let vegetation_fraction ?(cutoff = 0.3) img =
-  let n = Image.size img in
-  let count = Image.fold (fun acc v -> if v > cutoff then acc + 1 else acc) 0 img in
-  float_of_int count /. float_of_int n

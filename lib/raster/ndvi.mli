@@ -6,15 +6,5 @@ val ndvi : ?label:string -> red:Image.t -> nir:Image.t -> unit -> Image.t
 (** (NIR - RED) / (NIR + RED), in -1..1 (0 where the denominator is 0).
     @raise Invalid_argument on size mismatch. *)
 
-val change_by_subtraction : Image.t -> Image.t -> Image.t
-(** Scientist 1 of the paper's Section 1 scenario:
-    [change_by_subtraction ndvi89 ndvi88] = ndvi89 - ndvi88. *)
-
-val change_by_division : Image.t -> Image.t -> Image.t
-(** Scientist 2: ndvi89 / ndvi88 (0 where ndvi88 is 0). *)
-
 val mean_ndvi : Image.t -> float
 (** Average index value, a scene-level vegetation summary. *)
-
-val vegetation_fraction : ?cutoff:float -> Image.t -> float
-(** Fraction of pixels whose NDVI exceeds [cutoff] (default 0.3). *)

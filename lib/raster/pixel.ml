@@ -5,17 +5,11 @@ type t =
   | Float4
   | Float8
 
-let all = [ Char; Int2; Int4; Float4; Float8 ]
-
 let size_bytes = function
   | Char -> 1
   | Int2 -> 2
   | Int4 | Float4 -> 4
   | Float8 -> 8
-
-let is_integral = function
-  | Char | Int2 | Int4 -> true
-  | Float4 | Float8 -> false
 
 let min_value = function
   | Char -> 0.
@@ -61,5 +55,3 @@ let equal a b =
   | Char, Char | Int2, Int2 | Int4, Int4 | Float4, Float4 | Float8, Float8 ->
     true
   | (Char | Int2 | Int4 | Float4 | Float8), _ -> false
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

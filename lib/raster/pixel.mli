@@ -11,9 +11,7 @@ type t =
   | Float4  (** single precision *)
   | Float8  (** double precision *)
 
-val all : t list
 val size_bytes : t -> int
-val is_integral : t -> bool
 
 val quantize : t -> float -> float
 (** Round/clamp a computed value to what the storage type can hold.
@@ -28,4 +26,3 @@ val max_value : t -> float
 val to_string : t -> string
 val of_string : string -> t option
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

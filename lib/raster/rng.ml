@@ -11,15 +11,9 @@ let mix z =
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let int64 t =
   t.state <- Int64.add t.state golden;
   mix t.state
-
-let split t =
-  let s = int64 t in
-  { state = s }
 
 let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
 
@@ -49,13 +43,3 @@ let gaussian t =
       sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
   in
   draw ()
-
-let bool t = Int64.logand (int64 t) 1L = 1L
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

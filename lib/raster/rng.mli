@@ -9,10 +9,6 @@ type t
 val create : int -> t
 (** A generator from a seed. Generators are mutable. *)
 
-val copy : t -> t
-val split : t -> t
-(** An independent stream derived from the current state. *)
-
 val int64 : t -> int64
 val bits : t -> int
 (** 30 uniform non-negative bits. *)
@@ -25,8 +21,3 @@ val float : t -> float -> float
 
 val gaussian : t -> float
 (** Standard normal (Box–Muller). *)
-
-val bool : t -> bool
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates. *)

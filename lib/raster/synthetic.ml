@@ -113,31 +113,3 @@ let rainfall_map ~seed ~nrow ~ncol ?(max_mm = 600.) () =
   Image.map ~label:"rainfall-mm" ~ptype:Pixel.Float4
     (fun v -> v *. max_mm)
     field
-
-let with_clouds ~seed ~fraction img =
-  if fraction < 0. || fraction > 1. then
-    invalid_arg "Synthetic.with_clouds: fraction outside 0..1";
-  let rng = Rng.create seed in
-  let out = Image.with_ptype Pixel.Float8 img in
-  let n = Image.size out in
-  let holes = int_of_float (fraction *. float_of_int n) in
-  (* cloud blobs: pick centers, blank a small disc around each *)
-  let nrow = Image.img_nrow out and ncol = Image.img_ncol out in
-  let blanked = ref 0 in
-  while !blanked < holes do
-    let cr = Rng.int rng nrow and cc = Rng.int rng ncol in
-    let radius = 1 + Rng.int rng 3 in
-    for r = Stdlib.max 0 (cr - radius) to Stdlib.min (nrow - 1) (cr + radius) do
-      for c = Stdlib.max 0 (cc - radius) to Stdlib.min (ncol - 1) (cc + radius) do
-        if
-          ((r - cr) * (r - cr)) + ((c - cc) * (c - cc)) <= radius * radius
-          && !blanked < holes
-          && not (Float.is_nan (Image.get out r c))
-        then begin
-          Image.set out r c Float.nan;
-          incr blanked
-        end
-      done
-    done
-  done;
-  out

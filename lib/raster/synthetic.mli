@@ -43,7 +43,3 @@ val rainfall_map : seed:int -> nrow:int -> ncol:int -> ?max_mm:float
   -> unit -> Image.t
 (** Annual precipitation in mm (smooth field, 0..max_mm, default
     600 mm) — input to the desert-classification processes. *)
-
-val with_clouds : seed:int -> fraction:float -> Image.t -> Image.t
-(** Overwrite a [fraction] of pixels with NaN "cloud" holes (for the
-    interpolation path). *)

@@ -77,8 +77,6 @@ let locate t oid =
 
 let get t oid = Option.map snd (locate t oid)
 
-let mem t oid = Hashtbl.mem t.by_oid oid
-
 let length t = t.live
 let allocated t = t.used
 
@@ -111,8 +109,3 @@ let oids t n =
       if s.deleted then go (i + 1) n acc else go (i + 1) (n - 1) (s.oid :: acc)
   in
   go 0 n []
-
-let find t pred = Seq.find (fun (oid, tuple) -> pred oid tuple) (to_seq t)
-
-let to_list t =
-  List.rev (fold t ~init:[] ~f:(fun acc oid tuple -> (oid, tuple) :: acc))

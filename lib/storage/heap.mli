@@ -25,7 +25,6 @@ val locate : t -> Oid.t -> (int * Tuple.t) option
 (** A live row's tuple and its position: positions ascend in scan order
     and hold until the next delete. *)
 
-val mem : t -> Oid.t -> bool
 val length : t -> int
 (** Live tuples. *)
 
@@ -44,6 +43,3 @@ val to_seq : t -> (Oid.t * Tuple.t) Seq.t
 val oids : t -> int -> Oid.t list
 (** The first [n] live OIDs in insertion order (all of them when
     fewer); the walk stops at the [n]-th. *)
-
-val find : t -> (Oid.t -> Tuple.t -> bool) -> (Oid.t * Tuple.t) option
-val to_list : t -> (Oid.t * Tuple.t) list

@@ -22,8 +22,6 @@ let create ktype =
          (Vtype.to_string ktype))
   else Ok { ktype; map = VMap.empty; keys = 0 }
 
-let key_type t = t.ktype
-
 let check_key t key =
   let actual = Value.type_of key in
   (* ints may key float indexes: Vorder compares them numerically *)
@@ -95,6 +93,4 @@ let range t ?lo ?hi () =
     |> Seq.flat_map (fun (_, s) -> IntSet.to_seq s)
     |> List.of_seq
 
-let min_key t = Option.map fst (VMap.min_binding_opt t.map)
-let max_key t = Option.map fst (VMap.max_binding_opt t.map)
 let cardinality t = t.keys

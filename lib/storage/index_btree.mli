@@ -7,7 +7,6 @@ type t
 val create : Gaea_adt.Vtype.t -> (t, string) result
 (** Errors on a non-orderable key type. *)
 
-val key_type : t -> Gaea_adt.Vtype.t
 val add : t -> Gaea_adt.Value.t -> Oid.t -> (unit, string) result
 (** Errors on a key of the wrong type. *)
 
@@ -22,7 +21,5 @@ val range :
     keys from [lo] on, stopping past [hi]; a bound not comparable with
     the key type gives []. *)
 
-val min_key : t -> Gaea_adt.Value.t option
-val max_key : t -> Gaea_adt.Value.t option
 val cardinality : t -> int
 (** Distinct keys, kept as a counter: constant time. *)

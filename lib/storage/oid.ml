@@ -1,7 +1,5 @@
 type t = int
 
-let invalid = 0
-
 type allocator = { mutable next : int }
 
 let allocator ?(first = 1) () = { next = first }

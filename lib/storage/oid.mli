@@ -6,9 +6,6 @@
 
 type t = int
 
-val invalid : t
-(** 0 — never allocated. *)
-
 type allocator
 
 val allocator : ?first:int -> unit -> allocator

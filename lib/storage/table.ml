@@ -16,7 +16,6 @@ type t = {
   heap : Heap.t;
   btree_indexes : (string, Index_btree.t) Hashtbl.t;
   mutable box_index : box_index option;
-  mutable used_index : bool;
 }
 
 let create ~name desc =
@@ -24,8 +23,7 @@ let create ~name desc =
     desc;
     heap = Heap.create ();
     btree_indexes = Hashtbl.create 4;
-    box_index = None;
-    used_index = false }
+    box_index = None }
 
 let name t = t.name
 let descriptor t = t.desc
@@ -156,7 +154,6 @@ let scan t f = Heap.scan t.heap f
 let fold t ~init ~f = Heap.fold t.heap ~init ~f
 let to_seq t = Heap.to_seq t.heap
 let oids t n = Heap.oids t.heap n
-let to_list t = Heap.to_list t.heap
 
 let select t pred =
   List.rev
@@ -170,11 +167,8 @@ let materialize t oids =
 
 let lookup_eq t attr value =
   match Hashtbl.find_opt t.btree_indexes attr with
-  | Some idx ->
-    t.used_index <- true;
-    materialize t (Index_btree.find idx value)
+  | Some idx -> materialize t (Index_btree.find idx value)
   | None ->
-    t.used_index <- false;
     (match Tuple.attr_index t.desc attr with
      | None -> []
      | Some i ->
@@ -182,11 +176,8 @@ let lookup_eq t attr value =
 
 let lookup_ordered t attr ?lo ?hi () =
   match Hashtbl.find_opt t.btree_indexes attr with
-  | Some idx ->
-    t.used_index <- true;
-    materialize t (Index_btree.range idx ?lo ?hi ())
+  | Some idx -> materialize t (Index_btree.range idx ?lo ?hi ())
   | None ->
-    t.used_index <- false;
     (match Tuple.attr_index t.desc attr with
      | None -> []
      | Some i ->
@@ -235,7 +226,6 @@ let lookup_windows t attr pos windows =
   in
   match t.box_index, windows with
   | Some bi, probe :: _ when bi.b_attr = attr ->
-    t.used_index <- true;
     Index_box.overlapping (grid_of t bi) probe
     |> List.filter_map (fun oid ->
            match Heap.locate t.heap oid with
@@ -243,9 +233,7 @@ let lookup_windows t attr pos windows =
            | _ -> None)
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     |> List.map snd
-  | _ ->
-    t.used_index <- false;
-    select t (fun _ tuple -> qualifies tuple)
+  | _ -> select t (fun _ tuple -> qualifies tuple)
 
 let lookup_range t attr ?lo ?hi () =
   match Tuple.attr_index t.desc attr, Tuple.attr_type t.desc attr with
@@ -258,5 +246,3 @@ let lookup_range t attr ?lo ?hi () =
     if List.length windows < List.length bounds then []
     else lookup_windows t attr pos windows
   | _ -> lookup_ordered t attr ?lo ?hi ()
-
-let last_access_used_index t = t.used_index

@@ -52,8 +52,6 @@ val to_seq : t -> (Oid.t * Tuple.t) Seq.t
 val oids : t -> int -> Oid.t list
 (** The first [n] live OIDs in insertion order (see {!Heap.oids}). *)
 
-val to_list : t -> (Oid.t * Tuple.t) list
-
 val select : t -> (Oid.t -> Tuple.t -> bool) -> (Oid.t * Tuple.t) list
 
 val lookup_eq : t -> string -> Gaea_adt.Value.t -> (Oid.t * Tuple.t) list
@@ -68,7 +66,3 @@ val lookup_range :
     whose box overlaps each given bound, in heap order, through the
     window index when the attribute has one; a bound that is not a box
     matches nothing. *)
-
-val last_access_used_index : t -> bool
-(** Whether the most recent [lookup_eq]/[lookup_range] was served by an
-    index — exposed for the experiments. *)

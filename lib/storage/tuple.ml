@@ -40,9 +40,6 @@ let attr_index d name = Hashtbl.find_opt d.index name
 let attr_type d name =
   Option.map (fun i -> d.types.(i)) (attr_index d name)
 
-let descriptor_equal a b =
-  a.names = b.names && Array.for_all2 Vtype.equal a.types b.types
-
 type t = Value.t array
 
 let coerce expected v =
@@ -86,24 +83,5 @@ let get_by_name t d name =
 
 let values t = Array.to_list t
 
-let with_value t i v =
-  let t' = Array.copy t in
-  t'.(i) <- v;
-  t'
-
 let equal a b =
   Array.length a = Array.length b && Array.for_all2 Value.equal a b
-
-let content_hash t =
-  Array.fold_left
-    (fun acc v -> (acc * 1000003) lxor Value.content_hash v)
-    (Array.length t) t
-
-let pp d fmt t =
-  Format.fprintf fmt "@[<h>(";
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Format.fprintf fmt ", ";
-      Format.fprintf fmt "%s=%s" d.names.(i) (Value.to_display v))
-    t;
-  Format.fprintf fmt ")@]"

@@ -12,7 +12,6 @@ val attrs : descriptor -> (string * Gaea_adt.Vtype.t) list
 val arity : descriptor -> int
 val attr_index : descriptor -> string -> int option
 val attr_type : descriptor -> string -> Gaea_adt.Vtype.t option
-val descriptor_equal : descriptor -> descriptor -> bool
 
 type t
 
@@ -25,9 +24,5 @@ val get : t -> int -> Gaea_adt.Value.t
 
 val get_by_name : t -> descriptor -> string -> (Gaea_adt.Value.t, string) result
 val values : t -> Gaea_adt.Value.t list
-val with_value : t -> int -> Gaea_adt.Value.t -> t
-(** Functional update (type NOT rechecked — internal use). *)
 
 val equal : t -> t -> bool
-val content_hash : t -> int
-val pp : descriptor -> Format.formatter -> t -> unit

@@ -80,13 +80,9 @@ let test_concept_dag () =
   let _ = ok (Concept.define c ~name:"Cold" ~members:[ "c9" ] ()) in
   ok (Concept.add_isa c ~sub:"Hot" ~super:"Desert");
   ok (Concept.add_isa c ~sub:"Cold" ~super:"Desert");
-  Alcotest.(check (list string)) "children" [ "Cold"; "Hot" ]
-    (Concept.children c "Desert");
   Alcotest.(check (list string)) "ancestors" [ "Desert" ] (Concept.ancestors c "Hot");
   Alcotest.(check (list string)) "descendants" [ "Cold"; "Hot" ]
     (Concept.descendants c "Desert");
-  Alcotest.(check (list string)) "leaves" [ "Cold"; "Hot" ]
-    (Concept.leaves c "Desert");
   (* concept query reaches member classes of all descendants *)
   Alcotest.(check (list string)) "classes_of" [ "c2"; "c3"; "c9" ]
     (Concept.classes_of c "Desert");
@@ -105,10 +101,7 @@ let test_concept_validation () =
     (Result.is_error (Concept.add_isa c ~sub:"A" ~super:"B"));
   check_bool "cycle" true (Result.is_error (Concept.add_isa c ~sub:"B" ~super:"A"));
   check_bool "unknown" true
-    (Result.is_error (Concept.add_isa c ~sub:"A" ~super:"Z"));
-  ok (Concept.add_member c ~concept:"A" "cls1");
-  check_bool "member added" true
-    ((Option.get (Concept.find c "A")).Concept.members = [ "cls1" ])
+    (Result.is_error (Concept.add_isa c ~sub:"A" ~super:"Z"))
 
 let test_concept_diamond () =
   (* DAG, not tree: one concept under two parents *)
@@ -776,8 +769,6 @@ let test_lineage_signatures () =
 
 let test_lineage_tree_and_explain () =
   let k, by_sub, _ = veg_kernel () in
-  let tree = Lineage.derivation_tree k by_sub in
-  check_bool "has producing task" true (tree.Lineage.via <> None);
   let explain = Lineage.explain k by_sub in
   check_bool "mentions base data" true
     (String.length explain > 50);
@@ -816,13 +807,10 @@ let test_experiment_reproduce () =
     (fun t -> ok (Experiment.record_task m ~experiment:"e1" t.Task.task_id))
     outcome.Derivation.new_tasks;
   ok (Experiment.add_note m ~experiment:"e1" "first classification");
-  ok (Experiment.add_concept m ~experiment:"e1" "LandCover");
   let r = ok (Experiment.reproduce m k ~experiment:"e1") in
   check_int "total" 1 r.Experiment.total;
   check_int "reproduced" 1 r.Experiment.reproduced;
   check_bool "no failures" true (r.Experiment.failures = []);
-  let report = ok (Experiment.report m k ~experiment:"e1") in
-  check_bool "report text" true (String.length report > 40);
   check_bool "dup experiment" true
     (Result.is_error (Experiment.begin_experiment m ~name:"e1" ()));
   check_bool "unknown experiment" true

@@ -44,7 +44,6 @@ let test_net_build () =
   Alcotest.(check string) "tname" "t01" (Net.transition_name net t01);
   check_int "producers of mid" 1 (List.length (Net.producers_of net mid));
   check_int "producers of base" 0 (List.length (Net.producers_of net base));
-  check_int "consumers of mid" 1 (List.length (Net.consumers_of net mid));
   ignore goal
 
 let test_net_validation () =

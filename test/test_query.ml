@@ -693,6 +693,35 @@ let test_need_example_past_the_scenes () =
   Alcotest.(check (list int)) "the fourth scene fired" [ 5; 6; 7; 8 ]
     (Kernel.objects_of_class (Session.kernel session) "normalized")
 
+(* inserting an image of [dims] is a typed error that [says] why, and
+   stores nothing *)
+let rejects_image ~dims ~says () =
+  let session = Session.create () in
+  ignore (ok (Session.run_string session "DEFINE CLASS s (d image)"));
+  (match
+     Session.run_string session
+       (Printf.sprintf "INSERT INTO s ( d = synth_rainfall(1, %s) )" dims)
+   with
+   | Error e ->
+     check_bool says true (contains (Gaea_core.Gaea_error.to_string e) says)
+   | Ok _ -> Alcotest.fail "expected an error");
+  check_bool "nothing stored" true
+    (contains (Session.run_string_collect session "SELECT * FROM s") "(0 row(s))")
+
+(* NEED counts objects: zero or fewer is a parse error, not an empty
+   retrieval *)
+let test_need_below_one () =
+  let module E = Gaea_core.Gaea_error in
+  List.iter
+    (fun src ->
+      match Parser.parse_one src with
+      | Error (E.Parse_error m) ->
+        check_bool (src ^ ": says why") true
+          (contains m "NEED needs a positive count")
+      | Error e -> Alcotest.failf "%s: wrong error %s" src (E.to_string e)
+      | Ok _ -> Alcotest.failf "%s: accepted" src)
+    [ "DERIVE scene NEED -3"; "DERIVE scene NEED 0" ]
+
 let never_raises session src =
   match Session.run_string session src with
   | Ok _ | Error _ -> true
@@ -872,8 +901,12 @@ let window_box_gen =
           (2, map (fun i -> float_of_int i +. 0.5) (int_range (-8) 8)) ]
     in
     frequency
-      [ (6, map2 Box.of_corners (pair coord coord) (pair coord coord));
-        (2, map2 Box.point coord coord);
+      [ (6, map2
+          (fun (x1, y1) (x2, y2) ->
+            Box.make ~xmin:(Float.min x1 x2) ~ymin:(Float.min y1 y2)
+              ~xmax:(Float.max x1 x2) ~ymax:(Float.max y1 y2))
+          (pair coord coord) (pair coord coord));
+        (2, map2 (fun x y -> Box.make ~xmin:x ~ymin:y ~xmax:x ~ymax:y) coord coord);
         (1, return (Box.make ~xmin:(-1e300) ~ymin:(-1e300) ~xmax:1e300 ~ymax:1e300)) ])
 
 let window_case_gen =
@@ -953,7 +986,7 @@ let prop_window_select_matches_scan =
                      (Kernel.insert_object k ~cls:"scene"
                         [ ("n", Value.int n); ("spatialextent", Value.box b);
                           ("timestamp", Value.abstime (Abstime.of_ymd 1990 1 day));
-                          ("decoy", Value.box (Box.point 0. 0.));
+                          ("decoy", Value.box (Box.make ~xmin:0. ~ymin:0. ~xmax:0. ~ymax:0.));
                           ("decoy_t", Value.abstime (Abstime.of_ymd 1990 1 1)) ]))
               | S_update (i, b) ->
                 Option.iter
@@ -1038,6 +1071,17 @@ let () =
           tc "versions" test_executor_versions;
           tc "need.gaea, then NEED past the scenes"
             test_need_example_past_the_scenes;
+          (* 2^32 x 2^32 pixels wrap to 0: an empty pixel array was
+             stored under those dims *)
+          tc "image dims whose product wraps"
+            (rejects_image ~dims:"4294967296, 4294967296"
+               ~says:"4294967296x4294967296");
+          (* just under Sys.max_array_length pixels: the dims pass, and
+             the allocation no host can make used to escape as
+             Out_of_memory *)
+          tc "image too large to allocate"
+            (rejects_image ~dims:"134217728, 134217727" ~says:"out of memory");
+          tc "NEED below one" test_need_below_one;
           QCheck_alcotest.to_alcotest prop_derive_reply_text ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest

@@ -19,21 +19,6 @@ let test_rng_deterministic () =
     check_int "same stream" (Rng.int a 1000) (Rng.int b 1000)
   done
 
-let test_rng_split_independent () =
-  let a = Rng.create 42 in
-  let b = Rng.split a in
-  let x = Rng.int a 1000 and y = Rng.int b 1000 in
-  (* streams diverge (overwhelmingly likely for these seeds) *)
-  check_bool "values differ" true (x <> y || Rng.int a 1000 <> Rng.int b 1000)
-
-let test_rng_shuffle_permutation () =
-  let rng = Rng.create 7 in
-  let a = Array.init 50 Fun.id in
-  Rng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
-
 let rng_int_bounds_prop =
   QCheck.Test.make ~name:"Rng.int within bounds" ~count:500
     QCheck.(pair (int_range 0 10000) (int_range 1 1000))
@@ -77,7 +62,7 @@ let test_pixel_meta () =
   check_bool "names roundtrip" true
     (List.for_all
        (fun p -> Pixel.of_string (Pixel.to_string p) = Some p)
-       Pixel.all);
+       [ Pixel.Char; Pixel.Int2; Pixel.Int4; Pixel.Float4; Pixel.Float8 ]);
   check_bool "unknown name" true (Pixel.of_string "uint64" = None)
 
 (* ------------------------------------------------------------------ *)
@@ -97,15 +82,15 @@ let test_image_basics () =
   check_float "max" 11. hi
 
 let test_image_quantizes_on_write () =
-  let img = Image.create ~nrow:2 ~ncol:2 Pixel.Char in
+  let img = Image.init ~nrow:2 ~ncol:2 Pixel.Char (fun _ _ -> 0.) in
   Image.set img 0 0 300.;
   check_float "clamped" 255. (Image.get img 0 0);
   Image.set img 0 1 3.7;
   check_float "rounded" 4. (Image.get img 0 1)
 
 let test_image_map2_mismatch () =
-  let a = Image.create ~nrow:2 ~ncol:2 Pixel.Float8 in
-  let b = Image.create ~nrow:2 ~ncol:3 Pixel.Float8 in
+  let a = Image.init ~nrow:2 ~ncol:2 Pixel.Float8 (fun _ _ -> 0.) in
+  let b = Image.init ~nrow:2 ~ncol:3 Pixel.Float8 (fun _ _ -> 0.) in
   Alcotest.check_raises "mismatch"
     (Invalid_argument "Image.map2: size mismatch 2x2 vs 2x3") (fun () ->
       ignore (Image.map2 ( +. ) a b))
@@ -142,7 +127,7 @@ let test_image_hash_matches_boxed_reference () =
           sin (float_of_int ((r * 13) + c)) *. 1000.);
       Image.init ~nrow:5 ~ncol:5 Pixel.Char (fun r c -> float_of_int (r * c));
       Image.init ~nrow:3 ~ncol:9 Pixel.Int2 (fun r c -> float_of_int ((r * 100) - c));
-      Image.create ~nrow:1 ~ncol:1 Pixel.Float4 ]
+      Image.init ~nrow:1 ~ncol:1 Pixel.Float4 (fun _ _ -> 0.) ]
   in
   List.iteri
     (fun i img ->
@@ -177,36 +162,29 @@ let test_image_of_array_validation () =
     (Invalid_argument "Image.of_array: 3 values for 2x2 image") (fun () ->
       ignore (Image.of_array ~nrow:2 ~ncol:2 Pixel.Float8 [| 1.; 2.; 3. |]))
 
-let test_image_with_ptype () =
-  let a = Image.of_array ~nrow:1 ~ncol:3 Pixel.Float8 [| 1.4; 2.6; 300. |] in
-  let b = Image.with_ptype Pixel.Char a in
-  Alcotest.(check (list (float 0.))) "requantized" [ 1.; 3.; 255. ]
-    (Image.to_list b)
-
-let test_image_ascii () =
-  let img = Image.init ~nrow:2 ~ncol:2 Pixel.Float8 (fun r c -> float_of_int (r + c)) in
-  let s = Format.asprintf "%a" (Image.pp_ascii ?levels:None) img in
-  check_bool "nonempty" true (String.length s > 4)
-
 (* ------------------------------------------------------------------ *)
 (* Matrix                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let of_rows rs =
+  Matrix.init ~rows:(Array.length rs) ~cols:(Array.length rs.(0))
+    (fun i j -> rs.(i).(j))
+
 let test_matrix_mul_identity () =
-  let m = Matrix.of_rows [| [| 1.; 2. |]; [| 3.; 4. |] |] in
+  let m = of_rows [| [| 1.; 2. |]; [| 3.; 4. |] |] in
   check_bool "I*m = m" true (Matrix.equal (Matrix.mul (Matrix.identity 2) m) m);
   check_bool "m*I = m" true (Matrix.equal (Matrix.mul m (Matrix.identity 2)) m)
 
 let test_matrix_transpose () =
-  let m = Matrix.of_rows [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |] in
+  let m = of_rows [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |] in
   let t = Matrix.transpose m in
   check_int "rows" 3 (Matrix.rows t);
   check_float "cell" 6. (Matrix.get t 2 1);
   check_bool "involution" true (Matrix.equal (Matrix.transpose t) m)
 
 let test_matrix_mul_known () =
-  let a = Matrix.of_rows [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  let b = Matrix.of_rows [| [| 5.; 6. |]; [| 7.; 8. |] |] in
+  let a = of_rows [| [| 1.; 2. |]; [| 3.; 4. |] |] in
+  let b = of_rows [| [| 5.; 6. |]; [| 7.; 8. |] |] in
   let c = Matrix.mul a b in
   check_float "c00" 19. (Matrix.get c 0 0);
   check_float "c11" 50. (Matrix.get c 1 1);
@@ -215,7 +193,7 @@ let test_matrix_mul_known () =
       ignore (Matrix.mul a (Matrix.create ~rows:3 ~cols:1)))
 
 let test_matrix_center () =
-  let m = Matrix.of_rows [| [| 1.; 10. |]; [| 3.; 20. |]; [| 5.; 30. |] |] in
+  let m = of_rows [| [| 1.; 10. |]; [| 3.; 20. |]; [| 5.; 30. |] |] in
   let centered, means = Matrix.center_columns m in
   Alcotest.(check (array (float 1e-9))) "means" [| 3.; 20. |] means;
   let new_means = Matrix.column_means centered in
@@ -223,7 +201,7 @@ let test_matrix_center () =
 
 let test_matrix_covariance () =
   (* perfectly correlated columns *)
-  let m = Matrix.of_rows [| [| 1.; 2. |]; [| 2.; 4. |]; [| 3.; 6. |] |] in
+  let m = of_rows [| [| 1.; 2. |]; [| 2.; 4. |]; [| 3.; 6. |] |] in
   let cov = Matrix.covariance m in
   check_bool "symmetric" true (Matrix.is_symmetric cov);
   check_float "var x" 1. (Matrix.get cov 0 0);
@@ -233,7 +211,7 @@ let test_matrix_covariance () =
   check_float "diag 1" 1. (Matrix.get corr 1 1)
 
 let test_matrix_correlation_constant_column () =
-  let m = Matrix.of_rows [| [| 1.; 5. |]; [| 2.; 5. |]; [| 3.; 5. |] |] in
+  let m = of_rows [| [| 1.; 5. |]; [| 2.; 5. |]; [| 3.; 5. |] |] in
   let corr = Matrix.correlation m in
   check_float "const col off-diag 0" 0. (Matrix.get corr 0 1);
   check_float "const col diag 1" 1. (Matrix.get corr 1 1)
@@ -248,7 +226,7 @@ let mat_gen =
       dim dim
       (array_size (return 25) (float_range (-10.) 10.)))
 
-let mat_arb = QCheck.make ~print:(Format.asprintf "%a" Matrix.pp) mat_gen
+let mat_arb = QCheck.make mat_gen
 
 let matrix_transpose_mul_prop =
   QCheck.Test.make ~name:"(A B)ᵀ = Bᵀ Aᵀ" ~count:200
@@ -281,7 +259,7 @@ let test_eigen_identity () =
 
 let test_eigen_known () =
   (* [[2,1],[1,2]] has eigenvalues 3 and 1 *)
-  let m = Matrix.of_rows [| [| 2.; 1. |]; [| 1.; 2. |] |] in
+  let m = of_rows [| [| 2.; 1. |]; [| 1.; 2. |] |] in
   let d = Eigen.decompose m in
   check_close 1e-9 "l1" 3. d.Eigen.values.(0);
   check_close 1e-9 "l2" 1. d.Eigen.values.(1)
@@ -308,13 +286,13 @@ let test_eigen_reconstruct () =
     [ 1; 2; 3; 4; 5 ]
 
 let test_eigen_rejects_asymmetric () =
-  let m = Matrix.of_rows [| [| 1.; 2. |]; [| 3.; 4. |] |] in
+  let m = of_rows [| [| 1.; 2. |]; [| 3.; 4. |] |] in
   Alcotest.check_raises "asymmetric"
     (Invalid_argument "Eigen.decompose: matrix not symmetric") (fun () ->
       ignore (Eigen.decompose m))
 
 let test_eigen_explained () =
-  let m = Matrix.of_rows [| [| 3.; 0. |]; [| 0.; 1. |] |] in
+  let m = of_rows [| [| 3.; 0. |]; [| 0.; 1. |] |] in
   let d = Eigen.decompose m in
   let e = Eigen.explained_variance d in
   check_close 1e-9 "first" 0.75 e.(0);
@@ -364,16 +342,7 @@ let test_ndvi () =
   check_float "ndvi" 0.5 (Image.get v 0 0);
   let lo, hi = Image.min_max v in
   check_bool "range" true (lo >= -1. && hi <= 1.);
-  check_float "mean" 0.5 (Ndvi.mean_ndvi v);
-  check_float "veg fraction" 1. (Ndvi.vegetation_fraction v);
-  check_float "veg fraction cutoff" 0. (Ndvi.vegetation_fraction ~cutoff:0.9 v)
-
-let test_ndvi_change_methods_differ () =
-  let n88 = const_img 0.2 and n89 = const_img 0.4 in
-  let by_sub = Ndvi.change_by_subtraction n89 n88 in
-  let by_div = Ndvi.change_by_division n89 n88 in
-  check_close 1e-9 "sub" 0.2 (Image.get by_sub 0 0);
-  check_close 1e-9 "div" 2. (Image.get by_div 0 0)
+  check_float "mean" 0.5 (Ndvi.mean_ndvi v)
 
 (* ------------------------------------------------------------------ *)
 (* Composite                                                           *)
@@ -392,7 +361,7 @@ let test_composite () =
     (Invalid_argument "Composite.of_bands: band 1 size mismatch") (fun () ->
       ignore
         (Composite.of_bands
-           [ b1; Image.create ~nrow:2 ~ncol:2 Pixel.Float8 ]))
+           [ b1; Image.init ~nrow:2 ~ncol:2 Pixel.Float8 (fun _ _ -> 0.) ]))
 
 let test_composite_matrix_roundtrip () =
   let b1 = Image.init ~nrow:3 ~ncol:2 Pixel.Float8 (fun r c -> float_of_int ((r * 2) + c)) in
@@ -412,22 +381,13 @@ let test_imgstats () =
   let img = Image.of_array ~nrow:1 ~ncol:5 Pixel.Float8 [| 1.; 2.; 3.; 4.; 5. |] in
   check_float "mean" 3. (Imgstats.mean img);
   check_float "variance" 2.5 (Imgstats.variance img);
-  check_float "sum" 15. (Imgstats.sum img);
-  check_float "p100" 5. (Imgstats.percentile img 100.);
-  check_float "p20" 1. (Imgstats.percentile img 20.);
-  let h = Imgstats.histogram ~bins:4 img in
-  check_int "bins" 4 (Array.length h);
-  let total = Array.fold_left (fun acc (_, _, c) -> acc + c) 0 h in
-  check_int "histogram covers all" 5 total
+  check_float "sum" 15. (Imgstats.sum img)
 
 let test_imgstats_agreement () =
   let a = Image.of_array ~nrow:1 ~ncol:4 Pixel.Int4 [| 0.; 1.; 2.; 3. |] in
   let b = Image.of_array ~nrow:1 ~ncol:4 Pixel.Int4 [| 0.; 1.; 9.; 3. |] in
   check_float "agreement" 0.75 (Imgstats.agreement a b);
-  check_float "rmse self" 0. (Imgstats.rmse a a);
-  let conf = Imgstats.confusion a b in
-  check_int "confusion (2,9)" 1 (Hashtbl.find conf (2, 9));
-  check_int "confusion (0,0)" 1 (Hashtbl.find conf (0, 0))
+  check_float "rmse self" 0. (Imgstats.rmse a a)
 
 (* ------------------------------------------------------------------ *)
 (* Kmeans                                                              *)
@@ -480,28 +440,6 @@ let test_kmeans_k1 () =
   let r = Kmeans.unsuperclassify c 1 in
   check_bool "all zero" true
     (Image.fold (fun acc v -> acc && v = 0.) true r.Kmeans.labels)
-
-let test_kmeans_result_degenerate () =
-  let c = separated_composite () in
-  (* non-raising variant: Error on k < 1 ... *)
-  check_bool "k=0 is Error" true
-    (Result.is_error (Kmeans.unsuperclassify_result c 0));
-  check_bool "k<0 is Error" true
-    (Result.is_error (Kmeans.unsuperclassify_result c (-3)));
-  (* ... and k > n clamps to one cluster per pixel instead of raising
-     or silently seeding duplicate centroids *)
-  let tiny =
-    Composite.of_bands
-      [ Image.of_array ~nrow:2 ~ncol:2 Pixel.Float8 [| 1.; 2.; 3.; 4. |] ]
-  in
-  match Kmeans.unsuperclassify_result tiny 10 with
-  | Error e -> Alcotest.failf "expected clamp, got Error %s" e
-  | Ok r ->
-    check_int "clamped to n clusters" 4 (Array.length r.Kmeans.centroids);
-    check_float "perfect fit" 0. r.Kmeans.inertia;
-    let seen = Hashtbl.create 4 in
-    Image.iter (fun v -> Hashtbl.replace seen v ()) r.Kmeans.labels;
-    check_int "each pixel its own cluster" 4 (Hashtbl.length seen)
 
 let test_kmeans_assign () =
   let centroids = [| [| 0. |]; [| 10. |] |] in
@@ -672,17 +610,6 @@ let test_synthetic_rainfall () =
   let lo, hi = Image.min_max rain in
   check_bool "range" true (lo >= 0. && hi <= 500.)
 
-let test_synthetic_clouds () =
-  let img = const_img 1. in
-  let cloudy = Synthetic.with_clouds ~seed:3 ~fraction:0.25 img in
-  let nan_count =
-    Image.fold (fun acc v -> if Float.is_nan v then acc + 1 else acc) 0 cloudy
-  in
-  check_int "exactly 25% blanked" 4 nan_count;
-  Alcotest.check_raises "bad fraction"
-    (Invalid_argument "Synthetic.with_clouds: fraction outside 0..1")
-    (fun () -> ignore (Synthetic.with_clouds ~seed:3 ~fraction:1.5 img))
-
 let test_red_nir_vegetation_signal () =
   (* higher vegetation shift should raise mean NDVI *)
   let r0, n0 = Synthetic.red_nir_pair ~seed:5 ~nrow:24 ~ncol:24 () in
@@ -700,8 +627,6 @@ let () =
   Alcotest.run "raster"
     [ ( "rng",
         [ tc "deterministic" test_rng_deterministic;
-          tc "split" test_rng_split_independent;
-          tc "shuffle permutation" test_rng_shuffle_permutation;
           tc "gaussian moments" test_rng_gaussian_moments ] );
       qsuite "rng-props" [ rng_int_bounds_prop ];
       ( "pixel",
@@ -713,9 +638,7 @@ let () =
           tc "hash and equal" test_image_hash_and_equal;
           tc "hash matches boxed reference" test_image_hash_matches_boxed_reference;
           tc "min_max skips nan" test_image_min_max_skips_nan;
-          tc "of_array validation" test_image_of_array_validation;
-          tc "with_ptype" test_image_with_ptype;
-          tc "ascii" test_image_ascii ] );
+          tc "of_array validation" test_image_of_array_validation ] );
       ( "matrix",
         [ tc "mul identity" test_matrix_mul_identity;
           tc "transpose" test_matrix_transpose;
@@ -734,8 +657,7 @@ let () =
         [ tc "arithmetic" test_band_math;
           tc "linear combination" test_linear_combination;
           tc "normalize/threshold" test_normalize_threshold;
-          tc "ndvi" test_ndvi;
-          tc "change methods differ" test_ndvi_change_methods_differ ] );
+          tc "ndvi" test_ndvi ] );
       ( "composite",
         [ tc "basics" test_composite;
           tc "matrix roundtrip" test_composite_matrix_roundtrip ] );
@@ -748,7 +670,6 @@ let () =
           tc "inertia vs k" test_kmeans_inertia_decreases_with_k;
           tc "validation" test_kmeans_validation;
           tc "k=1" test_kmeans_k1;
-          tc "degenerate result" test_kmeans_result_degenerate;
           tc "assign" test_kmeans_assign ] );
       ( "maxlike",
         [ tc "recovers truth" test_maxlike_recovers_truth;
@@ -770,5 +691,4 @@ let () =
           tc "truth classes" test_synthetic_truth_classes;
           tc "noise range" test_synthetic_noise_range;
           tc "rainfall" test_synthetic_rainfall;
-          tc "clouds" test_synthetic_clouds;
           tc "vegetation signal" test_red_nir_vegetation_signal ] ) ]

@@ -398,6 +398,9 @@ let save_load_prop =
              (String.concat "\n" a) (String.concat "\n" b)
       in
       same "observation" (observe session) (observe loaded)
+      && same "the save text"
+           [ Persist.save (Session.kernel session) ]
+           [ Persist.save (Session.kernel loaded) ]
       &&
       match
         List.find_map
