@@ -23,7 +23,7 @@ let codes =
     ("GA006", Diagnostic.Error, "operator arity mismatch");
     ("GA007", Diagnostic.Error, "operator or mapping type mismatch");
     ("GA008", Diagnostic.Error, "unbound process parameter");
-    ("GA009", Diagnostic.Error, "common() on a class without that extent");
+    ("GA009", Diagnostic.Error, "common() on an attribute that is not an extent");
     ("GA010", Diagnostic.Warning, "duplicate mapping target");
     ("GA011", Diagnostic.Error, "contradictory cardinality constraints");
     ("GA012", Diagnostic.Error, "cardinality assertion on a scalar argument");
@@ -297,7 +297,7 @@ let check_template ctx (tmpl : Template.t) =
                (ity_to_string other)))
       | Template.Card_eq (arg, _) | Template.Card_ge (arg, _) ->
         require_declared ~element arg
-      | Template.Common_space arg ->
+      | Template.Common (arg, attr) ->
         require_declared ~element arg;
         (match Process.arg p arg with
          | None -> ()
@@ -305,22 +305,15 @@ let check_template ctx (tmpl : Template.t) =
            match Kernel.find_class ctx.kernel spec.Process.arg_class with
            | None -> ()
            | Some sch ->
-             if sch.Schema.spatial_attr = None then
+             if
+               sch.Schema.spatial_attr <> Some attr
+               && sch.Schema.temporal_attr <> Some attr
+             then
                error ctx ~code:"GA009" ~element
-                 (Printf.sprintf "class %s has no spatial extent"
-                    spec.Process.arg_class)))
-      | Template.Common_time arg ->
-        require_declared ~element arg;
-        (match Process.arg p arg with
-         | None -> ()
-         | Some spec -> (
-           match Kernel.find_class ctx.kernel spec.Process.arg_class with
-           | None -> ()
-           | Some sch ->
-             if sch.Schema.temporal_attr = None then
-               error ctx ~code:"GA009" ~element
-                 (Printf.sprintf "class %s has no temporal extent"
-                    spec.Process.arg_class))))
+                 (Printf.sprintf
+                    "%s is neither the spatial nor the temporal extent of \
+                     class %s"
+                    attr spec.Process.arg_class))))
     tmpl.Template.assertions
 
 (* ------------------------------------------------------------------ *)

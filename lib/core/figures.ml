@@ -51,8 +51,8 @@ let install_fig3 ?(k = 12) kernel =
     make
       ~assertions:
         [ Card_eq ("bands", 3);
-          Common_space "bands";
-          Common_time "bands" ]
+          Common ("bands", "spatialextent");
+          Common ("bands", "timestamp") ]
       ~mappings:
         [ { target = "data";
             rhs =
@@ -386,7 +386,7 @@ let install_fig5 kernel =
       ~args:[ Process.setof_arg ~card_min:2 "bands" landsat_class ]
       ~template:
         (make
-           ~assertions:[ Card_ge ("bands", 2); Common_space "bands" ]
+           ~assertions:[ Card_ge ("bands", 2); Common ("bands", "spatialextent") ]
            ~mappings:
              [ { target = "data";
                  rhs =

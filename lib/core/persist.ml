@@ -91,8 +91,8 @@ let rec expr_of_sexp = function
 
 let assertion_to_sexp = function
   | Template.Expr_true e -> Sexp.list [ Sexp.atom "expr"; expr_to_sexp e ]
-  | Template.Common_space a -> Sexp.list [ Sexp.atom "common-space"; Sexp.atom a ]
-  | Template.Common_time a -> Sexp.list [ Sexp.atom "common-time"; Sexp.atom a ]
+  | Template.Common (a, attr) ->
+    Sexp.list [ Sexp.atom "common"; Sexp.atom a; Sexp.atom attr ]
   | Template.Card_eq (a, n) ->
     Sexp.list [ Sexp.atom "card-eq"; Sexp.atom a; iatom n ]
   | Template.Card_ge (a, n) ->
@@ -101,10 +101,14 @@ let assertion_to_sexp = function
 let assertion_of_sexp = function
   | Sexp.List [ Sexp.Atom "expr"; e ] ->
     Result.map (fun e -> Template.Expr_true e) (expr_of_sexp e)
+  | Sexp.List [ Sexp.Atom "common"; Sexp.Atom a; Sexp.Atom attr ] ->
+    Ok (Template.Common (a, attr))
+  (* the earlier save format named the rule, not the attribute; these
+     are the attributes it printed for them *)
   | Sexp.List [ Sexp.Atom "common-space"; Sexp.Atom a ] ->
-    Ok (Template.Common_space a)
+    Ok (Template.Common (a, "spatialextent"))
   | Sexp.List [ Sexp.Atom "common-time"; Sexp.Atom a ] ->
-    Ok (Template.Common_time a)
+    Ok (Template.Common (a, "timestamp"))
   | Sexp.List [ Sexp.Atom "card-eq"; Sexp.Atom a; n ] ->
     Result.map (fun n -> Template.Card_eq (a, n)) (parse_int n)
   | Sexp.List [ Sexp.Atom "card-ge"; Sexp.Atom a; n ] ->

@@ -9,8 +9,7 @@ type expr =
 
 type assertion =
   | Expr_true of expr
-  | Common_space of string
-  | Common_time of string
+  | Common of string * string
   | Card_eq of string * int
   | Card_ge of string * int
 
@@ -137,32 +136,29 @@ let check_assertion env a =
        let c = List.length objs in
        if c >= n then Ok ()
        else Gaea_error.err (Printf.sprintf "card(%s) = %d, requires at least %d" arg c n))
-  | Common_space arg ->
-    (match env.spatial_attr arg with
+  | Common (arg, attr) ->
+    let rule =
+      if env.spatial_attr arg = Some attr then
+        Some ("common_boxes", "extents do not overlap")
+      else if env.temporal_attr arg = Some attr then
+        Some ("common_times", "timestamps disagree")
+      else None
+    in
+    (match rule with
      | None ->
-       Gaea_error.err (Printf.sprintf "argument %s has no spatial extent" arg)
-     | Some attr ->
+       Gaea_error.err
+         (Printf.sprintf
+            "common(%s.%s): %s is neither the spatial nor the temporal \
+             extent of %s"
+            arg attr attr arg)
+     | Some (op, why) ->
        let* values = attr_values env arg attr in
-       let* result = env.apply "common_boxes" [ Value.set values ] in
+       let* result = env.apply op [ Value.set values ] in
        (match result with
         | Value.VBool true -> Ok ()
         | _ ->
           Gaea_error.err
-            (Printf.sprintf "common(%s.%s) violated: extents do not overlap"
-               arg attr)))
-  | Common_time arg ->
-    (match env.temporal_attr arg with
-     | None ->
-       Gaea_error.err (Printf.sprintf "argument %s has no temporal extent" arg)
-     | Some attr ->
-       let* values = attr_values env arg attr in
-       let* result = env.apply "common_times" [ Value.set values ] in
-       (match result with
-        | Value.VBool true -> Ok ()
-        | _ ->
-          Gaea_error.err
-            (Printf.sprintf "common(%s.%s) violated: timestamps disagree" arg
-               attr)))
+            (Printf.sprintf "common(%s.%s) violated: %s" arg attr why)))
 
 let check_assertions env t =
   List.fold_left
@@ -196,8 +192,7 @@ let rec expr_to_string = function
 
 let assertion_to_string = function
   | Expr_true e -> expr_to_string e
-  | Common_space arg -> Printf.sprintf "common(%s.spatialextent)" arg
-  | Common_time arg -> Printf.sprintf "common(%s.timestamp)" arg
+  | Common (arg, attr) -> Printf.sprintf "common(%s.%s)" arg attr
   | Card_eq (arg, n) -> Printf.sprintf "card(%s) = %d" arg n
   | Card_ge (arg, n) -> Printf.sprintf "card(%s) >= %d" arg n
 
@@ -227,7 +222,7 @@ let free_params t =
     List.fold_left
       (fun acc -> function
         | Expr_true e -> expr_params acc e
-        | Common_space _ | Common_time _ | Card_eq _ | Card_ge _ -> acc)
+        | Common _ | Card_eq _ | Card_ge _ -> acc)
       [] t.assertions
   in
   let all =
@@ -248,7 +243,7 @@ let referenced_args t =
     List.fold_left
       (fun acc -> function
         | Expr_true e -> expr_args acc e
-        | Common_space a | Common_time a | Card_eq (a, _) | Card_ge (a, _) ->
+        | Common (a, _) | Card_eq (a, _) | Card_ge (a, _) ->
           a :: acc)
       [] t.assertions
   in

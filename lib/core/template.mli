@@ -30,8 +30,9 @@ type expr =
 
 type assertion =
   | Expr_true of expr            (** must evaluate to [VBool true] *)
-  | Common_space of string       (** common(arg.<spatial-extent>) *)
-  | Common_time of string        (** common(arg.<temporal-extent>) *)
+  | Common of string * string    (** common(arg.attr): [attr] must be
+                                     the spatial or the temporal extent
+                                     of the argument's class *)
   | Card_eq of string * int      (** card(arg) = n *)
   | Card_ge of string * int      (** card(arg) >= n *)
 

@@ -1,24 +1,9 @@
-type literal =
-  | L_int of int
-  | L_float of float
-  | L_string of string
-  | L_bool of bool
-  | L_date of int * int * int
-  | L_box of float * float * float * float
-
-type expr =
-  | E_lit of literal
-  | E_attr of string * string
-  | E_param of string
-  | E_anyof of expr
-  | E_apply of string * expr list
-
 type comparison = C_eq | C_neq | C_lt | C_le | C_gt | C_ge
 
 type predicate =
-  | P_compare of string * comparison * literal
-  | P_overlaps of string * literal
-  | P_at of string * literal
+  | P_compare of string * comparison * Gaea_adt.Value.t
+  | P_overlaps of string * Gaea_geo.Box.t
+  | P_at of string * Gaea_geo.Abstime.t
 
 type order = Asc | Desc
 
@@ -28,30 +13,6 @@ type select = {
   where_ : predicate list;
   order_by : (string * order) option;
   limit : int option;
-}
-
-type assertion_syntax =
-  | A_expr of expr
-  | A_card_eq of string * int
-  | A_card_ge of string * int
-  | A_common_space of string
-  | A_common_time of string
-
-type arg_syntax = {
-  sa_name : string;
-  sa_setof : bool;
-  sa_class : string;
-  sa_card : (int * int option) option;
-}
-
-type step_input_syntax =
-  | SI_arg of string           (* a compound argument, passed through *)
-  | SI_step of int             (* STEP n (1-based): outputs of an
-                                  earlier step *)
-
-type step_syntax = {
-  ss_process : string;
-  ss_inputs : (string * step_input_syntax) list;
 }
 
 type statement =
@@ -70,18 +31,18 @@ type statement =
   | Define_process of {
       name : string;
       output : string;
-      args : arg_syntax list;
-      params : (string * literal) list;
-      assertions : assertion_syntax list;
-      mappings : (string * expr) list;
-      steps : step_syntax list;
+      args : Gaea_core.Process.arg_spec list;
+      params : (string * Gaea_adt.Value.t) list;
+      assertions : Gaea_core.Template.assertion list;
+      mappings : Gaea_core.Template.mapping list;
+      steps : Gaea_core.Process.step list;
           (* non-empty makes the process compound; mutually exclusive
              with params/assertions/mappings (enforced by the parser) *)
     }
-  | Insert of { cls : string; values : (string * expr) list }
+  | Insert of { cls : string; values : (string * Gaea_core.Template.expr) list }
   | Delete of { cls : string; oid : int }
   | Select of select
-  | Derive of { cls : string; at : literal option; need : int option }
+  | Derive of { cls : string; at : Gaea_geo.Abstime.t option; need : int option }
   | Show_lineage of int
   | Show_classes
   | Show_processes

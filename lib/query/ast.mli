@@ -1,26 +1,14 @@
 (** Abstract syntax of GaeaQL. *)
 
-type literal =
-  | L_int of int
-  | L_float of float
-  | L_string of string
-  | L_bool of bool
-  | L_date of int * int * int          (** DATE 'YYYY-MM-DD' or bare string *)
-  | L_box of float * float * float * float
-
-type expr =
-  | E_lit of literal
-  | E_attr of string * string          (** arg.attr *)
-  | E_param of string                  (** $p *)
-  | E_anyof of expr
-  | E_apply of string * expr list
-
 type comparison = C_eq | C_neq | C_lt | C_le | C_gt | C_ge
 
 type predicate =
-  | P_compare of string * comparison * literal   (** attr <op> literal *)
-  | P_overlaps of string * literal               (** attr OVERLAPS box *)
-  | P_at of string * literal                     (** attr AT date (same day) *)
+  | P_compare of string * comparison * Gaea_adt.Value.t
+      (** attr <op> literal *)
+  | P_overlaps of string * Gaea_geo.Box.t
+      (** attr OVERLAPS BOX (...) *)
+  | P_at of string * Gaea_geo.Abstime.t
+      (** attr AT DATE '...': within a day of that midnight *)
 
 type order = Asc | Desc
 
@@ -30,30 +18,6 @@ type select = {
   where_ : predicate list;             (** implicitly ANDed *)
   order_by : (string * order) option;
   limit : int option;
-}
-
-type assertion_syntax =
-  | A_expr of expr
-  | A_card_eq of string * int
-  | A_card_ge of string * int
-  | A_common_space of string           (** COMMON(arg.spatialextent) *)
-  | A_common_time of string
-
-type arg_syntax = {
-  sa_name : string;
-  sa_setof : bool;
-  sa_class : string;
-  sa_card : (int * int option) option; (** CARD n or CARD n..m *)
-}
-
-type step_input_syntax =
-  | SI_arg of string                   (** a compound argument name *)
-  | SI_step of int                     (** STEP n (1-based): an earlier
-                                           step's output *)
-
-type step_syntax = {
-  ss_process : string;
-  ss_inputs : (string * step_input_syntax) list;
 }
 
 type statement =
@@ -72,18 +36,18 @@ type statement =
   | Define_process of {
       name : string;
       output : string;
-      args : arg_syntax list;
-      params : (string * literal) list;
-      assertions : assertion_syntax list;
-      mappings : (string * expr) list;
-      steps : step_syntax list;
+      args : Gaea_core.Process.arg_spec list;
+      params : (string * Gaea_adt.Value.t) list;
+      assertions : Gaea_core.Template.assertion list;
+      mappings : Gaea_core.Template.mapping list;
+      steps : Gaea_core.Process.step list;
           (** non-empty makes the process compound; mutually exclusive
               with params/assertions/mappings (enforced by the parser) *)
     }
-  | Insert of { cls : string; values : (string * expr) list }
+  | Insert of { cls : string; values : (string * Gaea_core.Template.expr) list }
   | Delete of { cls : string; oid : int }
   | Select of select
-  | Derive of { cls : string; at : literal option; need : int option }
+  | Derive of { cls : string; at : Gaea_geo.Abstime.t option; need : int option }
   | Show_lineage of int
   | Show_classes
   | Show_processes

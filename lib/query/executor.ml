@@ -45,26 +45,6 @@ let experiments t = t.experiments
 
 let ( let* ) r f = Result.bind r f
 
-(* ------------------------------------------------------------------ *)
-(* AST -> core conversions                                             *)
-(* ------------------------------------------------------------------ *)
-
-let rec expr_to_template : Ast.expr -> Template.expr = function
-  | Ast.E_lit l -> Template.Const (Optimizer.literal_value l)
-  | Ast.E_attr (arg, attr) -> Template.Attr_of (arg, attr)
-  | Ast.E_param p -> Template.Param p
-  | Ast.E_anyof e -> Template.Anyof (expr_to_template e)
-  | Ast.E_apply (op, args) ->
-    Template.Apply (op, List.map expr_to_template args)
-
-let assertion_to_template : Ast.assertion_syntax -> Template.assertion =
-  function
-  | Ast.A_expr e -> Template.Expr_true (expr_to_template e)
-  | Ast.A_card_eq (arg, n) -> Template.Card_eq (arg, n)
-  | Ast.A_card_ge (arg, n) -> Template.Card_ge (arg, n)
-  | Ast.A_common_space arg -> Template.Common_space arg
-  | Ast.A_common_time arg -> Template.Common_time arg
-
 (* evaluate an expression with no argument bindings (INSERT values) *)
 let eval_standalone t expr =
   let reg = Kernel.registry t.kernel in
@@ -81,7 +61,7 @@ let eval_standalone t expr =
             (Registry.apply reg op args));
       arity = Registry.arity reg }
   in
-  Template.eval env (expr_to_template expr)
+  Template.eval env expr
 
 (* ------------------------------------------------------------------ *)
 (* Predicates                                                          *)
@@ -99,16 +79,14 @@ let compare_matches cmp c =
 let pred_attr = function
   | Ast.P_compare (a, _, _) | Ast.P_overlaps (a, _) | Ast.P_at (a, _) -> a
 
-(* A predicate compiled against one class's tuple layout: the literal
-   converted and the attribute resolved once per statement, the test
-   reading the stored tuple. *)
+(* A predicate compiled against one class's tuple layout: the attribute
+   resolved once per statement, the test reading the stored tuple. *)
 let compile_predicate desc pred =
   match Tuple.attr_index desc (pred_attr pred) with
   | None -> fun _ -> false
   | Some i ->
     (match pred with
-     | Ast.P_compare (_, cmp, lit) ->
-       let lv = Optimizer.literal_value lit in
+     | Ast.P_compare (_, cmp, lv) ->
        fun tuple ->
          let v = Tuple.get tuple i in
          (match cmp with
@@ -120,22 +98,16 @@ let compile_predicate desc pred =
             (match Vorder.compare v lv with
              | Ok c -> compare_matches cmp c
              | Error _ -> false))
-     | Ast.P_overlaps (_, lit) ->
-       (match Optimizer.literal_value lit with
-        | Value.VBox window ->
-          fun tuple ->
-            (match Tuple.get tuple i with
-             | Value.VBox b -> Box.overlaps b window
-             | _ -> false)
-        | _ -> fun _ -> false)
-     | Ast.P_at (_, lit) ->
-       (match Optimizer.literal_value lit with
-        | Value.VAbstime target ->
-          fun tuple ->
-            (match Tuple.get tuple i with
-             | Value.VAbstime tv -> Abstime.in_day_window ~at:target tv
-             | _ -> false)
-        | _ -> fun _ -> false))
+     | Ast.P_overlaps (_, window) ->
+       fun tuple ->
+         (match Tuple.get tuple i with
+          | Value.VBox b -> Box.overlaps b window
+          | _ -> false)
+     | Ast.P_at (_, target) ->
+       fun tuple ->
+         (match Tuple.get tuple i with
+          | Value.VAbstime tv -> Abstime.in_day_window ~at:target tv
+          | _ -> false))
 
 (* ------------------------------------------------------------------ *)
 (* SELECT                                                              *)
@@ -227,7 +199,7 @@ let execute_select t (s : Ast.select) =
       (Seq.concat_map (fun cls -> matching cls s.Ast.where_ Table.to_seq)
          (List.to_seq rest))
   in
-  let limit = max 0 (Option.value s.Ast.limit ~default:max_int) in
+  let limit = Option.value s.Ast.limit ~default:max_int in
   let rows =
     match s.Ast.order_by with
     | None -> List.of_seq (Seq.map snd (Seq.take limit matches))
@@ -350,51 +322,12 @@ let execute t stmt =
     Ok (Message (Printf.sprintf "concept %s defined" name))
   | Ast.Define_process { name; output; args; params; assertions; mappings; steps }
     ->
-    let spec_of (a : Ast.arg_syntax) =
-      if a.Ast.sa_setof then begin
-        let card_min, card_max =
-          match a.Ast.sa_card with
-          | Some (lo, hi) -> (lo, hi)
-          | None -> (1, None)
-        in
-        Process.setof_arg ~card_min ?card_max a.Ast.sa_name a.Ast.sa_class
-      end
-      else Process.scalar_arg a.Ast.sa_name a.Ast.sa_class
-    in
     let* proc =
-      if steps <> [] then begin
-        let step_of (s : Ast.step_syntax) =
-          { Process.step_process = s.Ast.ss_process;
-            step_inputs =
-              List.map
-                (fun (an, si) ->
-                  ( an,
-                    match si with
-                    | Ast.SI_arg a -> Process.From_arg a
-                    (* surface STEP n is 1-based; the core is 0-based *)
-                    | Ast.SI_step i -> Process.From_step (i - 1) ))
-                s.Ast.ss_inputs }
-        in
-        Process.define_compound ~name ~output_class:output
-          ~args:(List.map spec_of args)
-          ~steps:(List.map step_of steps) ()
-      end
-      else begin
-        let template =
-          Template.make
-            ~assertions:(List.map assertion_to_template assertions)
-            ~mappings:
-              (List.map
-                 (fun (target, e) ->
-                   { Template.target; rhs = expr_to_template e })
-                 mappings)
-        in
-        Process.define_primitive ~name ~output_class:output
-          ~args:(List.map spec_of args)
-          ~params:
-            (List.map (fun (p, l) -> (p, Optimizer.literal_value l)) params)
-          ~template ()
-      end
+      if steps <> [] then
+        Process.define_compound ~name ~output_class:output ~args ~steps ()
+      else
+        Process.define_primitive ~name ~output_class:output ~args ~params
+          ~template:(Template.make ~assertions ~mappings) ()
     in
     (* re-defining an existing name never overwrites (paper Section 3):
        the new definition is installed as the next version *)
@@ -423,14 +356,6 @@ let execute t stmt =
     Ok (Message (Printf.sprintf "object %d deleted from %s" oid cls))
   | Ast.Select s -> execute_select t s
   | Ast.Derive { cls; at; need } ->
-    let* at =
-      match at with
-      | None -> Ok None
-      | Some lit ->
-        (match Optimizer.literal_value lit with
-         | Value.VAbstime target -> Ok (Some target)
-         | _ -> Gaea_error.err "DERIVE ... AT expects a date")
-    in
     (* DERIVE on a concept resolves through the high-level layer: pick
        the member class with the cheapest materialization of this
        request (Section 2.1.5: "the user will select and query

@@ -7,16 +7,6 @@ module Schema = Gaea_core.Schema
 module Table = Gaea_storage.Table
 module Backchain = Gaea_petri.Backchain
 module Abstime = Gaea_geo.Abstime
-module Box = Gaea_geo.Box
-
-let literal_value = function
-  | Ast.L_int i -> Value.int i
-  | Ast.L_float f -> Value.float f
-  | Ast.L_string s -> Value.string s
-  | Ast.L_bool b -> Value.bool b
-  | Ast.L_date (y, m, d) -> Value.abstime (Abstime.of_ymd y m d)
-  | Ast.L_box (xmin, ymin, xmax, ymax) ->
-    Value.box (Box.make ~xmin ~ymin ~xmax ~ymax)
 
 let resolve_source k source =
   match Kernel.find_class k source with
@@ -52,30 +42,27 @@ let choose_path k cls preds =
       List.filter_map
         (fun pred ->
           match pred with
-          | Ast.P_compare (attr, Ast.C_eq, lit) ->
+          | Ast.P_compare (attr, Ast.C_eq, v) ->
             Option.map
-              (fun sel -> (pred, Plan.Index_eq (attr, literal_value lit), sel))
+              (fun sel -> (pred, Plan.Index_eq (attr, v), sel))
               (eq_selectivity tab attr)
-          | Ast.P_compare (attr, (Ast.C_lt | Ast.C_le), lit)
+          | Ast.P_compare (attr, (Ast.C_lt | Ast.C_le), v)
             when Table.has_btree_index tab attr ->
-            Some (pred, Plan.Index_range (attr, None, Some (literal_value lit)), 0.3)
-          | Ast.P_compare (attr, (Ast.C_gt | Ast.C_ge), lit)
+            Some (pred, Plan.Index_range (attr, None, Some v), 0.3)
+          | Ast.P_compare (attr, (Ast.C_gt | Ast.C_ge), v)
             when Table.has_btree_index tab attr ->
-            Some (pred, Plan.Index_range (attr, Some (literal_value lit), None), 0.3)
-          | Ast.P_at (attr, lit) when Table.has_btree_index tab attr ->
-            (match literal_value lit with
-             | Value.VAbstime t ->
-               let lo, hi = Abstime.day_window t in
-               Some
-                 ( pred,
-                   Plan.Index_range
-                     (attr, Some (Value.abstime lo), Some (Value.abstime hi)),
-                   0.1 )
-             | _ -> None)
-          | Ast.P_overlaps (attr, lit) when Table.has_box_index tab attr ->
+            Some (pred, Plan.Index_range (attr, Some v, None), 0.3)
+          | Ast.P_at (attr, t) when Table.has_btree_index tab attr ->
+            let lo, hi = Abstime.day_window t in
+            Some
+              ( pred,
+                Plan.Index_range
+                  (attr, Some (Value.abstime lo), Some (Value.abstime hi)),
+                0.1 )
+          | Ast.P_overlaps (attr, b) when Table.has_box_index tab attr ->
             (* the window probe; a lower and upper bound that are the
                same box *)
-            let w = Some (literal_value lit) in
+            let w = Some (Value.box b) in
             Some (pred, Plan.Index_range (attr, w, w), 0.1)
           | _ -> None)
         preds

@@ -1,8 +1,5 @@
 (** Access-path and materialization planning. *)
 
-val literal_value : Ast.literal -> Gaea_adt.Value.t
-(** Dates become [VAbstime] (midnight), boxes [VBox]. *)
-
 val plan_select :
   Gaea_core.Kernel.t -> Ast.select -> (Plan.select_plan, Gaea_core.Gaea_error.t) result
 (** Resolves the source (class name, or concept name expanding to its

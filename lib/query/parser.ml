@@ -1,4 +1,9 @@
 module Gaea_error = Gaea_core.Gaea_error
+module Template = Gaea_core.Template
+module Process = Gaea_core.Process
+module Value = Gaea_adt.Value
+module Abstime = Gaea_geo.Abstime
+module Box = Gaea_geo.Box
 open Ast
 
 type state = {
@@ -62,57 +67,65 @@ let float_like st =
   | Lexer.Int_lit i -> float_of_int i
   | t -> fail "expected number, found %s" (Lexer.token_to_string t)
 
-let parse_date_string s =
-  match Gaea_geo.Abstime.of_string s with
+(* DATE 'YYYY-MM-DD': midnight of that day *)
+let date st =
+  expect_kw st "DATE";
+  let s = string_lit st in
+  match Abstime.of_string s with
   | Some t ->
-    let y, m, d = Gaea_geo.Abstime.to_ymd t in
-    L_date (y, m, d)
+    let y, m, d = Abstime.to_ymd t in
+    Abstime.of_ymd y m d
   | None -> fail "bad date literal '%s' (expected YYYY-MM-DD)" s
 
-let rec literal st =
-  match next st with
-  | Lexer.Int_lit i -> L_int i
-  | Lexer.Float_lit f -> L_float f
-  | Lexer.String_lit s -> L_string s
-  | Lexer.Keyword "TRUE" -> L_bool true
-  | Lexer.Keyword "FALSE" -> L_bool false
-  | Lexer.Keyword "DATE" -> parse_date_string (string_lit st)
-  | Lexer.Keyword "BOX" ->
-    expect st Lexer.Lparen "(";
-    let a = float_like st in
-    expect st Lexer.Comma ",";
-    let b = float_like st in
-    expect st Lexer.Comma ",";
-    let c = float_like st in
-    expect st Lexer.Comma ",";
-    let d = float_like st in
-    expect st Lexer.Rparen ")";
-    (* an inverted or non-finite box is a syntax error here, not an
-       exception when the literal is evaluated *)
-    (match Gaea_geo.Box.make_checked ~xmin:a ~ymin:b ~xmax:c ~ymax:d with
-     | Ok _ -> L_box (a, b, c, d)
-     | Error e -> fail "%s" e)
-  | t -> fail "expected literal, found %s" (Lexer.token_to_string t)
+let box st =
+  expect_kw st "BOX";
+  expect st Lexer.Lparen "(";
+  let xmin = float_like st in
+  expect st Lexer.Comma ",";
+  let ymin = float_like st in
+  expect st Lexer.Comma ",";
+  let xmax = float_like st in
+  expect st Lexer.Comma ",";
+  let ymax = float_like st in
+  expect st Lexer.Rparen ")";
+  (* an inverted or non-finite box is a syntax error here, not an
+     exception when the literal is evaluated *)
+  match Box.make_checked ~xmin ~ymin ~xmax ~ymax with
+  | Ok b -> b
+  | Error e -> fail "%s" e
 
-and expr st =
+let literal st =
+  match peek st with
+  | Lexer.Keyword "DATE" -> Value.abstime (date st)
+  | Lexer.Keyword "BOX" -> Value.box (box st)
+  | _ ->
+    (match next st with
+     | Lexer.Int_lit i -> Value.int i
+     | Lexer.Float_lit f -> Value.float f
+     | Lexer.String_lit s -> Value.string s
+     | Lexer.Keyword "TRUE" -> Value.bool true
+     | Lexer.Keyword "FALSE" -> Value.bool false
+     | t -> fail "expected literal, found %s" (Lexer.token_to_string t))
+
+let rec expr st =
   match peek st with
   | Lexer.Param p ->
     advance st;
-    E_param p
+    Template.Param p
   | Lexer.Keyword "ANYOF" ->
     advance st;
-    E_anyof (expr st)
+    Template.Anyof (expr st)
   | Lexer.Keyword "BOX" | Lexer.Keyword "DATE" | Lexer.Keyword "TRUE"
   | Lexer.Keyword "FALSE" | Lexer.Int_lit _ | Lexer.Float_lit _
   | Lexer.String_lit _ ->
-    E_lit (literal st)
+    Template.Const (literal st)
   | Lexer.Ident name ->
     advance st;
     (match peek st with
      | Lexer.Dot ->
        advance st;
        let attr = ident st in
-       E_attr (name, attr)
+       Template.Attr_of (name, attr)
      | Lexer.Lparen ->
        advance st;
        let args = ref [] in
@@ -123,7 +136,7 @@ and expr st =
          done
        end;
        expect st Lexer.Rparen ")";
-       E_apply (name, List.rev !args)
+       Template.Apply (name, List.rev !args)
      | _ -> fail "expected '.' or '(' after %s in expression" name)
   | t -> fail "unexpected %s in expression" (Lexer.token_to_string t)
 
@@ -136,50 +149,35 @@ let assertion st =
     expect st Lexer.Dot ".";
     let attr = ident st in
     expect st Lexer.Rparen ")";
-    let lower = String.lowercase_ascii attr in
-    if
-      lower = "timestamp"
-      ||
-      (* substring search for "time" *)
-      (let found = ref false in
-       String.iteri
-         (fun i _ ->
-           if
-             i + 4 <= String.length lower
-             && String.sub lower i 4 = "time"
-           then found := true)
-         lower;
-       !found)
-    then A_common_time arg
-    else A_common_space arg
+    Template.Common (arg, attr)
   | Lexer.Keyword "CARD" ->
     advance st;
     expect st Lexer.Lparen "(";
     let arg = ident st in
     expect st Lexer.Rparen ")";
     (match next st with
-     | Lexer.Eq -> A_card_eq (arg, int_lit st)
-     | Lexer.Ge -> A_card_ge (arg, int_lit st)
+     | Lexer.Eq -> Template.Card_eq (arg, int_lit st)
+     | Lexer.Ge -> Template.Card_ge (arg, int_lit st)
      | t -> fail "expected = or >= after card(), found %s" (Lexer.token_to_string t))
-  | _ -> A_expr (expr st)
+  | _ -> Template.Expr_true (expr st)
 
 let arg_spec st =
   let name = ident st in
   let setof = accept_kw st "SETOF" in
   let cls = ident st in
-  let card =
+  let card_min, card_max =
     if accept_kw st "CARD" then begin
       let lo = int_lit st in
       if accept st Lexer.Dot then begin
         expect st Lexer.Dot ".";
-        let hi = int_lit st in
-        Some (lo, Some hi)
+        (lo, Some (int_lit st))
       end
-      else Some (lo, None)
+      else (lo, None)
     end
-    else None
+    else (1, None)
   in
-  { sa_name = name; sa_setof = setof; sa_class = cls; sa_card = card }
+  if setof then Process.setof_arg ~card_min ?card_max name cls
+  else Process.scalar_arg name cls
 
 let define_class st =
   let name = ident st in
@@ -250,16 +248,19 @@ let define_process st =
       if accept_kw st "STEP" then begin
         let n = int_lit st in
         if n < 1 then fail "STEP references are numbered from 1";
-        inputs := (an, SI_step n) :: !inputs
+        (* surface STEP n is 1-based; the core is 0-based *)
+        inputs := (an, Process.From_step (n - 1)) :: !inputs
       end
-      else inputs := (an, SI_arg (ident st)) :: !inputs
+      else inputs := (an, Process.From_arg (ident st)) :: !inputs
     in
     binding ();
     while accept st Lexer.Comma do
       binding ()
     done;
     expect st Lexer.Rparen ")";
-    steps := { ss_process = pname; ss_inputs = List.rev !inputs } :: !steps
+    steps :=
+      { Process.step_process = pname; step_inputs = List.rev !inputs }
+      :: !steps
   done;
   let assertions = ref [] in
   while accept_kw st "ASSERT" do
@@ -269,7 +270,7 @@ let define_process st =
   while accept_kw st "MAP" do
     let attr = ident st in
     expect st Lexer.Eq "=";
-    mappings := (attr, expr st) :: !mappings
+    mappings := { Template.target = attr; rhs = expr st } :: !mappings
   done;
   expect_kw st "END";
   if !steps <> [] && (!assertions <> [] || !mappings <> []) then
@@ -294,8 +295,8 @@ let predicate st =
   | Lexer.Le -> P_compare (attr, C_le, literal st)
   | Lexer.Gt -> P_compare (attr, C_gt, literal st)
   | Lexer.Ge -> P_compare (attr, C_ge, literal st)
-  | Lexer.Keyword "OVERLAPS" -> P_overlaps (attr, literal st)
-  | Lexer.Keyword "AT" -> P_at (attr, literal st)
+  | Lexer.Keyword "OVERLAPS" -> P_overlaps (attr, box st)
+  | Lexer.Keyword "AT" -> P_at (attr, date st)
   | t -> fail "expected comparison after %s, found %s" attr (Lexer.token_to_string t)
 
 let select st =
@@ -333,7 +334,14 @@ let select st =
     end
     else None
   in
-  let limit = if accept_kw st "LIMIT" then Some (int_lit st) else None in
+  let limit =
+    if accept_kw st "LIMIT" then begin
+      let n = int_lit st in
+      if n < 0 then fail "LIMIT needs a count of at least 0, found %d" n;
+      Some n
+    end
+    else None
+  in
   Select { projection; source; where_ = List.rev !where_; order_by; limit }
 
 let statement st =
@@ -368,7 +376,7 @@ let statement st =
     Delete { cls; oid }
   | Lexer.Keyword "DERIVE" ->
     let cls = ident st in
-    let at = if accept_kw st "AT" then Some (literal st) else None in
+    let at = if accept_kw st "AT" then Some (date st) else None in
     let need =
       if accept_kw st "NEED" then begin
         let n = int_lit st in

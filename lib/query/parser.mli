@@ -16,9 +16,14 @@
     BEGIN EXPERIMENT name;  NOTE name 'text';  REPRODUCE name;
     v}
 
-    In [COMMON(arg.attr)] assertions the attribute decides the rule:
-    ["timestamp"] (or any name containing "time") gives the temporal
-    rule, anything else the spatial one. *)
+    The parser builds the kernel's own values: literals are
+    {!Gaea_adt.Value.t}, expressions, assertions and mappings
+    {!Gaea_core.Template} terms, arguments and steps
+    {!Gaea_core.Process} specs.  [AT] takes a [DATE] literal and
+    [OVERLAPS] a [BOX]; [LIMIT] takes a count of at least 0 and [NEED] one
+    of at least 1.  [COMMON(arg.attr)] keeps the attribute as written;
+    whether it is the spatial or the temporal extent is decided against
+    the argument's class when the guard is checked. *)
 
 val parse : string -> (Ast.statement list, Gaea_core.Gaea_error.t) result
 (** Parse a whole script (statements separated by [;]). *)

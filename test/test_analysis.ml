@@ -185,7 +185,7 @@ let test_ga009_common_without_extent () =
   assert_code "GA009"
     (primitive
        ~args:[ Process.scalar_arg "a" "noext" ]
-       ~assertions:[ Template.Common_space "a" ]
+       ~assertions:[ Template.Common ("a", "spatialextent") ]
        ~mappings:[ m "data" (attr "a" "data") ]
        ~output:"noext" ())
 
@@ -482,7 +482,7 @@ let prop_no_false_positives
     match scale with None -> [] | Some f -> [ ("f", Value.float f) ]
   in
   let assertions =
-    (if common then [ Template.Common_space arg_name ] else [])
+    (if common then [ Template.Common (arg_name, "spatialextent") ] else [])
     @
     match card_assert with
     | Some n when setof -> [ Template.Card_eq (arg_name, n) ]

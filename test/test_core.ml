@@ -995,6 +995,34 @@ let test_persist_process_lineage () =
     Alcotest.(check (list string)) "every version prints the same"
       (printed k) (printed k2)
 
+(* A save written before common() named its attribute held
+   (common-space a) and (common-time a); it loads as the assertions
+   that save printed, common(a.spatialextent) and common(a.timestamp). *)
+let test_persist_reads_older_common () =
+  let k = Kernel.create () in
+  ok (Figures.install_fig3 k);
+  let text = Persist.save k in
+  let replace ~sub ~by s =
+    let n = String.length sub and b = Buffer.create (String.length s) in
+    let rec go i =
+      if i > String.length s - n then
+        Buffer.add_substring b s i (String.length s - i)
+      else if String.sub s i n = sub then (Buffer.add_string b by; go (i + n))
+      else (Buffer.add_char b s.[i]; go (i + 1))
+    in
+    go 0;
+    Buffer.contents b
+  in
+  let older =
+    text
+    |> replace ~sub:"(common bands spatialextent)" ~by:"(common-space bands)"
+    |> replace ~sub:"(common bands timestamp)" ~by:"(common-time bands)"
+  in
+  check_bool "the older forms are in the text" true (older <> text);
+  match Persist.load older with
+  | Error e -> Alcotest.failf "load: %s" (Gaea_error.to_string e)
+  | Ok k2 -> check_str "saves as the current form" text (Persist.save k2)
+
 let test_persist_garbage () =
   check_bool "garbage rejected" true (Result.is_error (Persist.load "(what)"));
   check_bool "empty ok" true (Result.is_ok (Persist.load ""))
@@ -1068,7 +1096,7 @@ let test_template_introspection () =
   let open Template in
   let t =
     make
-      ~assertions:[ Card_eq ("bands", 3); Common_space "bands" ]
+      ~assertions:[ Card_eq ("bands", 3); Common ("bands", "spatialextent") ]
       ~mappings:
         [ { target = "data";
             rhs = Apply ("f", [ Attr_of ("bands", "data"); Param "k" ]) };
@@ -1137,6 +1165,8 @@ let () =
           tc "versions roundtrip" test_persist_versions_roundtrip;
           tc "process lineage roundtrip" test_persist_process_lineage;
           tc "garbage" test_persist_garbage;
+          tc "older common-space/common-time assertions load"
+            test_persist_reads_older_common;
           tc "save replaces the file atomically" test_persist_save_replaces_file;
           tc "failed save keeps the target" test_persist_failed_save_keeps_target ] );
       ("template", [ tc "introspection" test_template_introspection ]) ]

@@ -4,6 +4,7 @@
 open Gaea_query
 module Kernel = Gaea_core.Kernel
 module Process = Gaea_core.Process
+module Template = Gaea_core.Template
 module Value = Gaea_adt.Value
 module Table = Gaea_storage.Table
 module Box = Gaea_geo.Box
@@ -91,15 +92,16 @@ let test_parse_define_process () =
     check_str "output" "land_cover" output;
     (match args with
      | [ a ] ->
-       check_bool "setof" true a.Ast.sa_setof;
-       check_bool "card" true (a.Ast.sa_card = Some (3, None))
+       check_bool "setof" true a.Process.setof;
+       check_bool "card" true
+         (a.Process.card_min = 3 && a.Process.card_max = None)
      | _ -> Alcotest.fail "args");
     check_int "params" 1 (List.length params);
     check_int "assertions" 3 (List.length assertions);
     check_bool "temporal common" true
-      (List.exists (function Ast.A_common_time "bands" -> true | _ -> false) assertions);
+      (List.mem (Template.Common ("bands", "timestamp")) assertions);
     check_bool "spatial common" true
-      (List.exists (function Ast.A_common_space "bands" -> true | _ -> false) assertions);
+      (List.mem (Template.Common ("bands", "spatialextent")) assertions);
     check_int "mappings" 3 (List.length mappings)
   | Ok _ -> Alcotest.fail "wrong statement"
   | Error e -> Alcotest.failf "parse: %s" (Gaea_core.Gaea_error.to_string e)
@@ -710,17 +712,87 @@ let rejects_image ~dims ~says () =
 
 (* NEED counts objects: zero or fewer is a parse error, not an empty
    retrieval *)
-let test_need_below_one () =
+(* Each source fails to parse, with a message containing [says]. *)
+let rejects_parse ~says srcs () =
   let module E = Gaea_core.Gaea_error in
   List.iter
     (fun src ->
       match Parser.parse_one src with
-      | Error (E.Parse_error m) ->
-        check_bool (src ^ ": says why") true
-          (contains m "NEED needs a positive count")
+      | Error (E.Parse_error m) -> check_bool (src ^ ": says why") true (contains m says)
       | Error e -> Alcotest.failf "%s: wrong error %s" src (E.to_string e)
       | Ok _ -> Alcotest.failf "%s: accepted" src)
+    srcs
+
+let test_need_below_one =
+  rejects_parse ~says:"NEED needs a positive count"
     [ "DERIVE scene NEED -3"; "DERIVE scene NEED 0" ]
+
+(* LIMIT 0 stays valid (see [limit 0]); a negative count used to read
+   as LIMIT 0 *)
+let test_limit_below_zero =
+  rejects_parse ~says:"LIMIT needs a count of at least 0"
+    [ "SELECT * FROM scene LIMIT -1"; "SELECT * FROM scene ORDER BY n LIMIT -7" ]
+
+(* AT takes a DATE literal and OVERLAPS a BOX; any other literal used to
+   parse and then match no row *)
+let test_at_overlaps_literal_kind () =
+  rejects_parse ~says:"expected DATE"
+    [ "SELECT * FROM scene WHERE timestamp AT '1990-01-01'";
+      "SELECT * FROM scene WHERE timestamp AT 19900101";
+      "DERIVE scene AT '1990-01-01'" ]
+    ();
+  rejects_parse ~says:"expected BOX"
+    [ "SELECT * FROM scene WHERE spatialextent OVERLAPS 3";
+      "SELECT * FROM scene WHERE spatialextent OVERLAPS DATE '1990-01-01'" ]
+    ()
+
+(* common(arg.attr) acts on the extent it names: [acquired] is the
+   temporal extent, so scenes from different days fail the guard even
+   though their boxes agree; an attribute that is no extent is a lint
+   error and fails every binding. *)
+let test_common_checks_named_extent () =
+  let session = Session.create () in
+  let run src = Session.run_string_collect session src in
+  ignore
+    (ok
+       (Session.run_string session
+          "DEFINE CLASS scene ( data image, region box, acquired abstime ) \
+           SPATIAL region TEMPORAL acquired; \
+           DEFINE CLASS pair ( data image, region box, acquired abstime ) \
+           SPATIAL region TEMPORAL acquired; \
+           DEFINE PROCESS mk OUTPUT pair ARGS ( s SETOF scene CARD 2 ) \
+           ASSERT common(s.acquired) \
+           MAP data = ANYOF s.data MAP region = ANYOF s.region \
+           MAP acquired = ANYOF s.acquired END; \
+           INSERT INTO scene (data = synth_band(1, 4, 4), \
+           region = BOX(0, 0, 1, 1), acquired = DATE '1990-01-01'); \
+           INSERT INTO scene (data = synth_band(2, 4, 4), \
+           region = BOX(0, 0, 1, 1), acquired = DATE '1995-06-01')"));
+  check_bool "printed as written" true
+    (contains (run "SHOW VERSIONS OF mk") "common(s.acquired)");
+  check_bool "lints clean" true
+    (contains (run "CHECK PROCESS mk") "0 error(s)");
+  check_bool "different days do not derive" true
+    (Result.is_error (Session.run_string session "DERIVE pair"));
+  ignore
+    (ok
+       (Session.run_string session
+          "DELETE FROM scene 2; \
+           INSERT INTO scene (data = synth_band(3, 4, 4), \
+           region = BOX(0, 0, 1, 1), acquired = DATE '1990-01-01')"));
+  check_bool "same day derives" true
+    (contains (run "DERIVE pair") "fired mk v1");
+  ignore
+    (ok
+       (Session.run_string session
+          "DEFINE PROCESS mk OUTPUT pair ARGS ( s SETOF scene CARD 2 ) \
+           ASSERT common(s.data) \
+           MAP data = ANYOF s.data MAP region = ANYOF s.region \
+           MAP acquired = ANYOF s.acquired END"));
+  check_bool "no extent: GA009" true
+    (contains (run "CHECK PROCESS mk") "GA009");
+  check_bool "no extent: the guard fails" true
+    (Result.is_error (Session.run_string session "DERIVE pair NEED 2"))
 
 let never_raises session src =
   match Session.run_string session src with
@@ -920,17 +992,16 @@ let window_case_gen =
     let select =
       let* w = window_box_gen in
       let window =
-        Ast.P_overlaps
-          ("spatialextent", Ast.L_box (w.Box.xmin, w.Box.ymin, w.Box.xmax, w.Box.ymax))
+        Ast.P_overlaps ("spatialextent", w)
       in
       let* extra =
         oneof
           [ return [];
             map
-              (fun n -> [ Ast.P_compare ("n", Ast.C_ge, Ast.L_int n) ])
+              (fun n -> [ Ast.P_compare ("n", Ast.C_ge, Value.int n) ])
               (int_range 0 20);
             map
-              (fun d -> [ Ast.P_at ("timestamp", Ast.L_date (1990, 1, d)) ])
+              (fun d -> [ Ast.P_at ("timestamp", Abstime.of_ymd 1990 1 d) ])
               (int_range 1 6) ]
       in
       let* extra_first =
@@ -1082,6 +1153,10 @@ let () =
           tc "image too large to allocate"
             (rejects_image ~dims:"134217728, 134217727" ~says:"out of memory");
           tc "NEED below one" test_need_below_one;
+          tc "LIMIT below zero" test_limit_below_zero;
+          tc "AT takes a DATE, OVERLAPS a BOX" test_at_overlaps_literal_kind;
+          tc "common() checks the extent it names"
+            test_common_checks_named_extent;
           QCheck_alcotest.to_alcotest prop_derive_reply_text ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
