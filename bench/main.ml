@@ -1169,11 +1169,6 @@ let parity_gate () =
          R.Composite.equal
            (R.Kernelized.of_matrix ~nrow ~ncol R.Pixel.Float8 m)
            (R.Composite.of_matrix ~nrow ~ncol R.Pixel.Float8 m));
-      ("band-covariance",
-       fun () ->
-         R.Matrix.equal
-           (R.Imgstats.band_covariance comp)
-           (R.Matrix.covariance (R.Composite.to_matrix comp)));
       ("imgstats-sum",
        fun () ->
          let band = List.hd (R.Composite.bands comp) in

@@ -141,9 +141,8 @@ let demo_cmd () =
           let oid2 = List.hd o2.Derivation.objects in
           show "derived land-cover changes (Fig 5 compound)"
             (Lineage.explain k oid2);
-          let view = Kernel.derivation_net k in
           show "derivation net (Graphviz)"
-            (Dot.to_dot ~tokens:(Kernel.tokens k) view.Kernel.net);
+            (Dot.to_dot ~tokens:(Kernel.tokens k) (Kernel.derivation_net k));
           (* incremental recomputation: touch a base band the land
              cover was derived from, watch staleness propagate, then
              refresh only the dirty subgraph *)
@@ -230,8 +229,7 @@ let net_cmd () =
     Printf.eprintf "error: %s\n" (Gaea_core.Gaea_error.to_string e);
     1
   | Ok () ->
-    let view = Kernel.derivation_net k in
-    print_string (Dot.to_dot view.Kernel.net);
+    print_string (Dot.to_dot (Kernel.derivation_net k));
     0
 
 open Cmdliner

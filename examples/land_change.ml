@@ -10,6 +10,7 @@ module Figures = Gaea_core.Figures
 module Derivation = Gaea_core.Derivation
 module Lineage = Gaea_core.Lineage
 module Process = Gaea_core.Process
+module Net = Gaea_petri.Net
 module Backchain = Gaea_petri.Backchain
 module Reachability = Gaea_petri.Reachability
 module Analysis = Gaea_petri.Analysis
@@ -30,14 +31,12 @@ let () =
   Format.printf "%a@.@." Process.pp compound;
 
   (* before any data: nothing is derivable *)
-  let view = Kernel.derivation_net k in
+  let net = Kernel.derivation_net k in
   let place =
-    Option.get (view.Kernel.place_of_class Figures.land_cover_changes_class)
+    Option.get (Net.find_place net Figures.land_cover_changes_class)
   in
   let derivable () =
-    let info =
-      Reachability.analyze view.Kernel.net (Kernel.tokens k)
-    in
+    let info = Reachability.analyze net (Kernel.tokens k) in
     info.Reachability.derivable place
   in
   Printf.printf "land_cover_changes derivable with empty store: %b\n"
@@ -53,12 +52,10 @@ let () =
    | None -> print_endline "no plan (unexpected)"
    | Some plan ->
      Format.printf "@.%a@.@."
-       (Backchain.pp
-          ~place_name:(fun p ->
-            Option.value ~default:"?" (view.Kernel.class_of_place p))
+       (Backchain.pp ~place_name:(Net.place_name net)
           ~transition_name:(fun t ->
-            match view.Kernel.process_of_transition t with
-            | Some (n, v) -> Printf.sprintf "%s v%d" n v
+            match Kernel.find_process k (Net.transition_name net t) with
+            | Some p -> Printf.sprintf "%s v%d" p.Process.proc_name p.Process.version
             | None -> "?"))
        plan;
      Printf.printf "plan cost (firings): %d, chain depth: %d\n"
@@ -79,10 +76,8 @@ let () =
   print_string (Lineage.explain k result);
 
   (* structural analysis of the derivation diagram *)
-  let report = Analysis.analyze view.Kernel.net (Kernel.tokens k) in
+  let report = Analysis.analyze net (Kernel.tokens k) in
   Format.printf "@.net analysis:@.%a@."
-    (Analysis.pp_report
-       ~place_name:(fun p ->
-         Option.value ~default:"?" (view.Kernel.class_of_place p))
-       ~transition_name:(fun t -> Gaea_petri.Net.transition_name view.Kernel.net t))
+    (Analysis.pp_report ~place_name:(Net.place_name net)
+       ~transition_name:(Net.transition_name net))
     report

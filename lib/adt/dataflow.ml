@@ -121,61 +121,43 @@ let topo_order t =
   List.iter (fun n -> visit n.id) t.nodes;
   List.rev !order
 
+(* Operator.apply has checked the inputs against [t.input_types]. *)
 let execute ~lookup t inputs =
-  let n_expected = List.length t.input_types in
-  if List.length inputs <> n_expected then
-    Error
-      (Printf.sprintf "%s: expected %d input(s), got %d" t.name n_expected
-         (List.length inputs))
-  else begin
-    let type_mismatch =
-      List.exists2
-        (fun expected v ->
-          not (Vtype.matches ~expected ~actual:(Value.type_of v)))
-        t.input_types inputs
-    in
-    if type_mismatch then
-      Error
-        (Printf.sprintf "%s: input type mismatch (expected %s)" t.name
-           (String.concat ", " (List.map Vtype.to_string t.input_types)))
-    else begin
-      let inputs = Array.of_list inputs in
-      let results : (int, Value.t) Hashtbl.t = Hashtbl.create 16 in
-      let resolve = function
-        | From_input i -> Ok inputs.(i)
-        | From_const v -> Ok v
-        | From_node id ->
-          (match Hashtbl.find_opt results id with
-           | Some v -> Ok v
-           | None -> Error (Printf.sprintf "%s: node %d not computed" t.name id))
-      in
-      let rec run = function
-        | [] -> resolve t.output
-        | n :: rest ->
-          (match lookup n.op with
-           | None ->
-             Error (Printf.sprintf "%s: unknown operator %s" t.name n.op)
-           | Some op ->
-             let rec gather acc = function
-               | [] -> Ok (List.rev acc)
-               | s :: tl ->
-                 (match resolve s with
-                  | Error _ as e -> e
-                  | Ok v -> gather (v :: acc) tl)
-             in
-             (match gather [] n.args with
+  let inputs = Array.of_list inputs in
+  let results : (int, Value.t) Hashtbl.t = Hashtbl.create 16 in
+  let resolve = function
+    | From_input i -> Ok inputs.(i)
+    | From_const v -> Ok v
+    | From_node id ->
+      (match Hashtbl.find_opt results id with
+       | Some v -> Ok v
+       | None -> Error (Printf.sprintf "%s: node %d not computed" t.name id))
+  in
+  let rec run = function
+    | [] -> resolve t.output
+    | n :: rest ->
+      (match lookup n.op with
+       | None ->
+         Error (Printf.sprintf "%s: unknown operator %s" t.name n.op)
+       | Some op ->
+         let rec gather acc = function
+           | [] -> Ok (List.rev acc)
+           | s :: tl ->
+             (match resolve s with
               | Error _ as e -> e
-              | Ok args ->
-                (match Operator.apply op args with
-                 | Error e ->
-                   Error (Printf.sprintf "%s: node %d: %s" t.name n.id e)
-                 | Ok v ->
-                   Hashtbl.replace results n.id v;
-                   run rest)))
-      in
-      run (topo_order t)
-    end
-  end
+              | Ok v -> gather (v :: acc) tl)
+         in
+         (match gather [] n.args with
+          | Error _ as e -> e
+          | Ok args ->
+            (match Operator.apply op args with
+             | Error e ->
+               Error (Printf.sprintf "%s: node %d: %s" t.name n.id e)
+             | Ok v ->
+               Hashtbl.replace results n.id v;
+               run rest)))
+  in
+  run (topo_order t)
 
 let to_operator ~lookup t =
   Operator.make ~name:t.name ~doc:(t.doc ^ " [compound]")

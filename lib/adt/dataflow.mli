@@ -36,17 +36,11 @@ val make :
 
 val node : int -> string -> source list -> node
 
-val topo_order : t -> node list
-(** Nodes in a valid execution order (deterministic). *)
-
-val execute :
-  lookup:(string -> Operator.t option) -> t -> Value.t list
-  -> (Value.t, string) result
-(** Run the network.  Checks input arity and types, resolves operator
-    names through [lookup], executes nodes in topological order. *)
-
 val to_operator : lookup:(string -> Operator.t option) -> t -> Operator.t
-(** Package the network as a single (compound) operator. *)
+(** Package the network as a single (compound) operator whose
+    parameters are the network's input types: {!Operator.apply} checks
+    the inputs' arity and types, then the network resolves operator
+    names through [lookup] and runs its nodes in topological order. *)
 
 val describe : t -> string
 (** Multi-line rendering of the network structure (for browsing /

@@ -682,16 +682,14 @@ let check_versions k =
   task_lints @ object_lints
 
 let check_net k =
-  let view = Kernel.derivation_net k in
-  let report =
-    Gaea_petri.Analysis.analyze view.Kernel.net (Kernel.tokens k)
-  in
+  let net = Kernel.derivation_net k in
+  let report = Gaea_petri.Analysis.analyze net (Kernel.tokens k) in
   let dead =
     List.filter_map
       (fun tr ->
-        match view.Kernel.process_of_transition tr with
+        match Kernel.find_process k (Gaea_petri.Net.transition_name net tr) with
         | None -> None
-        | Some (name, version) ->
+        | Some { Process.proc_name = name; version; _ } ->
           Some
             (kernel_diag ~code:"GA027" ~severity:Diagnostic.Info ~proc:name
                ~version
@@ -703,19 +701,16 @@ let check_net k =
   let underivable =
     List.filter_map
       (fun place ->
-        match view.Kernel.class_of_place place with
-        | None -> None
-        | Some cls -> (
-          match Kernel.find_class k cls with
-          | Some sch when Schema.is_derived sch ->
-            Some
-              (kernel_diag ~code:"GA028" ~severity:Diagnostic.Info
-                 ~element:("class " ^ cls)
-                 (Printf.sprintf
-                    "derived class %s cannot be reached from the current \
-                     data"
-                    cls))
-          | _ -> None))
+        let cls = Gaea_petri.Net.place_name net place in
+        match Kernel.find_class k cls with
+        | Some sch when Schema.is_derived sch ->
+          Some
+            (kernel_diag ~code:"GA028" ~severity:Diagnostic.Info
+               ~element:("class " ^ cls)
+               (Printf.sprintf
+                  "derived class %s cannot be reached from the current data"
+                  cls))
+        | _ -> None)
       report.Gaea_petri.Analysis.underivable_places
   in
   dead @ underivable

@@ -45,20 +45,6 @@ val request_at :
     derivation; when both fail, the derivation's error is returned.
     The class must have a temporal extent. *)
 
-val interpolate_values :
-  Kernel.t -> cls:string -> at:Gaea_geo.Abstime.t
-  -> Gaea_storage.Oid.t * Gaea_storage.Oid.t
-  -> ((string * Gaea_adt.Value.t) list, Gaea_error.t) result
-(** The generic interpolation process (paper: "a generic derivation
-    process which is applicable to many data types"): image attributes
-    interpolate per pixel, float attributes linearly, everything else is
-    copied from the temporally nearest input.  Exposed for the
-    reproducibility checker. *)
-
-val interpolation_process_name : string
-(** The process name recorded on interpolation tasks (["interpolate"],
-    version 0). *)
-
 val recompute :
   Kernel.t -> Task.t -> ((string * Gaea_adt.Value.t) list, Gaea_error.t) result
-(** {!Kernel.recompute_task} extended to interpolation tasks. *)
+(** {!Kernel.recompute_task}, which covers interpolation tasks too. *)

@@ -1,6 +1,9 @@
 module Value = Gaea_adt.Value
 module Registry = Gaea_adt.Registry
 module Oid = Gaea_storage.Oid
+module Abstime = Gaea_geo.Abstime
+module Image = Gaea_raster.Image
+module Interpolate = Gaea_raster.Interpolate
 
 let ( let* ) r f = Result.bind r f
 
@@ -228,20 +231,22 @@ let eval_primitive t (p : Process.t) inputs =
               (String.concat ", " missing))
        else Ok pairs)
 
-(* The one commit of an evaluated primitive, for DERIVE and REFRESH
-   alike: [write] stores the values and names the output objects, then
-   the pixels are counted and the task recorded, which makes it
-   reusable. *)
-let commit t (p : Process.t) inputs pairs ~write =
+(* The one commit of an evaluated process, for DERIVE, interpolation
+   and REFRESH alike: [write] stores the values and names the output
+   objects, then the pixels are counted and the task recorded, which
+   makes it reusable. *)
+let commit t ~process ~version ~params ~output_class inputs pairs ~write =
   let* outputs = write pairs in
   let c = Events.counters t.bus in
   List.iter
     (fun (_, v) -> c.pixels_processed <- c.pixels_processed + count_pixels v)
     pairs;
   Ok
-    (Provenance.record_task t.prov ~process:p.Process.proc_name
-       ~version:p.Process.version ~inputs ~params:p.Process.params ~outputs
-       ~output_class:p.Process.output_class)
+    (Provenance.record_task t.prov ~process ~version ~inputs ~params ~outputs
+       ~output_class)
+
+let insert t ~cls pairs =
+  Obj_store.insert t.objects ~cls pairs |> Result.map (fun oid -> [ oid ])
 
 (* A primitive is looked up in the reuse index first: a recorded task
    for the same process and binding is served as is; otherwise it is
@@ -262,9 +267,9 @@ let rec execute_process t (p : Process.t) ~inputs =
      | None ->
        Events.emit t.bus (Events.Cache_miss { process; version });
        let* pairs = eval_primitive t p inputs in
-       commit t p inputs pairs ~write:(fun pairs ->
-           Obj_store.insert t.objects ~cls:p.Process.output_class pairs
-           |> Result.map (fun oid -> [ oid ])))
+       commit t ~process ~version ~params:p.Process.params
+         ~output_class:p.Process.output_class inputs pairs
+         ~write:(insert t ~cls:p.Process.output_class))
   | Process.Compound steps ->
     let outputs = Array.make (List.length steps) [] in
     let resolve j (arg, input) =
@@ -311,16 +316,99 @@ let rec execute_process t (p : Process.t) ~inputs =
     in
     run 0 None steps
 
+(* ------------------------------------------------------------------ *)
+(* Interpolation                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let interpolation_process = "interpolate"
+
+let is_interpolation (task : Task.t) =
+  task.Task.process = interpolation_process && task.Task.process_version = 0
+
+let interpolate_values t ~cls ~at (o1, o2) =
+  match Catalog.find t.catalog cls with
+  | None -> Gaea_error.err (Printf.sprintf "unknown class %s" cls)
+  | Some def ->
+    (match def.Schema.temporal_attr with
+     | None -> Gaea_error.err (cls ^ ": class has no temporal extent")
+     | Some tattr ->
+       let time oid =
+         match Obj_store.attr t.objects ~cls oid tattr with
+         | Some (Value.VAbstime at) -> Ok at
+         | _ -> Gaea_error.err (Printf.sprintf "object %d has no timestamp" oid)
+       in
+       let* t1 = time o1 in
+       let* t2 = time o2 in
+       if Abstime.equal t1 t2 then
+         Gaea_error.err "interpolation needs two distinct timestamps"
+       else begin
+         let w =
+           float_of_int (Abstime.diff_seconds at t1)
+           /. float_of_int (Abstime.diff_seconds t2 t1)
+         in
+         let nearest = if Float.abs w <= 0.5 then o1 else o2 in
+         List.fold_left
+           (fun acc attr ->
+             let* acc = acc in
+             let name = attr.Schema.a_name in
+             if name = tattr then Ok ((name, Value.abstime at) :: acc)
+             else begin
+               let v1 = Obj_store.attr t.objects ~cls o1 name in
+               let v2 = Obj_store.attr t.objects ~cls o2 name in
+               match v1, v2 with
+               | Some (Value.VImage i1), Some (Value.VImage i2) ->
+                 if Image.img_size_eq i1 i2 then
+                   Ok
+                     (( name,
+                        Value.image
+                          (Interpolate.temporal_linear ~at (t1, i1) (t2, i2)) )
+                      :: acc)
+                 else Gaea_error.err (name ^ ": image sizes differ")
+               | Some (Value.VFloat a), Some (Value.VFloat b) ->
+                 Ok ((name, Value.float (a +. (w *. (b -. a)))) :: acc)
+               | Some v, Some v2 ->
+                 (* non-interpolable: copy from the nearest snapshot *)
+                 Ok ((name, if nearest = o1 then v else v2) :: acc)
+               | _ ->
+                 Gaea_error.err (Printf.sprintf "object missing attribute %s" name)
+             end)
+           (Ok []) def.Schema.attributes
+         |> Result.map List.rev
+       end)
+
+let interpolate t ~cls ~at (o1, o2) =
+  let* pairs = interpolate_values t ~cls ~at (o1, o2) in
+  commit t ~process:interpolation_process ~version:0
+    ~params:[ ("at", Value.abstime at) ] ~output_class:cls
+    [ ("a", [ o1 ]); ("b", [ o2 ]) ]
+    pairs ~write:(insert t ~cls)
+
 let recompute_task t (task : Task.t) =
-  match
-    Proc_registry.find t.procs ~version:task.Task.process_version
-      task.Task.process
-  with
-  | None ->
-    Error
-      (Gaea_error.Unknown_process
-         { name = task.Task.process; version = Some task.Task.process_version })
-  | Some p -> eval_primitive t p task.Task.inputs
+  if is_interpolation task then begin
+    let* at =
+      match List.assoc_opt "at" task.Task.params with
+      | Some (Value.VAbstime t) -> Ok t
+      | _ -> Gaea_error.err "interpolation task without 'at' parameter"
+    in
+    let input arg =
+      match List.assoc_opt arg task.Task.inputs with
+      | Some [ o ] -> Ok o
+      | _ -> Gaea_error.err ("interpolation task without input " ^ arg)
+    in
+    let* o1 = input "a" in
+    let* o2 = input "b" in
+    interpolate_values t ~cls:task.Task.output_class ~at (o1, o2)
+  end
+  else
+    match
+      Proc_registry.find t.procs ~version:task.Task.process_version
+        task.Task.process
+    with
+    | None ->
+      Error
+        (Gaea_error.Unknown_process
+           { name = task.Task.process; version = Some task.Task.process_version })
+    | Some p -> eval_primitive t p task.Task.inputs
 
 (* ------------------------------------------------------------------ *)
 (* Incremental refresh                                                 *)
@@ -410,12 +498,12 @@ let refresh ?only t =
   let refreshed = ref 0 in
   let new_tasks = ref [] in
   (* write refreshed values over the old outputs, in place *)
-  let overwrite (p : Process.t) outputs pairs =
+  let overwrite cls outputs pairs =
     let* () =
       List.fold_left
         (fun acc oid ->
           let* () = acc in
-          Obj_store.update t.objects ~cls:p.Process.output_class oid pairs
+          Obj_store.update t.objects ~cls oid pairs
           |> Result.map (fun () -> Provenance.object_changed t.prov oid))
         (Ok ()) outputs
     in
@@ -423,29 +511,42 @@ let refresh ?only t =
   in
   let failed : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let skip_reasons = ref [] in
+  (* an interpolation is recomputed as it was recorded, a primitive
+     by the latest version of its process *)
   let refresh_task (task : Task.t) =
-    match Proc_registry.find t.procs task.Task.process with
-    | None ->
-      Error (Printf.sprintf "process %s not in registry" task.Task.process)
-    | Some p ->
-      (match
-         let* pairs = eval_primitive t p task.Task.inputs in
-         commit t p task.Task.inputs pairs
-           ~write:(overwrite p task.Task.outputs)
-       with
-       | Error e -> Error (Gaea_error.to_string e)
-       | Ok new_task ->
-         List.iter
-           (fun oid ->
-             Provenance.mark_fresh t.prov oid;
-             Events.emit t.bus
-               (Events.Object_refreshed
-                  { cls = p.Process.output_class; oid;
-                    task_id = new_task.Task.task_id }))
-           task.Task.outputs;
-         refreshed := !refreshed + List.length task.Task.outputs;
-         new_tasks := new_task :: !new_tasks;
-         Ok ())
+    let committed =
+      if is_interpolation task then
+        let* pairs = recompute_task t task in
+        commit t ~process:task.Task.process ~version:task.Task.process_version
+          ~params:task.Task.params ~output_class:task.Task.output_class
+          task.Task.inputs pairs
+          ~write:(overwrite task.Task.output_class task.Task.outputs)
+      else
+        match Proc_registry.find t.procs task.Task.process with
+        | None ->
+          Gaea_error.err
+            (Printf.sprintf "process %s not in registry" task.Task.process)
+        | Some p ->
+          let* pairs = eval_primitive t p task.Task.inputs in
+          commit t ~process:p.Process.proc_name ~version:p.Process.version
+            ~params:p.Process.params ~output_class:p.Process.output_class
+            task.Task.inputs pairs
+            ~write:(overwrite p.Process.output_class task.Task.outputs)
+    in
+    match committed with
+    | Error e -> Error (Gaea_error.to_string e)
+    | Ok new_task ->
+      List.iter
+        (fun oid ->
+          Provenance.mark_fresh t.prov oid;
+          Events.emit t.bus
+            (Events.Object_refreshed
+               { cls = new_task.Task.output_class; oid;
+                 task_id = new_task.Task.task_id }))
+        task.Task.outputs;
+      refreshed := !refreshed + List.length task.Task.outputs;
+      new_tasks := new_task :: !new_tasks;
+      Ok ()
   in
   List.iter
     (fun (_, id, (task : Task.t)) ->

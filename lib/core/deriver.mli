@@ -8,9 +8,9 @@
     counts ({!Events.emit}).
 
     Every derived value is committed by the deriver, through one
-    helper: a DERIVE inserts a new object, a REFRESH overwrites the
-    stale one in place, and both then count the pixels and record the
-    task. *)
+    helper: a DERIVE or an interpolation inserts a new object, a
+    REFRESH overwrites the stale one in place, and each then counts the
+    pixels and records the task. *)
 
 module Oid = Gaea_storage.Oid
 
@@ -37,8 +37,23 @@ val execute_process :
     compound step by step, each step reused or run, and return the
     last step's task. *)
 
+val interpolation_process : string
+(** The process name recorded on interpolation tasks (["interpolate"],
+    version 0, inputs [a] and [b], parameter [at]). *)
+
+val interpolate :
+  t -> cls:string -> at:Gaea_geo.Abstime.t -> Oid.t * Oid.t
+  -> (Task.t, Gaea_error.t) result
+(** The generic interpolation process (paper: "a generic derivation
+    process which is applicable to many data types") between two
+    objects of [cls] with distinct timestamps: image attributes
+    interpolate per pixel, float attributes linearly, the temporal
+    extent is [at], everything else is copied from the temporally
+    nearest input.  Inserts the object and records its task. *)
+
 val recompute_task :
   t -> Task.t -> ((string * Gaea_adt.Value.t) list, Gaea_error.t) result
+(** See {!Kernel.recompute_task}. *)
 
 type refresh_report = {
   refreshed : int;  (** objects recomputed in place *)
@@ -58,7 +73,9 @@ val refresh : ?only:Oid.t list -> t -> refresh_report
     evaluation).  Refreshed values replace the old objects {e in place}
     (same OIDs), which runs the update trigger
     ({!Provenance.object_changed}) for each; each refresh records a new
-    provenance task, which becomes the reusable one.  Objects whose
-    process is not in the registry (e.g. interpolation pseudo-tasks) or
-    whose inputs are gone are skipped and stay stale, and so are the
-    objects derived from them. *)
+    provenance task, which becomes the reusable one.  A primitive's
+    object is recomputed by the latest version of its process; an
+    interpolated object by the interpolation its task records, the
+    evaluation {!recompute_task} (and so VERIFY) runs.  Objects whose
+    process is not in the registry or whose inputs are gone are skipped
+    and stay stale, and so are the objects derived from them. *)

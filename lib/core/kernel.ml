@@ -33,13 +33,6 @@ type refresh_report = Deriver.refresh_report = {
   skip_reasons : (Gaea_storage.Oid.t * string) list;
 }
 
-type net_view = Provenance.net_view = {
-  net : Gaea_petri.Net.t;
-  place_of_class : string -> Gaea_petri.Net.place option;
-  class_of_place : Gaea_petri.Net.place -> string option;
-  process_of_transition : Gaea_petri.Net.transition -> (string * int) option;
-}
-
 type t = {
   registry : Registry.t;
   bus : Events.bus;
@@ -127,9 +120,7 @@ let recompute_task t task = Deriver.recompute_task t.deriver task
 let find_binding t ?fresh p ~available =
   Deriver.find_binding t.deriver ?fresh p ~available
 
-let record_task_raw t ~process ~version ~inputs ~params ~outputs ~output_class =
-  Provenance.record_task t.prov ~process ~version ~inputs ~params ~outputs
-    ~output_class
+let interpolate t ~cls ~at pair = Deriver.interpolate t.deriver ~cls ~at pair
 
 let restore_task t task = Provenance.restore_task t.prov task
 
@@ -176,10 +167,11 @@ let derivation_net t =
    append, compaction and Persist keep the order), so the first rows
    are the lowest OIDs. *)
 let tokens t =
-  let view = derivation_net t in
-  let table p = Option.bind (view.class_of_place p) (class_table t) in
+  let module Net = Gaea_petri.Net in
+  let net = derivation_net t in
+  let table p = class_table t (Net.place_name net p) in
   let module Table = Gaea_storage.Table in
-  { Gaea_petri.Net.count =
+  { Net.count =
       (fun p -> Option.fold ~none:0 ~some:Table.row_count (table p));
     first =
       (fun p n ->
@@ -187,10 +179,10 @@ let tokens t =
   }
 
 let current_marking t =
-  let view = derivation_net t in
+  let net = derivation_net t in
   List.fold_left
     (fun m cls ->
-      match view.place_of_class cls.Schema.c_name with
+      match Gaea_petri.Net.find_place net cls.Schema.c_name with
       | None -> m
       | Some place ->
         Marking.add_all m place (objects_of_class t cls.Schema.c_name))

@@ -134,8 +134,9 @@ val execute_process :
 val recompute_task :
   t -> Task.t -> ((string * Gaea_adt.Value.t) list, Gaea_error.t) result
 (** Re-run the task's process on its recorded inputs {e without}
-    inserting — the reproducibility check. Only primitive-process tasks
-    (every recorded task is one). *)
+    inserting — the reproducibility check.  A primitive task runs its
+    recorded process version; an interpolation task reruns the
+    interpolation at its recorded date. *)
 
 val find_binding :
   t -> ?fresh:bool -> Process.t
@@ -163,14 +164,13 @@ val restore_task : t -> Task.t -> (unit, Gaea_error.t) result
     it and advances the task counter and logical clock past it.  Errors
     on duplicate task ids. *)
 
-val record_task_raw :
-  t -> process:string -> version:int
-  -> inputs:(string * Gaea_storage.Oid.t list) list
-  -> params:(string * Gaea_adt.Value.t) list
-  -> outputs:Gaea_storage.Oid.t list -> output_class:string -> Task.t
-(** Append a task record without executing anything — used by the
-    derivation manager for its generic interpolation pseudo-process.
-    Regular code should go through {!execute_process}. *)
+val interpolate :
+  t -> cls:string -> at:Gaea_geo.Abstime.t
+  -> Gaea_storage.Oid.t * Gaea_storage.Oid.t
+  -> (Task.t, Gaea_error.t) result
+(** {!Deriver.interpolate}: the derivation manager's generic
+    interpolation between two snapshots, inserted and recorded as a
+    task of the pseudo-process ["interpolate"] v0. *)
 
 (** {2 Task log} *)
 
@@ -185,19 +185,14 @@ val tasks_using : t -> Gaea_storage.Oid.t -> Task.t list
 
 (** {2 Derivation net} *)
 
-type net_view = Provenance.net_view = {
-  net : Gaea_petri.Net.t;
-  place_of_class : string -> Gaea_petri.Net.place option;
-  class_of_place : Gaea_petri.Net.place -> string option;
-  process_of_transition :
-    Gaea_petri.Net.transition -> (string * int) option;
-}
-
-val derivation_net : t -> net_view
-(** The class-derivation diagram: a place per class, a transition per
-    latest-version primitive process (compounds contribute their
-    expansion).  Transitions carry no guard.  Memoized; {!define_class}
-    and {!define_process} drop the memo. *)
+val derivation_net : t -> Gaea_petri.Net.t
+(** The class-derivation diagram: a place per class, named after it
+    ({!Gaea_petri.Net.find_place} maps a class to its place), and a
+    transition per latest-version primitive process, named after it
+    (compounds contribute their expansion).  A transition's process is
+    [find_process t (Net.transition_name net tr)]: the net holds only
+    latest versions, and {!define_class} and {!define_process} drop the
+    memoized net.  Transitions carry no guard. *)
 
 val tokens : t -> Gaea_petri.Net.tokens
 (** The planning view of the net's marking, read from the class tables:
@@ -278,8 +273,11 @@ val restore_stale : t -> Gaea_storage.Oid.t list -> unit
 (** Persist support: reinstate a saved stale set, event-silently. *)
 
 val refresh_stale : ?only:Gaea_storage.Oid.t list -> t -> refresh_report
-(** Recompute stale objects in place, dirty subgraph only, in
-    topological waves (independent frontier nodes evaluate on the
-    domain pool); results, provenance and event order match a full
-    re-derivation at any pool size.  [only] restricts the run to the
-    given objects plus their stale upstream closure. *)
+(** Recompute stale objects in place, dirty subgraph only, one
+    producing task at a time in dependency order; results, provenance
+    and event order match a full re-derivation at any pool size.
+    Interpolated objects are recomputed as {!recompute_task} recomputes
+    them; an object whose process is gone or whose input was deleted is
+    skipped and stays stale, with everything derived from it.  [only]
+    restricts the run to the given objects plus their stale upstream
+    closure. *)

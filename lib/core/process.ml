@@ -65,38 +65,40 @@ let validate_args name args =
 
 let ( let* ) r f = Result.bind r f
 
+(* every referenced template parameter must be bound *)
+let check_params name params template =
+  let unbound =
+    List.filter
+      (fun p -> not (List.mem_assoc p params))
+      (Template.free_params template)
+  in
+  if unbound = [] then Ok ()
+  else
+    Gaea_error.err
+      (Printf.sprintf "%s: unbound parameter(s): %s" name
+         (String.concat ", " unbound))
+
 let define_primitive ~name ?(doc = "") ~output_class ~args ?(params = [])
     ~template () =
   if name = "" then Gaea_error.err "process: empty name"
   else
     let* () = validate_args name args in
-    (* every referenced template parameter must be bound *)
-    let unbound =
+    let* () = check_params name params template in
+    let declared = List.map (fun a -> a.arg_name) args in
+    let unknown =
       List.filter
-        (fun p -> not (List.mem_assoc p params))
-        (Template.free_params template)
+        (fun a -> not (List.mem a declared))
+        (Template.referenced_args template)
     in
-    if unbound <> [] then
+    if unknown <> [] then
       Gaea_error.err
-        (Printf.sprintf "%s: unbound parameter(s): %s" name
-           (String.concat ", " unbound))
-    else begin
-      let declared = List.map (fun a -> a.arg_name) args in
-      let unknown =
-        List.filter
-          (fun a -> not (List.mem a declared))
-          (Template.referenced_args template)
-      in
-      if unknown <> [] then
-        Gaea_error.err
-          (Printf.sprintf "%s: template references undeclared argument(s): %s"
-             name
-             (String.concat ", " unknown))
-      else
-        Ok
-          { proc_name = name; version = 1; output_class; args; params;
-            kind = Primitive template; doc; derived_from = None }
-    end
+        (Printf.sprintf "%s: template references undeclared argument(s): %s"
+           name
+           (String.concat ", " unknown))
+    else
+      Ok
+        { proc_name = name; version = 1; output_class; args; params;
+          kind = Primitive template; doc; derived_from = None }
 
 let define_compound ~name ?(doc = "") ~output_class ~args ~steps () =
   if name = "" then Gaea_error.err "process: empty name"
@@ -144,17 +146,7 @@ let edit t ~name ?doc ?params ?template ?output_class () =
   let params = Option.value params ~default:t.params in
   let* () =
     match kind with
-    | Primitive tmpl ->
-      let unbound =
-        List.filter
-          (fun p -> not (List.mem_assoc p params))
-          (Template.free_params tmpl)
-      in
-      if unbound = [] then Ok ()
-      else
-        Gaea_error.err
-          (Printf.sprintf "%s: unbound parameter(s): %s" name
-             (String.concat ", " unbound))
+    | Primitive tmpl -> check_params name params tmpl
     | Compound _ -> Ok ()
   in
   Ok

@@ -2,13 +2,6 @@ module Oid = Gaea_storage.Oid
 module Net = Gaea_petri.Net
 module Value = Gaea_adt.Value
 
-type net_view = {
-  net : Net.t;
-  place_of_class : string -> Net.place option;
-  class_of_place : Net.place -> string option;
-  process_of_transition : Net.transition -> (string * int) option;
-}
-
 (* What makes two runs the same derivation: the process identity, the
    input binding sorted by argument name, and the parameters by
    content hash. *)
@@ -25,7 +18,7 @@ type t = {
   mutable retired : int;  (* reuse entries the staleness walks ended *)
   mutable next_task : int;
   mutable clock : int;
-  mutable net_cache : net_view option;
+  mutable net_cache : Net.t option;
   objects : Obj_store.t;
   bus : Events.bus;
 }
@@ -228,15 +221,7 @@ let restore_task t (task : Task.t) =
 
 let build_net ~classes ~processes =
   let net = Net.create () in
-  let place_tbl = Hashtbl.create 32 in
-  let class_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun cls ->
-      let p = Net.add_place net ~name:cls.Schema.c_name in
-      Hashtbl.add place_tbl cls.Schema.c_name p;
-      Hashtbl.add class_tbl p cls.Schema.c_name)
-    classes;
-  let trans_tbl = Hashtbl.create 32 in
+  List.iter (fun cls -> ignore (Net.add_place net ~name:cls.Schema.c_name)) classes;
   (* Transitions get ids in insertion order and Backchain breaks cost
      ties by the lowest id, so install the processes that classes
      declare as their DERIVED BY before the rest. *)
@@ -261,27 +246,21 @@ let build_net ~classes ~processes =
         let inputs =
           Hashtbl.fold
             (fun cls k acc ->
-              match Hashtbl.find_opt place_tbl cls with
+              match Net.find_place net cls with
               | Some p -> (p, k) :: acc
               | None -> acc)
             thresholds []
           |> List.sort compare
         in
-        match Hashtbl.find_opt place_tbl proc.Process.output_class with
+        match Net.find_place net proc.Process.output_class with
         | None -> ()
         | Some out_place ->
-          (match
-             Net.add_transition net ~name:proc.Process.proc_name ~inputs
-               ~outputs:[ out_place ] ()
-           with
-           | Ok tid -> Hashtbl.add trans_tbl tid (Process.key proc)
-           | Error _ -> ())
+          ignore
+            (Net.add_transition net ~name:proc.Process.proc_name ~inputs
+               ~outputs:[ out_place ] ())
       end)
     (preferred @ others);
-  { net;
-    place_of_class = Hashtbl.find_opt place_tbl;
-    class_of_place = Hashtbl.find_opt class_tbl;
-    process_of_transition = Hashtbl.find_opt trans_tbl }
+  net
 
 let invalidate_net t = t.net_cache <- None
 

@@ -1,13 +1,13 @@
 (** Provenance: the task log, its lineage indexes, the logical clock,
     reuse of recorded derivations, object staleness, and the (cached)
-    class-derivation net view.
+    class-derivation net.
 
     Emits [Task_recorded] when a task is appended ({!record_task}) and
     [Cache_invalidated] when a staleness walk ends reuse entries;
     restores are event-silent.  Staleness is computed here, from the
     [producer]/[users] indexes: the kernel calls {!object_changed},
     {!object_deleted} and {!process_defined} where the state changes.
-    The kernel drops the memoized net view ({!invalidate_net}) when a
+    The kernel drops the memoized net ({!invalidate_net}) when a
     class or process definition changes. *)
 
 module Oid = Gaea_storage.Oid
@@ -108,22 +108,15 @@ val restore_stale : t -> Oid.t list -> unit
 
 (** {2 Derivation net} *)
 
-type net_view = {
-  net : Gaea_petri.Net.t;
-  place_of_class : string -> Gaea_petri.Net.place option;
-  class_of_place : Gaea_petri.Net.place -> string option;
-  process_of_transition : Gaea_petri.Net.transition -> (string * int) option;
-}
-
 val derivation_net :
   t
   -> classes:(unit -> Schema.t list)
   -> processes:(unit -> Process.t list)
-  -> net_view
-(** Build (or return the memoized) net: a place per class, a transition
-    per latest-version primitive process.  Transitions carry no guard:
-    the planner's binding search, not the net, decides whether a
-    process can run on given objects. *)
+  -> Gaea_petri.Net.t
+(** Build (or return the memoized) net: a place per class named after
+    it, a transition per latest-version primitive process named after
+    it.  Transitions carry no guard: the planner's binding search, not
+    the net, decides whether a process can run on given objects. *)
 
 val invalidate_net : t -> unit
 (** Drop the memoized net; the next {!derivation_net} rebuilds it. *)

@@ -37,9 +37,8 @@ type env = {
 
 let ( let* ) r f = Result.bind r f
 
-(* arg.attr: scalar args give the attribute value directly, SETOF args a
-   VSet of per-object attribute values. *)
-let eval_attr_of env arg attr =
+(* arg.attr per bound object, in binding order. *)
+let attr_values env arg attr =
   match env.arg_objects arg with
   | None -> Gaea_error.err (Printf.sprintf "unbound argument %s" arg)
   | Some objs ->
@@ -52,10 +51,15 @@ let eval_attr_of env arg attr =
         (Ok [])
         (List.init (List.length objs) Fun.id)
     in
-    let values = List.rev values in
-    (match values with
-     | [ single ] -> Ok single
-     | _ -> Ok (Value.set values))
+    Ok (List.rev values)
+
+(* arg.attr: scalar args give the attribute value directly, SETOF args a
+   VSet of per-object attribute values. *)
+let eval_attr_of env arg attr =
+  let* values = attr_values env arg attr in
+  match values with
+  | [ single ] -> Ok single
+  | _ -> Ok (Value.set values)
 
 let rec eval env = function
   | Const v -> Ok v
@@ -93,22 +97,6 @@ let rec eval env = function
       | Some (`Fixed _) | None -> values
     in
     env.apply opname values
-
-(* For card/common rules, arg.attr values as a plain list. *)
-let attr_values env arg attr =
-  match env.arg_objects arg with
-  | None -> Gaea_error.err (Printf.sprintf "unbound argument %s" arg)
-  | Some objs ->
-    let* values =
-      List.fold_left
-        (fun acc i ->
-          let* acc = acc in
-          let* v = env.attr_value arg i attr in
-          Ok (v :: acc))
-        (Ok [])
-        (List.init (List.length objs) Fun.id)
-    in
-    Ok (List.rev values)
 
 let check_assertion env a =
   match a with

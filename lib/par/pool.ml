@@ -307,19 +307,6 @@ let below_cutoff ~cost ~lo ~hi =
   let w = min_parallel_work () in
   w > 0 && float_of_int (hi - lo) *. cost < float_of_int w
 
-let parallel_for ?(grain = default_grain) ?(cost = 1.0) ~lo ~hi body =
-  if sequential_ok ~grain ~lo ~hi || below_cutoff ~cost ~lo ~hi then
-    for i = lo to hi - 1 do
-      body i
-    done
-  else
-    dispatch (chunk_count ~grain ~lo ~hi) (fun ci ->
-        let clo = lo + (ci * grain) in
-        let chi = Stdlib.min hi (clo + grain) in
-        for i = clo to chi - 1 do
-          body i
-        done)
-
 let parallel_for_ranges ?(grain = default_grain) ?(cost = 1.0) ~lo ~hi body =
   if hi > lo then begin
     if sequential_ok ~grain ~lo ~hi || below_cutoff ~cost ~lo ~hi then
@@ -329,6 +316,12 @@ let parallel_for_ranges ?(grain = default_grain) ?(cost = 1.0) ~lo ~hi body =
           let clo = lo + (ci * grain) in
           body clo (Stdlib.min hi (clo + grain)))
   end
+
+let parallel_for ?grain ?cost ~lo ~hi body =
+  parallel_for_ranges ?grain ?cost ~lo ~hi (fun clo chi ->
+      for i = clo to chi - 1 do
+        body i
+      done)
 
 let map_chunks ?(grain = default_grain) ?(cost = 1.0) ~lo ~hi f =
   let n = chunk_count ~grain ~lo ~hi in

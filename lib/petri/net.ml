@@ -21,6 +21,7 @@ type t = {
   mutable next_place : int;
   mutable next_transition : int;
   place_names : (place, string) Hashtbl.t;
+  place_ids : (string, place) Hashtbl.t;
   trans : (transition, transition_info) Hashtbl.t;
   (* indexes *)
   producers : (place, transition list) Hashtbl.t;
@@ -30,6 +31,7 @@ let create () =
   { next_place = 0;
     next_transition = 0;
     place_names = Hashtbl.create 64;
+    place_ids = Hashtbl.create 64;
     trans = Hashtbl.create 64;
     producers = Hashtbl.create 64 }
 
@@ -37,6 +39,7 @@ let add_place t ~name =
   let id = t.next_place in
   t.next_place <- id + 1;
   Hashtbl.add t.place_names id name;
+  Hashtbl.replace t.place_ids name id;
   id
 
 let mem_place t p = Hashtbl.mem t.place_names p
@@ -66,6 +69,8 @@ let add_transition t ~name ~inputs ~outputs ?guard () =
 
 let place_name t p =
   Option.value ~default:"?" (Hashtbl.find_opt t.place_names p)
+
+let find_place t name = Hashtbl.find_opt t.place_ids name
 
 let transition_info t id = Hashtbl.find_opt t.trans id
 

@@ -53,6 +53,11 @@ val add_transition :
     are no inputs, or no outputs. *)
 
 val place_name : t -> place -> string
+(** ["?"] for a place the net does not hold. *)
+
+val find_place : t -> string -> place option
+(** The place added under this name (the latest, if several were). *)
+
 val transition_name : t -> transition -> string
 val transition_info : t -> transition -> transition_info option
 val places : t -> place list

@@ -21,6 +21,7 @@ module Abstime = Gaea_geo.Abstime
 module Box = Gaea_geo.Box
 module Dot = Gaea_petri.Dot
 module Backchain = Gaea_petri.Backchain
+module Net = Gaea_petri.Net
 
 type t = {
   kernel : Kernel.t;
@@ -458,15 +459,13 @@ let execute t stmt =
     let detail =
       match Derivation.derivation_plan t.kernel cls with
       | Some p when mplan <> Plan.Stored 0 ->
-        let view = Kernel.derivation_net t.kernel in
+        let net = Kernel.derivation_net t.kernel in
         "\n"
         ^ Format.asprintf "%a"
-            (Backchain.pp
-               ~place_name:(fun pl ->
-                 Option.value ~default:"?" (view.Kernel.class_of_place pl))
+            (Backchain.pp ~place_name:(Net.place_name net)
                ~transition_name:(fun tr ->
-                 match view.Kernel.process_of_transition tr with
-                 | Some (n, v) -> Printf.sprintf "%s v%d" n v
+                 match Kernel.find_process t.kernel (Net.transition_name net tr) with
+                 | Some p -> Printf.sprintf "%s v%d" p.Process.proc_name p.Process.version
                  | None -> "?"))
             p
       | _ -> ""
@@ -475,12 +474,11 @@ let execute t stmt =
       (Message
          (Format.asprintf "%a%s" Plan.pp_materialize_plan mplan detail))
   | Ast.Show_net ->
-    let view = Kernel.derivation_net t.kernel in
     Ok
       (Message
          (Dot.to_dot ~name:"gaea-derivation"
             ~tokens:(Kernel.tokens t.kernel)
-            view.Kernel.net))
+            (Kernel.derivation_net t.kernel)))
   | Ast.Show_events ->
     let entries = Kernel.event_log t.kernel in
     let lines =

@@ -1,7 +1,7 @@
 module Gaea_error = Gaea_core.Gaea_error
 type token =
   | Ident of string
-  | Keyword of string
+  | Keyword of string * string
   | Int_lit of int
   | Float_lit of float
   | String_lit of string
@@ -141,7 +141,7 @@ let tokenize src =
          done;
          let text = String.sub src start (!pos - start) in
          let upper = String.uppercase_ascii text in
-         if List.mem upper keywords then emit (Keyword upper)
+         if List.mem upper keywords then emit (Keyword (upper, text))
          else emit (Ident text)
        end
        else err := Some (Printf.sprintf "unexpected character %C" c)
@@ -153,7 +153,7 @@ let tokenize src =
 
 let token_to_string = function
   | Ident s -> s
-  | Keyword s -> s
+  | Keyword (s, _) -> s
   | Int_lit i -> string_of_int i
   | Float_lit f -> Printf.sprintf "%g" f
   | String_lit s -> Printf.sprintf "'%s'" s

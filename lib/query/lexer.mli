@@ -2,7 +2,8 @@
 
 type token =
   | Ident of string       (** bare identifier (case preserved) *)
-  | Keyword of string     (** recognized keyword, uppercased *)
+  | Keyword of string * string
+      (** recognized keyword, uppercased, and its spelling as written *)
   | Int_lit of int
   | Float_lit of float
   | String_lit of string  (** '...' or "..." *)

@@ -34,7 +34,12 @@ let expect st tok what =
   if t <> tok then
     fail "expected %s, found %s" what (Lexer.token_to_string t)
 
-let expect_kw st kw = expect st (Lexer.Keyword kw) kw
+let is_kw kw = function Lexer.Keyword (k, _) -> k = kw | _ -> false
+
+let expect_kw st kw =
+  let t = next st in
+  if not (is_kw kw t) then
+    fail "expected %s, found %s" kw (Lexer.token_to_string t)
 
 let accept st tok =
   if peek st = tok then begin
@@ -43,12 +48,17 @@ let accept st tok =
   end
   else false
 
-let accept_kw st kw = accept st (Lexer.Keyword kw)
+let accept_kw st kw =
+  if is_kw kw (peek st) then begin
+    advance st;
+    true
+  end
+  else false
 
 let ident st =
   match next st with
   | Lexer.Ident s -> s
-  | Lexer.Keyword s -> s (* allow keywords as names where unambiguous *)
+  | Lexer.Keyword (_, s) -> s (* a keyword as a name keeps its spelling *)
   | t -> fail "expected identifier, found %s" (Lexer.token_to_string t)
 
 let int_lit st =
@@ -96,15 +106,15 @@ let box st =
 
 let literal st =
   match peek st with
-  | Lexer.Keyword "DATE" -> Value.abstime (date st)
-  | Lexer.Keyword "BOX" -> Value.box (box st)
+  | Lexer.Keyword ("DATE", _) -> Value.abstime (date st)
+  | Lexer.Keyword ("BOX", _) -> Value.box (box st)
   | _ ->
     (match next st with
      | Lexer.Int_lit i -> Value.int i
      | Lexer.Float_lit f -> Value.float f
      | Lexer.String_lit s -> Value.string s
-     | Lexer.Keyword "TRUE" -> Value.bool true
-     | Lexer.Keyword "FALSE" -> Value.bool false
+     | Lexer.Keyword ("TRUE", _) -> Value.bool true
+     | Lexer.Keyword ("FALSE", _) -> Value.bool false
      | t -> fail "expected literal, found %s" (Lexer.token_to_string t))
 
 let rec expr st =
@@ -112,11 +122,11 @@ let rec expr st =
   | Lexer.Param p ->
     advance st;
     Template.Param p
-  | Lexer.Keyword "ANYOF" ->
+  | Lexer.Keyword ("ANYOF", _) ->
     advance st;
     Template.Anyof (expr st)
-  | Lexer.Keyword "BOX" | Lexer.Keyword "DATE" | Lexer.Keyword "TRUE"
-  | Lexer.Keyword "FALSE" | Lexer.Int_lit _ | Lexer.Float_lit _
+  | Lexer.Keyword ("BOX", _) | Lexer.Keyword ("DATE", _) | Lexer.Keyword ("TRUE", _)
+  | Lexer.Keyword ("FALSE", _) | Lexer.Int_lit _ | Lexer.Float_lit _
   | Lexer.String_lit _ ->
     Template.Const (literal st)
   | Lexer.Ident name ->
@@ -142,7 +152,7 @@ let rec expr st =
 
 let assertion st =
   match peek st with
-  | Lexer.Keyword "COMMON" ->
+  | Lexer.Keyword ("COMMON", _) ->
     advance st;
     expect st Lexer.Lparen "(";
     let arg = ident st in
@@ -150,7 +160,7 @@ let assertion st =
     let attr = ident st in
     expect st Lexer.Rparen ")";
     Template.Common (arg, attr)
-  | Lexer.Keyword "CARD" ->
+  | Lexer.Keyword ("CARD", _) ->
     advance st;
     expect st Lexer.Lparen "(";
     let arg = ident st in
@@ -167,6 +177,8 @@ let arg_spec st =
   let cls = ident st in
   let card_min, card_max =
     if accept_kw st "CARD" then begin
+      if not setof then
+        fail "CARD on argument %s needs SETOF: %s holds one object" name name;
       let lo = int_lit st in
       if accept st Lexer.Dot then begin
         expect st Lexer.Dot ".";
@@ -295,8 +307,8 @@ let predicate st =
   | Lexer.Le -> P_compare (attr, C_le, literal st)
   | Lexer.Gt -> P_compare (attr, C_gt, literal st)
   | Lexer.Ge -> P_compare (attr, C_ge, literal st)
-  | Lexer.Keyword "OVERLAPS" -> P_overlaps (attr, box st)
-  | Lexer.Keyword "AT" -> P_at (attr, date st)
+  | Lexer.Keyword ("OVERLAPS", _) -> P_overlaps (attr, box st)
+  | Lexer.Keyword ("AT", _) -> P_at (attr, date st)
   | t -> fail "expected comparison after %s, found %s" attr (Lexer.token_to_string t)
 
 let select st =
@@ -346,13 +358,13 @@ let select st =
 
 let statement st =
   match next st with
-  | Lexer.Keyword "DEFINE" ->
+  | Lexer.Keyword ("DEFINE", _) ->
     (match next st with
-     | Lexer.Keyword "CLASS" -> define_class st
-     | Lexer.Keyword "CONCEPT" -> define_concept st
-     | Lexer.Keyword "PROCESS" -> define_process st
+     | Lexer.Keyword ("CLASS", _) -> define_class st
+     | Lexer.Keyword ("CONCEPT", _) -> define_concept st
+     | Lexer.Keyword ("PROCESS", _) -> define_process st
      | t -> fail "expected CLASS, CONCEPT or PROCESS, found %s" (Lexer.token_to_string t))
-  | Lexer.Keyword "INSERT" ->
+  | Lexer.Keyword ("INSERT", _) ->
     expect_kw st "INTO";
     let cls = ident st in
     expect st Lexer.Lparen "(";
@@ -368,13 +380,13 @@ let statement st =
     done;
     expect st Lexer.Rparen ")";
     Insert { cls; values = List.rev !values }
-  | Lexer.Keyword "SELECT" -> select st
-  | Lexer.Keyword "DELETE" ->
+  | Lexer.Keyword ("SELECT", _) -> select st
+  | Lexer.Keyword ("DELETE", _) ->
     expect_kw st "FROM";
     let cls = ident st in
     let oid = int_lit st in
     Delete { cls; oid }
-  | Lexer.Keyword "DERIVE" ->
+  | Lexer.Keyword ("DERIVE", _) ->
     let cls = ident st in
     let at = if accept_kw st "AT" then Some (date st) else None in
     let need =
@@ -386,47 +398,47 @@ let statement st =
       else None
     in
     Derive { cls; at; need }
-  | Lexer.Keyword "SHOW" ->
+  | Lexer.Keyword ("SHOW", _) ->
     (match next st with
-     | Lexer.Keyword "CLASSES" -> Show_classes
-     | Lexer.Keyword "PROCESSES" -> Show_processes
-     | Lexer.Keyword "CONCEPTS" -> Show_concepts
-     | Lexer.Keyword "TASKS" -> Show_tasks
-     | Lexer.Keyword "NET" -> Show_net
-     | Lexer.Keyword "EVENTS" -> Show_events
-     | Lexer.Keyword "STALE" -> Show_stale
-     | Lexer.Keyword "CACHE" -> Show_cache
-     | Lexer.Keyword "LINEAGE" -> Show_lineage (int_lit st)
-     | Lexer.Keyword "PLAN" -> Show_plan (ident st)
-     | Lexer.Keyword "VERSIONS" ->
+     | Lexer.Keyword ("CLASSES", _) -> Show_classes
+     | Lexer.Keyword ("PROCESSES", _) -> Show_processes
+     | Lexer.Keyword ("CONCEPTS", _) -> Show_concepts
+     | Lexer.Keyword ("TASKS", _) -> Show_tasks
+     | Lexer.Keyword ("NET", _) -> Show_net
+     | Lexer.Keyword ("EVENTS", _) -> Show_events
+     | Lexer.Keyword ("STALE", _) -> Show_stale
+     | Lexer.Keyword ("CACHE", _) -> Show_cache
+     | Lexer.Keyword ("LINEAGE", _) -> Show_lineage (int_lit st)
+     | Lexer.Keyword ("PLAN", _) -> Show_plan (ident st)
+     | Lexer.Keyword ("VERSIONS", _) ->
        expect_kw st "OF";
        Show_versions (ident st)
-     | Lexer.Keyword "OPERATORS" ->
+     | Lexer.Keyword ("OPERATORS", _) ->
        if accept_kw st "FOR" then Show_operators (Some (ident st))
        else Show_operators None
      | t -> fail "unknown SHOW target %s" (Lexer.token_to_string t))
-  | Lexer.Keyword "VERIFY" ->
+  | Lexer.Keyword ("VERIFY", _) ->
     if accept_kw st "TASK" then Verify_task (int_lit st)
     else Verify_object (int_lit st)
-  | Lexer.Keyword "COMPARE" ->
+  | Lexer.Keyword ("COMPARE", _) ->
     let a = int_lit st in
     let b = int_lit st in
     Compare (a, b)
-  | Lexer.Keyword "BEGIN" ->
+  | Lexer.Keyword ("BEGIN", _) ->
     expect_kw st "EXPERIMENT";
     Begin_experiment (ident st)
-  | Lexer.Keyword "NOTE" ->
+  | Lexer.Keyword ("NOTE", _) ->
     let e = ident st in
     Note { experiment = e; text = string_lit st }
-  | Lexer.Keyword "REPRODUCE" -> Reproduce (ident st)
-  | Lexer.Keyword "REFRESH" ->
+  | Lexer.Keyword ("REPRODUCE", _) -> Reproduce (ident st)
+  | Lexer.Keyword ("REFRESH", _) ->
     if accept_kw st "ALL" then Refresh_all
     else begin
       let cls = ident st in
       let oid = int_lit st in
       Refresh_object { cls; oid }
     end
-  | Lexer.Keyword "CHECK" ->
+  | Lexer.Keyword ("CHECK", _) ->
     if accept_kw st "ALL" then Check_all
     else begin
       expect_kw st "PROCESS";

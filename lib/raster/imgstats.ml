@@ -6,10 +6,6 @@ let mean = Kernelized.mean
 let variance img = snd (Kernelized.mean_var img)
 let stddev img = sqrt (variance img)
 
-(* Bit-identical to [Matrix.covariance (Composite.to_matrix c)] but
-   without materializing the observation matrix. *)
-let band_covariance c = snd (Kernelized.band_mean_cov c)
-
 let rmse a b =
   if not (Image.img_size_eq a b) then
     invalid_arg "Imgstats.rmse: size mismatch";

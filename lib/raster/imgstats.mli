@@ -7,10 +7,6 @@ val variance : Image.t -> float
 val stddev : Image.t -> float
 val sum : Image.t -> float
 
-val band_covariance : Composite.t -> Matrix.t
-(** The [compute-covariance] operator of Fig 4: covariance of the bands
-    treating pixels as observations. *)
-
 val rmse : Image.t -> Image.t -> float
 (** Root-mean-square difference. @raise Invalid_argument on size mismatch. *)
 

@@ -127,51 +127,3 @@ let of_matrix ~nrow ~ncol ptype m =
                     (Array.unsafe_get md ((i * cols) + j)))
              done);
          Image.unsafe_of_array ~nrow ~ncol ptype out))
-
-(* Replicates [Matrix.covariance (Composite.to_matrix c)] exactly: the
-   same sequential column-mean accumulation, the same chunk layout over
-   observations, the same [di <> 0.] skip and combine order — only the
-   observation matrix itself is never built. *)
-let band_mean_cov c =
-  let rows = Composite.n_pixels c and k = Composite.n_bands c in
-  if rows < 2 then
-    invalid_arg "Kernelized.band_mean_cov: needs >= 2 pixels";
-  let bands = band_arrays c in
-  let means = Array.make k 0. in
-  for i = 0 to rows - 1 do
-    for j = 0 to k - 1 do
-      means.(j) <-
-        means.(j) +. Array.unsafe_get (Array.unsafe_get bands j) i
-    done
-  done;
-  let means = Array.map (fun s -> s /. float_of_int rows) means in
-  let partial lo hi =
-    let acc = Array.make (k * k) 0. in
-    for r = lo to hi - 1 do
-      for i = 0 to k - 1 do
-        let di = Array.unsafe_get (Array.unsafe_get bands i) r -. means.(i) in
-        if di <> 0. then
-          for j = 0 to k - 1 do
-            acc.((i * k) + j) <-
-              acc.((i * k) + j)
-              +. (di
-                  *. (Array.unsafe_get (Array.unsafe_get bands j) r
-                      -. means.(j)))
-          done
-      done
-    done;
-    acc
-  in
-  let total =
-    Pool.parallel_for_reduce ~lo:0 ~hi:rows ~cost:(float_of_int (k * k))
-      ~init:(Array.make (k * k) 0.)
-      ~reduce:(fun a b ->
-        for i = 0 to (k * k) - 1 do
-          a.(i) <- a.(i) +. b.(i)
-        done;
-        a)
-      partial
-  in
-  let s = 1. /. float_of_int (rows - 1) in
-  (means, Matrix.unsafe_of_array ~rows:k ~cols:k
-            (Array.map (fun v -> s *. v) total))

@@ -48,10 +48,3 @@ val to_matrix : Composite.t -> Matrix.t
 val of_matrix : nrow:int -> ncol:int -> Pixel.t -> Matrix.t -> Composite.t
 (** Fused matrix→composite; bit-identical to {!Composite.of_matrix}.
     @raise Invalid_argument if [Matrix.rows m <> nrow*ncol]. *)
-
-val band_mean_cov : Composite.t -> float array * Matrix.t
-(** Band means and sample covariance straight off the band arrays —
-    fuses [Matrix.covariance (Composite.to_matrix c)] without
-    materializing the observation matrix, replicating its accumulation
-    order exactly (bit-identical result).
-    @raise Invalid_argument if the composite has fewer than 2 pixels. *)

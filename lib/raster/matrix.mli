@@ -58,4 +58,4 @@ val correlation : t -> t
 
 val correlation_of_covariance : t -> t
 (** The correlation matrix derived from an already-computed covariance
-    matrix — lets fused callers reuse {!Kernelized.band_mean_cov}. *)
+    matrix; {!correlation} is [correlation_of_covariance (covariance t)]. *)

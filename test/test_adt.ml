@@ -372,16 +372,15 @@ let test_dataflow_simple () =
   with
   | Error e -> Alcotest.failf "make: %s" e
   | Ok net ->
-    (match Dataflow.execute ~lookup:lookup_add net [ Value.int 3; Value.int 4 ] with
+    let op = Dataflow.to_operator ~lookup:lookup_add net in
+    (match Operator.apply op [ Value.int 3; Value.int 4 ] with
      | Ok (Value.VInt 17) -> ()
      | Ok v -> Alcotest.failf "wrong result %s" (Value.to_display v)
      | Error e -> Alcotest.failf "execute: %s" e);
     check_bool "input arity checked" true
-      (Result.is_error (Dataflow.execute ~lookup:lookup_add net [ Value.int 3 ]));
+      (Result.is_error (Operator.apply op [ Value.int 3 ]));
     check_bool "input type checked" true
-      (Result.is_error
-         (Dataflow.execute ~lookup:lookup_add net
-            [ Value.int 3; Value.string "x" ]));
+      (Result.is_error (Operator.apply op [ Value.int 3; Value.string "x" ]));
     check_bool "describe mentions ops" true
       (String.length (Dataflow.describe net) > 20)
 
@@ -415,7 +414,8 @@ let test_dataflow_unknown_operator () =
   with
   | Error e -> Alcotest.failf "make: %s" e
   | Ok net ->
-    (match Dataflow.execute ~lookup:(fun _ -> None) net [ Value.int 1 ] with
+    let op = Dataflow.to_operator ~lookup:(fun _ -> None) net in
+    (match Operator.apply op [ Value.int 1 ] with
      | Error e -> check_str "reports" "n: unknown operator nonexistent" e
      | Ok _ -> Alcotest.fail "should fail")
 

@@ -577,7 +577,7 @@ let test_request_at_interpolation () =
   (* the interpolation task is recorded and reproducible *)
   check_int "one task" 1 (List.length outcome.Derivation.new_tasks);
   let task = List.hd outcome.Derivation.new_tasks in
-  check_str "generic process" Derivation.interpolation_process_name task.Task.process;
+  check_str "generic process" Deriver.interpolation_process task.Task.process;
   check_bool "interp task reproducible" true (ok (Lineage.verify_task k task));
   (* direct hit afterwards: no new task *)
   let again =
@@ -827,11 +827,9 @@ let test_install_all () =
   check_bool "has concepts" true
     (List.length (Concept.all (Kernel.concepts k)) >= 5);
   (* the net mirrors the schema *)
-  let view = Kernel.derivation_net k in
-  check_int "places = classes" 9
-    (Gaea_petri.Net.n_places view.Kernel.net);
-  check_bool "has transitions" true
-    (Gaea_petri.Net.n_transitions view.Kernel.net >= 7)
+  let net = Kernel.derivation_net k in
+  check_int "places = classes" 9 (Gaea_petri.Net.n_places net);
+  check_bool "has transitions" true (Gaea_petri.Net.n_transitions net >= 7)
 
 let test_fig5_compound () =
   let k = Kernel.create () in

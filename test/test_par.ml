@@ -350,24 +350,6 @@ let test_fused_composite_matrix () =
         (Composite.equal ref_back (back lanes)))
     par_sizes
 
-let test_fused_band_covariance () =
-  let s = Lazy.force scene in
-  let comp = s.Synthetic.composite in
-  let reference =
-    with_size 1 (fun () -> Matrix.covariance (Composite.to_matrix comp))
-  in
-  let c1 = with_size 1 (fun () -> Imgstats.band_covariance comp) in
-  check_bool "band_covariance matches Matrix.covariance" true
-    (Matrix.equal reference c1);
-  List.iter
-    (fun lanes ->
-      check_bool
-        (Printf.sprintf "band_covariance bit-identical @%d" lanes)
-        true
-        (Matrix.equal c1
-           (with_size lanes (fun () -> Imgstats.band_covariance comp))))
-    par_sizes
-
 let test_fused_imgstats_fold_parity () =
   (* single-chunk image (below the default grain): the fused sum /
      mean / variance must reproduce the sequential fold association
@@ -435,5 +417,4 @@ let () =
         [ tc "band math" test_fused_band_math;
           tc "ndvi" test_fused_ndvi;
           tc "composite<->matrix" test_fused_composite_matrix;
-          tc "band covariance" test_fused_band_covariance;
           tc "imgstats fold parity" test_fused_imgstats_fold_parity ] ) ]

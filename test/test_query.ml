@@ -794,6 +794,84 @@ let test_common_checks_named_extent () =
   check_bool "no extent: the guard fails" true
     (Result.is_error (Session.run_string session "DERIVE pair NEED 2"))
 
+(* an identifier spelled like a keyword keeps its spelling: [count]
+   used to become the attribute COUNT *)
+let test_keyword_as_name () =
+  let session = Session.create () in
+  let out =
+    Session.run_string_collect session
+      "DEFINE CLASS src ( count int, data image ); SHOW CLASSES; \
+       INSERT INTO src ( count = 3, data = synth_rainfall(1, 4, 4) ); \
+       SELECT count FROM src"
+  in
+  check_bool "attribute as written" true (contains out "count = int;");
+  check_bool "column as written" true (contains out "oid | count");
+  check_bool "not upper-cased" false (contains out "COUNT")
+
+(* CARD bounds a SETOF argument; on a scalar one it used to be dropped *)
+let test_card_needs_setof =
+  rejects_parse ~says:"CARD on argument a needs SETOF"
+    [ "DEFINE PROCESS p OUTPUT dst ARGS ( a src CARD 5 ) MAP data = a.data END";
+      "DEFINE PROCESS p OUTPUT dst ARGS ( b src, a src CARD 1..2 ) \
+       MAP data = a.data END" ]
+
+(* The net names a transition by its process, and the latest version is
+   the one behind it: redefining a process drops the memoized net. *)
+let test_net_follows_latest_versions () =
+  let session = Session.create () in
+  let out =
+    Session.run_string_collect session
+      "DEFINE CLASS scene ( data image ); DEFINE CLASS other ( data image ); \
+       DEFINE CLASS normalized ( data image ); \
+       INSERT INTO scene ( data = synth_rainfall(1, 4, 4) ); \
+       DEFINE PROCESS normalize OUTPUT normalized ARGS ( s scene ) \
+       MAP data = img_scale(0.5, s.data) END; \
+       DEFINE PROCESS fromother OUTPUT normalized ARGS ( o other ) \
+       MAP data = o.data END; \
+       DEFINE PROCESS normalize OUTPUT normalized ARGS ( s scene ) \
+       MAP data = img_scale(0.25, s.data) END; \
+       DEFINE PROCESS fromother OUTPUT normalized ARGS ( o other ) \
+       MAP data = img_scale(2.0, o.data) END; \
+       SHOW PLAN normalized; CHECK ALL"
+  in
+  check_bool "plan fires v2" true (contains out "fire normalize v2");
+  check_bool "GA027 names v2" true
+    (contains out "info[GA027] process fromother v2:")
+
+(* REFRESH recomputes an interpolated object as VERIFY does: it used to
+   skip it as "process interpolate not in registry" *)
+let test_refresh_interpolated () =
+  let session = Session.create () in
+  let normalize factor =
+    Printf.sprintf
+      "DEFINE PROCESS normalize OUTPUT normalized ARGS ( s scene ) \
+       MAP data = img_scale(%s, s.data) MAP spatialextent = s.spatialextent \
+       MAP timestamp = s.timestamp END;"
+      factor
+  in
+  let scene seed day =
+    Printf.sprintf
+      "INSERT INTO scene ( data = synth_rainfall(%d, 8, 8), \
+       spatialextent = BOX(0, 0, 10, 10), timestamp = DATE '1988-06-%s' );"
+      seed day
+  in
+  let out =
+    Session.run_string_collect session
+      (String.concat " "
+         [ "DEFINE CLASS scene ( data image, spatialextent box, timestamp abstime );";
+           "DEFINE CLASS normalized ( data image, spatialextent box, timestamp abstime );";
+           scene 1 "01"; scene 2 "05"; normalize "0.5";
+           "DERIVE normalized NEED 2;";
+           "DERIVE normalized AT DATE '1988-06-03';";
+           normalize "0.25"; "REFRESH ALL; VERIFY 5" ])
+  in
+  check_bool "object 5 interpolated" true
+    (contains out "interpolated object 5 of normalized");
+  check_bool "all three refreshed" true
+    (contains out "refreshed 3 object(s) (3 task(s)), 0 left stale");
+  check_bool "VERIFY reproduces" true
+    (contains out "object 5 reproduces exactly")
+
 let never_raises session src =
   match Session.run_string session src with
   | Ok _ | Error _ -> true
@@ -1157,6 +1235,12 @@ let () =
           tc "AT takes a DATE, OVERLAPS a BOX" test_at_overlaps_literal_kind;
           tc "common() checks the extent it names"
             test_common_checks_named_extent;
+          tc "a keyword as a name keeps its spelling" test_keyword_as_name;
+          tc "CARD needs SETOF" test_card_needs_setof;
+          tc "the net follows the latest versions"
+            test_net_follows_latest_versions;
+          tc "REFRESH recomputes an interpolated object"
+            test_refresh_interpolated;
           QCheck_alcotest.to_alcotest prop_derive_reply_text ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest

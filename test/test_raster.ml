@@ -503,7 +503,7 @@ let test_pca_variance_concentration () =
 let test_pca_components_uncorrelated () =
   let scene = Synthetic.landsat_scene ~seed:15 ~nrow:16 ~ncol:16 ~bands:3 () in
   let r = Pca.pca scene.Synthetic.composite in
-  let cov = Imgstats.band_covariance r.Pca.components in
+  let cov = Matrix.covariance (Composite.to_matrix r.Pca.components) in
   check_close 1e-6 "pc1 pc2 cov 0" 0. (Matrix.get cov 0 1);
   check_close 1e-6 "pc1 pc3 cov 0" 0. (Matrix.get cov 0 2)
 

@@ -224,22 +224,20 @@ let test_derived_from_stale_is_stale () =
    of that name is first defined. *)
 let test_first_version_stales_nothing () =
   let k = chain_kernel () in
-  let src = insert_src k in
-  let out =
-    ok
-      (Kernel.insert_object k ~cls:"c1"
-         [ ("data", Value.image (Image.of_array ~nrow:2 ~ncol:2 Pixel.Float8 [| 0.; 0.; 0.; 0. |]));
-           ("spatialextent", Value.box (Box.make ~xmin:0. ~ymin:0. ~xmax:1. ~ymax:1.));
-           ("timestamp", Value.abstime (Abstime.of_ymd 1986 1 1)) ])
+  let _ = insert_src k in
+  let _ = insert_src ~vals:[| 9.; 9.; 9.; 9. |] ~day:11 k in
+  let outcome =
+    ok (Derivation.request_at k ~cls:"src" ~at:(Abstime.of_ymd 1986 1 6) ())
   in
-  ignore
-    (Kernel.record_task_raw k ~process:"late" ~version:0
-       ~inputs:[ ("x", [ src ]) ] ~params:[] ~outputs:[ out ] ~output_class:"c1");
+  Alcotest.(check (list string)) "an interpolation task"
+    [ Deriver.interpolation_process ]
+    (List.map (fun (t : Task.t) -> t.Task.process) outcome.Derivation.new_tasks);
   let s1 = Option.get (Kernel.find_process k "s1") in
   ok
     (Kernel.define_process k
        (ok
-          (Process.define_primitive ~name:"late" ~output_class:"c1"
+          (Process.define_primitive ~name:Deriver.interpolation_process
+             ~output_class:"c1"
              ~args:[ Process.scalar_arg "x" "src" ]
              ~template:(Option.get (Process.template s1))
              ())));
@@ -427,9 +425,11 @@ let run_refresh_after_targeted lanes =
 let test_refresh_after_targeted () =
   across_pool_sizes "refresh after targeted refresh" run_refresh_after_targeted
 
-(* An interpolated object has no registered process, so it cannot be
-   refreshed; the derived object reading it is skipped with it, while
-   an unrelated stale chain still refreshes. *)
+(* An interpolated object is recomputed by the interpolation its task
+   records, and the object derived from it refreshes after it.  An
+   object whose input was deleted cannot be recomputed: it is skipped,
+   the derived object reading it is skipped with it, and everything
+   else still refreshes. *)
 let run_refresh_with_skip lanes =
   with_pool_size lanes (fun () ->
       let k = chain_kernel () in
@@ -444,22 +444,36 @@ let run_refresh_with_skip lanes =
         | [ o ] -> o
         | _ -> Alcotest.fail "expected one interpolated object"
       in
-      let s1 = Option.get (Kernel.find_process k "s1") in
-      let d =
-        match (ok (Kernel.execute_process k s1 ~inputs:[ ("x", [ interp ]) ])).Task.outputs with
+      let run proc input =
+        let p = Option.get (Kernel.find_process k proc) in
+        match (ok (Kernel.execute_process k p ~inputs:[ ("x", [ input ]) ])).Task.outputs with
         | [ o ] -> o
         | _ -> Alcotest.fail "expected one derived object"
       in
+      let d = run "s1" interp in
+      let gone = insert_src ~vals:[| 7.; 7.; 7.; 7. |] ~day:21 k in
+      let orphan = run "s1" gone in
+      let below = run "s2" orphan in
+      ok (Kernel.delete_object k ~cls:"src" gone);
       update_src k a [| 5.; 6.; 7.; 8. |];
       let report = Kernel.refresh_stale k in
-      check_int "the chain refreshes" 3 report.Kernel.refreshed;
+      check_int "the chain and the interpolation refresh" 5
+        report.Kernel.refreshed;
       check_int "two objects skipped" 2 report.Kernel.skipped;
       check_int "skipped objects stay stale" 2 report.Kernel.remaining;
       Alcotest.(check (list (pair int string))) "skip reasons"
-        [ (interp, "process interpolate not in registry");
-          (d, "stale input not refreshable") ]
+        [ (orphan,
+           Printf.sprintf "mapping data: object %d of class src has no attribute data"
+             gone);
+          (below, "stale input not refreshable") ]
         report.Kernel.skip_reasons;
-      Alcotest.(check (list int)) "stale set" [ interp; d ] (Kernel.stale_objects k);
+      Alcotest.(check (list int)) "stale set" [ orphan; below ]
+        (Kernel.stale_objects k);
+      List.iter
+        (fun o ->
+          check_bool (Printf.sprintf "#%d reproduces" o) true
+            (ok (Lineage.verify_object k o)))
+        [ interp; d ];
       (report.Kernel.skip_reasons, log_lines k, task_rows k))
 
 let test_refresh_with_skip () =

@@ -437,18 +437,17 @@ let tokens_view_prop =
       List.for_all
         (fun session ->
           let k = Session.kernel session in
-          let view = Kernel.derivation_net k in
+          let net = Kernel.derivation_net k in
           let reference =
             Gaea_petri.Marking.view (Kernel.current_marking k)
           in
           List.for_all
             (fun cls ->
-              let place = Option.get (view.Kernel.place_of_class cls) in
+              let place = Option.get (Gaea_petri.Net.find_place net cls) in
               List.for_all
                 (fun need ->
                   let plan tokens =
-                    Gaea_petri.Backchain.search ~need view.Kernel.net tokens
-                      place
+                    Gaea_petri.Backchain.search ~need net tokens place
                   in
                   plan (Kernel.tokens k) = plan reference
                   || QCheck.Test.fail_reportf "%s NEED %d plans differ" cls
