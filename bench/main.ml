@@ -463,6 +463,41 @@ type e7_row = {
 
 let e7_rows : e7_row list ref = ref []
 
+let e7_failed = ref false
+
+(* Fig 3's P20 scene at one lane: minor words per pixel per Lloyd
+   iteration (gated at 1: the flat point layout allocates nothing per
+   pixel, the per-pixel arrays it replaced 25) and the share of
+   point-to-centroid distances the bounds skipped *)
+let e7_kmeans_p20 () =
+  let n = 128 and k = 12 in
+  let comp =
+    (R.Synthetic.landsat_scene ~seed:1 ~nrow:n ~ncol:n ()).R.Synthetic.composite
+  in
+  let saved = Pool.size () in
+  Pool.set_size 1;
+  let w0 = Gc.minor_words () in
+  let r, dt = time_once (fun () -> R.Kmeans.unsuperclassify comp k) in
+  let words = Gc.minor_words () -. w0 in
+  Pool.set_size saved;
+  let px_iters = float_of_int (n * n * r.R.Kmeans.iterations) in
+  let per_px_iter = words /. px_iters in
+  let lloyd = px_iters *. float_of_int k in
+  Printf.printf
+    "\nkmeans P20 scene (%dx%dx3, k=%d) at 1 lane: %d iterations, %.1f ms, \
+     %.2f minor words per pixel per iteration, %.1f%% of %.0f distance \
+     evaluations skipped\n"
+    n n k r.R.Kmeans.iterations (dt *. 1000.) per_px_iter
+    (100. *. (1. -. (float_of_int r.R.Kmeans.distances /. lloyd)))
+    lloyd;
+  if per_px_iter > 1. then begin
+    Printf.printf
+      "E7 FAILURE: k-means allocated %.2f minor words per pixel per \
+       iteration (at most 1) — a per-pixel allocation is back\n"
+      per_px_iter;
+    e7_failed := true
+  end
+
 let e7_parallel_speedup () =
   section "E7: parallel raster kernels — domain-pool speedup sweep";
   let n = if smoke then 96 else 512 in
@@ -522,7 +557,8 @@ let e7_parallel_speedup () =
         :: !e7_rows)
     kernels;
   Pool.set_size saved;
-  e7_rows := List.rev !e7_rows
+  e7_rows := List.rev !e7_rows;
+  e7_kmeans_p20 ()
 
 (* ------------------------------------------------------------------ *)
 (* E8: reuse of derived objects                                        *)
@@ -1412,6 +1448,6 @@ let () =
   print_endline "\nall experiments completed.";
   Pool.shutdown ();
   if
-    !parity_failed || !e10_failed || !e8_failed || !e13_failed || !e14_failed
-    || !e15_failed || !e16_failed
+    !parity_failed || !e7_failed || !e10_failed || !e8_failed || !e13_failed
+    || !e14_failed || !e15_failed || !e16_failed
   then exit 1

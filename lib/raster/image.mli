@@ -92,5 +92,6 @@ val unsafe_of_array : ?label:string -> nrow:int -> ncol:int -> Pixel.t
   -> float array -> t
 (** Wrap an array as an image {e without} copying or quantizing — the
     caller promises the values already fit the pixel type.  Reserved
-    for the fused kernels in {!Kernelized}.
+    for the raster kernels in this library ({!Kernelized},
+    {!Kmeans}, {!Maxlike.classify}).
     @raise Invalid_argument if the array length is not [nrow*ncol]. *)

@@ -5,20 +5,22 @@
     Deterministic k-means over per-pixel band vectors: seeded k-means++
     initialization, Lloyd iterations to convergence, stable relabeling of
     clusters (sorted by centroid) so the same inputs always yield the
-    same class image. *)
+    same class image.  The assignment step skips a point's distances
+    when Hamerly's bounds prove it keeps its label; the labels,
+    centroids, iteration count and inertia are bit for bit those of
+    plain Lloyd (ties to the lowest centroid index), at any pool size. *)
 
 type result = {
   labels : Image.t;            (** Int4 label image, values in 0..k-1 *)
   centroids : float array array; (** k centroids of dimension n_bands *)
   iterations : int;            (** Lloyd iterations performed *)
   inertia : float;             (** sum of squared distances to assigned centroid *)
+  distances : int;
+  (** point-to-centroid distances the assignment steps computed; plain
+      Lloyd computes [iterations * n_pixels * k] *)
 }
 
 val unsuperclassify : ?seed:int -> ?max_iter:int -> Composite.t -> int
   -> result
 (** [unsuperclassify composite k] groups pixels into [k] classes.
     @raise Invalid_argument if [k < 1] or [k] exceeds the pixel count. *)
-
-val assign : float array array -> float array -> int
-(** Index of the nearest centroid (ties to the lowest index).
-    @raise Invalid_argument on empty centroids. *)

@@ -124,23 +124,74 @@ let log_likelihood cm v =
   done;
   log cm.prior -. 0.5 *. (cm.log_det +. !mahal)
 
+(* Per-pixel argmax of [log_likelihood], allocation-free: the class
+   means and inverse covariances are copied once into flat arrays, each
+   chunk reuses one difference vector, and the Mahalanobis sum adds
+   [diff.(r) * (inv row r . diff)] in the order [log_likelihood] does. *)
 let classify model composite =
   (match model with
    | [] -> invalid_arg "Maxlike.classify: empty model"
    | _ -> ());
   let nrow = Composite.nrow composite and ncol = Composite.ncol composite in
+  let dims = Composite.n_bands composite in
+  let classes = Array.of_list model in
+  let nc = Array.length classes in
+  Array.iter
+    (fun cm ->
+      if Array.length cm.mean <> dims then
+        invalid_arg
+          (Printf.sprintf
+             "Maxlike.classify: class %d has %d bands, the image %d"
+             cm.class_id (Array.length cm.mean) dims))
+    classes;
+  let bands =
+    Array.init dims (fun b -> Image.unsafe_data (Composite.band composite b))
+  in
+  let means =
+    Array.init (nc * dims) (fun x -> classes.(x / dims).mean.(x mod dims))
+  in
+  let inv =
+    Array.init (nc * dims * dims) (fun x ->
+        let c = x / (dims * dims) and rj = x mod (dims * dims) in
+        Matrix.get classes.(c).inv_covariance (rj / dims) (rj mod dims))
+  in
+  let log_prior = Array.map (fun cm -> log cm.prior) classes in
+  let log_det = Array.map (fun cm -> cm.log_det) classes in
+  (* ids.(c + 1) is class c's label as stored; ids.(0) marks no class *)
+  let ids =
+    Array.init (nc + 1) (fun c ->
+        Pixel.quantize Pixel.Int4
+          (float_of_int (if c = 0 then -1 else classes.(c - 1).class_id)))
+  in
+  let n = nrow * ncol in
+  let data = Array.make n 0. in
   (* per-pixel argmax is independent: parallel across the pool; the
      cost hint (classes * dims^2 mahalanobis work) keeps the adaptive
      cutoff from forcing this expensive kernel sequential *)
-  let dims = float_of_int (Composite.n_bands composite) in
-  let cost = 4. *. float_of_int (List.length model) *. dims *. dims in
-  Image.par_init ~label:"maxlike" ~cost ~nrow ~ncol Pixel.Int4 (fun r c ->
-      let v = Composite.pixel_vector composite ((r * ncol) + c) in
-      let best, _ =
-        List.fold_left
-          (fun (best, best_ll) cm ->
-            let ll = log_likelihood cm v in
-            if ll > best_ll then (cm.class_id, ll) else (best, best_ll))
-          (-1, neg_infinity) model
-      in
-      float_of_int best)
+  let cost = 4. *. float_of_int nc *. float_of_int dims *. float_of_int dims in
+  Gaea_par.Pool.parallel_for_ranges ~cost ~lo:0 ~hi:n (fun clo chi ->
+      let diff = Array.make dims 0. in
+      for i = clo to chi - 1 do
+        let best = ref (-1) and best_ll = ref neg_infinity in
+        for c = 0 to nc - 1 do
+          for d = 0 to dims - 1 do
+            diff.(d) <- bands.(d).(i) -. means.((c * dims) + d)
+          done;
+          let mahal = ref 0. in
+          for r = 0 to dims - 1 do
+            let row = ((c * dims) + r) * dims in
+            let t = ref 0. in
+            for j = 0 to dims - 1 do
+              t := !t +. (inv.(row + j) *. diff.(j))
+            done;
+            mahal := !mahal +. (diff.(r) *. !t)
+          done;
+          let ll = log_prior.(c) -. (0.5 *. (log_det.(c) +. !mahal)) in
+          if ll > !best_ll then begin
+            best := c;
+            best_ll := ll
+          end
+        done;
+        data.(i) <- ids.(!best + 1)
+      done);
+  Image.unsafe_of_array ~label:"maxlike" ~nrow ~ncol Pixel.Int4 data

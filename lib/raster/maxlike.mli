@@ -27,8 +27,11 @@ val train : Composite.t -> Image.t -> model
     exists. *)
 
 val classify : model -> Composite.t -> Image.t
-(** Assign each pixel the class with maximal posterior log-likelihood.
-    Result is an Int4 label image. *)
+(** Assign each pixel the class with maximal posterior log-likelihood
+    (the first class in model order on a tie).  Result is an Int4 label
+    image.
+    @raise Invalid_argument on an empty model or a class whose mean has
+    a different band count than the composite. *)
 
 val log_likelihood : class_model -> float array -> float
 (** Gaussian log-density (plus log prior) of a feature vector. *)

@@ -441,11 +441,271 @@ let test_kmeans_k1 () =
   check_bool "all zero" true
     (Image.fold (fun acc v -> acc && v = 0.) true r.Kmeans.labels)
 
-let test_kmeans_assign () =
-  let centroids = [| [| 0. |]; [| 10. |] |] in
-  check_int "near 0" 0 (Kmeans.assign centroids [| 2. |]);
-  check_int "near 10" 1 (Kmeans.assign centroids [| 8. |]);
-  check_int "tie goes low" 0 (Kmeans.assign centroids [| 5. |])
+(* Reference Lloyd: the plain algorithm with one array per pixel, a
+   squared distance per centroid and a full argmin that sends ties to
+   the lowest index, summed in the domain pool's chunk order.
+   [Kmeans.unsuperclassify] skips distances with bounds, and must agree
+   with it bit for bit. *)
+module Lloyd = struct
+  let sq_dist a b =
+    let acc = ref 0. in
+    for i = 0 to Array.length a - 1 do
+      let d = a.(i) -. b.(i) in
+      acc := !acc +. (d *. d)
+    done;
+    !acc
+
+  let assign centroids v =
+    let best = ref 0 and best_d = ref (sq_dist centroids.(0) v) in
+    for j = 1 to Array.length centroids - 1 do
+      let d = sq_dist centroids.(j) v in
+      if d < !best_d then begin
+        best := j;
+        best_d := d
+      end
+    done;
+    !best
+
+  let seed_centroids rng points k =
+    let n = Array.length points in
+    let centroids = Array.make k points.(0) in
+    centroids.(0) <- points.(Rng.int rng n);
+    let dists = Array.map (fun p -> sq_dist p centroids.(0)) points in
+    for j = 1 to k - 1 do
+      let total = Array.fold_left ( +. ) 0. dists in
+      let chosen =
+        if total <= 0. then Rng.int rng n
+        else begin
+          let target = Rng.float rng total in
+          let acc = ref 0. and idx = ref (n - 1) in
+          (try
+             Array.iteri
+               (fun i d ->
+                 acc := !acc +. d;
+                 if !acc >= target then begin
+                   idx := i;
+                   raise Exit
+                 end)
+               dists
+           with Exit -> ());
+          !idx
+        end
+      in
+      centroids.(j) <- points.(chosen);
+      Array.iteri
+        (fun i p -> dists.(i) <- Float.min dists.(i) (sq_dist p centroids.(j)))
+        points
+    done;
+    Array.map Array.copy centroids
+
+  (* [f lo hi] per pool chunk, in chunk order *)
+  let chunks n f =
+    let g = Gaea_par.Pool.default_grain in
+    List.init ((n + g - 1) / g) (fun c -> f (c * g) (min n ((c + 1) * g)))
+
+  let run ?(seed = 42) ?(max_iter = 100) composite k =
+    let n = Composite.n_pixels composite in
+    let dims = Composite.n_bands composite in
+    let points = Array.init n (Composite.pixel_vector composite) in
+    let centroids = ref (seed_centroids (Rng.create seed) points k) in
+    let labels = Array.make n 0 in
+    let iterations = ref 0 and changed = ref true in
+    while !changed && !iterations < max_iter do
+      incr iterations;
+      changed := false;
+      let cs = !centroids in
+      Array.iteri
+        (fun i p ->
+          let j = assign cs p in
+          if j <> labels.(i) then begin
+            labels.(i) <- j;
+            changed := true
+          end)
+        points;
+      if !changed then begin
+        let sums = Array.init k (fun _ -> Array.make dims 0.) in
+        let counts = Array.make k 0 in
+        List.iter
+          (fun (ps, pc) ->
+            for j = 0 to k - 1 do
+              counts.(j) <- counts.(j) + pc.(j);
+              for d = 0 to dims - 1 do
+                sums.(j).(d) <- sums.(j).(d) +. ps.(j).(d)
+              done
+            done)
+          (chunks n (fun lo hi ->
+               let ps = Array.init k (fun _ -> Array.make dims 0.) in
+               let pc = Array.make k 0 in
+               for i = lo to hi - 1 do
+                 let j = labels.(i) in
+                 pc.(j) <- pc.(j) + 1;
+                 for d = 0 to dims - 1 do
+                   ps.(j).(d) <- ps.(j).(d) +. points.(i).(d)
+                 done
+               done;
+               (ps, pc)));
+        centroids :=
+          Array.mapi
+            (fun j s ->
+              if counts.(j) = 0 then cs.(j)
+              else Array.map (fun x -> x /. float_of_int counts.(j)) s)
+            sums
+      end
+    done;
+    let cs = !centroids in
+    let order = Array.init k (fun j -> j) in
+    Array.sort (fun a b -> compare cs.(a) cs.(b)) order;
+    let rank = Array.make k 0 in
+    Array.iteri (fun r j -> rank.(j) <- r) order;
+    let inertia =
+      List.fold_left ( +. ) 0.
+        (chunks n (fun lo hi ->
+             let acc = ref 0. in
+             for i = lo to hi - 1 do
+               acc := !acc +. sq_dist points.(i) cs.(labels.(i))
+             done;
+             !acc))
+    in
+    let ncol = Composite.ncol composite in
+    { Kmeans.labels =
+        Image.init ~nrow:(Composite.nrow composite) ~ncol Pixel.Int4 (fun r c ->
+            float_of_int rank.(labels.((r * ncol) + c)));
+      centroids = Array.map (fun j -> cs.(j)) order;
+      iterations = !iterations;
+      inertia;
+      distances = !iterations * n * k }
+end
+
+let bits v = Int64.bits_of_float v
+
+let same_kmeans (a : Kmeans.result) (b : Kmeans.result) =
+  Image.equal a.Kmeans.labels b.Kmeans.labels
+  && Array.length a.Kmeans.centroids = Array.length b.Kmeans.centroids
+  && Array.for_all2
+       (fun x y -> Array.map bits x = Array.map bits y)
+       a.Kmeans.centroids b.Kmeans.centroids
+  && a.Kmeans.iterations = b.Kmeans.iterations
+  && bits a.Kmeans.inertia = bits b.Kmeans.inertia
+
+(* [f ()] at a pool of [lanes] domains; more than one lane forces the
+   parallel path at any size *)
+let at_lanes lanes f =
+  let module Pool = Gaea_par.Pool in
+  let saved = Pool.size () in
+  Pool.set_size lanes;
+  Pool.set_min_parallel_work (if lanes > 1 then Some 0 else None);
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.set_min_parallel_work None;
+      Pool.set_size saved)
+    f
+
+(* Small composites built from a seed: [kind] 0 holds integers 0..3
+   (many ties and duplicate pixels), 1 random floats, 2 copies of three
+   random pixels, 3 random floats with every other band constant, 4
+   the hand-made tie 0, 10, 5 (5 is as near 0 as 10), 5 multiples of
+   1e-162 (their squares underflow, so distinct distances tie at 0) and
+   6 integers with a NaN or infinite pixel now and then.  One shape in ten
+   spans two pool chunks.  [kpick] 0 is k = 1, 1 is k = n (capped at
+   12 on the two-chunk shape), else k is drawn from 1..min n 12. *)
+let kmeans_case (shape, dims, kind, kpick, seed) =
+  let rs = Random.State.make [| seed |] in
+  let nrow, ncol =
+    if kind = 4 then (1, 3)
+    else if shape = 0 then (65, 64)
+    else (1 + Random.State.int rs 12, 1 + Random.State.int rs 12)
+  in
+  let n = nrow * ncol and dims = if kind = 4 then 1 else dims in
+  let palette =
+    Array.init 3 (fun _ -> Array.init dims (fun _ -> Random.State.float rs 50.))
+  in
+  let which = Array.init n (fun _ -> Random.State.int rs 3) in
+  let band b =
+    Image.init ~nrow ~ncol Pixel.Float8 (fun r c ->
+        let i = (r * ncol) + c in
+        match kind with
+        | 0 -> float_of_int (Random.State.int rs 4)
+        | 1 -> Random.State.float rs 100.
+        | 2 -> palette.(which.(i)).(b)
+        | 3 -> if b mod 2 = 1 then 7. else Random.State.float rs 100.
+        | 4 -> [| 0.; 10.; 5. |].(i)
+        | 5 -> 1e-162 *. float_of_int (Random.State.int rs 5)
+        | _ -> (
+          match Random.State.int rs 40 with
+          | 0 -> Float.nan
+          | 1 -> Float.infinity
+          | v -> float_of_int (v mod 4)))
+  in
+  let comp = Composite.of_bands (List.init dims band) in
+  let k =
+    match kpick with
+    | 0 -> 1
+    | 1 -> if n <= 144 then n else 12
+    | _ -> 1 + Random.State.int rs (min n 12)
+  in
+  (comp, k, seed)
+
+let kmeans_oracle_prop =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((shape, dims, kind, kpick), seed) ->
+          (shape, dims, kind, kpick, seed))
+        (pair
+           (quad (int_bound 9) (int_range 1 4) (int_bound 6) (int_bound 3))
+           (int_bound 1_000_000)))
+  in
+  let print (shape, dims, kind, kpick, seed) =
+    Printf.sprintf "shape %d, %d band(s), kind %d, kpick %d, seed %d" shape dims
+      kind kpick seed
+  in
+  QCheck.Test.make ~name:"matches reference Lloyd" ~count:300
+    (QCheck.make ~print gen) (fun case ->
+      let comp, k, seed = kmeans_case case in
+      let expected = Lloyd.run ~seed comp k in
+      List.for_all
+        (fun lanes ->
+          same_kmeans expected
+            (at_lanes lanes (fun () -> Kmeans.unsuperclassify ~seed comp k)))
+        [ 1; 2 ])
+
+(* Fig 3's P20 scene, pinned to the plain Lloyd loop the bounded one
+   replaced: its label hash, centroid bits, iteration count and inertia
+   bits *)
+let p20_centroid_bits =
+  [| [| 0x406206b0fa89a66bL; 0x40671cb8fd736fccL; 0x4050705765994f05L |];
+     [| 0x406261fcebfdf2a9L; 0x40681f50e3197af5L; 0x405173793ec29b9eL |];
+     [| 0x40627bbf4a8c6cbdL; 0x406725c0f57e3fb5L; 0x40529643b5f3a89cL |];
+     [| 0x40631a061381ffaeL; 0x40675c5cbdf61611L; 0x40507c8fe8f971b0L |];
+     [| 0x4065809fee3add04L; 0x40513ec0238a45f8L; 0x4063ab624a698280L |];
+     [| 0x40681e807fd56389L; 0x4066b219f75837edL; 0x404b99ccbbc16a32L |];
+     [| 0x4068df8b25ab6f79L; 0x405b745f53cbb946L; 0x405ba2d5b7bc592dL |];
+     [| 0x406908e228d59858L; 0x405d1fa80c907da5L; 0x405a11857f36f826L |];
+     [| 0x4069a69966996699L; 0x405b668ca68ca68dL; 0x405a25da25da25daL |];
+     [| 0x4069b8da2bfc7b29L; 0x40630d8ffb4ee1ccL; 0x4054a45347d81e7fL |];
+     [| 0x406a1e426df134a7L; 0x4062d4e2d8b18832L; 0x4052a915523d353bL |];
+     [| 0x406acaf88bf0ca00L; 0x406332cdf4be70ddL; 0x40543723bee5af62L |] |]
+
+let test_kmeans_p20_pinned () =
+  let comp =
+    (Synthetic.landsat_scene ~seed:1 ~nrow:128 ~ncol:128 ()).Synthetic.composite
+  in
+  List.iter
+    (fun lanes ->
+      let r = at_lanes lanes (fun () -> Kmeans.unsuperclassify comp 12) in
+      let at = Printf.sprintf " @%d" lanes in
+      check_int ("label hash" ^ at) 2751130003890160826
+        (Image.content_hash r.Kmeans.labels);
+      check_bool ("centroid bits" ^ at) true
+        (Array.map (Array.map bits) r.Kmeans.centroids = p20_centroid_bits);
+      check_int ("iterations" ^ at) 94 r.Kmeans.iterations;
+      check_bool ("inertia bits" ^ at) true
+        (bits r.Kmeans.inertia = 0x412509a82dbd10aaL);
+      check_bool ("skips distances" ^ at) true
+        (r.Kmeans.distances < r.Kmeans.iterations * 128 * 128 * 12 / 2))
+    [ 1; 2 ];
+  check_bool "the reference agrees" true
+    (same_kmeans (Lloyd.run comp 12) (Kmeans.unsuperclassify comp 12))
 
 (* ------------------------------------------------------------------ *)
 (* Maxlike                                                             *)
@@ -479,6 +739,29 @@ let test_maxlike_unlabelled_skipped () =
   in
   let model = Maxlike.train comp truth in
   check_int "two classes despite holes" 2 (List.length model)
+
+(* the flat classify kernel against the per-pixel argmax of
+   [log_likelihood], first class on a tie *)
+let test_maxlike_matches_loglik () =
+  let scene = Synthetic.landsat_scene ~seed:4 ~nrow:20 ~ncol:20 ~bands:4 () in
+  let comp = scene.Synthetic.composite in
+  let model = Maxlike.train comp scene.Synthetic.truth in
+  let expected =
+    Image.init ~nrow:20 ~ncol:20 Pixel.Int4 (fun r c ->
+        let v = Composite.pixel_vector comp ((r * 20) + c) in
+        fst
+          (List.fold_left
+             (fun (best, best_ll) cm ->
+               let ll = Maxlike.log_likelihood cm v in
+               if ll > best_ll then (float_of_int cm.Maxlike.class_id, ll)
+               else (best, best_ll))
+             (-1., neg_infinity) model))
+  in
+  check_bool "same class image" true
+    (Image.equal expected (Maxlike.classify model comp));
+  Alcotest.check_raises "band count"
+    (Invalid_argument "Maxlike.classify: class 0 has 4 bands, the image 1")
+    (fun () -> ignore (Maxlike.classify model (separated_composite ())))
 
 let test_maxlike_no_labels () =
   let comp = separated_composite () in
@@ -670,12 +953,14 @@ let () =
           tc "inertia vs k" test_kmeans_inertia_decreases_with_k;
           tc "validation" test_kmeans_validation;
           tc "k=1" test_kmeans_k1;
-          tc "assign" test_kmeans_assign ] );
+          tc "P20 scene pinned" test_kmeans_p20_pinned ] );
+      qsuite "kmeans-props" [ kmeans_oracle_prop ];
       ( "maxlike",
         [ tc "recovers truth" test_maxlike_recovers_truth;
           tc "log-likelihood" test_maxlike_loglik_prefers_own_mean;
           tc "unlabelled skipped" test_maxlike_unlabelled_skipped;
-          tc "no labels" test_maxlike_no_labels ] );
+          tc "no labels" test_maxlike_no_labels;
+          tc "classify = loglik argmax" test_maxlike_matches_loglik ] );
       ( "pca",
         [ tc "variance concentration" test_pca_variance_concentration;
           tc "uncorrelated components" test_pca_components_uncorrelated;
