@@ -352,15 +352,7 @@ let matrix_operators =
       ~doc:"center and scale columns to unit variance" Matrix Matrix
       (fun v ->
         let* m = Value.to_matrix v in
-        let centered, _ = R.Matrix.center_columns m in
-        let cov = R.Matrix.covariance m in
-        let n = R.Matrix.cols m in
-        let sd = Array.init n (fun i -> sqrt (R.Matrix.get cov i i)) in
-        Ok
-          (Value.matrix
-             (R.Matrix.init ~rows:(R.Matrix.rows m) ~cols:n (fun i j ->
-                  if sd.(j) = 0. then 0.
-                  else R.Matrix.get centered i j /. sd.(j)))));
+        Ok (Value.matrix (R.Matrix.standardize_columns m)));
     Operator.lift1 ~name:"compute_covariance"
       ~doc:"covariance of matrix columns (Fig 4)" Matrix Matrix (fun v ->
         let* m = Value.to_matrix v in

@@ -110,7 +110,7 @@ let to_matrix c =
       done);
   Matrix.unsafe_of_array ~rows ~cols out
 
-let of_matrix ~nrow ~ncol ptype m =
+let of_matrix ~nrow ~ncol m =
   if Matrix.rows m <> nrow * ncol then
     invalid_arg
       (Printf.sprintf "Kernelized.of_matrix: %d rows for %dx%d image"
@@ -122,8 +122,6 @@ let of_matrix ~nrow ~ncol ptype m =
          let out = Array.make rows 0. in
          Pool.parallel_for_ranges ~lo:0 ~hi:rows (fun plo phi ->
              for i = plo to phi - 1 do
-               Array.unsafe_set out i
-                 (Pixel.quantize ptype
-                    (Array.unsafe_get md ((i * cols) + j)))
+               Array.unsafe_set out i (Array.unsafe_get md ((i * cols) + j))
              done);
-         Image.unsafe_of_array ~nrow ~ncol ptype out))
+         Image.unsafe_of_array ~nrow ~ncol Pixel.Float8 out))

@@ -45,6 +45,8 @@ val to_matrix : Composite.t -> Matrix.t
     of a bounds-checked closure per element.  Bit-identical to the
     reference {!Composite.to_matrix}. *)
 
-val of_matrix : nrow:int -> ncol:int -> Pixel.t -> Matrix.t -> Composite.t
-(** Fused matrix→composite; bit-identical to {!Composite.of_matrix}.
+val of_matrix : nrow:int -> ncol:int -> Matrix.t -> Composite.t
+(** Fused matrix→composite of Float8 bands (whose quantization is the
+    identity, so values are copied as they are); bit-identical to
+    {!Composite.of_matrix} with [Pixel.Float8].
     @raise Invalid_argument if [Matrix.rows m <> nrow*ncol]. *)

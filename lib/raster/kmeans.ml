@@ -6,6 +6,7 @@ type result = {
   iterations : int;
   inertia : float;
   distances : int;
+  incremental : bool;
 }
 
 (* Every vector lives in a flat point-interleaved float array: point [i]
@@ -121,6 +122,34 @@ let run ~seed ~max_iter composite k =
   let rel = float_of_int (dims + 3) *. 0x1p-50 in
   let grow_f = 1. +. (4. *. rel) and shrink_f = 1. -. (4. *. rel) in
   let three_abs = 3. *. abs_margin in
+  (* Exactness of the incremental update.  When every coordinate is an
+     integer (Float.is_integer, false for NaN and infinities) and
+     M * n < 2^53 with M = max |v|, any signed sum of any subset of
+     coordinates is an integer of magnitude at most M * n, so each float
+     addition of such sums is exact and the result does not depend on
+     the order of the additions.  Every accumulator starts at +0. and a
+     sum of two floats that is exactly zero is +0. unless both are -0.,
+     so no accumulator ever holds -0. (pixels of -0. add as +0.).  Sums
+     kept across iterations and updated by the moved pixels' deltas are
+     therefore bit for bit the sums the chunked pass recomputes from
+     scratch, and so are the centroids divided from them.  M * n is
+     rounded up or exact, so the float test never admits a product at or
+     above 2^53. *)
+  let incremental =
+    let ok = ref true and m = ref 0. and i = ref 0 in
+    while !ok && !i < n * dims do
+      let v = pts.(!i) in
+      (* Float.is_integer v but for infinities, which fail the bound;
+         the call would box v *)
+      if Float.trunc v = v then begin
+        if Float.abs v > !m then m := Float.abs v
+      end
+      else ok := false;
+      incr i
+    done;
+    !ok && !m *. float_of_int n < 0x1p53
+  in
+  let sums = Array.make (k * dims) 0. and counts = Array.make k 0 in
   let labels = Array.make n 0 in
   let up = Array.make n infinity and lo = Array.make n 0. in
   let half = Array.make k 0. and drift = Array.make k 0. in
@@ -167,14 +196,18 @@ let run ~seed ~max_iter composite k =
         else if p > !max2 then max2 := p
       done;
     let max1 = !max1 and arg1 = !arg1 and max2 = !max2 in
-    (* assignment step: per chunk, (labels changed, distances computed) *)
-    let moved, evals =
-      Pool.parallel_for_reduce
+    (* sums carried over from the previous update, so this step's moves
+       are recorded as deltas *)
+    let deltas = incremental && !iterations > 1 in
+    (* assignment step: per chunk, (labels changed, distances computed,
+       sum and count deltas of the moved pixels when [deltas]) *)
+    let chunks =
+      Pool.map_chunks
         ~cost:(3. *. float_of_int k *. fdims)
-        ~lo:0 ~hi:n ~init:(0, 0)
-        ~reduce:(fun (m, e) (m', e') -> (m + m', e + e'))
+        ~lo:0 ~hi:n
         (fun clo chi ->
           let moved = ref 0 and evals = ref 0 in
+          let dsums = Array.make (k * dims) 0. and dcounts = Array.make k 0 in
           for i = clo to chi - 1 do
             let pi = i * dims in
             let a = labels.(i) in
@@ -226,44 +259,61 @@ let run ~seed ~max_iter composite k =
                 (if !second < infinity then
                    (Float.sqrt !second *. shrink_f) -. three_abs
                  else 0.);
-              if !best <> a then begin
-                labels.(i) <- !best;
-                incr moved
+              let b = !best in
+              if b <> a then begin
+                labels.(i) <- b;
+                incr moved;
+                if deltas then begin
+                  dcounts.(a) <- dcounts.(a) - 1;
+                  dcounts.(b) <- dcounts.(b) + 1;
+                  let sa = a * dims and sb = b * dims in
+                  for d = 0 to dims - 1 do
+                    dsums.(sa + d) <- dsums.(sa + d) -. pts.(pi + d);
+                    dsums.(sb + d) <- dsums.(sb + d) +. pts.(pi + d)
+                  done
+                end
               end
             end
           done;
-          (!moved, !evals))
+          (!moved, !evals, dsums, dcounts))
     in
-    distances := !distances + evals;
-    changed := moved > 0;
+    let moved = ref 0 in
+    Array.iter
+      (fun (m, e, _, _) ->
+        moved := !moved + m;
+        distances := !distances + e)
+      chunks;
+    changed := !moved > 0;
     (* update step; empty clusters keep their previous centroid *)
     if !changed then begin
       Array.blit cs 0 prev 0 (k * dims);
-      let partials =
-        Pool.map_chunks ~cost:(2. *. fdims) ~lo:0 ~hi:n (fun clo chi ->
-            let sums = Array.make (k * dims) 0. in
-            let counts = Array.make k 0 in
-            for i = clo to chi - 1 do
-              let j = labels.(i) in
-              counts.(j) <- counts.(j) + 1;
-              let pi = i * dims and sj = j * dims in
-              for d = 0 to dims - 1 do
-                sums.(sj + d) <- sums.(sj + d) +. pts.(pi + d)
-              done
-            done;
-            (sums, counts))
+      let add ps pc =
+        for j = 0 to k - 1 do
+          counts.(j) <- counts.(j) + pc.(j)
+        done;
+        for x = 0 to (k * dims) - 1 do
+          sums.(x) <- sums.(x) +. ps.(x)
+        done
       in
-      let sums = Array.make (k * dims) 0. in
-      let counts = Array.make k 0 in
-      Array.iter
-        (fun (ps, pc) ->
-          for j = 0 to k - 1 do
-            counts.(j) <- counts.(j) + pc.(j)
-          done;
-          for x = 0 to (k * dims) - 1 do
-            sums.(x) <- sums.(x) +. ps.(x)
-          done)
-        partials;
+      if deltas then Array.iter (fun (_, _, ds, dc) -> add ds dc) chunks
+      else begin
+        Array.fill sums 0 (k * dims) 0.;
+        Array.fill counts 0 k 0;
+        Array.iter
+          (fun (ps, pc) -> add ps pc)
+          (Pool.map_chunks ~cost:(2. *. fdims) ~lo:0 ~hi:n (fun clo chi ->
+               let sums = Array.make (k * dims) 0. in
+               let counts = Array.make k 0 in
+               for i = clo to chi - 1 do
+                 let j = labels.(i) in
+                 counts.(j) <- counts.(j) + 1;
+                 let pi = i * dims and sj = j * dims in
+                 for d = 0 to dims - 1 do
+                   sums.(sj + d) <- sums.(sj + d) +. pts.(pi + d)
+                 done
+               done;
+               (sums, counts)))
+      end;
       for j = 0 to k - 1 do
         if counts.(j) > 0 then begin
           let c = float_of_int counts.(j) in
@@ -309,7 +359,8 @@ let run ~seed ~max_iter composite k =
     centroids = final_centroids;
     iterations = !iterations;
     inertia;
-    distances = !distances }
+    distances = !distances;
+    incremental }
 
 let unsuperclassify ?(seed = 42) ?(max_iter = 100) composite k =
   let n = Composite.n_pixels composite in

@@ -18,6 +18,13 @@ type result = {
   distances : int;
   (** point-to-centroid distances the assignment steps computed; plain
       Lloyd computes [iterations * n_pixels * k] *)
+  incremental : bool;
+  (** the update steps after the first kept the centroid sums and
+      applied only the moved pixels' deltas: chosen when every band
+      value is an integer and [max |v| * n_pixels < 2^53], where the
+      float sums are exact in any order; otherwise every update step
+      summed all pixels in pool-chunk order.  The results are the same
+      bits either way. *)
 }
 
 val unsuperclassify : ?seed:int -> ?max_iter:int -> Composite.t -> int

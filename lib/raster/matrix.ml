@@ -129,13 +129,36 @@ let column_means t =
   done;
   Array.map (fun s -> s /. float_of_int t.rows) means
 
+(* [(x -. means.(j)) /. sds.(j)] per element, 0. where [sds.(j) = 0.],
+   in one flat pass with no per-element closure *)
+let scale_columns t means sds =
+  let k = t.cols and src = t.data in
+  let out = Array.make (t.rows * k) 0. in
+  Pool.parallel_for_ranges ~cost:(float_of_int k) ~lo:0 ~hi:t.rows
+    (fun rlo rhi ->
+      for r = rlo to rhi - 1 do
+        let base = r * k in
+        for j = 0 to k - 1 do
+          let sd = Array.unsafe_get sds j in
+          Array.unsafe_set out (base + j)
+            (if sd = 0. then 0.
+             else
+               (Array.unsafe_get src (base + j) -. Array.unsafe_get means j)
+               /. sd)
+        done
+      done);
+  { t with data = out }
+
+(* dividing by 1. is exact, so this is the plain difference *)
 let center_columns t =
   let means = column_means t in
-  (par_init ~rows:t.rows ~cols:t.cols (fun i j -> get t i j -. means.(j)),
-   means)
+  (scale_columns t means (Array.make t.cols 1.), means)
+
+let check_observations t =
+  if t.rows < 2 then invalid_arg "Matrix.covariance: needs >= 2 observations"
 
 let covariance t =
-  if t.rows < 2 then invalid_arg "Matrix.covariance: needs >= 2 observations";
+  check_observations t;
   (* accumulate (x_i - mean_i)(x_j - mean_j) over observation chunks;
      partials combine in chunk order, so any pool size associates the
      float sums identically *)
@@ -170,6 +193,40 @@ let covariance t =
   in
   let s = 1. /. float_of_int (t.rows - 1) in
   { rows = k; cols = k; data = Array.map (fun v -> s *. v) total }
+
+(* The diagonal of [covariance] alone: the same chunks, the same
+   per-row [di <> 0.] accumulation (the diagonal entry adds [di *. di],
+   the product covariance forms for j = i) and the same chunk-order
+   reduce from zeros, so each standard deviation has exactly the bits
+   of [sqrt] of covariance's diagonal entry. *)
+let column_sds t means =
+  let k = t.cols and data = t.data in
+  let total =
+    Pool.parallel_for_reduce ~cost:(float_of_int k) ~lo:0 ~hi:t.rows
+      ~init:(Array.make k 0.)
+      ~reduce:(fun a b ->
+        for i = 0 to k - 1 do
+          a.(i) <- a.(i) +. b.(i)
+        done;
+        a)
+      (fun lo hi ->
+        let acc = Array.make k 0. in
+        for r = lo to hi - 1 do
+          let base = r * k in
+          for i = 0 to k - 1 do
+            let di = Array.unsafe_get data (base + i) -. means.(i) in
+            if di <> 0. then acc.(i) <- acc.(i) +. (di *. di)
+          done
+        done;
+        acc)
+  in
+  let s = 1. /. float_of_int (t.rows - 1) in
+  Array.map (fun v -> sqrt (s *. v)) total
+
+let standardize_columns t =
+  check_observations t;
+  let means = column_means t in
+  scale_columns t means (column_sds t means)
 
 let correlation_of_covariance cov =
   let n = cols cov in

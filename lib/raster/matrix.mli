@@ -48,6 +48,12 @@ val column_means : t -> float array
 val center_columns : t -> t * float array
 (** Subtract column means; returns centered matrix and the means. *)
 
+val standardize_columns : t -> t
+(** Center each column and divide it by its sample standard deviation
+    (a zero-deviation column becomes zeros): element for element the
+    bits of [(x - mean) / sqrt (covariance).(j,j)], without forming the
+    off-diagonal covariances.  @raise Invalid_argument if rows < 2. *)
+
 val covariance : t -> t
 (** Sample covariance of the columns (rows are observations); divides by
     [rows-1].  @raise Invalid_argument if rows < 2. *)

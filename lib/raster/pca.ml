@@ -13,7 +13,7 @@ let get_eigen_vector m = Eigen.decompose m
 let linear_combination observations loadings = Matrix.mul observations loadings
 
 let convert_matrix_image ~nrow ~ncol m =
-  Kernelized.of_matrix ~nrow ~ncol Pixel.Float8 m
+  Kernelized.of_matrix ~nrow ~ncol m
 
 let run ~standardize ?components composite =
   let nrow = Composite.nrow composite and ncol = Composite.ncol composite in
@@ -25,18 +25,10 @@ let run ~standardize ?components composite =
   if Composite.n_pixels composite < 2 then
     invalid_arg "Pca: needs at least 2 pixels";
   let obs = convert_image_matrix composite in
-  let centered, _means = Matrix.center_columns obs in
   let prepared, sym =
-    if standardize then begin
-      let cov = compute_covariance obs in
-      let sd = Array.init n_bands (fun i -> sqrt (Matrix.get cov i i)) in
-      let std =
-        Matrix.par_init ~rows:(Matrix.rows centered) ~cols:n_bands (fun i j ->
-            if sd.(j) = 0. then 0. else Matrix.get centered i j /. sd.(j))
-      in
-      (std, compute_correlation obs)
-    end
-    else (centered, compute_covariance obs)
+    if standardize then
+      (Matrix.standardize_columns obs, compute_correlation obs)
+    else (fst (Matrix.center_columns obs), compute_covariance obs)
   in
   let decomp = get_eigen_vector sym in
   let loadings =

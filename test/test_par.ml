@@ -338,7 +338,7 @@ let test_fused_composite_matrix () =
     with_size 1 (fun () -> Composite.of_matrix ~nrow ~ncol Pixel.Float8 m1)
   in
   let back lanes =
-    with_size lanes (fun () -> Kernelized.of_matrix ~nrow ~ncol Pixel.Float8 m1)
+    with_size lanes (fun () -> Kernelized.of_matrix ~nrow ~ncol m1)
   in
   check_bool "of_matrix matches reference" true
     (Composite.equal ref_back (back 1));

@@ -9,6 +9,21 @@ let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-9))
 let check_close eps = Alcotest.(check (float eps))
 
+let bits v = Int64.bits_of_float v
+
+(* [f ()] at a pool of [lanes] domains; more than one lane forces the
+   parallel path at any size *)
+let at_lanes lanes f =
+  let module Pool = Gaea_par.Pool in
+  let saved = Pool.size () in
+  Pool.set_size lanes;
+  Pool.set_min_parallel_work (if lanes > 1 then Some 0 else None);
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.set_min_parallel_work None;
+      Pool.set_size saved)
+    f
+
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -236,6 +251,69 @@ let matrix_transpose_mul_prop =
       Matrix.approx_equal ~eps:1e-6
         (Matrix.transpose (Matrix.mul a b))
         (Matrix.mul (Matrix.transpose b) (Matrix.transpose a)))
+
+(* [Matrix.standardize_columns] against the composition it replaced:
+   subtract the column means, divide by the square root of the
+   covariance diagonal, per element.  Cases: [kind] 0 random floats, 1
+   every other column constant (sd = 0), 2 random floats with one NaN
+   element, 3 integers 0..9; one in four spans three pool chunks. *)
+let std_case (big, cols, kind, seed) =
+  let rs = Random.State.make [| seed |] in
+  let rows =
+    if big = 0 then (2 * Gaea_par.Pool.default_grain) + 37
+    else 2 + Random.State.int rs 40
+  in
+  let nan_at = Random.State.int rs (rows * cols) in
+  Matrix.init ~rows ~cols (fun i j ->
+      match kind with
+      | 0 -> Random.State.float rs 200. -. 100.
+      | 1 -> if j mod 2 = 1 then 3.5 else Random.State.float rs 10.
+      | 2 ->
+        if (i * cols) + j = nan_at then Float.nan else Random.State.float rs 10.
+      | _ -> float_of_int (Random.State.int rs 10))
+
+let reference_standardize m =
+  let means = Matrix.column_means m and cov = Matrix.covariance m in
+  ( Matrix.init ~rows:(Matrix.rows m) ~cols:(Matrix.cols m) (fun i j ->
+        Matrix.get m i j -. means.(j)),
+    Matrix.init ~rows:(Matrix.rows m) ~cols:(Matrix.cols m) (fun i j ->
+        let sd = sqrt (Matrix.get cov j j) in
+        if sd = 0. then 0. else (Matrix.get m i j -. means.(j)) /. sd) )
+
+let same_bits a b =
+  Matrix.rows a = Matrix.rows b
+  && Matrix.cols a = Matrix.cols b
+  && Array.for_all2
+       (fun x y -> bits x = bits y)
+       (Matrix.unsafe_data a) (Matrix.unsafe_data b)
+
+let standardize_parity_prop =
+  QCheck.Test.make ~name:"standardize_columns = centre, covariance sd, divide"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (big, cols, kind, seed) ->
+         Printf.sprintf "big %d, %d column(s), kind %d, seed %d" big cols kind
+           seed)
+       QCheck.Gen.(
+         map
+           (fun ((big, cols, kind), seed) -> (big, cols, kind, seed))
+           (pair
+              (triple (int_bound 3) (int_range 1 6) (int_bound 3))
+              (int_bound 1_000_000))))
+    (fun case ->
+      let m = std_case case in
+      let centered, standardized = reference_standardize m in
+      List.for_all
+        (fun lanes ->
+          at_lanes lanes (fun () ->
+              same_bits standardized (Matrix.standardize_columns m)
+              && same_bits centered (fst (Matrix.center_columns m))))
+        [ 1; 2 ])
+
+let test_standardize_one_row () =
+  Alcotest.check_raises "one row"
+    (Invalid_argument "Matrix.covariance: needs >= 2 observations") (fun () ->
+      ignore (Matrix.standardize_columns (of_rows [| [| 1.; 2. |] |])))
 
 (* ------------------------------------------------------------------ *)
 (* Eigen                                                               *)
@@ -573,10 +651,9 @@ module Lloyd = struct
       centroids = Array.map (fun j -> cs.(j)) order;
       iterations = !iterations;
       inertia;
-      distances = !iterations * n * k }
+      distances = !iterations * n * k;
+      incremental = false }
 end
-
-let bits v = Int64.bits_of_float v
 
 let same_kmeans (a : Kmeans.result) (b : Kmeans.result) =
   Image.equal a.Kmeans.labels b.Kmeans.labels
@@ -587,27 +664,18 @@ let same_kmeans (a : Kmeans.result) (b : Kmeans.result) =
   && a.Kmeans.iterations = b.Kmeans.iterations
   && bits a.Kmeans.inertia = bits b.Kmeans.inertia
 
-(* [f ()] at a pool of [lanes] domains; more than one lane forces the
-   parallel path at any size *)
-let at_lanes lanes f =
-  let module Pool = Gaea_par.Pool in
-  let saved = Pool.size () in
-  Pool.set_size lanes;
-  Pool.set_min_parallel_work (if lanes > 1 then Some 0 else None);
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.set_min_parallel_work None;
-      Pool.set_size saved)
-    f
-
 (* Small composites built from a seed: [kind] 0 holds integers 0..3
    (many ties and duplicate pixels), 1 random floats, 2 copies of three
    random pixels, 3 random floats with every other band constant, 4
    the hand-made tie 0, 10, 5 (5 is as near 0 as 10), 5 multiples of
    1e-162 (their squares underflow, so distinct distances tie at 0) and
-   6 integers with a NaN or infinite pixel now and then.  One shape in ten
-   spans two pool chunks.  [kpick] 0 is k = 1, 1 is k = n (capped at
-   12 on the two-chunk shape), else k is drawn from 1..min n 12. *)
+   6 integers with a NaN or infinite pixel now and then.  Kinds 7-11
+   sit at the boundary of the exact incremental update: 7 integers
+   whose largest magnitude M has M * n just below 2^53, 8 M * n at or
+   above it (the chunked path), 9 integers with -0. pixels, 10 Int2
+   bands and 11 Int4 bands.  One shape in ten spans two pool chunks.
+   [kpick] 0 is k = 1, 1 is k = n (capped at 12 on the two-chunk
+   shape), else k is drawn from 1..min n 12. *)
 let kmeans_case (shape, dims, kind, kpick, seed) =
   let rs = Random.State.make [| seed |] in
   let nrow, ncol =
@@ -620,8 +688,16 @@ let kmeans_case (shape, dims, kind, kpick, seed) =
     Array.init 3 (fun _ -> Array.init dims (fun _ -> Random.State.float rs 50.))
   in
   let which = Array.init n (fun _ -> Random.State.int rs 3) in
+  (* kind 7: the largest M with M * n < 2^53; kind 8: the least M
+     with M * n >= 2^53 *)
+  let big_m =
+    if kind = 7 then ((1 lsl 53) - 1) / n else ((1 lsl 53) + n - 1) / n
+  in
+  let ptype =
+    match kind with 10 -> Pixel.Int2 | 11 -> Pixel.Int4 | _ -> Pixel.Float8
+  in
   let band b =
-    Image.init ~nrow ~ncol Pixel.Float8 (fun r c ->
+    Image.init ~nrow ~ncol ptype (fun r c ->
         let i = (r * ncol) + c in
         match kind with
         | 0 -> float_of_int (Random.State.int rs 4)
@@ -630,6 +706,13 @@ let kmeans_case (shape, dims, kind, kpick, seed) =
         | 3 -> if b mod 2 = 1 then 7. else Random.State.float rs 100.
         | 4 -> [| 0.; 10.; 5. |].(i)
         | 5 -> 1e-162 *. float_of_int (Random.State.int rs 5)
+        | 7 | 8 ->
+          if i = 0 && b = 0 then float_of_int big_m
+          else float_of_int (big_m / 4 * (Random.State.int rs 9 - 4))
+        | 9 -> [| -0.; 0.; -0.; 1.; -2.; 3. |].(Random.State.int rs 6)
+        | 10 -> float_of_int (Random.State.int rs 65536 - 32768)
+        | 11 ->
+          float_of_int (Random.State.int rs 1_000_000 * 2147 - 1_073_741_824)
         | _ -> (
           match Random.State.int rs 40 with
           | 0 -> Float.nan
@@ -645,6 +728,20 @@ let kmeans_case (shape, dims, kind, kpick, seed) =
   in
   (comp, k, seed)
 
+(* whether k-means may keep its centroid sums across iterations: every
+   band value an integer and max |v| * n below 2^53 *)
+let exact_sums comp =
+  let n = Composite.n_pixels comp in
+  let vs =
+    List.concat_map
+      (fun b -> Array.to_list (Image.unsafe_data b))
+      (Composite.bands comp)
+  in
+  List.for_all Float.is_integer vs
+  && Float.of_int n
+     *. List.fold_left (fun m v -> Float.max m (Float.abs v)) 0. vs
+     < 0x1p53
+
 let kmeans_oracle_prop =
   let gen =
     QCheck.Gen.(
@@ -652,21 +749,22 @@ let kmeans_oracle_prop =
         (fun ((shape, dims, kind, kpick), seed) ->
           (shape, dims, kind, kpick, seed))
         (pair
-           (quad (int_bound 9) (int_range 1 4) (int_bound 6) (int_bound 3))
+           (quad (int_bound 9) (int_range 1 4) (int_bound 11) (int_bound 3))
            (int_bound 1_000_000)))
   in
   let print (shape, dims, kind, kpick, seed) =
     Printf.sprintf "shape %d, %d band(s), kind %d, kpick %d, seed %d" shape dims
       kind kpick seed
   in
-  QCheck.Test.make ~name:"matches reference Lloyd" ~count:300
+  QCheck.Test.make ~name:"matches reference Lloyd" ~count:400
     (QCheck.make ~print gen) (fun case ->
       let comp, k, seed = kmeans_case case in
       let expected = Lloyd.run ~seed comp k in
+      let exact = exact_sums comp in
       List.for_all
         (fun lanes ->
-          same_kmeans expected
-            (at_lanes lanes (fun () -> Kmeans.unsuperclassify ~seed comp k)))
+          let r = at_lanes lanes (fun () -> Kmeans.unsuperclassify ~seed comp k) in
+          same_kmeans expected r && r.Kmeans.incremental = exact)
         [ 1; 2 ])
 
 (* Fig 3's P20 scene, pinned to the plain Lloyd loop the bounded one
@@ -702,7 +800,8 @@ let test_kmeans_p20_pinned () =
       check_bool ("inertia bits" ^ at) true
         (bits r.Kmeans.inertia = 0x412509a82dbd10aaL);
       check_bool ("skips distances" ^ at) true
-        (r.Kmeans.distances < r.Kmeans.iterations * 128 * 128 * 12 / 2))
+        (r.Kmeans.distances < r.Kmeans.iterations * 128 * 128 * 12 / 2);
+      check_bool ("incremental update" ^ at) true r.Kmeans.incremental)
     [ 1; 2 ];
   check_bool "the reference agrees" true
     (same_kmeans (Lloyd.run comp 12) (Kmeans.unsuperclassify comp 12))
@@ -805,6 +904,26 @@ let test_spca_scale_invariant () =
   Array.iteri
     (fun i v -> check_close 1e-6 (Printf.sprintf "eig %d" i) v r2.Pca.eigenvalues.(i))
     r1.Pca.eigenvalues
+
+(* the content hash of the standardized components of a fixed
+   128x128x6 scene, as the covariance-diagonal composition produced
+   them; the Float8 components take k-means' chunked update *)
+let test_spca_pinned () =
+  let comp =
+    (Synthetic.landsat_scene ~seed:1 ~nrow:128 ~ncol:128 ~bands:6 ())
+      .Synthetic.composite
+  in
+  List.iter
+    (fun lanes ->
+      let r = at_lanes lanes (fun () -> Pca.spca ~components:2 comp) in
+      check_int (Printf.sprintf "spca hash @%d" lanes) 2852384272758623835
+        (Composite.content_hash r.Pca.components);
+      check_bool
+        (Printf.sprintf "chunked update @%d" lanes)
+        false
+        (at_lanes lanes (fun () -> Kmeans.unsuperclassify r.Pca.components 5))
+          .Kmeans.incremental)
+    [ 1; 2 ]
 
 let test_pca_validation () =
   let scene = Synthetic.landsat_scene ~seed:17 ~nrow:8 ~ncol:8 ~bands:2 () in
@@ -928,8 +1047,10 @@ let () =
           tc "mul known" test_matrix_mul_known;
           tc "center columns" test_matrix_center;
           tc "covariance/correlation" test_matrix_covariance;
-          tc "constant column" test_matrix_correlation_constant_column ] );
-      qsuite "matrix-props" [ matrix_transpose_mul_prop ];
+          tc "constant column" test_matrix_correlation_constant_column;
+          tc "standardize needs two rows" test_standardize_one_row ] );
+      qsuite "matrix-props"
+        [ matrix_transpose_mul_prop; standardize_parity_prop ];
       ( "eigen",
         [ tc "identity" test_eigen_identity;
           tc "known 2x2" test_eigen_known;
@@ -965,6 +1086,7 @@ let () =
         [ tc "variance concentration" test_pca_variance_concentration;
           tc "uncorrelated components" test_pca_components_uncorrelated;
           tc "spca scale invariance" test_spca_scale_invariant;
+          tc "spca pinned" test_spca_pinned;
           tc "validation" test_pca_validation ] );
       ( "interpolate",
         [ tc "temporal" test_temporal_interpolation;
