@@ -3,7 +3,7 @@
    The paper (VLDB 1993) contains no quantitative evaluation — its five
    figures are architectural.  This harness therefore (a) regenerates an
    executable artifact for every figure and (b) measures the mechanism
-   experiments E1–E8, E10 and E13–E16 defined in DESIGN.md (E9, E11
+   experiments E1–E8, E10 and E13–E17 defined in DESIGN.md (E9, E11
    and E12 are retired), printing the series that
    EXPERIMENTS.md records.  One Bechamel Test.make exists per experiment
    (micro timing of its kernel operation); the macro sweeps print their
@@ -1196,6 +1196,71 @@ let e16_deficit () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* E17: the ingest path                                                *)
+(* ------------------------------------------------------------------ *)
+
+let e17_failed = ref false
+
+(* the text perfbench's derive-refresh ingests with, one per arrival *)
+let e17_insert =
+  "INSERT INTO inbox ( data = synth_band(123456789, 16, 16), spatialextent \
+   = BOX(0, 0, 1, 1), timestamp = DATE '1987-03-14' );"
+
+let e17_ingest () =
+  section "E17: the ingest path — synth_band, the lexer, CHECK ALL";
+  let gate name ~bound value =
+    let pass = value <= bound in
+    Printf.printf "%-58s %10.2f (bound %.2f) %s\n" name value bound
+      (if pass then "ok" else "FAILED");
+    if not pass then e17_failed := true
+  in
+  let runs = if smoke then 200 else 2000 in
+  let reg = Registry.with_builtins () in
+  let args = [ Value.int 1; Value.int 16; Value.int 16 ] in
+  let band () =
+    match Registry.apply reg "synth_band" args with
+    | Ok _ -> ()
+    | Error e -> failwith ("E17: " ^ e)
+  in
+  band ();
+  let band_us, band_words = measure ~runs band in
+  Printf.printf "synth_band 16x16: %.2f us, %.0f minor words\n" band_us
+    band_words;
+  gate "synth_band minor words per pixel" ~bound:4. (band_words /. 256.);
+  let toks = Result.get_ok (Gaea_query.Lexer.tokenize e17_insert) in
+  let ntok = List.length toks
+  and list_words = Obj.reachable_words (Obj.repr toks) in
+  let lex_us, lex_words =
+    measure ~runs:(10 * runs) (fun () ->
+        ignore (Gaea_query.Lexer.tokenize e17_insert))
+  in
+  Printf.printf
+    "tokenize derive-refresh INSERT: %.2f us, %.0f minor words, %d tokens \
+     in a list of %d words\n"
+    lex_us lex_words ntok list_words;
+  gate "tokenize words beyond its token list, per token" ~bound:2.
+    ((lex_words -. float_of_int list_words) /. float_of_int ntok);
+  (* CHECK ALL over N fired tasks of a process with one version *)
+  let check = parse_stmt "CHECK ALL" in
+  let row n =
+    let k = history_kernel n ~unfired:n in
+    let ex = Gaea_query.Executor.create ~kernel:k () in
+    let run () = ignore (ok (Gaea_query.Executor.execute ex check)) in
+    run ();
+    let us, words = measure ~runs:(if smoke then 20 else 100) run in
+    Printf.printf "CHECK ALL over %d fired tasks: %.1f us, %.0f minor words\n"
+      n us words;
+    words
+  in
+  let sizes = if smoke then [ 1_000; 4_000 ] else [ 1_000; 4_000; 16_000 ] in
+  let words = List.map row sizes in
+  gate
+    (Printf.sprintf "CHECK ALL words at %d over %d fired tasks"
+       (List.hd (List.rev sizes)) (List.hd sizes))
+    ~bound:1.5
+    (List.hd (List.rev words) /. List.hd words)
+
+(* ------------------------------------------------------------------ *)
 (* Fused-kernel parity gate                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1474,6 +1539,7 @@ let () =
   e14_derive_scale ();
   e15_fired_history ();
   e16_deficit ();
+  e17_ingest ();
   parity_gate ();
   run_bechamel ();
   (* smoke runs must never clobber the full-size benchmark record *)
@@ -1483,5 +1549,5 @@ let () =
   Pool.shutdown ();
   if
     !parity_failed || !e4_failed || !e7_failed || !e10_failed || !e8_failed
-    || !e13_failed || !e14_failed || !e15_failed || !e16_failed
+    || !e13_failed || !e14_failed || !e15_failed || !e16_failed || !e17_failed
   then exit 1

@@ -608,9 +608,11 @@ let synthetic_operators =
         | _ -> Error (name ^ ": arity"))
   in
   [ int3 "synth_band" "seeded spatially-correlated image band (seed, nrow, ncol)"
+      (* labelled "scale" as when Band_math.scale made it: saves keep
+         the label *)
       (fun ~seed ~nrow ~ncol ->
-        R.Synthetic.value_noise ~seed ~nrow ~ncol ()
-        |> R.Band_math.scale 255.);
+        R.Synthetic.value_noise ~seed ~nrow ~ncol ~label:"scale" ~scale:255.
+          ());
     int3 "synth_rainfall" "seeded rainfall map in mm (seed, nrow, ncol)"
       (fun ~seed ~nrow ~ncol -> R.Synthetic.rainfall_map ~seed ~nrow ~ncol ());
     op ~name:"synth_truth"

@@ -629,16 +629,18 @@ let check_classes k =
       | _ -> None)
     (Kernel.classes k)
 
-let superseded k name version =
-  match Kernel.latest_process_version k name with
-  | Some latest when latest > version -> Some latest
-  | _ -> None
-
-let check_versions k =
+let version_lints k reversioned =
+  let superseded name version =
+    List.find_map
+      (fun (n, latest) ->
+        if String.equal n name && latest > version then Some latest
+        else None)
+      reversioned
+  in
   let task_lints =
     List.filter_map
       (fun (t : Task.t) ->
-        match superseded k t.Task.process t.Task.process_version with
+        match superseded t.Task.process t.Task.process_version with
         | Some latest ->
           Some
             (kernel_diag ~code:"GA030" ~severity:Diagnostic.Warning
@@ -663,7 +665,7 @@ let check_versions k =
               match Kernel.task_producing k oid with
               | None -> None
               | Some t -> (
-                match superseded k t.Task.process t.Task.process_version with
+                match superseded t.Task.process t.Task.process_version with
                 | Some latest ->
                   Some
                     (kernel_diag ~code:"GA031" ~severity:Diagnostic.Warning
@@ -680,6 +682,22 @@ let check_versions k =
       (Kernel.classes k)
   in
   task_lints @ object_lints
+
+(* GA030/GA031 need a task that ran an older version than its
+   process's latest, so only a process with two or more versions can
+   raise them: without one, neither the task log nor the derived
+   objects are read. *)
+let check_versions k =
+  (* (name, latest version) of each process with an older version *)
+  let reversioned =
+    List.filter_map
+      (fun (p : Process.t) ->
+        match Kernel.process_versions k p.Process.proc_name with
+        | _ :: _ :: _ -> Some (p.Process.proc_name, p.Process.version)
+        | _ -> None)
+      (Kernel.processes k)
+  in
+  if reversioned = [] then [] else version_lints k reversioned
 
 let check_net k =
   let net = Kernel.derivation_net k in

@@ -18,6 +18,9 @@ val init : ?label:string -> nrow:int -> ncol:int -> Pixel.t
     @raise Invalid_argument on non-positive dims, or when [nrow * ncol]
     overflows or exceeds [Sys.max_array_length]. *)
 
+val check_dims : int -> int -> unit
+(** The dimension check of {!init}: raises its [Invalid_argument]. *)
+
 val img_nrow : t -> int
 val img_ncol : t -> int
 val img_type : t -> Pixel.t

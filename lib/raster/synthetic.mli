@@ -15,10 +15,14 @@ type scene = {
 }
 
 val value_noise : seed:int -> nrow:int -> ncol:int -> ?octaves:int
-  -> ?lattice:int -> unit -> Image.t
+  -> ?lattice:int -> ?label:string -> ?scale:float -> unit -> Image.t
 (** Smooth spatially-correlated noise in 0..1 (bilinear value noise with
     [octaves] layers over a coarse lattice of initial cell size
-    [lattice], halved per octave). *)
+    [lattice], halved per octave), a Float8 image labelled [label]
+    (default ["value-noise"]), each pixel multiplied by [scale]
+    (default 1.).
+    @raise Invalid_argument if [octaves < 1], [lattice < 1], or on
+    the dimensions {!Image.init} rejects. *)
 
 val landcover_truth : seed:int -> nrow:int -> ncol:int -> classes:int
   -> Image.t

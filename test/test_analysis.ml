@@ -376,6 +376,91 @@ let test_ga030_ga031_superseded () =
   check_bool "GA031" true (has_code "GA031" ds);
   assert_no_errors ds
 
+(* GA030/GA031 by their definition, over the whole task log and every
+   live derived object: the elements a check must flag *)
+let superseded_reference k =
+  let old (t : Task.t) =
+    match Kernel.latest_process_version k t.Task.process with
+    | Some latest -> latest > t.Task.process_version
+    | None -> false
+  in
+  List.filter_map
+    (fun (t : Task.t) ->
+      if old t then Some (Printf.sprintf "task %d" t.Task.task_id) else None)
+    (Kernel.tasks k)
+  @ List.concat_map
+      (fun (sch : Schema.t) ->
+        if not (Schema.is_derived sch) then []
+        else
+          List.filter_map
+            (fun oid ->
+              match Kernel.task_producing k oid with
+              | Some t when old t ->
+                Some
+                  (Printf.sprintf "object %d of class %s" oid
+                     sch.Schema.c_name)
+              | _ -> None)
+            (Kernel.objects_of_class k sch.Schema.c_name))
+      (Kernel.classes k)
+
+let version_elements ds =
+  List.filter_map
+    (fun (d : Diagnostic.t) ->
+      if d.Diagnostic.code = "GA030" || d.Diagnostic.code = "GA031" then
+        d.Diagnostic.element
+      else None)
+    ds
+
+(* The Fig 3 kernel after its DERIVE, with one band updated (so its
+   land cover is stale) and no process re-versioned: CHECK ALL reads
+   exactly what it did when it walked the whole task log. *)
+let test_check_all_without_reversions () =
+  let k = Kernel.create () in
+  ok (Figures.install_all k);
+  let bands = ok (Figures.load_tm_bands k ~seed:7 ~nrow:8 ~ncol:8 ()) in
+  let _ = ok (Derivation.request k Figures.land_cover_class) in
+  ok
+    (Kernel.update_object k ~cls:Figures.landsat_class (List.hd bands)
+       [ ("data",
+          Value.image
+            (Gaea_raster.Synthetic.value_noise ~seed:3 ~nrow:8 ~ncol:8 ())) ]);
+  check_bool "tasks were fired" true (Kernel.tasks k <> []);
+  let ds = Analysis.check_kernel k in
+  Alcotest.(check (list string)) "no superseded element" []
+    (superseded_reference k);
+  (* recorded when the check still read every task *)
+  let unreachable proc =
+    Printf.sprintf
+      "info[GA027] process %s v1: no firing sequence from the current data \
+       can run %s v1"
+      proc proc
+  in
+  Alcotest.(check string) "diagnostics"
+    (String.concat "\n"
+       (List.map unreachable
+          [ "desert-rainfall-200"; "desert-rainfall-250"; "ndvi-derivation";
+            "veg-change-divide"; "veg-change-spca"; "veg-change-subtract" ]
+       @ [ "info[GA028]: derived class ndvi_map cannot be reached from the \
+            current data";
+           "info[GA033] process unsupervised-classification v1 (object 4 of \
+            class land_cover): object 4 is stale: inputs of task 1 changed \
+            since unsupervised-classification v1 ran \u{2014} REFRESH \
+            land_cover 4 to recompute";
+           "0 error(s), 0 warning(s), 8 info(s)" ]))
+    (Diagnostic.render ds);
+  (* once P20 has a second version, the check flags the reference's
+     elements *)
+  let p20 = Option.get (Kernel.find_process k Figures.p20_name) in
+  ok
+    (Kernel.define_process k
+       (Process.with_version ~derived_from:(Process.key p20) p20
+          (p20.Process.version + 1)));
+  let expected = superseded_reference k in
+  check_bool "a superseded element" true (expected <> []);
+  Alcotest.(check (list string)) "GA030/GA031 elements"
+    (List.sort compare expected)
+    (List.sort compare (version_elements (Analysis.check_kernel k)))
+
 let test_ga032_derived_by_unknown () =
   let k = base_kernel () in
   define_class k ~name:"dangling" ~derived_by:"ghost" image_attrs;
@@ -562,6 +647,7 @@ let () =
       ( "kernel",
         [ tc "GA027/GA028 empty net" test_ga027_ga028_empty_net;
           tc "GA030/GA031 superseded" test_ga030_ga031_superseded;
+          tc "CHECK ALL without re-versions" test_check_all_without_reversions;
           tc "GA032 derived by unknown" test_ga032_derived_by_unknown;
           tc "figures lint clean" test_figures_lint_clean ] );
       ( "render",

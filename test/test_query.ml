@@ -56,6 +56,102 @@ let test_lexer_errors () =
   check_bool "stray char" true (Result.is_error (Lexer.tokenize "a @ b"));
   check_bool "empty param" true (Result.is_error (Lexer.tokenize "$ x"))
 
+let test_lexer_error_messages () =
+  List.iter
+    (fun (src, msg) ->
+      match Lexer.tokenize src with
+      | Ok _ -> Alcotest.failf "%S lexed" src
+      | Error e ->
+        check_str src
+          (Gaea_core.Gaea_error.to_string (Gaea_core.Gaea_error.Parse_error msg))
+          (Gaea_core.Gaea_error.to_string e))
+    [ ("SELECT 'abc", "unterminated string literal");
+      ("x \"ab", "unterminated string literal");
+      ("a @ b", "unexpected character '@'");
+      ("$ x", "empty parameter name");
+      ("LIMIT 99999999999999999999", "bad int literal 99999999999999999999");
+      ("-", "unexpected character '-'") ]
+
+(* two-character tokens decided by the last character of the input *)
+let test_lexer_end_of_input () =
+  List.iter
+    (fun (src, expected) ->
+      match Lexer.tokenize src with
+      | Ok toks ->
+        Alcotest.(check (list string)) src expected
+          (List.map Lexer.token_to_string toks)
+      | Error e ->
+        Alcotest.failf "%S: %s" src (Gaea_core.Gaea_error.to_string e))
+    [ ("<=", [ "<="; "<eof>" ]); ("a<>", [ "a"; "<>"; "<eof>" ]);
+      (">=", [ ">="; "<eof>" ]); ("!=", [ "<>"; "<eof>" ]);
+      ("<", [ "<"; "<eof>" ]); ("-7", [ "-7"; "<eof>" ]);
+      ("1.5", [ "1.5"; "<eof>" ]); ("2.", [ "2"; "."; "<eof>" ]);
+      ("x --", [ "x"; "<eof>" ]); ("''", [ "''"; "<eof>" ]) ]
+
+(* mixed case: every other letter upper *)
+let alternate_case s =
+  String.mapi
+    (fun i c ->
+      if i mod 2 = 0 then Char.lowercase_ascii c else Char.uppercase_ascii c)
+    s
+
+let test_lexer_keywords () =
+  List.iter
+    (fun kw ->
+      List.iter
+        (fun spelling ->
+          match Lexer.tokenize spelling with
+          | Ok [ Lexer.Keyword (upper, written); Lexer.Eof ] ->
+            check_str (spelling ^ " keyword") kw upper;
+            check_str (spelling ^ " spelling") spelling written
+          | _ -> Alcotest.failf "%S did not lex to one keyword" spelling)
+        [ kw; String.lowercase_ascii kw; alternate_case kw ])
+    Lexer.keywords
+
+(* an identifier is a keyword exactly when its uppercase form is in
+   [Lexer.keywords] *)
+let prop_lexer_keyword_oracle =
+  let open QCheck.Gen in
+  let start = oneof [ char_range 'a' 'z'; char_range 'A' 'Z'; return '_' ] in
+  let rest =
+    oneof [ start; char_range '0' '9'; return '-'; return '_' ]
+  in
+  let random_ident =
+    map2
+      (fun c cs -> String.make 1 c ^ String.concat "" (List.map (String.make 1) cs))
+      start (list_size (int_range 0 12) rest)
+  in
+  let recase s =
+    map
+      (fun flips ->
+        String.mapi
+          (fun i c ->
+            if List.nth flips (i mod List.length flips) then
+              Char.lowercase_ascii c
+            else c)
+          s)
+      (list_size (int_range 1 8) bool)
+  in
+  let near_keyword =
+    oneofl Lexer.keywords >>= fun kw ->
+    recase kw >>= fun s ->
+    oneof
+      [ return s;
+        map (fun c -> s ^ String.make 1 c) rest;
+        map (fun c -> String.make 1 c ^ s) start;
+        return (String.sub s 0 (String.length s - 1) ^ "_") ]
+  in
+  QCheck.Test.make ~name:"keyword lookup = List.mem over the uppercase form"
+    ~count:2000
+    (QCheck.make ~print:(fun s -> s) (oneof [ random_ident; near_keyword ]))
+    (fun ident ->
+      let upper = String.uppercase_ascii ident in
+      let expected =
+        if List.mem upper Lexer.keywords then Lexer.Keyword (upper, ident)
+        else Lexer.Ident ident
+      in
+      Lexer.tokenize ident = Ok [ expected; Lexer.Eof ])
+
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -1186,7 +1282,11 @@ let () =
     [ ( "lexer",
         [ tc "basics" test_lexer_basics;
           tc "comments/params" test_lexer_comments_and_params;
-          tc "errors" test_lexer_errors ] );
+          tc "errors" test_lexer_errors;
+          tc "error messages" test_lexer_error_messages;
+          tc "end of input" test_lexer_end_of_input;
+          tc "keywords in any case" test_lexer_keywords;
+          QCheck_alcotest.to_alcotest prop_lexer_keyword_oracle ] );
       ( "parser",
         [ tc "define class" test_parse_define_class;
           tc "define process" test_parse_define_process;

@@ -1022,6 +1022,165 @@ let test_red_nir_vegetation_signal () =
   let m1 = Ndvi.mean_ndvi (Ndvi.ndvi ~red:r1 ~nir:n1 ()) in
   check_bool "greening raises NDVI" true (m1 > m0)
 
+(* Value noise as a per-pixel formula: every octave hashes the four
+   corners of the pixel's cell through a boxed accumulator and adds its
+   weighted bilinear sample, from 0.; the sum is divided by the total
+   weight.  [value_noise] must match it bit for bit. *)
+let reference_lattice_value seed octave gx gy =
+  let h = ref (Int64.of_int ((seed * 0x9E3779B1) lxor octave)) in
+  let mix v =
+    h := Int64.mul (Int64.logxor !h (Int64.of_int v)) 0x100000001B3L;
+    h := Int64.logxor !h (Int64.shift_right_logical !h 29)
+  in
+  mix (gx * 2654435761);
+  mix (gy * 40503);
+  Int64.to_float (Int64.logand !h 0xFFFFFFL) /. 16777215.
+
+let reference_noise ~seed ~nrow ~ncol ~octaves ~lattice =
+  let smoothstep t = t *. t *. (3. -. (2. *. t)) in
+  let sample octave cell r c =
+    let fr = float_of_int r /. float_of_int cell
+    and fc = float_of_int c /. float_of_int cell in
+    let r0 = int_of_float (Float.floor fr)
+    and c0 = int_of_float (Float.floor fc) in
+    let dr = smoothstep (fr -. float_of_int r0)
+    and dc = smoothstep (fc -. float_of_int c0) in
+    let v00 = reference_lattice_value seed octave c0 r0
+    and v01 = reference_lattice_value seed octave (c0 + 1) r0
+    and v10 = reference_lattice_value seed octave c0 (r0 + 1)
+    and v11 = reference_lattice_value seed octave (c0 + 1) (r0 + 1) in
+    ((v00 *. (1. -. dc)) +. (v01 *. dc)) *. (1. -. dr)
+    +. (((v10 *. (1. -. dc)) +. (v11 *. dc)) *. dr)
+  in
+  let total_weight = ref 0. and weights = Array.make octaves 0. in
+  for o = 0 to octaves - 1 do
+    weights.(o) <- 1. /. float_of_int (1 lsl o);
+    total_weight := !total_weight +. weights.(o)
+  done;
+  Array.init (nrow * ncol) (fun i ->
+      let acc = ref 0. in
+      for o = 0 to octaves - 1 do
+        let cell = Stdlib.max 1 (lattice lsr o) in
+        acc := !acc +. (weights.(o) *. sample o cell (i / ncol) (i mod ncol))
+      done;
+      !acc /. !total_weight)
+
+let noise_sizes = [ (1, 1); (2, 2); (5, 37); (33, 7); (128, 128) ]
+let noise_seeds = [ 1; 4242; -1; -987654321 ]
+
+let check_bits what expected img =
+  let got = Image.unsafe_data img in
+  check_int (what ^ " size") (Array.length expected) (Array.length got);
+  Array.iteri
+    (fun i v ->
+      if bits v <> bits got.(i) then
+        Alcotest.failf "%s: pixel %d is %h, the formula gives %h" what i
+          got.(i) v)
+    expected
+
+let test_value_noise_oracle () =
+  List.iter
+    (fun (nrow, ncol) ->
+      List.iter
+        (fun seed ->
+          for octaves = 1 to 6 do
+            (* 200 is coarser than every image *)
+            List.iter
+              (fun lattice ->
+                let what =
+                  Printf.sprintf "seed %d %dx%d octaves %d lattice %d" seed
+                    nrow ncol octaves lattice
+                in
+                let img =
+                  Synthetic.value_noise ~seed ~nrow ~ncol ~octaves ~lattice ()
+                in
+                check_bool (what ^ " Float8") true
+                  (Image.img_type img = Pixel.Float8);
+                check_bits what
+                  (reference_noise ~seed ~nrow ~ncol ~octaves ~lattice)
+                  img)
+              [ 1; 3; 16; 200 ]
+          done)
+        noise_seeds)
+    noise_sizes
+
+(* synth_band is 255 times the default noise (3 octaves, lattice 16),
+   a Float8 image labelled "scale" as it was when Band_math.scale made
+   it *)
+let test_synth_band_oracle () =
+  let reg = Gaea_adt.Registry.with_builtins () in
+  let module Value = Gaea_adt.Value in
+  let band seed nrow ncol =
+    Gaea_adt.Registry.apply reg "synth_band"
+      [ Value.int seed; Value.int nrow; Value.int ncol ]
+  in
+  List.iter
+    (fun (nrow, ncol) ->
+      List.iter
+        (fun seed ->
+          let what = Printf.sprintf "synth_band(%d, %d, %d)" seed nrow ncol in
+          match Result.bind (band seed nrow ncol) Value.to_image with
+          | Error e -> Alcotest.failf "%s: %s" what e
+          | Ok img ->
+            Alcotest.(check string) (what ^ " label") "scale"
+              (Image.img_label img);
+            check_bits what
+              (Array.map
+                 (fun v -> 255. *. v)
+                 (reference_noise ~seed ~nrow ~ncol ~octaves:3 ~lattice:16))
+              img)
+        noise_seeds)
+    noise_sizes;
+  List.iter
+    (fun (nrow, ncol, msg) ->
+      match band 1 nrow ncol with
+      | Ok _ -> Alcotest.failf "synth_band(1, %d, %d) succeeded" nrow ncol
+      | Error e -> Alcotest.(check string) "error" ("synth_band: " ^ msg) e)
+    [ (0, 4, "Image: non-positive dims 0x4");
+      (4, -1, "Image: non-positive dims 4x-1");
+      (max_int, 3, Printf.sprintf "Image: dims %dx3 exceed the largest image"
+                     max_int) ]
+
+let test_value_noise_errors () =
+  let raises msg f =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  (* argument checks come before the dimension check *)
+  raises "Synthetic.value_noise: octaves < 1" (fun () ->
+      Synthetic.value_noise ~seed:1 ~nrow:0 ~ncol:0 ~octaves:0 ());
+  raises "Synthetic.value_noise: lattice < 1" (fun () ->
+      Synthetic.value_noise ~seed:1 ~nrow:0 ~ncol:0 ~lattice:0 ());
+  raises "Image: non-positive dims 0x3" (fun () ->
+      Synthetic.value_noise ~seed:1 ~nrow:0 ~ncol:3 ());
+  raises "Image: non-positive dims 3x-2" (fun () ->
+      Synthetic.rainfall_map ~seed:1 ~nrow:3 ~ncol:(-2) ())
+
+(* content hashes of the generated scenes, recorded when every
+   generator filled its images pixel by pixel through Image.init and
+   Image.map *)
+let test_synthetic_pinned () =
+  let h = Image.content_hash in
+  let scene = Synthetic.landsat_scene ~seed:1 ~nrow:64 ~ncol:48 () in
+  Alcotest.(check (list int)) "landsat bands"
+    [ 4588604424478470869; 180160931422221013; 1753623643420832469 ]
+    (List.map h (Composite.bands scene.Synthetic.composite));
+  check_int "landsat truth" 3681033016812701070 (h scene.Synthetic.truth);
+  let red, nir =
+    Synthetic.red_nir_pair ~seed:1 ~nrow:64 ~ncol:48 ~vegetation_shift:0.15 ()
+  in
+  check_int "red" 499599845616726741 (h red);
+  check_int "nir" 421200268509786837 (h nir);
+  check_int "rainfall" 3819930295559980430
+    (h (Synthetic.rainfall_map ~seed:1 ~nrow:64 ~ncol:48 ~max_mm:37.3 ()));
+  check_int "truth" 3436149787074430350
+    (h (Synthetic.landcover_truth ~seed:1 ~nrow:64 ~ncol:48 ~classes:7));
+  Alcotest.(check (list string)) "labels"
+    [ "band-1"; "band-2"; "band-3"; "truth"; "red"; "nir"; "rainfall-mm" ]
+    (List.map Image.img_label
+       (Composite.bands scene.Synthetic.composite
+       @ [ scene.Synthetic.truth; red; nir;
+           Synthetic.rainfall_map ~seed:1 ~nrow:2 ~ncol:2 () ]))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -1098,4 +1257,8 @@ let () =
           tc "truth classes" test_synthetic_truth_classes;
           tc "noise range" test_synthetic_noise_range;
           tc "rainfall" test_synthetic_rainfall;
-          tc "vegetation signal" test_red_nir_vegetation_signal ] ) ]
+          tc "vegetation signal" test_red_nir_vegetation_signal;
+          tc "value noise = per-pixel formula" test_value_noise_oracle;
+          tc "synth_band = 255 x formula" test_synth_band_oracle;
+          tc "value noise errors" test_value_noise_errors;
+          tc "scenes pinned" test_synthetic_pinned ] ) ]
