@@ -1182,9 +1182,22 @@ let e16_deficit () =
     let ratio = fire_words /. retrieve_words in
     Printf.printf "%-8d %-12.1f %-14.0f %-12.1f %-14.0f %.2f\n" n fire_us
       fire_words retrieve_us retrieve_words ratio;
-    (n, ratio)
+    (n, ratio, retrieve_words /. float_of_int (n - 1))
   in
-  let n1, ratio = List.hd (List.rev (List.map row e15_sizes)) in
+  let rows = List.map row e15_sizes in
+  (* a retrieval's reply costs its OID list (3 words per OID) and the
+     text; walking the heap or growing a buffer costs more *)
+  List.iter
+    (fun (n, _, per_oid) ->
+      if per_oid > 4. then begin
+        Printf.printf
+          "E16 FAILURE: at N = %d a retrieval allocates %.2f minor words per \
+           returned OID (bound 4)\n"
+          n per_oid;
+        e16_failed := true
+      end)
+    rows;
+  let n1, ratio, _ = List.hd (List.rev rows) in
   (* firing one object may cost no more than twice returning the ones
      already stored *)
   if ratio > 2. then begin
@@ -1207,7 +1220,7 @@ let e17_insert =
    = BOX(0, 0, 1, 1), timestamp = DATE '1987-03-14' );"
 
 let e17_ingest () =
-  section "E17: the ingest path — synth_band, the lexer, CHECK ALL";
+  section "E17: the ingest path — synth_band, img_scale, the lexer, CHECK ALL";
   let gate name ~bound value =
     let pass = value <= bound in
     Printf.printf "%-58s %10.2f (bound %.2f) %s\n" name value bound
@@ -1227,6 +1240,27 @@ let e17_ingest () =
   Printf.printf "synth_band 16x16: %.2f us, %.0f minor words\n" band_us
     band_words;
   gate "synth_band minor words per pixel" ~bound:4. (band_words /. 256.);
+  (* the scale every catalog and derive-refresh DERIVE and REFRESH runs *)
+  let scale_args =
+    match Registry.apply reg "synth_band" args with
+    | Ok band -> [ Value.float 2.; band ]
+    | Error e -> failwith ("E17: " ^ e)
+  in
+  let scale () =
+    match Registry.apply reg "img_scale" scale_args with
+    | Ok _ -> ()
+    | Error e -> failwith ("E17: " ^ e)
+  in
+  scale ();
+  let scale_us, scale_words = measure ~runs scale in
+  Printf.printf "img_scale 16x16: %.2f us, %.0f minor words\n" scale_us
+    scale_words;
+  let scaled =
+    Obj.reachable_words
+      (Obj.repr (Result.get_ok (Registry.apply reg "img_scale" scale_args)))
+  in
+  gate "img_scale words beyond the image it returns, per pixel" ~bound:1.
+    ((scale_words -. float_of_int scaled) /. 256.);
   let toks = Result.get_ok (Gaea_query.Lexer.tokenize e17_insert) in
   let ntok = List.length toks
   and list_words = Obj.reachable_words (Obj.repr toks) in
@@ -1285,6 +1319,14 @@ let parity_gate () =
          R.Image.equal
            (R.Band_math.subtract red nir)
            (R.Image.map2 ~ptype:R.Pixel.Float8 (fun x y -> x -. y) red nir));
+      ("band-scale",
+       fun () ->
+         R.Image.equal (R.Band_math.scale 2.5 red)
+           (R.Image.map ~ptype:R.Pixel.Float8 (fun v -> 2.5 *. v) red));
+      ("band-offset",
+       fun () ->
+         R.Image.equal (R.Band_math.offset (-0.75) red)
+           (R.Image.map ~ptype:R.Pixel.Float8 (fun v -> v +. -0.75) red));
       ("ndvi",
        fun () ->
          R.Image.equal

@@ -123,11 +123,11 @@ let request k ?(need = 1) cls =
        Gaea_error.err (Printf.sprintf "class %s missing from the net" cls)
      | Some place ->
        let tokens = Kernel.tokens k in
-       let stored = tokens.Net.first place need in
-       let have = List.length stored in
+       let have = tokens.Net.count place in
        if have >= need then begin
          (Kernel.counters k).Kernel.retrievals <-
            (Kernel.counters k).Kernel.retrievals + 1;
+         let stored = tokens.Net.first place need in
          Ok
            { objects = stored;
              new_tasks = [];
@@ -144,7 +144,16 @@ let request k ?(need = 1) cls =
                    "%s: not derivable from current data (no plan found)" cls))
          | Some plan ->
            let* derived = execute_plan k net plan in
-           Ok { derived with objects = stored @ derived.objects })
+           (* firing only appends rows, so the class's first [have]
+              rows are still the stored objects: list them onto the
+              derived ones instead of copying a list *)
+           let objects =
+             match Kernel.class_table k cls with
+             | Some tab ->
+               Gaea_storage.Table.oids_onto tab have derived.objects
+             | None -> derived.objects
+           in
+           Ok { derived with objects })
 
 (* ------------------------------------------------------------------ *)
 (* Step 2: interpolation                                               *)

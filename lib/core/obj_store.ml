@@ -7,12 +7,12 @@ let ( let* ) r f = Result.bind r f
 type t = {
   catalog : Catalog.t;
   alloc : Oid.allocator;
-  oid_class : (Oid.t, string) Hashtbl.t;
+  oid_class : string Oid.Tbl.t;
   bus : Events.bus;
 }
 
 let create ~catalog ~bus =
-  { catalog; alloc = Oid.allocator (); oid_class = Hashtbl.create 256; bus }
+  { catalog; alloc = Oid.allocator (); oid_class = Oid.Tbl.create 256; bus }
 
 let last_oid t = Oid.current t.alloc
 let advance_oids t oid = Oid.advance_to t.alloc oid
@@ -43,7 +43,7 @@ let add_row t ~cls tab oid values =
   match Table.insert tab oid values with
   | Error e -> Error (Gaea_error.Storage_error e)
   | Ok () ->
-    Hashtbl.replace t.oid_class oid cls;
+    Oid.Tbl.replace t.oid_class oid cls;
     Ok ()
 
 let insert t ~cls pairs =
@@ -61,7 +61,7 @@ let insert_with_oid t ~cls oid pairs =
 
 (* the live object's class and table, checked against the class named *)
 let owned t ~cls oid =
-  match Hashtbl.find_opt t.oid_class oid with
+  match Oid.Tbl.find_opt t.oid_class oid with
   | None -> Error (Gaea_error.Unknown_object oid)
   | Some actual when actual <> cls -> Error (Gaea_error.Wrong_class { oid; cls })
   | Some _ ->
@@ -99,7 +99,7 @@ let update t ~cls oid pairs =
 let delete t ~cls oid =
   let* _, tab = owned t ~cls oid in
   if Table.delete tab oid then begin
-    Hashtbl.remove t.oid_class oid;
+    Oid.Tbl.remove t.oid_class oid;
     Events.emit t.bus (Events.Object_deleted { cls; oid });
     Ok ()
   end
@@ -119,11 +119,11 @@ let oids_of_class t cls =
   | None -> []
   | Some tab -> Table.oids tab (Table.row_count tab)
 
-let class_of t oid = Hashtbl.find_opt t.oid_class oid
+let class_of t oid = Oid.Tbl.find_opt t.oid_class oid
 
 let count t cls =
   match Catalog.table t.catalog cls with
   | None -> 0
   | Some tab -> Table.row_count tab
 
-let mem t oid = Hashtbl.mem t.oid_class oid
+let mem t oid = Oid.Tbl.mem t.oid_class oid

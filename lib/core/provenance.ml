@@ -10,10 +10,10 @@ type reuse_key =
 
 type t = {
   mutable task_log : Task.t list; (* reverse chronological *)
-  task_by_id : (int, Task.t) Hashtbl.t;
-  producer : (Oid.t, Task.t) Hashtbl.t;
-  users : (Oid.t, Task.t list) Hashtbl.t;
-  dirty : (Oid.t, unit) Hashtbl.t;
+  task_by_id : Task.t Oid.Tbl.t;  (* keyed by task id, an int too *)
+  producer : Task.t Oid.Tbl.t;
+  users : Task.t list Oid.Tbl.t;
+  dirty : unit Oid.Tbl.t;
   reusable : (reuse_key, Task.t) Hashtbl.t;  (* newest task per key *)
   mutable retired : int;  (* reuse entries the staleness walks ended *)
   mutable next_task : int;
@@ -25,10 +25,10 @@ type t = {
 
 let create ~objects ~bus =
   { task_log = [];
-    task_by_id = Hashtbl.create 64;
-    producer = Hashtbl.create 64;
-    users = Hashtbl.create 64;
-    dirty = Hashtbl.create 64;
+    task_by_id = Oid.Tbl.create 64;
+    producer = Oid.Tbl.create 64;
+    users = Oid.Tbl.create 64;
+    dirty = Oid.Tbl.create 64;
     reusable = Hashtbl.create 64;
     retired = 0;
     next_task = 1;
@@ -39,20 +39,20 @@ let create ~objects ~bus =
 
 let index t (task : Task.t) =
   t.task_log <- task :: t.task_log;
-  Hashtbl.replace t.task_by_id task.Task.task_id task;
-  List.iter (fun oid -> Hashtbl.replace t.producer oid task) task.Task.outputs;
+  Oid.Tbl.replace t.task_by_id task.Task.task_id task;
+  List.iter (fun oid -> Oid.Tbl.replace t.producer oid task) task.Task.outputs;
   List.iter
     (fun oid ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt t.users oid) in
-      Hashtbl.replace t.users oid (task :: cur))
+      let cur = Option.value ~default:[] (Oid.Tbl.find_opt t.users oid) in
+      Oid.Tbl.replace t.users oid (task :: cur))
     (Task.input_oids task)
 
 let tasks t = List.rev t.task_log
-let find_task t id = Hashtbl.find_opt t.task_by_id id
-let task_producing t oid = Hashtbl.find_opt t.producer oid
+let find_task t id = Oid.Tbl.find_opt t.task_by_id id
+let task_producing t oid = Oid.Tbl.find_opt t.producer oid
 
 let tasks_using t oid =
-  Option.value ~default:[] (Hashtbl.find_opt t.users oid) |> List.rev
+  Option.value ~default:[] (Oid.Tbl.find_opt t.users oid) |> List.rev
 
 let clock t = t.clock
 
@@ -89,7 +89,7 @@ let find_reusable t (p : Process.t) ~inputs =
 (* End the reuse of the task that produced [oid], if its entry is still
    that task's. *)
 let retire t oid =
-  match Hashtbl.find_opt t.producer oid with
+  match Oid.Tbl.find_opt t.producer oid with
   | None -> ()
   | Some task ->
     let key = key_of_task task in
@@ -113,7 +113,7 @@ let restore_reusable t ids =
   List.fold_left
     (fun acc id ->
       Result.bind acc (fun () ->
-          match Hashtbl.find_opt t.task_by_id id with
+          match Oid.Tbl.find_opt t.task_by_id id with
           | Some task ->
             Hashtbl.replace t.reusable (key_of_task task) task;
             Ok ()
@@ -132,10 +132,10 @@ let walk t ~visit tasks =
     visit oid;
     if
       Obj_store.mem t.objects oid
-      && (not (Hashtbl.mem t.dirty oid))
-      && Hashtbl.mem t.producer oid
+      && (not (Oid.Tbl.mem t.dirty oid))
+      && Oid.Tbl.mem t.producer oid
     then begin
-      Hashtbl.replace t.dirty oid ();
+      Oid.Tbl.replace t.dirty oid ();
       mark_outputs (tasks_using t oid)
     end
   and mark_outputs tasks =
@@ -158,7 +158,7 @@ let object_changed t oid =
     (tasks_using t oid)
 
 let object_deleted t oid =
-  Hashtbl.remove t.dirty oid;
+  Oid.Tbl.remove t.dirty oid;
   object_changed t oid
 
 let process_defined t ~name ~version =
@@ -168,17 +168,17 @@ let process_defined t ~name ~version =
          task.Task.process = name && task.Task.process_version < version)
        t.task_log)
 
-let is_stale t oid = Hashtbl.mem t.dirty oid && Obj_store.mem t.objects oid
+let is_stale t oid = Oid.Tbl.mem t.dirty oid && Obj_store.mem t.objects oid
 
 let stale t =
-  List.of_seq (Hashtbl.to_seq_keys t.dirty)
+  List.of_seq (Oid.Tbl.to_seq_keys t.dirty)
   |> List.filter (Obj_store.mem t.objects)
   |> List.sort Int.compare
 
-let mark_fresh t oid = Hashtbl.remove t.dirty oid
+let mark_fresh t oid = Oid.Tbl.remove t.dirty oid
 
 let restore_stale t oids =
-  List.iter (fun oid -> Hashtbl.replace t.dirty oid ()) oids
+  List.iter (fun oid -> Oid.Tbl.replace t.dirty oid ()) oids
 
 let record_task t ~process ~version ~inputs ~params ~outputs ~output_class =
   t.clock <- t.clock + 1;
@@ -199,12 +199,12 @@ let record_task t ~process ~version ~inputs ~params ~outputs ~output_class =
     (Events.Task_recorded
        { task_id = task.Task.task_id; process; version });
   (* derived from a stale input: stale too, and still reusable *)
-  if List.exists (Hashtbl.mem t.dirty) (Task.input_oids task) then
+  if List.exists (Oid.Tbl.mem t.dirty) (Task.input_oids task) then
     walk t ~visit:ignore [ task ];
   task
 
 let restore_task t (task : Task.t) =
-  if Hashtbl.mem t.task_by_id task.Task.task_id then
+  if Oid.Tbl.mem t.task_by_id task.Task.task_id then
     Error
       (Gaea_error.Duplicate
          { kind = "task"; name = Printf.sprintf "#%d" task.Task.task_id })

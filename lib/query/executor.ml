@@ -247,38 +247,94 @@ let record_tasks_in_experiment t tasks =
              task.Task.task_id))
       tasks
 
-(* [n] in decimal, as [string_of_int] writes it, without the string *)
-let rec add_int buf n =
-  if n < 0 then Buffer.add_string buf (string_of_int n)
-  else begin
-    if n >= 10 then add_int buf (n / 10);
-    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+(* "00" "01" ... "99": two digits per division *)
+let two_digits =
+  String.init 200 (fun i ->
+      Char.chr (Char.code '0' + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+
+(* [digits n d p] is the digit count of [n >= p / 10], [p = 10^d];
+   OCaml 5 ints have at most 19 digits *)
+let rec digits n d p = if d = 19 || n < p then d else digits n (d + 1) (p * 10)
+
+(* the length of [string_of_int n]; OIDs mostly have four digits or
+   fewer, which three comparisons settle *)
+let decimal_length n =
+  if n < 0 then String.length (string_of_int n)
+  else if n < 10_000 then
+    if n < 100 then if n < 10 then 1 else 2 else if n < 1000 then 3 else 4
+  else digits n 5 100_000
+
+(* the digits of [n >= 0], ending just before [stop] *)
+let rec write_digits b stop n =
+  if n >= 100 then begin
+    let q = n / 100 in
+    let r = 2 * (n - (q * 100)) in
+    Bytes.unsafe_set b (stop - 1) (String.unsafe_get two_digits (r + 1));
+    Bytes.unsafe_set b (stop - 2) (String.unsafe_get two_digits r);
+    write_digits b (stop - 2) q
   end
+  else if n >= 10 then begin
+    Bytes.unsafe_set b (stop - 1) (String.unsafe_get two_digits ((2 * n) + 1));
+    Bytes.unsafe_set b (stop - 2) (String.unsafe_get two_digits (2 * n))
+  end
+  else Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (Char.code '0' + n))
+
+(* [string_of_int n] into [b] at [pos]; returns the end *)
+let write_int b pos n =
+  let len = decimal_length n in
+  if n < 0 then Bytes.blit_string (string_of_int n) 0 b pos len
+  else write_digits b (pos + len) n;
+  pos + len
+
+(* the length of ", <oid>" for each of [oids], and their writer *)
+let rec listed_length acc = function
+  | [] -> acc
+  | oid :: rest -> listed_length (acc + 2 + decimal_length oid) rest
+
+let rec write_listed b pos = function
+  | [] -> pos
+  | oid :: rest ->
+    Bytes.unsafe_set b pos ',';
+    Bytes.unsafe_set b (pos + 1) ' ';
+    write_listed b (write_int b (pos + 2) oid) rest
 
 let outcome_message outcome =
   let trace =
-    List.map
-      (function
-        | Derivation.Retrieved_direct (cls, oids) ->
-          Printf.sprintf "retrieved %d stored object(s) of %s"
-            (List.length oids) cls
-        | Derivation.Interpolated (cls, oid) ->
-          Printf.sprintf "interpolated object %d of %s" oid cls
-        | Derivation.Fired (p, v, id) ->
-          Printf.sprintf "fired %s v%d (task #%d)" p v id)
-      outcome.Derivation.trace
+    String.concat "\n"
+      (List.map
+         (function
+           | Derivation.Retrieved_direct (cls, oids) ->
+             Printf.sprintf "retrieved %d stored object(s) of %s"
+               (List.length oids) cls
+           | Derivation.Interpolated (cls, oid) ->
+             Printf.sprintf "interpolated object %d of %s" oid cls
+           | Derivation.Fired (p, v, id) ->
+             Printf.sprintf "fired %s v%d (task #%d)" p v id)
+         outcome.Derivation.trace)
   in
-  (* a DERIVE may return thousands of objects: one pass writes them *)
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "objects: [";
-  List.iteri
-    (fun i oid ->
-      if i > 0 then Buffer.add_string buf ", ";
-      add_int buf oid)
-    outcome.Derivation.objects;
-  Buffer.add_string buf "]\n";
-  Buffer.add_string buf (String.concat "\n" trace);
-  Buffer.contents buf
+  (* a DERIVE may return thousands of objects: size the reply exactly,
+     then write it once *)
+  let head = "objects: [" and close = "]\n" in
+  let objects = outcome.Derivation.objects in
+  let listed =
+    match objects with
+    | [] -> 0
+    | first :: rest -> decimal_length first + listed_length 0 rest
+  in
+  let b =
+    Bytes.create
+      (String.length head + listed + String.length close + String.length trace)
+  in
+  Bytes.blit_string head 0 b 0 (String.length head);
+  let pos =
+    match objects with
+    | [] -> String.length head
+    | first :: rest ->
+      write_listed b (write_int b (String.length head) first) rest
+  in
+  Bytes.blit_string close 0 b pos (String.length close);
+  Bytes.blit_string trace 0 b (pos + String.length close) (String.length trace);
+  Bytes.unsafe_to_string b
 
 let render_refresh (r : Kernel.refresh_report) =
   let skipped =

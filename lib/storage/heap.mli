@@ -1,9 +1,10 @@
-(** Heap storage for one table: a growable array of OID-addressed slots
-    in insertion order.  A delete leaves a tombstone; when tombstones
-    outnumber live rows the heap compacts in place, keeping the live rows
-    in order, so a scan costs O(live rows) and a delete O(1) amortized.
-    Mutating the heap during {!scan}, {!fold} or a {!to_seq} walk is
-    not supported. *)
+(** Heap storage for one table: rows in insertion order, kept as two
+    growable columns, OIDs in an [int array] and tuples beside them,
+    with an {!Oid.Tbl} from OID to slot.  A delete leaves a tombstone
+    and drops the tuple at once; when tombstones outnumber live rows the
+    heap compacts in place, keeping the live rows in order, so a scan
+    costs O(live rows) and a delete O(1) amortized.  Mutating the heap
+    during {!scan}, {!fold} or a {!to_seq} walk is not supported. *)
 
 type t
 
@@ -43,3 +44,6 @@ val to_seq : t -> (Oid.t * Tuple.t) Seq.t
 val oids : t -> int -> Oid.t list
 (** The first [n] live OIDs in insertion order (all of them when
     fewer); the walk stops at the [n]-th. *)
+
+val oids_onto : t -> int -> Oid.t list -> Oid.t list
+(** [oids_onto t n tail] is [oids t n @ tail] without the copy. *)

@@ -7,10 +7,10 @@ type level = {
 
 type t = {
   levels : (int, level) Hashtbl.t;  (* non-empty only *)
-  aside : (Oid.t, Box.t) Hashtbl.t;
+  aside : Box.t Oid.Tbl.t;
 }
 
-let create () = { levels = Hashtbl.create 8; aside = Hashtbl.create 1 }
+let create () = { levels = Hashtbl.create 8; aside = Oid.Tbl.create 1 }
 
 (* cell numbers stay below this in magnitude, so they are exact ints *)
 let cell_limit = 0x1p52
@@ -33,7 +33,7 @@ let placement (b : Box.t) =
 
 let add t oid b =
   match placement b with
-  | None -> Hashtbl.replace t.aside oid b
+  | None -> Oid.Tbl.replace t.aside oid b
   | Some (l, side, key) ->
     let lvl =
       match Hashtbl.find_opt t.levels l with
@@ -48,7 +48,7 @@ let add t oid b =
 
 let remove t oid b =
   match placement b with
-  | None -> Hashtbl.remove t.aside oid
+  | None -> Oid.Tbl.remove t.aside oid
   | Some (l, _, key) ->
     Option.iter
       (fun lvl ->
@@ -91,7 +91,7 @@ let probe_level lvl (q : Box.t) acc =
 
 let overlapping t q =
   let acc =
-    Hashtbl.fold
+    Oid.Tbl.fold
       (fun oid b acc -> if Box.overlaps b q then oid :: acc else acc)
       t.aside []
   in

@@ -17,3 +17,7 @@ val current : allocator -> t
 
 val advance_to : allocator -> t -> unit
 (** Ensure future ids exceed [t] (used when loading snapshots). *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by OID, hashing the OID itself: a lookup costs no
+    [caml_hash] call, as a polymorphic [Hashtbl] lookup does. *)

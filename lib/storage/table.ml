@@ -154,6 +154,7 @@ let scan t f = Heap.scan t.heap f
 let fold t ~init ~f = Heap.fold t.heap ~init ~f
 let to_seq t = Heap.to_seq t.heap
 let oids t n = Heap.oids t.heap n
+let oids_onto t n tail = Heap.oids_onto t.heap n tail
 
 let select t pred =
   List.rev

@@ -52,6 +52,9 @@ val to_seq : t -> (Oid.t * Tuple.t) Seq.t
 val oids : t -> int -> Oid.t list
 (** The first [n] live OIDs in insertion order (see {!Heap.oids}). *)
 
+val oids_onto : t -> int -> Oid.t list -> Oid.t list
+(** {!oids} onto a tail (see {!Heap.oids_onto}). *)
+
 val select : t -> (Oid.t -> Tuple.t -> bool) -> (Oid.t * Tuple.t) list
 
 val lookup_eq : t -> string -> Gaea_adt.Value.t -> (Oid.t * Tuple.t) list

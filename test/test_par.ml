@@ -306,7 +306,18 @@ let test_fused_band_math () =
     (fun () -> Band_math.add a b);
   check_fused "subtract"
     (Image.map2 ~ptype:Pixel.Float8 (fun x y -> x -. y) a b)
-    (fun () -> Band_math.subtract a b)
+    (fun () -> Band_math.subtract a b);
+  (* a char band too: both write Float8 whatever the input type *)
+  let c = Image.map ~ptype:Pixel.Char (fun v -> 255. *. v) a in
+  List.iter
+    (fun img ->
+      check_fused "scale"
+        (Image.map ~ptype:Pixel.Float8 (fun v -> 2.5 *. v) img)
+        (fun () -> Band_math.scale 2.5 img);
+      check_fused "offset"
+        (Image.map ~ptype:Pixel.Float8 (fun v -> v +. -0.75) img)
+        (fun () -> Band_math.offset (-0.75) img))
+    [ a; c ]
 
 let test_fused_ndvi () =
   let red, nir = Lazy.force rn_pair in

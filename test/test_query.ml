@@ -998,15 +998,27 @@ let prop_mutated_examples =
     (QCheck.make ~print:Fun.id mutated_script_gen)
     (fun src -> never_raises (Session.create ()) src)
 
-(* The DERIVE reply writes its OIDs in one pass; the text is the one
-   String.concat of string_of_int wrote. *)
+(* The DERIVE reply is sized exactly and written once; the text is the
+   one String.concat of string_of_int wrote, for any int: every digit
+   count's first and last value, max_int, negatives (min_int too), and
+   no objects at all. *)
 let prop_derive_reply_text =
   let module D = Gaea_core.Derivation in
+  let edges =
+    let rec powers k p acc =
+      if k > 18 then acc else powers (k + 1) (p * 10) ((p - 1) :: p :: acc)
+    in
+    max_int :: min_int :: powers 1 10 []
+  in
   let oid =
     QCheck.Gen.(
       oneof
         [ return 0; int_range 1 9; int_range 10 99_999;
-          int_range 1_000_000_000 max_int ])
+          int_range 1_000_000_000 max_int; oneofl edges;
+          map (fun e -> -e) (oneofl edges); int_range min_int (-1) ])
+  in
+  let objects =
+    QCheck.Gen.(frequency [ (1, return []); (1, return edges); (8, list oid) ])
   in
   let step =
     QCheck.Gen.(
@@ -1018,7 +1030,7 @@ let prop_derive_reply_text =
   QCheck.Test.make ~name:"the DERIVE reply text is unchanged" ~count:500
     (QCheck.make
        ~print:(fun (os, _) -> String.concat ", " (List.map string_of_int os))
-       QCheck.Gen.(pair (list oid) (small_list step)))
+       QCheck.Gen.(pair objects (small_list step)))
     (fun (objects, trace) ->
       let line = function
         | D.Retrieved_direct (cls, oids) ->

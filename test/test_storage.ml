@@ -182,6 +182,112 @@ let test_heap_compaction () =
         (Heap.get h oid = None && not (Heap.delete h oid)))
     !deleted
 
+(* The heap against a list model: random inserts (duplicate OIDs
+   included), deletes (absent OIDs included) and replaces over a few
+   dozen OIDs, so the heap churns and compacts many times.  Every
+   deleted or replaced tuple must be collectable at the end. *)
+type heap_op = H_insert of int | H_delete of int | H_replace of int
+
+let heap_model_prop =
+  let d = desc () in
+  let oid = QCheck.Gen.int_range (-2) 40 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (3, map (fun o -> H_insert o) oid);
+          (2, map (fun o -> H_delete o) oid);
+          (1, map (fun o -> H_replace o) oid) ])
+  in
+  let show = function
+    | H_insert o -> Printf.sprintf "insert %d" o
+    | H_delete o -> Printf.sprintf "delete %d" o
+    | H_replace o -> Printf.sprintf "replace %d" o
+  in
+  QCheck.Test.make ~name:"heap = list model under churn" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show ops))
+       QCheck.Gen.(list_size (int_range 0 400) op))
+    (fun ops ->
+      let h = Heap.create () in
+      (* live rows in insertion order, and the tuples dropped so far *)
+      let model = ref [] and dropped = Weak.create (List.length ops) in
+      let ndropped = ref 0 in
+      let drop tuple =
+        Weak.set dropped !ndropped (Some tuple);
+        incr ndropped
+      in
+      let fresh = ref 0 in
+      let tuple () =
+        incr fresh;
+        mk_tuple d !fresh
+      in
+      let check () =
+        let expected = !model in
+        let oids = List.map fst expected in
+        let scanned = ref [] in
+        Heap.scan h (fun oid tu -> scanned := (oid, tu) :: !scanned);
+        let same a b =
+          List.length a = List.length b
+          && List.for_all2 (fun (o, t) (o', t') -> o = o' && t == t') a b
+        in
+        if not (same (List.rev !scanned) expected) then
+          QCheck.Test.fail_report "scan differs from the model";
+        if not (same (List.of_seq (Heap.to_seq h)) expected) then
+          QCheck.Test.fail_report "to_seq differs from the model";
+        let n = List.length expected in
+        List.iter
+          (fun k ->
+            if Heap.oids h k <> List.filteri (fun i _ -> i < k) oids then
+              QCheck.Test.fail_reportf "oids %d differs from the model" k)
+          [ 0; 1; n / 2; n; n + 3 ];
+        if Heap.length h <> n then QCheck.Test.fail_report "length";
+        if Heap.allocated h > (2 * n) + 16 then
+          QCheck.Test.fail_reportf "%d slots for %d rows" (Heap.allocated h) n;
+        for o = -2 to 40 do
+          match Heap.get h o, List.assoc_opt o expected with
+          | Some t, Some t' when t == t' -> ()
+          | None, None -> ()
+          | _ -> QCheck.Test.fail_reportf "get %d differs from the model" o
+        done;
+        let positions =
+          List.map (fun o -> fst (Option.get (Heap.locate h o))) oids
+        in
+        if positions <> List.sort_uniq Int.compare positions then
+          QCheck.Test.fail_report "locate positions do not ascend"
+      in
+      List.iter
+        (fun op ->
+          (match op with
+           | H_insert o ->
+             let tu = tuple () in
+             (match Heap.insert h o tu, List.mem_assoc o !model with
+              | Ok (), false -> model := !model @ [ (o, tu) ]
+              | Error _, true -> ()
+              | _ -> QCheck.Test.fail_reportf "insert %d" o)
+           | H_delete o ->
+             let was = List.assoc_opt o !model in
+             if Heap.delete h o <> Option.is_some was then
+               QCheck.Test.fail_reportf "delete %d" o;
+             Option.iter drop was;
+             model := List.remove_assoc o !model
+           | H_replace o ->
+             let tu = tuple () in
+             (match Heap.replace h o tu, List.assoc_opt o !model with
+              | Ok (), Some old ->
+                drop old;
+                model := List.map (fun (o', t) -> (o', if o' = o then tu else t)) !model
+              | Error _, None -> ()
+              | _ -> QCheck.Test.fail_reportf "replace %d" o));
+          check ())
+        ops;
+      Gc.full_major ();
+      for i = 0 to !ndropped - 1 do
+        if Weak.check dropped i then
+          QCheck.Test.fail_reportf "dropped tuple %d is still reachable" i
+      done;
+      (* the heap stays alive through the collection *)
+      Heap.length h = List.length !model)
+
 (* ------------------------------------------------------------------ *)
 (* Indexes                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -453,6 +559,7 @@ let () =
       ( "heap",
         [ tc "operations" test_heap;
           tc "compaction under churn" test_heap_compaction ] );
+      qsuite "heap-props" [ heap_model_prop ];
       ("indexes", [ tc "btree" test_index_btree ]);
       ( "table",
         [ tc "basics" test_table_basic;
