@@ -286,10 +286,12 @@ let write_int b pos n =
   else write_digits b (pos + len) n;
   pos + len
 
-(* the length of ", <oid>" for each of [oids], and their writer *)
-let rec listed_length acc = function
-  | [] -> acc
-  | oid :: rest -> listed_length (acc + 2 + decimal_length oid) rest
+(* the number of [oids] and the length of ", <oid>" for each of them,
+   and their writer *)
+let rec listed_length count len = function
+  | [] -> (count, len)
+  | oid :: rest ->
+    listed_length (count + 1) (len + 2 + decimal_length oid) rest
 
 let rec write_listed b pos = function
   | [] -> pos
@@ -299,27 +301,29 @@ let rec write_listed b pos = function
     write_listed b (write_int b (pos + 2) oid) rest
 
 let outcome_message outcome =
+  (* a DERIVE may return thousands of objects: size the reply exactly,
+     then write it once *)
+  let head = "objects: [" and close = "]\n" in
+  let objects = outcome.Derivation.objects in
+  let count, listed =
+    match objects with
+    | [] -> (0, 0)
+    | first :: rest -> listed_length 1 (decimal_length first) rest
+  in
   let trace =
     String.concat "\n"
       (List.map
          (function
            | Derivation.Retrieved_direct (cls, oids) ->
+             (* a retrieval's trace lists the reply's own objects *)
              Printf.sprintf "retrieved %d stored object(s) of %s"
-               (List.length oids) cls
+               (if oids == objects then count else List.length oids)
+               cls
            | Derivation.Interpolated (cls, oid) ->
              Printf.sprintf "interpolated object %d of %s" oid cls
            | Derivation.Fired (p, v, id) ->
              Printf.sprintf "fired %s v%d (task #%d)" p v id)
          outcome.Derivation.trace)
-  in
-  (* a DERIVE may return thousands of objects: size the reply exactly,
-     then write it once *)
-  let head = "objects: [" and close = "]\n" in
-  let objects = outcome.Derivation.objects in
-  let listed =
-    match objects with
-    | [] -> 0
-    | first :: rest -> decimal_length first + listed_length 0 rest
   in
   let b =
     Bytes.create

@@ -6,9 +6,13 @@
     initialization, Lloyd iterations to convergence, stable relabeling of
     clusters (sorted by centroid) so the same inputs always yield the
     same class image.  The assignment step skips a point's distances
-    when Hamerly's bounds prove it keeps its label; the labels,
-    centroids, iteration count and inertia are bit for bit those of
-    plain Lloyd (ties to the lowest centroid index), at any pool size. *)
+    when Hamerly's bounds prove it keeps its label, skips a point
+    without reading its bounds while per-centroid drift ledgers show
+    they still hold, and skips a centroid in a point's scan when
+    Elkan's pairwise bound proves it farther; the first step's
+    assignment comes from the seeding pass.  The labels, centroids,
+    iteration count and inertia are bit for bit those of plain Lloyd
+    (ties to the lowest centroid index), at any pool size. *)
 
 type result = {
   labels : Image.t;            (** Int4 label image, values in 0..k-1 *)
@@ -17,7 +21,8 @@ type result = {
   inertia : float;             (** sum of squared distances to assigned centroid *)
   distances : int;
   (** point-to-centroid distances the assignment steps computed; plain
-      Lloyd computes [iterations * n_pixels * k] *)
+      Lloyd computes [iterations * n_pixels * k].  The k-means++
+      seeding computes the first step's distances, which count 0 here. *)
   incremental : bool;
   (** the update steps after the first kept the centroid sums and
       applied only the moved pixels' deltas: chosen when every band

@@ -1,8 +1,21 @@
 module Box = Gaea_geo.Box
 
+(* a cell's two coordinates, compared and hashed as ints rather than by
+   the polymorphic [caml_hash]; the hash mixes both into the low bits
+   the table indexes by *)
+module Cell = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((x, y) : t) (x', y') = x = x' && y = y'
+
+  let hash ((x, y) : t) =
+    let h = ((x * 0x1f3d5b79) + y) * 0x2545f491 in
+    h lxor (h lsr 29)
+end)
+
 type level = {
   side : float;  (* 2^L *)
-  cells : (int * int, (Oid.t * Box.t) list) Hashtbl.t;  (* non-empty only *)
+  cells : (Oid.t * Box.t) list Cell.t;  (* non-empty only *)
 }
 
 type t = {
@@ -39,12 +52,12 @@ let add t oid b =
       match Hashtbl.find_opt t.levels l with
       | Some lvl -> lvl
       | None ->
-        let lvl = { side; cells = Hashtbl.create 64 } in
+        let lvl = { side; cells = Cell.create 64 } in
         Hashtbl.add t.levels l lvl;
         lvl
     in
-    let others = Option.value ~default:[] (Hashtbl.find_opt lvl.cells key) in
-    Hashtbl.replace lvl.cells key ((oid, b) :: others)
+    let others = Option.value ~default:[] (Cell.find_opt lvl.cells key) in
+    Cell.replace lvl.cells key ((oid, b) :: others)
 
 let remove t oid b =
   match placement b with
@@ -52,14 +65,14 @@ let remove t oid b =
   | Some (l, _, key) ->
     Option.iter
       (fun lvl ->
-        match Hashtbl.find_opt lvl.cells key with
+        match Cell.find_opt lvl.cells key with
         | None -> ()
         | Some entries ->
           (match List.filter (fun (o, _) -> o <> oid) entries with
            | [] ->
-             Hashtbl.remove lvl.cells key;
-             if Hashtbl.length lvl.cells = 0 then Hashtbl.remove t.levels l
-           | rest -> Hashtbl.replace lvl.cells key rest))
+             Cell.remove lvl.cells key;
+             if Cell.length lvl.cells = 0 then Hashtbl.remove t.levels l
+           | rest -> Cell.replace lvl.cells key rest))
       (Hashtbl.find_opt t.levels l)
 
 (* A box overlapping [q] has its corner cell within one cell left of and
@@ -75,15 +88,15 @@ let probe_level lvl (q : Box.t) acc =
   let hi v = bound (Float.floor (v /. lvl.side)) in
   let x0 = lo q.Box.xmin and x1 = hi q.Box.xmax in
   let y0 = lo q.Box.ymin and y1 = hi q.Box.ymax in
-  if (x1 -. x0 +. 1.) *. (y1 -. y0 +. 1.) > float (Hashtbl.length lvl.cells)
-  then Hashtbl.fold (fun _ entries acc -> test acc entries) lvl.cells acc
+  if (x1 -. x0 +. 1.) *. (y1 -. y0 +. 1.) > float (Cell.length lvl.cells)
+  then Cell.fold (fun _ entries acc -> test acc entries) lvl.cells acc
   else begin
     let acc = ref acc in
     for cx = int_of_float x0 to int_of_float x1 do
       for cy = int_of_float y0 to int_of_float y1 do
-        Option.iter
-          (fun entries -> acc := test !acc entries)
-          (Hashtbl.find_opt lvl.cells (cx, cy))
+        match Cell.find_opt lvl.cells (cx, cy) with
+        | Some entries -> acc := test !acc entries
+        | None -> ()
       done
     done;
     !acc

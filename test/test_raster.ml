@@ -742,28 +742,34 @@ let exact_sums comp =
      *. List.fold_left (fun m v -> Float.max m (Float.abs v)) 0. vs
      < 0x1p53
 
+(* [max_iter] 1 ends on the first assignment, which the seeding pass
+   supplies; 2 and 3 end on the first bounded steps *)
 let kmeans_oracle_prop =
   let gen =
     QCheck.Gen.(
       map
-        (fun ((shape, dims, kind, kpick), seed) ->
-          (shape, dims, kind, kpick, seed))
+        (fun ((shape, dims, kind, kpick), (seed, max_iter)) ->
+          (shape, dims, kind, kpick, seed, max_iter))
         (pair
            (quad (int_bound 9) (int_range 1 4) (int_bound 11) (int_bound 3))
-           (int_bound 1_000_000)))
+           (pair (int_bound 1_000_000) (oneofl [ 1; 2; 3; 100 ]))))
   in
-  let print (shape, dims, kind, kpick, seed) =
-    Printf.sprintf "shape %d, %d band(s), kind %d, kpick %d, seed %d" shape dims
-      kind kpick seed
+  let print (shape, dims, kind, kpick, seed, max_iter) =
+    Printf.sprintf
+      "shape %d, %d band(s), kind %d, kpick %d, seed %d, max_iter %d" shape
+      dims kind kpick seed max_iter
   in
   QCheck.Test.make ~name:"matches reference Lloyd" ~count:400
-    (QCheck.make ~print gen) (fun case ->
-      let comp, k, seed = kmeans_case case in
-      let expected = Lloyd.run ~seed comp k in
+    (QCheck.make ~print gen)
+    (fun (shape, dims, kind, kpick, seed, max_iter) ->
+      let comp, k, seed = kmeans_case (shape, dims, kind, kpick, seed) in
+      let expected = Lloyd.run ~seed ~max_iter comp k in
       let exact = exact_sums comp in
       List.for_all
         (fun lanes ->
-          let r = at_lanes lanes (fun () -> Kmeans.unsuperclassify ~seed comp k) in
+          let r =
+            at_lanes lanes (fun () -> Kmeans.unsuperclassify ~seed ~max_iter comp k)
+          in
           same_kmeans expected r && r.Kmeans.incremental = exact)
         [ 1; 2 ])
 
@@ -805,6 +811,35 @@ let test_kmeans_p20_pinned () =
     [ 1; 2 ];
   check_bool "the reference agrees" true
     (same_kmeans (Lloyd.run comp 12) (Kmeans.unsuperclassify comp 12))
+
+(* Fig 5's change image: k = 5 on the second standardized component of
+   two 6-band scenes, pinned to the plain Lloyd loop the bounded one
+   replaced.  Its Float8 values take the chunked update, as the P20
+   scene's integers take the incremental one. *)
+let fig5_centroid_bits =
+  [| 0xc0037c14033ef428L; 0xbff9c42420a0500eL; 0xbfdee364e92bc638L;
+     0x3feae610960b2e12L; 0x40008f811c8de6faL |]
+
+let test_kmeans_fig5_pinned () =
+  let scene seed =
+    Composite.bands
+      (Synthetic.landsat_scene ~seed ~nrow:128 ~ncol:128 ()).Synthetic.composite
+  in
+  let spca = Pca.spca ~components:2 (Composite.of_bands (scene 1 @ scene 2)) in
+  let comp = Composite.of_bands [ Composite.band spca.Pca.components 1 ] in
+  List.iter
+    (fun lanes ->
+      let r = at_lanes lanes (fun () -> Kmeans.unsuperclassify comp 5) in
+      let at = Printf.sprintf " @%d" lanes in
+      check_int ("label hash" ^ at) 1381050554751042746
+        (Image.content_hash r.Kmeans.labels);
+      check_bool ("centroid bits" ^ at) true
+        (Array.map (fun c -> bits c.(0)) r.Kmeans.centroids = fig5_centroid_bits);
+      check_int ("iterations" ^ at) 13 r.Kmeans.iterations;
+      check_bool ("inertia bits" ^ at) true
+        (bits r.Kmeans.inertia = 0x4094dd16b2e6bcebL);
+      check_bool ("chunked update" ^ at) false r.Kmeans.incremental)
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Maxlike                                                             *)
@@ -1233,7 +1268,8 @@ let () =
           tc "inertia vs k" test_kmeans_inertia_decreases_with_k;
           tc "validation" test_kmeans_validation;
           tc "k=1" test_kmeans_k1;
-          tc "P20 scene pinned" test_kmeans_p20_pinned ] );
+          tc "P20 scene pinned" test_kmeans_p20_pinned;
+          tc "Fig 5 change image pinned" test_kmeans_fig5_pinned ] );
       qsuite "kmeans-props" [ kmeans_oracle_prop ];
       ( "maxlike",
         [ tc "recovers truth" test_maxlike_recovers_truth;
