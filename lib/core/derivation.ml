@@ -21,15 +21,24 @@ let ( let* ) r f = Result.bind r f
 (* Step 1 + 3: retrieval and derivation                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Plan from the unfired frontiers.  When they cannot meet the demand,
+   plan from the stored tokens instead: firing that plan stops, as it
+   always did, at the first step left with no binding to fire. *)
+let plan k ?have ~need net place =
+  match
+    Backchain.search ?have ~need net (Kernel.tokens ~frontiers:true k) place
+  with
+  | Some _ as plan -> plan
+  | None -> Backchain.search ?have ~need net (Kernel.tokens k) place
+
 let derivation_plan k ?(need = 1) cls =
   let net = Kernel.derivation_net k in
-  match Net.find_place net cls with
-  | None -> None
-  | Some place -> Backchain.search ~need net (Kernel.tokens k) place
+  Option.bind (Net.find_place net cls) (plan k ~need net)
 
 (* Execute a backchain plan against the kernel: every Derived step fires
-   the corresponding process via Kernel.execute_process on a binding it
-   has not fired yet, so each step records a new task and a new object.
+   the corresponding process (Kernel.fire) on a binding of its planned
+   tokens it has not fired yet, so each step records a new task and a
+   new object.
    This stays sequential: each step is a binding search against live
    store state on the calling domain, followed by an execution whose
    raster operators use the domain pool themselves. *)
@@ -49,21 +58,12 @@ let execute_plan k net plan =
   and realize_step source step =
     (* realize all inputs, grouped per place *)
     let* per_place =
-      List.fold_left
-        (fun acc (p, sources) ->
-          let* acc = acc in
-          let* oids =
-            List.fold_left
-              (fun acc src ->
-                let* acc = acc in
-                let* oid = realize_source src in
-                Ok (oid :: acc))
-              (Ok []) sources
-          in
-          Ok ((p, List.rev oids) :: acc))
-        (Ok []) step.Backchain.step_inputs
+      Gaea_error.map_m
+        (fun (p, sources) ->
+          Result.map (fun oids -> (p, oids))
+            (Gaea_error.map_m realize_source sources))
+        step.Backchain.step_inputs
     in
-    let per_place = List.rev per_place in
     let pname = Net.transition_name net step.Backchain.transition in
     (match Kernel.find_process k pname with
      | None -> Gaea_error.err (Printf.sprintf "no process behind transition %s" pname)
@@ -72,22 +72,14 @@ let execute_plan k net plan =
          List.map (fun (p, oids) -> (Net.place_name net p, oids)) per_place
        in
        (* the planned tokens may fail the guard with this exact
-          assignment, or have fired already; retry with everything
-          the classes hold *)
-       let* binding =
-         match
-           Kernel.find_binding k ~fresh:true proc ~available:planned
-         with
-         | Ok b -> Ok b
-         | Error _ ->
-           let widened =
-             List.map
-               (fun (cls, _) -> (cls, Kernel.objects_of_class k cls))
-               planned
-           in
-           Kernel.find_binding k ~fresh:true proc ~available:widened
+          assignment, or have fired already; then everything the
+          classes hold is tried *)
+       let widened () =
+         List.map
+           (fun (cls, _) -> (cls, Kernel.objects_of_class k cls))
+           planned
        in
-       let* task = Kernel.execute_process k proc ~inputs:binding in
+       let* task = Kernel.fire k proc ~available:planned ~widened in
        tasks := task :: !tasks;
        (match task.Task.outputs with
         | oid :: _ ->
@@ -95,17 +87,10 @@ let execute_plan k net plan =
           Ok oid
         | [] -> Gaea_error.err (pname ^ ": task produced no object")))
   in
-  let* objects =
-    List.fold_left
-      (fun acc src ->
-        let* acc = acc in
-        let* oid = realize_source src in
-        Ok (oid :: acc))
-      (Ok []) plan.Backchain.sources
-  in
+  let* objects = Gaea_error.map_m realize_source plan.Backchain.sources in
   let new_tasks = List.rev !tasks in
   Ok
-    { objects = List.rev objects;
+    { objects;
       new_tasks;
       trace =
         List.map
@@ -136,7 +121,7 @@ let request k ?(need = 1) cls =
        else
          (* plan and fire only the deficit; the stored objects come
             first, as a full plan would list them *)
-         match Backchain.search ~need ~have net tokens place with
+         match plan k ~need ~have net place with
          | None ->
            Error
              (Gaea_error.Not_derivable

@@ -26,9 +26,20 @@ val request :
 (** [request k cls] delivers [need] (default 1) objects of class [cls]:
     the stored objects first, in ascending OID order, then objects
     derived through backward chaining on the net for the deficit only.
-    Fails with [Not_derivable] when no plan is found or a plan step
-    finds no binding it has not fired yet; objects derived before such
-    a failure stay stored. *)
+    The deficit is planned from the unfired frontiers
+    ([Kernel.tokens ~frontiers:true]): a step of a one-argument process
+    draws objects it has not fired on, or new ones derived upstream.
+    When the frontiers cannot meet the demand, the deficit is planned
+    from the stored objects instead.  Fails with
+    - [Error] when [cls] is unknown;
+    - [Not_derivable] "no plan found" when neither plan exists (no
+      object is derived);
+    - [Not_derivable] "no valid binding found" when a step of the
+      stored-object plan, or a step of a process without a frontier,
+      finds no binding it has not fired yet whose guard holds, and
+      ["remaining candidates already used"] says they had all fired;
+    - the step's own error when evaluating or committing it fails.
+    Objects derived before a failing step stay stored. *)
 
 val derivation_plan :
   Kernel.t -> ?need:int -> string -> Gaea_petri.Backchain.plan option

@@ -65,37 +65,29 @@ let make_env t (p : Process.t) (inputs : (string * Oid.t list) list) =
     arity = Registry.arity t.registry }
 
 let check_cards (p : Process.t) inputs =
-  List.fold_left
-    (fun acc spec ->
-      let* () = acc in
-      match List.assoc_opt spec.Process.arg_name inputs with
-      | None ->
-        Error
-          (Gaea_error.Arity_mismatch
-             (Printf.sprintf "%s: argument %s not bound" p.Process.proc_name
-                spec.Process.arg_name))
-      | Some oids ->
-        let n = List.length oids in
-        if n < spec.Process.card_min then
-          Error
-            (Gaea_error.Arity_mismatch
-               (Printf.sprintf "%s: %s needs at least %d object(s), got %d"
-                  p.Process.proc_name spec.Process.arg_name
-                  spec.Process.card_min n))
-        else (
-          match spec.Process.card_max with
-          | Some m when n > m ->
-            Error
-              (Gaea_error.Arity_mismatch
-                 (Printf.sprintf "%s: %s takes at most %d object(s), got %d"
-                    p.Process.proc_name spec.Process.arg_name m n))
-          | _ -> Ok ()))
-    (Ok ()) p.Process.args
+  let fail fmt =
+    Printf.ksprintf
+      (fun m -> Error (Gaea_error.Arity_mismatch (p.Process.proc_name ^ ": " ^ m)))
+      fmt
+  in
+  Gaea_error.map_m
+    (fun spec ->
+      let name = spec.Process.arg_name in
+      match List.assoc_opt name inputs, spec.Process.card_max with
+      | None, _ -> fail "argument %s not bound" name
+      | Some oids, _ when List.length oids < spec.Process.card_min ->
+        fail "%s needs at least %d object(s), got %d" name
+          spec.Process.card_min (List.length oids)
+      | Some oids, Some m when List.length oids > m ->
+        fail "%s takes at most %d object(s), got %d" name m (List.length oids)
+      | Some _, _ -> Ok ())
+    p.Process.args
+  |> Result.map ignore
 
 let check_inputs t (p : Process.t) inputs =
   let* () = check_cards p inputs in
   match Process.template p with
-  | None -> Ok ()
+  | None | Some { Template.assertions = []; _ } -> Ok ()
   | Some tmpl ->
     let env = make_env t p inputs in
     Template.check_assertions env tmpl
@@ -127,7 +119,8 @@ let rec minus remaining chosen =
 (* Candidate bindings are walked lazily: classes sorted, the first
    varying slowest; within a class the specs in declaration order, each
    taking subsets of ascending size in list order, an unbounded SETOF
-   spec swallowing the rest.  With [fresh], a binding already fired
+   spec swallowing the rest (an argument drawing one object from its
+   class takes the objects in order).  With [fresh], a binding already fired
    (its task is in the reuse index) is skipped without evaluating the
    guard. *)
 let find_binding t ?(fresh = false) (p : Process.t) ~available =
@@ -172,9 +165,7 @@ let find_binding t ?(fresh = false) (p : Process.t) ~available =
   let rec search budget last_err candidates =
     match candidates () with
     | Seq.Cons (binding, rest)
-      when fresh
-           && Option.is_some (Provenance.find_reusable t.prov p ~inputs:binding)
-      ->
+      when fresh && Provenance.fired t.prov p ~inputs:binding ->
       search budget "remaining candidates already used" rest
     | Seq.Cons (binding, rest) when budget > 0 ->
       (match check_inputs t p binding with
@@ -186,11 +177,17 @@ let find_binding t ?(fresh = false) (p : Process.t) ~available =
            (Printf.sprintf "%s: no valid binding found (%s)"
               p.Process.proc_name last_err))
   in
-  let classes =
-    List.sort_uniq compare
-      (List.map (fun a -> a.Process.arg_class) p.Process.args)
+  let candidates =
+    match p.Process.args with
+    | [ a ] when a.Process.card_min = 1 && a.Process.card_max = Some 1 ->
+      (* one argument drawing one object: the class's objects in order *)
+      Option.value ~default:[] (List.assoc_opt a.Process.arg_class available)
+      |> List.to_seq
+      |> Seq.map (fun oid -> [ (a.Process.arg_name, [ oid ]) ])
+    | args ->
+      product (List.sort_uniq compare (List.map (fun a -> a.Process.arg_class) args))
   in
-  search guard_budget "no candidates" (product classes)
+  search guard_budget "no candidates" candidates
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -203,14 +200,16 @@ let count_pixels v =
     Gaea_raster.Composite.n_pixels c * Gaea_raster.Composite.n_bands c
   | _ -> 0
 
-let eval_primitive t (p : Process.t) inputs =
+(* [checked]: the binding search has checked the cardinalities and
+   assertions already *)
+let eval_primitive ?(checked = false) t (p : Process.t) inputs =
   match Process.template p with
   | None ->
     Error (Gaea_error.Invalid (p.Process.proc_name ^ ": not a primitive process"))
   | Some tmpl ->
-    let* () = check_cards p inputs in
+    let* () = if checked then Ok () else check_cards p inputs in
     let env = make_env t p inputs in
-    let* () = Template.check_assertions env tmpl in
+    let* () = if checked then Ok () else Template.check_assertions env tmpl in
     let* pairs = Template.eval_mappings env tmpl in
     (* the output class must be fully mapped *)
     (match Catalog.find t.catalog p.Process.output_class with
@@ -246,7 +245,30 @@ let commit t ~process ~version ~params ~output_class inputs pairs ~write =
        ~output_class)
 
 let insert t ~cls pairs =
-  Obj_store.insert t.objects ~cls pairs |> Result.map (fun oid -> [ oid ])
+  Obj_store.insert t.objects ~cls pairs
+  |> Result.map (fun oid ->
+         Provenance.object_inserted t.prov ~cls oid;
+         [ oid ])
+
+(* A primitive run that found no reuse: evaluate and commit. *)
+let run_primitive ?checked t (p : Process.t) inputs =
+  let process = p.Process.proc_name and version = p.Process.version in
+  Events.emit t.bus (Events.Cache_miss { process; version });
+  let* pairs = eval_primitive ?checked t p inputs in
+  commit t ~process ~version ~params:p.Process.params
+    ~output_class:p.Process.output_class inputs pairs
+    ~write:(insert t ~cls:p.Process.output_class)
+
+(* A DERIVE step: the search proves the binding unfired and checks it,
+   once, so it is evaluated and committed with no second reuse probe
+   and no second check. *)
+let fire t (p : Process.t) ~available ~widened =
+  let* inputs =
+    match find_binding t ~fresh:true p ~available with
+    | Ok _ as found -> found
+    | Error _ -> find_binding t ~fresh:true p ~available:(widened ())
+  in
+  run_primitive ~checked:true t p inputs
 
 (* A primitive is looked up in the reuse index first: a recorded task
    for the same process and binding is served as is; otherwise it is
@@ -259,17 +281,13 @@ let insert t ~cls pairs =
 let rec execute_process t (p : Process.t) ~inputs =
   match p.Process.kind with
   | Process.Primitive _ ->
-    let process = p.Process.proc_name and version = p.Process.version in
     (match Provenance.find_reusable t.prov p ~inputs with
      | Some task ->
-       Events.emit t.bus (Events.Cache_hit { process; version });
+       Events.emit t.bus
+         (Events.Cache_hit
+            { process = p.Process.proc_name; version = p.Process.version });
        Ok task
-     | None ->
-       Events.emit t.bus (Events.Cache_miss { process; version });
-       let* pairs = eval_primitive t p inputs in
-       commit t ~process ~version ~params:p.Process.params
-         ~output_class:p.Process.output_class inputs pairs
-         ~write:(insert t ~cls:p.Process.output_class))
+     | None -> run_primitive t p inputs)
   | Process.Compound steps ->
     let outputs = Array.make (List.length steps) [] in
     let resolve j (arg, input) =
@@ -302,15 +320,8 @@ let rec execute_process t (p : Process.t) ~inputs =
                  (Printf.sprintf "%s: unknown sub-process %s"
                     p.Process.proc_name step.Process.step_process))
         in
-        let* rev =
-          List.fold_left
-            (fun acc input ->
-              let* acc = acc in
-              let* bound = resolve j input in
-              Ok (bound :: acc))
-            (Ok []) step.Process.step_inputs
-        in
-        let* task = execute_process t sub ~inputs:(List.rev rev) in
+        let* inputs = Gaea_error.map_m (resolve j) step.Process.step_inputs in
+        let* task = execute_process t sub ~inputs in
         outputs.(j) <- task.Task.outputs;
         run (j + 1) (Some task) rest
     in
@@ -347,11 +358,10 @@ let interpolate_values t ~cls ~at (o1, o2) =
            /. float_of_int (Abstime.diff_seconds t2 t1)
          in
          let nearest = if Float.abs w <= 0.5 then o1 else o2 in
-         List.fold_left
-           (fun acc attr ->
-             let* acc = acc in
+         Gaea_error.map_m
+           (fun attr ->
              let name = attr.Schema.a_name in
-             if name = tattr then Ok ((name, Value.abstime at) :: acc)
+             if name = tattr then Ok (name, Value.abstime at)
              else begin
                let v1 = Obj_store.attr t.objects ~cls o1 name in
                let v2 = Obj_store.attr t.objects ~cls o2 name in
@@ -359,21 +369,19 @@ let interpolate_values t ~cls ~at (o1, o2) =
                | Some (Value.VImage i1), Some (Value.VImage i2) ->
                  if Image.img_size_eq i1 i2 then
                    Ok
-                     (( name,
-                        Value.image
-                          (Interpolate.temporal_linear ~at (t1, i1) (t2, i2)) )
-                      :: acc)
+                     ( name,
+                       Value.image
+                         (Interpolate.temporal_linear ~at (t1, i1) (t2, i2)) )
                  else Gaea_error.err (name ^ ": image sizes differ")
                | Some (Value.VFloat a), Some (Value.VFloat b) ->
-                 Ok ((name, Value.float (a +. (w *. (b -. a)))) :: acc)
+                 Ok (name, Value.float (a +. (w *. (b -. a))))
                | Some v, Some v2 ->
                  (* non-interpolable: copy from the nearest snapshot *)
-                 Ok ((name, if nearest = o1 then v else v2) :: acc)
+                 Ok (name, if nearest = o1 then v else v2)
                | _ ->
                  Gaea_error.err (Printf.sprintf "object missing attribute %s" name)
              end)
-           (Ok []) def.Schema.attributes
-         |> Result.map List.rev
+           def.Schema.attributes
        end)
 
 let interpolate t ~cls ~at (o1, o2) =
@@ -499,15 +507,13 @@ let refresh ?only t =
   let new_tasks = ref [] in
   (* write refreshed values over the old outputs, in place *)
   let overwrite cls outputs pairs =
-    let* () =
-      List.fold_left
-        (fun acc oid ->
-          let* () = acc in
-          Obj_store.update t.objects ~cls oid pairs
-          |> Result.map (fun () -> Provenance.object_changed t.prov oid))
-        (Ok ()) outputs
-    in
-    Ok outputs
+    Gaea_error.map_m
+      (fun oid ->
+        Obj_store.update t.objects ~cls oid pairs
+        |> Result.map (fun () ->
+               Provenance.object_changed t.prov oid;
+               oid))
+      outputs
   in
   let failed : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let skip_reasons = ref [] in

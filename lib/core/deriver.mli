@@ -5,7 +5,8 @@
     up in the provenance reuse index ({!Provenance.find_reusable}):
     a recorded task whose outputs are still stored is served as is.
     Each lookup emits [Cache_hit] or [Cache_miss], which the bus
-    counts ({!Events.emit}).
+    counts ({!Events.emit}); a DERIVE step ({!fire}), whose binding
+    search has shown it unfired, emits [Cache_miss] without a lookup.
 
     Every derived value is committed by the deriver, through one
     helper: a DERIVE or an interpolation inserts a new object, a
@@ -29,6 +30,19 @@ val find_binding :
   t -> ?fresh:bool -> Process.t -> available:(string * Oid.t list) list
   -> ((string * Oid.t list) list, Gaea_error.t) result
 (** See {!Kernel.find_binding}. *)
+
+val fire :
+  t -> Process.t -> available:(string * Oid.t list) list
+  -> widened:(unit -> (string * Oid.t list) list)
+  -> (Task.t, Gaea_error.t) result
+(** A DERIVE step of a primitive process: {!find_binding} with
+    [~fresh:true] over [available], or, when that finds none, over
+    [widened ()]; then the binding is evaluated and committed as
+    {!execute_process} runs it after a reuse miss ([Cache_miss], then
+    the task), without probing the reuse index or checking the binding
+    a second time.  Fails as {!find_binding} does when neither list
+    holds such a binding, else with the evaluation's or the commit's
+    error. *)
 
 val execute_process :
   t -> Process.t -> inputs:(string * Oid.t list) list

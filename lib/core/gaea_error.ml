@@ -44,3 +44,9 @@ let rec to_string = function
   | Context (where, e) -> Printf.sprintf "%s: %s" where (to_string e)
 
 let err m = Error (Invalid m)
+
+let map_m f items =
+  List.fold_left
+    (fun acc x -> Result.bind acc (fun acc -> Result.map (fun y -> y :: acc) (f x)))
+    (Ok []) items
+  |> Result.map List.rev

@@ -42,3 +42,6 @@ val to_string : t -> string
 val err : string -> ('a, t) result
 (** [err msg] is [Error (Invalid msg)] — the migration helper for call
     sites whose message text is the whole story. *)
+
+val map_m : ('a -> ('b, t) result) -> 'a list -> ('b list, t) result
+(** [f] over the items in order, stopping at the first error. *)

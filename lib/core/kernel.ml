@@ -77,10 +77,15 @@ let classes t = Catalog.classes t.catalog
 let class_table t name = Catalog.table t.catalog name
 
 (* objects *)
-let insert_object t ~cls pairs = Obj_store.insert t.objects ~cls pairs
+let insert_object t ~cls pairs =
+  Obj_store.insert t.objects ~cls pairs
+  |> Result.map (fun oid ->
+         Provenance.object_inserted t.prov ~cls oid;
+         oid)
 
 let insert_object_with_oid t ~cls oid pairs =
   Obj_store.insert_with_oid t.objects ~cls oid pairs
+  |> Result.map (fun () -> Provenance.object_inserted t.prov ~cls oid)
 
 let object_attr t ~cls oid attr = Obj_store.attr t.objects ~cls oid attr
 let objects_of_class t cls = Obj_store.oids_of_class t.objects cls
@@ -116,6 +121,8 @@ let all_process_versions t = Proc_registry.all_versions t.procs
 (* execution *)
 let execute_process t p ~inputs = Deriver.execute_process t.deriver p ~inputs
 let recompute_task t task = Deriver.recompute_task t.deriver task
+
+let fire t p ~available ~widened = Deriver.fire t.deriver p ~available ~widened
 
 let find_binding t ?fresh p ~available =
   Deriver.find_binding t.deriver ?fresh p ~available
@@ -165,8 +172,9 @@ let derivation_net t =
 (* Tokens are the stored objects: a place reads its class's table.
    Heap order is ascending OID (OIDs are allocated increasing, inserts
    append, compaction and Persist keep the order), so the first rows
-   are the lowest OIDs. *)
-let tokens t =
+   are the lowest OIDs.  With [frontiers], a transition's unfired
+   tokens are its process's frontier. *)
+let tokens ?(frontiers = false) t =
   let module Net = Gaea_petri.Net in
   let net = derivation_net t in
   let table p = class_table t (Net.place_name net p) in
@@ -175,8 +183,13 @@ let tokens t =
       (fun p -> Option.fold ~none:0 ~some:Table.row_count (table p));
     first =
       (fun p n ->
-        Option.fold ~none:[] ~some:(fun tab -> Table.oids tab n) (table p))
-  }
+        Option.fold ~none:[] ~some:(fun tab -> Table.oids tab n) (table p));
+    unfired =
+      (if frontiers then fun tid ->
+         Option.bind
+           (find_process t (Net.transition_name net tid))
+           (Provenance.frontier t.prov)
+       else fun _ -> None) }
 
 let current_marking t =
   let net = derivation_net t in

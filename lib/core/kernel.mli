@@ -153,6 +153,18 @@ val find_binding :
     evaluating its guard: firing does not consume its inputs, so
     deriving one more object means firing a binding not fired yet. *)
 
+val fire :
+  t -> Process.t -> available:(string * Gaea_storage.Oid.t list) list
+  -> widened:(unit -> (string * Gaea_storage.Oid.t list) list)
+  -> (Task.t, Gaea_error.t) result
+(** One DERIVE step ({!Deriver.fire}): fire the primitive on the first
+    binding from [available], else from [widened ()], that it has not
+    fired and whose cardinalities and assertions hold — {!find_binding}
+    with [~fresh:true] — then evaluate and commit it as
+    {!execute_process} does after a reuse miss, the binding probed and
+    checked once.  [Not_derivable] when neither list holds such a
+    binding; the evaluation's or the commit's error otherwise. *)
+
 val insert_object_with_oid :
   t -> cls:string -> Gaea_storage.Oid.t -> (string * Gaea_adt.Value.t) list
   -> (unit, Gaea_error.t) result
@@ -194,10 +206,13 @@ val derivation_net : t -> Gaea_petri.Net.t
     latest versions, and {!define_class} and {!define_process} drop the
     memoized net.  Transitions carry no guard. *)
 
-val tokens : t -> Gaea_petri.Net.tokens
+val tokens : ?frontiers:bool -> t -> Gaea_petri.Net.tokens
 (** The planning view of the net's marking, read from the class tables:
     a place's count is its class's row count, and its first [n] tokens
-    are the class's [n] lowest OIDs.  Nothing is copied. *)
+    are the class's [n] lowest OIDs.  Nothing is copied.  With
+    [~frontiers:true] (default [false]) a transition's unfired tokens
+    are its process's unfired frontier ({!Provenance.frontier}); without,
+    no transition has one. *)
 
 val current_marking : t -> Gaea_petri.Marking.t
 (** Token = object OID at its class's place: a copy of every class

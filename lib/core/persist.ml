@@ -20,14 +20,7 @@ let atom_of = function
 let value_of_sexp s =
   Result.map_error (fun e -> Gaea_error.Parse_error e) (Value.of_sexp s)
 
-let map_m f items =
-  List.fold_left
-    (fun acc x ->
-      let* acc = acc in
-      let* y = f x in
-      Ok (y :: acc))
-    (Ok []) items
-  |> Result.map List.rev
+let map_m = Gaea_error.map_m
 
 (* --- schema --------------------------------------------------------- *)
 

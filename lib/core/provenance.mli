@@ -54,6 +54,10 @@ val find_reusable :
 (** The task recorded for this process and binding, if its entry
     stands and all its outputs are still stored. *)
 
+val fired : t -> Process.t -> inputs:(string * Oid.t list) list -> bool
+(** Whether the binding holds a reuse entry ({!find_reusable} finds
+    it), answered from the process's frontier when it has one. *)
+
 val reusable_count : t -> int
 (** Entries in the index. *)
 
@@ -72,6 +76,25 @@ val restore_reusable : t -> int list -> (unit, Gaea_error.t) result
 val restore_retired : t -> int -> unit
 (** Persist support: reinstate the saved {!retired} count. *)
 
+(** {2 Unfired frontiers}
+
+    For a primitive process version whose one argument draws one
+    object, the frontier is the ascending set of the live objects of
+    the argument's class that hold no reuse entry for it: the bindings
+    a DERIVE can still fire.  It is built from the class and the index
+    on first use (so a load rebuilds it and a save records nothing
+    new), then kept by {!record_task}, the retirement of an entry
+    (whose input is unfired again), {!object_inserted} and
+    {!object_deleted}.  A new version of the process drops it. *)
+
+val frontier : t -> Process.t -> Gaea_petri.Net.frontier option
+(** The process's frontier as planning reads it, [None] for a process
+    that has none (several arguments, a SETOF of more than one object,
+    a compound). *)
+
+val object_inserted : t -> cls:string -> Oid.t -> unit
+(** A new object of [cls]: unfired for every frontier drawing from it. *)
+
 (** {2 Staleness}
 
     An object is stale iff it is live, has a producing task, and a
@@ -81,13 +104,17 @@ val restore_retired : t -> int -> unit
     Each trigger ends the reuse entry of the producer of every object
     its walk reaches — the changed object itself and every object
     downstream of it, stale already or not — and emits one
-    [Cache_invalidated] when it ended any. *)
+    [Cache_invalidated] when it ended any.  A walk reaches each object
+    once, and follows from an object only the tasks still producing one
+    of their outputs, so its cost does not grow with the refreshes
+    that superseded earlier tasks. *)
 
 val object_changed : t -> Oid.t -> unit
 (** The object's values were replaced: mark its consumers stale. *)
 
 val object_deleted : t -> Oid.t -> unit
-(** The object is gone, not stale; mark its consumers stale. *)
+(** The object is gone, not stale; mark its consumers stale and drop
+    it from the frontiers. *)
 
 val process_defined : t -> name:string -> version:int -> unit
 (** [name] gained [version]: mark the outputs of the tasks run by

@@ -42,24 +42,18 @@ let attr_values env arg attr =
   match env.arg_objects arg with
   | None -> Gaea_error.err (Printf.sprintf "unbound argument %s" arg)
   | Some objs ->
-    let* values =
-      List.fold_left
-        (fun acc i ->
-          let* acc = acc in
-          let* v = env.attr_value arg i attr in
-          Ok (v :: acc))
-        (Ok [])
-        (List.init (List.length objs) Fun.id)
-    in
-    Ok (List.rev values)
+    Gaea_error.map_m
+      (fun i -> env.attr_value arg i attr)
+      (List.init (List.length objs) Fun.id)
 
 (* arg.attr: scalar args give the attribute value directly, SETOF args a
    VSet of per-object attribute values. *)
 let eval_attr_of env arg attr =
-  let* values = attr_values env arg attr in
-  match values with
-  | [ single ] -> Ok single
-  | _ -> Ok (Value.set values)
+  match env.arg_objects arg with
+  | Some [ _ ] -> env.attr_value arg 0 attr
+  | _ ->
+    let* values = attr_values env arg attr in
+    Ok (Value.set values)
 
 let rec eval env = function
   | Const v -> Ok v
@@ -75,19 +69,15 @@ let rec eval env = function
      | Value.VSet [] -> Gaea_error.err "ANYOF: empty set"
      | other -> Ok other)
   | Apply (opname, args) ->
-    let* values =
-      List.fold_left
-        (fun acc e ->
-          let* acc = acc in
-          let* v = eval env e in
-          Ok (v :: acc))
-        (Ok []) args
-    in
-    let values = List.rev values in
+    let* values = Gaea_error.map_m (eval env) args in
     (* Splice sets through variadic operators: composite(bands) where
        bands is SETOF image becomes composite(b1, b2, b3). *)
     let values =
-      match env.arity opname with
+      match
+        if List.exists (function Value.VSet _ -> true | _ -> false) values
+        then env.arity opname
+        else None
+      with
       | Some `Variadic ->
         List.concat_map
           (function
@@ -158,16 +148,14 @@ let check_assertions env t =
     (Ok ()) t.assertions
 
 let eval_mappings env t =
-  let* pairs =
-    List.fold_left
-      (fun acc m ->
-        let* acc = acc in
-        match eval env m.rhs with
-        | Ok v -> Ok ((m.target, v) :: acc)
-        | Error e -> Error (Gaea_error.Context ("mapping " ^ m.target, e)))
-      (Ok []) t.mappings
+  let rec go = function
+    | [] -> Ok []
+    | m :: rest ->
+      (match eval env m.rhs with
+       | Ok v -> Result.map (List.cons (m.target, v)) (go rest)
+       | Error e -> Error (Gaea_error.Context ("mapping " ^ m.target, e)))
   in
-  Ok (List.rev pairs)
+  go t.mappings
 
 let rec expr_to_string = function
   | Const v -> Value.to_display v

@@ -8,64 +8,33 @@ type report = {
   max_depth : int;
 }
 
-(* Cycle detection over the place graph: edge p -> q when some
-   transition has p among inputs and q among outputs. *)
-let has_cycle net =
-  let adj = Hashtbl.create 64 in
-  List.iter
-    (fun info ->
-      List.iter
-        (fun (p, _) ->
-          List.iter
-            (fun q ->
-              let cur = Option.value ~default:[] (Hashtbl.find_opt adj p) in
-              Hashtbl.replace adj p (q :: cur))
-            info.Net.outputs)
-        info.Net.inputs)
-    (Net.transitions net);
-  let state = Hashtbl.create 64 in
-  (* 0 visiting, 1 done *)
-  let rec visit p =
-    match Hashtbl.find_opt state p with
-    | Some 1 -> false
-    | Some _ -> true
-    | None ->
-      Hashtbl.add state p 0;
-      let cyc =
-        List.exists visit (Option.value ~default:[] (Hashtbl.find_opt adj p))
-      in
-      Hashtbl.replace state p 1;
-      cyc
-  in
-  List.exists visit (Net.places net)
+let has_cycle net = not (Net.acyclic net)
 
 let derivation_depth net =
   (* longest chain in the acyclic condensation; memoized DFS that treats
      back-edges as depth 0 so cyclic nets still terminate *)
-  let memo = Hashtbl.create 64 in
-  let visiting = Hashtbl.create 64 in
+  let memo = Array.make (Net.n_places net) (-1) in
+  let visiting = Array.make (Net.n_places net) false in
   let rec place_depth p =
-    match Hashtbl.find_opt memo p with
-    | Some d -> d
-    | None ->
-      if Hashtbl.mem visiting p then 0
-      else begin
-        Hashtbl.add visiting p ();
-        let d =
-          List.fold_left
-            (fun acc info ->
-              let input_depth =
-                List.fold_left
-                  (fun a (q, _) -> Stdlib.max a (place_depth q))
-                  0 info.Net.inputs
-              in
-              Stdlib.max acc (1 + input_depth))
-            0 (Net.producers_of net p)
-        in
-        Hashtbl.remove visiting p;
-        Hashtbl.replace memo p d;
-        d
-      end
+    if memo.(p) >= 0 then memo.(p)
+    else if visiting.(p) then 0
+    else begin
+      visiting.(p) <- true;
+      let d =
+        List.fold_left
+          (fun acc info ->
+            let input_depth =
+              List.fold_left
+                (fun a (q, _) -> Stdlib.max a (place_depth q))
+                0 info.Net.inputs
+            in
+            Stdlib.max acc (1 + input_depth))
+          0 (Net.producers_of net p)
+      in
+      visiting.(p) <- false;
+      memo.(p) <- d;
+      d
+    end
   in
   List.fold_left (fun acc p -> Stdlib.max acc (place_depth p)) 0 (Net.places net)
 

@@ -48,19 +48,75 @@ let rec source_depth = function
 let depth plan =
   List.fold_left (fun acc s -> Stdlib.max acc (source_depth s)) 0 plan.sources
 
+(* the distinct input combinations of [info] when its arc from [q] can
+   draw [limit info q] tokens, capped *)
+let combos limit info =
+  List.fold_left
+    (fun acc (q, k) ->
+      Stdlib.min Reachability.cap (acc * Reachability.combinations (limit info q) k))
+    1 info.Net.inputs
+
+(* What the search prunes with: [unfired info], a transition's frontier
+   (only one with a single input arc of threshold 1 has one), asked
+   once; [potential p], an upper bound on the distinct tokens place [p]
+   can hold; and [arc_limit info p], the most an input arc of [info] can
+   draw from [p]: its frontier plus the tokens [p] can gain, or [p]'s
+   potential.  On an acyclic net a place's potential is computed when
+   first asked for, once; a cyclic net keeps the reachability fixpoint
+   over every stored token, which also bounds what a place can gain. *)
+let bounds net (tokens : Net.tokens) =
+  let asked = Array.make (Net.n_transitions net) None in
+  let unfired info =
+    match info.Net.inputs, asked.(info.Net.t_id) with
+    | [ (_, 1) ], Some f -> f
+    | [ (_, 1) ], None ->
+      let f = tokens.Net.unfired info.Net.t_id in
+      asked.(info.Net.t_id) <- Some f;
+      f
+    | _ -> None
+  in
+  let with_fresh fresh potential info p =
+    match unfired info with
+    | Some f -> Stdlib.min Reachability.cap (f.Net.size + fresh p)
+    | None -> potential p
+  in
+  if Net.acyclic net then begin
+    let stored = Array.make (Net.n_places net) (-1) in
+    let derived = Array.make (Net.n_places net) (-1) in
+    let rec fresh p =
+      if derived.(p) < 0 then
+        derived.(p) <-
+          List.fold_left
+            (fun acc info -> Stdlib.min Reachability.cap (acc + combos arc_limit info))
+            0 (Net.producers_of net p);
+      derived.(p)
+    and potential p =
+      if stored.(p) < 0 then stored.(p) <- tokens.Net.count p;
+      Stdlib.min Reachability.cap (stored.(p) + fresh p)
+    and arc_limit info p = with_fresh fresh potential info p in
+    (unfired, potential, arc_limit)
+  end
+  else
+    let p = (Reachability.analyze net tokens).Reachability.potential_count in
+    (unfired, p, with_fresh p p)
+
+let potentials net tokens = let _, potential, _ = bounds net tokens in potential
+
 (* Search: for (place, need) return the sources, or None.
 
    Distinct derived objects require distinct input combinations: firing
    a process twice on the same inputs only duplicates data.  To supply
    n tokens from one producer, the plan gathers enough input tokens that
    n distinct combinations exist (per input arc with threshold k it asks
-   for the least k' with enough combinations), recursively.  A deficit
-   may also be covered by several producers.  The reachability fixpoint
-   (an upper bound on distinct-token supply) prunes impossible goals
-   early.  [visiting] prevents derivation cycles along the current
-   path; retrieval of stored tokens at a visited place stays allowed
-   (the paper's P5 derives a concept from itself using a stored sibling
-   object).
+   for the least k' with enough combinations), recursively.  An arc of
+   a transition with a frontier draws the frontier's lowest tokens,
+   then new ones derived at its place; any other arc draws the place's
+   stored tokens first.  A deficit may also be covered by several
+   producers.  The potentials (upper bounds on distinct-token supply)
+   prune impossible goals early.  [visiting] prevents derivation
+   cycles along the current path; retrieval of stored tokens at a
+   visited place stays allowed (the paper's P5 derives a concept from
+   itself using a stored sibling object).
 
    [have]: the caller already holds the goal's first [have] stored
    tokens, so the top-level call plans only the [need - have] missing
@@ -71,30 +127,46 @@ let search ?(need = 1) ?have net (tokens : Net.tokens) goal =
     invalid_arg "Backchain.search: have outside [0, need)";
   if not (Net.mem_place net goal) then None
   else begin
-    let info = Reachability.analyze net tokens in
-    let potential p = info.Reachability.potential_count p in
+    let unfired, potential, arc_limit = bounds net tokens in
     (* acyclic nets never engage the cycle guard, so both successes and
        failures are path-independent and memoizable; in cyclic nets only
        successes are (a finished plan is grounded in stored tokens and
        valid anywhere) *)
-    let acyclic = not (Analysis.has_cycle net) in
+    let acyclic = Net.acyclic net in
+    (* keyed by node and demand: a place's sources, stored ones first,
+       are node [place]; the new tokens derived at it, [-1 - place] *)
     let memo : (int * int, (source list * int) option) Hashtbl.t =
-      Hashtbl.create 64
+      Hashtbl.create 16
     in
     (* failure subsumption for cyclic nets: a failure recorded under
        visiting set V and demand n also rules out any demand >= n under
        any visiting superset of V *)
-    let failures : (int, (int * IntSet.t) list) Hashtbl.t = Hashtbl.create 64 in
-    let failed_before visiting place need =
+    let failures : (int, (int * IntSet.t) list) Hashtbl.t = Hashtbl.create 16 in
+    let failed_before visiting node need =
       List.exists
         (fun (n, v) -> need >= n && IntSet.subset v visiting)
-        (Option.value ~default:[] (Hashtbl.find_opt failures place))
+        (Option.value ~default:[] (Hashtbl.find_opt failures node))
     in
-    let record_failure visiting place need =
-      let cur = Option.value ~default:[] (Hashtbl.find_opt failures place) in
-      Hashtbl.replace failures place ((need, visiting) :: cur)
+    let memoized node visiting need compute =
+      match Hashtbl.find_opt memo (node, need) with
+      | Some (Some r) -> Some r
+      | Some None when acyclic -> None
+      | _ ->
+        if (not acyclic) && failed_before visiting node need then None
+        else (
+          match compute () with
+          | Some r ->
+            Hashtbl.replace memo (node, need) (Some r);
+            Some r
+          | None ->
+            if acyclic then Hashtbl.replace memo (node, need) None
+            else
+              Hashtbl.replace failures node
+                ((need, visiting)
+                :: Option.value ~default:[] (Hashtbl.find_opt failures node));
+            None)
     in
-    (* least m >= k with C(m, k) >= n, within the place's potential *)
+    (* least m >= k with C(m, k) >= n, within the arc's limit *)
     let enough_for ~threshold ~n ~limit =
       let rec grow m =
         if m > limit then None
@@ -106,137 +178,121 @@ let search ?(need = 1) ?have net (tokens : Net.tokens) goal =
     (* fuel bounds pathological exploration on dense cyclic nets *)
     let fuel = ref 200_000 in
     let rec place_sources visiting place need =
-      match Hashtbl.find_opt memo (place, need) with
-      | Some (Some r) -> Some r
-      | Some None when acyclic -> None
-      | _ ->
-        if (not acyclic) && failed_before visiting place need then None
-        else (
-          match place_sources_uncached visiting place need with
-          | Some r ->
-            Hashtbl.replace memo (place, need) (Some r);
-            Some r
-          | None ->
-            if acyclic then Hashtbl.replace memo (place, need) None
-            else record_failure visiting place need;
-            None)
+      memoized place visiting need (fun () ->
+          draw visiting place need (tokens.Net.first place need)
+            ~limit:(fun () -> potential place))
 
-    and place_sources_uncached ?have visiting place need =
+    (* [need] tokens at [place]: the [available] ones (or [have] the
+       caller holds), then new ones derived there, within [limit ()] *)
+    and draw ?have visiting place need available ~limit =
       decr fuel;
+      let n_avail = Option.value have ~default:(List.length available) in
+      let retrieved = List.map (fun tok -> Existing tok) available in
       if !fuel <= 0 then None
-      else begin
-        (* at most [need] stored tokens: all of them when fewer, none
-           when the caller holds them *)
-        let available =
-          if have = None then tokens.Net.first place need else []
-        in
-        let n_avail = Option.value have ~default:(List.length available) in
-        if n_avail >= need then
-          Some (List.map (fun tok -> Existing tok) available, 0)
-        else if IntSet.mem place visiting then None
-        else if potential place < need then None
-        else begin
-          let deficit = need - n_avail in
-          let retrieved = List.map (fun tok -> Existing tok) available in
-          let visiting' = IntSet.add place visiting in
-          let producers = Net.producers_of net place in
-          (* try to obtain [n] distinct tokens from one producer *)
-          let from_producer tinfo n =
-            (* per input arc, gather enough tokens for n distinct
-               combinations overall; combination counts multiply across
-               arcs, so when one arc cannot supply the whole remaining
-               factor (its place's potential is too small) it
-               contributes its maximum and later arcs make up the rest *)
-            let rec choose_arcs acc combos = function
-              | [] -> if combos >= n then Some (List.rev acc) else None
-              | (p, k) :: rest ->
-                let limit = potential p in
-                if limit < k then None
-                else begin
-                  let target = (n + combos - 1) / Stdlib.max combos 1 in
-                  let m =
-                    match enough_for ~threshold:k ~n:target ~limit with
-                    | Some m -> m
-                    | None -> limit (* cap: take everything this arc has *)
-                  in
-                  choose_arcs ((p, k, m) :: acc)
-                    (Stdlib.min Reachability.cap
-                       (combos * Reachability.combinations m k))
-                    rest
-                end
-            in
-            match choose_arcs [] 1 tinfo.Net.inputs with
-            | None -> None
-            | Some arcs ->
-              let rec gather acc acc_cost = function
-                | [] -> Some (List.rev acc, acc_cost)
-                | (p, _k, m) :: rest ->
-                  (match place_sources visiting' p m with
-                   | None -> None
-                   | Some (srcs, c) -> gather ((p, srcs) :: acc) (acc_cost + c) rest)
+      else if n_avail >= need then Some (retrieved, 0)
+      else if IntSet.mem place visiting || limit () < need then None
+      else
+        let visiting = IntSet.add place visiting and n = need - n_avail in
+        Option.map
+          (fun (derived, c) -> (retrieved @ derived, c))
+          (memoized (-1 - place) visiting n (fun () -> derive visiting place n))
+
+    (* [m] tokens at [p] for an input arc of [info] *)
+    and arc_sources visiting info p m =
+      match unfired info with
+      | None -> place_sources visiting p m
+      | Some f ->
+        draw visiting p m (f.Net.lowest m) ~limit:(fun () -> arc_limit info p)
+
+    (* [deficit] new tokens at [place], which [visiting] holds *)
+    and derive visiting place deficit =
+      let producers = Net.producers_of net place in
+      (* try to obtain [n] distinct tokens from one producer *)
+      let from_producer tinfo n =
+        (* per input arc, gather enough tokens for n distinct
+           combinations overall; combination counts multiply across
+           arcs, so when one arc cannot supply the whole remaining
+           factor (its limit is too small) it contributes its maximum
+           and later arcs make up the rest *)
+        let rec choose_arcs acc combos = function
+          | [] -> if combos >= n then Some (List.rev acc) else None
+          | (p, k) :: rest ->
+            let limit = arc_limit tinfo p in
+            if limit < k then None
+            else begin
+              let target = (n + combos - 1) / Stdlib.max combos 1 in
+              let m =
+                match enough_for ~threshold:k ~n:target ~limit with
+                | Some m -> m
+                | None -> limit (* cap: take everything this arc has *)
               in
-              (match gather [] 0 arcs with
+              choose_arcs ((p, k, m) :: acc)
+                (Stdlib.min Reachability.cap
+                   (combos * Reachability.combinations m k))
+                rest
+            end
+        in
+        match choose_arcs [] 1 tinfo.Net.inputs with
+        | None -> None
+        | Some arcs ->
+          let rec gather acc acc_cost = function
+            | [] -> Some (List.rev acc, acc_cost)
+            | (p, _k, m) :: rest ->
+              (match arc_sources visiting tinfo p m with
                | None -> None
-               | Some (step_inputs, input_cost) ->
-                 let derived =
-                   List.init n (fun _ ->
-                       Derived { transition = tinfo.Net.t_id; step_inputs })
-                 in
-                 Some (derived, input_cost + n))
+               | Some (srcs, c) -> gather ((p, srcs) :: acc) (acc_cost + c) rest)
           in
-          (* cover the deficit: whole-deficit from the cheapest producer,
-             else distribute across producers greedily *)
-          let candidates =
-            List.filter_map
-              (fun tinfo ->
-                Option.map (fun r -> (tinfo, r)) (from_producer tinfo deficit))
-              producers
-          in
-          match
-            List.sort
-              (fun (_, (_, c1)) (_, (_, c2)) -> Int.compare c1 c2)
-              candidates
-          with
-          | (_, (derived, c)) :: _ -> Some (retrieved @ derived, c)
-          | [] ->
-            (* multi-producer cover: take each producer's maximum, the
-               product of its arcs' combination counts, as reachability
-               counts it *)
-            let rec cover remaining acc_sources acc_cost = function
-              | [] -> None
-              | tinfo :: rest ->
-                let max_here =
-                  List.fold_left
-                    (fun acc (p, k) ->
-                      Stdlib.min Reachability.cap
-                        (acc * Reachability.combinations (potential p) k))
-                    1 tinfo.Net.inputs
-                  |> Stdlib.min remaining
-                in
-                let rec try_take take =
-                  if take <= 0 then None
-                  else
-                    match from_producer tinfo take with
-                    | Some r -> Some (take, r)
-                    | None -> try_take (take - 1)
-                in
-                (match try_take max_here with
-                 | None -> cover remaining acc_sources acc_cost rest
-                 | Some (take, (derived, c)) ->
-                   let acc_sources = acc_sources @ derived in
-                   let acc_cost = acc_cost + c in
-                   if take >= remaining then Some (acc_sources, acc_cost)
-                   else cover (remaining - take) acc_sources acc_cost rest)
+          (match gather [] 0 arcs with
+           | None -> None
+           | Some (step_inputs, input_cost) ->
+             let derived =
+               List.init n (fun _ ->
+                   Derived { transition = tinfo.Net.t_id; step_inputs })
+             in
+             Some (derived, input_cost + n))
+      in
+      (* cover the deficit: whole-deficit from the cheapest producer,
+         else distribute across producers greedily *)
+      let candidates =
+        List.filter_map
+          (fun tinfo ->
+            Option.map (fun r -> (tinfo, r)) (from_producer tinfo deficit))
+          producers
+      in
+      match
+        List.sort (fun (_, (_, c1)) (_, (_, c2)) -> Int.compare c1 c2) candidates
+      with
+      | (_, r) :: _ -> Some r
+      | [] ->
+        (* multi-producer cover: take each producer's maximum, the
+           product of its arcs' combination counts, as the potentials
+           count it *)
+        let rec cover remaining acc_sources acc_cost = function
+          | [] -> None
+          | tinfo :: rest ->
+            let rec try_take take =
+              if take <= 0 then None
+              else
+                match from_producer tinfo take with
+                | Some r -> Some (take, r)
+                | None -> try_take (take - 1)
             in
-            (match cover deficit [] 0 producers with
-             | None -> None
-             | Some (derived, c) -> Some (retrieved @ derived, c))
-        end
-      end
+            (match try_take (Stdlib.min remaining (combos arc_limit tinfo)) with
+             | None -> cover remaining acc_sources acc_cost rest
+             | Some (take, (derived, c)) ->
+               let acc_sources = acc_sources @ derived in
+               let acc_cost = acc_cost + c in
+               if take >= remaining then Some (acc_sources, acc_cost)
+               else cover (remaining - take) acc_sources acc_cost rest)
+        in
+        cover deficit [] 0 producers
     in
     (* nothing looks the top-level call up again, so it skips the memo,
        where a goal-less [have] plan must never stand for (goal, need) *)
-    match place_sources_uncached ?have IntSet.empty goal need with
+    let available = if have = None then tokens.Net.first goal need else [] in
+    match
+      draw ?have IntSet.empty goal need available ~limit:(fun () -> potential goal)
+    with
     | None -> None
     | Some (sources, _) -> Some { goal; sources }
   end
@@ -263,41 +319,33 @@ let retrieved_tokens plan =
   PT.elements set
 
 let execute net marking plan ~fresh =
-  let ( let* ) r f = Result.bind r f in
+  let ( let* ) = Result.bind in
+  (* thread the marking and the firing order through [f] over [items] *)
+  let rec each f (m, fired) acc = function
+    | [] -> Ok (m, List.rev acc, fired)
+    | x :: rest ->
+      let* m, y, fired = f (m, fired) x in
+      each f (m, fired) (y :: acc) rest
+  in
   (* shared Derived nodes realize (fire) exactly once *)
   let realized = ref [] in
-  let rec realize m fired place = function
+  let rec realize place (m, fired) = function
     | Existing tok ->
       if Marking.mem m place tok then Ok (m, tok, fired)
-      else
-        Error
-          (Printf.sprintf "token %d not present at place %d" tok place)
+      else Error (Printf.sprintf "token %d not present at place %d" tok place)
     | Derived s as src ->
       (match List.assq_opt src !realized with
        | Some tok -> Ok (m, tok, fired)
        | None ->
          (* realize all inputs first *)
          let* m, binding, fired =
-           List.fold_left
-             (fun acc (p, srcs) ->
-               let* m, binding, fired = acc in
-               let* m, toks, fired =
-                 List.fold_left
-                   (fun acc src ->
-                     let* m, toks, fired = acc in
-                     let* m, tok, fired = realize m fired p src in
-                     Ok (m, tok :: toks, fired))
-                   (Ok (m, [], fired))
-                   srcs
-               in
-               Ok (m, (p, List.rev toks) :: binding, fired))
-             (Ok (m, [], fired))
-             s.step_inputs
+           each
+             (fun st (p, srcs) ->
+               let* m, toks, fired = each (realize p) st [] srcs in
+               Ok (m, (p, toks), fired))
+             (m, fired) [] s.step_inputs
          in
-         let binding = List.rev binding in
-         let* m, produced =
-           Firing.fire_with net m s.transition binding ~fresh
-         in
+         let* m, produced = Firing.fire_with net m s.transition binding ~fresh in
          (match List.assoc_opt place produced with
           | Some tok ->
             realized := (src, tok) :: !realized;
@@ -307,16 +355,8 @@ let execute net marking plan ~fresh =
               (Printf.sprintf "transition %d did not produce at place %d"
                  s.transition place)))
   in
-  let* m, tokens_rev, fired_rev =
-    List.fold_left
-      (fun acc src ->
-        let* m, toks, fired = acc in
-        let* m, tok, fired = realize m fired plan.goal src in
-        Ok (m, tok :: toks, fired))
-      (Ok (marking, [], []))
-      plan.sources
-  in
-  Ok (m, List.rev tokens_rev, List.rev fired_rev)
+  let* m, tokens, fired = each (realize plan.goal) (marking, []) [] plan.sources in
+  Ok (m, tokens, List.rev fired)
 
 let pp ?(place_name = string_of_int) ?(transition_name = string_of_int) fmt
     plan =

@@ -25,12 +25,24 @@ type plan = {
   (** one per demanded token; with [search ~have], one per missing one *)
 }
 
+val potentials : Net.t -> Net.tokens -> Net.place -> int
+(** The potentials {!search} prunes with: an upper bound on the distinct
+    tokens a place can hold, stored and derivable.  On an acyclic net
+    each place's is computed when first asked for, once, and a
+    transition with a frontier ({!Net.tokens}[.unfired]) contributes
+    one combination per unfired or newly derived input token; with
+    nothing fired they equal {!Reachability.analyze}'s.  A cyclic net
+    uses the reachability fixpoint. *)
+
 val search :
   ?need:int -> ?have:int -> Net.t -> Net.tokens -> Net.place -> plan option
 (** Minimum-firing-count plan delivering [need] (default 1) tokens at
     the goal place, preferring direct retrieval, or [None] when the goal
-    is underivable.  Reads every place's token count once, and at most
-    [n] tokens at a place it asks [n] tokens of.  Cycles in the
+    is underivable.  Reads a place's token count at most once, and at
+    most [n] tokens at a place it asks [n] tokens of.  An input arc of a
+    transition with a frontier is planned from the frontier's lowest
+    tokens, then from tokens derived anew, never from a stored token the
+    transition has fired on.  Cycles in the
     derivation net are handled by excluding places already under
     derivation on the current path (so P5-style self-derivations —
     deriving a concept from itself via a sibling class — still work).

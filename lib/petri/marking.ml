@@ -54,7 +54,8 @@ let of_list l =
 
 let view t =
   { Net.count = count t;
-    first = (fun p n -> List.filteri (fun i _ -> i < n) (tokens t p)) }
+    first = (fun p n -> List.filteri (fun i _ -> i < n) (tokens t p));
+    unfired = (fun _ -> None) }
 
 let pp ?(place_name = string_of_int) fmt t =
   Format.fprintf fmt "@[<v>";

@@ -31,17 +31,31 @@ type transition_info = {
   guard : guard option;
 }
 
+type frontier = {
+  size : int;  (** tokens of the arc's place the transition has not fired on *)
+  lowest : int -> token list;  (** [lowest n]: at most [n] of them, ascending *)
+}
+(** The unfired frontier of a transition with one input arc of
+    threshold 1: firing does not consume tokens, so a token the
+    transition has fired on yields no new output. *)
+
 type tokens = {
   count : place -> int;  (** tokens the place holds *)
   first : place -> int -> token list;
   (** [first p n]: at most [n] of the place's tokens, ascending *)
+  unfired : transition -> frontier option;
+  (** the transition's frontier when its firings are recorded per
+      input token, [None] to plan its arcs from every stored token *)
 }
 (** A read-only view of a marking.  Planning asks only how many tokens
     a place holds and for a few of them at the places it visits, so the
-    kernel answers from the class tables and {!Marking.view} adapts a
-    persistent marking. *)
+    kernel answers from the class tables and its firing records, and
+    {!Marking.view} adapts a persistent marking, with no frontiers. *)
 
 type t
+(** Places and transitions get ids counting up from 0.  What planning
+    reads (names, transitions, per-place producers, acyclicity) is
+    compiled into arrays on the first read after the last addition. *)
 
 val create : unit -> t
 
@@ -61,9 +75,17 @@ val find_place : t -> string -> place option
 val transition_name : t -> transition -> string
 val transition_info : t -> transition -> transition_info option
 val places : t -> place list
+(** Ascending. *)
+
 val transitions : t -> transition_info list
+(** By ascending id. *)
+
 val producers_of : t -> place -> transition_info list
-(** Transitions with the place among their outputs. *)
+(** Transitions with the place among their outputs, by ascending id. *)
+
+val acyclic : t -> bool
+(** No cycle in the place graph (an edge from each input place of a
+    transition to each of its outputs). *)
 
 val n_places : t -> int
 val n_transitions : t -> int

@@ -27,19 +27,13 @@ let combinations n k =
 
 let analyze net (tokens : Net.tokens) =
   (* the fixpoint visits each place many times; read its count once *)
-  let stored = Hashtbl.create 64 in
-  List.iter
-    (fun p -> Hashtbl.replace stored p (tokens.count p))
-    (Net.places net);
-  let counts = Hashtbl.copy stored in
-  let get p = Option.value ~default:0 (Hashtbl.find_opt counts p) in
-  let transitions = Net.transitions net in
+  let stored = Array.of_list (List.map tokens.count (Net.places net)) in
+  let counts = Array.copy stored in
+  let get p = if Net.mem_place net p then counts.(p) else 0 in
   (* contribution of a transition: number of distinct input combinations *)
   let combos info =
     List.fold_left
-      (fun acc (p, k) ->
-        let c = combinations (get p) k in
-        Stdlib.min cap (acc * c))
+      (fun acc (p, k) -> Stdlib.min cap (acc * combinations (get p) k))
       1 info.Net.inputs
   in
   let changed = ref true in
@@ -59,29 +53,22 @@ let analyze net (tokens : Net.tokens) =
             (fun acc info -> Stdlib.min cap (acc + combos info))
             0 (Net.producers_of net p)
         in
-        let candidate =
-          Stdlib.min cap (Hashtbl.find stored p + produced)
-        in
+        let candidate = Stdlib.min cap (stored.(p) + produced) in
         let candidate =
           if candidate > get p && !iterations > widen_after then cap
           else candidate
         in
         if candidate > get p then begin
-          Hashtbl.replace counts p candidate;
+          counts.(p) <- candidate;
           changed := true
         end)
       (Net.places net)
   done;
-  let fireable_tbl = Hashtbl.create 64 in
-  List.iter
-    (fun info ->
-      Hashtbl.replace fireable_tbl info.Net.t_id
-        (List.for_all (fun (p, k) -> get p >= k) info.Net.inputs))
-    transitions;
+  let fireable info = List.for_all (fun (p, k) -> get p >= k) info.Net.inputs in
   { derivable = (fun p -> get p > 0);
     potential_count = get;
     fireable =
-      (fun tid -> Option.value ~default:false (Hashtbl.find_opt fireable_tbl tid));
+      (fun tid -> Option.fold ~none:false ~some:fireable (Net.transition_info net tid));
     iterations = !iterations }
 
 let closure net marking ~fresh =

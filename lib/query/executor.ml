@@ -322,7 +322,9 @@ let outcome_message outcome =
            | Derivation.Interpolated (cls, oid) ->
              Printf.sprintf "interpolated object %d of %s" oid cls
            | Derivation.Fired (p, v, id) ->
-             Printf.sprintf "fired %s v%d (task #%d)" p v id)
+             String.concat ""
+               [ "fired "; p; " v"; string_of_int v; " (task #";
+                 string_of_int id; ")" ])
          outcome.Derivation.trace)
   in
   let b =

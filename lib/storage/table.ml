@@ -89,31 +89,32 @@ let with_grid t f =
   | Some { grid = Some grid; b_pos; _ } -> f grid b_pos
   | _ -> ()
 
-let index_tuple t oid tuple =
+(* move [oid] from the keys of [before] to those of [after] (either may
+   be absent), touching only the indexes whose key changed: an update of
+   the pixels alone leaves the B-trees and the grid as they are *)
+let reindex t oid ~before ~after =
+  let key tuple attr = Option.bind tuple (fun tu -> attr_values t tu attr) in
   Hashtbl.iter
     (fun attr idx ->
-      match attr_values t tuple attr with
-      | Some v -> ignore (Index_btree.add idx v oid)
-      | None -> ())
+      match key before attr, key after attr with
+      | Some a, Some b when Vorder.compare a b = Ok 0 -> ()
+      | a, b ->
+        Option.iter (fun v -> Index_btree.remove idx v oid) a;
+        Option.iter (fun v -> ignore (Index_btree.add idx v oid)) b)
     t.btree_indexes;
   with_grid t (fun grid pos ->
-      Option.iter (Index_box.add grid oid) (box_at tuple pos))
-
-let unindex_tuple t oid tuple =
-  Hashtbl.iter
-    (fun attr idx ->
-      match attr_values t tuple attr with
-      | Some v -> Index_btree.remove idx v oid
-      | None -> ())
-    t.btree_indexes;
-  with_grid t (fun grid pos ->
-      Option.iter (Index_box.remove grid oid) (box_at tuple pos))
+      let box tuple = Option.bind tuple (fun tu -> box_at tu pos) in
+      match box before, box after with
+      | Some a, Some b when Box.equal a b -> ()
+      | a, b ->
+        Option.iter (Index_box.remove grid oid) a;
+        Option.iter (Index_box.add grid oid) b)
 
 let insert_tuple t oid tuple =
   match Heap.insert t.heap oid tuple with
   | Error _ as e -> e
   | Ok () ->
-    index_tuple t oid tuple;
+    reindex t oid ~before:None ~after:(Some tuple);
     Ok ()
 
 let insert t oid values =
@@ -131,8 +132,7 @@ let replace t oid values =
        (match Heap.replace t.heap oid tuple with
         | Error e -> Error (t.name ^ ": " ^ e)
         | Ok () ->
-          unindex_tuple t oid old;
-          index_tuple t oid tuple;
+          reindex t oid ~before:(Some old) ~after:(Some tuple);
           Ok ()))
 
 let delete t oid =
@@ -140,7 +140,7 @@ let delete t oid =
   | None -> false
   | Some tuple ->
     let removed = Heap.delete t.heap oid in
-    if removed then unindex_tuple t oid tuple;
+    if removed then reindex t oid ~before:(Some tuple) ~after:None;
     removed
 
 let get t oid = Heap.get t.heap oid

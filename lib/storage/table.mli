@@ -36,7 +36,9 @@ val insert : t -> Oid.t -> Gaea_adt.Value.t list -> (unit, string) result
 val insert_tuple : t -> Oid.t -> Tuple.t -> (unit, string) result
 
 val replace : t -> Oid.t -> Gaea_adt.Value.t list -> (unit, string) result
-(** Overwrite a live row in place (same OID), re-maintaining indexes.
+(** Overwrite a live row in place (same OID), re-indexing only the keys
+    that changed (a B-tree key {!Vorder.compare} finds equal and an equal
+    box stay put).
     Errors on unknown/deleted OID or a tuple type mismatch. *)
 
 val delete : t -> Oid.t -> bool

@@ -547,6 +547,36 @@ let backchain_complete_acyclic_prop =
           = (Backchain.search net (Marking.view marking) goal <> None))
         places)
 
+(* The search's lazy potentials on an acyclic net with nothing fired are
+   the reachability fixpoint's, whether no transition has a frontier or
+   every single-arc threshold-1 transition has one holding every token
+   of its place. *)
+let lazy_potentials_prop =
+  QCheck.Test.make
+    ~name:"on acyclic nets with nothing fired, lazy potentials = fixpoint"
+    ~count:300 (QCheck.make random_net_gen) (fun params ->
+      let net, marking, places = build_acyclic params in
+      let view = Marking.view marking in
+      let all_unfired =
+        { view with
+          Net.unfired =
+            (fun tid ->
+              match Net.transition_info net tid with
+              | Some { Net.inputs = [ (q, 1) ]; _ } ->
+                Some
+                  { Net.size = Marking.count marking q;
+                    lowest = view.Net.first q }
+              | _ -> None) }
+      in
+      let info = Reachability.analyze net view in
+      List.for_all
+        (fun tokens ->
+          let potential = Backchain.potentials net tokens in
+          Array.for_all
+            (fun p -> potential p = info.Reachability.potential_count p)
+            places)
+        [ view; all_unfired ])
+
 (* On random (possibly cyclic) nets, a plan for the deficit is the full
    plan without its leading stored goal tokens, and exists exactly when
    the full plan does. *)
@@ -651,7 +681,8 @@ let () =
           tc "multi-producer cover" test_backchain_multi_producer_cover ] );
       qsuite "backchain-props"
         [ backchain_soundness_prop; backchain_sound_wrt_reachability_prop;
-          backchain_complete_acyclic_prop; backchain_deficit_prop ];
+          backchain_complete_acyclic_prop; backchain_deficit_prop;
+          lazy_potentials_prop ];
       ( "analysis",
         [ tc "report" test_analysis; tc "cycles" test_analysis_cycle ] );
       ("dot", [ tc "export" test_dot ]) ]

@@ -5,6 +5,9 @@ open Gaea_query
 module Kernel = Gaea_core.Kernel
 module Process = Gaea_core.Process
 module Template = Gaea_core.Template
+module Lineage = Gaea_core.Lineage
+module Derivation = Gaea_core.Derivation
+module Task = Gaea_core.Task
 module Value = Gaea_adt.Value
 module Table = Gaea_storage.Table
 module Box = Gaea_geo.Box
@@ -791,6 +794,68 @@ let test_need_example_past_the_scenes () =
   Alcotest.(check (list int)) "the fourth scene fired" [ 5; 6; 7; 8 ]
     (Kernel.objects_of_class (Session.kernel session) "normalized")
 
+(* A two-stage chain over two scenes: normalize has fired on the one
+   stored mid, so NEED 2 derives a new mid from scene 2 and normalizes
+   it.  The planner used to count the fired mid as available and fail. *)
+let test_need_past_a_fired_stage () =
+  let session = Session.create () in
+  let stage name ~input ~output =
+    Printf.sprintf
+      "DEFINE PROCESS %s OUTPUT %s ARGS ( x %s ) MAP data = img_scale(0.5, \
+       x.data) MAP spatialextent = x.spatialextent MAP timestamp = \
+       x.timestamp END;"
+      name output input
+  in
+  let scene seed =
+    Printf.sprintf
+      "INSERT INTO scene ( data = synth_rainfall(%d, 4, 4), spatialextent = \
+       BOX(0, 0, 1, 1), timestamp = DATE '1988-06-0%d' );"
+      seed seed
+  in
+  ignore
+    (ok
+       (Session.run_string session
+          (String.concat "\n"
+             [ "DEFINE CLASS scene ( data image, spatialextent box, timestamp abstime );";
+               "DEFINE CLASS mid ( data image, spatialextent box, timestamp abstime );";
+               "DEFINE CLASS normalized ( data image, spatialextent box, timestamp abstime );";
+               stage "to_mid" ~input:"scene" ~output:"mid";
+               stage "normalize" ~input:"mid" ~output:"normalized";
+               scene 1; scene 2; "DERIVE normalized;" ])));
+  let k = Session.kernel session in
+  check_str "NEED 2"
+    "objects: [4, 6]\nfired to_mid v1 (task #3)\nfired normalize v1 (task #4)"
+    (Session.run_string_collect session "DERIVE normalized NEED 2");
+  Alcotest.(check (list int)) "derived from scene 2" [ 2 ]
+    (Lineage.base_inputs k 6)
+
+(* pipeline.gaea, then a second scene: NEED 2 derives wet_mask from the
+   new scene through wetness's steps (normalize, then threshold); the
+   one stored normalized object has fired threshold already *)
+let test_pipeline_need_past_a_fired_stage () =
+  let dir = List.find Sys.file_exists [ "../examples"; "examples" ] in
+  let session = Session.create () in
+  ignore
+    (ok
+       (Session.run_string session
+          (In_channel.with_open_bin (Filename.concat dir "pipeline.gaea")
+             In_channel.input_all)));
+  ignore
+    (ok
+       (Session.run_string session
+          "INSERT INTO scene ( data = synth_rainfall(8, 16, 16), \
+           spatialextent = BOX(0, 0, 10, 10), timestamp = DATE '1988-07-01' )"));
+  let k = Session.kernel session in
+  (match Derivation.request k ~need:2 "wet_mask" with
+   | Ok r ->
+     Alcotest.(check (list int)) "wet_mask 3 and a new one" [ 3; 6 ]
+       r.Derivation.objects;
+     Alcotest.(check (list string)) "wetness's steps" [ "normalize"; "threshold" ]
+       (List.map (fun (t : Task.t) -> t.Task.process) r.Derivation.new_tasks)
+   | Error e -> Alcotest.fail (Gaea_core.Gaea_error.to_string e));
+  Alcotest.(check (list int)) "derived from the new scene" [ 4 ]
+    (Lineage.base_inputs k 6)
+
 (* inserting an image of [dims] is a typed error that [says] why, and
    stores nothing *)
 let rejects_image ~dims ~says () =
@@ -1332,6 +1397,9 @@ let () =
           tc "versions" test_executor_versions;
           tc "need.gaea, then NEED past the scenes"
             test_need_example_past_the_scenes;
+          tc "NEED past a fired stage" test_need_past_a_fired_stage;
+          tc "pipeline.gaea, then NEED past a fired stage"
+            test_pipeline_need_past_a_fired_stage;
           (* 2^32 x 2^32 pixels wrap to 0: an empty pixel array was
              stored under those dims *)
           tc "image dims whose product wraps"

@@ -456,6 +456,60 @@ let tokens_view_prop =
             classes)
         [ session; loaded ])
 
+(* ------------------------------------------------------------------ *)
+(* Unfired frontiers                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Each one-argument process's frontier, as planning reads it, is the
+   objects of its argument's class that no task in the reuse index has
+   fired on, checked before and after a save -> load; the frontiers
+   exist from the start, so every operation maintains them. *)
+let frontier_prop =
+  QCheck.Test.make ~name:"frontier = a scan of the reuse index" ~count:100
+    (QCheck.pair arb_ops arb_ops) (fun (before, after) ->
+      let frontiers_hold session =
+        let k = Session.kernel session in
+        let net = Kernel.derivation_net k in
+        let tokens = Kernel.tokens ~frontiers:true k in
+        let fired = Kernel.reusable_tasks k in
+        List.for_all
+          (fun (info : Gaea_petri.Net.transition_info) ->
+            let p = Option.get (Kernel.find_process k info.t_name) in
+            let arg = List.hd p.Process.args in
+            let scan =
+              List.filter
+                (fun o ->
+                  not
+                    (List.exists
+                       (fun (t : Task.t) ->
+                         t.Task.process = p.Process.proc_name
+                         && t.Task.process_version = p.Process.version
+                         && t.Task.inputs = [ (arg.Process.arg_name, [ o ]) ])
+                       fired))
+                (Kernel.objects_of_class k arg.Process.arg_class)
+            in
+            match tokens.unfired info.t_id with
+            | None -> QCheck.Test.fail_reportf "%s has no frontier" info.t_name
+            | Some f ->
+              let frontier = f.lowest max_int in
+              (frontier = scan && f.size = List.length scan)
+              || QCheck.Test.fail_reportf "%s: frontier [%s], scan [%s]"
+                   info.t_name
+                   (String.concat "; " (List.map string_of_int frontier))
+                   (String.concat "; " (List.map string_of_int scan)))
+          (Gaea_petri.Net.transitions net)
+      in
+      let session = Session.create () in
+      ignore (run session schema);
+      frontiers_hold session
+      && (List.iter (apply session) before;
+          frontiers_hold session)
+      &&
+      let loaded = reload session in
+      frontiers_hold loaded
+      && (List.iter (apply loaded) after;
+          frontiers_hold loaded))
+
 let () =
   Alcotest.run "reuse"
     [ ( "probe",
@@ -475,4 +529,5 @@ let () =
         [ tc "a deleted object's oid stays spent after load"
             test_deleted_oid_stays_spent ] );
       qsuite "persist" [ save_load_prop ];
-      qsuite "tokens" [ tokens_view_prop ] ]
+      qsuite "tokens" [ tokens_view_prop ];
+      qsuite "frontier" [ frontier_prop ] ]
