@@ -530,4 +530,4 @@ let () =
             test_deleted_oid_stays_spent ] );
       qsuite "persist" [ save_load_prop ];
       qsuite "tokens" [ tokens_view_prop ];
-      qsuite "frontier" [ frontier_prop ] ]
+      qsuite "unfired" [ frontier_prop ] ]
