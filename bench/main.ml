@@ -1239,8 +1239,80 @@ let e17_insert =
   "INSERT INTO inbox ( data = synth_band(123456789, 16, 16), spatialextent \
    = BOX(0, 0, 1, 1), timestamp = DATE '1987-03-14' );"
 
+(* Words a call allocates, minor and major: a 128x128 result is
+   allocated in the major heap directly. *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+(* Every registry image operator at 128x128, one lane, through
+   Registry.apply: what a call allocates beyond the value it returns.
+   A flat loop over the backing arrays allocates its result and a few
+   dozen words; a closure per pixel boxes each result float. *)
+let e17_operators gate =
+  let side = 128 in
+  let pixels = float_of_int (side * side) in
+  let reg = Registry.with_builtins () in
+  let band seed =
+    Value.image
+      (R.Synthetic.value_noise ~seed ~nrow:side ~ncol:side ~scale:255. ())
+  in
+  let a = band 1 and b = band 2 in
+  (* cloud holes: the 5% of band 1 above 200 *)
+  let holes =
+    Value.image
+      (R.Image.map
+         (fun v -> if v > 200. then Float.nan else v)
+         (Result.get_ok (Value.to_image a)))
+  in
+  let date m = Value.abstime (Gaea_geo.Abstime.of_ymd 1988 m 1) in
+  let two = [ a; b ] and cutoff = Value.float 128. in
+  let operators =
+    [ ("img_add", two); ("img_subtract", two); ("img_multiply", two);
+      ("img_divide", two); ("img_ratio", two); ("img_abs_diff", two);
+      ("ndvi", two);
+      ("img_scale", [ Value.float 2.; a ]);
+      ("img_offset", [ Value.float 2.; a ]);
+      ("img_threshold", [ a; cutoff ]);
+      ("img_threshold_below", [ a; cutoff ]);
+      ("img_normalize", [ a ]);
+      ("img_linear_combination", [ Value.vector [| 0.5; -1.25 |]; a; b ]);
+      ("temporal_interpolate", [ a; date 1; b; date 12; date 6 ]);
+      ("resize_nearest", [ a; Value.int side; Value.int side ]);
+      ("resize_bilinear", [ a; Value.int side; Value.int side ]);
+      ("fill_missing", [ holes ]) ]
+  in
+  let runs = if smoke then 20 else 50 in
+  let saved = Pool.size () in
+  Pool.set_size 1;
+  Printf.printf "%-24s %10s %14s\n" "operator at 128x128" "us" "words/pixel";
+  List.iter
+    (fun (name, args) ->
+      let apply () =
+        match Registry.apply reg name args with
+        | Ok v -> v
+        | Error e -> failwith ("E17: " ^ e)
+      in
+      let result = Obj.reachable_words (Obj.repr (apply ())) in
+      (* settle the collector the pool resize and earlier rows left
+         mid-cycle: it would charge its bookkeeping to this row *)
+      Gc.full_major ();
+      let t0 = Unix.gettimeofday () and w0 = allocated_words () in
+      for _ = 1 to runs do
+        ignore (apply ())
+      done;
+      let words = (allocated_words () -. w0) /. float_of_int runs in
+      let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int runs in
+      let beyond = (words -. float_of_int result) /. pixels in
+      Printf.printf "%-24s %10.1f %14.2f\n" name us beyond;
+      gate (name ^ " words beyond its result, per pixel") ~bound:1. beyond)
+    operators;
+  Pool.set_size saved
+
 let e17_ingest () =
-  section "E17: the ingest path — synth_band, img_scale, the lexer, CHECK ALL";
+  section
+    "E17: the ingest path — synth_band, img_scale, the image operators, the \
+     lexer, CHECK ALL";
   let gate name ~bound value =
     let pass = value <= bound in
     Printf.printf "%-58s %10.2f (bound %.2f) %s\n" name value bound
@@ -1294,6 +1366,7 @@ let e17_ingest () =
     lex_us lex_words ntok list_words;
   gate "tokenize words beyond its token list, per token" ~bound:2.
     ((lex_words -. float_of_int list_words) /. float_of_int ntok);
+  e17_operators gate;
   (* CHECK ALL over N fired tasks of a process with one version *)
   let check = parse_stmt "CHECK ALL" in
   let row n =
@@ -1472,15 +1545,18 @@ let e18_pipelines () =
 
 let parity_failed = ref false
 
-(* The fused closure-free kernels must match their map2/fold references
-   bit for bit — CI runs this (via --smoke) and the harness exits
-   non-zero on any divergence.  The cutoff override forces the pool
-   dispatch path even on single-core hosts. *)
+(* The flat-loop raster operators must match their sequential
+   map/map2/init/fold references bit for bit — CI runs this (via
+   --smoke) and the harness exits non-zero on any divergence.  The
+   cutoff override forces the pool dispatch path even on single-core
+   hosts. *)
 let parity_gate () =
   section "Fused-kernel parity gate";
   let red, nir = R.Synthetic.red_nir_pair ~seed:8 ~nrow:96 ~ncol:96 () in
   let scene = R.Synthetic.landsat_scene ~seed:5 ~nrow:96 ~ncol:96 () in
   let comp = scene.R.Synthetic.composite in
+  let same = R.Image.equal in
+  let map2 f = R.Image.map2 ~ptype:R.Pixel.Float8 f red nir in
   let checks =
     [ ("band-add",
        fun () ->
@@ -1508,16 +1584,95 @@ let parity_gate () =
                 let d = nv +. rv in
                 if d = 0. then 0. else (nv -. rv) /. d)
               nir red));
+      ("band-multiply",
+       fun () -> same (R.Band_math.multiply red nir) (map2 ( *. )));
+      ("band-divide",
+       fun () ->
+         same (R.Band_math.divide red nir)
+           (map2 (fun x y -> if y = 0. then 0. else x /. y)));
+      ("band-ratio",
+       fun () ->
+         same (R.Band_math.ratio red nir)
+           (map2 (fun x y ->
+                let d = x +. y in
+                if d = 0. then 0. else (x -. y) /. d)));
+      ("band-abs-diff",
+       fun () ->
+         same (R.Band_math.abs_diff red nir)
+           (map2 (fun x y -> Float.abs (x -. y))));
+      ("linear-combination",
+       fun () ->
+         same
+           (R.Band_math.linear_combination [| 0.5; -1.25 |] [ red; nir ])
+           (map2 (fun x y -> 0. +. (0.5 *. x) +. (-1.25 *. y))));
+      ("normalize",
+       fun () ->
+         let lo, hi = R.Image.min_max red in
+         same (R.Band_math.normalize red)
+           (R.Image.map ~ptype:R.Pixel.Float8
+              (fun v -> 0. +. ((v -. lo) /. (hi -. lo) *. (1. -. 0.)))
+              red));
+      ("threshold",
+       fun () ->
+         same (R.Band_math.threshold 100. red)
+           (R.Image.map ~ptype:R.Pixel.Char
+              (fun v -> if v >= 100. then 1. else 0.)
+              red));
+      ("threshold-below",
+       fun () ->
+         same (R.Band_math.threshold_below 100. red)
+           (R.Image.map ~ptype:R.Pixel.Char
+              (fun v -> if v < 100. then 1. else 0.)
+              red));
+      ("temporal-interp",
+       fun () ->
+         let day d = Gaea_geo.Abstime.of_ymd 1988 1 d in
+         let w = 10. /. 30. in
+         same
+           (R.Interpolate.temporal_linear ~at:(day 11) (day 1, red) (day 31, nir))
+           (map2 (fun x y -> x +. (w *. (y -. x)))));
+      ("resize-nearest",
+       fun () ->
+         List.for_all
+           (fun (nrow, ncol) ->
+             same
+               (R.Interpolate.resize_nearest red ~nrow ~ncol)
+               (R.Image.init ~nrow ~ncol (R.Image.img_type red) (fun r c ->
+                    R.Image.get red (r * 96 / nrow) (c * 96 / ncol))))
+           [ (37, 53); (101, 97) ]);
+      ("resize-bilinear",
+       fun () ->
+         (* 96x96 onto 192x192: source (r - 0.5) / 2, clamped at 0 and 95 *)
+         let at v =
+           Float.max 0.
+             (Float.min (((float_of_int v +. 0.5) /. 192. *. 96.) -. 0.5) 95.)
+         in
+         same
+           (R.Interpolate.resize_bilinear red ~nrow:192 ~ncol:192)
+           (R.Image.init ~nrow:192 ~ncol:192 R.Pixel.Float8 (fun r c ->
+                let fy = at r and fx = at c in
+                let y0 = int_of_float fy and x0 = int_of_float fx in
+                let y1 = Int.min (y0 + 1) 95 and x1 = Int.min (x0 + 1) 95 in
+                let dy = fy -. float_of_int y0 and dx = fx -. float_of_int x0 in
+                let v y x = R.Image.get red y x in
+                (((v y0 x0 *. (1. -. dx)) +. (v y0 x1 *. dx)) *. (1. -. dy))
+                +. (((v y1 x0 *. (1. -. dx)) +. (v y1 x1 *. dx)) *. dy))));
       ("to-matrix",
        fun () ->
-         R.Matrix.equal (R.Kernelized.to_matrix comp) (R.Composite.to_matrix comp));
+         R.Matrix.equal (R.Composite.to_matrix comp)
+           (R.Matrix.init ~rows:(R.Composite.n_pixels comp)
+              ~cols:(R.Composite.n_bands comp) (fun i j ->
+                R.Image.get_linear (R.Composite.band comp j) i)));
       ("of-matrix",
        fun () ->
          let m = R.Composite.to_matrix comp in
          let nrow = R.Composite.nrow comp and ncol = R.Composite.ncol comp in
          R.Composite.equal
-           (R.Kernelized.of_matrix ~nrow ~ncol m)
-           (R.Composite.of_matrix ~nrow ~ncol R.Pixel.Float8 m));
+           (R.Composite.of_matrix ~nrow ~ncol m)
+           (R.Composite.of_bands
+              (List.init (R.Matrix.cols m) (fun j ->
+                   R.Image.init ~nrow ~ncol R.Pixel.Float8 (fun r c ->
+                       R.Matrix.get m ((r * ncol) + c) j)))));
       ("imgstats-sum",
        fun () ->
          let band = List.hd (R.Composite.bands comp) in

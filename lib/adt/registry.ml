@@ -270,10 +270,7 @@ let band_math_operators =
       Float Image (fun v s ->
         let* i = Value.to_image v in
         let* s = Value.to_float s in
-        ok_img
-          (R.Image.map ~label:"threshold-below" ~ptype:R.Pixel.Char
-             (fun x -> if x < s then 1. else 0.)
-             i));
+        ok_img (R.Band_math.threshold_below s i));
     Operator.lift1 ~name:"img_normalize" ~doc:"rescale pixels onto 0..1"
       Image Image (fun v ->
         let* i = Value.to_image v in

@@ -373,7 +373,7 @@ let stale_to_sexp kernel =
 let restore_stale kernel oids =
   let* oids = map_m parse_int oids in
   Kernel.restore_stale kernel oids;
-  Ok ()
+  Ok oids
 
 (* --- OID allocator --------------------------------------------------- *)
 
@@ -382,6 +382,57 @@ let restore_stale kernel oids =
 let oids_to_sexp kernel =
   let last = Kernel.last_oid kernel in
   Sexp.list [ Sexp.atom "oids"; iatom last ]
+
+(* --- references ------------------------------------------------------ *)
+
+(* A hand-edited or damaged save can name objects that are not there.
+   DELETE keeps the lineage of what it removes, so a task may name a
+   deleted object, but only one allocated within the saved (oids N),
+   which in turn covers every stored object (older saves without the
+   section are not bounded).  A stale mark names a stored object.  An
+   object is the output of one derivation, which REFRESH records again
+   under the same process and inputs. *)
+let check_references kernel ~high ~stale =
+  let fail where e = Error (Gaea_error.Context (where, e)) in
+  let stored oid = Kernel.class_of_object kernel oid <> None in
+  let present where ~bound oids =
+    let missing o = o < 1 || (o > bound && not (stored o)) in
+    match List.find_opt missing oids with
+    | Some oid -> fail where (Gaea_error.Unknown_object oid)
+    | None -> Ok ()
+  in
+  let producers = Hashtbl.create 64 in
+  let produce where (task : Task.t) oid =
+    match Hashtbl.find_opt producers oid with
+    | Some (prev : Task.t)
+      when prev.Task.process <> task.Task.process
+           || prev.Task.inputs <> task.Task.inputs ->
+      fail where
+        (Gaea_error.Invalid
+           (Printf.sprintf "object %d is already the output of task #%d" oid
+              prev.Task.task_id))
+    | _ -> Ok (Hashtbl.replace producers oid task)
+  in
+  let* () =
+    let last = Kernel.last_oid kernel in
+    if last <= high then Ok ()
+    else
+      fail "oids"
+        (Gaea_error.Invalid
+           (Printf.sprintf "object %d is past the saved mark %d" last high))
+  in
+  let* _ =
+    map_m
+      (fun (task : Task.t) ->
+        let where = Printf.sprintf "task #%d %s" task.Task.task_id in
+        let* () =
+          present (where "inputs") ~bound:high (Task.input_oids task)
+        in
+        let* () = present (where "outputs") ~bound:high task.Task.outputs in
+        map_m (produce (where "outputs") task) task.Task.outputs)
+      (Kernel.tasks kernel)
+  in
+  present "stale" ~bound:0 stale
 
 (* --- whole kernel ---------------------------------------------------- *)
 
@@ -413,6 +464,7 @@ let load text =
     | Error e -> Error (Gaea_error.Parse_error e)
   in
   let kernel = Kernel.create () in
+  let high = ref max_int and stale = ref [] in
   (* compound processes reference their primitive sub-processes, so
      restore processes primitives-first regardless of file order *)
   let* parsed_processes =
@@ -458,12 +510,15 @@ let load text =
           restore_cache_stats kernel sexp
         | Sexp.List (Sexp.Atom "stale" :: oids) ->
           (* absent from older saves, which load with no stale objects *)
-          restore_stale kernel oids
+          let* oids = restore_stale kernel oids in
+          stale := oids;
+          Ok ()
         | Sexp.List [ Sexp.Atom "oids"; last ] ->
           (* absent from older saves, which allocate after the highest
              stored OID *)
           let* last = parse_int last in
           Kernel.advance_oids kernel last;
+          high := last;
           Ok ()
         | Sexp.List (Sexp.Atom "reusable" :: ids) ->
           (* after the tasks it names; absent from older saves, which
@@ -474,6 +529,7 @@ let load text =
         | _ -> Gaea_error.err "unknown section")
       (Ok ()) sexps
   in
+  let* () = check_references kernel ~high:!high ~stale:!stale in
   Ok kernel
 
 (* Write a temporary file beside the target, fsync it, then rename it

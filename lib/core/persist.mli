@@ -18,7 +18,13 @@ val save : Kernel.t -> string
 val load : string -> (Kernel.t, Gaea_error.t) result
 (** Rebuilds a fresh kernel (built-in registry) and replays the saved
     metadata and data.  After loading, every saved task must verify:
-    [Lineage.verify_object] on any object reproduces it exactly. *)
+    [Lineage.verify_object] on any object reproduces it exactly.  A save
+    naming what is not there is refused with [Error (Context (section,
+    _))] naming the section and the OID: a task input or output that is
+    neither stored nor within the saved [(oids N)] (a deleted object's
+    lineage stays), a stored object past [(oids N)], a stale mark on no
+    stored object, a reusable task not in the log, or an object that two
+    different derivations output. *)
 
 val save_to_file : Kernel.t -> string -> (unit, Gaea_error.t) result
 (** Atomic: writes and fsyncs [path.<pid>.tmp] beside the target, then

@@ -231,7 +231,7 @@ let restore_reusable t ids =
           | Some task ->
             hold_entry t (key_of_task t task) task;
             Ok ()
-          | None -> Gaea_error.err (Printf.sprintf "reusable: no task #%d" id)))
+          | None -> Error (Gaea_error.Context ("reusable", Unknown_task id))))
     (Ok ()) ids
 
 (* ------------------------------------------------------------------ *)

@@ -1,48 +1,75 @@
 let f8 = Pixel.Float8
 
-(* subtract and add go through the fused closure-free kernels;
-   [s = 1.] / [a = 1.] multiplications are exact, so the results stay
-   bit-identical to the par_map2 reference (parity-tested). *)
-let subtract ?(label = "subtract") a b = Kernelized.sub_scale ~label ~s:1. a b
+(* Every operator here is one flat loop over the backing arrays, which
+   Image.init_chunks runs once per pool chunk: no closure call and no
+   boxed float per pixel.  Results are Float8, or Char 0/1, values their
+   quantization maps to themselves, so nothing is quantized. *)
+
+let unary ~label ptype t body =
+  Image.init_chunks ~label ~nrow:(Image.img_nrow t) ~ncol:(Image.img_ncol t)
+    ptype (body (Image.unsafe_data t))
+
+let binary ~label name a b body =
+  if not (Image.img_size_eq a b) then
+    invalid_arg
+      (Printf.sprintf "Band_math.%s: size mismatch %dx%d vs %dx%d" name
+         (Image.img_nrow a) (Image.img_ncol a) (Image.img_nrow b)
+         (Image.img_ncol b));
+  let ys = Image.unsafe_data b in
+  unary ~label f8 a (fun xs -> body xs ys)
+
+let subtract ?(label = "subtract") a b =
+  binary ~label "subtract" a b (fun xs ys out lo hi ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set out i (Array.unsafe_get xs i -. Array.unsafe_get ys i)
+      done)
 
 let divide ?(label = "divide") a b =
-  Image.par_map2 ~label ~ptype:f8 (fun x y -> if y = 0. then 0. else x /. y) a b
+  binary ~label "divide" a b (fun xs ys out lo hi ->
+      for i = lo to hi - 1 do
+        let y = Array.unsafe_get ys i in
+        Array.unsafe_set out i
+          (if y = 0. then 0. else Array.unsafe_get xs i /. y)
+      done)
 
 let ratio ?(label = "ratio") a b =
-  Image.par_map2 ~label ~ptype:f8
-    (fun x y ->
-      let d = x +. y in
-      if d = 0. then 0. else (x -. y) /. d)
-    a b
-
-let add ?(label = "add") a b = Kernelized.axpy ~label ~a:1. a b
-let multiply ?(label = "multiply") a b = Image.par_map2 ~label ~ptype:f8 ( *. ) a b
-
-(* scale and offset loop over the backing arrays with no closure per
-   pixel, which would box every result; Float8 quantization is the
-   identity, so they match the par_map reference bit for bit *)
-let scale ?(label = "scale") s t =
-  let src = Image.unsafe_data t in
-  let out = Array.make (Array.length src) 0. in
-  Gaea_par.Pool.parallel_for_ranges ~lo:0 ~hi:(Array.length src) (fun lo hi ->
+  binary ~label "ratio" a b (fun xs ys out lo hi ->
       for i = lo to hi - 1 do
-        Array.unsafe_set out i (s *. Array.unsafe_get src i)
-      done);
-  Image.unsafe_of_array ~label ~nrow:(Image.img_nrow t) ~ncol:(Image.img_ncol t)
-    f8 out
+        let x = Array.unsafe_get xs i and y = Array.unsafe_get ys i in
+        let d = x +. y in
+        Array.unsafe_set out i (if d = 0. then 0. else (x -. y) /. d)
+      done)
 
-let offset ?(label = "offset") d t =
-  let src = Image.unsafe_data t in
-  let out = Array.make (Array.length src) 0. in
-  Gaea_par.Pool.parallel_for_ranges ~lo:0 ~hi:(Array.length src) (fun lo hi ->
+let add ?(label = "add") a b =
+  binary ~label "add" a b (fun xs ys out lo hi ->
       for i = lo to hi - 1 do
-        Array.unsafe_set out i (Array.unsafe_get src i +. d)
-      done);
-  Image.unsafe_of_array ~label ~nrow:(Image.img_nrow t) ~ncol:(Image.img_ncol t)
-    f8 out
+        Array.unsafe_set out i (Array.unsafe_get xs i +. Array.unsafe_get ys i)
+      done)
+
+let multiply ?(label = "multiply") a b =
+  binary ~label "multiply" a b (fun xs ys out lo hi ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set out i (Array.unsafe_get xs i *. Array.unsafe_get ys i)
+      done)
 
 let abs_diff ?(label = "abs-diff") a b =
-  Image.par_map2 ~label ~ptype:f8 (fun x y -> Float.abs (x -. y)) a b
+  binary ~label "abs_diff" a b (fun xs ys out lo hi ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set out i
+          (Float.abs (Array.unsafe_get xs i -. Array.unsafe_get ys i))
+      done)
+
+let scale ?(label = "scale") s t =
+  unary ~label f8 t (fun src out lo hi ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set out i (s *. Array.unsafe_get src i)
+      done)
+
+let offset ?(label = "offset") d t =
+  unary ~label f8 t (fun src out lo hi ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set out i (Array.unsafe_get src i +. d)
+      done)
 
 let linear_combination ?(label = "linear-combination") weights imgs =
   let n = List.length imgs in
@@ -51,31 +78,43 @@ let linear_combination ?(label = "linear-combination") weights imgs =
     invalid_arg
       (Printf.sprintf "Band_math.linear_combination: %d weights, %d images"
          (Array.length weights) n);
-  match imgs with
-  | [] -> assert false
-  | first :: rest ->
-    List.iter
-      (fun img ->
-        if not (Image.img_size_eq first img) then
-          invalid_arg "Band_math.linear_combination: size mismatch")
-      rest;
-    let arrays = List.map Image.unsafe_data imgs in
-    let nrow = Image.img_nrow first and ncol = Image.img_ncol first in
-    Image.par_init ~label ~nrow ~ncol f8 (fun r c ->
-        let i = (r * ncol) + c in
-        List.fold_left
-          (fun (acc, k) data -> (acc +. (weights.(k) *. data.(i)), k + 1))
-          (0., 0) arrays
-        |> fst)
+  let first = List.hd imgs in
+  List.iter
+    (fun img ->
+      if not (Image.img_size_eq first img) then
+        invalid_arg "Band_math.linear_combination: size mismatch")
+    imgs;
+  let bands = Array.of_list (List.map Image.unsafe_data imgs) in
+  (* band by band onto the zero-filled output: each pixel sums
+     0. +. w0*x0 +. w1*x1 ... in band order, as a fold from 0. does *)
+  unary ~label f8 first (fun _ out lo hi ->
+      for k = 0 to n - 1 do
+        let w = Array.unsafe_get weights k and xs = Array.unsafe_get bands k in
+        for i = lo to hi - 1 do
+          Array.unsafe_set out i
+            (Array.unsafe_get out i +. (w *. Array.unsafe_get xs i))
+        done
+      done)
 
 let normalize ?(label = "normalize") ?(lo = 0.) ?(hi = 1.) t =
   let vmin, vmax = Image.min_max t in
   let span = vmax -. vmin in
-  if span <= 0. then Image.par_map ~label ~ptype:f8 (fun _ -> lo) t
-  else
-    Image.par_map ~label ~ptype:f8
-      (fun v -> lo +. ((v -. vmin) /. span *. (hi -. lo)))
-      t
+  unary ~label f8 t (fun src out a b ->
+      if span <= 0. then Array.fill out a (b - a) lo
+      else
+        for i = a to b - 1 do
+          Array.unsafe_set out i
+            (lo +. ((Array.unsafe_get src i -. vmin) /. span *. (hi -. lo)))
+        done)
 
 let threshold ?(label = "threshold") cutoff t =
-  Image.par_map ~label ~ptype:Pixel.Char (fun v -> if v >= cutoff then 1. else 0.) t
+  unary ~label Pixel.Char t (fun src out lo hi ->
+      for i = lo to hi - 1 do
+        if Array.unsafe_get src i >= cutoff then Array.unsafe_set out i 1.
+      done)
+
+let threshold_below ?(label = "threshold-below") cutoff t =
+  unary ~label Pixel.Char t (fun src out lo hi ->
+      for i = lo to hi - 1 do
+        if Array.unsafe_get src i < cutoff then Array.unsafe_set out i 1.
+      done)

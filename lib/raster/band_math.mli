@@ -35,3 +35,7 @@ val normalize : ?label:string -> ?lo:float -> ?hi:float -> Image.t -> Image.t
 val threshold : ?label:string -> float -> Image.t -> Image.t
 (** Binary mask: 1 where pixel >= threshold else 0 (Char image) — used
     for the rainfall-cutoff desert processes. *)
+
+val threshold_below : ?label:string -> float -> Image.t -> Image.t
+(** Binary mask: 1 where pixel < threshold else 0 (Char image, label
+    ["threshold-below"]); NaN pixels give 0 in both masks. *)

@@ -26,19 +26,36 @@ let n_pixels t = nrow t * ncol t
 let pixel_vector t i =
   Array.map (fun b -> Image.get_linear b i) t.bands
 
+(* one tight copy loop per pixel row *)
 let to_matrix t =
-  Matrix.par_init ~rows:(n_pixels t) ~cols:(n_bands t) (fun i j ->
-      Image.get_linear t.bands.(j) i)
+  let rows = n_pixels t and cols = n_bands t in
+  let bands = Array.map Image.unsafe_data t.bands in
+  let out = Array.make (rows * cols) 0. in
+  Gaea_par.Pool.parallel_for_ranges ~lo:0 ~hi:rows ~cost:(float_of_int cols)
+    (fun lo hi ->
+      for i = lo to hi - 1 do
+        let base = i * cols in
+        for j = 0 to cols - 1 do
+          Array.unsafe_set out (base + j)
+            (Array.unsafe_get (Array.unsafe_get bands j) i)
+        done
+      done);
+  Matrix.unsafe_of_array ~rows ~cols out
 
-let of_matrix ~nrow ~ncol ptype m =
+(* Float8 bands, whose quantization is the identity: values are copied
+   as they are *)
+let of_matrix ~nrow ~ncol m =
   if Matrix.rows m <> nrow * ncol then
     invalid_arg
       (Printf.sprintf "Composite.of_matrix: %d rows for %dx%d image"
          (Matrix.rows m) nrow ncol);
+  let cols = Matrix.cols m and md = Matrix.unsafe_data m in
   { bands =
-      Array.init (Matrix.cols m) (fun j ->
-          Image.par_init ~nrow ~ncol ptype (fun r c ->
-              Matrix.get m ((r * ncol) + c) j)) }
+      Array.init cols (fun j ->
+          Image.init_chunks ~nrow ~ncol Pixel.Float8 (fun out lo hi ->
+              for i = lo to hi - 1 do
+                Array.unsafe_set out i (Array.unsafe_get md ((i * cols) + j))
+              done)) }
 
 let equal a b =
   Array.length a.bands = Array.length b.bands

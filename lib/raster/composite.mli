@@ -21,9 +21,9 @@ val to_matrix : t -> Matrix.t
 (** The [convert-image-matrix] operator of Fig 4: an (n_pixels × n_bands)
     observation matrix, one row per pixel, one column per band. *)
 
-val of_matrix : nrow:int -> ncol:int -> Pixel.t -> Matrix.t -> t
-(** The [convert-matrix-image] operator of Fig 4: rebuild band images
-    from a pixel-by-band matrix.
+val of_matrix : nrow:int -> ncol:int -> Matrix.t -> t
+(** The [convert-matrix-image] operator of Fig 4: rebuild [Float8] band
+    images from a pixel-by-band matrix.
     @raise Invalid_argument if [Matrix.rows m <> nrow*ncol]. *)
 
 val equal : t -> t -> bool

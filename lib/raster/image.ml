@@ -63,55 +63,17 @@ let map2 ?(label = "") ?ptype f a b =
       Array.init (Array.length a.data) (fun i ->
           Pixel.quantize ptype (f a.data.(i) b.data.(i))) }
 
-(* Parallel variants: same results as init/map/map2 at any pool
-   size (disjoint writes, deterministic chunking).  The closure must be
-   pure — it runs concurrently on pool domains. *)
-
-let par_init ?(label = "") ?cost ~nrow ~ncol ptype f =
+(* chunks are disjoint and laid out independently of the pool size *)
+let init_chunks ?(label = "") ?cost ~nrow ~ncol ptype body =
   check_dims nrow ncol;
   let n = nrow * ncol in
   let data = Array.make n 0. in
-  Gaea_par.Pool.parallel_for_ranges ?cost ~lo:0 ~hi:n (fun clo chi ->
-      for i = clo to chi - 1 do
-        Array.unsafe_set data i (Pixel.quantize ptype (f (i / ncol) (i mod ncol)))
-      done);
+  Gaea_par.Pool.parallel_for_ranges ?cost ~lo:0 ~hi:n (fun lo hi ->
+      body data lo hi);
   { nrow; ncol; ptype; label; data }
-
-let par_map ?(label = "") ?ptype ?cost f t =
-  let ptype = Option.value ptype ~default:t.ptype in
-  let n = Array.length t.data in
-  let src = t.data in
-  let data = Array.make n 0. in
-  Gaea_par.Pool.parallel_for_ranges ?cost ~lo:0 ~hi:n (fun clo chi ->
-      for i = clo to chi - 1 do
-        Array.unsafe_set data i
-          (Pixel.quantize ptype (f (Array.unsafe_get src i)))
-      done);
-  { nrow = t.nrow; ncol = t.ncol; ptype; label; data }
-
-let par_map2 ?(label = "") ?ptype ?cost f a b =
-  if not (img_size_eq a b) then
-    invalid_arg
-      (Printf.sprintf "Image.par_map2: size mismatch %dx%d vs %dx%d" a.nrow
-         a.ncol b.nrow b.ncol);
-  let ptype = Option.value ptype ~default:a.ptype in
-  let n = Array.length a.data in
-  let xs = a.data and ys = b.data in
-  let data = Array.make n 0. in
-  Gaea_par.Pool.parallel_for_ranges ?cost ~lo:0 ~hi:n (fun clo chi ->
-      for i = clo to chi - 1 do
-        Array.unsafe_set data i
-          (Pixel.quantize ptype
-             (f (Array.unsafe_get xs i) (Array.unsafe_get ys i)))
-      done);
-  { nrow = a.nrow; ncol = a.ncol; ptype; label; data }
 
 let fold f acc t = Array.fold_left f acc t.data
 let iter f t = Array.iter f t.data
-
-let copy ?label t =
-  { t with data = Array.copy t.data;
-           label = Option.value label ~default:t.label }
 
 (* NaN pixels (cloud holes) compare equal regardless of payload bits *)
 let float_bits v =
@@ -162,13 +124,13 @@ let content_hash t =
    (infinity, neg_infinity) *)
 let min_max t =
   let lo = ref infinity and hi = ref neg_infinity in
-  Array.iter
-    (fun v ->
-      if not (Float.is_nan v) then begin
-        if v < !lo then lo := v;
-        if v > !hi then hi := v
-      end)
-    t.data;
+  for i = 0 to Array.length t.data - 1 do
+    let v = Array.unsafe_get t.data i in
+    if not (Float.is_nan v) then begin
+      if v < !lo then lo := v;
+      if v > !hi then hi := v
+    end
+  done;
   (!lo, !hi)
 
 let to_list t = Array.to_list t.data

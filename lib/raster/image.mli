@@ -44,29 +44,22 @@ val map2 : ?label:string -> ?ptype:Pixel.t -> (float -> float -> float)
   -> t -> t -> t
 (** @raise Invalid_argument if sizes differ. *)
 
-(** {2 Parallel pixel maps}
-
-    Same semantics (and bit-identical results, at any pool size) as
-    {!init} / {!map} / {!map2}, but chunked across the
-    {!Gaea_par.Pool} domains.  The closure runs concurrently on pool
-    domains and must be pure — no hidden RNG or accumulator state.
-    [?cost] is the per-pixel work estimate relative to one float add
-    (default 1.0), fed to the pool's adaptive sequential cutoff. *)
-
-val par_init : ?label:string -> ?cost:float -> nrow:int -> ncol:int
-  -> Pixel.t -> (int -> int -> float) -> t
-
-val par_map : ?label:string -> ?ptype:Pixel.t -> ?cost:float
-  -> (float -> float) -> t -> t
-
-val par_map2 : ?label:string -> ?ptype:Pixel.t -> ?cost:float
-  -> (float -> float -> float) -> t -> t -> t
-(** @raise Invalid_argument if sizes differ. *)
+val init_chunks : ?label:string -> ?cost:float -> nrow:int -> ncol:int
+  -> Pixel.t -> (float array -> int -> int -> unit) -> t
+(** [init_chunks ~nrow ~ncol pt body] allocates a zero-filled pixel
+    array [out] and calls [body out lo hi] once per {!Gaea_par.Pool}
+    chunk, to write pixels [lo, hi) (linear indices, row-major).  The
+    raster operators of this library are written this way: a flat loop
+    per chunk, no closure call and no boxed float per pixel.  Chunks
+    run concurrently, so [body] must write only its own range; the
+    result is the same at any pool size.  Values are stored {e without}
+    quantizing: the caller promises they fit [pt].  [?cost] is the
+    per-pixel work estimate relative to one float add (default 1.0),
+    fed to the pool's sequential cutoff.
+    @raise Invalid_argument on the dimensions {!init} rejects. *)
 
 val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
 val iter : (float -> unit) -> t -> unit
-
-val copy : ?label:string -> t -> t
 
 val equal : t -> t -> bool
 (** Same dims, pixel type and bitwise-equal pixels. *)
@@ -95,6 +88,9 @@ val unsafe_of_array : ?label:string -> nrow:int -> ncol:int -> Pixel.t
   -> float array -> t
 (** Wrap an array as an image {e without} copying or quantizing — the
     caller promises the values already fit the pixel type.  Reserved
-    for the raster kernels in this library ({!Kernelized},
-    {!Kmeans}, {!Maxlike.classify}).
+    for the raster kernels in this library that build their pixels
+    elsewhere first ({!Synthetic}, {!Kmeans}, {!Maxlike.classify},
+    {!Interpolate.fill_missing});
+    operators that write a fresh image pixel by pixel use
+    {!init_chunks}.
     @raise Invalid_argument if the array length is not [nrow*ncol]. *)

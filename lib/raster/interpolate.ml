@@ -8,102 +8,127 @@ let temporal_linear ~at (t1, img1) (t2, img2) =
   let w =
     float_of_int (Gaea_geo.Abstime.to_seconds at - s1) /. float_of_int (s2 - s1)
   in
-  Image.par_map2 ~label:"temporal-interp" ~ptype:Pixel.Float8
-    (fun a b -> a +. (w *. (b -. a)))
-    img1 img2
+  let xs = Image.unsafe_data img1 and ys = Image.unsafe_data img2 in
+  Image.init_chunks ~label:"temporal-interp" ~nrow:(Image.img_nrow img1)
+    ~ncol:(Image.img_ncol img1) Pixel.Float8 (fun out lo hi ->
+      for i = lo to hi - 1 do
+        let a = Array.unsafe_get xs i in
+        Array.unsafe_set out i (a +. (w *. (Array.unsafe_get ys i -. a)))
+      done)
 
+(* copies pixels of an image of the same type, which already fit it *)
 let resize_nearest img ~nrow ~ncol =
   let src_r = Image.img_nrow img and src_c = Image.img_ncol img in
-  Image.init ~label:"resize-nearest" ~nrow ~ncol (Image.img_type img)
-    (fun r c ->
-      let sr = r * src_r / nrow and sc = c * src_c / ncol in
-      Image.get img (Stdlib.min sr (src_r - 1)) (Stdlib.min sc (src_c - 1)))
+  let src = Image.unsafe_data img in
+  Image.init_chunks ~label:"resize-nearest" ~nrow ~ncol (Image.img_type img)
+    (fun out lo hi ->
+      for i = lo to hi - 1 do
+        let sr = Int.min (i / ncol * src_r / nrow) (src_r - 1)
+        and sc = Int.min (i mod ncol * src_c / ncol) (src_c - 1) in
+        Array.unsafe_set out i (Array.unsafe_get src ((sr * src_c) + sc))
+      done)
 
 let resize_bilinear img ~nrow ~ncol =
   let src_r = Image.img_nrow img and src_c = Image.img_ncol img in
-  Image.par_init ~label:"resize-bilinear" ~cost:16. ~nrow ~ncol Pixel.Float8
-    (fun r c ->
-      (* map output pixel center into source coordinates *)
-      let fy =
-        (float_of_int r +. 0.5) /. float_of_int nrow *. float_of_int src_r
-        -. 0.5
-      and fx =
-        (float_of_int c +. 0.5) /. float_of_int ncol *. float_of_int src_c
-        -. 0.5
-      in
-      let fy = Float.max 0. (Float.min fy (float_of_int (src_r - 1)))
-      and fx = Float.max 0. (Float.min fx (float_of_int (src_c - 1))) in
-      let y0 = int_of_float (Float.floor fy) in
-      let x0 = int_of_float (Float.floor fx) in
-      let y1 = Stdlib.min (y0 + 1) (src_r - 1) in
-      let x1 = Stdlib.min (x0 + 1) (src_c - 1) in
-      let dy = fy -. float_of_int y0 and dx = fx -. float_of_int x0 in
-      let v00 = Image.get img y0 x0 and v01 = Image.get img y0 x1 in
-      let v10 = Image.get img y1 x0 and v11 = Image.get img y1 x1 in
-      ((v00 *. (1. -. dx)) +. (v01 *. dx)) *. (1. -. dy)
-      +. (((v10 *. (1. -. dx)) +. (v11 *. dx)) *. dy))
+  let src = Image.unsafe_data img in
+  let ymax = float_of_int (src_r - 1) and xmax = float_of_int (src_c - 1) in
+  Image.init_chunks ~label:"resize-bilinear" ~cost:16. ~nrow ~ncol Pixel.Float8
+    (fun out lo hi ->
+      for i = lo to hi - 1 do
+        (* map output pixel center into source coordinates *)
+        let fy =
+          (float_of_int (i / ncol) +. 0.5) /. float_of_int nrow
+          *. float_of_int src_r -. 0.5
+        and fx =
+          (float_of_int (i mod ncol) +. 0.5) /. float_of_int ncol
+          *. float_of_int src_c -. 0.5
+        in
+        (* clamp onto [0, max] as Float.max 0. (Float.min v max) does
+           for the finite values here, without a call that boxes *)
+        let fy = if fy > ymax then ymax else if fy > 0. then fy else 0.
+        and fx = if fx > xmax then xmax else if fx > 0. then fx else 0. in
+        let y0 = int_of_float (Float.floor fy) in
+        let x0 = int_of_float (Float.floor fx) in
+        let y1 = Int.min (y0 + 1) (src_r - 1) in
+        let x1 = Int.min (x0 + 1) (src_c - 1) in
+        let dy = fy -. float_of_int y0 and dx = fx -. float_of_int x0 in
+        let v00 = Array.unsafe_get src ((y0 * src_c) + x0)
+        and v01 = Array.unsafe_get src ((y0 * src_c) + x1) in
+        let v10 = Array.unsafe_get src ((y1 * src_c) + x0)
+        and v11 = Array.unsafe_get src ((y1 * src_c) + x1) in
+        Array.unsafe_set out i
+          ((((v00 *. (1. -. dx)) +. (v01 *. dx)) *. (1. -. dy))
+          +. (((v10 *. (1. -. dx)) +. (v11 *. dx)) *. dy))
+      done)
+
+(* Rounds of 8-neighbour means on a copy of the pixels: a round
+   computes every hole's fill from the pixels as the round began, then
+   writes the fills (an unfilled hole keeps its pixel).  Nothing is
+   allocated per pixel but the copy. *)
+let is_hole data missing i =
+  let v = Array.unsafe_get data i in
+  if Float.is_nan missing then Float.is_nan v else v = missing
 
 let fill_missing ?(missing = Float.nan) img =
   let nrow = Image.img_nrow img and ncol = Image.img_ncol img in
-  let is_missing v =
-    if Float.is_nan missing then Float.is_nan v else v = missing
-  in
+  let ptype = Image.img_type img in
+  let data = Array.copy (Image.unsafe_data img) in
+  let n = Array.length data in
   (* image mean over valid pixels, fallback for isolated holes *)
   let valid_sum = ref 0. and valid_n = ref 0 in
-  Image.iter
-    (fun v ->
-      if not (is_missing v) then begin
-        valid_sum := !valid_sum +. v;
-        incr valid_n
-      end)
-    img;
+  for i = 0 to n - 1 do
+    if not (is_hole data missing i) then begin
+      valid_sum := !valid_sum +. data.(i);
+      incr valid_n
+    end
+  done;
   let global_mean =
     if !valid_n = 0 then 0. else !valid_sum /. float_of_int !valid_n
   in
-  let current = ref (Image.copy img) in
-  let remaining = ref true in
-  let rounds = ref 0 in
+  let fills = Array.make (n - !valid_n) 0. in
+  let remaining = ref true and rounds = ref 0 in
   while !remaining && !rounds <= nrow + ncol do
     incr rounds;
     remaining := false;
-    let next = Image.copy !current in
-    let any_filled = ref false in
-    for r = 0 to nrow - 1 do
-      for c = 0 to ncol - 1 do
-        if is_missing (Image.get !current r c) then begin
-          let sum = ref 0. and n = ref 0 in
-          for dr = -1 to 1 do
-            for dc = -1 to 1 do
-              if dr <> 0 || dc <> 0 then begin
-                let rr = r + dr and cc = c + dc in
-                if rr >= 0 && rr < nrow && cc >= 0 && cc < ncol then begin
-                  let v = Image.get !current rr cc in
-                  if not (is_missing v) then begin
-                    sum := !sum +. v;
-                    incr n
-                  end
-                end
-              end
-            done
-          done;
-          if !n > 0 then begin
-            Image.set next r c (!sum /. float_of_int !n);
-            any_filled := true
-          end
-          else remaining := true
+    let any_filled = ref false and k = ref 0 in
+    for i = 0 to n - 1 do
+      if is_hole data missing i then begin
+        let r = i / ncol and c = i mod ncol in
+        let sum = ref 0. and m = ref 0 in
+        for rr = Int.max 0 (r - 1) to Int.min (nrow - 1) (r + 1) do
+          for cc = Int.max 0 (c - 1) to Int.min (ncol - 1) (c + 1) do
+            let j = (rr * ncol) + cc in
+            if j <> i && not (is_hole data missing j) then begin
+              sum := !sum +. data.(j);
+              incr m
+            end
+          done
+        done;
+        if !m > 0 then begin
+          fills.(!k) <- Pixel.quantize ptype (!sum /. float_of_int !m);
+          any_filled := true
         end
-      done
+        else begin
+          fills.(!k) <- data.(i);
+          remaining := true
+        end;
+        incr k
+      end
+    done;
+    k := 0;
+    for i = 0 to n - 1 do
+      if is_hole data missing i then begin
+        data.(i) <- fills.(!k);
+        incr k
+      end
     done;
     (* a fully missing image (or isolated region) falls back to the mean *)
     if !remaining && not !any_filled then begin
-      for r = 0 to nrow - 1 do
-        for c = 0 to ncol - 1 do
-          if is_missing (Image.get next r c) then
-            Image.set next r c global_mean
-        done
+      let mean = Pixel.quantize ptype global_mean in
+      for i = 0 to n - 1 do
+        if is_hole data missing i then data.(i) <- mean
       done;
       remaining := false
-    end;
-    current := next
+    end
   done;
-  !current
+  Image.unsafe_of_array ~label:(Image.img_label img) ~nrow ~ncol ptype data

@@ -19,18 +19,6 @@ let init ~rows ~cols f =
   { rows; cols;
     data = Array.init (rows * cols) (fun i -> f (i / cols) (i mod cols)) }
 
-(* Parallel [init]: the closure must be pure (it runs concurrently on
-   pool domains); element layout and values match [init] exactly. *)
-let par_init ~rows ~cols f =
-  check_dims rows cols;
-  let n = rows * cols in
-  let data = Array.make n 0. in
-  Pool.parallel_for_ranges ~lo:0 ~hi:n (fun clo chi ->
-      for i = clo to chi - 1 do
-        Array.unsafe_set data i (f (i / cols) (i mod cols))
-      done);
-  { rows; cols; data }
-
 let identity n = init ~rows:n ~cols:n (fun i j -> if i = j then 1. else 0.)
 
 let unsafe_data t = t.data

@@ -10,20 +10,15 @@ val create : rows:int -> cols:int -> t
 val init : rows:int -> cols:int -> (int -> int -> float) -> t
 (** [init ~rows ~cols f] fills element (i,j) with [f i j]. *)
 
-val par_init : rows:int -> cols:int -> (int -> int -> float) -> t
-(** Like {!init} but filled in parallel across the {!Gaea_par.Pool}
-    domains; the closure must be pure.  Identical results at any pool
-    size. *)
-
 val identity : int -> t
 
 val unsafe_data : t -> float array
 (** The row-major backing store (shared, not copied).  Reserved for the
-    fused kernels in {!Kernelized}. *)
+    flat loops of {!Composite} and the other raster kernels. *)
 
 val unsafe_of_array : rows:int -> cols:int -> float array -> t
 (** Wrap a row-major array as a matrix without copying.  Reserved for
-    the fused kernels in {!Kernelized}.
+    the flat loops of {!Composite} and the other raster kernels.
     @raise Invalid_argument if the array length is not [rows*cols]. *)
 
 val rows : t -> int

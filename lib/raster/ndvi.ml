@@ -1,6 +1,4 @@
-(* Fused (nir - red) / (nir + red); the closure form over par_map2 is
-   kept as the reference in the parity tests. *)
-let ndvi ?(label = "ndvi") ~red ~nir () =
-  Kernelized.normalized_diff ~label nir red
+(* NDVI is the normalized ratio (nir - red) / (nir + red) *)
+let ndvi ?(label = "ndvi") ~red ~nir () = Band_math.ratio ~label nir red
 
 let mean_ndvi = Imgstats.mean

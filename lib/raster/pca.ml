@@ -5,15 +5,14 @@ type result = {
   explained : float array;
 }
 
-let convert_image_matrix = Kernelized.to_matrix
+let convert_image_matrix = Composite.to_matrix
 let compute_covariance = Matrix.covariance
 let compute_correlation = Matrix.correlation
 let get_eigen_vector m = Eigen.decompose m
 
 let linear_combination observations loadings = Matrix.mul observations loadings
 
-let convert_matrix_image ~nrow ~ncol m =
-  Kernelized.of_matrix ~nrow ~ncol m
+let convert_matrix_image = Composite.of_matrix
 
 let run ~standardize ?components composite =
   let nrow = Composite.nrow composite and ncol = Composite.ncol composite in

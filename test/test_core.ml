@@ -1037,6 +1037,56 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
+(* the committed saves of the example scripts *)
+let golden_dir () =
+  List.find Sys.file_exists [ "../examples/golden"; "examples/golden" ]
+
+let test_persist_golden_saves () =
+  let dir = golden_dir () in
+  let saves =
+    List.filter
+      (fun f -> Filename.check_suffix f ".db")
+      (List.sort compare (Array.to_list (Sys.readdir dir)))
+  in
+  check_bool "golden saves found" true (saves <> []);
+  List.iter
+    (fun f ->
+      let text = read_file (Filename.concat dir f) in
+      match Persist.load text with
+      | Error e -> Alcotest.failf "%s: %s" f (Gaea_error.to_string e)
+      | Ok k -> check_str (f ^ " saves back byte for byte") text (Persist.save k))
+    saves
+
+(* [s] with the first [sub] replaced by [by] *)
+let replace_first ~sub ~by s =
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length s then Alcotest.failf "no %S in the save" sub
+    else if String.sub s i n = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+(* A save naming what is not there is refused with the section and
+   the OID, not loaded with the reference dangling. *)
+let test_persist_dangling_refused () =
+  let text = read_file (Filename.concat (golden_dir ()) "pipeline.db") in
+  List.iter
+    (fun (sub, by, expected) ->
+      match Persist.load (replace_first ~sub ~by text) with
+      | Ok _ -> Alcotest.failf "%s -> %s loaded" sub by
+      | Error e -> check_str by expected (Gaea_error.to_string e))
+    [ ("(task 2 threshold 1 ((a 2))", "(task 2 threshold 1 ((a 9))",
+       "task #2 inputs: no object 9");
+      ("(task 1 normalize 1 ((a 1)) () (2)", "(task 1 normalize 1 ((a 1)) () (7)",
+       "task #1 outputs: no object 7");
+      ("(stale)", "(stale 3 8)", "stale: no object 8");
+      ("((cutoff (float 0x1p-1))) (3)", "((cutoff (float 0x1p-1))) (2)",
+       "task #2 outputs: object 2 is already the output of task #1");
+      ("(reusable 1 2)", "(reusable 1 9)", "reusable: no task #9");
+      ("(oids 3)", "(oids 2)", "oids: object 3 is past the saved mark 2") ]
+
 let rec remove_tree path =
   if Sys.is_directory path then begin
     Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
@@ -1163,6 +1213,8 @@ let () =
           tc "versions roundtrip" test_persist_versions_roundtrip;
           tc "process lineage roundtrip" test_persist_process_lineage;
           tc "garbage" test_persist_garbage;
+          tc "golden saves load and save unchanged" test_persist_golden_saves;
+          tc "dangling references refused" test_persist_dangling_refused;
           tc "older common-space/common-time assertions load"
             test_persist_reads_older_common;
           tc "save replaces the file atomically" test_persist_save_replaces_file;

@@ -2,8 +2,8 @@
    parallel raster kernels rely on: chunk layout depends only on
    (lo, hi, grain), reductions combine in ascending chunk order, so a
    kernel produces bit-identical results at any pool size — and the
-   fused closure-free kernels are bit-identical to their map/map2/fold
-   reference implementations. *)
+   flat-loop raster operators are bit-identical to their sequential
+   map/map2/init/fold reference implementations. *)
 
 open Gaea_raster
 module Pool = Gaea_par.Pool
@@ -241,7 +241,7 @@ let test_parity_composite_matrix () =
   let back lanes =
     with_size lanes (fun () ->
         Composite.of_matrix ~nrow:(Composite.nrow comp)
-          ~ncol:(Composite.ncol comp) Pixel.Float8 m1)
+          ~ncol:(Composite.ncol comp) m1)
   in
   let b1 = back 1 in
   List.iter
@@ -281,9 +281,9 @@ let test_parity_covariance () =
     par_sizes
 
 (* ------------------------------------------------------------------ *)
-(* Fused kernels vs their closure references.  The sequential map /    *)
-(* map2 / fold implementations are the specification: the fused        *)
-(* closure-free loops must match them bit for bit, at every pool size. *)
+(* Flat loops vs their references.  The sequential map / map2 / init  *)
+(* / fold forms are the specification: each operator's flat loop must *)
+(* match them bit for bit, at every pool size.                        *)
 (* ------------------------------------------------------------------ *)
 
 let rn_pair = lazy (Synthetic.red_nir_pair ~seed:8 ~nrow:72 ~ncol:72 ())
@@ -329,27 +329,280 @@ let test_fused_ndvi () =
        nir red)
     (fun () -> Ndvi.ndvi ~red ~nir ())
 
+(* Every other registry image operator against its sequential
+   map / map2 / init form.  The inputs carry the edge cases the flat
+   loops must keep: a Char band, NaN pixels, zero denominators. *)
+
+let edge_bands =
+  lazy
+    (let a, b = Lazy.force rn_pair in
+     let ncol = Image.img_ncol a in
+     (* NaN every 7th pixel of [a]; [b] is 0 every 5th pixel and -a
+        every 11th, so both divide's and ratio's denominators vanish *)
+     let a =
+       Image.init ~nrow:(Image.img_nrow a) ~ncol Pixel.Float8 (fun r c ->
+           if ((r * ncol) + c) mod 7 = 3 then Float.nan else Image.get a r c)
+     in
+     let b =
+       Image.init ~nrow:(Image.img_nrow b) ~ncol Pixel.Float8 (fun r c ->
+           let i = (r * ncol) + c in
+           if i mod 5 = 0 then 0.
+           else if i mod 11 = 0 then -.Image.get a r c
+           else Image.get b r c)
+     in
+     let c =
+       Image.map ~ptype:Pixel.Char
+         (fun v -> (1.7 *. v) -. 60.)
+         (fst (Lazy.force rn_pair))
+     in
+     (a, b, c))
+
+let f8 = Pixel.Float8
+
+let test_fused_binary_ops () =
+  let a, b, c = Lazy.force edge_bands in
+  let binary name op f =
+    List.iter
+      (fun (x, y, tag) ->
+        check_fused (name ^ tag) (Image.map2 ~ptype:f8 f x y) (fun () -> op x y))
+      [ (a, b, ""); (b, a, " swapped"); (c, b, " char") ]
+  in
+  binary "divide" Band_math.divide (fun x y -> if y = 0. then 0. else x /. y);
+  binary "ratio" Band_math.ratio (fun x y ->
+      let d = x +. y in
+      if d = 0. then 0. else (x -. y) /. d);
+  binary "multiply" Band_math.multiply ( *. );
+  binary "abs_diff" Band_math.abs_diff (fun x y -> Float.abs (x -. y));
+  binary "add" Band_math.add ( +. );
+  binary "subtract" Band_math.subtract ( -. );
+  let t0 = Gaea_geo.Abstime.of_ymd 1988 1 1
+  and t1 = Gaea_geo.Abstime.of_ymd 1989 1 1
+  and at = Gaea_geo.Abstime.of_ymd 1988 7 1 in
+  let w =
+    float_of_int Gaea_geo.Abstime.(to_seconds at - to_seconds t0)
+    /. float_of_int Gaea_geo.Abstime.(to_seconds t1 - to_seconds t0)
+  in
+  binary "temporal_linear"
+    (fun x y -> Interpolate.temporal_linear ~at (t0, x) (t1, y))
+    (fun x y -> x +. (w *. (y -. x)))
+
+let test_fused_unary_ops () =
+  let a, b, c = Lazy.force edge_bands in
+  List.iter
+    (fun (img, tag) ->
+      let lo, hi = Image.min_max img in
+      let span = hi -. lo in
+      check_fused ("normalize" ^ tag)
+        (Image.map ~ptype:f8 (fun v -> 0. +. ((v -. lo) /. span *. (1. -. 0.))) img)
+        (fun () -> Band_math.normalize img);
+      check_fused ("threshold" ^ tag)
+        (Image.map ~ptype:Pixel.Char (fun v -> if v >= 100. then 1. else 0.) img)
+        (fun () -> Band_math.threshold 100. img);
+      let below =
+        Image.map ~ptype:Pixel.Char (fun v -> if v < 100. then 1. else 0.) img
+      in
+      check_fused ("threshold_below" ^ tag) below (fun () ->
+          match
+            Gaea_adt.Registry.apply
+              (Gaea_adt.Registry.with_builtins ())
+              "img_threshold_below"
+              [ Gaea_adt.Value.image img; Gaea_adt.Value.float 100. ]
+          with
+          | Ok (Gaea_adt.Value.VImage i) -> i
+          | _ -> Alcotest.fail "img_threshold_below"))
+    [ (a, ""); (b, " zeros"); (c, " char") ];
+  (* a constant image maps to lo, on both sides of the span test *)
+  let flat = Image.map ~ptype:f8 (fun _ -> 42.) a in
+  check_fused "normalize constant"
+    (Image.map ~ptype:f8 (fun _ -> -2.) flat)
+    (fun () -> Band_math.normalize ~lo:(-2.) ~hi:3. flat);
+  let lo, hi = Image.min_max b in
+  check_fused "normalize onto [-2, 3]"
+    (Image.map ~ptype:f8
+       (fun v -> -2. +. ((v -. lo) /. (hi -. lo) *. (3. -. -2.)))
+       b)
+    (fun () -> Band_math.normalize ~lo:(-2.) ~hi:3. b)
+
+let test_fused_linear_combination () =
+  let a, b, c = Lazy.force edge_bands in
+  let zero = Image.map ~ptype:f8 (fun _ -> 0.) a in
+  let reference weights imgs =
+    let first = List.hd imgs in
+    let ncol = Image.img_ncol first in
+    Image.init ~nrow:(Image.img_nrow first) ~ncol f8 (fun r c ->
+        let i = (r * ncol) + c in
+        List.fold_left
+          (fun (acc, k) img ->
+            (acc +. (weights.(k) *. Image.get_linear img i), k + 1))
+          (0., 0) imgs
+        |> fst)
+  in
+  List.iter
+    (fun (name, weights, imgs) ->
+      check_fused name (reference weights imgs) (fun () ->
+          Band_math.linear_combination weights imgs))
+    [ ("linear_combination", [| 0.5; -1.25; 3. |], [ a; b; c ]);
+      (* -1 * 0 is -0.; the fold starts from 0., so the pixel is +0. *)
+      ("linear_combination -0.", [| -1. |], [ zero ]);
+      ("linear_combination -0. twice", [| -1.; -2. |], [ zero; zero ]) ];
+  check_bool "-0. products sum to +0." true
+    (1. /. Image.get (Band_math.linear_combination [| -1. |] [ zero ]) 0 0
+     = infinity)
+
+let test_fused_resize () =
+  let a, _, c = Lazy.force edge_bands in
+  let nearest img ~nrow ~ncol =
+    let src_r = Image.img_nrow img and src_c = Image.img_ncol img in
+    Image.init ~nrow ~ncol (Image.img_type img) (fun r c ->
+        Image.get img
+          (Stdlib.min (r * src_r / nrow) (src_r - 1))
+          (Stdlib.min (c * src_c / ncol) (src_c - 1)))
+  in
+  let bilinear img ~nrow ~ncol =
+    let src_r = Image.img_nrow img and src_c = Image.img_ncol img in
+    Image.init ~nrow ~ncol f8 (fun r c ->
+        let fy =
+          ((float_of_int r +. 0.5) /. float_of_int nrow *. float_of_int src_r)
+          -. 0.5
+        and fx =
+          ((float_of_int c +. 0.5) /. float_of_int ncol *. float_of_int src_c)
+          -. 0.5
+        in
+        let fy = Float.max 0. (Float.min fy (float_of_int (src_r - 1)))
+        and fx = Float.max 0. (Float.min fx (float_of_int (src_c - 1))) in
+        let y0 = int_of_float (Float.floor fy)
+        and x0 = int_of_float (Float.floor fx) in
+        let y1 = Stdlib.min (y0 + 1) (src_r - 1)
+        and x1 = Stdlib.min (x0 + 1) (src_c - 1) in
+        let dy = fy -. float_of_int y0 and dx = fx -. float_of_int x0 in
+        let v00 = Image.get img y0 x0 and v01 = Image.get img y0 x1 in
+        let v10 = Image.get img y1 x0 and v11 = Image.get img y1 x1 in
+        (((v00 *. (1. -. dx)) +. (v01 *. dx)) *. (1. -. dy))
+        +. (((v10 *. (1. -. dx)) +. (v11 *. dx)) *. dy))
+  in
+  List.iter
+    (fun (img, tag) ->
+      List.iter
+        (fun (nrow, ncol) ->
+          let name op = Printf.sprintf "%s%s to %dx%d" op tag nrow ncol in
+          check_fused (name "resize_nearest") (nearest img ~nrow ~ncol)
+            (fun () -> Interpolate.resize_nearest img ~nrow ~ncol);
+          check_fused (name "resize_bilinear") (bilinear img ~nrow ~ncol)
+            (fun () -> Interpolate.resize_bilinear img ~nrow ~ncol))
+        [ (37, 53); (101, 97); (1, 1) ])
+    [ (a, ""); (c, " char") ]
+
+(* fill_missing as it was written on the image ADT: rounds of
+   8-neighbour means over a copy, read through Image.get, written
+   through the quantizing Image.set *)
+let fill_missing_reference ~missing img =
+  let nrow = Image.img_nrow img and ncol = Image.img_ncol img in
+  let is_missing v =
+    if Float.is_nan missing then Float.is_nan v else v = missing
+  in
+  let valid_sum = ref 0. and valid_n = ref 0 in
+  Image.iter
+    (fun v ->
+      if not (is_missing v) then begin
+        valid_sum := !valid_sum +. v;
+        incr valid_n
+      end)
+    img;
+  let global_mean =
+    if !valid_n = 0 then 0. else !valid_sum /. float_of_int !valid_n
+  in
+  let current = ref (Image.map Fun.id img) and remaining = ref true in
+  let rounds = ref 0 in
+  while !remaining && !rounds <= nrow + ncol do
+    incr rounds;
+    remaining := false;
+    let next = Image.map Fun.id !current and any_filled = ref false in
+    for r = 0 to nrow - 1 do
+      for c = 0 to ncol - 1 do
+        if is_missing (Image.get !current r c) then begin
+          let sum = ref 0. and n = ref 0 in
+          for dr = -1 to 1 do
+            for dc = -1 to 1 do
+              let rr = r + dr and cc = c + dc in
+              if (dr <> 0 || dc <> 0) && rr >= 0 && rr < nrow && cc >= 0
+                 && cc < ncol
+              then begin
+                let v = Image.get !current rr cc in
+                if not (is_missing v) then begin
+                  sum := !sum +. v;
+                  incr n
+                end
+              end
+            done
+          done;
+          if !n > 0 then begin
+            Image.set next r c (!sum /. float_of_int !n);
+            any_filled := true
+          end
+          else remaining := true
+        end
+      done
+    done;
+    if !remaining && not !any_filled then begin
+      for r = 0 to nrow - 1 do
+        for c = 0 to ncol - 1 do
+          if is_missing (Image.get next r c) then Image.set next r c global_mean
+        done
+      done;
+      remaining := false
+    end;
+    current := next
+  done;
+  !current
+
+let test_fused_fill_missing () =
+  let a, b, c = Lazy.force edge_bands in
+  let ncol = Image.img_ncol a in
+  (* a 20x20 hole takes ten rounds; a -1 sentinel leaves NaN valid *)
+  let block =
+    Image.init ~nrow:(Image.img_nrow b) ~ncol Pixel.Float8 (fun r c ->
+        if r >= 30 && r < 50 && c >= 10 && c < 30 then Float.nan
+        else Image.get b r c)
+  in
+  let sentinel = Image.map ~ptype:f8 (fun v -> if v < 60. then -1. else v) a in
+  let char_zero = Image.map ~ptype:Pixel.Char (fun v -> if v < 80. then 0. else v) c in
+  let all_missing = Image.map ~ptype:f8 (fun _ -> Float.nan) a in
+  List.iter
+    (fun (name, missing, img) ->
+      check_fused name (fill_missing_reference ~missing img) (fun () ->
+          Interpolate.fill_missing ~missing img))
+    [ ("fill_missing scattered", Float.nan, a);
+      ("fill_missing block", Float.nan, block);
+      ("fill_missing sentinel", -1., sentinel);
+      ("fill_missing char 0", 0., char_zero);
+      ("fill_missing all", Float.nan, all_missing);
+      ("fill_missing none", Float.nan, b) ]
+
 let test_fused_composite_matrix () =
   let s = Lazy.force scene in
   let comp = s.Synthetic.composite in
-  (* Composite.to_matrix / of_matrix are the references; Kernelized is
-     the fused path used by PCA *)
-  let reference = with_size 1 (fun () -> Composite.to_matrix comp) in
-  let m1 = with_size 1 (fun () -> Kernelized.to_matrix comp) in
+  let rows = Composite.n_pixels comp and cols = Composite.n_bands comp in
+  let reference =
+    Matrix.init ~rows ~cols (fun i j -> Image.get_linear (Composite.band comp j) i)
+  in
+  let m1 = with_size 1 (fun () -> Composite.to_matrix comp) in
   check_bool "to_matrix matches reference" true (Matrix.equal reference m1);
   List.iter
     (fun lanes ->
       check_bool
         (Printf.sprintf "to_matrix bit-identical @%d" lanes)
         true
-        (Matrix.equal m1 (with_size lanes (fun () -> Kernelized.to_matrix comp))))
+        (Matrix.equal m1 (with_size lanes (fun () -> Composite.to_matrix comp))))
     par_sizes;
   let nrow = Composite.nrow comp and ncol = Composite.ncol comp in
   let ref_back =
-    with_size 1 (fun () -> Composite.of_matrix ~nrow ~ncol Pixel.Float8 m1)
+    Composite.of_bands
+      (List.init cols (fun j ->
+           Image.init ~nrow ~ncol Pixel.Float8 (fun r c ->
+               Matrix.get m1 ((r * ncol) + c) j)))
   in
   let back lanes =
-    with_size lanes (fun () -> Kernelized.of_matrix ~nrow ~ncol m1)
+    with_size lanes (fun () -> Composite.of_matrix ~nrow ~ncol m1)
   in
   check_bool "of_matrix matches reference" true
     (Composite.equal ref_back (back 1));
@@ -427,5 +680,10 @@ let () =
       ( "fused",
         [ tc "band math" test_fused_band_math;
           tc "ndvi" test_fused_ndvi;
+          tc "binary image operators" test_fused_binary_ops;
+          tc "unary image operators" test_fused_unary_ops;
+          tc "linear combination" test_fused_linear_combination;
+          tc "resize" test_fused_resize;
+          tc "fill missing" test_fused_fill_missing;
           tc "composite<->matrix" test_fused_composite_matrix;
           tc "imgstats fold parity" test_fused_imgstats_fold_parity ] ) ]

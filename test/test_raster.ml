@@ -448,7 +448,7 @@ let test_composite_matrix_roundtrip () =
   let m = Composite.to_matrix c in
   check_int "rows = pixels" 6 (Matrix.rows m);
   check_int "cols = bands" 2 (Matrix.cols m);
-  let c' = Composite.of_matrix ~nrow:3 ~ncol:2 Pixel.Float8 m in
+  let c' = Composite.of_matrix ~nrow:3 ~ncol:2 m in
   check_bool "roundtrip" true (Composite.equal c c')
 
 (* ------------------------------------------------------------------ *)
