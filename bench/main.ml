@@ -1280,7 +1280,9 @@ let e17_operators gate =
       ("temporal_interpolate", [ a; date 1; b; date 12; date 6 ]);
       ("resize_nearest", [ a; Value.int side; Value.int side ]);
       ("resize_bilinear", [ a; Value.int side; Value.int side ]);
-      ("fill_missing", [ holes ]) ]
+      ("fill_missing", [ holes ]);
+      ("img_rmse", two);
+      ("img_agreement", two) ]
   in
   let runs = if smoke then 20 else 50 in
   let saved = Pool.size () in
@@ -1393,9 +1395,15 @@ let e17_ingest () =
 
 let e18_failed = ref false
 
-(* words per fired task: 1,494 when the bound was set (24% headroom);
-   the commit before the unfired frontiers read 2,445 *)
-let e18_words_per_task = 1_850.
+(* words per fired task: 1,039 when the bound was set (about 25%
+   headroom); 1,494 before process versions were compiled and commits
+   went by position, 2,445 before the unfired frontiers *)
+let e18_words_per_task = 1_300.
+
+(* words per task REFRESH ALL refreshes after one src update (two
+   tasks): 855 when the bound was set (about 25% headroom); 1,582
+   before process versions were compiled *)
+let e18_words_per_refreshed_task = 1_070.
 
 (* perfbench derive-refresh's database: [n] pipelines src -> mid -> out
    over 16x16 images, each fired through Kernel.execute_process, and
@@ -1531,6 +1539,17 @@ let e18_pipelines () =
     "UPDATE src after 1 refresh: %.0f minor words; after 256: %.0f (bound \
      1.5x); the 1st REFRESH ALL: %.0f, the 256th: %.0f\n"
     after_one after_many refresh_one !refresh_words;
+  (* the update invalidates mid and out: REFRESH ALL refreshes 2 tasks *)
+  let per_refreshed = refresh_one /. 2. in
+  Printf.printf "REFRESH ALL: %.0f minor words per refreshed task (bound %.0f)\n"
+    per_refreshed e18_words_per_refreshed_task;
+  if per_refreshed > e18_words_per_refreshed_task then begin
+    Printf.printf
+      "E18 FAILURE: a REFRESH allocates %.0f words per refreshed task \
+       (bound %.0f)\n"
+      per_refreshed e18_words_per_refreshed_task;
+    e18_failed := true
+  end;
   if after_many > 1.5 *. after_one then begin
     Printf.printf
       "E18 FAILURE: an UPDATE after 256 refreshes allocates %.2fx what it \

@@ -99,15 +99,16 @@ let warning ctx ~code ?element msg =
 (* Pass 1: template well-formedness                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The static shape of [arg.attr]: what Template.eval_attr_of produces
-   for each possible binding the cardinality bounds allow. *)
+(* The static shape of [arg.attr]: what a compiled template's attribute
+   read produces for each possible binding the cardinality bounds
+   allow. *)
 let attr_shape (spec : Process.arg_spec) ty =
   if (not spec.Process.setof) || spec.Process.card_max = Some 1 then Known ty
   else if spec.Process.card_min >= 2 then Known (Vtype.Setof ty)
   else Set_or_one ty
 
 (* [widen] mirrors the storage layer's Int -> Float coercion on insert
-   (Tuple.coerce): mapping targets accept it, operator arguments do
+   (Tuple.of_array): mapping targets accept it, operator arguments do
    not (Operator.check_args is strict). *)
 let fits ?(widen = false) ~expected t =
   Vtype.matches ~expected ~actual:t

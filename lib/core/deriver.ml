@@ -7,6 +7,19 @@ module Interpolate = Gaea_raster.Interpolate
 
 let ( let* ) r f = Result.bind r f
 
+(* A primitive process version compiled for firing: its template
+   against its arguments' classes and its parameters, and the layout of
+   its output class.  [output] is the mapping behind each output
+   attribute, or the error a firing returns once its mappings are
+   evaluated; [extra] names the targets the output class lacks, which
+   the write refuses. *)
+type firing = {
+  proc : Process.t;  (* the version compiled, by identity *)
+  program : Template.program;
+  output : (int array, Gaea_error.t) result;
+  extra : string list;
+}
+
 type t = {
   registry : Registry.t;
   catalog : Catalog.t;
@@ -14,83 +27,114 @@ type t = {
   procs : Proc_registry.t;
   prov : Provenance.t;
   bus : Events.bus;
+  compiled : (string, firing list) Hashtbl.t;  (* by process name *)
 }
 
 let create ~registry ~catalog ~objects ~procs ~prov ~bus =
-  { registry; catalog; objects; procs; prov; bus }
+  { registry; catalog; objects; procs; prov; bus; compiled = Hashtbl.create 16 }
+
+let forget_compiled t = Hashtbl.reset t.compiled
 
 (* ------------------------------------------------------------------ *)
-(* Template environment                                                *)
+(* Compiled firings                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let make_env t (p : Process.t) (inputs : (string * Oid.t list) list) =
-  let arg_class name =
-    Option.map (fun a -> a.Process.arg_class) (Process.arg p name)
+let compile t (p : Process.t) tmpl =
+  let extent (a : Process.arg_spec) =
+    let entry = Catalog.entry t.catalog a.Process.arg_class in
+    { Template.arg = a.Process.arg_name;
+      cls = Some a.Process.arg_class;
+      table = Option.map snd entry;
+      spatial = Option.bind entry (fun (def, _) -> def.Schema.spatial_attr);
+      temporal = Option.bind entry (fun (def, _) -> def.Schema.temporal_attr) }
   in
-  { Template.arg_objects =
-      (fun name ->
-        Option.map
-          (fun oids -> List.map (fun o -> Value.int o) oids)
-          (List.assoc_opt name inputs));
-    attr_value =
-      (fun name i attr ->
-        match List.assoc_opt name inputs, arg_class name with
-        | Some oids, Some cls when i >= 0 && i < List.length oids ->
-          let oid = List.nth oids i in
-          (match Obj_store.attr t.objects ~cls oid attr with
-           | Some v -> Ok v
-           | None ->
+  (* a name the template reads that the process does not declare *)
+  let undeclared arg =
+    { Template.arg; cls = None; table = None; spatial = None; temporal = None }
+  in
+  let scope =
+    List.map extent p.Process.args
+    @ List.filter_map
+        (fun a -> if Process.arg p a = None then Some (undeclared a) else None)
+        (Template.referenced_args tmpl)
+  in
+  let program =
+    Template.compile t.registry ~scope ~params:p.Process.params tmpl
+  in
+  let name = p.Process.proc_name and cls = p.Process.output_class in
+  match Catalog.table t.catalog cls with
+  | None ->
+    ( { proc = p; program; extra = [];
+        output =
+          Gaea_error.err (Printf.sprintf "%s: unknown output class %s" name cls) },
+      false )
+  | Some tab ->
+    let positions, missing, extra =
+      Template.layout program (Gaea_storage.Table.descriptor tab)
+    in
+    ( { proc = p; program; extra;
+        output =
+          (if missing = [] then Ok positions
+           else
              Gaea_error.err
-               (Printf.sprintf "object %d of class %s has no attribute %s" oid
-                  cls attr))
-        | _ ->
-          Gaea_error.err
-            (Printf.sprintf "bad argument reference %s[%d]" name i));
-    spatial_attr =
-      (fun name ->
-        Option.bind (arg_class name) (fun cls ->
-            Option.bind (Catalog.find t.catalog cls) (fun def ->
-                def.Schema.spatial_attr)));
-    temporal_attr =
-      (fun name ->
-        Option.bind (arg_class name) (fun cls ->
-            Option.bind (Catalog.find t.catalog cls) (fun def ->
-                def.Schema.temporal_attr)));
-    param = (fun name -> Process.param p name);
-    apply =
-      (fun op args ->
-        Result.map_error
-          (fun e -> Gaea_error.Eval_error e)
-          (Registry.apply t.registry op args));
-    arity = Registry.arity t.registry }
+               (Printf.sprintf "%s: mappings missing for attribute(s) %s" name
+                  (String.concat ", " missing))) },
+      Template.complete program )
 
+(* The firing of [p], compiled at its first firing and kept once every
+   name in it resolved, one per version.  A class is never redefined,
+   so a resolved position never goes stale. *)
+let rec firing_in t (p : Process.t) tmpl known = function
+  | f :: rest -> if f.proc == p then f else firing_in t p tmpl known rest
+  | [] ->
+    let f, complete = compile t p tmpl in
+    if complete then
+      Hashtbl.replace t.compiled p.Process.proc_name
+        (f
+         :: List.filter
+              (fun g -> g.proc.Process.version <> p.Process.version)
+              known);
+    f
+
+let firing t (p : Process.t) tmpl =
+  match Hashtbl.find t.compiled p.Process.proc_name with
+  | known -> firing_in t p tmpl known known
+  | exception Not_found -> firing_in t p tmpl [] []
+
+let cards_error (p : Process.t) fmt =
+  Printf.ksprintf
+    (fun m -> Error (Gaea_error.Arity_mismatch (p.Process.proc_name ^ ": " ^ m)))
+    fmt
+
+(* each argument bound, to as many objects as it takes, in order *)
 let check_cards (p : Process.t) inputs =
-  let fail fmt =
-    Printf.ksprintf
-      (fun m -> Error (Gaea_error.Arity_mismatch (p.Process.proc_name ^ ": " ^ m)))
-      fmt
-  in
-  Gaea_error.map_m
-    (fun spec ->
+  let rec check = function
+    | [] -> Ok ()
+    | (spec : Process.arg_spec) :: rest ->
       let name = spec.Process.arg_name in
-      match List.assoc_opt name inputs, spec.Process.card_max with
-      | None, _ -> fail "argument %s not bound" name
-      | Some oids, _ when List.length oids < spec.Process.card_min ->
-        fail "%s needs at least %d object(s), got %d" name
-          spec.Process.card_min (List.length oids)
-      | Some oids, Some m when List.length oids > m ->
-        fail "%s takes at most %d object(s), got %d" name m (List.length oids)
-      | Some _, _ -> Ok ())
-    p.Process.args
-  |> Result.map ignore
+      (match List.assoc name inputs with
+       | exception Not_found -> cards_error p "argument %s not bound" name
+       | oids ->
+         let n = List.length oids in
+         if n < spec.Process.card_min then
+           cards_error p "%s needs at least %d object(s), got %d" name
+             spec.Process.card_min n
+         else
+           match spec.Process.card_max with
+           | Some m when n > m ->
+             cards_error p "%s takes at most %d object(s), got %d" name m n
+           | _ -> check rest)
+  in
+  check p.Process.args
 
 let check_inputs t (p : Process.t) inputs =
   let* () = check_cards p inputs in
-  match Process.template p with
-  | None | Some { Template.assertions = []; _ } -> Ok ()
-  | Some tmpl ->
-    let env = make_env t p inputs in
-    Template.check_assertions env tmpl
+  match p.Process.kind with
+  | Process.Compound _ | Process.Primitive { Template.assertions = []; _ } ->
+    Ok ()
+  | Process.Primitive tmpl ->
+    let f = firing t p tmpl in
+    Template.check f.program (Template.bind f.program inputs)
 
 (* ------------------------------------------------------------------ *)
 (* Binding search                                                      *)
@@ -200,64 +244,69 @@ let count_pixels v =
     Gaea_raster.Composite.n_pixels c * Gaea_raster.Composite.n_bands c
   | _ -> 0
 
+let pixels values =
+  Array.fold_left (fun n v -> n + count_pixels v) 0 values
+
+(* A primitive evaluated, nothing written yet: the mappings' values in
+   mapping order, and the firing that places them. *)
+type evaluated = {
+  firing : firing;
+  values : Value.t array;
+  positions : int array;
+}
+
 (* [checked]: the binding search has checked the cardinalities and
    assertions already *)
 let eval_primitive ?(checked = false) t (p : Process.t) inputs =
-  match Process.template p with
-  | None ->
+  match p.Process.kind with
+  | Process.Compound _ ->
     Error (Gaea_error.Invalid (p.Process.proc_name ^ ": not a primitive process"))
-  | Some tmpl ->
+  | Process.Primitive tmpl ->
     let* () = if checked then Ok () else check_cards p inputs in
-    let env = make_env t p inputs in
-    let* () = if checked then Ok () else Template.check_assertions env tmpl in
-    let* pairs = Template.eval_mappings env tmpl in
+    let f = firing t p tmpl in
+    let bound = Template.bind f.program inputs in
+    let* () = if checked then Ok () else Template.check f.program bound in
+    let* values = Template.run f.program bound in
     (* the output class must be fully mapped *)
-    (match Catalog.find t.catalog p.Process.output_class with
-     | None ->
-       Gaea_error.err
-         (Printf.sprintf "%s: unknown output class %s" p.Process.proc_name
-            p.Process.output_class)
-     | Some def ->
-       let missing =
-         List.filter
-           (fun a -> not (List.mem_assoc a pairs))
-           (Schema.attr_names def)
-       in
-       if missing <> [] then
-         Gaea_error.err
-           (Printf.sprintf "%s: mappings missing for attribute(s) %s"
-              p.Process.proc_name
-              (String.concat ", " missing))
-       else Ok pairs)
+    let* positions = f.output in
+    Ok { firing = f; values; positions }
+
+(* the values in the output class's attribute order; a target the class
+   lacks is refused before anything is written *)
+let ordered e =
+  if e.firing.extra <> [] then
+    Obj_store.unknown_attrs e.firing.proc.Process.output_class e.firing.extra
+  else Ok (Array.map (fun j -> e.values.(j)) e.positions)
 
 (* The one commit of an evaluated process, for DERIVE, interpolation
-   and REFRESH alike: [write] stores the values and names the output
-   objects, then the pixels are counted and the task recorded, which
-   makes it reusable. *)
-let commit t ~process ~version ~params ~output_class inputs pairs ~write =
-  let* outputs = write pairs in
+   and REFRESH alike: once the values are [written], naming the output
+   objects, the pixels are counted and the task recorded, which makes
+   it reusable. *)
+let commit t ~process ~version ~params ~output_class inputs ~pixels written =
+  let* outputs = written in
   let c = Events.counters t.bus in
-  List.iter
-    (fun (_, v) -> c.pixels_processed <- c.pixels_processed + count_pixels v)
-    pairs;
+  c.pixels_processed <- c.pixels_processed + pixels;
   Ok
     (Provenance.record_task t.prov ~process ~version ~inputs ~params ~outputs
        ~output_class)
 
-let insert t ~cls pairs =
-  Obj_store.insert t.objects ~cls pairs
-  |> Result.map (fun oid ->
-         Provenance.object_inserted t.prov ~cls oid;
-         [ oid ])
+let commit_primitive t (p : Process.t) inputs e ~write =
+  commit t ~process:p.Process.proc_name ~version:p.Process.version
+    ~params:p.Process.params ~output_class:p.Process.output_class inputs
+    ~pixels:(pixels e.values) (Result.bind (ordered e) write)
+
+let insert t ~cls values =
+  let* oid = Obj_store.insert t.objects ~cls values in
+  Provenance.object_inserted t.prov ~cls oid;
+  Ok [ oid ]
 
 (* A primitive run that found no reuse: evaluate and commit. *)
 let run_primitive ?checked t (p : Process.t) inputs =
-  let process = p.Process.proc_name and version = p.Process.version in
-  Events.emit t.bus (Events.Cache_miss { process; version });
-  let* pairs = eval_primitive ?checked t p inputs in
-  commit t ~process ~version ~params:p.Process.params
-    ~output_class:p.Process.output_class inputs pairs
-    ~write:(insert t ~cls:p.Process.output_class)
+  Events.emit t.bus
+    (Events.Cache_miss
+       { process = p.Process.proc_name; version = p.Process.version });
+  let* e = eval_primitive ?checked t p inputs in
+  commit_primitive t p inputs e ~write:(insert t ~cls:p.Process.output_class)
 
 (* A DERIVE step: the search proves the binding unfired and checks it,
    once, so it is evaluated and committed with no second reuse probe
@@ -384,12 +433,15 @@ let interpolate_values t ~cls ~at (o1, o2) =
            def.Schema.attributes
        end)
 
+let values_of pairs = Array.of_list (List.map snd pairs)
+
 let interpolate t ~cls ~at (o1, o2) =
   let* pairs = interpolate_values t ~cls ~at (o1, o2) in
+  let values = values_of pairs in
   commit t ~process:interpolation_process ~version:0
     ~params:[ ("at", Value.abstime at) ] ~output_class:cls
     [ ("a", [ o1 ]); ("b", [ o2 ]) ]
-    pairs ~write:(insert t ~cls)
+    ~pixels:(pixels values) (insert t ~cls values)
 
 let recompute_task t (task : Task.t) =
   if is_interpolation task then begin
@@ -416,7 +468,14 @@ let recompute_task t (task : Task.t) =
       Error
         (Gaea_error.Unknown_process
            { name = task.Task.process; version = Some task.Task.process_version })
-    | Some p -> eval_primitive t p task.Task.inputs
+    | Some p ->
+      let* e = eval_primitive t p task.Task.inputs in
+      Ok
+        (Array.to_list
+           (Array.map2
+              (fun target v -> (target, v))
+              (Template.targets e.firing.program)
+              e.values))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental refresh                                                 *)
@@ -430,6 +489,19 @@ type refresh_report = {
   skip_reasons : (Oid.t * string) list;
 }
 
+(* A producing task of a stale object awaiting its refresh: the tasks
+   producing its stale inputs, its wave depth ([unvisited], or [none]
+   while visited and on a provenance cycle), and whether it failed. *)
+type pending = {
+  task : Task.t;
+  mutable deps : int list;
+  mutable depth : int;
+  mutable failed : bool;
+}
+
+let unvisited = -2
+let none = -1
+
 (* Refresh commits one producing task of a stale object at a time, on
    the calling domain, by wave depth (one more than its deepest stale
    producer's), then by producing task id: the order a full
@@ -441,81 +513,76 @@ type refresh_report = {
    (refreshing from a stale input would diverge from a full
    re-derivation). *)
 let refresh ?only t =
-  (* -- the work set: stale oids, optionally a target slice plus its
-     stale upstream closure (refreshing a target under stale ancestors
-     would bake stale values into a "fresh" result) -- *)
-  let work = Hashtbl.create 32 in
-  (match only with
-   | None ->
-     List.iter
-       (fun oid -> Hashtbl.replace work oid ())
-       (Provenance.stale t.prov)
-   | Some targets ->
-     let rec add oid =
-       if Provenance.is_stale t.prov oid && not (Hashtbl.mem work oid)
-       then begin
-         Hashtbl.replace work oid ();
-         match Provenance.task_producing t.prov oid with
-         | None -> ()
-         | Some task -> List.iter add (Task.input_oids task)
-       end
-     in
-     List.iter add targets);
-  (* -- the producing task of each stale object -- *)
-  let producers : (int, Task.t) Hashtbl.t = Hashtbl.create 32 in
-  let owner : (Oid.t, int) Hashtbl.t = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun oid () ->
-      match Provenance.task_producing t.prov oid with
-      | None -> ()
-      | Some task ->
-        Hashtbl.replace owner oid task.Task.task_id;
-        Hashtbl.replace producers task.Task.task_id task)
-    work;
-  let deps_of (task : Task.t) =
-    List.sort_uniq Int.compare
-      (List.filter_map (Hashtbl.find_opt owner) (Task.input_oids task))
+  (* -- the work set: the producing task of each stale oid, optionally
+     of a target slice plus its stale upstream closure (refreshing a
+     target under stale ancestors would bake stale values into a
+     "fresh" result) -- *)
+  let from =
+    match only with None -> Provenance.stale t.prov | Some targets -> targets
   in
+  let owner : int Oid.Tbl.t = Oid.Tbl.create (List.length from) in
+  let pending : pending Oid.Tbl.t = Oid.Tbl.create (List.length from) in
+  let own oid =
+    match Provenance.task_producing t.prov oid with
+    | None -> None
+    | Some task ->
+      let id = task.Task.task_id in
+      Oid.Tbl.replace owner oid id;
+      if not (Oid.Tbl.mem pending id) then
+        Oid.Tbl.replace pending id
+          { task; deps = []; depth = unvisited; failed = false };
+      Some task
+  in
+  (match only with
+   | None -> List.iter (fun oid -> ignore (own oid)) from
+   | Some _ ->
+     let rec add oid =
+       if Provenance.is_stale t.prov oid && not (Oid.Tbl.mem owner oid) then
+         Option.iter
+           (fun task -> List.iter add (Task.input_oids task))
+           (own oid)
+     in
+     List.iter add from);
+  (* each task's stale producers, once *)
+  Oid.Tbl.iter
+    (fun _ p ->
+      p.deps <-
+        List.sort_uniq Int.compare
+          (List.filter_map (Oid.Tbl.find_opt owner) (Task.input_oids p.task)))
+    pending;
   (* wave depth; a task on a provenance cycle gets none and stays stale *)
-  let depths : (int, int option) Hashtbl.t = Hashtbl.create 32 in
-  let rec depth id =
-    match Hashtbl.find_opt depths id with
-    | Some d -> d
-    | None ->
-      Hashtbl.replace depths id None;
-      let d =
+  let rec depth p =
+    if p.depth = unvisited then begin
+      p.depth <- none;
+      p.depth <-
         List.fold_left
           (fun acc dep ->
-            match acc, depth dep with
-            | Some a, Some b -> Some (max a (b + 1))
-            | _ -> None)
-          (Some 0)
-          (deps_of (Hashtbl.find producers id))
-      in
-      Hashtbl.replace depths id d;
-      d
+            let d = depth (Oid.Tbl.find pending dep) in
+            if acc = none || d = none then none else max acc (d + 1))
+          0 p.deps
+    end;
+    p.depth
   in
   let order =
-    Hashtbl.fold
-      (fun id task acc ->
-        match depth id with Some d -> (d, id, task) :: acc | None -> acc)
-      producers []
-    |> List.sort (fun (d1, id1, _) (d2, id2, _) ->
-           compare (d1, id1) (d2, id2))
+    Oid.Tbl.fold
+      (fun _ p acc -> if depth p = none then acc else p :: acc)
+      pending []
+    |> List.sort (fun a b ->
+           match Int.compare a.depth b.depth with
+           | 0 -> Int.compare a.task.Task.task_id b.task.Task.task_id
+           | c -> c)
   in
   let refreshed = ref 0 in
   let new_tasks = ref [] in
   (* write refreshed values over the old outputs, in place *)
-  let overwrite cls outputs pairs =
+  let overwrite cls outputs values =
     Gaea_error.map_m
       (fun oid ->
-        Obj_store.update t.objects ~cls oid pairs
-        |> Result.map (fun () ->
-               Provenance.object_changed t.prov oid;
-               oid))
+        let* () = Obj_store.replace t.objects ~cls oid values in
+        Provenance.object_changed t.prov oid;
+        Ok oid)
       outputs
   in
-  let failed : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let skip_reasons = ref [] in
   (* an interpolation is recomputed as it was recorded, a primitive
      by the latest version of its process *)
@@ -523,20 +590,19 @@ let refresh ?only t =
     let committed =
       if is_interpolation task then
         let* pairs = recompute_task t task in
+        let values = values_of pairs in
         commit t ~process:task.Task.process ~version:task.Task.process_version
           ~params:task.Task.params ~output_class:task.Task.output_class
-          task.Task.inputs pairs
-          ~write:(overwrite task.Task.output_class task.Task.outputs)
+          task.Task.inputs ~pixels:(pixels values)
+          (overwrite task.Task.output_class task.Task.outputs values)
       else
         match Proc_registry.find t.procs task.Task.process with
         | None ->
           Gaea_error.err
             (Printf.sprintf "process %s not in registry" task.Task.process)
         | Some p ->
-          let* pairs = eval_primitive t p task.Task.inputs in
-          commit t ~process:p.Process.proc_name ~version:p.Process.version
-            ~params:p.Process.params ~output_class:p.Process.output_class
-            task.Task.inputs pairs
+          let* e = eval_primitive t p task.Task.inputs in
+          commit_primitive t p task.Task.inputs e
             ~write:(overwrite p.Process.output_class task.Task.outputs)
     in
     match committed with
@@ -555,25 +621,25 @@ let refresh ?only t =
       Ok ()
   in
   List.iter
-    (fun (_, id, (task : Task.t)) ->
+    (fun p ->
       let result =
-        if List.exists (Hashtbl.mem failed) (deps_of task) then
-          Error "stale input not refreshable"
-        else refresh_task task
+        if List.exists (fun dep -> (Oid.Tbl.find pending dep).failed) p.deps
+        then Error "stale input not refreshable"
+        else refresh_task p.task
       in
       match result with
       | Ok () -> ()
       | Error reason ->
-        Hashtbl.replace failed id ();
+        p.failed <- true;
         List.iter
           (fun oid ->
-            if Hashtbl.mem work oid then
+            if Oid.Tbl.mem owner oid then
               skip_reasons := (oid, reason) :: !skip_reasons)
-          task.Task.outputs)
+          p.task.Task.outputs)
     order;
   let skip_reasons = List.rev !skip_reasons in
   { refreshed = !refreshed;
     skipped = List.length skip_reasons;
-    remaining = List.length (Provenance.stale t.prov);
+    remaining = Provenance.stale_count t.prov;
     tasks = List.rev !new_tasks;
     skip_reasons }

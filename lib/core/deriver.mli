@@ -1,6 +1,14 @@
 (** The deriver: template evaluation, binding search, process
     execution and incremental refresh.
 
+    A primitive process version is compiled once, at its first firing
+    ({!Template.compile} against its arguments' classes, its parameters
+    and the operator registry, with its output class's attribute
+    layout), and kept while every name in it resolved; a firing then
+    evaluates the compiled form on its binding and hands the values to
+    the object store in attribute order.  Evaluation is pure: nothing
+    is written until the commit.
+
     Before running a primitive process the deriver looks its binding
     up in the provenance reuse index ({!Provenance.find_reusable}):
     a recorded task whose outputs are still stored is served as is.
@@ -11,7 +19,10 @@
     Every derived value is committed by the deriver, through one
     helper: a DERIVE or an interpolation inserts a new object, a
     REFRESH overwrites the stale one in place, and each then counts the
-    pixels and records the task. *)
+    pixels and records the task.  Every error a firing returns is the
+    one evaluating the template by name would return, at the same
+    point: a name that does not resolve fails when it is read, never at
+    definition. *)
 
 module Oid = Gaea_storage.Oid
 
@@ -25,6 +36,11 @@ val create :
   -> prov:Provenance.t
   -> bus:Events.bus
   -> t
+
+val forget_compiled : t -> unit
+(** Drop every compiled process version (see {!execute_process}); the
+    kernel calls it wherever it drops the memoized derivation net, when
+    a class or a process is defined. *)
 
 val find_binding :
   t -> ?fresh:bool -> Process.t -> available:(string * Oid.t list) list

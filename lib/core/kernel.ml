@@ -6,6 +6,8 @@ module Registry = Gaea_adt.Registry
 module Marking = Gaea_petri.Marking
 module Events = Events
 
+let ( let* ) r f = Result.bind r f
+
 type counters = Events.counters = {
   mutable executions : int;
   mutable retrievals : int;
@@ -68,9 +70,14 @@ let counters t = Events.counters t.bus
 let clock t = Provenance.clock t.prov
 
 (* classes *)
+(* a definition changes the derivation net and what a process version
+   compiles against *)
+let definitions_changed t =
+  Provenance.invalidate_net t.prov;
+  Deriver.forget_compiled t.deriver
+
 let define_class t cls =
-  Catalog.define t.catalog cls
-  |> Result.map (fun () -> Provenance.invalidate_net t.prov)
+  Catalog.define t.catalog cls |> Result.map (fun () -> definitions_changed t)
 
 let find_class t name = Catalog.find t.catalog name
 let classes t = Catalog.classes t.catalog
@@ -78,14 +85,15 @@ let class_table t name = Catalog.table t.catalog name
 
 (* objects *)
 let insert_object t ~cls pairs =
-  Obj_store.insert t.objects ~cls pairs
-  |> Result.map (fun oid ->
-         Provenance.object_inserted t.prov ~cls oid;
-         oid)
+  let* values = Obj_store.resolve t.objects ~cls pairs in
+  let* oid = Obj_store.insert t.objects ~cls values in
+  Provenance.object_inserted t.prov ~cls oid;
+  Ok oid
 
 let insert_object_with_oid t ~cls oid pairs =
-  Obj_store.insert_with_oid t.objects ~cls oid pairs
-  |> Result.map (fun () -> Provenance.object_inserted t.prov ~cls oid)
+  let* values = Obj_store.resolve t.objects ~cls pairs in
+  let* () = Obj_store.insert_with_oid t.objects ~cls oid values in
+  Ok (Provenance.object_inserted t.prov ~cls oid)
 
 let object_attr t ~cls oid attr = Obj_store.attr t.objects ~cls oid attr
 let objects_of_class t cls = Obj_store.oids_of_class t.objects cls
@@ -107,7 +115,7 @@ let define_process t p =
   let name = p.Process.proc_name in
   Proc_registry.define t.procs p
   |> Result.map (fun () ->
-         Provenance.invalidate_net t.prov;
+         definitions_changed t;
          (* a first version supersedes nothing *)
          if List.length (Proc_registry.versions t.procs name) > 1 then
            Provenance.process_defined t.prov ~name ~version:p.Process.version)

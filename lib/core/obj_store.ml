@@ -1,6 +1,7 @@
 module Table = Gaea_storage.Table
 module Tuple = Gaea_storage.Tuple
 module Oid = Gaea_storage.Oid
+module Value = Gaea_adt.Value
 
 let ( let* ) r f = Result.bind r f
 
@@ -17,27 +18,48 @@ let create ~catalog ~bus =
 let last_oid t = Oid.current t.alloc
 let advance_oids t oid = Oid.advance_to t.alloc oid
 
+let table t cls =
+  Option.to_result (Catalog.table t.catalog cls)
+    ~none:(Gaea_error.Unknown_class cls)
+
 let unknown_attrs cls extra =
   Gaea_error.err
-    (Printf.sprintf "%s: unknown attribute(s) %s" cls
-       (String.concat ", " (List.map fst extra)))
+    (Printf.sprintf "%s: unknown attribute(s) %s" cls (String.concat ", " extra))
 
-(* The one insert validation: the class exists and the pairs name
-   every one of its attributes and no other.  Returns the table and the
-   values in attribute order. *)
-let validate t ~cls pairs =
-  match Catalog.entry t.catalog cls with
-  | None -> Error (Gaea_error.Unknown_class cls)
-  | Some (def, tab) ->
-    let attrs = Schema.attr_names def in
-    let missing = List.filter (fun a -> not (List.mem_assoc a pairs)) attrs in
-    let extra = List.filter (fun (a, _) -> not (List.mem a attrs)) pairs in
-    if missing <> [] then
-      Gaea_error.err
-        (Printf.sprintf "%s: missing attribute(s) %s" cls
-           (String.concat ", " missing))
-    else if extra <> [] then unknown_attrs cls extra
-    else Ok (tab, List.map (fun a -> List.assoc a pairs) attrs)
+(* an attribute no pair has named yet, told apart by identity *)
+let unset = Value.string "\000unset"
+
+(* [pairs] by position in one walk over them, each name looked up in
+   the descriptor: the first pair naming an attribute wins, as
+   [List.assoc] would; the names of no attribute come back in order *)
+let place desc pairs =
+  let values = Array.make (Tuple.arity desc) unset in
+  let rec go extra = function
+    | [] -> (values, List.rev extra)
+    | (a, v) :: rest ->
+      (match Tuple.attr_index desc a with
+       | None -> go (a :: extra) rest
+       | Some i ->
+         if values.(i) == unset then values.(i) <- v;
+         go extra rest)
+  in
+  go [] pairs
+
+(* The one by-name validation: the class exists and the pairs name
+   every one of its attributes and no other. *)
+let resolve t ~cls pairs =
+  let* tab = table t cls in
+  let desc = Table.descriptor tab in
+  let values, extra = place desc pairs in
+  if Array.exists (( == ) unset) values then
+    Gaea_error.err
+      (Printf.sprintf "%s: missing attribute(s) %s" cls
+         (String.concat ", "
+            (List.filteri
+               (fun i _ -> values.(i) == unset)
+               (List.init (Array.length values) (Tuple.attr_name desc)))))
+  else if extra <> [] then unknown_attrs cls extra
+  else Ok values
 
 let add_row t ~cls tab oid values =
   match Table.insert tab oid values with
@@ -46,33 +68,42 @@ let add_row t ~cls tab oid values =
     Oid.Tbl.replace t.oid_class oid cls;
     Ok ()
 
-let insert t ~cls pairs =
-  let* tab, values = validate t ~cls pairs in
+(* the OID is spent before the row is stored, so a tuple the table
+   rejects still spends one *)
+let insert t ~cls values =
+  let* tab = table t cls in
   let oid = Oid.fresh t.alloc in
   let* () = add_row t ~cls tab oid values in
   Events.emit t.bus (Events.Object_inserted { cls; oid });
   Ok oid
 
-let insert_with_oid t ~cls oid pairs =
-  let* tab, values = validate t ~cls pairs in
+let insert_with_oid t ~cls oid values =
+  let* tab = table t cls in
   let* () = add_row t ~cls tab oid values in
   Oid.advance_to t.alloc oid;
   Ok ()
 
-(* the live object's class and table, checked against the class named *)
+(* the live object's table, checked against the class named *)
 let owned t ~cls oid =
   match Oid.Tbl.find_opt t.oid_class oid with
   | None -> Error (Gaea_error.Unknown_object oid)
   | Some actual when actual <> cls -> Error (Gaea_error.Wrong_class { oid; cls })
-  | Some _ ->
-    (match Catalog.entry t.catalog cls with
-     | Some entry -> Ok entry
-     | None -> Error (Gaea_error.Unknown_class cls))
+  | Some _ -> table t cls
+
+let rewrite t ~cls tab oid values =
+  match Table.replace tab oid values with
+  | Error e -> Error (Gaea_error.Storage_error e)
+  | Ok () ->
+    Events.emit t.bus (Events.Object_updated { cls; oid });
+    Ok ()
+
+let replace t ~cls oid values =
+  let* tab = owned t ~cls oid in
+  rewrite t ~cls tab oid values
 
 let update t ~cls oid pairs =
-  let* def, tab = owned t ~cls oid in
-  let attrs = Schema.attr_names def in
-  let extra = List.filter (fun (a, _) -> not (List.mem a attrs)) pairs in
+  let* tab = owned t ~cls oid in
+  let values, extra = place (Table.descriptor tab) pairs in
   if extra <> [] then unknown_attrs cls extra
   else
     match Table.get tab oid with
@@ -81,23 +112,13 @@ let update t ~cls oid pairs =
         (Gaea_error.Storage_error
            (Printf.sprintf "update of %s #%d: tuple missing" cls oid))
     | Some old ->
-      let current = List.combine attrs (Tuple.values old) in
-      let values =
-        List.map
-          (fun a ->
-            match List.assoc_opt a pairs with
-            | Some v -> v
-            | None -> List.assoc a current)
-          attrs
-      in
-      (match Table.replace tab oid values with
-       | Error e -> Error (Gaea_error.Storage_error e)
-       | Ok () ->
-         Events.emit t.bus (Events.Object_updated { cls; oid });
-         Ok ())
+      Array.iteri
+        (fun i v -> if v == unset then values.(i) <- Tuple.get old i)
+        values;
+      rewrite t ~cls tab oid values
 
 let delete t ~cls oid =
-  let* _, tab = owned t ~cls oid in
+  let* tab = owned t ~cls oid in
   if Table.delete tab oid then begin
     Oid.Tbl.remove t.oid_class oid;
     Events.emit t.bus (Events.Object_deleted { cls; oid });

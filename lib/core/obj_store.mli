@@ -11,21 +11,29 @@ type t
 
 val create : catalog:Catalog.t -> bus:Events.bus -> t
 
-val insert :
+val resolve :
   t -> cls:string -> (string * Gaea_adt.Value.t) list
-  -> (Oid.t, Gaea_error.t) result
-(** Attribute-name/value pairs; every class attribute must be given
-    exactly once, and no other.  Allocates the OID before storing, so
-    a tuple the table rejects still spends one.  Emits
-    [Object_inserted]. *)
+  -> (Gaea_adt.Value.t array, Gaea_error.t) result
+(** Attribute-name/value pairs in attribute order, in one walk over the
+    pairs: every class attribute must be given, and no other (the first
+    pair naming an attribute wins). *)
+
+val insert :
+  t -> cls:string -> Gaea_adt.Value.t array -> (Oid.t, Gaea_error.t) result
+(** The one insert: values in attribute order ({!resolve} turns pairs
+    into them), which the stored tuple takes over.  Allocates the OID
+    before storing, so a tuple the table rejects still spends one.
+    Emits [Object_inserted]. *)
 
 val insert_with_oid :
-  t -> cls:string -> Oid.t -> (string * Gaea_adt.Value.t) list
+  t -> cls:string -> Oid.t -> Gaea_adt.Value.t array
   -> (unit, Gaea_error.t) result
-(** Insert under a caller-chosen OID (kernel restore), validated as
-    {!insert} is; advances the allocator past it.  Event-silent:
-    restores must not look like fresh mutations in the event log or
-    the counters. *)
+(** {!insert} under a caller-chosen OID (kernel restore); advances the
+    allocator past it.  Event-silent: restores must not look like fresh
+    mutations in the event log or the counters. *)
+
+val unknown_attrs : string -> string list -> ('a, Gaea_error.t) result
+(** The error naming attributes the class [cls] does not have. *)
 
 val last_oid : t -> Oid.t
 (** Highest OID allocated so far, deleted objects included. *)
@@ -37,7 +45,14 @@ val update :
   t -> cls:string -> Oid.t -> (string * Gaea_adt.Value.t) list
   -> (unit, Gaea_error.t) result
 (** Replace the named attributes in place, keeping the OID and any
-    unnamed attributes.  Emits [Object_updated] on success. *)
+    unnamed attributes; the pairs are placed as {!resolve} places them.
+    Emits [Object_updated] on success. *)
+
+val replace :
+  t -> cls:string -> Oid.t -> Gaea_adt.Value.t array
+  -> (unit, Gaea_error.t) result
+(** {!update} with every attribute given, in attribute order, as
+    {!insert} takes them. *)
 
 val delete : t -> cls:string -> Oid.t -> (unit, Gaea_error.t) result
 (** [Error (Unknown_object oid)] when no class owns the oid,

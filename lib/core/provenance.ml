@@ -66,21 +66,21 @@ let index t (task : Task.t) =
       let old = Oid.Tbl.find_opt t.producer oid in
       Oid.Tbl.replace t.producer oid task;
       (* a task producing none of its outputs any more is no consumer *)
-      Option.iter
-        (fun (old : Task.t) ->
-          let produces o =
-            Option.fold ~none:false ~some:(( == ) old) (Oid.Tbl.find_opt t.producer o)
-          in
-          if not (List.exists produces old.Task.outputs) then begin
-            Oid.Tbl.remove t.entry_of old.Task.task_id;
-            List.iter
-              (fun i ->
-                Oid.Tbl.replace t.users i
-                  (List.filter (( != ) old) (users_at t.users i));
-                Oid.Tbl.replace t.superseded i (old :: users_at t.superseded i))
-              (Task.input_oids old)
-          end)
-        old)
+      match old with
+      | None -> ()
+      | Some (old : Task.t) ->
+        let produces o =
+          Option.fold ~none:false ~some:(( == ) old) (Oid.Tbl.find_opt t.producer o)
+        in
+        if not (List.exists produces old.Task.outputs) then begin
+          Oid.Tbl.remove t.entry_of old.Task.task_id;
+          List.iter
+            (fun i ->
+              Oid.Tbl.replace t.users i
+                (List.filter (( != ) old) (users_at t.users i));
+              Oid.Tbl.replace t.superseded i (old :: users_at t.superseded i))
+            (Task.input_oids old)
+        end)
     task.Task.outputs;
   List.iter
     (fun oid ->
@@ -101,7 +101,10 @@ let clock t = t.clock
 (* Reuse                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
+(* a one-argument binding is its own sorted form *)
+let by_name = function
+  | ([] | [ _ ]) as l -> l
+  | l -> List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
 (* a version's parameters are fixed, so they are hashed once; an
    interpolation's change per task and miss the physical check *)
@@ -300,6 +303,11 @@ let stale t =
   List.of_seq (Oid.Tbl.to_seq_keys t.dirty)
   |> List.filter (Obj_store.mem t.objects)
   |> List.sort Int.compare
+
+let stale_count t =
+  Oid.Tbl.fold
+    (fun oid () n -> if Obj_store.mem t.objects oid then n + 1 else n)
+    t.dirty 0
 
 let mark_fresh t oid = Oid.Tbl.remove t.dirty oid
 

@@ -124,6 +124,9 @@ val process_defined : t -> name:string -> version:int -> unit
 val stale : t -> Oid.t list
 (** The dirty set (live objects only), ascending. *)
 
+val stale_count : t -> int
+(** The length of {!stale}, counted without listing it. *)
+
 val is_stale : t -> Oid.t -> bool
 
 val mark_fresh : t -> Oid.t -> unit

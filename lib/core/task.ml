@@ -13,7 +13,9 @@ type t = {
 }
 
 let input_oids t =
-  List.concat_map snd t.inputs |> List.sort_uniq Int.compare
+  match t.inputs with
+  | [ (_, (([] | [ _ ]) as oids)) ] -> oids
+  | inputs -> List.concat_map snd inputs |> List.sort_uniq Int.compare
 
 let iatom i = Sexp.atom (string_of_int i)
 

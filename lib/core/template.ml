@@ -25,137 +25,312 @@ type t = {
 
 let make ~assertions ~mappings = { assertions; mappings }
 
-type env = {
-  arg_objects : string -> Value.t list option;
-  attr_value : string -> int -> string -> (Value.t, Gaea_error.t) result;
-  spatial_attr : string -> string option;
-  temporal_attr : string -> string option;
-  param : string -> Value.t option;
-  apply : string -> Value.t list -> (Value.t, Gaea_error.t) result;
-  arity : string -> [ `Fixed of int | `Variadic ] option;
+(* ------------------------------------------------------------------ *)
+(* Compilation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+module Operator = Gaea_adt.Operator
+module Registry = Gaea_adt.Registry
+module Table = Gaea_storage.Table
+module Tuple = Gaea_storage.Tuple
+module Oid = Gaea_storage.Oid
+
+type scope_arg = {
+  arg : string;
+  cls : string option;
+  table : Table.t option;
+  spatial : string option;
+  temporal : string option;
 }
 
-let ( let* ) r f = Result.bind r f
+(* [arg.attr] resolved: the argument's slot and the attribute's column
+   in its class's tuples, [-1] when the class has no such attribute *)
+type read = {
+  slot : int;
+  attr : string;
+  pos : int;
+}
 
-(* arg.attr per bound object, in binding order. *)
-let attr_values env arg attr =
-  match env.arg_objects arg with
-  | None -> Gaea_error.err (Printf.sprintf "unbound argument %s" arg)
-  | Some objs ->
-    Gaea_error.map_m
-      (fun i -> env.attr_value arg i attr)
-      (List.init (List.length objs) Fun.id)
+type node =
+  | K of Value.t  (* a constant or a bound parameter *)
+  | Fail of Gaea_error.t  (* a name that did not resolve, when reached *)
+  | Read of read
+  | Pick of node  (* ANYOF *)
+  | Call of {
+      op : (Operator.t, Gaea_error.t) result;
+      splice : bool;  (* variadic: a set argument is spliced *)
+      args : node list;
+    }
 
-(* arg.attr: scalar args give the attribute value directly, SETOF args a
-   VSet of per-object attribute values. *)
-let eval_attr_of env arg attr =
-  match env.arg_objects arg with
-  | Some [ _ ] -> env.attr_value arg 0 attr
-  | _ ->
-    let* values = attr_values env arg attr in
-    Ok (Value.set values)
+(* the assertions: an expression that must hold, a cardinality, a
+   common() on an extent with its rule, or one that can only fail *)
+type guard =
+  | Holds of node
+  | Card of { c_slot : int; n : int; exactly : bool }
+  | Shared of {
+      values : read;
+      rule : (Operator.t, Gaea_error.t) result;
+      violated : Gaea_error.t;
+    }
+  | Refuted of Gaea_error.t
 
-let rec eval env = function
-  | Const v -> Ok v
-  | Param name ->
-    (match env.param name with
-     | Some v -> Ok v
-     | None -> Gaea_error.err (Printf.sprintf "unbound parameter %s" name))
-  | Attr_of (arg, attr) -> eval_attr_of env arg attr
-  | Anyof e ->
-    let* v = eval env e in
-    (match v with
-     | Value.VSet (x :: _) -> Ok x
-     | Value.VSet [] -> Gaea_error.err "ANYOF: empty set"
-     | other -> Ok other)
-  | Apply (opname, args) ->
-    let* values = Gaea_error.map_m (eval env) args in
-    (* Splice sets through variadic operators: composite(bands) where
-       bands is SETOF image becomes composite(b1, b2, b3). *)
-    let values =
-      match
-        if List.exists (function Value.VSet _ -> true | _ -> false) values
-        then env.arity opname
-        else None
-      with
-      | Some `Variadic ->
-        List.concat_map
-          (function
-            | Value.VSet items -> items
-            | v -> [ v ])
-          values
-      | Some (`Fixed _) | None -> values
+type program = {
+  slots : scope_arg array;
+  guards : guard list;
+  targets : string array;
+  mapped : node array;
+  complete : bool;
+}
+
+let invalid m = Gaea_error.Invalid m
+let unbound_arg arg = invalid ("unbound argument " ^ arg)
+
+(* what names resolve against; [resolved] turns false at the first
+   operator the registry lacks *)
+type scope = {
+  registry : Registry.t;
+  args : scope_arg array;
+  bound : (string * Value.t) list;
+  mutable resolved : bool;
+}
+
+let slot_of sc arg =
+  let rec find i =
+    if i = Array.length sc.args then None
+    else if sc.args.(i).arg = arg then Some i
+    else find (i + 1)
+  in
+  find 0
+
+let read sc slot attr =
+  let pos =
+    match sc.args.(slot).table with
+    | Some tab ->
+      Option.value ~default:(-1) (Tuple.attr_index (Table.descriptor tab) attr)
+    | None -> -1
+  in
+  { slot; attr; pos }
+
+let operator sc name =
+  match Registry.find_operator sc.registry name with
+  | Some op -> Ok op
+  | None ->
+    sc.resolved <- false;
+    Error (Gaea_error.Eval_error (Printf.sprintf "unknown operator %s" name))
+
+let rec node sc = function
+  | Const v -> K v
+  | Param p ->
+    (match List.assoc_opt p sc.bound with
+     | Some v -> K v
+     | None -> Fail (invalid (Printf.sprintf "unbound parameter %s" p)))
+  | Attr_of (arg, attr) ->
+    (match slot_of sc arg with
+     | Some i -> Read (read sc i attr)
+     | None -> Fail (unbound_arg arg))
+  | Anyof e -> Pick (node sc e)
+  | Apply (name, args) ->
+    let op = operator sc name in
+    let splice =
+      match op with
+      | Ok o -> (Operator.signature o).Operator.variadic <> None
+      | Error _ -> false
     in
-    env.apply opname values
+    Call { op; splice; args = List.map (node sc) args }
 
-let check_assertion env a =
-  match a with
-  | Expr_true e ->
-    let* v = eval env e in
-    (match v with
-     | Value.VBool true -> Ok ()
-     | Value.VBool false ->
-       Gaea_error.err "assertion evaluated to false"
+let guard sc = function
+  | Expr_true e -> Holds (node sc e)
+  | (Card_eq (arg, n) | Card_ge (arg, n)) as a ->
+    (match slot_of sc arg with
+     | Some c_slot ->
+       Card { c_slot; n; exactly = (match a with Card_eq _ -> true | _ -> false) }
+     | None -> Refuted (unbound_arg arg))
+  | Common (arg, attr) ->
+    let slot = slot_of sc arg in
+    let rule =
+      match Option.map (fun i -> sc.args.(i)) slot with
+      | Some s when s.spatial = Some attr ->
+        Some ("common_boxes", "extents do not overlap")
+      | Some s when s.temporal = Some attr ->
+        Some ("common_times", "timestamps disagree")
+      | _ -> None
+    in
+    (match rule, slot with
+     | Some (op, why), Some i ->
+       Shared
+         { values = read sc i attr;
+           rule = operator sc op;
+           violated =
+             invalid (Printf.sprintf "common(%s.%s) violated: %s" arg attr why) }
+     | _ ->
+       Refuted
+         (invalid
+            (Printf.sprintf
+               "common(%s.%s): %s is neither the spatial nor the temporal \
+                extent of %s"
+               arg attr attr arg)))
+
+let compile registry ~scope ~params t =
+  let sc =
+    { registry; args = Array.of_list scope; bound = params; resolved = true }
+  in
+  let guards = List.map (guard sc) t.assertions in
+  let mapped = Array.of_list (List.map (fun m -> node sc m.rhs) t.mappings) in
+  { slots = sc.args;
+    guards;
+    targets = Array.of_list (List.map (fun m -> m.target) t.mappings);
+    mapped;
+    complete =
+      sc.resolved
+      && Array.for_all (fun s -> s.cls = None || s.table <> None) sc.args }
+
+let complete p = p.complete
+let targets p = p.targets
+
+let layout p desc =
+  let positions = Array.make (Tuple.arity desc) (-1) in
+  let extra = ref [] in
+  Array.iteri
+    (fun j target ->
+      match Tuple.attr_index desc target with
+      | None -> extra := target :: !extra
+      | Some i -> if positions.(i) < 0 then positions.(i) <- j)
+    p.targets;
+  let missing =
+    List.filter_map
+      (fun i -> if positions.(i) < 0 then Some (Tuple.attr_name desc i) else None)
+      (List.init (Array.length positions) Fun.id)
+  in
+  (positions, missing, List.rev !extra)
+
+(* ------------------------------------------------------------------ *)
+(* Evaluation                                                          *)
+(* ------------------------------------------------------------------ *)
+
+exception Failed of Gaea_error.t
+
+let fail e = raise_notrace (Failed e)
+let failed m = fail (invalid m)
+
+let bind p inputs =
+  let bound = Array.make (Array.length p.slots) None in
+  for i = 0 to Array.length bound - 1 do
+    bound.(i) <- List.assoc_opt p.slots.(i).arg inputs
+  done;
+  bound
+
+let objects slots inputs slot =
+  match inputs.(slot) with
+  | Some oids -> oids
+  | None -> fail (unbound_arg slots.(slot).arg)
+
+(* the [i]-th object of the argument in [s], at column [r.pos] *)
+let read_one s r i oid =
+  match s.cls with
+  | None -> failed (Printf.sprintf "bad argument reference %s[%d]" s.arg i)
+  | Some cls ->
+    let tuple =
+      match s.table with
+      | Some tab when r.pos >= 0 -> Table.get tab oid
+      | _ -> None
+    in
+    (match tuple with
+     | Some tu -> Tuple.get tu r.pos
+     | None ->
+       failed
+         (Printf.sprintf "object %d of class %s has no attribute %s" oid cls
+            r.attr))
+
+let read_all slots inputs r =
+  List.mapi (read_one slots.(r.slot) r) (objects slots inputs r.slot)
+
+let is_set = function Value.VSet _ -> true | _ -> false
+
+let apply op values =
+  match op with
+  | Error e -> fail e
+  | Ok op ->
+    (match Operator.apply op values with
+     | Ok v -> v
+     | Error m -> fail (Gaea_error.Eval_error m))
+
+let rec eval slots inputs = function
+  | K v -> v
+  | Fail e -> fail e
+  | Read r ->
+    (* a scalar argument gives the value, a SETOF one the set *)
+    (match inputs.(r.slot) with
+     | Some [ oid ] -> read_one slots.(r.slot) r 0 oid
+     | _ -> Value.set (read_all slots inputs r))
+  | Pick n ->
+    (match eval slots inputs n with
+     | Value.VSet (x :: _) -> x
+     | Value.VSet [] -> failed "ANYOF: empty set"
+     | other -> other)
+  | Call { op; splice; args } ->
+    let values = eval_list slots inputs args in
+    (* composite(bands) where bands is SETOF image becomes
+       composite(b1, b2, b3) *)
+    let values =
+      if splice && List.exists is_set values then
+        List.concat_map
+          (function Value.VSet items -> items | v -> [ v ])
+          values
+      else values
+    in
+    apply op values
+
+and eval_list slots inputs = function
+  | [] -> []
+  | n :: rest ->
+    let v = eval slots inputs n in
+    v :: eval_list slots inputs rest
+
+let guard slots inputs = function
+  | Holds n ->
+    (match eval slots inputs n with
+     | Value.VBool true -> ()
+     | Value.VBool false -> failed "assertion evaluated to false"
      | other ->
-       Gaea_error.err
+       failed
          (Printf.sprintf "assertion evaluated to non-boolean %s"
             (Value.to_display other)))
-  | Card_eq (arg, n) ->
-    (match env.arg_objects arg with
-     | None -> Gaea_error.err (Printf.sprintf "unbound argument %s" arg)
-     | Some objs ->
-       let c = List.length objs in
-       if c = n then Ok ()
-       else Gaea_error.err (Printf.sprintf "card(%s) = %d, requires exactly %d" arg c n))
-  | Card_ge (arg, n) ->
-    (match env.arg_objects arg with
-     | None -> Gaea_error.err (Printf.sprintf "unbound argument %s" arg)
-     | Some objs ->
-       let c = List.length objs in
-       if c >= n then Ok ()
-       else Gaea_error.err (Printf.sprintf "card(%s) = %d, requires at least %d" arg c n))
-  | Common (arg, attr) ->
-    let rule =
-      if env.spatial_attr arg = Some attr then
-        Some ("common_boxes", "extents do not overlap")
-      else if env.temporal_attr arg = Some attr then
-        Some ("common_times", "timestamps disagree")
-      else None
-    in
-    (match rule with
-     | None ->
-       Gaea_error.err
-         (Printf.sprintf
-            "common(%s.%s): %s is neither the spatial nor the temporal \
-             extent of %s"
-            arg attr attr arg)
-     | Some (op, why) ->
-       let* values = attr_values env arg attr in
-       let* result = env.apply op [ Value.set values ] in
-       (match result with
-        | Value.VBool true -> Ok ()
-        | _ ->
-          Gaea_error.err
-            (Printf.sprintf "common(%s.%s) violated: %s" arg attr why)))
+  | Card { c_slot; n; exactly } ->
+    let c = List.length (objects slots inputs c_slot) in
+    let arg = slots.(c_slot).arg in
+    if exactly && c <> n then
+      failed (Printf.sprintf "card(%s) = %d, requires exactly %d" arg c n)
+    else if (not exactly) && c < n then
+      failed (Printf.sprintf "card(%s) = %d, requires at least %d" arg c n)
+  | Shared { values; rule; violated } ->
+    (match apply rule [ Value.set (read_all slots inputs values) ] with
+     | Value.VBool true -> ()
+     | _ -> fail violated)
+  | Refuted e -> fail e
 
-let check_assertions env t =
-  List.fold_left
-    (fun acc a ->
-      let* () = acc in
-      match check_assertion env a with
-      | Ok () -> Ok ()
-      | Error e -> Error e)
-    (Ok ()) t.assertions
+let check p inputs =
+  match List.iter (guard p.slots inputs) p.guards with
+  | () -> Ok ()
+  | exception Failed e -> Error e
 
-let eval_mappings env t =
-  let rec go = function
-    | [] -> Ok []
-    | m :: rest ->
-      (match eval env m.rhs with
-       | Ok v -> Result.map (List.cons (m.target, v)) (go rest)
-       | Error e -> Error (Gaea_error.Context ("mapping " ^ m.target, e)))
-  in
-  go t.mappings
+let rec run_from p inputs values i =
+  if i = Array.length values then Ok values
+  else
+    match eval p.slots inputs p.mapped.(i) with
+    | v ->
+      values.(i) <- v;
+      run_from p inputs values (i + 1)
+    | exception Failed e ->
+      Error (Gaea_error.Context ("mapping " ^ p.targets.(i), e))
+
+let run p inputs =
+  run_from p inputs (Array.make (Array.length p.mapped) (Value.VBool false)) 0
+
+let eval_closed registry e =
+  let sc = { registry; args = [||]; bound = []; resolved = true } in
+  match eval [||] [||] (node sc e) with
+  | v -> Ok v
+  | exception Failed e -> Error e
 
 let rec expr_to_string = function
   | Const v -> Value.to_display v

@@ -14,11 +14,11 @@
     }
     v}
 
-    Expressions are evaluated against an {!env} of argument bindings and
-    process parameters, applying operators from the system-level
-    registry.  A [SETOF] argument's attribute reference yields a
-    [VSet]; passing a set to a {e variadic} operator splices it into
-    individual arguments (so [composite(bands)] works as in the
+    Expressions are evaluated against a binding of the process's
+    arguments and its parameters, applying operators from the
+    system-level registry.  A [SETOF] argument's attribute reference
+    yields a [VSet]; passing a set to a {e variadic} operator splices it
+    into individual arguments (so [composite(bands)] works as in the
     paper). *)
 
 type expr =
@@ -48,31 +48,65 @@ type t = {
 
 val make : assertions:assertion list -> mappings:mapping list -> t
 
-(** Evaluation environment, supplied by the kernel. *)
-type env = {
-  arg_objects : string -> Gaea_adt.Value.t list option;
-  (** objects bound to an argument: singleton for scalar args, any
-      number for SETOF args; the values are the objects' attribute
-      tuples rendered per attribute via [attr_value] *)
-  attr_value : string -> int -> string -> (Gaea_adt.Value.t, Gaea_error.t) result;
-  (** [attr_value arg i attr]: attribute of the i-th object of [arg] *)
-  spatial_attr : string -> string option;
-  (** spatial-extent attribute name of the argument's class *)
-  temporal_attr : string -> string option;
-  param : string -> Gaea_adt.Value.t option;
-  apply : string -> Gaea_adt.Value.t list -> (Gaea_adt.Value.t, Gaea_error.t) result;
-  (** operator application through the registry *)
-  arity : string -> [ `Fixed of int | `Variadic ] option;
-  (** operator arity, for set splicing *)
+(** {1 Compiled templates}
+
+    A template is compiled once per process version against its scope
+    (the process's arguments and their classes' tuple layouts), its
+    parameters and the operator registry: each [arg.attr] becomes an
+    argument slot and a column position, each operator is resolved and
+    knows whether it is variadic, each parameter is a constant.  A name
+    that does not resolve compiles to the error reading it would give,
+    raised when (and only when) evaluation reaches it, so a compiled
+    template fails where and as the definition says. *)
+
+type scope_arg = {
+  arg : string;
+  cls : string option;
+  (** the declared class; [None] for a name the process does not
+      declare, whose every read is a bad argument reference *)
+  table : Gaea_storage.Table.t option;  (** the class's table, if defined *)
+  spatial : string option;  (** the class's spatial-extent attribute *)
+  temporal : string option;  (** the class's temporal-extent attribute *)
 }
 
-val eval : env -> expr -> (Gaea_adt.Value.t, Gaea_error.t) result
+type program
 
-val check_assertion : env -> assertion -> (unit, Gaea_error.t) result
-(** [Error] describes which guard failed and why. *)
+val compile :
+  Gaea_adt.Registry.t -> scope:scope_arg list
+  -> params:(string * Gaea_adt.Value.t) list -> t -> program
 
-val check_assertions : env -> t -> (unit, Gaea_error.t) result
-val eval_mappings : env -> t -> ((string * Gaea_adt.Value.t) list, Gaea_error.t) result
+val complete : program -> bool
+(** Every operator and every declared class resolved: the program
+    reads exactly as a later compilation would. *)
+
+val targets : program -> string array
+(** The mapping targets, in mapping order. *)
+
+val layout : program -> Gaea_storage.Tuple.descriptor -> int array * string list * string list
+(** Against the output class's tuple layout: per attribute the first
+    mapping that targets it ([-1] for none), the attributes no mapping
+    targets, and the targets that are no attribute, in order. *)
+
+val bind :
+  program -> (string * Gaea_storage.Oid.t list) list
+  -> Gaea_storage.Oid.t list option array
+(** A binding by slot. *)
+
+val check :
+  program -> Gaea_storage.Oid.t list option array -> (unit, Gaea_error.t) result
+(** The assertions, in order: [Error] describes which guard failed and
+    why. *)
+
+val run :
+  program -> Gaea_storage.Oid.t list option array
+  -> (Gaea_adt.Value.t array, Gaea_error.t) result
+(** The mappings' values, in mapping order; an error is wrapped in the
+    context of the mapping it came from. *)
+
+val eval_closed :
+  Gaea_adt.Registry.t -> expr -> (Gaea_adt.Value.t, Gaea_error.t) result
+(** An expression compiled against the empty scope and evaluated: no
+    argument and no parameter is bound. *)
 
 val expr_to_string : expr -> string
 val assertion_to_string : assertion -> string

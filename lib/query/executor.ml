@@ -47,22 +47,7 @@ let experiments t = t.experiments
 let ( let* ) r f = Result.bind r f
 
 (* evaluate an expression with no argument bindings (INSERT values) *)
-let eval_standalone t expr =
-  let reg = Kernel.registry t.kernel in
-  let env =
-    { Template.arg_objects = (fun _ -> None);
-      attr_value = (fun a _ _ -> Gaea_error.err ("no argument " ^ a ^ " in this context"));
-      spatial_attr = (fun _ -> None);
-      temporal_attr = (fun _ -> None);
-      param = (fun _ -> None);
-      apply =
-        (fun op args ->
-          Result.map_error
-            (fun e -> Gaea_error.Eval_error e)
-            (Registry.apply reg op args));
-      arity = Registry.arity reg }
-  in
-  Template.eval env expr
+let eval_standalone t expr = Template.eval_closed (Kernel.registry t.kernel) expr
 
 (* ------------------------------------------------------------------ *)
 (* Predicates                                                          *)
@@ -286,6 +271,30 @@ let write_int b pos n =
   else write_digits b (pos + len) n;
   pos + len
 
+(* A reply of strings and ints, sized exactly and written once *)
+type piece =
+  | Str of string
+  | Int of int
+
+let render pieces =
+  let b =
+    Bytes.create
+      (List.fold_left
+         (fun n -> function
+           | Str s -> n + String.length s
+           | Int i -> n + decimal_length i)
+         0 pieces)
+  in
+  ignore
+    (List.fold_left
+       (fun pos -> function
+         | Str s ->
+           Bytes.blit_string s 0 b pos (String.length s);
+           pos + String.length s
+         | Int i -> write_int b pos i)
+       0 pieces);
+  Bytes.unsafe_to_string b
+
 (* the number of [oids] and the length of ", <oid>" for each of them,
    and their writer *)
 let rec listed_length count len = function
@@ -322,9 +331,7 @@ let outcome_message outcome =
            | Derivation.Interpolated (cls, oid) ->
              Printf.sprintf "interpolated object %d of %s" oid cls
            | Derivation.Fired (p, v, id) ->
-             String.concat ""
-               [ "fired "; p; " v"; string_of_int v; " (task #";
-                 string_of_int id; ")" ])
+             render [ Str "fired "; Str p; Str " v"; Int v; Str " (task #"; Int id; Str ")" ])
          outcome.Derivation.trace)
   in
   let b =
@@ -351,10 +358,10 @@ let render_refresh (r : Kernel.refresh_report) =
       ^ String.concat "\n"
           (List.map (fun (oid, why) -> Printf.sprintf "  #%d: %s" oid why) rs)
   in
-  Printf.sprintf "refreshed %d object(s) (%d task(s)), %d left stale%s"
-    r.Kernel.refreshed
-    (List.length r.Kernel.tasks)
-    r.Kernel.remaining skipped
+  render
+    [ Str "refreshed "; Int r.Kernel.refreshed; Str " object(s) (";
+      Int (List.length r.Kernel.tasks); Str " task(s)), ";
+      Int r.Kernel.remaining; Str " left stale"; Str skipped ]
 
 let execute t stmt =
   match stmt with
@@ -413,10 +420,10 @@ let execute t stmt =
         (Ok []) values
     in
     let* oid = Kernel.insert_object t.kernel ~cls (List.rev pairs) in
-    Ok (Message (Printf.sprintf "object %d inserted into %s" oid cls))
+    Ok (Message (render [ Str "object "; Int oid; Str " inserted into "; Str cls ]))
   | Ast.Delete { cls; oid } ->
     let* () = Kernel.delete_object t.kernel ~cls oid in
-    Ok (Message (Printf.sprintf "object %d deleted from %s" oid cls))
+    Ok (Message (render [ Str "object "; Int oid; Str " deleted from "; Str cls ]))
   | Ast.Select s -> execute_select t s
   | Ast.Derive { cls; at; need } ->
     (* DERIVE on a concept resolves through the high-level layer: pick
@@ -612,28 +619,20 @@ let execute t stmt =
             (Gaea_analysis.Analysis.check_kernel t.kernel)))
   | Ast.Show_stale ->
     let stale = Kernel.stale_objects t.kernel in
-    let lines =
-      List.map
-        (fun oid ->
-          let cls =
-            Option.value ~default:"?" (Kernel.class_of_object t.kernel oid)
-          in
-          let by =
-            match Kernel.task_producing t.kernel oid with
-            | Some task ->
-              Printf.sprintf "%s v%d (task #%d)" task.Task.process
-                task.Task.process_version task.Task.task_id
-            | None -> "?"
-          in
-          Printf.sprintf "  #%d %s, derived by %s" oid cls by)
-        stale
+    let line oid =
+      let cls = Option.value ~default:"?" (Kernel.class_of_object t.kernel oid) in
+      Str "\n  #" :: Int oid :: Str " " :: Str cls :: Str ", derived by "
+      :: (match Kernel.task_producing t.kernel oid with
+          | Some task ->
+            [ Str task.Task.process; Str " v"; Int task.Task.process_version;
+              Str " (task #"; Int task.Task.task_id; Str ")" ]
+          | None -> [ Str "?" ])
     in
     Ok
       (Message
-         (Printf.sprintf "%d stale object(s)%s" (List.length stale)
-            (match lines with
-             | [] -> ""
-             | _ -> ":\n" ^ String.concat "\n" lines)))
+         (render
+            (Int (List.length stale) :: Str " stale object(s)"
+             :: (if stale = [] then [] else Str ":" :: List.concat_map line stale))))
   | Ast.Show_cache ->
     let st = Kernel.cache_stats t.kernel in
     Ok

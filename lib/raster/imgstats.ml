@@ -43,13 +43,15 @@ let variance img =
 
 let stddev img = sqrt (variance img)
 
+(* sequential flat loops, summing in pixel order *)
 let rmse a b =
   if not (Image.img_size_eq a b) then
     invalid_arg "Imgstats.rmse: size mismatch";
-  let n = Image.size a in
+  let xs = Image.unsafe_data a and ys = Image.unsafe_data b in
+  let n = Array.length xs in
   let acc = ref 0. in
   for i = 0 to n - 1 do
-    let d = Image.get_linear a i -. Image.get_linear b i in
+    let d = Array.unsafe_get xs i -. Array.unsafe_get ys i in
     acc := !acc +. (d *. d)
   done;
   sqrt (!acc /. float_of_int n)
@@ -57,9 +59,11 @@ let rmse a b =
 let agreement a b =
   if not (Image.img_size_eq a b) then
     invalid_arg "Imgstats.agreement: size mismatch";
-  let n = Image.size a in
+  let xs = Image.unsafe_data a and ys = Image.unsafe_data b in
+  let n = Array.length xs in
   let same = ref 0 in
   for i = 0 to n - 1 do
-    if Image.get_linear a i = Image.get_linear b i then incr same
+    (* IEEE equality: a NaN pixel agrees with nothing *)
+    if (Array.unsafe_get xs i : float) = Array.unsafe_get ys i then incr same
   done;
   float_of_int !same /. float_of_int n

@@ -16,50 +16,84 @@ let temporal_linear ~at (t1, img1) (t2, img2) =
         Array.unsafe_set out i (a +. (w *. (Array.unsafe_get ys i -. a)))
       done)
 
+(* Both resizes work out each output row's and each output column's
+   source indexes (and weights) once; a chunk then walks its pixels row
+   by row, with no division per pixel. *)
+
+(* [f r c i j] for each output row [r] that [lo, hi) meets: its pixels
+   [i, j), the first at column [c] of an image [ncol] wide *)
+let each_row ~ncol lo hi f =
+  let i = ref lo in
+  while !i < hi do
+    let r = !i / ncol in
+    let stop = Int.min hi ((r + 1) * ncol) in
+    f r (!i - (r * ncol)) !i stop;
+    i := stop
+  done
+
 (* copies pixels of an image of the same type, which already fit it *)
 let resize_nearest img ~nrow ~ncol =
   let src_r = Image.img_nrow img and src_c = Image.img_ncol img in
   let src = Image.unsafe_data img in
+  (* the source row's offset per output row, the source column per
+     output column *)
+  let rows =
+    Array.init nrow (fun r -> Int.min (r * src_r / nrow) (src_r - 1) * src_c)
+  and cols = Array.init ncol (fun c -> Int.min (c * src_c / ncol) (src_c - 1)) in
   Image.init_chunks ~label:"resize-nearest" ~nrow ~ncol (Image.img_type img)
     (fun out lo hi ->
-      for i = lo to hi - 1 do
-        let sr = Int.min (i / ncol * src_r / nrow) (src_r - 1)
-        and sc = Int.min (i mod ncol * src_c / ncol) (src_c - 1) in
-        Array.unsafe_set out i (Array.unsafe_get src ((sr * src_c) + sc))
-      done)
+      each_row ~ncol lo hi (fun r c first stop ->
+          let row = Array.unsafe_get rows r in
+          for i = first to stop - 1 do
+            Array.unsafe_set out i
+              (Array.unsafe_get src
+                 (row + Array.unsafe_get cols (c + i - first)))
+          done))
+
+(* Per output row (or column) of [n] over [src_n] source ones, scaled by
+   [stride]: the offsets of the two source rows it reads and the weight
+   of the second.  The output pixel's center maps into source
+   coordinates, clamped onto [0, src_n - 1] as
+   Float.max 0. (Float.min v max) does for the finite values here,
+   without a call that boxes. *)
+let bilinear_axis ~n ~src_n ~stride =
+  let first = Array.make n 0 and second = Array.make n 0 in
+  let weight = Array.make n 0. in
+  let vmax = float_of_int (src_n - 1) in
+  for i = 0 to n - 1 do
+    let f =
+      (float_of_int i +. 0.5) /. float_of_int n *. float_of_int src_n -. 0.5
+    in
+    let f = if f > vmax then vmax else if f > 0. then f else 0. in
+    let i0 = int_of_float (Float.floor f) in
+    first.(i) <- i0 * stride;
+    second.(i) <- Int.min (i0 + 1) (src_n - 1) * stride;
+    weight.(i) <- f -. float_of_int i0
+  done;
+  (first, second, weight)
 
 let resize_bilinear img ~nrow ~ncol =
   let src_r = Image.img_nrow img and src_c = Image.img_ncol img in
   let src = Image.unsafe_data img in
-  let ymax = float_of_int (src_r - 1) and xmax = float_of_int (src_c - 1) in
+  let y0, y1, dys = bilinear_axis ~n:nrow ~src_n:src_r ~stride:src_c
+  and x0, x1, dxs = bilinear_axis ~n:ncol ~src_n:src_c ~stride:1 in
   Image.init_chunks ~label:"resize-bilinear" ~cost:16. ~nrow ~ncol Pixel.Float8
     (fun out lo hi ->
-      for i = lo to hi - 1 do
-        (* map output pixel center into source coordinates *)
-        let fy =
-          (float_of_int (i / ncol) +. 0.5) /. float_of_int nrow
-          *. float_of_int src_r -. 0.5
-        and fx =
-          (float_of_int (i mod ncol) +. 0.5) /. float_of_int ncol
-          *. float_of_int src_c -. 0.5
-        in
-        (* clamp onto [0, max] as Float.max 0. (Float.min v max) does
-           for the finite values here, without a call that boxes *)
-        let fy = if fy > ymax then ymax else if fy > 0. then fy else 0.
-        and fx = if fx > xmax then xmax else if fx > 0. then fx else 0. in
-        let y0 = int_of_float (Float.floor fy) in
-        let x0 = int_of_float (Float.floor fx) in
-        let y1 = Int.min (y0 + 1) (src_r - 1) in
-        let x1 = Int.min (x0 + 1) (src_c - 1) in
-        let dy = fy -. float_of_int y0 and dx = fx -. float_of_int x0 in
-        let v00 = Array.unsafe_get src ((y0 * src_c) + x0)
-        and v01 = Array.unsafe_get src ((y0 * src_c) + x1) in
-        let v10 = Array.unsafe_get src ((y1 * src_c) + x0)
-        and v11 = Array.unsafe_get src ((y1 * src_c) + x1) in
-        Array.unsafe_set out i
-          ((((v00 *. (1. -. dx)) +. (v01 *. dx)) *. (1. -. dy))
-          +. (((v10 *. (1. -. dx)) +. (v11 *. dx)) *. dy))
-      done)
+      each_row ~ncol lo hi (fun r c first stop ->
+          let dy = Array.unsafe_get dys r in
+          let r0 = Array.unsafe_get y0 r and r1 = Array.unsafe_get y1 r in
+          for i = first to stop - 1 do
+            let col = c + i - first in
+            let dx = Array.unsafe_get dxs col in
+            let c0 = Array.unsafe_get x0 col and c1 = Array.unsafe_get x1 col in
+            let v00 = Array.unsafe_get src (r0 + c0)
+            and v01 = Array.unsafe_get src (r0 + c1) in
+            let v10 = Array.unsafe_get src (r1 + c0)
+            and v11 = Array.unsafe_get src (r1 + c1) in
+            Array.unsafe_set out i
+              ((((v00 *. (1. -. dx)) +. (v01 *. dx)) *. (1. -. dy))
+              +. (((v10 *. (1. -. dx)) +. (v11 *. dx)) *. dy))
+          done))
 
 (* Rounds of 8-neighbour means on a copy of the pixels: a round
    computes every hole's fill from the pixels as the round began, then

@@ -79,9 +79,14 @@ let replace t oid tuple =
     Ok ()
 
 let locate t oid =
-  Option.map (fun i -> (i, t.tuples.(i))) (Oid.Tbl.find_opt t.by_oid oid)
+  match Oid.Tbl.find t.by_oid oid with
+  | i -> Some (i, t.tuples.(i))
+  | exception Not_found -> None
 
-let get t oid = Option.map snd (locate t oid)
+let get t oid =
+  match Oid.Tbl.find t.by_oid oid with
+  | i -> Some t.tuples.(i)
+  | exception Not_found -> None
 
 let length t = t.live
 let allocated t = t.used

@@ -10,20 +10,23 @@ type box_index = {
   mutable grid : Index_box.t option;
 }
 
+(* A B-tree index beside the column position of its key *)
+type btree_index = {
+  bt_attr : string;
+  bt_pos : int;
+  bt : Index_btree.t;
+}
+
 type t = {
   name : string;
   desc : Tuple.descriptor;
   heap : Heap.t;
-  btree_indexes : (string, Index_btree.t) Hashtbl.t;
+  mutable btree_indexes : btree_index list;
   mutable box_index : box_index option;
 }
 
 let create ~name desc =
-  { name;
-    desc;
-    heap = Heap.create ();
-    btree_indexes = Hashtbl.create 4;
-    box_index = None }
+  { name; desc; heap = Heap.create (); btree_indexes = []; box_index = None }
 
 let name t = t.name
 let descriptor t = t.desc
@@ -34,11 +37,16 @@ let attr_values t tuple attr =
   | None -> None
   | Some i -> Some (Tuple.get tuple i)
 
+let btree t attr =
+  List.find_map
+    (fun bi -> if bi.bt_attr = attr then Some bi.bt else None)
+    t.btree_indexes
+
 let create_btree_index t attr =
   match Tuple.attr_index t.desc attr, Tuple.attr_type t.desc attr with
   | None, _ | _, None -> Error (Printf.sprintf "%s: no attribute %s" t.name attr)
   | Some i, Some ty ->
-    if Hashtbl.mem t.btree_indexes attr then
+    if btree t attr <> None then
       Error (Printf.sprintf "%s: btree index on %s exists" t.name attr)
     else begin
       match Index_btree.create ty with
@@ -53,14 +61,14 @@ let create_btree_index t attr =
         (match !err with
          | Some e -> Error e
          | None ->
-           Hashtbl.add t.btree_indexes attr idx;
+           t.btree_indexes <-
+             t.btree_indexes @ [ { bt_attr = attr; bt_pos = i; bt = idx } ];
            Ok ())
     end
 
-let has_btree_index t attr = Hashtbl.mem t.btree_indexes attr
+let has_btree_index t attr = btree t attr <> None
 
-let btree_cardinality t attr =
-  Option.map Index_btree.cardinality (Hashtbl.find_opt t.btree_indexes attr)
+let btree_cardinality t attr = Option.map Index_btree.cardinality (btree t attr)
 
 let create_box_index t attr =
   match Tuple.attr_index t.desc attr, Tuple.attr_type t.desc attr with
@@ -83,32 +91,36 @@ let has_box_index t attr =
 let box_at tuple pos =
   match Tuple.get tuple pos with Value.VBox b -> Some b | _ -> None
 
-(* the built grid of the box index, if the table has one *)
-let with_grid t f =
-  match t.box_index with
-  | Some { grid = Some grid; b_pos; _ } -> f grid b_pos
-  | _ -> ()
-
 (* move [oid] from the keys of [before] to those of [after] (either may
    be absent), touching only the indexes whose key changed: an update of
    the pixels alone leaves the B-trees and the grid as they are *)
+let rec reindex_btrees oid ~before ~after = function
+  | [] -> ()
+  | { bt_pos; bt; _ } :: rest ->
+    (match before, after with
+     | Some a, Some b
+       when Vorder.compare (Tuple.get a bt_pos) (Tuple.get b bt_pos) = Ok 0 ->
+       ()
+     | _ ->
+       (match before with
+        | Some a -> Index_btree.remove bt (Tuple.get a bt_pos) oid
+        | None -> ());
+       (match after with
+        | Some b -> ignore (Index_btree.add bt (Tuple.get b bt_pos) oid)
+        | None -> ()));
+    reindex_btrees oid ~before ~after rest
+
 let reindex t oid ~before ~after =
-  let key tuple attr = Option.bind tuple (fun tu -> attr_values t tu attr) in
-  Hashtbl.iter
-    (fun attr idx ->
-      match key before attr, key after attr with
-      | Some a, Some b when Vorder.compare a b = Ok 0 -> ()
-      | a, b ->
-        Option.iter (fun v -> Index_btree.remove idx v oid) a;
-        Option.iter (fun v -> ignore (Index_btree.add idx v oid)) b)
-    t.btree_indexes;
-  with_grid t (fun grid pos ->
-      let box tuple = Option.bind tuple (fun tu -> box_at tu pos) in
-      match box before, box after with
-      | Some a, Some b when Box.equal a b -> ()
-      | a, b ->
-        Option.iter (Index_box.remove grid oid) a;
-        Option.iter (Index_box.add grid oid) b)
+  reindex_btrees oid ~before ~after t.btree_indexes;
+  match t.box_index with
+  | Some { grid = Some grid; b_pos; _ } ->
+    let box tuple = Option.bind tuple (fun tu -> box_at tu b_pos) in
+    (match box before, box after with
+     | Some a, Some b when Box.equal a b -> ()
+     | a, b ->
+       Option.iter (Index_box.remove grid oid) a;
+       Option.iter (Index_box.add grid oid) b)
+  | _ -> ()
 
 let insert_tuple t oid tuple =
   match Heap.insert t.heap oid tuple with
@@ -118,12 +130,12 @@ let insert_tuple t oid tuple =
     Ok ()
 
 let insert t oid values =
-  match Tuple.make t.desc values with
+  match Tuple.of_array t.desc values with
   | Error e -> Error (t.name ^ ": " ^ e)
   | Ok tuple -> insert_tuple t oid tuple
 
 let replace t oid values =
-  match Tuple.make t.desc values with
+  match Tuple.of_array t.desc values with
   | Error e -> Error (t.name ^ ": " ^ e)
   | Ok tuple ->
     (match Heap.get t.heap oid with
@@ -167,7 +179,7 @@ let materialize t oids =
     oids
 
 let lookup_eq t attr value =
-  match Hashtbl.find_opt t.btree_indexes attr with
+  match btree t attr with
   | Some idx -> materialize t (Index_btree.find idx value)
   | None ->
     (match Tuple.attr_index t.desc attr with
@@ -176,7 +188,7 @@ let lookup_eq t attr value =
        select t (fun _ tuple -> Value.equal (Tuple.get tuple i) value))
 
 let lookup_ordered t attr ?lo ?hi () =
-  match Hashtbl.find_opt t.btree_indexes attr with
+  match btree t attr with
   | Some idx -> materialize t (Index_btree.range idx ?lo ?hi ())
   | None ->
     (match Tuple.attr_index t.desc attr with

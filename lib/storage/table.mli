@@ -30,13 +30,16 @@ val create_box_index : t -> string -> (unit, string) result
 
 val has_box_index : t -> string -> bool
 
-val insert : t -> Oid.t -> Gaea_adt.Value.t list -> (unit, string) result
-(** Builds and type-checks a tuple, stores it, maintains indexes. *)
+val insert : t -> Oid.t -> Gaea_adt.Value.t array -> (unit, string) result
+(** Builds and type-checks a tuple from values in attribute order
+    ({!Tuple.of_array}: the array becomes the tuple), stores it,
+    maintains indexes. *)
 
 val insert_tuple : t -> Oid.t -> Tuple.t -> (unit, string) result
 
-val replace : t -> Oid.t -> Gaea_adt.Value.t list -> (unit, string) result
-(** Overwrite a live row in place (same OID), re-indexing only the keys
+val replace : t -> Oid.t -> Gaea_adt.Value.t array -> (unit, string) result
+(** Overwrite a live row in place (same OID) with values in attribute
+    order, taken as {!insert} takes them, re-indexing only the keys
     that changed (a B-tree key {!Vorder.compare} finds equal and an equal
     box stay put).
     Errors on unknown/deleted OID or a tuple type mismatch. *)

@@ -36,40 +36,39 @@ let attrs d =
 
 let arity d = Array.length d.names
 let attr_index d name = Hashtbl.find_opt d.index name
+let attr_name d i = d.names.(i)
 
 let attr_type d name =
   Option.map (fun i -> d.types.(i)) (attr_index d name)
 
 type t = Value.t array
 
-let coerce expected v =
-  match expected, v with
-  | Vtype.Float, Value.VInt i -> Some (Value.float (float_of_int i))
-  | _ ->
-    if Vtype.matches ~expected ~actual:(Value.type_of v) then Some v else None
-
-let make d values =
-  let n = List.length values in
+(* [values] become the tuple: each is type-checked, an int widened in
+   place for a float attribute, with no copy *)
+let of_array d values =
+  let n = Array.length values in
   if n <> arity d then
     Error (Printf.sprintf "tuple: %d values for %d attributes" n (arity d))
   else begin
-    let arr = Array.of_list values in
     let rec check i =
-      if i >= arity d then Ok (Array.copy arr)
+      if i >= n then Ok values
       else
-        match coerce d.types.(i) arr.(i) with
-        | Some v ->
-          arr.(i) <- v;
+        match d.types.(i), values.(i) with
+        | Vtype.Float, Value.VInt v ->
+          values.(i) <- Value.float (float_of_int v);
           check (i + 1)
-        | None ->
+        | expected, v when Vtype.matches ~expected ~actual:(Value.type_of v) ->
+          check (i + 1)
+        | expected, v ->
           Error
             (Printf.sprintf "tuple: attribute %s expects %s, got %s"
-               d.names.(i)
-               (Vtype.to_string d.types.(i))
-               (Vtype.to_string (Value.type_of arr.(i))))
+               d.names.(i) (Vtype.to_string expected)
+               (Vtype.to_string (Value.type_of v)))
     in
     check 0
   end
+
+let make d values = of_array d (Array.of_list values)
 
 let get t i =
   if i < 0 || i >= Array.length t then

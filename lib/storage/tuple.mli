@@ -13,11 +13,19 @@ val arity : descriptor -> int
 val attr_index : descriptor -> string -> int option
 val attr_type : descriptor -> string -> Gaea_adt.Vtype.t option
 
+val attr_name : descriptor -> int -> string
+(** The name of the attribute at a position. *)
+
 type t
 
+val of_array : descriptor -> Gaea_adt.Value.t array -> (t, string) result
+(** Values in attribute order.  Checks arity and per-attribute types
+    ([Any] in the descriptor admits anything; [VInt] is accepted for
+    [Float] attributes and widened).  The array becomes the tuple, widened
+    in place: the caller must not write to it afterwards. *)
+
 val make : descriptor -> Gaea_adt.Value.t list -> (t, string) result
-(** Checks arity and per-attribute types ([Any] in the descriptor admits
-    anything; [VInt] is accepted for [Float] attributes and widened). *)
+(** {!of_array} of a list. *)
 
 val get : t -> int -> Gaea_adt.Value.t
 (** @raise Invalid_argument out of range. *)

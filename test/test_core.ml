@@ -1158,6 +1158,364 @@ let test_template_introspection () =
   check_str "assertion text" "card(bands) = 3"
     (assertion_to_string (Card_eq ("bands", 3)))
 
+(* ------------------------------------------------------------------ *)
+(* Compiled firings against the reference interpreter (Oracle)         *)
+(* ------------------------------------------------------------------ *)
+
+(* Random templates over one image class [a] and an output class [out]
+   whose [data] admits anything: a scalar [x] and a SETOF [s] argument,
+   variadic splices, ANYOF, common() on either extent (and on [data],
+   which is neither), card assertions, a parameter, an unknown operator
+   and attribute, a missing or an extra mapping, and bindings that hold
+   deleted objects or leave [x] unbound. *)
+type compiled_case = {
+  assertions : Template.assertion list;
+  mappings : Template.mapping list;
+  objects : (int * int * bool) list;  (* box, day, deleted *)
+  binding : (string * int list) list;  (* positions in [objects] *)
+}
+
+let gen_template_expr =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [ (2, map (fun f -> Template.Const (Value.float f)) (oneofl [ 0.5; 2.; -1. ]));
+        (1, map (fun b -> Template.Const (Value.bool b)) bool);
+        (1, return (Template.Param "k"));
+        ( 6,
+          map2
+            (fun a b -> Template.Attr_of (a, b))
+            (oneofl [ "x"; "s" ])
+            (frequencyl
+               [ (4, "data"); (2, "spatialextent"); (2, "timestamp");
+                 (1, "nosuch") ]) ) ]
+  in
+  let apply name args = Template.Apply (name, args) in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           let sub = self (n / 2) in
+           frequency
+             [ (2, leaf);
+               (2, map (fun e -> Template.Anyof e) sub);
+               (3, map (fun e -> apply "img_scale" [ Template.Param "k"; e ]) sub);
+               (2, map2 (fun a b -> apply "img_add" [ a; b ]) sub sub);
+               (2, map (apply "composite") (list_size (int_range 1 3) sub));
+               (1, map (fun e -> apply "common_boxes" [ e ]) sub);
+               (1, map (fun e -> apply "common_times" [ e ]) sub);
+               (1, map (fun e -> apply "no_such_operator" [ e ]) sub) ])
+
+(* an image-valued expression, mostly well typed *)
+let gen_image_expr =
+  let open QCheck.Gen in
+  let apply name args = Template.Apply (name, args) in
+  let leaf =
+    oneofl
+      [ Template.Attr_of ("x", "data");
+        Template.Anyof (Template.Attr_of ("s", "data")) ]
+  in
+  sized_size (int_bound 3)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           let sub = self (n / 2) in
+           frequency
+             [ (1, leaf);
+               (2, map (fun e -> apply "img_scale" [ Template.Param "k"; e ]) sub);
+               (1, map2 (fun a b -> apply "img_add" [ a; b ]) sub sub);
+               (1, return (apply "composite" [ Template.Attr_of ("s", "data") ]));
+               ( 1,
+                 map
+                   (fun e -> apply "composite" [ e; Template.Attr_of ("s", "data") ])
+                   sub ) ])
+
+let gen_compiled_case =
+  let open QCheck.Gen in
+  let assertion =
+    frequency
+      [ (2, map (fun e -> Template.Expr_true e) gen_template_expr);
+        ( 3,
+          map2
+            (fun a b -> Template.Common (a, b))
+            (frequencyl [ (1, "x"); (3, "s") ])
+            (frequencyl [ (3, "spatialextent"); (3, "timestamp"); (1, "data") ]) );
+        (1, map (fun n -> Template.Card_eq ("s", n)) (int_bound 3));
+        (1, map (fun n -> Template.Card_ge ("s", n)) (int_bound 3)) ]
+  in
+  let mapping ~p target rhs =
+    let* keep = float_bound_exclusive 1. in
+    if keep < p then map (fun rhs -> [ { Template.target; rhs } ]) rhs
+    else return []
+  in
+  let extent attr =
+    oneof
+      [ return (Template.Anyof (Template.Attr_of ("s", attr)));
+        return (Template.Attr_of ("x", attr));
+        gen_template_expr ]
+  in
+  let* mappings =
+    flatten_l
+      [ mapping ~p:0.9 "data"
+          (frequency [ (3, gen_image_expr); (1, gen_template_expr) ]);
+        mapping ~p:0.9 "spatialextent" (extent "spatialextent");
+        mapping ~p:0.1 "zzz" gen_template_expr;
+        mapping ~p:0.9 "timestamp" (extent "timestamp");
+        mapping ~p:0.1 "data" gen_template_expr ]
+  in
+  let* assertions = list_size (int_bound 2) assertion in
+  let* objects =
+    list_size (int_range 1 4)
+      (triple (int_bound 2) (int_bound 1) (map (( = ) 0) (int_bound 9)))
+  in
+  let last = List.length objects - 1 in
+  let* x =
+    frequency
+      [ (1, return []); (12, map (fun i -> [ ("x", [ i ]) ]) (int_bound last)) ]
+  in
+  let* s =
+    list_size
+      (frequency [ (1, return 0); (9, int_range 1 3) ])
+      (int_bound last)
+  in
+  return
+    { assertions; mappings = List.concat mappings; objects;
+      binding = x @ [ ("s", s) ] }
+
+let print_compiled_case c =
+  Format.asprintf "%a@.objects %s@.binding %s"
+    (Template.pp ~output_class:"out")
+    (Template.make ~assertions:c.assertions ~mappings:c.mappings)
+    (String.concat "; "
+       (List.map
+          (fun (b, d, del) ->
+            Printf.sprintf "(box %d, day %d%s)" b d (if del then ", deleted" else ""))
+          c.objects))
+    (String.concat "; "
+       (List.map
+          (fun (a, is) ->
+            Printf.sprintf "%s = [%s]" a
+              (String.concat ", " (List.map string_of_int is)))
+          c.binding))
+
+let image_class name =
+  ok
+    (Schema.define ~name
+       ~attributes:
+         [ ("data", Vtype.Image); ("spatialextent", Vtype.Box);
+           ("timestamp", Vtype.Abstime) ]
+       ())
+
+(* a kernel with the case's [a] objects and its process [p]; the
+   binding in OIDs *)
+let compiled_case_kernel c =
+  let k = Kernel.create () in
+  ok (Kernel.define_class k (image_class "a"));
+  ok
+    (Kernel.define_class k
+       (ok
+          (Schema.define ~name:"out"
+             ~attributes:
+               [ ("data", Vtype.Any); ("spatialextent", Vtype.Box);
+                 ("timestamp", Vtype.Abstime) ]
+             ())));
+  let boxes =
+    [| Box.make ~xmin:0. ~ymin:0. ~xmax:1. ~ymax:1.;
+       Box.make ~xmin:0.5 ~ymin:0.5 ~xmax:2. ~ymax:2.;
+       Box.make ~xmin:5. ~ymin:5. ~xmax:6. ~ymax:6. |]
+  in
+  let oids =
+    List.mapi
+      (fun i (b, d, _) ->
+        ok
+          (Kernel.insert_object k ~cls:"a"
+             [ ( "data",
+                 Value.image
+                   (Image.of_array ~nrow:1 ~ncol:2 Pixel.Float8
+                      [| float_of_int i; 0.25 |]) );
+               ("spatialextent", Value.box boxes.(b));
+               ("timestamp", Value.abstime (Abstime.of_ymd 1986 1 (1 + d))) ]))
+      c.objects
+  in
+  List.iter2
+    (fun oid (_, _, deleted) ->
+      if deleted then ok (Kernel.delete_object k ~cls:"a" oid))
+    oids c.objects;
+  let p =
+    ok
+      (Process.define_primitive ~name:"p" ~output_class:"out"
+         ~args:[ Process.scalar_arg "x" "a"; Process.setof_arg "s" "a" ]
+         ~params:[ ("k", Value.float 2.) ]
+         ~template:
+           (Template.make ~assertions:c.assertions ~mappings:c.mappings)
+         ())
+  in
+  ok (Kernel.define_process k p);
+  let binding =
+    List.map (fun (a, is) -> (a, List.map (List.nth oids) is)) c.binding
+  in
+  (k, p, binding)
+
+(* Values compared by their saved form: bit-identical floats *)
+let same_evaluation a b =
+  let show = function
+    | Ok pairs ->
+      Ok
+        (List.map
+           (fun (n, v) -> (n, Gaea_adt.Sexp.to_string (Value.to_sexp v)))
+           pairs)
+    | Error e -> Error e
+  in
+  show a = show b
+
+let prop_compiled_matches_reference =
+  QCheck.Test.make ~count:400
+    ~name:"a compiled firing returns what the reference interpreter does"
+    (QCheck.make ~print:print_compiled_case gen_compiled_case)
+    (fun c ->
+      let k, p, inputs = compiled_case_kernel c in
+      let task =
+        { Task.task_id = 0; process = "p"; process_version = 1; inputs;
+          params = []; outputs = []; output_class = "out"; clock = 0 }
+      in
+      let expected = Oracle.eval_primitive k p inputs in
+      let show = function
+        | Ok pairs -> Printf.sprintf "Ok (%d mapping(s))" (List.length pairs)
+        | Error e -> "Error: " ^ Gaea_error.to_string e
+      in
+      (* the second evaluation runs the cached compilation *)
+      List.for_all
+        (fun actual ->
+          same_evaluation expected actual
+          || QCheck.Test.fail_reportf "reference %s, compiled %s" (show expected)
+               (show actual))
+        [ Kernel.recompute_task k task; Kernel.recompute_task k task ])
+
+(* Process definitions never check the output class's attributes; a
+   process compiled while its output class was missing fires once the
+   class exists. *)
+let test_output_class_defined_later () =
+  let k = Kernel.create () in
+  ok (Kernel.define_class k (image_class "a"));
+  let oid =
+    ok
+      (Kernel.insert_object k ~cls:"a"
+         [ ( "data",
+             Value.image (Image.of_array ~nrow:1 ~ncol:2 Pixel.Float8 [| 1.; 2. |]) );
+           ("spatialextent", Value.box (Box.make ~xmin:0. ~ymin:0. ~xmax:1. ~ymax:1.));
+           ("timestamp", Value.abstime (Abstime.of_ymd 1986 1 1)) ])
+  in
+  let p =
+    ok
+      (Process.define_primitive ~name:"double" ~output_class:"later"
+         ~args:[ Process.scalar_arg "x" "a" ]
+         ~template:
+           (Template.make ~assertions:[]
+              ~mappings:
+                [ { target = "data";
+                    rhs =
+                      Apply
+                        ("img_scale", [ Const (Value.float 2.); Attr_of ("x", "data") ]) };
+                  { target = "spatialextent"; rhs = Attr_of ("x", "spatialextent") };
+                  { target = "timestamp"; rhs = Attr_of ("x", "timestamp") } ])
+         ())
+  in
+  let inputs = [ ("x", [ oid ]) ] in
+  (match Kernel.execute_process k p ~inputs with
+   | Ok _ -> Alcotest.fail "fired with no output class"
+   | Error e ->
+     check_str "error" "double: unknown output class later" (Gaea_error.to_string e));
+  ok (Kernel.define_class k (image_class "later"));
+  let task = ok (Kernel.execute_process k p ~inputs) in
+  match
+    Kernel.object_attr k ~cls:"later" (List.hd task.Task.outputs) "data"
+  with
+  | Some (Value.VImage img) ->
+    check_bool "doubled" true (Image.to_list img = [ 2.; 4. ])
+  | _ -> Alcotest.fail "no data"
+
+(* Fig 3's P20: one band far from the other two fails common() on the
+   spatial extent, with the guard's own words *)
+let test_fig3_guard_text () =
+  let k = Kernel.create () in
+  ok (Figures.install_fig3 k);
+  let far =
+    Gaea_geo.Extent.make
+      (Box.make ~xmin:100. ~ymin:100. ~xmax:110. ~ymax:110.)
+      (Gaea_geo.Interval.instant (Abstime.of_ymd 1986 1 15))
+  in
+  let _ = ok (Figures.load_tm_bands k ~seed:1 ~nrow:8 ~ncol:8 ~n_bands:2 ()) in
+  let _ =
+    ok (Figures.load_tm_bands k ~seed:2 ~nrow:8 ~ncol:8 ~n_bands:1 ~extent:far ())
+  in
+  let p = Option.get (Kernel.find_process k Figures.p20_name) in
+  let available =
+    [ (Figures.landsat_class, Kernel.objects_of_class k Figures.landsat_class) ]
+  in
+  match Kernel.find_binding k p ~available with
+  | Ok _ -> Alcotest.fail "guard should have rejected disjoint extents"
+  | Error e ->
+    check_str "why"
+      "unsupervised-classification: no valid binding found \
+       (common(bands.spatialextent) violated: extents do not overlap)"
+      (Gaea_error.to_string e)
+
+(* The event log of a firing DERIVE, as the interpreter wrote it *)
+let test_derive_events () =
+  let session = Gaea_query.Session.create () in
+  let script =
+    String.concat "\n"
+      [ "DEFINE CLASS inbox ( data image, spatialextent box, timestamp abstime );";
+        "DEFINE CLASS inmid ( data image, spatialextent box, timestamp abstime ) \
+         DERIVED BY t1;";
+        "DEFINE CLASS inout ( data image, spatialextent box, timestamp abstime ) \
+         DERIVED BY t2;";
+        "DEFINE PROCESS t1 OUTPUT inmid ARGS ( x inbox ) MAP data = \
+         img_scale(2.0, x.data) MAP spatialextent = x.spatialextent MAP \
+         timestamp = x.timestamp END;";
+        "DEFINE PROCESS t2 OUTPUT inout ARGS ( x inmid ) MAP data = \
+         img_scale(0.5, x.data) MAP spatialextent = x.spatialextent MAP \
+         timestamp = x.timestamp END;";
+        "INSERT INTO inbox ( data = synth_band(1, 4, 4), spatialextent = BOX(0, \
+         0, 1, 1), timestamp = DATE '1987-03-14' );";
+        "INSERT INTO inbox ( data = synth_band(2, 4, 4), spatialextent = BOX(0, \
+         0, 1, 1), timestamp = DATE '1987-03-14' );";
+        "DERIVE inout NEED 2;" ]
+  in
+  ignore (ok (Gaea_query.Session.run_string session script));
+  let events =
+    match
+      Gaea_query.Executor.execute
+        (Gaea_query.Session.executor session)
+        Gaea_query.Ast.Show_events
+    with
+    | Ok (Gaea_query.Executor.Message m) -> m
+    | _ -> Alcotest.fail "SHOW EVENTS"
+  in
+  check_str "events"
+    (String.concat "\n"
+       [ "event log (19 retained of 19 emitted):";
+         "     0  class_defined inbox";
+         "     1  class_defined inmid";
+         "     2  class_defined inout";
+         "     3  process_defined t1 v1";
+         "     4  process_defined t2 v1";
+         "     5  object_inserted inbox #1";
+         "     6  object_inserted inbox #2";
+         "     7  cache_miss t1 v1";
+         "     8  object_inserted inmid #3";
+         "     9  task_recorded #1 t1 v1";
+         "    10  cache_miss t1 v1";
+         "    11  object_inserted inmid #4";
+         "    12  task_recorded #2 t1 v1";
+         "    13  cache_miss t2 v1";
+         "    14  object_inserted inout #5";
+         "    15  task_recorded #3 t2 v1";
+         "    16  cache_miss t2 v1";
+         "    17  object_inserted inout #6";
+         "    18  task_recorded #4 t2 v1" ])
+    events
+
 let () =
   Alcotest.run "core"
     [ ( "schema",
@@ -1219,4 +1577,9 @@ let () =
             test_persist_reads_older_common;
           tc "save replaces the file atomically" test_persist_save_replaces_file;
           tc "failed save keeps the target" test_persist_failed_save_keeps_target ] );
-      ("template", [ tc "introspection" test_template_introspection ]) ]
+      ("template", [ tc "introspection" test_template_introspection ]);
+      ( "compiled",
+        [ QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
+          tc "output class defined after the process" test_output_class_defined_later;
+          tc "fig3 guard names the extents" test_fig3_guard_text;
+          tc "DERIVE inout NEED 2 events" test_derive_events ] ) ]

@@ -319,8 +319,8 @@ let make_table () =
   let t = Table.create ~name:"things" d in
   List.iter
     (fun i -> Result.get_ok (Table.insert t i
-       [ Value.string (Printf.sprintf "row%d" (i mod 3)); Value.int i;
-         Value.float (float_of_int i) ]))
+       [| Value.string (Printf.sprintf "row%d" (i mod 3)); Value.int i;
+          Value.float (float_of_int i) |]))
     [ 1; 2; 3; 4; 5; 6 ];
   t
 
@@ -355,7 +355,7 @@ let test_table_range () =
 let test_table_index_maintained () =
   let t = make_table () in
   Result.get_ok (Table.create_btree_index t "size");
-  Result.get_ok (Table.insert t 100 [ Value.string "new"; Value.int 77; Value.float 0. ]);
+  Result.get_ok (Table.insert t 100 [| Value.string "new"; Value.int 77; Value.float 0. |]);
   check_bool "new row indexed" true
     (List.map fst (Table.lookup_eq t "size" (Value.int 77)) = [ 100 ]);
   ignore (Table.delete t 100);
@@ -381,7 +381,7 @@ let table_lookup_prop =
       let t2 = Table.create ~name:"b" d in
       let insert oid v =
         List.iter
-          (fun t -> ignore (Table.insert t oid [ Value.int v; Value.int 0 ]))
+          (fun t -> ignore (Table.insert t oid [| Value.int v; Value.int 0 |]))
           [ t1; t2 ]
       in
       List.iteri (fun i v -> insert (i + 1) v) values;
@@ -411,7 +411,7 @@ let table_lookup_prop =
                else Value.int v
              in
              List.iter
-               (fun t -> ignore (Table.replace t oid [ key; Value.int v ]))
+               (fun t -> ignore (Table.replace t oid [| key; Value.int v |]))
                [ t1; t2 ]);
           agree ())
         ops
@@ -484,7 +484,7 @@ let window_index_prop =
         | [] -> None
         | rows -> Some (fst (List.nth rows (i mod List.length rows)))
       in
-      let row b = [ Value.int !next; Value.box b ] in
+      let row b = [| Value.int !next; Value.box b |] in
       let agree w =
         let expect =
           List.map fst
@@ -556,11 +556,11 @@ let test_rejected_insert () =
     ( List.map fst (Table.lookup_range tab "t" ~lo:(day 1) ~hi:(day 9) ()),
       List.map fst (Table.lookup_range tab "b" ~lo:box ~hi:box ()) )
   in
-  Result.get_ok (Table.insert tab 1 [ day 1; box ]);
+  Result.get_ok (Table.insert tab 1 [| day 1; box |]);
   let before = found () in
-  check_bool "mistyped" true (Result.is_error (Table.insert tab 2 [ box; day 2 ]));
-  check_bool "short" true (Result.is_error (Table.insert tab 3 [ day 3 ]));
-  check_bool "oid held" true (Result.is_error (Table.insert tab 1 [ day 4; box ]));
+  check_bool "mistyped" true (Result.is_error (Table.insert tab 2 [| box; day 2 |]));
+  check_bool "short" true (Result.is_error (Table.insert tab 3 [| day 3 |]));
+  check_bool "oid held" true (Result.is_error (Table.insert tab 1 [| day 4; box |]));
   check_int "rows" 1 (Table.row_count tab);
   check_bool "indexes unchanged" true (found () = before && before = ([ 1 ], [ 1 ]));
   check_bool "one time key" true (Table.btree_cardinality tab "t" = Some 1)
