@@ -1401,7 +1401,7 @@ let e18_failed = ref false
 let e18_words_per_task = 1_300.
 
 (* words per task REFRESH ALL refreshes after one src update (two
-   tasks): 855 when the bound was set (about 25% headroom); 1,582
+   tasks): 853 when the bound was set (about 25% headroom); 1,582
    before process versions were compiled *)
 let e18_words_per_refreshed_task = 1_070.
 

@@ -66,7 +66,8 @@ let compile t (p : Process.t) tmpl =
   | None ->
     ( { proc = p; program; extra = [];
         output =
-          Gaea_error.err (Printf.sprintf "%s: unknown output class %s" name cls) },
+          Gaea_error.err
+            (Printf.sprintf "%s: unknown output class %s" name cls) },
       false )
   | Some tab ->
     let positions, missing, extra =

@@ -19,12 +19,14 @@ let last_oid t = Oid.current t.alloc
 let advance_oids t oid = Oid.advance_to t.alloc oid
 
 let table t cls =
-  Option.to_result (Catalog.table t.catalog cls)
-    ~none:(Gaea_error.Unknown_class cls)
+  match Catalog.table t.catalog cls with
+  | Some tab -> Ok tab
+  | None -> Error (Gaea_error.Unknown_class cls)
 
 let unknown_attrs cls extra =
   Gaea_error.err
-    (Printf.sprintf "%s: unknown attribute(s) %s" cls (String.concat ", " extra))
+    (Printf.sprintf "%s: unknown attribute(s) %s" cls
+       (String.concat ", " extra))
 
 (* an attribute no pair has named yet, told apart by identity *)
 let unset = Value.string "\000unset"
@@ -71,11 +73,13 @@ let add_row t ~cls tab oid values =
 (* the OID is spent before the row is stored, so a tuple the table
    rejects still spends one *)
 let insert t ~cls values =
-  let* tab = table t cls in
-  let oid = Oid.fresh t.alloc in
-  let* () = add_row t ~cls tab oid values in
-  Events.emit t.bus (Events.Object_inserted { cls; oid });
-  Ok oid
+  match Catalog.table t.catalog cls with
+  | None -> Error (Gaea_error.Unknown_class cls)
+  | Some tab ->
+    let oid = Oid.fresh t.alloc in
+    let* () = add_row t ~cls tab oid values in
+    Events.emit t.bus (Events.Object_inserted { cls; oid });
+    Ok oid
 
 let insert_with_oid t ~cls oid values =
   let* tab = table t cls in

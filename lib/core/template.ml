@@ -143,7 +143,8 @@ let guard sc = function
   | (Card_eq (arg, n) | Card_ge (arg, n)) as a ->
     (match slot_of sc arg with
      | Some c_slot ->
-       Card { c_slot; n; exactly = (match a with Card_eq _ -> true | _ -> false) }
+       let exactly = match a with Card_eq _ -> true | _ -> false in
+       Card { c_slot; n; exactly }
      | None -> Refuted (unbound_arg arg))
   | Common (arg, attr) ->
     let slot = slot_of sc arg in
@@ -161,7 +162,8 @@ let guard sc = function
          { values = read sc i attr;
            rule = operator sc op;
            violated =
-             invalid (Printf.sprintf "common(%s.%s) violated: %s" arg attr why) }
+             invalid
+               (Printf.sprintf "common(%s.%s) violated: %s" arg attr why) }
      | _ ->
        Refuted
          (invalid
@@ -198,7 +200,8 @@ let layout p desc =
     p.targets;
   let missing =
     List.filter_map
-      (fun i -> if positions.(i) < 0 then Some (Tuple.attr_name desc i) else None)
+      (fun i ->
+        if positions.(i) < 0 then Some (Tuple.attr_name desc i) else None)
       (List.init (Array.length positions) Fun.id)
   in
   (positions, missing, List.rev !extra)

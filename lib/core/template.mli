@@ -82,7 +82,9 @@ val complete : program -> bool
 val targets : program -> string array
 (** The mapping targets, in mapping order. *)
 
-val layout : program -> Gaea_storage.Tuple.descriptor -> int array * string list * string list
+val layout :
+  program -> Gaea_storage.Tuple.descriptor
+  -> int array * string list * string list
 (** Against the output class's tuple layout: per attribute the first
     mapping that targets it ([-1] for none), the attributes no mapping
     targets, and the targets that are no attribute, in order. *)

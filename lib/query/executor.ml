@@ -331,7 +331,9 @@ let outcome_message outcome =
            | Derivation.Interpolated (cls, oid) ->
              Printf.sprintf "interpolated object %d of %s" oid cls
            | Derivation.Fired (p, v, id) ->
-             render [ Str "fired "; Str p; Str " v"; Int v; Str " (task #"; Int id; Str ")" ])
+             render
+               [ Str "fired "; Str p; Str " v"; Int v; Str " (task #"; Int id;
+                 Str ")" ])
          outcome.Derivation.trace)
   in
   let b =
@@ -420,10 +422,12 @@ let execute t stmt =
         (Ok []) values
     in
     let* oid = Kernel.insert_object t.kernel ~cls (List.rev pairs) in
-    Ok (Message (render [ Str "object "; Int oid; Str " inserted into "; Str cls ]))
+    Ok
+      (Message (render [ Str "object "; Int oid; Str " inserted into "; Str cls ]))
   | Ast.Delete { cls; oid } ->
     let* () = Kernel.delete_object t.kernel ~cls oid in
-    Ok (Message (render [ Str "object "; Int oid; Str " deleted from "; Str cls ]))
+    Ok
+      (Message (render [ Str "object "; Int oid; Str " deleted from "; Str cls ]))
   | Ast.Select s -> execute_select t s
   | Ast.Derive { cls; at; need } ->
     (* DERIVE on a concept resolves through the high-level layer: pick
@@ -620,7 +624,9 @@ let execute t stmt =
   | Ast.Show_stale ->
     let stale = Kernel.stale_objects t.kernel in
     let line oid =
-      let cls = Option.value ~default:"?" (Kernel.class_of_object t.kernel oid) in
+      let cls =
+        Option.value ~default:"?" (Kernel.class_of_object t.kernel oid)
+      in
       Str "\n  #" :: Int oid :: Str " " :: Str cls :: Str ", derived by "
       :: (match Kernel.task_producing t.kernel oid with
           | Some task ->
@@ -632,7 +638,9 @@ let execute t stmt =
       (Message
          (render
             (Int (List.length stale) :: Str " stale object(s)"
-             :: (if stale = [] then [] else Str ":" :: List.concat_map line stale))))
+             ::
+             (if stale = [] then []
+              else Str ":" :: List.concat_map line stale))))
   | Ast.Show_cache ->
     let st = Kernel.cache_stats t.kernel in
     Ok

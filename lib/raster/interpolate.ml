@@ -39,7 +39,9 @@ let resize_nearest img ~nrow ~ncol =
      output column *)
   let rows =
     Array.init nrow (fun r -> Int.min (r * src_r / nrow) (src_r - 1) * src_c)
-  and cols = Array.init ncol (fun c -> Int.min (c * src_c / ncol) (src_c - 1)) in
+  and cols =
+    Array.init ncol (fun c -> Int.min (c * src_c / ncol) (src_c - 1))
+  in
   Image.init_chunks ~label:"resize-nearest" ~nrow ~ncol (Image.img_type img)
     (fun out lo hi ->
       each_row ~ncol lo hi (fun r c first stop ->
