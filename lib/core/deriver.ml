@@ -272,8 +272,10 @@ let eval_primitive ?(checked = false) t (p : Process.t) inputs =
     let* positions = f.output in
     Ok { firing = f; values; positions }
 
-(* the values in the output class's attribute order; a target the class
-   lacks is refused before anything is written *)
+(* the values in the output class's attribute order, or the refusal of
+   a target the class lacks, which each write returns where the by-name
+   store refused it: before an insert spends an OID, after an overwrite
+   checked the object's class *)
 let ordered e =
   if e.firing.extra <> [] then
     Obj_store.unknown_attrs e.firing.proc.Process.output_class e.firing.extra
@@ -294,12 +296,14 @@ let commit t ~process ~version ~params ~output_class inputs ~pixels written =
 let commit_primitive t (p : Process.t) inputs e ~write =
   commit t ~process:p.Process.proc_name ~version:p.Process.version
     ~params:p.Process.params ~output_class:p.Process.output_class inputs
-    ~pixels:(pixels e.values) (Result.bind (ordered e) write)
+    ~pixels:(pixels e.values) (write (ordered e))
 
-let insert t ~cls values =
-  let* oid = Obj_store.insert t.objects ~cls values in
-  Provenance.object_inserted t.prov ~cls oid;
-  Ok [ oid ]
+let insert t ~cls = function
+  | Error _ as refused -> refused
+  | Ok values ->
+    let* oid = Obj_store.insert t.objects ~cls values in
+    Provenance.object_inserted t.prov ~cls oid;
+    Ok [ oid ]
 
 (* A primitive run that found no reuse: evaluate and commit. *)
 let run_primitive ?checked t (p : Process.t) inputs =
@@ -442,7 +446,7 @@ let interpolate t ~cls ~at (o1, o2) =
   commit t ~process:interpolation_process ~version:0
     ~params:[ ("at", Value.abstime at) ] ~output_class:cls
     [ ("a", [ o1 ]); ("b", [ o2 ]) ]
-    ~pixels:(pixels values) (insert t ~cls values)
+    ~pixels:(pixels values) (insert t ~cls (Ok values))
 
 let recompute_task t (task : Task.t) =
   if is_interpolation task then begin
@@ -595,7 +599,7 @@ let refresh ?only t =
         commit t ~process:task.Task.process ~version:task.Task.process_version
           ~params:task.Task.params ~output_class:task.Task.output_class
           task.Task.inputs ~pixels:(pixels values)
-          (overwrite task.Task.output_class task.Task.outputs values)
+          (overwrite task.Task.output_class task.Task.outputs (Ok values))
       else
         match Proc_registry.find t.procs task.Task.process with
         | None ->

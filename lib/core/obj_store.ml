@@ -103,7 +103,9 @@ let rewrite t ~cls tab oid values =
 
 let replace t ~cls oid values =
   let* tab = owned t ~cls oid in
-  rewrite t ~cls tab oid values
+  match values with
+  | Error _ as refused -> refused
+  | Ok values -> rewrite t ~cls tab oid values
 
 let update t ~cls oid pairs =
   let* tab = owned t ~cls oid in

@@ -49,10 +49,12 @@ val update :
     Emits [Object_updated] on success. *)
 
 val replace :
-  t -> cls:string -> Oid.t -> Gaea_adt.Value.t array
+  t -> cls:string -> Oid.t -> (Gaea_adt.Value.t array, Gaea_error.t) result
   -> (unit, Gaea_error.t) result
 (** {!update} with every attribute given, in attribute order, as
-    {!insert} takes them. *)
+    {!insert} takes them.  The values may be a refusal (a mapping
+    target the class lacks), returned once the object's ownership is
+    checked, where {!update} refuses unknown attributes. *)
 
 val delete : t -> cls:string -> Oid.t -> (unit, Gaea_error.t) result
 (** [Error (Unknown_object oid)] when no class owns the oid,

@@ -1516,6 +1516,51 @@ let test_derive_events () =
          "    18  task_recorded #4 t2 v1" ])
     events
 
+(* A new version mapping a target its output class lacks: REFRESH skips
+   the stale object with the reason the by-name update gave, the class
+   check first *)
+let test_refresh_extra_target () =
+  let skipped output =
+    let session = Gaea_query.Session.create () in
+    let image_class name =
+      Printf.sprintf
+        "DEFINE CLASS %s ( data image, spatialextent box, timestamp abstime \
+         );"
+        name
+    and scale output extra =
+      Printf.sprintf
+        "DEFINE PROCESS p OUTPUT %s ARGS ( x a ) MAP data = img_scale(2.0, \
+         x.data) MAP spatialextent = x.spatialextent MAP timestamp = \
+         x.timestamp%s END;"
+        output extra
+    in
+    ignore
+      (ok
+         (Gaea_query.Session.run_string session
+            (String.concat "\n"
+               [ image_class "a"; image_class "b"; image_class "c"; scale "b" "";
+                 "INSERT INTO a ( data = synth_band(1, 2, 2), spatialextent = \
+                  BOX(0, 0, 1, 1), timestamp = DATE '1987-03-14' );";
+                 "DERIVE b NEED 1;"; scale output " MAP zzz = x.data" ])));
+    match
+      Gaea_query.Executor.execute
+        (Gaea_query.Session.executor session)
+        Gaea_query.Ast.Refresh_all
+    with
+    | Ok (Gaea_query.Executor.Message m) -> m
+    | _ -> Alcotest.fail "REFRESH ALL"
+  in
+  check_str "same class"
+    "refreshed 0 object(s) (0 task(s)), 1 left stale\n\
+     skipped:\n\
+    \  #2: b: unknown attribute(s) zzz"
+    (skipped "b");
+  check_str "another class"
+    "refreshed 0 object(s) (0 task(s)), 1 left stale\n\
+     skipped:\n\
+    \  #2: object 2 is not of class c"
+    (skipped "c")
+
 let () =
   Alcotest.run "core"
     [ ( "schema",
@@ -1582,4 +1627,5 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
           tc "output class defined after the process" test_output_class_defined_later;
           tc "fig3 guard names the extents" test_fig3_guard_text;
-          tc "DERIVE inout NEED 2 events" test_derive_events ] ) ]
+          tc "DERIVE inout NEED 2 events" test_derive_events;
+          tc "REFRESH refuses an extra target" test_refresh_extra_target ] ) ]
