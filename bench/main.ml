@@ -1311,10 +1311,54 @@ let e17_operators gate =
     operators;
   Pool.set_size saved
 
+(* perfbench's statement shapes, one row each: derive-refresh's INSERT,
+   DELETE, retrieval and SHOW STALE, and catalog's OVERLAPS and AT
+   SELECTs.  The bound on minor words per [Parser.parse_one] is the
+   reading when it was set (157, 34, 37, 27, 93, 72) plus about 25%
+   headroom; the token-list parser read 402, 89, 92, 70, 249 and 189. *)
+let e17_statements =
+  [ ("derive-refresh INSERT", e17_insert, 196.);
+    ("DELETE FROM inbox N", "DELETE FROM inbox 2417;", 43.);
+    ("DERIVE out NEED N", "DERIVE out NEED 250;", 46.);
+    ("SHOW STALE", "SHOW STALE;", 34.);
+    ( "catalog OVERLAPS SELECT",
+      "SELECT * FROM src WHERE spatialextent OVERLAPS BOX(42.5, 17.5, 50.5, \
+       25.5) ORDER BY timestamp;",
+      116. );
+    ( "catalog AT SELECT",
+      "SELECT timestamp FROM src WHERE timestamp AT DATE '1987-03-14';",
+      90. ) ]
+
+(* Each statement parsed hot, in batches: the best batch's time per
+   statement, and the minor words of one statement (the same in every
+   batch). *)
+let e17_parse gate =
+  let calls = if smoke then 20_000 else 200_000 in
+  List.iter
+    (fun (name, src, bound) ->
+      ignore (parse_stmt src);
+      let batch () =
+        let w0 = Gc.minor_words () in
+        let (), dt =
+          time_once (fun () ->
+              for _ = 1 to calls do
+                ignore (Gaea_query.Parser.parse_one src)
+              done)
+        in
+        (dt, (Gc.minor_words () -. w0) /. float_of_int calls)
+      in
+      let batches = List.init 5 (fun _ -> batch ()) in
+      let best = List.fold_left (fun b (dt, _) -> Float.min b dt) infinity batches in
+      let words = snd (List.hd batches) in
+      Printf.printf "parse_one %s: %.3f us, %.0f minor words\n" name
+        (best *. 1e6 /. float_of_int calls) words;
+      gate ("parse_one " ^ name ^ " minor words") ~bound words)
+    e17_statements
+
 let e17_ingest () =
   section
     "E17: the ingest path — synth_band, img_scale, the image operators, the \
-     lexer, CHECK ALL";
+     lexer and parser, CHECK ALL";
   let gate name ~bound value =
     let pass = value <= bound in
     Printf.printf "%-58s %10.2f (bound %.2f) %s\n" name value bound
@@ -1368,6 +1412,7 @@ let e17_ingest () =
     lex_us lex_words ntok list_words;
   gate "tokenize words beyond its token list, per token" ~bound:2.
     ((lex_words -. float_of_int list_words) /. float_of_int ntok);
+  e17_parse gate;
   e17_operators gate;
   (* CHECK ALL over N fired tasks of a process with one version *)
   let check = parse_stmt "CHECK ALL" in
@@ -1395,10 +1440,11 @@ let e17_ingest () =
 
 let e18_failed = ref false
 
-(* words per fired task: 1,039 when the bound was set (about 25%
-   headroom); 1,494 before process versions were compiled and commits
-   went by position, 2,445 before the unfired frontiers *)
-let e18_words_per_task = 1_300.
+(* words per fired task: 974 when the bound was set (about 25%
+   headroom); 1,037 before a one-argument binding search walked the
+   OID list without a Seq, 1,494 before process versions were compiled
+   and commits went by position, 2,445 before the unfired frontiers *)
+let e18_words_per_task = 1_220.
 
 (* words per task REFRESH ALL refreshes after one src update (two
    tasks): 853 when the bound was set (about 25% headroom); 1,582

@@ -161,6 +161,24 @@ let rec minus remaining chosen =
   | o :: os, _ :: _ -> o :: minus os chosen
   | _ -> remaining
 
+let not_found (p : Process.t) last_err =
+  Error
+    (Gaea_error.Not_derivable
+       (Printf.sprintf "%s: no valid binding found (%s)" p.Process.proc_name
+          last_err))
+
+(* One argument drawing one object: the class's objects in order, with
+   a binding built only for a candidate checked. *)
+let rec search_one t ~fresh (p : Process.t) arg budget last_err = function
+  | oid :: rest when fresh && Provenance.fired_one t.prov p ~arg oid ->
+    search_one t ~fresh p arg budget "remaining candidates already used" rest
+  | oid :: rest when budget > 0 ->
+    let binding = [ (arg, [ oid ]) ] in
+    (match check_inputs t p binding with
+     | Ok () -> Ok binding
+     | Error e -> search_one t ~fresh p arg (budget - 1) (Gaea_error.to_string e) rest)
+  | _ -> not_found p last_err
+
 (* Candidate bindings are walked lazily: classes sorted, the first
    varying slowest; within a class the specs in declaration order, each
    taking subsets of ascending size in list order, an unbounded SETOF
@@ -168,7 +186,7 @@ let rec minus remaining chosen =
    class takes the objects in order).  With [fresh], a binding already fired
    (its task is in the reuse index) is skipped without evaluating the
    guard. *)
-let find_binding t ?(fresh = false) (p : Process.t) ~available =
+let search_all t ~fresh (p : Process.t) ~available =
   let rec assign specs remaining =
     match specs with
     | [] -> Seq.return []
@@ -216,23 +234,20 @@ let find_binding t ?(fresh = false) (p : Process.t) ~available =
       (match check_inputs t p binding with
        | Ok () -> Ok binding
        | Error e -> search (budget - 1) (Gaea_error.to_string e) rest)
-    | _ ->
-      Error
-        (Gaea_error.Not_derivable
-           (Printf.sprintf "%s: no valid binding found (%s)"
-              p.Process.proc_name last_err))
+    | _ -> not_found p last_err
   in
-  let candidates =
-    match p.Process.args with
-    | [ a ] when a.Process.card_min = 1 && a.Process.card_max = Some 1 ->
-      (* one argument drawing one object: the class's objects in order *)
-      Option.value ~default:[] (List.assoc_opt a.Process.arg_class available)
-      |> List.to_seq
-      |> Seq.map (fun oid -> [ (a.Process.arg_name, [ oid ]) ])
-    | args ->
-      product (List.sort_uniq compare (List.map (fun a -> a.Process.arg_class) args))
-  in
-  search guard_budget "no candidates" candidates
+  search guard_budget "no candidates"
+    (product
+       (List.sort_uniq compare (List.map (fun a -> a.Process.arg_class) p.Process.args)))
+
+let find_binding t ?(fresh = false) (p : Process.t) ~available =
+  match p.Process.args with
+  | [ { Process.card_min = 1; card_max = Some 1; arg_name; arg_class; _ } ] ->
+    search_one t ~fresh p arg_name guard_budget "no candidates"
+      (match List.assoc arg_class available with
+       | oids -> oids
+       | exception Not_found -> [])
+  | _ -> search_all t ~fresh p ~available
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)

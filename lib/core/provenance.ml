@@ -191,10 +191,15 @@ let frontier t (p : Process.t) =
         lowest = (fun n -> List.of_seq (Seq.take n (IntSet.to_seq f.unfired))) }
   | _ -> None
 
-let fired t (p : Process.t) ~inputs =
-  match Hashtbl.find_opt t.frontiers p.Process.proc_name, inputs with
-  | Some f, [ (_, [ oid ]) ] when f.f_version = p.Process.version ->
-    not (IntSet.mem oid f.unfired)
+let fired_one t (p : Process.t) ~arg oid =
+  match Hashtbl.find t.frontiers p.Process.proc_name with
+  | f when f.f_version = p.Process.version -> not (IntSet.mem oid f.unfired)
+  | _ | (exception Not_found) ->
+    Option.is_some (find_reusable t p ~inputs:[ (arg, [ oid ]) ])
+
+let fired t p ~inputs =
+  match inputs with
+  | [ (arg, [ oid ]) ] -> fired_one t p ~arg oid
   | _ -> Option.is_some (find_reusable t p ~inputs)
 
 let object_inserted t ~cls oid =

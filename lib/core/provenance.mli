@@ -58,6 +58,10 @@ val fired : t -> Process.t -> inputs:(string * Oid.t list) list -> bool
 (** Whether the binding holds a reuse entry ({!find_reusable} finds
     it), answered from the process's frontier when it has one. *)
 
+val fired_one : t -> Process.t -> arg:string -> Oid.t -> bool
+(** {!fired} for the binding of the one argument [arg] to [oid], with
+    no binding built when the frontier answers. *)
+
 val reusable_count : t -> int
 (** Entries in the index. *)
 

@@ -90,7 +90,17 @@ let to_string t =
   let (y, m, d), (hh, mm, ss) = to_ymd_hms t in
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02d" y m d hh mm ss
 
-let of_string s =
+(* the value of the digits [s.[i..i+n)], or -1 if one is not a digit *)
+let rec digits s i n acc =
+  if n = 0 then acc
+  else
+    match s.[i] with
+    | '0' .. '9' as c -> digits s (i + 1) (n - 1) ((acc * 10) + Char.code c - 48)
+    | _ -> -1
+
+(* any date the general reader accepts: [YYYY-MM-DD], then an optional
+   [T] or space and [hh:mm:ss], each field read by [int_of_string] *)
+let of_string_general s =
   let s = String.trim s in
   let parse_date ds =
     match String.split_on_char '-' ds with
@@ -131,3 +141,15 @@ let of_string s =
        (match parse_date s with
         | Some (y, m, d) -> Some (of_ymd y m d)
         | None -> None))
+
+(* YYYY-MM-DD with every Y, M and D a digit is read in place, to the
+   value the general reader gives it; every other shape takes the
+   general reader *)
+let of_string s =
+  let canonical = String.length s = 10 && s.[4] = '-' && s.[7] = '-' in
+  let y = if canonical then digits s 0 4 0 else -1 in
+  let m = if y >= 0 then digits s 5 2 0 else -1 in
+  let d = if m >= 0 then digits s 8 2 0 else -1 in
+  if d >= 0 then
+    if is_valid_date y m d then Some (days_from_civil y m d * 86400) else None
+  else of_string_general s

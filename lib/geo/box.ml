@@ -2,18 +2,20 @@ type t = { xmin : float; ymin : float; xmax : float; ymax : float }
 
 let make_checked ~xmin ~ymin ~xmax ~ymax =
   let nonfinite =
-    List.find_opt
-      (fun (_, v) -> not (Float.is_finite v))
-      [ ("xmin", xmin); ("ymin", ymin); ("xmax", xmax); ("ymax", ymax) ]
+    if not (Float.is_finite xmin) then "xmin"
+    else if not (Float.is_finite ymin) then "ymin"
+    else if not (Float.is_finite xmax) then "xmax"
+    else if not (Float.is_finite ymax) then "ymax"
+    else ""
   in
   match nonfinite with
-  | Some (name, _) -> Error (Printf.sprintf "Box.make: %s is not finite" name)
-  | None ->
+  | "" ->
     if xmax < xmin || ymax < ymin then
       Error
         (Printf.sprintf "Box.make: inverted box (%g,%g,%g,%g)" xmin ymin xmax
            ymax)
     else Ok { xmin; ymin; xmax; ymax }
+  | name -> Error (Printf.sprintf "Box.make: %s is not finite" name)
 
 let make ~xmin ~ymin ~xmax ~ymax =
   match make_checked ~xmin ~ymin ~xmax ~ymax with

@@ -25,8 +25,23 @@ type token =
 val keywords : string list
 (** All recognized keywords (uppercase). *)
 
+type cursor
+(** A position in a source string, advanced one token at a time. *)
+
+val cursor : string -> cursor
+(** A cursor at the start of the string. *)
+
+exception Lex_error of string
+
+val next : cursor -> token
+(** The token at the cursor, which moves past it; [Eof] at the end, and
+    again on every later call.  Comments run from [--] to end of line.
+    Identifiers matching a keyword (case-insensitive) become [Keyword],
+    whose uppercase string is the one in {!keywords}, and so is its
+    spelling when written in upper case.  Raises [Lex_error] on a
+    malformed token. *)
+
 val tokenize : string -> (token list, Gaea_core.Gaea_error.t) result
-(** Comments run from [--] to end of line.  Identifiers matching a
-    keyword (case-insensitive) become [Keyword]. *)
+(** Every token of the string, through [Eof], or the first lex error. *)
 
 val token_to_string : token -> string

@@ -6,43 +6,43 @@ module Abstime = Gaea_geo.Abstime
 module Box = Gaea_geo.Box
 open Ast
 
+(* One token of lookahead, pulled from the cursor on demand: no token
+   list is built.  Tokens are told apart by pattern matching, or by [==]
+   on constant constructors. *)
 type state = {
-  mutable toks : Lexer.token list;
+  cur : Lexer.cursor;
+  mutable tok : Lexer.token;
 }
 
 exception Syntax of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Syntax m)) fmt
 
-let peek st =
-  match st.toks with
-  | t :: _ -> t
-  | [] -> Lexer.Eof
+let peek st = st.tok
 
-let advance st =
-  match st.toks with
-  | _ :: rest -> st.toks <- rest
-  | [] -> ()
+let advance st = st.tok <- Lexer.next st.cur
 
 let next st =
-  let t = peek st in
+  let t = st.tok in
   advance st;
   t
 
+(* [tok] is a constant constructor *)
 let expect st tok what =
   let t = next st in
-  if t <> tok then
+  if t != tok then
     fail "expected %s, found %s" what (Lexer.token_to_string t)
 
-let is_kw kw = function Lexer.Keyword (k, _) -> k = kw | _ -> false
+let is_kw kw = function Lexer.Keyword (k, _) -> String.equal k kw | _ -> false
 
 let expect_kw st kw =
   let t = next st in
   if not (is_kw kw t) then
     fail "expected %s, found %s" kw (Lexer.token_to_string t)
 
+(* [tok] is a constant constructor *)
 let accept st tok =
-  if peek st = tok then begin
+  if st.tok == tok then begin
     advance st;
     true
   end
@@ -77,11 +77,13 @@ let float_like st =
   | Lexer.Int_lit i -> float_of_int i
   | t -> fail "expected number, found %s" (Lexer.token_to_string t)
 
-(* DATE 'YYYY-MM-DD': midnight of that day *)
+(* DATE 'YYYY-MM-DD': midnight of that day; a date with a time of day
+   is cut to its midnight *)
 let date st =
   expect_kw st "DATE";
   let s = string_lit st in
   match Abstime.of_string s with
+  | Some t when Abstime.to_seconds t mod 86400 = 0 -> t
   | Some t ->
     let y, m, d = Abstime.to_ymd t in
     Abstime.of_ymd y m d
@@ -139,7 +141,7 @@ let rec expr st =
      | Lexer.Lparen ->
        advance st;
        let args = ref [] in
-       if peek st <> Lexer.Rparen then begin
+       if st.tok != Lexer.Rparen then begin
          args := [ expr st ];
          while accept st Lexer.Comma do
            args := expr st :: !args
@@ -446,25 +448,37 @@ let statement st =
     end
   | t -> fail "unexpected %s at start of statement" (Lexer.token_to_string t)
 
+(* The first lex error past a syntax error: the whole script must lex
+   before a syntax error is reported. *)
+let rec first_lex_error cur =
+  match Lexer.next cur with
+  | Lexer.Eof -> None
+  | _ -> first_lex_error cur
+  | exception Lexer.Lex_error e -> Some e
+
 let parse src =
-  match Lexer.tokenize src with
-  | Error e -> Error e
-  | Ok toks ->
-    let st = { toks } in
-    (try
-       let stmts = ref [] in
-       while peek st <> Lexer.Eof do
-         stmts := statement st :: !stmts;
-         (* statements are ; separated; trailing ; optional before EOF *)
-         if peek st <> Lexer.Eof then expect st Lexer.Semicolon ";"
-         else ();
-         (* swallow extra semicolons *)
-         while accept st Lexer.Semicolon do
-           ()
-         done
-       done;
-       Ok (List.rev !stmts)
-     with Syntax m -> Error (Gaea_error.Parse_error m))
+  let st = { cur = Lexer.cursor src; tok = Lexer.Eof } in
+  let rec statements acc =
+    if st.tok == Lexer.Eof then List.rev acc
+    else begin
+      let stmt = statement st in
+      (* statements are ; separated; trailing ; optional before EOF *)
+      if st.tok != Lexer.Eof then expect st Lexer.Semicolon ";";
+      (* swallow extra semicolons *)
+      while accept st Lexer.Semicolon do
+        ()
+      done;
+      statements (stmt :: acc)
+    end
+  in
+  match
+    advance st;
+    statements []
+  with
+  | stmts -> Ok stmts
+  | exception Lexer.Lex_error e -> Error (Gaea_error.Parse_error e)
+  | exception Syntax m ->
+    Error (Gaea_error.Parse_error (Option.value ~default:m (first_lex_error st.cur)))
 
 let parse_one src =
   match parse src with

@@ -1354,6 +1354,132 @@ let prop_select_tokens =
     (QCheck.make ~print:Fun.id select_tokens_gen)
     (fun src -> never_raises (Lazy.force select_fuzz_session) src)
 
+(* ------------------------------------------------------------------ *)
+(* One-pass parser against the token-list front end (Parse_oracle)     *)
+(* ------------------------------------------------------------------ *)
+
+(* the same AST, floats compared by their bits, or the same error text *)
+let same_parse a b =
+  let bytes ast = Marshal.to_string ast [ Marshal.No_sharing ] in
+  match a, b with
+  | Ok x, Ok y -> String.equal (bytes x) (bytes y)
+  | Error e, Error f ->
+    String.equal (Gaea_core.Gaea_error.to_string e) (Gaea_core.Gaea_error.to_string f)
+  | _ -> false
+
+let parse_report = function
+  | Ok stmts -> String.concat "; " (List.map Ast.statement_to_string stmts)
+  | Error e -> "error: " ^ Gaea_core.Gaea_error.to_string e
+
+let test_parse_examples_match_oracle () =
+  List.iter
+    (fun src ->
+      let got = Parser.parse src in
+      check_bool "an example parses" true (Result.is_ok got);
+      check_bool "the oracle's AST" true (same_parse got (Parse_oracle.Parser.parse src)))
+    (Lazy.force example_scripts)
+
+(* a lex error anywhere in a script beats an earlier syntax error, and
+   nothing of the script runs *)
+let test_parse_lex_error_wins () =
+  let lex_error = "parse error: unexpected character '@'" in
+  List.iter
+    (fun src ->
+      check_bool src true (same_parse (Parser.parse src) (Parse_oracle.Parser.parse src));
+      let session = Session.create () in
+      (match Session.run_string_partial session src with
+       | [], Some e -> check_str src lex_error (Gaea_core.Gaea_error.to_string e)
+       | _ -> Alcotest.failf "%S ran or parsed" src);
+      check_bool "no class defined" true
+        (Option.is_none (Kernel.find_class (Session.kernel session) "c")))
+    [ "SELECT FROM c; DEFINE CLASS c (a int); SHOW @";
+      "DEFINE CLASS c (a int); SELECT FROM c; SHOW @ CLASSES" ]
+
+(* literals at the lexer's edges: ints around max_int and min_int and
+   past them, floats with exponents and many digits, half-written
+   numbers, comments, quoted strings, and DATE strings in canonical,
+   padded, short, timed and invalid forms, placed where a statement
+   takes a literal *)
+let literal_gen =
+  QCheck.Gen.(
+    let digits n = string_size ~gen:numeral (return n) in
+    let sign = oneofl [ ""; "-" ] in
+    let near_bound =
+      map2 (fun s d -> s ^ "461168601842738790" ^ string_of_int d) sign (int_bound 9)
+    in
+    let long_int =
+      map3 (fun s z d -> s ^ z ^ d) sign (oneofl [ ""; "0"; "00" ])
+        (int_range 1 21 >>= digits)
+    in
+    let float_lit =
+      let* s = sign in
+      let* whole = int_range 1 19 >>= digits in
+      let* frac = oneof [ return ""; map (( ^ ) ".") (int_range 1 19 >>= digits) ] in
+      let* exp =
+        oneof
+          [ return "";
+            map3
+              (fun e s d -> e ^ s ^ d)
+              (oneofl [ "e"; "E" ]) (oneofl [ ""; "+"; "-" ])
+              (int_range 0 4 >>= digits) ]
+      in
+      return (s ^ whole ^ frac ^ exp)
+    in
+    (* where the exact product or quotient stops being exact: 2^53,
+       10^22 *)
+    let float_edge =
+      map3
+        (fun m e k -> m ^ e ^ string_of_int k)
+        (int_range 15 17 >>= digits) (oneofl [ "e"; "e-"; ".5e" ]) (int_range 18 26)
+    in
+    let fixed =
+      oneofl
+        [ "2."; "1e"; "1e+"; "-"; "--"; "-- a comment\n"; "0"; "-0"; "-0.0";
+          "1e308"; "1e309"; "4.9e-324"; "9007199254740993"; "0.1"; "'a b'";
+          "''"; "\"q\""; "'open"; "$p"; "$"; string_of_int max_int;
+          string_of_int min_int; "DATE '1990-02-30'"; "DATE '1990-1-5'";
+          "DATE ' 1990-01-05 '"; "DATE '+990-01-05'"; "DATE '1990-01-0x'" ]
+    in
+    let date =
+      let* y = int_range 0 2100 in
+      let* m = int_range 0 13 in
+      let* d = int_range 0 32 in
+      let* h = int_range 0 25 in
+      let* body =
+        oneofl
+          [ Printf.sprintf "%04d-%02d-%02d" y m d;
+            Printf.sprintf "  %04d-%02d-%02d " y m d;
+            Printf.sprintf "%d-%d-%d" y m d;
+            Printf.sprintf "%04d-%02d-%02dT%02d:00:30" y m d h;
+            Printf.sprintf "%04d-%02d-%02d %02d:15:00" y m d h ]
+      in
+      return ("DATE '" ^ body ^ "'")
+    in
+    let literal =
+      frequency
+        [ (3, near_bound); (2, long_int); (4, float_lit); (2, float_edge);
+          (3, fixed); (4, date) ]
+    in
+    let* a = literal and* b = literal in
+    oneofl
+      [ Printf.sprintf "SELECT * FROM t WHERE x = %s" a;
+        Printf.sprintf "SELECT * FROM t WHERE x AT %s LIMIT %s" a b;
+        Printf.sprintf "INSERT INTO c (a = %s, b = %s);" a b;
+        Printf.sprintf "INSERT INTO c (b = BOX(%s, 0, 1, %s))" a b;
+        Printf.sprintf "DERIVE c AT %s NEED %s" a b;
+        Printf.sprintf "%s %s" a b ])
+
+let prop_parse_matches_oracle =
+  QCheck.Test.make ~name:"one-pass parse = the token-list front end" ~count:1500
+    (QCheck.make ~print:Fun.id
+       (QCheck.Gen.frequency
+          [ (1, mutated_script_gen); (2, select_tokens_gen); (3, literal_gen) ]))
+    (fun src ->
+      let got = Parser.parse src and expected = Parse_oracle.Parser.parse src in
+      same_parse got expected
+      || QCheck.Test.fail_reportf "parsed to %s, the oracle to %s" (parse_report got)
+           (parse_report expected))
+
 let () =
   Alcotest.run "query"
     [ ( "lexer",
@@ -1369,7 +1495,11 @@ let () =
           tc "define process" test_parse_define_process;
           tc "select" test_parse_select;
           tc "misc statements" test_parse_misc_statements;
-          tc "scripts and errors" test_parse_script_and_errors ] );
+          tc "scripts and errors" test_parse_script_and_errors;
+          tc "examples parse to the oracle's AST" test_parse_examples_match_oracle;
+          tc "a later lex error beats an earlier syntax error"
+            test_parse_lex_error_wins;
+          QCheck_alcotest.to_alcotest prop_parse_matches_oracle ] );
       ( "optimizer",
         [ tc "access paths" test_optimizer_access_paths;
           tc "materialize" test_optimizer_materialize;
