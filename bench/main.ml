@@ -1314,20 +1314,20 @@ let e17_operators gate =
 (* perfbench's statement shapes, one row each: derive-refresh's INSERT,
    DELETE, retrieval and SHOW STALE, and catalog's OVERLAPS and AT
    SELECTs.  The bound on minor words per [Parser.parse_one] is the
-   reading when it was set (157, 34, 37, 27, 93, 72) plus about 25%
+   reading when it was set (170, 36, 39, 27, 101, 80) plus about 25%
    headroom; the token-list parser read 402, 89, 92, 70, 249 and 189. *)
 let e17_statements =
-  [ ("derive-refresh INSERT", e17_insert, 196.);
-    ("DELETE FROM inbox N", "DELETE FROM inbox 2417;", 43.);
-    ("DERIVE out NEED N", "DERIVE out NEED 250;", 46.);
+  [ ("derive-refresh INSERT", e17_insert, 213.);
+    ("DELETE FROM inbox N", "DELETE FROM inbox 2417;", 45.);
+    ("DERIVE out NEED N", "DERIVE out NEED 250;", 49.);
     ("SHOW STALE", "SHOW STALE;", 34.);
     ( "catalog OVERLAPS SELECT",
       "SELECT * FROM src WHERE spatialextent OVERLAPS BOX(42.5, 17.5, 50.5, \
        25.5) ORDER BY timestamp;",
-      116. );
+      126. );
     ( "catalog AT SELECT",
       "SELECT timestamp FROM src WHERE timestamp AT DATE '1987-03-14';",
-      90. ) ]
+      100. ) ]
 
 (* Each statement parsed hot, in batches: the best batch's time per
    statement, and the minor words of one statement (the same in every
@@ -1440,8 +1440,8 @@ let e17_ingest () =
 
 let e18_failed = ref false
 
-(* words per fired task: 974 when the bound was set (about 25%
-   headroom); 1,037 before a one-argument binding search walked the
+(* words per fired task: 976 when the bound was set (about 25%
+   headroom); 1,039 before a one-argument binding search walked the
    OID list without a Seq, 1,494 before process versions were compiled
    and commits went by position, 2,445 before the unfired frontiers *)
 let e18_words_per_task = 1_220.

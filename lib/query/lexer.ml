@@ -60,29 +60,6 @@ let keyword_slots =
   List.iter (fun k -> place k (String.fold_left fold_upper 0 k land (slots - 1))) keywords;
   table
 
-let rec same_from a src start i =
-  i = String.length a
-  || String.unsafe_get a i = String.unsafe_get src (start + i)
-     && same_from a src start (i + 1)
-
-(* Spellings lexed before, by case-folded hash: a statement naming the
-   class or attribute an earlier one named reuses its string (strings
-   are immutable) instead of copying the span again.  A slot holds the
-   latest spelling whose hash falls in it, or "". *)
-let spelling_slots = 1024
-
-let recent_spellings = Array.make spelling_slots ""
-
-let spelling src start len h =
-  let slot = h land (spelling_slots - 1) in
-  let s = Array.unsafe_get recent_spellings slot in
-  if String.length s = len && same_from s src start 0 then s
-  else begin
-    let s = String.sub src start len in
-    Array.unsafe_set recent_spellings slot s;
-    s
-  end
-
 (* 0 if [src.[start..start+len)] does not spell the keyword [k], 1 if it
    spells it in another case, [exact] (2) if as [k] is written *)
 let rec spells k src start len i exact =
@@ -93,19 +70,19 @@ let rec spells k src start len i exact =
     else if Char.uppercase_ascii c = u then spells k src start len (i + 1) 1
     else 0
 
-(* The word [src.[start..start+len)] of case-folded hash [h], probing
-   the keyword table from slot [i]: a keyword written in upper case is
-   spelled by the keyword's own string. *)
-let rec word_token src start len h i =
+(* The word [src.[start..start+len)], probing the keyword table from
+   slot [i]: a keyword written in upper case is spelled by the
+   keyword's own string, and only other spellings are copied. *)
+let rec word_token src start len i =
   let k = Array.unsafe_get keyword_slots i in
   let next_slot = (i + 1) land (slots - 1) in
-  if String.length k = 0 then Ident (spelling src start len h)
-  else if String.length k <> len then word_token src start len h next_slot
+  if String.length k = 0 then Ident (String.sub src start len)
+  else if String.length k <> len then word_token src start len next_slot
   else
     match spells k src start len 0 2 with
-    | 0 -> word_token src start len h next_slot
+    | 0 -> word_token src start len next_slot
     | 2 -> Keyword (k, k)
-    | _ -> Keyword (k, spelling src start len h)
+    | _ -> Keyword (k, String.sub src start len)
 
 exception Lex_error of string
 
@@ -205,7 +182,7 @@ let rec scan_word cur i h =
 (* an identifier or keyword from [start] *)
 let word cur start =
   let h = scan_word cur start 0 in
-  word_token cur.src start (cur.pos - start) h (h land (slots - 1))
+  word_token cur.src start (cur.pos - start) (h land (slots - 1))
 
 let rec line_end cur i =
   if i < cur.len && String.unsafe_get cur.src i <> '\n' then line_end cur (i + 1) else i
