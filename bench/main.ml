@@ -66,11 +66,11 @@ let time_avg ?(repeats = 3) f =
   (Option.get !result, !total /. float_of_int repeats)
 
 (* Measurement discipline for the recorded (JSON) series: one unmeasured
-   warmup run first — it faults in code paths, spawns/warms the domain
-   pool and triggers the one-off cutoff calibration — then the median of
-   [repeats] timed runs, which is robust against a straggler sample in a
-   way the mean is not.  Each run times [f] on the output of [setup],
-   which runs outside the timer. *)
+   warmup run first — it faults in code paths and spawns/warms the
+   domain pool — then the median of [repeats] timed runs, which is
+   robust against a straggler sample in a way the mean is not.  Each
+   run times [f] on the output of [setup], which runs outside the
+   timer. *)
 let time_median_of ?(warmup = 1) ?(repeats = 5) ~setup f =
   for _ = 1 to warmup do
     ignore (f (setup ()))
@@ -846,7 +846,6 @@ let e10_incremental_refresh () =
   (* -- determinism: events, tasks and values at pool sizes 1/2/8 -- *)
   let saved = Pool.size () in
   let snapshot s =
-    Pool.set_min_parallel_work (Some 0);
     Pool.set_size s;
     let k, srcs = e10_kernel ~n ~npix:32 ~seed_of:fresh_seed () in
     let pairs = e10_derive_all k srcs in
@@ -865,7 +864,6 @@ let e10_incremental_refresh () =
   in
   let s1 = snapshot 1 in
   let deterministic = s1 = snapshot 2 && s1 = snapshot 8 in
-  Pool.set_min_parallel_work None;
   Pool.set_size saved;
   Printf.printf "stale after update: %d of %d derived object(s)\n" stale_before
     total;
@@ -1751,7 +1749,6 @@ let parity_gate () =
          && Float.is_finite (R.Imgstats.sum band)) ]
   in
   let saved = Pool.size () in
-  Pool.set_min_parallel_work (Some 0);
   List.iter
     (fun lanes ->
       Pool.set_size lanes;
@@ -1763,7 +1760,6 @@ let parity_gate () =
           if not pass then parity_failed := true)
         checks)
     [ 1; 4 ];
-  Pool.set_min_parallel_work None;
   Pool.set_size saved;
   if !parity_failed then
     print_endline "PARITY FAILURE: fused kernels diverged from reference"

@@ -26,6 +26,9 @@ type job = {
 
 type pool = {
   lanes : int; (* workers + the calling domain *)
+  (* more lanes than cores: a spinning lane would hold the core the
+     lane it waits for needs, so every lane blocks without spinning *)
+  park_now : bool;
   mutex : Mutex.t;
   cond : Condition.t;            (* workers wait here for a new epoch *)
   done_cond : Condition.t;       (* the caller waits here for stragglers *)
@@ -94,7 +97,7 @@ let rec worker_loop p seen =
         Mutex.unlock p.mutex
       end
   in
-  await worker_spin_budget;
+  await (if p.park_now then 0 else worker_spin_budget);
   if not (Atomic.get p.stopping) then begin
     let epoch = Atomic.get p.epoch in
     (match p.job with Some j -> run_job p j | None -> ());
@@ -103,7 +106,8 @@ let rec worker_loop p seen =
 
 let make_pool lanes =
   let p =
-    { lanes; mutex = Mutex.create (); cond = Condition.create ();
+    { lanes; park_now = lanes > Domain.recommended_domain_count ();
+      mutex = Mutex.create (); cond = Condition.create ();
       done_cond = Condition.create (); epoch = Atomic.make 0;
       sleepers = Atomic.make 0; caller_waiting = Atomic.make false;
       stopping = Atomic.make false; job = None; domains = [] }
@@ -231,7 +235,7 @@ let dispatch n body =
         Atomic.set p.caller_waiting false
       end
   in
-  wait caller_spin_budget;
+  wait (if p.park_now then 0 else caller_spin_budget);
   Domain.DLS.set in_parallel false;
   p.job <- None;
   let err = Atomic.get j.err in
@@ -239,91 +243,30 @@ let dispatch n body =
   match err with Some e -> raise e | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive sequential cutoff                                          *)
-(* ------------------------------------------------------------------ *)
-
-let min_par_override = ref None
-
-let median a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
-(* Calibrated threshold: parallelism should engage only when the
-   sequential work is worth ~10 pool dispatches.  Both sides measured
-   in wall time once per process: dispatch = median of empty jobs
-   through the live pool, work = best-of-5 float-array sum. *)
-let calibrate () =
-  let reps = 9 in
-  let samples = Array.make reps 0. in
-  for r = 0 to reps - 1 do
-    let t0 = Unix.gettimeofday () in
-    dispatch (size ()) (fun _ -> ());
-    samples.(r) <- Unix.gettimeofday () -. t0
-  done;
-  let overhead = median samples in
-  let n = 65536 in
-  let a = Array.make n 1.0 in
-  let best = ref infinity in
-  for _ = 1 to 5 do
-    let t0 = Unix.gettimeofday () in
-    let acc = ref 0. in
-    for i = 0 to n - 1 do
-      acc := !acc +. Array.unsafe_get a i
-    done;
-    ignore (Sys.opaque_identity !acc);
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  let per_elem = Stdlib.max 1e-10 (!best /. float_of_int n) in
-  let w = int_of_float (10. *. overhead /. per_elem) in
-  Stdlib.max default_grain (Stdlib.min 16_777_216 w)
-
-let calibrated = ref None
-
-let min_parallel_work () =
-  match !min_par_override with
-  | Some w -> w
-  | None ->
-    if Domain.recommended_domain_count () = 1 then max_int
-    else (
-      match !calibrated with
-      | Some w -> w
-      | None ->
-        let w = calibrate () in
-        calibrated := Some w;
-        w)
-
-let set_min_parallel_work w = min_par_override := w
-
-(* ------------------------------------------------------------------ *)
 (* Parallel iteration                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let sequential_ok ~grain ~lo ~hi =
+(* Nested regions would deadlock on the region lock, and a range of one
+   grain is one chunk, so there is nothing to share. *)
+let sequential ~grain ~lo ~hi =
   Domain.DLS.get in_parallel || size () = 1 || hi - lo <= grain
 
-let below_cutoff ~cost ~lo ~hi =
-  let w = min_parallel_work () in
-  w > 0 && float_of_int (hi - lo) *. cost < float_of_int w
-
-let parallel_for_ranges ?(grain = default_grain) ?(cost = 1.0) ~lo ~hi body =
+let parallel_for_ranges ?(grain = default_grain) ~lo ~hi body =
   if hi > lo then begin
-    if sequential_ok ~grain ~lo ~hi || below_cutoff ~cost ~lo ~hi then
-      body lo hi
+    if sequential ~grain ~lo ~hi then body lo hi
     else
       dispatch (chunk_count ~grain ~lo ~hi) (fun ci ->
           let clo = lo + (ci * grain) in
           body clo (Stdlib.min hi (clo + grain)))
   end
 
-let parallel_for ?grain ?cost ~lo ~hi body =
-  parallel_for_ranges ?grain ?cost ~lo ~hi (fun clo chi ->
+let parallel_for ?grain ~lo ~hi body =
+  parallel_for_ranges ?grain ~lo ~hi (fun clo chi ->
       for i = clo to chi - 1 do
         body i
       done)
 
-let map_chunks ?(grain = default_grain) ?(cost = 1.0) ~lo ~hi f =
+let map_chunks ?(grain = default_grain) ~lo ~hi f =
   let n = chunk_count ~grain ~lo ~hi in
   if n = 0 then [||]
   else begin
@@ -333,9 +276,7 @@ let map_chunks ?(grain = default_grain) ?(cost = 1.0) ~lo ~hi f =
       results.(ci) <- Some (f clo (Stdlib.min hi (clo + grain)))
     in
     (* same chunk layout either way, so reductions associate identically *)
-    if n = 1 || Domain.DLS.get in_parallel || size () = 1
-       || below_cutoff ~cost ~lo ~hi
-    then
+    if sequential ~grain ~lo ~hi then
       for ci = 0 to n - 1 do
         run ci
       done
@@ -347,5 +288,5 @@ let map_chunks ?(grain = default_grain) ?(cost = 1.0) ~lo ~hi f =
       results
   end
 
-let parallel_for_reduce ?grain ?cost ~lo ~hi ~init ~reduce map =
-  Array.fold_left reduce init (map_chunks ?grain ?cost ~lo ~hi map)
+let parallel_for_reduce ?grain ~lo ~hi ~init ~reduce map =
+  Array.fold_left reduce init (map_chunks ?grain ~lo ~hi map)

@@ -21,26 +21,23 @@
     [test/test_par.ml] assert.  Bodies must write disjoint locations
     and must not depend on evaluation order across chunks.
 
-    {2 Dispatch cost and the adaptive cutoff}
-
-    Entering a parallel region costs a region lock, an epoch bump and
-    (worst case) a condvar wakeup per sleeping worker — microseconds,
-    i.e. millions of float adds.  Workers spin briefly before blocking
-    and the caller helps with the work before spinning on completion,
-    but no amount of protocol tuning makes a 9k-pixel subtraction worth
-    distributing.  Every iteration entry point therefore compares the
-    estimated work ([range length * cost]) against
-    {!min_parallel_work}, a per-host threshold calibrated once on
-    first use, and falls back to the plain sequential loop (same chunk
-    layout for reductions) below it.  On a 1-domain host the threshold
-    is [max_int]: parallelism can never pay there.
-
     {2 Sequential fallback}
 
-    Independent of the cutoff, a call degrades to a plain loop when the
-    pool size is 1, when the range is at most one grain, or when it is
-    issued from inside another parallel region (no nested
-    parallelism).  *)
+    One rule decides the path.  A call runs as a plain loop (the same
+    chunk layout, for reductions) when it is issued from inside another
+    parallel region (no nested parallelism), when the pool size is 1,
+    or when its range is at most one grain; otherwise it dispatches.
+    Entering a parallel region costs a region lock, an epoch bump and
+    (worst case) a condvar wakeup per sleeping worker, so the grain is
+    what keeps dispatch off small ranges.
+
+    {2 Oversubscription}
+
+    Workers spin briefly on a new job before blocking, and the caller
+    spins briefly on completion before parking.  A pool with more
+    lanes than [Domain.recommended_domain_count ()] skips both spins
+    and blocks at once: there a spinning lane holds the core that the
+    lane it waits for needs. *)
 
 val default_grain : int
 (** Indices per chunk when [?grain] is omitted (pixels, for raster
@@ -66,46 +63,29 @@ val set_size : int -> unit
     deadlock on the region lock), it only records the request, which
     takes effect when the next region starts. *)
 
-val min_parallel_work : unit -> int
-(** The adaptive sequential cutoff: estimated work units ([range
-    length * cost]) below which the iteration entry points stay
-    sequential.  Resolution order: {!set_min_parallel_work} override,
-    [max_int] on hosts where [Domain.recommended_domain_count () = 1],
-    else a value calibrated once per process (about ten pool dispatches' worth of
-    float-add work, clamped to [default_grain .. 16M]). *)
-
-val set_min_parallel_work : int option -> unit
-(** Override the cutoff ([Some 0] forces the parallel path — used by
-    the parity tests); [None] restores calibration. *)
-
 val parallel_for :
-  ?grain:int -> ?cost:float -> lo:int -> hi:int -> (int -> unit) -> unit
+  ?grain:int -> lo:int -> hi:int -> (int -> unit) -> unit
 (** [parallel_for ~lo ~hi body] runs [body i] for every [lo <= i < hi].
     The body must be safe to run concurrently for distinct [i].
     Exceptions raised by the body are re-raised in the caller (first
-    one wins); remaining chunks still run, so the pool stays reusable.
-    [?cost] scales the cutoff comparison: the per-index work relative
-    to one float add (default [1.0]) — expensive kernels (k-means,
-    maxlike) pass a larger cost so they parallelize at sizes where a
-    plain subtraction would not. *)
+    one wins); remaining chunks still run, so the pool stays reusable. *)
 
 val parallel_for_ranges :
-  ?grain:int -> ?cost:float -> lo:int -> hi:int -> (int -> int -> unit) -> unit
+  ?grain:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** [parallel_for_ranges ~lo ~hi body] runs [body clo chi] once per
     chunk, [clo] inclusive and [chi] exclusive.  Chunk-level bodies
     avoid a closure call per index on tight pixel loops.  On the
     sequential path the whole range is one call: [body lo hi]. *)
 
 val map_chunks :
-  ?grain:int -> ?cost:float -> lo:int -> hi:int -> (int -> int -> 'a)
-  -> 'a array
+  ?grain:int -> lo:int -> hi:int -> (int -> int -> 'a) -> 'a array
 (** [map_chunks ~lo ~hi f] computes [f clo chi] for every chunk and
     returns the results in ascending chunk order (deterministic at any
     pool size; the sequential path uses the {e same} chunk layout).
     An empty range yields [||]. *)
 
 val parallel_for_reduce :
-  ?grain:int -> ?cost:float -> lo:int -> hi:int -> init:'a
+  ?grain:int -> lo:int -> hi:int -> init:'a
   -> reduce:('a -> 'a -> 'a) -> (int -> int -> 'a) -> 'a
 (** [parallel_for_reduce ~lo ~hi ~init ~reduce map] computes [map clo
     chi] per chunk and folds [reduce] left-to-right over the results —

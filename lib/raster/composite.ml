@@ -31,8 +31,7 @@ let to_matrix t =
   let rows = n_pixels t and cols = n_bands t in
   let bands = Array.map Image.unsafe_data t.bands in
   let out = Array.make (rows * cols) 0. in
-  Gaea_par.Pool.parallel_for_ranges ~lo:0 ~hi:rows ~cost:(float_of_int cols)
-    (fun lo hi ->
+  Gaea_par.Pool.parallel_for_ranges ~lo:0 ~hi:rows (fun lo hi ->
       for i = lo to hi - 1 do
         let base = i * cols in
         for j = 0 to cols - 1 do

@@ -64,11 +64,11 @@ let map2 ?(label = "") ?ptype f a b =
           Pixel.quantize ptype (f a.data.(i) b.data.(i))) }
 
 (* chunks are disjoint and laid out independently of the pool size *)
-let init_chunks ?(label = "") ?cost ~nrow ~ncol ptype body =
+let init_chunks ?(label = "") ~nrow ~ncol ptype body =
   check_dims nrow ncol;
   let n = nrow * ncol in
   let data = Array.make n 0. in
-  Gaea_par.Pool.parallel_for_ranges ?cost ~lo:0 ~hi:n (fun lo hi ->
+  Gaea_par.Pool.parallel_for_ranges ~lo:0 ~hi:n (fun lo hi ->
       body data lo hi);
   { nrow; ncol; ptype; label; data }
 

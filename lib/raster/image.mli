@@ -44,7 +44,7 @@ val map2 : ?label:string -> ?ptype:Pixel.t -> (float -> float -> float)
   -> t -> t -> t
 (** @raise Invalid_argument if sizes differ. *)
 
-val init_chunks : ?label:string -> ?cost:float -> nrow:int -> ncol:int
+val init_chunks : ?label:string -> nrow:int -> ncol:int
   -> Pixel.t -> (float array -> int -> int -> unit) -> t
 (** [init_chunks ~nrow ~ncol pt body] allocates a zero-filled pixel
     array [out] and calls [body out lo hi] once per {!Gaea_par.Pool}
@@ -53,9 +53,7 @@ val init_chunks : ?label:string -> ?cost:float -> nrow:int -> ncol:int
     per chunk, no closure call and no boxed float per pixel.  Chunks
     run concurrently, so [body] must write only its own range; the
     result is the same at any pool size.  Values are stored {e without}
-    quantizing: the caller promises they fit [pt].  [?cost] is the
-    per-pixel work estimate relative to one float add (default 1.0),
-    fed to the pool's sequential cutoff.
+    quantizing: the caller promises they fit [pt].
     @raise Invalid_argument on the dimensions {!init} rejects. *)
 
 val fold : ('a -> float -> 'a) -> 'a -> t -> 'a

@@ -31,7 +31,7 @@ let variance img =
     let m = mean img in
     let data = Image.unsafe_data img in
     combine
-      (Pool.map_chunks ~lo:0 ~hi:n ~cost:2.0 (fun lo hi ->
+      (Pool.map_chunks ~lo:0 ~hi:n (fun lo hi ->
            let acc = ref 0. in
            for i = lo to hi - 1 do
              let d = Array.unsafe_get data i -. m in

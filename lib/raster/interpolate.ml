@@ -79,7 +79,7 @@ let resize_bilinear img ~nrow ~ncol =
   let src = Image.unsafe_data img in
   let y0, y1, dys = bilinear_axis ~n:nrow ~src_n:src_r ~stride:src_c
   and x0, x1, dxs = bilinear_axis ~n:ncol ~src_n:src_c ~stride:1 in
-  Image.init_chunks ~label:"resize-bilinear" ~cost:16. ~nrow ~ncol Pixel.Float8
+  Image.init_chunks ~label:"resize-bilinear" ~nrow ~ncol Pixel.Float8
     (fun out lo hi ->
       each_row ~ncol lo hi (fun r c first stop ->
           let dy = Array.unsafe_get dys r in

@@ -30,8 +30,7 @@ let seed_centroids rng pts n dims k ~dists ~best ~best_d ~second =
   let set_from j p = Array.blit pts (p * dims) cs (j * dims) dims in
   let fold_in j =
     let cj = j * dims and last = j = k - 1 in
-    Pool.parallel_for_ranges ~cost:(3. *. float_of_int dims) ~lo:0 ~hi:n
-      (fun clo chi ->
+    Pool.parallel_for_ranges ~lo:0 ~hi:n (fun clo chi ->
         for i = clo to chi - 1 do
           let pi = i * dims in
           let acc = ref 0. in
@@ -163,10 +162,6 @@ let run ~seed ~max_iter composite k =
   let n = Composite.n_pixels composite in
   let dims = Composite.n_bands composite in
   let pts = Array.make (n * dims) 0. in
-  (* cost hints below: per-pixel work relative to one float add, so the
-     pool's adaptive cutoff still engages for these expensive kernels
-     at sizes where a plain subtraction would stay sequential *)
-  let fdims = float_of_int dims in
   for b = 0 to dims - 1 do
     let data = Image.unsafe_data (Composite.band composite b) in
     for i = 0 to n - 1 do
@@ -290,10 +285,7 @@ let run ~seed ~max_iter composite k =
        Iteration 1 is Lloyd's scan the seeding ran: it only turns the
        seeding's distances into bounds and keys. *)
     let chunks =
-      Pool.map_chunks
-        ~cost:(if t = 1 then 4. else 3. *. float_of_int k *. fdims)
-        ~lo:0 ~hi:n
-        (fun clo chi ->
+      Pool.map_chunks ~lo:0 ~hi:n (fun clo chi ->
           let moved = ref 0 and evals = ref 0 in
           let dsums = Array.make (k * dims) 0. and dcounts = Array.make k 0 in
           (* the pixel's own distance, set when [tight] *)
@@ -439,7 +431,7 @@ let run ~seed ~max_iter composite k =
         Array.fill counts 0 k 0;
         Array.iter
           (fun (ps, pc) -> add ps pc)
-          (Pool.map_chunks ~cost:(2. *. fdims) ~lo:0 ~hi:n (fun clo chi ->
+          (Pool.map_chunks ~lo:0 ~hi:n (fun clo chi ->
                let sums = Array.make (k * dims) 0. in
                let counts = Array.make k 0 in
                for i = clo to chi - 1 do
@@ -471,7 +463,7 @@ let run ~seed ~max_iter composite k =
   Array.iteri (fun r j -> rank.(j) <- r) order;
   let final_centroids = Array.map centroid order in
   let inertia =
-    Pool.parallel_for_reduce ~cost:(3. *. fdims) ~lo:0 ~hi:n ~init:0.
+    Pool.parallel_for_reduce ~lo:0 ~hi:n ~init:0.
       ~reduce:( +. )
       (fun clo chi ->
         let acc = ref 0. in

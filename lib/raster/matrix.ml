@@ -59,9 +59,7 @@ let mul a b =
   (* parallel over output rows (disjoint writes, per-element order
      unchanged); grain sized so a chunk is ~64k multiply-adds *)
   let grain = Stdlib.max 1 (65536 / Stdlib.max 1 (a.cols * b.cols)) in
-  Pool.parallel_for_ranges ~grain
-    ~cost:(float_of_int (a.cols * b.cols))
-    ~lo:0 ~hi:a.rows (fun rlo rhi ->
+  Pool.parallel_for_ranges ~grain ~lo:0 ~hi:a.rows (fun rlo rhi ->
       for i = rlo to rhi - 1 do
         for k = 0 to a.cols - 1 do
           let aik = a.data.((i * a.cols) + k) in
@@ -122,7 +120,7 @@ let column_means t =
 let scale_columns t means sds =
   let k = t.cols and src = t.data in
   let out = Array.make (t.rows * k) 0. in
-  Pool.parallel_for_ranges ~cost:(float_of_int k) ~lo:0 ~hi:t.rows
+  Pool.parallel_for_ranges ~lo:0 ~hi:t.rows
     (fun rlo rhi ->
       for r = rlo to rhi - 1 do
         let base = r * k in
@@ -170,7 +168,7 @@ let covariance t =
     acc
   in
   let total =
-    Pool.parallel_for_reduce ~cost:(float_of_int (k * k)) ~lo:0 ~hi:t.rows
+    Pool.parallel_for_reduce ~lo:0 ~hi:t.rows
       ~init:(Array.make (k * k) 0.)
       ~reduce:(fun a b ->
         for i = 0 to (k * k) - 1 do
@@ -190,7 +188,7 @@ let covariance t =
 let column_sds t means =
   let k = t.cols and data = t.data in
   let total =
-    Pool.parallel_for_reduce ~cost:(float_of_int k) ~lo:0 ~hi:t.rows
+    Pool.parallel_for_reduce ~lo:0 ~hi:t.rows
       ~init:(Array.make k 0.)
       ~reduce:(fun a b ->
         for i = 0 to k - 1 do

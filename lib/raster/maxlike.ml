@@ -165,11 +165,8 @@ let classify model composite =
   in
   let n = nrow * ncol in
   let data = Array.make n 0. in
-  (* per-pixel argmax is independent: parallel across the pool; the
-     cost hint (classes * dims^2 mahalanobis work) keeps the adaptive
-     cutoff from forcing this expensive kernel sequential *)
-  let cost = 4. *. float_of_int nc *. float_of_int dims *. float_of_int dims in
-  Gaea_par.Pool.parallel_for_ranges ~cost ~lo:0 ~hi:n (fun clo chi ->
+  (* per-pixel argmax is independent: parallel across the pool *)
+  Gaea_par.Pool.parallel_for_ranges ~lo:0 ~hi:n (fun clo chi ->
       let diff = Array.make dims 0. in
       for i = clo to chi - 1 do
         let best = ref (-1) and best_ll = ref neg_infinity in

@@ -276,18 +276,12 @@ let test_staleness_event_sequence () =
 
 module Pool = Gaea_par.Pool
 
-(* On a single-domain host the adaptive cutoff (max_int) would keep
-   every raster kernel sequential and these tests would compare
-   sequential with itself — force the parallel path. *)
+(* [f ()] at a pool of [n] lanes: more than one lane takes the
+   parallel path on any host *)
 let with_pool_size n f =
   let saved = Pool.size () in
   Pool.set_size n;
-  Pool.set_min_parallel_work (Some 0);
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.set_min_parallel_work None;
-      Pool.set_size saved)
-    f
+  Fun.protect ~finally:(fun () -> Pool.set_size saved) f
 
 (* src --neg--> c_neg --fin--> c_fin, src --dbl--> c_dbl; the compound
    "pipeline" runs [neg x; dbl x; fin (step 0)] — steps 0 and 1 are

@@ -12,14 +12,9 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let tc name f = Alcotest.test_case name `Quick f
 
-(* On a single-core host the adaptive cutoff resolves to max_int and
-   every entry point would take the sequential path — all the parity
-   tests below would silently compare sequential against sequential.
-   Forcing the cutoff to 0 keeps the dispatch machinery engaged
-   regardless of the host. *)
-let () = Pool.set_min_parallel_work (Some 0)
-
-(* run [f] with the pool forced to [n] lanes, restoring the default *)
+(* run [f] with the pool forced to [n] lanes, restoring the default;
+   more than one lane takes the parallel path for every range longer
+   than one grain, whatever the host's core count *)
 let with_size n f =
   let saved = Pool.size () in
   Pool.set_size n;
@@ -170,22 +165,50 @@ let test_set_size_deferred_inside_region () =
       Pool.parallel_for ~lo:0 ~hi:5000 (fun i -> a.(i) <- 1);
       check_bool "resized pool works" true (Array.for_all (( = ) 1) a))
 
-let test_cutoff_override () =
-  Fun.protect
-    ~finally:(fun () -> Pool.set_min_parallel_work (Some 0))
-    (fun () ->
-      Pool.set_min_parallel_work (Some 123);
-      check_int "override respected" 123 (Pool.min_parallel_work ());
-      (* a cutoff above the range size forces the sequential path;
-         results are unchanged *)
-      Pool.set_min_parallel_work (Some max_int);
-      with_size 4 (fun () ->
-          let n = 10_000 in
-          let a = Array.make n 0 in
-          Pool.parallel_for ~lo:0 ~hi:n (fun i -> a.(i) <- i + 1);
-          let ok = ref true in
-          Array.iteri (fun i v -> if v <> i + 1 then ok := false) a;
-          check_bool "sequential fallback correct" true !ok))
+(* The one rule: a range longer than one grain splits into one body
+   call per chunk at size > 1, and runs as a single call at size 1, when
+   it fits in one grain, or when nested inside a region.  Every path
+   writes the same values. *)
+let test_sequential_rule () =
+  let grain = 1000 and n = 10_500 in
+  (* the (lo, hi) of every body call in ascending order, and the array
+     the calls wrote *)
+  let calls ~lo ~hi () =
+    let seen = Array.make n None and a = Array.make n 0 in
+    Pool.parallel_for_ranges ~grain ~lo ~hi (fun clo chi ->
+        seen.(clo) <- Some (clo, chi);
+        for i = clo to chi - 1 do
+          a.(i) <- (i * 3) + 1
+        done);
+    (List.filter_map Fun.id (Array.to_list seen), a)
+  in
+  let bounds = Alcotest.(list (pair int int)) in
+  let b2, a2 = with_size 2 (calls ~lo:0 ~hi:n) in
+  let chunks =
+    with_size 2 (fun () ->
+        Pool.map_chunks ~grain ~lo:0 ~hi:n (fun lo hi -> (lo, hi)))
+  in
+  check_int "size 2: one call per chunk" 11 (List.length b2);
+  Alcotest.check bounds "size 2: the map_chunks bounds" (Array.to_list chunks)
+    b2;
+  let b1, a1 = with_size 1 (calls ~lo:0 ~hi:n) in
+  Alcotest.check bounds "size 1: one call" [ (0, n) ] b1;
+  let bg, ag = with_size 2 (calls ~lo:500 ~hi:(500 + grain)) in
+  Alcotest.check bounds "one grain at size 2: one call" [ (500, 500 + grain) ]
+    bg;
+  let nested = ref [] and an = ref [||] in
+  with_size 2 (fun () ->
+      Pool.parallel_for_ranges ~grain:1 ~lo:0 ~hi:2 (fun clo _ ->
+          if clo = 0 then begin
+            let b, a = calls ~lo:0 ~hi:n () in
+            nested := b;
+            an := a
+          end));
+  Alcotest.check bounds "nested in a region: one call" [ (0, n) ] !nested;
+  check_bool "same values at size 1 and 2" true (a1 = a2);
+  check_bool "same values nested" true (!an = a2);
+  check_bool "same values in one grain" true
+    (Array.sub ag 500 grain = Array.sub a2 500 grain)
 
 (* ------------------------------------------------------------------ *)
 (* Parity: kernels are bit-identical at pool sizes 1, 2 and 8.         *)
@@ -670,7 +693,7 @@ let () =
           tc "nested fallback" test_nested_region_falls_back;
           tc "set_size clamps" test_set_size_clamps;
           tc "set_size deferred in region" test_set_size_deferred_inside_region;
-          tc "cutoff override" test_cutoff_override ] );
+          tc "sequential rule" test_sequential_rule ] );
       ( "parity",
         [ tc "kmeans" test_parity_kmeans;
           tc "maxlike" test_parity_maxlike;

@@ -11,18 +11,13 @@ let check_close eps = Alcotest.(check (float eps))
 
 let bits v = Int64.bits_of_float v
 
-(* [f ()] at a pool of [lanes] domains; more than one lane forces the
-   parallel path at any size *)
+(* [f ()] at a pool of [lanes] domains; more than one lane takes the
+   parallel path for every range longer than one grain *)
 let at_lanes lanes f =
   let module Pool = Gaea_par.Pool in
   let saved = Pool.size () in
   Pool.set_size lanes;
-  Pool.set_min_parallel_work (if lanes > 1 then Some 0 else None);
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.set_min_parallel_work None;
-      Pool.set_size saved)
-    f
+  Fun.protect ~finally:(fun () -> Pool.set_size saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)

@@ -311,12 +311,7 @@ let test_refreshed_events_logged () =
 let with_pool_size n f =
   let saved = Pool.size () in
   Pool.set_size n;
-  Pool.set_min_parallel_work (Some 0);
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.set_min_parallel_work None;
-      Pool.set_size saved)
-    f
+  Fun.protect ~finally:(fun () -> Pool.set_size saved) f
 
 (* several independent chains refresh in one run; the order they
    commit in must not depend on the pool size *)

@@ -192,12 +192,7 @@ let test_need_three_after_two () =
 let with_pool_size n f =
   let saved = Pool.size () in
   Pool.set_size n;
-  Pool.set_min_parallel_work (Some 0);
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.set_min_parallel_work None;
-      Pool.set_size saved)
-    f
+  Fun.protect ~finally:(fun () -> Pool.set_size saved) f
 
 let test_need_every_scene () =
   List.iter
