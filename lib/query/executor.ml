@@ -81,9 +81,8 @@ let compile_predicate desc pred =
           | Ast.C_neq when not (Vorder.orderable (Value.type_of v)) ->
             not (Value.equal v lv)
           | _ ->
-            (match Vorder.compare v lv with
-             | Ok c -> compare_matches cmp c
-             | Error _ -> false))
+            let c = Vorder.order v lv in
+            c <> Vorder.unordered && compare_matches cmp c)
      | Ast.P_overlaps (_, window) ->
        fun tuple ->
          (match Tuple.get tuple i with
@@ -124,6 +123,43 @@ let check_attrs t (s : Ast.select) classes =
     Error (Gaea_error.Unknown_attribute { source = s.Ast.source; attr })
   | None -> Ok ()
 
+(* The sort key of a row lacking the ORDER BY attribute (a concept
+   member without it): told apart by address, it sorts after every key. *)
+let no_key = Value.VString "no key"
+
+(* ORDER BY's comparison, allocating nothing: keys [Vorder] cannot
+   order tie *)
+let compare_keys dir a b =
+  let c =
+    if a == no_key then if b == no_key then 0 else 1
+    else if b == no_key then -1
+    else
+      let c = Vorder.order a b in
+      if c = Vorder.unordered then 0 else c
+  in
+  match dir with
+  | Ast.Asc -> c
+  | Ast.Desc -> -c
+
+let rec passes tests tuple =
+  match tests with
+  | [] -> true
+  | test :: rest -> test tuple && passes rest tuple
+
+(* Hand each row to [take] until it answers false *)
+let rec each take = function
+  | [] -> ()
+  | (oid, tuple) :: rest -> if take oid tuple then each take rest
+
+let rec each_of_seq take rows =
+  match rows () with
+  | Seq.Nil -> ()
+  | Seq.Cons ((oid, tuple), rest) -> if take oid tuple then each_of_seq take rest
+
+let[@tail_mod_cons] rec firsts n = function
+  | (_, row) :: rest when n > 0 -> row :: firsts (n - 1) rest
+  | _ -> []
+
 let execute_select t (s : Ast.select) =
   let* plan = Optimizer.plan_select t.kernel s in
   let* () = check_attrs t s plan.Plan.classes in
@@ -135,13 +171,15 @@ let execute_select t (s : Ast.select) =
     | [] -> None
     | cols -> Some (List.filter (fun a -> not (is_oid a)) cols)
   in
-  (* A class's matches, produced on demand from [rows]: each a sort key
-     (the stored ORDER BY attribute, or the OID) and the row, built only
-     for a match. *)
-  let matching cls preds rows =
+  let limit = Option.value s.Ast.limit ~default:max_int in
+  (* Matches in reverse result order: without ORDER BY the rows, the
+     walk stopping at the [limit]-th; with it each row beside its sort
+     key (the stored ORDER BY attribute, or the OID). *)
+  let rows = ref [] and keyed = ref [] and taken = ref 0 in
+  (* a class's rows, from [walk], against [preds] *)
+  let visit cls preds walk =
     match Kernel.class_table t.kernel cls with
-    | None -> Seq.empty
-    | Some tab ->
+    | Some tab when !taken < limit ->
       let desc = Table.descriptor tab in
       let tests = List.map (compile_predicate desc) preds in
       let columns =
@@ -151,61 +189,55 @@ let execute_select t (s : Ast.select) =
         |> List.filter_map (fun a ->
                Option.map (fun i -> (a, i)) (Tuple.attr_index desc a))
       in
-      let key =
-        match s.Ast.order_by with
-        | Some (attr, _) when is_oid attr -> fun oid _ -> Some (Value.int oid)
-        | Some (attr, _) ->
-          (match Tuple.attr_index desc attr with
-           | Some i -> fun _ tuple -> Some (Tuple.get tuple i)
-           | None -> fun _ _ -> None)
-        | None -> fun _ _ -> None
+      let row oid tuple =
+        (oid, List.map (fun (a, i) -> (a, Tuple.get tuple i)) columns)
       in
-      Seq.filter_map
-        (fun (oid, tuple) ->
-          if List.for_all (fun test -> test tuple) tests then
-            Some
-              ( key oid tuple,
-                (oid, List.map (fun (a, i) -> (a, Tuple.get tuple i)) columns) )
-          else None)
-        (rows tab)
+      let take =
+        match s.Ast.order_by with
+        | None ->
+          fun oid tuple ->
+            if passes tests tuple then begin
+              rows := row oid tuple :: !rows;
+              incr taken
+            end;
+            !taken < limit
+        | Some (attr, _) ->
+          let key =
+            if is_oid attr then fun oid _ -> Value.int oid
+            else
+              match Tuple.attr_index desc attr with
+              | Some i -> fun _ tuple -> Tuple.get tuple i
+              | None -> fun _ _ -> no_key
+          in
+          fun oid tuple ->
+            if passes tests tuple then
+              keyed := (key oid tuple, row oid tuple) :: !keyed;
+            true
+      in
+      walk tab take
+    | _ -> ()
   in
-  let first_rows tab =
-    match plan.Plan.path with
-    | Plan.Index_eq (attr, v) -> List.to_seq (Table.lookup_eq tab attr v)
-    | Plan.Index_range (attr, lo, hi) ->
-      List.to_seq (Table.lookup_range tab attr ?lo ?hi ())
-    | Plan.Full_scan -> Table.to_seq tab
-  in
-  (* Matches in result order: the first class along its access path,
-     then the other concept members, scanned with all predicates.
-     Without ORDER BY, LIMIT n stops the walk at the n-th match. *)
-  let matches =
-    Seq.append
-      (matching first plan.Plan.residual first_rows)
-      (Seq.concat_map (fun cls -> matching cls s.Ast.where_ Table.to_seq)
-         (List.to_seq rest))
-  in
-  let limit = Option.value s.Ast.limit ~default:max_int in
+  (* the first class along its access path, then the other concept
+     members, scanned with all predicates *)
+  visit first plan.Plan.residual (fun tab take ->
+      match plan.Plan.path with
+      | Plan.Index_eq (attr, v) -> each take (Table.lookup_eq tab attr v)
+      | Plan.Index_range (attr, lo, hi) ->
+        each take (Table.lookup_range tab attr ?lo ?hi ())
+      | Plan.Full_scan -> each_of_seq take (Table.to_seq tab));
+  List.iter
+    (fun cls ->
+      visit cls s.Ast.where_ (fun tab take ->
+          each_of_seq take (Table.to_seq tab)))
+    rest;
   let rows =
     match s.Ast.order_by with
-    | None -> List.of_seq (Seq.map snd (Seq.take limit matches))
+    | None -> List.rev !rows
     | Some (_, dir) ->
-      List.stable_sort
-        (fun (a, _) (b, _) ->
-          let c =
-            match a, b with
-            | Some x, Some y ->
-              (match Vorder.compare x y with Ok c -> c | Error _ -> 0)
-            | Some _, None -> -1
-            | None, Some _ -> 1
-            | None, None -> 0
-          in
-          match dir with
-          | Ast.Asc -> c
-          | Ast.Desc -> -c)
-        (List.of_seq matches)
-      |> List.filteri (fun i _ -> i < limit)
-      |> List.map snd
+      firsts limit
+        (List.stable_sort
+           (fun (a, _) (b, _) -> compare_keys dir a b)
+           (List.rev !keyed))
   in
   let columns =
     match projected with
@@ -249,27 +281,43 @@ let decimal_length n =
     if n < 100 then if n < 10 then 1 else 2 else if n < 1000 then 3 else 4
   else digits n 5 100_000
 
-(* the digits of [n >= 0], ending just before [stop] *)
-let rec write_digits b stop n =
-  if n >= 100 then begin
-    let q = n / 100 in
-    let r = 2 * (n - (q * 100)) in
-    Bytes.unsafe_set b (stop - 1) (String.unsafe_get two_digits (r + 1));
-    Bytes.unsafe_set b (stop - 2) (String.unsafe_get two_digits r);
-    write_digits b (stop - 2) q
+(* the digits of [n >= 0] written backwards, ending just before
+   [stop]; returns where they start *)
+let write_digits b stop n =
+  let n = ref n and stop = ref stop in
+  while !n >= 100 do
+    let q = !n / 100 in
+    let r = 2 * (!n - (q * 100)) in
+    Bytes.unsafe_set b (!stop - 1) (String.unsafe_get two_digits (r + 1));
+    Bytes.unsafe_set b (!stop - 2) (String.unsafe_get two_digits r);
+    stop := !stop - 2;
+    n := q
+  done;
+  if !n >= 10 then begin
+    Bytes.unsafe_set b (!stop - 1) (String.unsafe_get two_digits ((2 * !n) + 1));
+    Bytes.unsafe_set b (!stop - 2) (String.unsafe_get two_digits (2 * !n));
+    !stop - 2
   end
-  else if n >= 10 then begin
-    Bytes.unsafe_set b (stop - 1) (String.unsafe_get two_digits ((2 * n) + 1));
-    Bytes.unsafe_set b (stop - 2) (String.unsafe_get two_digits (2 * n))
+  else begin
+    Bytes.unsafe_set b (!stop - 1) (Char.unsafe_chr (Char.code '0' + !n));
+    !stop - 1
   end
-  else Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (Char.code '0' + n))
+
+(* [string_of_int n] into [b], ending just before [stop]; returns where
+   it starts *)
+let write_int_back b stop n =
+  if n >= 0 then write_digits b stop n
+  else begin
+    let s = string_of_int n in
+    Bytes.blit_string s 0 b (stop - String.length s) (String.length s);
+    stop - String.length s
+  end
 
 (* [string_of_int n] into [b] at [pos]; returns the end *)
 let write_int b pos n =
-  let len = decimal_length n in
-  if n < 0 then Bytes.blit_string (string_of_int n) 0 b pos len
-  else write_digits b (pos + len) n;
-  pos + len
+  let stop = pos + decimal_length n in
+  ignore (write_int_back b stop n);
+  stop
 
 (* A reply of strings and ints, sized exactly and written once *)
 type piece =
@@ -295,19 +343,26 @@ let render pieces =
        0 pieces);
   Bytes.unsafe_to_string b
 
-(* the number of [oids] and the length of ", <oid>" for each of them,
-   and their writer *)
+(* the number of [oids] and the length of ", <oid>" for each of them *)
 let rec listed_length count len = function
   | [] -> (count, len)
   | oid :: rest ->
     listed_length (count + 1) (len + 2 + decimal_length oid) rest
 
-let rec write_listed b pos = function
+(* [string_of_int n] into [b] at [pos] without measuring it: written
+   backwards into the 20 bytes of [scratch] (enough for [min_int]), then
+   across; returns the end *)
+let copy_int scratch b pos n =
+  let from = write_int_back scratch 20 n in
+  Bytes.blit scratch from b pos (20 - from);
+  pos + 20 - from
+
+let rec write_listed scratch b pos = function
   | [] -> pos
   | oid :: rest ->
     Bytes.unsafe_set b pos ',';
     Bytes.unsafe_set b (pos + 1) ' ';
-    write_listed b (write_int b (pos + 2) oid) rest
+    write_listed scratch b (copy_int scratch b (pos + 2) oid) rest
 
 let outcome_message outcome =
   (* a DERIVE may return thousands of objects: size the reply exactly,
@@ -345,7 +400,8 @@ let outcome_message outcome =
     match objects with
     | [] -> String.length head
     | first :: rest ->
-      write_listed b (write_int b (String.length head) first) rest
+      let scratch = Bytes.create 20 in
+      write_listed scratch b (copy_int scratch b (String.length head) first) rest
   in
   Bytes.blit_string close 0 b pos (String.length close);
   Bytes.blit_string trace 0 b (pos + String.length close) (String.length trace);

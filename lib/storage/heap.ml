@@ -78,10 +78,12 @@ let replace t oid tuple =
     t.tuples.(i) <- tuple;
     Ok ()
 
-let locate t oid =
+let slot t oid =
   match Oid.Tbl.find t.by_oid oid with
-  | i -> Some (i, t.tuples.(i))
-  | exception Not_found -> None
+  | i -> i
+  | exception Not_found -> -1
+
+let row t i = (t.oids.(i), t.tuples.(i))
 
 let get t oid =
   match Oid.Tbl.find t.by_oid oid with
@@ -95,6 +97,12 @@ let scan t f =
   for i = 0 to t.used - 1 do
     let tuple = t.tuples.(i) in
     if tuple != vacant then f t.oids.(i) tuple
+  done
+
+let iter_slots t f =
+  for i = 0 to t.used - 1 do
+    let tuple = t.tuples.(i) in
+    if tuple != vacant then f i tuple
   done
 
 let fold t ~init ~f =

@@ -22,9 +22,14 @@ val replace : t -> Oid.t -> Tuple.t -> (unit, string) result
 val get : t -> Oid.t -> Tuple.t option
 (** [None] when absent or deleted. *)
 
-val locate : t -> Oid.t -> (int * Tuple.t) option
-(** A live row's tuple and its position: positions ascend in scan order
-    and hold until the next delete. *)
+val slot : t -> Oid.t -> int
+(** A live row's position, or -1 when the OID is absent or deleted.
+    Positions ascend in scan order; an insert takes position
+    [allocated - 1], and positions change only when a delete compacts
+    the heap, which {!allocated} shows by dropping. *)
+
+val row : t -> int -> Oid.t * Tuple.t
+(** The row at a live row's {!slot}. *)
 
 val length : t -> int
 (** Live tuples. *)
@@ -34,6 +39,9 @@ val allocated : t -> int
 
 val scan : t -> (Oid.t -> Tuple.t -> unit) -> unit
 (** Live tuples, insertion order. *)
+
+val iter_slots : t -> (int -> Tuple.t -> unit) -> unit
+(** {!scan} by {!slot} instead of OID. *)
 
 val fold : t -> init:'a -> f:('a -> Oid.t -> Tuple.t -> 'a) -> 'a
 

@@ -75,22 +75,27 @@ let find t key =
     | None -> []
     | Some s -> IntSet.elements s
 
-let range t ?lo ?hi () =
+let fold_range t ?lo ?hi ~init f =
   let bound_ok = Option.fold ~none:true ~some:(probe_ok t) in
-  if not (bound_ok lo && bound_ok hi) then []
-  else
-    let from =
-      match lo with
-      | None -> VMap.to_seq t.map
-      | Some l -> VMap.to_seq_from l t.map
+  if not (bound_ok lo && bound_ok hi) then init
+  else begin
+    let past_hi k =
+      match hi with None -> false | Some h -> Vorder.compare_exn k h > 0
     in
-    let in_hi (k, _) =
-      match hi with
-      | None -> true
-      | Some h -> Vorder.compare_exn k h <= 0
+    let visit oid acc = f acc oid in
+    let rec walk acc keys =
+      match keys () with
+      | Seq.Cons ((k, oids), rest) when not (past_hi k) ->
+        walk (IntSet.fold visit oids acc) rest
+      | _ -> acc
     in
-    Seq.take_while in_hi from
-    |> Seq.flat_map (fun (_, s) -> IntSet.to_seq s)
-    |> List.of_seq
+    walk init
+      (match lo with
+       | None -> VMap.to_seq t.map
+       | Some l -> VMap.to_seq_from l t.map)
+  end
+
+let range t ?lo ?hi () =
+  List.rev (fold_range t ?lo ?hi ~init:[] (fun acc oid -> oid :: acc))
 
 let cardinality t = t.keys

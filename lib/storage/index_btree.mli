@@ -14,12 +14,17 @@ val remove : t -> Gaea_adt.Value.t -> Oid.t -> unit
 val find : t -> Gaea_adt.Value.t -> Oid.t list
 (** A key not comparable with the index's key type finds nothing. *)
 
+val fold_range :
+  t -> ?lo:Gaea_adt.Value.t -> ?hi:Gaea_adt.Value.t -> init:'a
+  -> ('a -> Oid.t -> 'a) -> 'a
+(** Folds over the OIDs with key in the closed range [lo, hi]; missing
+    bounds are unbounded.  Ascending key order, then ascending OID.
+    Visits only the keys from [lo] on, stopping past [hi]; a bound not
+    comparable with the key type visits nothing. *)
+
 val range :
   t -> ?lo:Gaea_adt.Value.t -> ?hi:Gaea_adt.Value.t -> unit -> Oid.t list
-(** OIDs with key in the closed range [lo, hi]; missing bounds are
-    unbounded.  Ascending key order, then ascending OID.  Visits only the
-    keys from [lo] on, stopping past [hi]; a bound not comparable with
-    the key type gives []. *)
+(** The OIDs {!fold_range} visits, in its order. *)
 
 val cardinality : t -> int
 (** Distinct keys, kept as a counter: constant time. *)

@@ -38,15 +38,11 @@ let analyze_table tab =
             (match !vmin with
              | None -> vmin := Some v
              | Some m ->
-               (match Vorder.compare v m with
-                | Ok c when c < 0 -> vmin := Some v
-                | _ -> ()));
+               let c = Vorder.order v m in
+               if c <> Vorder.unordered && c < 0 then vmin := Some v);
             match !vmax with
             | None -> vmax := Some v
-            | Some m ->
-              (match Vorder.compare v m with
-               | Ok c when c > 0 -> vmax := Some v
-               | _ -> ())
+            | Some m -> if Vorder.order v m > 0 then vmax := Some v
           end)
         per_col);
   { table = Table.name tab;

@@ -99,7 +99,7 @@ let rec reindex_btrees oid ~before ~after = function
   | { bt_pos; bt; _ } :: rest ->
     (match before, after with
      | Some a, Some b
-       when Vorder.compare (Tuple.get a bt_pos) (Tuple.get b bt_pos) = Ok 0 ->
+       when Vorder.order (Tuple.get a bt_pos) (Tuple.get b bt_pos) = 0 ->
        ()
      | _ ->
        (match before with
@@ -110,7 +110,8 @@ let rec reindex_btrees oid ~before ~after = function
         | None -> ()));
     reindex_btrees oid ~before ~after rest
 
-let reindex t oid ~before ~after =
+(* ... and the grid, which holds [oid]'s heap slot [at] *)
+let reindex t oid at ~before ~after =
   reindex_btrees oid ~before ~after t.btree_indexes;
   match t.box_index with
   | Some { grid = Some grid; b_pos; _ } ->
@@ -118,15 +119,16 @@ let reindex t oid ~before ~after =
     (match box before, box after with
      | Some a, Some b when Box.equal a b -> ()
      | a, b ->
-       Option.iter (Index_box.remove grid oid) a;
-       Option.iter (Index_box.add grid oid) b)
+       Option.iter (Index_box.remove grid at) a;
+       Option.iter (Index_box.add grid at) b)
   | _ -> ()
 
 let insert_tuple t oid tuple =
   match Heap.insert t.heap oid tuple with
   | Error _ as e -> e
   | Ok () ->
-    reindex t oid ~before:None ~after:(Some tuple);
+    (* an insert takes the heap's last slot *)
+    reindex t oid (Heap.allocated t.heap - 1) ~before:None ~after:(Some tuple);
     Ok ()
 
 let insert t oid values =
@@ -138,22 +140,31 @@ let replace t oid values =
   match Tuple.of_array t.desc values with
   | Error e -> Error (t.name ^ ": " ^ e)
   | Ok tuple ->
-    (match Heap.get t.heap oid with
-     | None -> Error (Printf.sprintf "%s: replace of unknown oid %d" t.name oid)
-     | Some old ->
-       (match Heap.replace t.heap oid tuple with
-        | Error e -> Error (t.name ^ ": " ^ e)
-        | Ok () ->
-          reindex t oid ~before:(Some old) ~after:(Some tuple);
-          Ok ()))
+    let at = Heap.slot t.heap oid in
+    if at < 0 then
+      Error (Printf.sprintf "%s: replace of unknown oid %d" t.name oid)
+    else begin
+      let _, old = Heap.row t.heap at in
+      match Heap.replace t.heap oid tuple with
+      | Error e -> Error (t.name ^ ": " ^ e)
+      | Ok () ->
+        reindex t oid at ~before:(Some old) ~after:(Some tuple);
+        Ok ()
+    end
 
 let delete t oid =
-  match Heap.get t.heap oid with
-  | None -> false
-  | Some tuple ->
-    let removed = Heap.delete t.heap oid in
-    if removed then reindex t oid ~before:(Some tuple) ~after:None;
-    removed
+  let at = Heap.slot t.heap oid in
+  if at < 0 then false
+  else begin
+    let _, tuple = Heap.row t.heap at and used = Heap.allocated t.heap in
+    ignore (Heap.delete t.heap oid);
+    reindex t oid at ~before:(Some tuple) ~after:None;
+    (* a delete that compacts the heap renumbers its slots: the next
+       probe rebuilds the grid, O(1) amortized over the deletes *)
+    if Heap.allocated t.heap < used then
+      Option.iter (fun bi -> bi.grid <- None) t.box_index;
+    true
+  end
 
 let get t oid = Heap.get t.heap oid
 
@@ -173,14 +184,17 @@ let select t pred =
     (fold t ~init:[] ~f:(fun acc oid tuple ->
          if pred oid tuple then (oid, tuple) :: acc else acc))
 
-let materialize t oids =
-  List.filter_map
-    (fun oid -> Option.map (fun tu -> (oid, tu)) (get t oid))
-    oids
+(* the live rows of [oids], in their order *)
+let[@tail_mod_cons] rec materialize heap = function
+  | [] -> []
+  | oid :: rest ->
+    let at = Heap.slot heap oid in
+    if at < 0 then materialize heap rest
+    else Heap.row heap at :: materialize heap rest
 
 let lookup_eq t attr value =
   match btree t attr with
-  | Some idx -> materialize t (Index_btree.find idx value)
+  | Some idx -> materialize t.heap (Index_btree.find idx value)
   | None ->
     (match Tuple.attr_index t.desc attr with
      | None -> []
@@ -189,7 +203,11 @@ let lookup_eq t attr value =
 
 let lookup_ordered t attr ?lo ?hi () =
   match btree t attr with
-  | Some idx -> materialize t (Index_btree.range idx ?lo ?hi ())
+  | Some idx ->
+    List.rev
+      (Index_btree.fold_range idx ?lo ?hi ~init:[] (fun rows oid ->
+           let at = Heap.slot t.heap oid in
+           if at < 0 then rows else Heap.row t.heap at :: rows))
   | None ->
     (match Tuple.attr_index t.desc attr with
      | None -> []
@@ -198,13 +216,15 @@ let lookup_ordered t attr ?lo ?hi () =
          match bound with
          | None -> true
          | Some b ->
-           (match Vorder.compare v b with Ok c -> c >= 0 | Error _ -> false)
+           let c = Vorder.order v b in
+           c <> Vorder.unordered && c >= 0
        in
        let le v bound =
          match bound with
          | None -> true
          | Some b ->
-           (match Vorder.compare v b with Ok c -> c <= 0 | Error _ -> false)
+           let c = Vorder.order v b in
+           c <> Vorder.unordered && c <= 0
        in
        let rows =
          select t (fun _ tuple ->
@@ -214,9 +234,8 @@ let lookup_ordered t attr ?lo ?hi () =
        (* deliver in key order like the index would *)
        List.sort
          (fun (_, t1) (_, t2) ->
-           match Vorder.compare (Tuple.get t1 i) (Tuple.get t2 i) with
-           | Ok c -> c
-           | Error _ -> 0)
+           let c = Vorder.order (Tuple.get t1 i) (Tuple.get t2 i) in
+           if c = Vorder.unordered then 0 else c)
          rows)
 
 let grid_of t bi =
@@ -224,29 +243,47 @@ let grid_of t bi =
   | Some grid -> grid
   | None ->
     let grid = Index_box.create () in
-    Heap.scan t.heap (fun oid tuple ->
-        Option.iter (Index_box.add grid oid) (box_at tuple bi.b_pos));
+    Heap.iter_slots t.heap (fun at tuple ->
+        Option.iter (Index_box.add grid at) (box_at tuple bi.b_pos));
     bi.grid <- Some grid;
     grid
 
+(* ascending in place: an insertion sort for the few slots a window
+   usually finds, where [Array.sort]'s compare calls cost more than the
+   probe; [Array.sort] past them *)
+let sort_slots a =
+  if Array.length a > 32 then Array.sort Int.compare a
+  else
+    for i = 1 to Array.length a - 1 do
+      let v = a.(i) and j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done
+
 (* Rows, in heap order, whose box overlaps every window: from the
-   window index when the attribute has one, else from a scan. *)
+   window index when the attribute has one, else from a scan.  The
+   index yields the heap slots whose box overlaps the first window;
+   only a window that differs from it is tested again on the tuple. *)
 let lookup_windows t attr pos windows =
-  let qualifies tuple =
+  let qualifies windows tuple =
     match box_at tuple pos with
     | Some b -> List.for_all (Box.overlaps b) windows
     | None -> false
   in
   match t.box_index, windows with
-  | Some bi, probe :: _ when bi.b_attr = attr ->
-    Index_box.overlapping (grid_of t bi) probe
-    |> List.filter_map (fun oid ->
-           match Heap.locate t.heap oid with
-           | Some (at, tuple) when qualifies tuple -> Some (at, (oid, tuple))
-           | _ -> None)
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map snd
-  | _ -> select t (fun _ tuple -> qualifies tuple)
+  | Some bi, probe :: others when bi.b_attr = attr ->
+    let others = List.filter (fun w -> not (Box.equal w probe)) others in
+    let found = ref [] in
+    Index_box.iter_overlapping (grid_of t bi) probe (fun at ->
+        if others = [] || qualifies others (snd (Heap.row t.heap at)) then
+          found := at :: !found);
+    let slots = Array.of_list !found in
+    sort_slots slots;
+    Array.fold_right (fun at rows -> Heap.row t.heap at :: rows) slots []
+  | _ -> select t (fun _ tuple -> qualifies windows tuple)
 
 let lookup_range t attr ?lo ?hi () =
   match Tuple.attr_index t.desc attr, Tuple.attr_type t.desc attr with

@@ -7,22 +7,30 @@ let orderable = function
   | Vtype.Composite | Vtype.Image | Vtype.Matrix | Vtype.Vector | Vtype.Box
   | Vtype.Interval | Vtype.Setof _ | Vtype.Any -> false
 
-let compare a b =
+(* no comparison below returns it: they all give -1, 0 or 1 *)
+let unordered = min_int
+
+let order a b =
   match a, b with
-  | Value.VInt x, Value.VInt y -> Ok (Int.compare x y)
-  | Value.VFloat x, Value.VFloat y -> Ok (Float.compare x y)
-  | Value.VInt x, Value.VFloat y -> Ok (Float.compare (float_of_int x) y)
-  | Value.VFloat x, Value.VInt y -> Ok (Float.compare x (float_of_int y))
-  | Value.VString x, Value.VString y -> Ok (String.compare x y)
-  | Value.VBool x, Value.VBool y -> Ok (Bool.compare x y)
-  | Value.VAbstime x, Value.VAbstime y -> Ok (Gaea_geo.Abstime.compare x y)
-  | _ ->
-    Error
-      (Printf.sprintf "values of types %s and %s are not ordered"
-         (Vtype.to_string (Value.type_of a))
-         (Vtype.to_string (Value.type_of b)))
+  | Value.VInt x, Value.VInt y -> Int.compare x y
+  | Value.VFloat x, Value.VFloat y -> Float.compare x y
+  | Value.VInt x, Value.VFloat y -> Float.compare (float_of_int x) y
+  | Value.VFloat x, Value.VInt y -> Float.compare x (float_of_int y)
+  | Value.VString x, Value.VString y -> String.compare x y
+  | Value.VBool x, Value.VBool y -> Bool.compare x y
+  | Value.VAbstime x, Value.VAbstime y -> Gaea_geo.Abstime.compare x y
+  | _ -> unordered
+
+let not_ordered a b =
+  Printf.sprintf "values of types %s and %s are not ordered"
+    (Vtype.to_string (Value.type_of a))
+    (Vtype.to_string (Value.type_of b))
+
+let compare a b =
+  let c = order a b in
+  if c = unordered then Error (not_ordered a b) else Ok c
 
 let compare_exn a b =
-  match compare a b with
-  | Ok c -> c
-  | Error e -> invalid_arg ("Vorder.compare: " ^ e)
+  let c = order a b in
+  if c = unordered then invalid_arg ("Vorder.compare: " ^ not_ordered a b)
+  else c

@@ -1349,6 +1349,184 @@ let prop_window_select_matches_scan =
                (show_rows scanned))
         selects)
 
+(* The same SELECTs against two kernels holding the same rows: one
+   class with B-trees on an int ([n]), a float ([level]) and an abstime
+   ([timestamp], its temporal extent), one whose temporal extent is a
+   decoy and that has no other B-tree, so every SELECT on it scans.
+   The index path delivers rows in key order, then by OID, where the
+   scan delivers heap order; so the scan's rows, sorted the same way
+   and then by the ORDER BY, cut by the LIMIT, must be the index path's
+   rows in the same order. *)
+type btree_op =
+  | B_insert of int * float * int  (* n, level, day of January 1990 *)
+  | B_update of int * int * int  (* a live row, which attribute, value *)
+  | B_delete of int
+
+let level_gen = QCheck.Gen.oneofl [ -1.5; -0.; 0.; 0.5; 1.; 2.5; 3. ]
+
+let btree_case_gen =
+  QCheck.Gen.(
+    let op =
+      frequency
+        [ (5, map3 (fun n l d -> B_insert (n, l, d)) (int_range (-3) 3) level_gen
+                (int_range 1 6));
+          (2, map3 (fun i a v -> B_update (i, a, v)) nat (int_bound 2)
+                (int_range (-3) 6));
+          (2, map (fun i -> B_delete i) nat) ]
+    in
+    let literal = function
+      | "n" ->
+        oneof
+          [ map Value.int (int_range (-4) 4);
+            map (fun i -> Value.float (float_of_int i +. 0.5)) (int_range (-4) 3) ]
+      | "level" ->
+        oneof [ map Value.float level_gen; map Value.int (int_range (-2) 3) ]
+      | _ -> map (fun d -> Value.abstime (Abstime.of_ymd 1990 1 d)) (int_range 1 8)
+    in
+    let pred =
+      oneof
+        [ map (fun d -> Ast.P_at ("timestamp", Abstime.of_ymd 1990 1 d))
+            (int_range 1 6);
+          (let* attr = oneofl [ "n"; "level"; "timestamp" ] in
+           let* cmp =
+             oneofl [ Ast.C_eq; Ast.C_lt; Ast.C_le; Ast.C_gt; Ast.C_ge ]
+           in
+           map (fun v -> Ast.P_compare (attr, cmp, v)) (literal attr)) ]
+    in
+    let select =
+      let* where_ = list_size (int_range 1 2) pred in
+      let* projection = oneofl [ []; [ "n" ]; [ "level"; "timestamp" ] ] in
+      let* order_by =
+        oneof
+          [ return None;
+            map2
+              (fun a d -> Some (a, d))
+              (oneofl [ "n"; "level"; "timestamp"; "oid" ])
+              (oneofl [ Ast.Asc; Ast.Desc ]) ]
+      in
+      let* limit = oneof [ return None; map Option.some (int_range 0 5) ] in
+      return { Ast.projection; source = "rows"; where_; order_by; limit }
+    in
+    pair (list_size (int_range 0 40) op) (list_size (int_range 1 6) select))
+
+let prop_btree_select_matches_scan =
+  QCheck.Test.make ~name:"B-tree path = scan" ~count:200
+    (QCheck.make btree_case_gen)
+    (fun (ops, selects) ->
+      let session extents =
+        let s = Session.create () in
+        let _ =
+          ok
+            (Session.run_string s
+               ("DEFINE CLASS rows (n int, level float, timestamp abstime, \
+                 decoy_t abstime)" ^ extents))
+        in
+        s
+      in
+      let indexed = session ""
+      and scanned = session " TEMPORAL decoy_t" in
+      let tab =
+        Option.get (Kernel.class_table (Session.kernel indexed) "rows")
+      in
+      Result.get_ok (Table.create_btree_index tab "n");
+      Result.get_ok (Table.create_btree_index tab "level");
+      let kernels = [ Session.kernel indexed; Session.kernel scanned ] in
+      let nth k i =
+        match Kernel.objects_of_class k "rows" with
+        | [] -> None
+        | oids -> Some (List.nth oids (i mod List.length oids))
+      in
+      let day d = Value.abstime (Abstime.of_ymd 1990 1 d) in
+      List.iter
+        (fun op ->
+          List.iter
+            (fun k ->
+              match op with
+              | B_insert (n, level, d) ->
+                ignore
+                  (ok
+                     (Kernel.insert_object k ~cls:"rows"
+                        [ ("n", Value.int n); ("level", Value.float level);
+                          ("timestamp", day d); ("decoy_t", day 1) ]))
+              | B_update (i, attr, v) ->
+                let change =
+                  match attr with
+                  | 0 -> ("n", Value.int v)
+                  | 1 -> ("level", Value.float (float_of_int v /. 2.))
+                  | _ -> ("timestamp", day (1 + abs v))
+                in
+                Option.iter
+                  (fun oid ->
+                    ok (Kernel.update_object k ~cls:"rows" oid [ change ]))
+                  (nth k i)
+              | B_delete i ->
+                Option.iter
+                  (fun oid -> ok (Kernel.delete_object k ~cls:"rows" oid))
+                  (nth k i))
+            kernels)
+        ops;
+      List.for_all
+        (fun (select : Ast.select) ->
+          let path s =
+            (ok (Optimizer.plan_select (Session.kernel s) select)).Plan.path
+          in
+          let rows s (select : Ast.select) =
+            match Executor.execute (Session.executor s) (Ast.Select select) with
+            | Ok (Executor.Rows { rows; _ }) -> rows
+            | _ -> QCheck.Test.fail_report "expected rows"
+          in
+          let probed =
+            match path indexed with
+            | Plan.Index_eq (a, _) | Plan.Index_range (a, _, _) -> Some a
+            | Plan.Full_scan -> None
+          in
+          let got = rows indexed select in
+          let all = { select with Ast.order_by = None; limit = None } in
+          let stored = rows scanned { all with Ast.projection = [] } in
+          let value attr (oid, _) =
+            if attr = "oid" then Value.int oid
+            else List.assoc attr (List.assoc oid stored)
+          in
+          let by attr a b =
+            Gaea_storage.Vorder.compare_exn (value attr a) (value attr b)
+          in
+          let expected =
+            match probed with
+            | None -> []
+            | Some attr ->
+              let in_key_order =
+                List.stable_sort
+                  (fun a b ->
+                    match by attr a b with
+                    | 0 -> Int.compare (fst a) (fst b)
+                    | c -> c)
+                  (rows scanned all)
+              in
+              let ordered =
+                match select.Ast.order_by with
+                | None -> in_key_order
+                | Some (attr, dir) ->
+                  List.stable_sort
+                    (fun a b ->
+                      match dir with
+                      | Ast.Asc -> by attr a b
+                      | Ast.Desc -> -by attr a b)
+                    in_key_order
+              in
+              List.filteri
+                (fun i _ -> i < Option.value select.Ast.limit ~default:max_int)
+                ordered
+          in
+          let show rows =
+            String.concat " " (List.map (fun (oid, _) -> string_of_int oid) rows)
+          in
+          (probed <> None && path scanned = Plan.Full_scan && got = expected)
+          || QCheck.Test.fail_reportf "paths %s / %s, rows [%s], expected [%s]"
+               (Format.asprintf "%a" Plan.pp_access_path (path indexed))
+               (Format.asprintf "%a" Plan.pp_access_path (path scanned))
+               (show got) (show expected))
+        selects)
+
 let prop_select_tokens =
   QCheck.Test.make ~name:"random SELECT token sequences never raise" ~count:1000
     (QCheck.make ~print:Fun.id select_tokens_gen)
@@ -1556,4 +1734,5 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_mutated_examples; prop_select_tokens ] );
       ( "window",
-        [ QCheck_alcotest.to_alcotest prop_window_select_matches_scan ] ) ]
+        [ QCheck_alcotest.to_alcotest prop_window_select_matches_scan;
+          QCheck_alcotest.to_alcotest prop_btree_select_matches_scan ] ) ]

@@ -249,11 +249,13 @@ let heap_model_prop =
           | None, None -> ()
           | _ -> QCheck.Test.fail_reportf "get %d differs from the model" o
         done;
-        let positions =
-          List.map (fun o -> fst (Option.get (Heap.locate h o))) oids
-        in
+        let positions = List.map (Heap.slot h) oids in
+        if List.exists (fun p -> p < 0) positions then
+          QCheck.Test.fail_report "a live row has no slot";
         if positions <> List.sort_uniq Int.compare positions then
-          QCheck.Test.fail_report "locate positions do not ascend"
+          QCheck.Test.fail_report "slot positions do not ascend";
+        if not (same (List.map (Heap.row h) positions) expected) then
+          QCheck.Test.fail_report "the rows at the slots differ from the model"
       in
       List.iter
         (fun op ->
@@ -418,14 +420,17 @@ let table_lookup_prop =
       && agree ())
 
 (* Window index against a scan: random boxes (points, duplicates, the
-   whole plane, negative, huge and subnormal coordinates) under random
-   inserts, replaces and deletes, probed with random windows before and
+   whole plane, negative, huge and subnormal coordinates, small boxes
+   far out, where cell numbers pass 2^31) under random inserts,
+   replaces and deletes, probed with random windows and with windows
+   that touch a stored box only on an edge or a corner, before and
    after the index is built. *)
 type box_op =
   | Ins of Box.t
   | Rep of int * Box.t
   | Del of int
   | Probe of Box.t
+  | Touch of int * int  (* a live row, and which edge or corner *)
 
 let box_gen =
   QCheck.Gen.(
@@ -438,17 +443,41 @@ let box_gen =
               [ 0.; -0.; 1e-300; -1e-310; 5e-324; 1e6; -1e6; 0x1p52;
                 -0x1p53; 1e300; -1e300; 1e308; -1e308 ] ) ]
     in
+    let spanned (x1, y1) (x2, y2) =
+      Box.make ~xmin:(Float.min x1 x2) ~ymin:(Float.min y1 y2)
+        ~xmax:(Float.max x1 x2) ~ymax:(Float.max y1 y2)
+    in
+    (* a few units across, 2^34 to 2^45 out: cells numbered past 2^31 *)
+    let far =
+      let* base = oneofl [ 0x1p34; -0x1p34; 0x1p45; -0x1p45 ] in
+      let near = map (fun i -> base +. float_of_int i) (int_range (-4) 4) in
+      map2 spanned (pair near near) (pair near near)
+    in
     frequency
-      [ (6, map2
-          (fun (x1, y1) (x2, y2) ->
-            Box.make ~xmin:(Float.min x1 x2) ~ymin:(Float.min y1 y2)
-              ~xmax:(Float.max x1 x2) ~ymax:(Float.max y1 y2))
-          (pair coord coord) (pair coord coord));
+      [ (6, map2 spanned (pair coord coord) (pair coord coord));
         (2, map2 (fun x y -> Box.make ~xmin:x ~ymin:y ~xmax:x ~ymax:y) coord coord);
+        (2, far);
         ( 1,
           oneofl
             [ Box.make ~xmin:(-1e308) ~ymin:(-1e308) ~xmax:1e308 ~ymax:1e308;
               Box.make ~xmin:0. ~ymin:0. ~xmax:2. ~ymax:2. ] ) ])
+
+(* A window meeting [b] only along one of its edges (k = 0..3) or at
+   one of its corners (k = 4..7), [None] when it would not be finite *)
+let touching (b : Box.t) k =
+  let w = Float.max 1. (Box.width b) and h = Float.max 1. (Box.height b) in
+  let xmin, ymin, xmax, ymax =
+    match k land 7 with
+    | 0 -> (b.Box.xmax, b.Box.ymin, b.Box.xmax +. w, b.Box.ymax)
+    | 1 -> (b.Box.xmin -. w, b.Box.ymin, b.Box.xmin, b.Box.ymax)
+    | 2 -> (b.Box.xmin, b.Box.ymax, b.Box.xmax, b.Box.ymax +. h)
+    | 3 -> (b.Box.xmin, b.Box.ymin -. h, b.Box.xmax, b.Box.ymin)
+    | 4 -> (b.Box.xmax, b.Box.ymax, b.Box.xmax +. w, b.Box.ymax +. h)
+    | 5 -> (b.Box.xmin -. w, b.Box.ymax, b.Box.xmin, b.Box.ymax +. h)
+    | 6 -> (b.Box.xmax, b.Box.ymin -. h, b.Box.xmax +. w, b.Box.ymin)
+    | _ -> (b.Box.xmin -. w, b.Box.ymin -. h, b.Box.xmin, b.Box.ymin)
+  in
+  Result.to_option (Box.make_checked ~xmin ~ymin ~xmax ~ymax)
 
 let box_op_gen =
   QCheck.Gen.(
@@ -456,13 +485,15 @@ let box_op_gen =
       [ (4, map (fun b -> Ins b) box_gen);
         (2, map2 (fun i b -> Rep (i, b)) nat box_gen);
         (2, map (fun i -> Del i) nat);
-        (2, map (fun b -> Probe b) box_gen) ])
+        (2, map (fun b -> Probe b) box_gen);
+        (2, map2 (fun i k -> Touch (i, k)) nat (int_bound 7)) ])
 
 let box_op_to_string = function
   | Ins b -> "ins " ^ Box.to_string b
   | Rep (i, b) -> Printf.sprintf "rep %d %s" i (Box.to_string b)
   | Del i -> Printf.sprintf "del %d" i
   | Probe b -> "probe " ^ Box.to_string b
+  | Touch (i, k) -> Printf.sprintf "touch %d %d" i k
 
 let window_index_prop =
   QCheck.Test.make ~name:"window index = scan filtered by Box.overlaps"
@@ -526,6 +557,14 @@ let window_index_prop =
             (nth_live i);
           true
         | Probe w -> agree w
+        | Touch (i, k) ->
+          (match nth_live i with
+           | None -> true
+           | Some oid ->
+             (match Table.get_attr plain oid "where" with
+              | Some (Value.VBox b) ->
+                Option.fold ~none:true ~some:agree (touching b k)
+              | _ -> true))
       in
       let windows =
         [ Box.make ~xmin:(-1.) ~ymin:(-1.) ~xmax:1. ~ymax:1.;
