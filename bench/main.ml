@@ -299,7 +299,7 @@ let e3_p20_scaling () =
       let outcome, dt =
         time_once (fun () -> ok (Derivation.request k Figures.land_cover_class))
       in
-      let oid = List.hd outcome.Derivation.objects in
+      let oid = outcome.Derivation.objects.(0) in
       let reproducible = ok (Lineage.verify_object k oid) in
       let mpix = float_of_int (n * n * 3) /. dt /. 1e6 in
       Printf.printf "%-10s %-8d %-14.1f %-14.2f %b\n"
@@ -479,7 +479,7 @@ let e6_fig5 () =
   let reproduced = List.filter (fun t -> ok (Lineage.verify_task k t)) tasks in
   Printf.printf "reproducibility: %d/%d tasks recompute bit-identically\n"
     (List.length reproduced) (List.length tasks);
-  let result = List.hd outcome.Derivation.objects in
+  let result = outcome.Derivation.objects.(0) in
   Printf.printf "base inputs of the result: %d TM band objects\n"
     (List.length (Lineage.base_inputs k result))
 
@@ -1064,18 +1064,27 @@ let e13_overlaps () =
 
 let e14_failed = ref false
 
-(* mean µs and minor words of [f] over [runs] calls, [reset] untimed
-   after each *)
-let measure ~runs ?(reset = ignore) f =
-  let dt = ref 0. and words = ref 0. in
+(* Words a call allocates, minor and major: a 128x128 result, or an
+   array or string of more than 256 words, is allocated in the major
+   heap directly.  The minor words come from [Gc.minor_words]: the
+   minor count of [Gc.counters] leaves out the current minor heap on
+   OCaml 5.1, so it reads low until a minor collection and then jumps. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* mean µs and words of [f] over [runs] calls, [reset] untimed after
+   each; [words] counts them, minor words unless told otherwise *)
+let measure ~runs ?(reset = ignore) ?(words = Gc.minor_words) f =
+  let dt = ref 0. and total = ref 0. in
   for _ = 1 to runs do
-    let w0 = Gc.minor_words () in
+    let w0 = words () in
     let _, t = time_once f in
-    words := !words +. (Gc.minor_words () -. w0);
+    total := !total +. (words () -. w0);
     dt := !dt +. t;
     reset ()
   done;
-  (!dt *. 1e6 /. float_of_int runs, !words /. float_of_int runs)
+  (!dt *. 1e6 /. float_of_int runs, !total /. float_of_int runs)
 
 let parse_stmt src =
   match Gaea_query.Parser.parse_one src with
@@ -1229,7 +1238,7 @@ let e15_fired_history () =
      `DERIVE normalized NEED N` plans the one unfired scene from\n\
      normalize's frontier (the new object is deleted, untimed, before the\n\
      next run), against a retrieval `DERIVE normalized NEED N-1`\n\n";
-  Printf.printf "%-8s %-12s %-20s %-16s %s\n" "N" "us/DERIVE" "minor words/DERIVE"
+  Printf.printf "%-8s %-12s %-20s %-16s %s\n" "N" "us/DERIVE" "words/DERIVE"
     "retrieve words" "ratio";
   let runs = if smoke then 5 else 10 in
   let row n =
@@ -1243,8 +1252,12 @@ let e15_fired_history () =
     derive ();
     drop_newest k ();
     retrieve ();
-    let us, words = measure ~runs ~reset:(drop_newest k) derive in
-    let _, retrieve_words = measure ~runs retrieve in
+    (* minor and major words: a reply of a thousand OIDs is allocated
+       in the major heap *)
+    let us, words =
+      measure ~runs ~reset:(drop_newest k) ~words:allocated_words derive
+    in
+    let _, retrieve_words = measure ~runs ~words:allocated_words retrieve in
     let ratio = words /. retrieve_words in
     Printf.printf "%-8d %-12.1f %-20.0f %-16.0f %.2f\n" n us words
       retrieve_words ratio;
@@ -1263,14 +1276,18 @@ let e15_fired_history () =
       end)
     (List.map row e15_sizes)
 
+(* the words, minor and major, a retrieval may allocate per returned
+   OID: the reading (1.88) plus 25% *)
+let e16_words_per_oid = 2.35
+
 let e16_deficit () =
   section "E16: firing one object versus retrieving the stored ones";
   Printf.printf
     "workload: N scenes and the products of all but the first (as in\n\
      perfbench catalog); a firing `DERIVE normalized NEED N` against a\n\
      retrieval `DERIVE normalized NEED N-1`, both through the executor\n\n";
-  Printf.printf "%-8s %-12s %-14s %-12s %-14s %s\n" "N" "fire us" "fire words"
-    "retrieve us" "retrieve words" "ratio";
+  Printf.printf "%-8s %-10s %-12s %-12s %-14s %-11s %-9s %s\n" "N" "fire us"
+    "fire words" "retrieve us" "retrieve words" "words/OID" "ns/OID" "ratio";
   let runs = if smoke then 20 else 50 in
   let row n =
     let k = history_kernel n ~unfired:0 in
@@ -1283,23 +1300,33 @@ let e16_deficit () =
     fire ();
     drop_newest k ();
     retrieve ();
-    let fire_us, fire_words = measure ~runs ~reset:(drop_newest k) fire in
-    let retrieve_us, retrieve_words = measure ~runs retrieve in
-    let ratio = fire_words /. retrieve_words in
-    Printf.printf "%-8d %-12.1f %-14.0f %-12.1f %-14.0f %.2f\n" n fire_us
-      fire_words retrieve_us retrieve_words ratio;
-    (n, ratio, retrieve_words /. float_of_int (n - 1))
+    (* minor and major words: the reply text of a thousand OIDs, and
+       any array of them, is allocated in the major heap *)
+    let fire_us, fire_words =
+      measure ~runs ~reset:(drop_newest k) ~words:allocated_words fire
+    in
+    let retrieve_us, retrieve_words =
+      measure ~runs ~words:allocated_words retrieve
+    in
+    let ratio = fire_words /. retrieve_words
+    and per_oid = retrieve_words /. float_of_int (n - 1) in
+    Printf.printf "%-8d %-10.1f %-12.0f %-12.1f %-14.0f %-11.2f %-9.2f %.2f\n" n
+      fire_us fire_words retrieve_us retrieve_words per_oid
+      (retrieve_us *. 1e3 /. float_of_int (n - 1))
+      ratio;
+    (n, ratio, per_oid)
   in
   let rows = List.map row e15_sizes in
-  (* a retrieval's reply costs its OID list (3 words per OID) and the
-     text; walking the heap or growing a buffer costs more *)
+  (* a retrieval costs its reply text, 6 to 7 bytes per OID, and one
+     word per OID for the array of the OIDs it lists; a list of them
+     would cost three words per OID, two more *)
   List.iter
     (fun (n, _, per_oid) ->
-      if per_oid > 4. then begin
+      if per_oid > e16_words_per_oid then begin
         Printf.printf
-          "E16 FAILURE: at N = %d a retrieval allocates %.2f minor words per \
-           returned OID (bound 4)\n"
-          n per_oid;
+          "E16 FAILURE: at N = %d a retrieval allocates %.2f words per \
+           returned OID (bound %.2f)\n"
+          n per_oid e16_words_per_oid;
         e16_failed := true
       end)
     rows;
@@ -1324,12 +1351,6 @@ let e17_failed = ref false
 let e17_insert =
   "INSERT INTO inbox ( data = synth_band(123456789, 16, 16), spatialextent \
    = BOX(0, 0, 1, 1), timestamp = DATE '1987-03-14' );"
-
-(* Words a call allocates, minor and major: a 128x128 result is
-   allocated in the major heap directly. *)
-let allocated_words () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
 
 (* Every registry image operator at 128x128, one lane, through
    Registry.apply: what a call allocates beyond the value it returns.

@@ -130,7 +130,7 @@ let demo_cmd () =
          (Gaea_core.Gaea_error.to_string e);
        1
      | Ok outcome ->
-       let oid = List.hd outcome.Derivation.objects in
+       let oid = outcome.Derivation.objects.(0) in
        show "derived land cover (Fig 3 / P20)" (Lineage.explain k oid);
        (match Derivation.request k Figures.land_cover_changes_class with
         | Error e ->
@@ -138,7 +138,7 @@ let demo_cmd () =
             (Gaea_core.Gaea_error.to_string e);
           1
         | Ok o2 ->
-          let oid2 = List.hd o2.Derivation.objects in
+          let oid2 = o2.Derivation.objects.(0) in
           show "derived land-cover changes (Fig 5 compound)"
             (Lineage.explain k oid2);
           show "derivation net (Graphviz)"

@@ -70,7 +70,7 @@ let () =
   let outcome =
     or_die (Derivation.request k Figures.land_cover_changes_class)
   in
-  let result = List.hd outcome.Derivation.objects in
+  let result = outcome.Derivation.objects.(0) in
   Printf.printf "\nderived object %d through %d task(s):\n" result
     (List.length outcome.Derivation.new_tasks);
   print_string (Lineage.explain k result);

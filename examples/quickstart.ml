@@ -35,7 +35,7 @@ let () =
 
   (* 3. request land cover: not stored, so Gaea derives it *)
   let outcome = or_die (Derivation.request k Figures.land_cover_class) in
-  let land_cover = List.hd outcome.Derivation.objects in
+  let land_cover = outcome.Derivation.objects.(0) in
   Printf.printf "\nland cover derived as object %d via %d task(s):\n"
     land_cover
     (List.length outcome.Derivation.new_tasks);
@@ -55,4 +55,4 @@ let () =
   assert (again.Derivation.new_tasks = []);
   Printf.printf
     "second request: retrieved object %d directly (no new derivation).\n"
-    (List.hd again.Derivation.objects)
+    (again.Derivation.objects.(0))

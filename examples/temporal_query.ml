@@ -61,7 +61,7 @@ let () =
          ~at:(Abstime.of_ymd 1988 1 15) ())
   in
   Printf.printf "\nAT 1988-01-15: retrieved object %d directly (%d new tasks)\n"
-    (List.hd hit.Derivation.objects)
+    (hit.Derivation.objects.(0))
     (List.length hit.Derivation.new_tasks);
 
   (* step 2: a missing date interpolates between its neighbours *)
@@ -70,7 +70,7 @@ let () =
       (Derivation.request_at k ~cls:Figures.rainfall_class
          ~at:(Abstime.of_ymd 1987 1 15) ())
   in
-  let mid_oid = List.hd mid.Derivation.objects in
+  let mid_oid = mid.Derivation.objects.(0) in
   Printf.printf
     "AT 1987-01-15: interpolated object %d (mean rainfall %.1f mm, \
      between %.1f and %.1f)\n"
@@ -89,7 +89,7 @@ let () =
          ~at:(Abstime.of_ymd 1991 1 15) ())
   in
   Printf.printf "\nAT 1991-01-15 (beyond the series): extrapolated object %d\n"
-    (List.hd future.Derivation.objects);
+    (future.Derivation.objects.(0));
 
   (* the lineage distinguishes measured from interpolated data *)
   print_newline ();

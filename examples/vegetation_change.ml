@@ -49,7 +49,7 @@ let () =
   (* derive the two NDVI maps (one task per year, same process) *)
   let ndvi = or_die (Derivation.request ~need:2 k Figures.ndvi_class) in
   Printf.printf "NDVI maps derived: objects [%s]\n"
-    (String.concat ", " (List.map string_of_int ndvi.Derivation.objects));
+    (String.concat ", " (List.map string_of_int (Array.to_list ndvi.Derivation.objects)));
 
   (* scientist 1: subtraction; scientist 2: division; scientist 3: SPCA *)
   let run_process name =

@@ -1,16 +1,17 @@
 module Value = Gaea_adt.Value
 module Oid = Gaea_storage.Oid
+module Table = Gaea_storage.Table
 module Abstime = Gaea_geo.Abstime
 module Net = Gaea_petri.Net
 module Backchain = Gaea_petri.Backchain
 
 type trace_step =
-  | Retrieved_direct of string * Oid.t list
+  | Retrieved_direct of string * Oid.t array
   | Interpolated of string * Oid.t
   | Fired of string * int * int
 
 type outcome = {
-  objects : Oid.t list;
+  objects : Oid.t array;
   new_tasks : Task.t list;
   trace : trace_step list;
 }
@@ -90,7 +91,7 @@ let execute_plan k net plan =
   let* objects = Gaea_error.map_m realize_source plan.Backchain.sources in
   let new_tasks = List.rev !tasks in
   Ok
-    { objects;
+    { objects = Array.of_list objects;
       new_tasks;
       trace =
         List.map
@@ -107,12 +108,18 @@ let request k ?(need = 1) cls =
      | None ->
        Gaea_error.err (Printf.sprintf "class %s missing from the net" cls)
      | Some place ->
-       let tokens = Kernel.tokens k in
-       let have = tokens.Net.count place in
+       (* a place's tokens are its class's rows: read the table *)
+       let table = Kernel.class_table k cls in
+       let have = Option.fold ~none:0 ~some:Table.row_count table in
+       let stored ?tail n =
+         match table with
+         | Some tab -> Table.first_oids ?tail tab n
+         | None -> Option.value tail ~default:[||]
+       in
        if have >= need then begin
          (Kernel.counters k).Kernel.retrievals <-
            (Kernel.counters k).Kernel.retrievals + 1;
-         let stored = tokens.Net.first place need in
+         let stored = stored need in
          Ok
            { objects = stored;
              new_tasks = [];
@@ -130,15 +137,9 @@ let request k ?(need = 1) cls =
          | Some plan ->
            let* derived = execute_plan k net plan in
            (* firing only appends rows, so the class's first [have]
-              rows are still the stored objects: list them onto the
-              derived ones instead of copying a list *)
-           let objects =
-             match Kernel.class_table k cls with
-             | Some tab ->
-               Gaea_storage.Table.oids_onto tab have derived.objects
-             | None -> derived.objects
-           in
-           Ok { derived with objects })
+              rows are still the stored objects: the derived ones
+              follow them *)
+           Ok { derived with objects = stored ~tail:derived.objects have })
 
 (* ------------------------------------------------------------------ *)
 (* Step 2: interpolation                                               *)
@@ -195,7 +196,7 @@ let try_interpolate k ~cls ~tattr ~at =
     (Kernel.counters k).Kernel.interpolations <-
       (Kernel.counters k).Kernel.interpolations + 1;
     Ok
-      { objects = task.Task.outputs;
+      { objects = Array.of_list task.Task.outputs;
         new_tasks = [ task ];
         trace = List.map (fun oid -> Interpolated (cls, oid)) task.Task.outputs }
 
@@ -231,9 +232,9 @@ let request_at k ~cls ~at () =
           (Kernel.counters k).Kernel.retrievals <-
             (Kernel.counters k).Kernel.retrievals + 1;
           Ok
-            { objects = [ oid ];
+            { objects = [| oid |];
               new_tasks = [];
-              trace = [ Retrieved_direct (cls, [ oid ]) ] }
+              trace = [ Retrieved_direct (cls, [| oid |]) ] }
         | [] ->
           (* the paper's order: interpolate, then derive; when both
              fail, the derive step's error *)
@@ -247,9 +248,10 @@ let request_at k ~cls ~at () =
                    match object_time k ~cls ~tattr oid with
                    | Some t -> Abstime.in_day_window ~at t
                    | None -> false)
-                 r.objects
+                 (Array.to_list r.objects)
              in
-             if produced_at <> [] then Ok { r with objects = produced_at }
+             if produced_at <> [] then
+               Ok { r with objects = Array.of_list produced_at }
              else
                (* new snapshots may enable interpolation *)
                let* r2 = try_interpolate k ~cls ~tattr ~at in

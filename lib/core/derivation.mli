@@ -9,12 +9,13 @@
     user's needs." *)
 
 type trace_step =
-  | Retrieved_direct of string * Gaea_storage.Oid.t list
+  | Retrieved_direct of string * Gaea_storage.Oid.t array
   | Interpolated of string * Gaea_storage.Oid.t
   | Fired of string * int * int  (** process name, version, task id *)
 
 type outcome = {
-  objects : Gaea_storage.Oid.t list;  (** the objects satisfying the request *)
+  objects : Gaea_storage.Oid.t array;
+      (** the objects satisfying the request *)
   new_tasks : Task.t list;
       (** tasks this request recorded, in order: every derivation step
           fires a binding not fired before, so each records one *)

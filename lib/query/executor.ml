@@ -282,7 +282,7 @@ let decimal_length n =
   else digits n 5 100_000
 
 (* the digits of [n >= 0] written backwards, ending just before
-   [stop]; returns where they start *)
+   [stop], two per division *)
 let write_digits b stop n =
   let n = ref n and stop = ref stop in
   while !n >= 100 do
@@ -295,28 +295,15 @@ let write_digits b stop n =
   done;
   if !n >= 10 then begin
     Bytes.unsafe_set b (!stop - 1) (String.unsafe_get two_digits ((2 * !n) + 1));
-    Bytes.unsafe_set b (!stop - 2) (String.unsafe_get two_digits (2 * !n));
-    !stop - 2
+    Bytes.unsafe_set b (!stop - 2) (String.unsafe_get two_digits (2 * !n))
   end
-  else begin
-    Bytes.unsafe_set b (!stop - 1) (Char.unsafe_chr (Char.code '0' + !n));
-    !stop - 1
-  end
-
-(* [string_of_int n] into [b], ending just before [stop]; returns where
-   it starts *)
-let write_int_back b stop n =
-  if n >= 0 then write_digits b stop n
-  else begin
-    let s = string_of_int n in
-    Bytes.blit_string s 0 b (stop - String.length s) (String.length s);
-    stop - String.length s
-  end
+  else Bytes.unsafe_set b (!stop - 1) (Char.unsafe_chr (Char.code '0' + !n))
 
 (* [string_of_int n] into [b] at [pos]; returns the end *)
 let write_int b pos n =
   let stop = pos + decimal_length n in
-  ignore (write_int_back b stop n);
+  if n >= 0 then write_digits b stop n
+  else Bytes.blit_string (string_of_int n) 0 b pos (stop - pos);
   stop
 
 (* A reply of strings and ints, sized exactly and written once *)
@@ -343,68 +330,50 @@ let render pieces =
        0 pieces);
   Bytes.unsafe_to_string b
 
-(* the number of [oids] and the length of ", <oid>" for each of them *)
-let rec listed_length count len = function
-  | [] -> (count, len)
-  | oid :: rest ->
-    listed_length (count + 1) (len + 2 + decimal_length oid) rest
-
-(* [string_of_int n] into [b] at [pos] without measuring it: written
-   backwards into the 20 bytes of [scratch] (enough for [min_int]), then
-   across; returns the end *)
-let copy_int scratch b pos n =
-  let from = write_int_back scratch 20 n in
-  Bytes.blit scratch from b pos (20 - from);
-  pos + 20 - from
-
-let rec write_listed scratch b pos = function
-  | [] -> pos
-  | oid :: rest ->
-    Bytes.unsafe_set b pos ',';
-    Bytes.unsafe_set b (pos + 1) ' ';
-    write_listed scratch b (copy_int scratch b (pos + 2) oid) rest
-
 let outcome_message outcome =
   (* a DERIVE may return thousands of objects: size the reply exactly,
-     then write it once *)
+     then write each OID's digits straight into it *)
   let head = "objects: [" and close = "]\n" in
   let objects = outcome.Derivation.objects in
-  let count, listed =
-    match objects with
-    | [] -> (0, 0)
-    | first :: rest -> listed_length 1 (decimal_length first) rest
-  in
   let trace =
     String.concat "\n"
       (List.map
          (function
            | Derivation.Retrieved_direct (cls, oids) ->
-             (* a retrieval's trace lists the reply's own objects *)
-             Printf.sprintf "retrieved %d stored object(s) of %s"
-               (if oids == objects then count else List.length oids)
-               cls
+             render
+               [ Str "retrieved "; Int (Array.length oids);
+                 Str " stored object(s) of "; Str cls ]
            | Derivation.Interpolated (cls, oid) ->
-             Printf.sprintf "interpolated object %d of %s" oid cls
+             render [ Str "interpolated object "; Int oid; Str " of "; Str cls ]
            | Derivation.Fired (p, v, id) ->
              render
                [ Str "fired "; Str p; Str " v"; Int v; Str " (task #"; Int id;
                  Str ")" ])
          outcome.Derivation.trace)
   in
+  let count = Array.length objects in
+  (* one pass sizes the list, ", " before every object but the first;
+     the second writes each OID's digits straight into the reply *)
+  let listed = ref (2 * Stdlib.max 0 (count - 1)) in
+  for i = 0 to count - 1 do
+    listed := !listed + decimal_length (Array.unsafe_get objects i)
+  done;
   let b =
     Bytes.create
-      (String.length head + listed + String.length close + String.length trace)
+      (String.length head + !listed + String.length close + String.length trace)
   in
   Bytes.blit_string head 0 b 0 (String.length head);
-  let pos =
-    match objects with
-    | [] -> String.length head
-    | first :: rest ->
-      let scratch = Bytes.create 20 in
-      write_listed scratch b (copy_int scratch b (String.length head) first) rest
-  in
-  Bytes.blit_string close 0 b pos (String.length close);
-  Bytes.blit_string trace 0 b (pos + String.length close) (String.length trace);
+  let pos = ref (String.length head) in
+  if count > 0 then begin
+    pos := write_int b !pos (Array.unsafe_get objects 0);
+    for i = 1 to count - 1 do
+      Bytes.unsafe_set b !pos ',';
+      Bytes.unsafe_set b (!pos + 1) ' ';
+      pos := write_int b (!pos + 2) (Array.unsafe_get objects i)
+    done
+  end;
+  Bytes.blit_string close 0 b !pos (String.length close);
+  Bytes.blit_string trace 0 b (!pos + String.length close) (String.length trace);
   Bytes.unsafe_to_string b
 
 let render_refresh (r : Kernel.refresh_report) =

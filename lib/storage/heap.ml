@@ -118,7 +118,7 @@ let to_seq t =
   in
   from 0
 
-let oids_onto t n tail =
+let oids t n =
   (* the slot just past the [n]-th live row (slot [n] when there is
      no tombstone); then cons backwards from it *)
   let stop =
@@ -132,10 +132,23 @@ let oids_onto t n tail =
       !i
     end
   in
-  let acc = ref tail in
+  let acc = ref [] in
   for i = stop - 1 downto 0 do
     if is_live t i then acc := t.oids.(i) :: !acc
   done;
   !acc
 
-let oids t n = oids_onto t n []
+let first_oids ?(tail = [||]) t n =
+  let n = Stdlib.min (Stdlib.max n 0) t.live in
+  if t.used = t.live && Array.length tail = 0 then Array.sub t.oids 0 n
+  else begin
+    (* skip the tombstones among the first [n] live rows *)
+    let oids = Array.make (n + Array.length tail) 0 and i = ref 0 in
+    for j = 0 to n - 1 do
+      while not (is_live t !i) do incr i done;
+      Array.unsafe_set oids j (Array.unsafe_get t.oids !i);
+      incr i
+    done;
+    Array.blit tail 0 oids n (Array.length tail);
+    oids
+  end

@@ -53,5 +53,7 @@ val oids : t -> int -> Oid.t list
 (** The first [n] live OIDs in insertion order (all of them when
     fewer); the walk stops at the [n]-th. *)
 
-val oids_onto : t -> int -> Oid.t list -> Oid.t list
-(** [oids_onto t n tail] is [oids t n @ tail] without the copy. *)
+val first_oids : ?tail:Oid.t array -> t -> int -> Oid.t array
+(** {!oids} as one fresh array, followed by [tail] (default none): an
+    [Array.sub] of the OID column when there is no tombstone and no
+    tail, one filtered copy otherwise. *)

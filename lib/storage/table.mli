@@ -57,8 +57,8 @@ val to_seq : t -> (Oid.t * Tuple.t) Seq.t
 val oids : t -> int -> Oid.t list
 (** The first [n] live OIDs in insertion order (see {!Heap.oids}). *)
 
-val oids_onto : t -> int -> Oid.t list -> Oid.t list
-(** {!oids} onto a tail (see {!Heap.oids_onto}). *)
+val first_oids : ?tail:Oid.t array -> t -> int -> Oid.t array
+(** {!oids} as one array (see {!Heap.first_oids}). *)
 
 val select : t -> (Oid.t -> Tuple.t -> bool) -> (Oid.t * Tuple.t) list
 

@@ -504,9 +504,9 @@ let test_fig3_end_to_end () =
   let oids = ok (Figures.load_tm_bands k ~seed:7 ~nrow:32 ~ncol:32 ()) in
   check_int "3 bands" 3 (List.length oids);
   let outcome = ok (Derivation.request k Figures.land_cover_class) in
-  check_int "one object" 1 (List.length outcome.Derivation.objects);
+  check_int "one object" 1 (Array.length outcome.Derivation.objects);
   check_int "one task" 1 (List.length outcome.Derivation.new_tasks);
-  let oid = List.hd outcome.Derivation.objects in
+  let oid = outcome.Derivation.objects.(0) in
   check_bool "acyclic" true (Lineage.is_acyclic k);
   check_bool "reproducible" true (ok (Lineage.verify_object k oid));
   (* 12 land-cover classes as the process requires *)
@@ -542,13 +542,13 @@ let test_derivation_need_two_distinct () =
   let _ = ok (Figures.load_avhrr_year k ~seed:2 ~year:1989 ~vegetation_shift:0.2 ()) in
   let outcome = ok (Derivation.request ~need:2 k Figures.ndvi_class) in
   check_int "two objects" 2
-    (List.length (List.sort_uniq compare outcome.Derivation.objects));
+    (List.length (List.sort_uniq compare (Array.to_list outcome.Derivation.objects)));
   check_int "two tasks" 2 (List.length outcome.Derivation.new_tasks);
   (* the two NDVI maps must come from different years *)
   let times =
     List.filter_map
       (fun oid -> Kernel.object_attr k ~cls:Figures.ndvi_class oid "timestamp")
-      outcome.Derivation.objects
+      (Array.to_list outcome.Derivation.objects)
   in
   check_int "distinct timestamps" 2
     (List.length (List.sort_uniq compare (List.map Value.to_display times)))
@@ -568,7 +568,7 @@ let test_request_at_interpolation () =
   let outcome =
     ok (Derivation.request_at k ~cls:"src" ~at:(Abstime.of_ymd 1986 1 6) ())
   in
-  let oid = List.hd outcome.Derivation.objects in
+  let oid = outcome.Derivation.objects.(0) in
   (match Kernel.object_attr k ~cls:"src" oid "data" with
    | Some (Value.VImage img) ->
      Alcotest.(check (float 1e-9)) "midpoint" 15. (Image.get img 0 0)
@@ -591,7 +591,7 @@ let test_request_at_retrieves_exact () =
   let outcome =
     ok (Derivation.request_at k ~cls:"src" ~at:(Abstime.of_ymd 1986 1 1) ())
   in
-  Alcotest.(check (list int)) "exact hit" [ oid ] outcome.Derivation.objects
+  Alcotest.(check (list int)) "exact hit" [ oid ] (Array.to_list outcome.Derivation.objects)
 
 (* AT retrieves the stored object nearest the date, not the first one
    inserted into the window; equally near objects go to the lowest OID *)
@@ -609,8 +609,9 @@ let test_request_at_nearest () =
   let d3 = mk 3 in
   let d4 = mk 4 in
   let at day =
-    (ok (Derivation.request_at k ~cls:"src" ~at:(Abstime.of_ymd 1988 6 day) ()))
-      .Derivation.objects
+    Array.to_list
+      (ok (Derivation.request_at k ~cls:"src" ~at:(Abstime.of_ymd 1988 6 day) ()))
+        .Derivation.objects
   in
   Alcotest.(check (list int)) "nearest, not first inserted" [ d3 ] (at 3);
   Alcotest.(check (list int)) "nearest at the window's edge" [ d4 ] (at 5);
@@ -706,7 +707,7 @@ END;|});
        (Option.get (Derivation.derivation_plan k ~need:5 "normalized")));
   let r = ok (Derivation.request k ~need:5 "normalized") in
   Alcotest.(check (list int)) "stored ascending, then the new one"
-    [ 6; 7; 8; 9; 10 ] r.Derivation.objects;
+    [ 6; 7; 8; 9; 10 ] (Array.to_list r.Derivation.objects);
   Alcotest.(check (list (list (pair string (list int)))))
     "one task, on scene 1" [ [ ("s", [ 1 ]) ] ]
     (List.map (fun (t : Task.t) -> t.Task.inputs) r.Derivation.new_tasks);
@@ -938,7 +939,7 @@ let test_persist_roundtrip () =
       (List.length (Concept.all (Kernel.concepts k)))
       (List.length (Concept.all (Kernel.concepts k2)));
     (* the derived object is there with identical pixels *)
-    let oid = List.hd lc.Derivation.objects in
+    let oid = lc.Derivation.objects.(0) in
     let img k =
       match Kernel.object_attr k ~cls:Figures.land_cover_class oid "data" with
       | Some (Value.VImage i) -> i

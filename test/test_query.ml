@@ -849,7 +849,7 @@ let test_pipeline_need_past_a_fired_stage () =
   (match Derivation.request k ~need:2 "wet_mask" with
    | Ok r ->
      Alcotest.(check (list int)) "wet_mask 3 and a new one" [ 3; 6 ]
-       r.Derivation.objects;
+       (Array.to_list r.Derivation.objects);
      Alcotest.(check (list string)) "wetness's steps" [ "normalize"; "threshold" ]
        (List.map (fun (t : Task.t) -> t.Task.process) r.Derivation.new_tasks)
    | Error e -> Alcotest.fail (Gaea_core.Gaea_error.to_string e));
@@ -1090,7 +1090,8 @@ let prop_derive_reply_text =
       oneof
         [ map2 (fun v id -> D.Fired ("p", v, id)) small_nat oid;
           map (fun o -> D.Interpolated ("c", o)) oid;
-          map (fun os -> D.Retrieved_direct ("c", os)) (small_list oid) ])
+          map (fun os -> D.Retrieved_direct ("c", Array.of_list os))
+            (small_list oid) ])
   in
   QCheck.Test.make ~name:"the DERIVE reply text is unchanged" ~count:500
     (QCheck.make
@@ -1100,13 +1101,14 @@ let prop_derive_reply_text =
       let line = function
         | D.Retrieved_direct (cls, oids) ->
           Printf.sprintf "retrieved %d stored object(s) of %s"
-            (List.length oids) cls
+            (Array.length oids) cls
         | D.Interpolated (cls, oid) ->
           Printf.sprintf "interpolated object %d of %s" oid cls
         | D.Fired (p, v, id) ->
           Printf.sprintf "fired %s v%d (task #%d)" p v id
       in
-      Executor.outcome_message { D.objects; new_tasks = []; trace }
+      Executor.outcome_message
+        { D.objects = Array.of_list objects; new_tasks = []; trace }
       = Printf.sprintf "objects: [%s]\n%s"
           (String.concat ", " (List.map string_of_int objects))
           (String.concat "\n" (List.map line trace)))

@@ -433,8 +433,9 @@ let run_refresh_with_skip lanes =
       let _ = derive_chain k a in
       let interp =
         match
-          (ok (Derivation.request_at k ~cls:"src" ~at:(Abstime.of_ymd 1986 1 6) ()))
-            .Derivation.objects
+          Array.to_list
+            (ok (Derivation.request_at k ~cls:"src" ~at:(Abstime.of_ymd 1986 1 6) ()))
+              .Derivation.objects
         with
         | [ o ] -> o
         | _ -> Alcotest.fail "expected one interpolated object"

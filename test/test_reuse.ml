@@ -182,7 +182,7 @@ let test_need_three_after_two () =
   let k = Session.kernel (probe ()) in
   let r = ok (Derivation.request k ~need:3 "normalized") in
   Alcotest.(check (list int)) "three distinct objects" [ 6; 7; 8 ]
-    r.Derivation.objects;
+    (Array.to_list r.Derivation.objects);
   Alcotest.(check (list int)) "only task #3 fires" [ 3 ]
     (List.map (fun (t : Task.t) -> t.Task.task_id) r.Derivation.new_tasks);
   Alcotest.(check (list (pair string (list int))))
@@ -205,10 +205,10 @@ let test_need_every_scene () =
           let r = ok (Derivation.request k ~need:n "normalized") in
           let what = Printf.sprintf "NEED %d at %d lane(s)" n lanes in
           check_int what n
-            (List.length (List.sort_uniq Int.compare r.Derivation.objects));
+            (List.length (List.sort_uniq Int.compare (Array.to_list r.Derivation.objects)));
           Alcotest.(check (list int)) (what ^ ": all stored")
             (normalized session)
-            (List.sort Int.compare r.Derivation.objects)))
+            (List.sort Int.compare (Array.to_list r.Derivation.objects))))
     [ (33, 1); (33, 2); (33, 8); (100, 1); (100, 2); (100, 8) ]
 
 let test_need_too_many () =
@@ -247,13 +247,13 @@ let test_need_over_fired_history () =
     scenes;
   let r = ok (Derivation.request k ~need:n "normalized") in
   check_int "N distinct objects" n
-    (List.length (List.sort_uniq Int.compare r.Derivation.objects));
+    (List.length (List.sort_uniq Int.compare (Array.to_list r.Derivation.objects)));
   Alcotest.(check (list (list (pair string (list int)))))
     "one task, on the newest scene"
     [ [ ("s", [ List.nth scenes (n - 1) ]) ] ]
     (List.map (fun (t : Task.t) -> t.Task.inputs) r.Derivation.new_tasks);
   Alcotest.(check (list int)) "stored ascending, then the new one"
-    (normalized session) r.Derivation.objects
+    (normalized session) (Array.to_list r.Derivation.objects)
 
 let test_find_binding_fresh () =
   let session = probe () in

@@ -290,6 +290,71 @@ let heap_model_prop =
       (* the heap stays alive through the collection *)
       Heap.length h = List.length !model)
 
+(* The first [n] OIDs a heap hands out, as an array
+   ({!Heap.first_oids}, also followed by a tail) and as a list
+   ({!Heap.oids}), are the first [n] of its scan, for
+   [n] of -1, 0, every live row and past them, after every step of
+   random inserts of fresh OIDs and deletes.  A closing sweep deletes
+   all but two rows, so a heap that has held five rows or more sees
+   tombstones outnumber live rows and compacts in place; the arrays
+   handed out at every earlier step are the caller's and must read the
+   same after it. *)
+let heap_first_oids_prop =
+  let d = desc () in
+  QCheck.Test.make ~name:"first n OIDs = first n of scan" ~count:200
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat "; "
+           (List.map
+              (function None -> "insert" | Some i -> Printf.sprintf "delete #%d" i)
+              ops))
+       QCheck.Gen.(
+         list_size (int_range 0 300)
+           (frequency [ (3, return None); (2, map Option.some small_nat) ])))
+    (fun ops ->
+      let h = Heap.create () and next = ref 0 and handed = ref [] in
+      let scanned () =
+        let acc = ref [] in
+        Heap.scan h (fun oid _ -> acc := oid :: !acc);
+        List.rev !acc
+      in
+      let check () =
+        let all = scanned () in
+        let live = List.length all in
+        List.iter
+          (fun n ->
+            let want = List.filteri (fun i _ -> i < n) all in
+            let first = Heap.first_oids h n in
+            handed := (first, want) :: !handed;
+            if Array.to_list first <> want then
+              QCheck.Test.fail_reportf "first_oids %d of %d differs from scan" n
+                live;
+            if
+              Array.to_list (Heap.first_oids ~tail:[| -1; -2 |] h n)
+              <> want @ [ -1; -2 ]
+            then
+              QCheck.Test.fail_reportf "first_oids ~tail %d of %d differs" n live;
+            if Heap.oids h n <> want then
+              QCheck.Test.fail_reportf "oids %d of %d differs from scan" n live)
+          [ -1; 0; live; live + 5 ]
+      in
+      let step op =
+        (match op with
+         | None ->
+           incr next;
+           Result.get_ok (Heap.insert h !next (mk_tuple d !next))
+         | Some i ->
+           (match scanned () with
+            | [] -> ()
+            | all -> ignore (Heap.delete h (List.nth all (i mod List.length all)))));
+        check ()
+      in
+      List.iter step ops;
+      while Heap.length h > 2 do
+        step (Some 0)
+      done;
+      List.for_all (fun (first, want) -> Array.to_list first = want) !handed)
+
 (* ------------------------------------------------------------------ *)
 (* Indexes                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -632,7 +697,7 @@ let () =
       ( "heap",
         [ tc "operations" test_heap;
           tc "compaction under churn" test_heap_compaction ] );
-      qsuite "heap-props" [ heap_model_prop ];
+      qsuite "heap-props" [ heap_model_prop; heap_first_oids_prop ];
       ("indexes", [ tc "btree" test_index_btree ]);
       ( "table",
         [ tc "basics" test_table_basic;
